@@ -15,7 +15,7 @@ import time
 
 from .compactness import (Space, build_product, is_compact,
                           product_nbhd_system, tychonoff_check)
-from .errors import FuzztopError, SizeLimit
+from .errors import FuzztopError, PreconditionViolated
 from .filters import (FilterTable, NoFilterAbove, check_filter,
                       enumerate_filters, is_ultrafilter, saturate)
 from .lattice import check_infinite_distributivity
@@ -37,7 +37,8 @@ def _parser():
     p.add_argument("--max-subsets", type=int, default=20,
                    help="largest carrier for all-subsets sweeps (2**N)")
     p.add_argument("--max-powerset", type=int, default=4096)
-    p.add_argument("--max-filters", type=int, default=200_000)
+    p.add_argument("--max-filters", type=int, default=200_000,
+                   help="most closures computed while enumerating filters")
     sub = p.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("validate", help="run an axiom battery")
@@ -91,6 +92,15 @@ class _Kernel:
         return self._universes[name]
 
     def space(self, name):
+        """The named space, or PreconditionViolated (exit 2) naming the
+        failed axioms when its table is not a topology.  Only check_topology
+        runs: the interior and neighbourhood batteries of a validating Space
+        gate no verdict."""
+        report = check_topology(self.topology(name), cap=self.args.max_subsets)
+        if not report.passed:
+            raise PreconditionViolated(
+                f"space {name!r} is not a topology: fails "
+                + ", ".join(sorted(report.failures())))
         return Space(self.universe(name), self.doc.spaces[name].topology,
                      validate=False)
 
@@ -288,7 +298,7 @@ def main(argv=None):
         start = time.monotonic()
         reports, extras = run_command(doc, args)
         elapsed = time.monotonic() - start
-    except (FuzztopError, OSError) as exc:
+    except (FuzztopError, OSError, UnicodeDecodeError) as exc:
         print(f"fuzztop: error: {exc}", file=sys.stderr)
         return 2
     text, ok = _render(args, reports, extras, elapsed)

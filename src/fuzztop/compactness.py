@@ -87,8 +87,9 @@ def is_compact(space, mode="sweep", filters=None, cap=None):
 
     mode="sweep" checks every enumerated filter; mode="ultrafilter" checks
     ultrafilters only (equivalent: an adherence certificate for an
-    ultrafilter above F also witnesses adherence for F).  Returns
-    (bool, witness filter or None).
+    ultrafilter above F also witnesses adherence for F).  Without `filters`
+    they are enumerated with at most `cap` closures (the default cap when
+    None).  Returns (bool, witness filter or None).
     """
     u = space.universe
     if filters is None:

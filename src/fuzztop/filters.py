@@ -1,11 +1,13 @@
 """Graded filters on a finite ground set.
 
 A filter is a total grade table over the graded carrier satisfying FF0-FF3.
-Enumeration walks monotone tables with the pinned top/bottom rows and keeps
-those passing the tensor-stability axiom; saturation computes the least
-filter above a seed by an inflationary fixpoint of the monotonicity and
-tensor-stability rules.  The ultrafilter characterization and the hat
-extension follow their explicit formulas.
+Saturation computes the least table above a seed closed under the
+monotonicity and tensor-stability rules, by a worklist that re-fires only
+the rules of cells whose grade changed.  Saturated tables are closed under
+pointwise meet, and the filters are those whose empty-set row stays at bot,
+so enumeration lists that closure system from its least member (see
+`closure`).  The ultrafilter characterization and the hat extension follow
+their explicit formulas.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .closure import enumerate_closed, worklist
 from .errors import NotAChain, NotSurjective, PreconditionViolated, SizeLimit
 from .report import Report
 
@@ -73,84 +76,79 @@ def check_filter(F):
     return report
 
 
-def _ff2_holds(u, table):
-    lat = u.lattice
-    for gi in u.graded_cells():
-        si, a = u.gpair(gi)
-        for gj in range(gi, u.graded_size):
-            sj, b = u.gpair(gj)
-            lhs = lat.join2(a, b)
-            if not lat.le(u.tensor.app(table[gi], table[gj]),
-                          table[u.gidx(u.pw_tensor[si][sj], lhs)]):
+def _close(u, table, dirty, sweep=False, abort=False):
+    """Raise `table`, a list, in place to its least fixpoint under the
+    monotonicity rule and the tensor rule on index-ordered pairs of cells.
+
+    `dirty` lists the cells raised since the table was last closed, and
+    sweep=True visits every cell first (see `closure.worklist`).  With
+    abort=True it returns False as soon as an empty-set cell leaves bot,
+    leaving the table half closed; otherwise it returns True.
+    """
+    join, ten = u.lattice.join, u.tensor.table
+    above, box = u.graded_above, u.box_table
+    size = u.graded_size
+    zero_lo = u.zero_idx * u.n
+    zero_hi = zero_lo + u.n
+
+    def lift(k, w):
+        table[k] = w
+        dirty.append(k)
+        return not (abort and zero_lo <= k < zero_hi)
+
+    for x, full in worklist(size, sweep, dirty):
+        v = table[x]
+        for k in above[x]:
+            w = join[table[k]][v]
+            if w != table[k] and not lift(k, w):
                 return False
+        for y in range(x + 1):
+            k = box[y][x]
+            w = join[table[k]][ten[table[y]][v]]
+            if w != table[k] and not lift(k, w):
+                return False
+        if full:
+            row, ten_v = box[x], ten[v]
+            for y in range(x + 1, size):
+                k = row[y]
+                w = join[table[k]][ten_v[table[y]]]
+                if w != table[k] and not lift(k, w):
+                    return False
     return True
+
+
+def _pin_top_row(u, table):
+    for a in u.lattice.elements():
+        table[u.gidx(u.one_idx, a)] = u.lattice.top
 
 
 def enumerate_filters(universe, cap=DEFAULT_FILTER_CAP):
     """All filters on the universe, in canonical (table-lexicographic) order.
 
-    Enumerates monotone tables by backtracking along a linear extension of
-    the graded order, with the FF0/FF3 rows pinned, then keeps the tables
-    satisfying FF2.  Raises SizeLimit when the monotone-map search would
-    visit more than `cap` partial assignments.
+    The filters are the saturated tables whose empty-set row stays at bot,
+    a down-set of a closure system; they are enumerated from the least one
+    (only the top row at top) by `closure.enumerate_closed`.  Raises
+    SizeLimit when more than `cap` closures would be computed.
     """
     u = universe
     lat = u.lattice
-    size = u.graded_size
-
-    pinned = {}
-    for a in lat.elements():
-        pinned[u.gidx(u.one_idx, a)] = lat.top
-        pinned[u.gidx(u.zero_idx, a)] = lat.bot
-
-    below = [[gj for gj in range(size)
-              if gj != gi and u.graded_leq(gj, gi)] for gi in range(size)]
-    above = [[gj for gj in range(size)
-              if gj != gi and u.graded_leq(gi, gj)] for gi in range(size)]
-    # static bounds induced by the pinned cells
-    lo = [lat.join_set([pinned[b] for b in below[gi] if b in pinned])
-          for gi in range(size)]
-    hi = [lat.meet_set([pinned[b] for b in above[gi] if b in pinned])
-          for gi in range(size)]
-
-    order = sorted(range(size), key=lambda gi: len(below[gi]))
-    rank = {gi: k for k, gi in enumerate(order)}
-
-    table = [None] * size
-    results = []
-    visited = 0
-
-    def assign(k):
-        nonlocal visited
-        if k == size:
-            if _ff2_holds(u, table):
-                results.append(tuple(table))
-            return
-        gi = order[k]
-        visited += 1
-        if visited > cap:
-            raise SizeLimit(f"monotone enumeration exceeded cap {cap}")
-        if gi in pinned:
-            choices = [pinned[gi]]
-        else:
-            floor = lo[gi]
-            for b in below[gi]:
-                if rank[b] < k:
-                    floor = lat.join2(floor, table[b])
-            choices = [v for v in lat.elements()
-                       if lat.le(floor, v) and lat.le(v, hi[gi])]
-        for v in choices:
-            table[gi] = v
-            assign(k + 1)
-        table[gi] = None
-
-    assign(0)
-    results.sort()
-    return [FilterTable(universe=u, table=t) for t in results]
+    least = [lat.bot] * u.graded_size
+    _pin_top_row(u, least)
+    feasible = _close(u, least, [], sweep=True, abort=True)
+    # raising an empty-set cell above bot is infeasible from the start
+    cells = [gi for gi in u.graded_cells() if gi // u.n != u.zero_idx]
+    tables = enumerate_closed(
+        lat, tuple(least) if feasible else None,
+        lambda table, gi: _close(u, table, [gi], abort=True),
+        cells, cap, "filter")
+    return [FilterTable(universe=u, table=t) for t in tables]
 
 
 def enumerate_filters_bruteforce(universe, cap=DEFAULT_FILTER_CAP):
-    """Raw table sweep over every grade assignment; the census oracle."""
+    """Raw table sweep over every grade assignment; the census oracle.
+
+    Raises SizeLimit when there are more than `cap` candidate tables.
+    """
     u = universe
     total = u.lattice.n ** u.graded_size
     if total > cap:
@@ -197,29 +195,8 @@ def saturate(universe, seed):
     u = universe
     lat = u.lattice
     table = list(seed)
-    for a in lat.elements():
-        gi = u.gidx(u.one_idx, a)
-        table[gi] = lat.top
-
-    above = [[gj for gj in u.graded_cells()
-              if gj != gi and u.graded_leq(gi, gj)] for gi in u.graded_cells()]
-    changed = True
-    while changed:
-        changed = False
-        for gi in u.graded_cells():
-            v = table[gi]
-            for gj in above[gi]:
-                w = lat.join2(table[gj], v)
-                if w != table[gj]:
-                    table[gj] = w
-                    changed = True
-        for gi in u.graded_cells():
-            for gj in range(gi, u.graded_size):
-                k = u.boxtimes(gi, gj)
-                w = lat.join2(table[k], u.tensor.app(table[gi], table[gj]))
-                if w != table[k]:
-                    table[k] = w
-                    changed = True
+    _pin_top_row(u, table)
+    _close(u, table, [], sweep=True)
     for a in lat.elements():
         v = table[u.gidx(u.zero_idx, a)]
         if v != lat.bot:
@@ -271,7 +248,8 @@ def is_ultrafilter(U, mode="characterization", all_filters=None,
     """Decide maximality of a filter.
 
     mode="maximality": search for a strictly larger filter (all_filters may
-    supply a precomputed enumeration).  mode="characterization": test the
+    supply a precomputed enumeration; otherwise one is made with at most
+    `cap` closures).  mode="characterization": test the
     impl-into-bottom identity on every cell and every grade below the cell's.
     Returns (bool, witness).
     """

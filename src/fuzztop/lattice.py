@@ -53,6 +53,14 @@ class Lattice:
             out = self.meet[out][e]
         return out
 
+    def join_irreducibles(self):
+        """Elements that are not the join of the elements strictly below
+        them (so not bot, the empty join); every element is the join of the
+        join-irreducibles below it."""
+        return tuple(j for j in self.elements()
+                     if self.join_set(e for e in self.elements()
+                                      if e != j and self.le(e, j)) != j)
+
     def subsets(self, cap=MAX_SUBSET_ELEMENTS):
         """All subsets of the carrier as element lists, the empty set first."""
         if self.n > cap:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import SizeLimit
 from .lattice import MAX_SUBSET_ELEMENTS, lattice_from_order
@@ -38,6 +39,9 @@ class Ground:
 
 def enumerate_powerset(lat, ground, cap=DEFAULT_POWERSET_CAP):
     """All |L|**m fuzzy sets as tuples, in lexicographic order."""
+    if lat.n > 1 and ground.m >= cap.bit_length():
+        # 2**m alone exceeds the cap; do not build a huge power to say so
+        raise SizeLimit(f"powerset size {lat.n}**{ground.m} exceeds cap {cap}")
     total = lat.n ** ground.m
     if total > cap:
         raise SizeLimit(f"powerset size {total} exceeds cap {cap}")
@@ -48,8 +52,10 @@ class Universe:
     """Ambient data for one ground set: powerset, graded carrier, tables.
 
     Bundles the lattice, a GL tensor with its residuum, and a cotensor
-    (default: the lattice join) with its co-implication.  All pointwise and
-    graded operation tables are precomputed at construction.
+    (default: the lattice join) with its co-implication.  The pointwise
+    operation tables are precomputed at construction; the graded `above`
+    lists and the boxtimes table, which only filter saturation and
+    enumeration read, are built on first use.
     """
 
     def __init__(self, lattice, tensor, ground, cotensor=None,
@@ -125,6 +131,22 @@ class Universe:
         si, a = divmod(gi, self.n)
         sj, b = divmod(gj, self.n)
         return self.pw_leq[si][sj] and self.lattice.le(b, a)
+
+    @cached_property
+    def graded_above(self):
+        """Per graded cell, the cells strictly above it in the graded order;
+        built on first use."""
+        n, le, pw_leq = self.n, self.lattice.leq, self.pw_leq
+        return tuple(
+            tuple(sj * n + b for sj in range(self.n_sets) if pw_leq[si][sj]
+                  for b in range(n) if le[b][a] and (sj, b) != (si, a))
+            for si in range(self.n_sets) for a in range(n))
+
+    @cached_property
+    def box_table(self):
+        """The full boxtimes table over graded cells; built on first use."""
+        cells = self.graded_cells()
+        return tuple(tuple(self.boxtimes(i, j) for j in cells) for i in cells)
 
     @property
     def graded_top(self):
@@ -213,7 +235,7 @@ def check_graded_gl(universe, cap=MAX_SUBSET_ELEMENTS):
     report = Report("graded_gl")
     glat = universe.graded_lattice()
     cells = list(universe.graded_cells())
-    box = tuple(tuple(universe.boxtimes(i, j) for j in cells) for i in cells)
+    box = universe.box_table
     gl = check_gl_monoid(Tensor(base=glat, table=box, kind="tensor"), cap=cap)
     report.verdicts.update(gl.verdicts)
 

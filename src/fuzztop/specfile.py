@@ -196,6 +196,10 @@ def parse_spec(text):
             (tensor_rows if kind == "tensor" else cotensor_rows)[(a, b)] = c
         elif kind == "space":
             if toks[0] == "points" and toks[1:2] == ["="]:
+                if len(toks) != 3 or not toks[2].isdecimal() \
+                        or int(toks[2]) < 1:
+                    raise SpecSyntaxError(
+                        lno, "expected: points = <positive integer>")
                 cur["points"] = int(toks[2])
             elif toks[0] == "grade" and toks[1:3] == ["f", "="]:
                 if cur["points"] is None:
@@ -210,21 +214,23 @@ def parse_spec(text):
             else:
                 raise SpecSyntaxError(lno, f"unexpected space line {line!r}")
         elif kind == "map":
-            if toks[0] in ("from", "to") and toks[1:2] == ["="]:
+            if toks[0] in ("from", "to") and toks[1:2] == ["="] \
+                    and len(toks) == 3:
                 cur["src" if toks[0] == "from" else "dst"] = toks[2]
-            elif toks[0] == "point" and len(toks) == 4 and toks[2] == "->":
+            elif toks[0] == "point" and len(toks) == 4 and toks[2] == "->" \
+                    and toks[1].isdecimal() and toks[3].isdecimal():
                 cur["rows"][int(toks[1])] = int(toks[3])
             else:
                 raise SpecSyntaxError(lno, f"unexpected map line {line!r}")
         elif kind == "filter":
-            if toks[0] == "on" and toks[1:2] == ["="]:
+            if toks[0] == "on" and toks[1:2] == ["="] and len(toks) == 3:
                 cur["space"] = toks[2]
             elif toks[0] == "grade" and toks[1:3] == ["f", "="]:
                 rest = toks[3:]
-                if "@" not in rest or rest[-2] != "->":
+                at = rest.index("@") if "@" in rest else -1
+                if at < 0 or len(rest) != at + 4 or rest[-2] != "->":
                     raise SpecSyntaxError(
                         lno, "expected: grade f = <values> @ <grade> -> <value>")
-                at = rest.index("@")
                 key = (tuple(elem(t, lno) for t in rest[:at]),
                        elem(rest[at + 1], lno))
                 cur["rows"][key] = elem(rest[-1], lno)

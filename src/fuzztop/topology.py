@@ -1,17 +1,21 @@
 """Grade-valued topologies, interiors, neighborhood systems, continuity.
 
-A topology is a total grade table over the enumerated powerset.  The interior
-operator derived from it, and the per-point neighborhood system derived from
-that, are materialized as full tables and validated by exhaustive axiom
-sweeps, turning the structural lemmas into executable checks.
+A topology is a total grade table over the enumerated powerset.  The least
+topology above a seed is computed by a worklist closure of the pairwise
+tensor and join rules; topologies are closed under pointwise meet, so they
+are enumerated as that closure system from its least member (see
+`closure`).  The interior operator derived from a topology, and the
+per-point neighborhood system derived from that, are materialized as full
+tables and validated by exhaustive axiom sweeps, turning the structural
+lemmas into executable checks.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .errors import PreconditionViolated, SizeLimit
+from .closure import enumerate_closed, worklist
+from .errors import PreconditionViolated
 from .report import Report
 
 #: largest powerset for which all-subsets (o3) sweeps are attempted
@@ -94,48 +98,70 @@ def order_topologies(t1, t2):
     return "incomparable"
 
 
-def generate_topology(universe, seed):
-    """Least topology above a seed grading, by inflationary pairwise closure.
+def _close(u, table, dirty, sweep=False):
+    """Raise `table`, a list, in place to its least fixpoint under the
+    pairwise rules grade(f tensor g) >= grade(f) tensor grade(g) and
+    grade(f join g) >= grade(f) meet grade(g); `dirty` and `sweep` as in
+    `closure.worklist`."""
+    join, meet, ten = u.lattice.join, u.lattice.meet, u.tensor.table
+    pw_tensor, pw_join = u.pw_tensor, u.pw_join
 
-    Forces the top and bottom sets to grade top, then repeatedly lifts
-    grade(f tensor g) by grade(f) tensor grade(g) and grade(f join g) by
-    grade(f) meet grade(g) until stable.
+    def lift(k, w):
+        table[k] = w
+        dirty.append(k)
+
+    for x, full in worklist(u.n_sets, sweep, dirty):
+        v = table[x]
+        row_t, row_j, ten_v, meet_v = pw_tensor[x], pw_join[x], ten[v], meet[v]
+        for y in range(u.n_sets if full else x + 1):
+            g = table[y]
+            k = row_t[y]
+            w = join[table[k]][ten_v[g]]
+            if w != table[k]:
+                lift(k, w)
+            k = pw_tensor[y][x]
+            w = join[table[k]][ten[g][v]]
+            if w != table[k]:
+                lift(k, w)
+            k = row_j[y]
+            w = join[table[k]][meet_v[g]]
+            if w != table[k]:
+                lift(k, w)
+
+
+def generate_topology(universe, seed):
+    """Least topology above a seed grading, by a worklist closure.
+
+    Forces the top and bottom sets to grade top, then lifts grade(f tensor
+    g) by grade(f) tensor grade(g) and grade(f join g) by grade(f) meet
+    grade(g), from every set whose grade changed, until stable.
     """
     u = universe
     lat = u.lattice
     table = list(seed)
     table[u.one_idx] = lat.top
     table[u.zero_idx] = lat.top
-    changed = True
-    while changed:
-        changed = False
-        for i in range(u.n_sets):
-            for j in range(u.n_sets):
-                k = u.pw_tensor[i][j]
-                v = lat.join2(table[k], u.tensor.app(table[i], table[j]))
-                if v != table[k]:
-                    table[k] = v
-                    changed = True
-                k = u.pw_join[i][j]
-                v = lat.join2(table[k], lat.meet2(table[i], table[j]))
-                if v != table[k]:
-                    table[k] = v
-                    changed = True
+    _close(u, table, [], sweep=True)
     return Topology(universe=u, table=tuple(table))
 
 
 def enumerate_topologies(universe, cap=2 ** 20):
-    """All topologies on the universe, by brute-force table sweep."""
+    """All topologies on the universe, in table-lexicographic order.
+
+    The topologies are the closed tables of `generate_topology`; they are
+    enumerated from the least one by `closure.enumerate_closed`.  Raises
+    SizeLimit when more than `cap` closures would be computed.
+    """
     u = universe
-    total = u.lattice.n ** u.n_sets
-    if total > cap:
-        raise SizeLimit(f"{total} candidate tables exceeds cap {cap}")
-    out = []
-    for values in itertools.product(u.lattice.elements(), repeat=u.n_sets):
-        t = Topology(universe=u, table=values)
-        if check_topology(t).passed:
-            out.append(t)
-    return out
+    least = generate_topology(u, [u.lattice.bot] * u.n_sets).table
+
+    def close(table, si):
+        _close(u, table, [si])
+        return True
+
+    tables = enumerate_closed(u.lattice, least, close, range(u.n_sets), cap,
+                              "topology")
+    return [Topology(universe=u, table=t) for t in tables]
 
 
 def is_continuous(phi, tau, eta):

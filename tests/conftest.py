@@ -64,3 +64,25 @@ def u31_luk(chain3):
 @pytest.fixture(scope="session")
 def u32_godel(chain3):
     return Universe(chain3, meet_tensor(chain3), Ground(2))
+
+
+@pytest.fixture(scope="session")
+def u32_luk(chain3):
+    return Universe(chain3, lukasiewicz_tensor(chain3), Ground(2))
+
+
+@pytest.fixture(scope="session")
+def diamond_1pt(diamond4):
+    return Universe(diamond4, meet_tensor(diamond4), Ground(1))
+
+
+@pytest.fixture(scope="session")
+def chain4_godel_1pt():
+    lat = chain(4)
+    return Universe(lat, meet_tensor(lat), Ground(1))
+
+
+@pytest.fixture(scope="session")
+def chain4_luk_1pt():
+    lat = chain(4)
+    return Universe(lat, lukasiewicz_tensor(lat), Ground(1))

@@ -1,11 +1,18 @@
+import io
 import json
+import os
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fuzztop.cli import main
 
-SPECS = Path(__file__).resolve().parents[1] / "specs"
+ROOT = Path(__file__).resolve().parents[1]
+SPECS = ROOT / "specs"
 LUK = str(SPECS / "lukasiewicz3.spec")
 N5 = str(SPECS / "n5.spec")
 TWO = str(SPECS / "two_spaces.spec")
@@ -147,3 +154,110 @@ def test_continuity_command(capsys):
     assert code == 0
     assert "continuity[collapse]" in out
     assert "nbhd_pushforward" in out
+
+
+BOOL_HEADER = ("[lattice]\nelements = bot top\ncovers = bot<top\n\n"
+               "[tensor]\nbot bot -> bot\nbot top -> bot\n"
+               "top bot -> bot\ntop top -> top\n\n")
+
+
+def run_cli(spec_path, *argv):
+    """`python -m fuzztop.cli` in a subprocess: (exit code, stderr)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, "-m", "fuzztop.cli",
+                           str(spec_path), *argv],
+                          capture_output=True, text=True, env=env)
+    return done.returncode, done.stderr
+
+
+@pytest.mark.parametrize("points", ["x", "0", "-1", "2.5", ""])
+def test_bad_points_value_exits_2(tmp_path, points):
+    spec = tmp_path / "bad.spec"
+    spec.write_text(BOOL_HEADER + f"[space A]\npoints = {points}\n")
+    code, err = run_cli(spec, "validate", "topology")
+    assert code == 2
+    assert "Traceback" not in err
+    assert "line 12" in err
+
+
+def test_non_utf8_spec_exits_2(tmp_path):
+    spec = tmp_path / "latin1.spec"
+    spec.write_bytes(BOOL_HEADER.replace("bot", "b\xf6t").encode("latin-1"))
+    code, err = run_cli(spec, "validate", "lattice")
+    assert code == 2
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [("compact", "--space", "A"),
+                                     ("product", "--spaces", "A", "A"),
+                                     ("tychonoff", "--spaces", "A", "A")])
+def test_invalid_topology_exits_2(tmp_path, command):
+    # grade(empty set) = bot fails o1'; validate topology reports it too
+    spec = tmp_path / "invalid.spec"
+    spec.write_text(BOOL_HEADER + "[space A]\npoints = 1\n"
+                    "grade f = bot -> bot\ngrade f = top -> top\n")
+    code, err = run_cli(spec, *command)
+    assert code == 2
+    assert "Traceback" not in err
+    assert "o1_prime" in err
+    assert run_cli(spec, "validate", "topology")[0] == 1
+
+
+FUZZ_TOKENS = ["x", "0", "1", "2", "-1", "99999999999999", "=", "->", "@",
+               "<", "bot", "top", "mid", "bot<top", "points", "grade", "f",
+               "from", "to", "on", "point", "[space", "B]", "[map", "[filter",
+               "[tensor]", "[lattice]", "#", "elements", "covers"]
+FUZZ_COMMANDS = [("validate", "topology"), ("validate", "lattice"),
+                 ("validate", "nbhd"), ("classify",), ("residuum",),
+                 ("filters", "enumerate"), ("filters", "ultrafilters"),
+                 ("filters", "check", "--filter", "principal0"),
+                 ("saturate", "--filter", "principal0"),
+                 ("compact", "--space", "X"), ("compact", "--space", "Y"),
+                 ("product", "--spaces", "X", "Y"),
+                 ("tychonoff", "--spaces", "X", "Y"),
+                 ("continuity", "--map", "collapse"),
+                 ("compact", "--space", "A"), ("saturate", "--filter", "F"),
+                 ("continuity", "--map", "m")]
+
+
+@st.composite
+def mutated_specs(draw):
+    """A repository spec, without its comment lines, with lines dropped,
+    tokens replaced and lines of random tokens inserted."""
+    spec = draw(st.sampled_from(sorted(SPECS.glob("*.spec"))))
+    lines = [line for line in spec.read_text().splitlines()
+             if not line.startswith("#")]
+    tokens = st.sampled_from(FUZZ_TOKENS)
+    for _ in range(draw(st.integers(1, 4))):
+        k = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(("drop", "replace", "insert")))
+        if kind == "drop":
+            del lines[k]
+        elif kind == "replace" and lines[k].split():
+            toks = lines[k].split()
+            toks[draw(st.integers(0, len(toks) - 1))] = draw(tokens)
+            lines[k] = " ".join(toks)
+        else:
+            lines.insert(k, " ".join(draw(st.lists(tokens, max_size=5))))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="session")
+def fuzz_spec(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "mutated.spec"
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=mutated_specs(), command=st.sampled_from(FUZZ_COMMANDS))
+def test_mutated_specs_keep_the_exit_contract(fuzz_spec, text, command):
+    fuzz_spec.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main([str(fuzz_spec), "--format", "machine", *command])
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -1,4 +1,7 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fuzztop.errors import (NotAChain, NotSurjective, PreconditionViolated,
                             SizeLimit)
@@ -51,6 +54,40 @@ def test_enumeration_matches_bruteforce(u21, u22, u31_godel, u31_luk):
         assert [F.table for F in fast] == sorted(F.table for F in slow)
 
 
+def filters_by_sweep(u):
+    """Oracle: every table with the top row at top and the empty-set row at
+    bot, swept over the remaining cells, kept when monotone in the graded
+    order and passing check_filter.  The monotonicity test only skips
+    check_filter calls that would fail FF1."""
+    lat = u.lattice
+    pinned = {u.one_idx: lat.top, u.zero_idx: lat.bot}
+    free = [gi for gi in u.graded_cells() if gi // u.n not in pinned]
+    pairs = [(gi, gj) for gi in u.graded_cells() for gj in u.graded_cells()
+             if u.graded_leq(gi, gj)]
+    table = [pinned.get(gi // u.n) for gi in u.graded_cells()]
+    out = []
+    for values in itertools.product(lat.elements(), repeat=len(free)):
+        for gi, v in zip(free, values):
+            table[gi] = v
+        if all(lat.le(table[gi], table[gj]) for gi, gj in pairs):
+            F = FilterTable(universe=u, table=tuple(table))
+            if check_filter(F).passed:
+                out.append(F.table)
+    return out
+
+
+def test_enumeration_matches_sweep(u23, diamond_1pt, chain4_godel_1pt,
+                                   chain4_luk_1pt):
+    # the plain |L|**cells sweep is 2**16 or 4**16 tables here
+    for u in (u23, diamond_1pt, chain4_godel_1pt, chain4_luk_1pt):
+        assert [F.table for F in enumerate_filters(u)] == filters_by_sweep(u)
+
+
+def test_u32_filter_goldens(u32_godel, u32_luk):
+    assert len(enumerate_filters(u32_godel)) == 27
+    assert len(enumerate_filters(u32_luk)) == 22
+
+
 def test_enumerated_filters_all_pass(u22, u31_luk):
     for u in (u22, u31_luk):
         for F in enumerate_filters(u):
@@ -58,6 +95,7 @@ def test_enumerated_filters_all_pass(u22, u31_luk):
 
 
 def test_enumeration_cap(u32_godel):
+    # u32 takes under a thousand closures: the default cap lets it finish
     with pytest.raises(SizeLimit):
         enumerate_filters(u32_godel, cap=10)
 
@@ -216,3 +254,44 @@ def test_preimage_identity_is_identity(u22):
     phi = (0, 1)
     for F in enumerate_filters(u22):
         assert preimage_filter(phi, F, u22).table == F.table
+
+
+def saturate_by_passes(u, seed):
+    """Oracle: the all-pairs fixpoint loop, rescanning every cell and every
+    index-ordered pair of cells until a pass changes nothing."""
+    lat = u.lattice
+    table = list(seed)
+    for a in lat.elements():
+        table[u.gidx(u.one_idx, a)] = lat.top
+    changed = True
+    while changed:
+        changed = False
+        for gi in u.graded_cells():
+            for gj in u.graded_cells():
+                if gj != gi and u.graded_leq(gi, gj):
+                    w = lat.join2(table[gj], table[gi])
+                    changed |= w != table[gj]
+                    table[gj] = w
+        for gi in u.graded_cells():
+            for gj in range(gi, u.graded_size):
+                k = u.boxtimes(gi, gj)
+                w = lat.join2(table[k], u.tensor.app(table[gi], table[gj]))
+                changed |= w != table[k]
+                table[k] = w
+    for a in lat.elements():
+        if table[u.gidx(u.zero_idx, a)] != lat.bot:
+            return NoFilterAbove(alpha=a, table=tuple(table))
+    return FilterTable(universe=u, table=tuple(table))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_saturate_equals_all_pairs_fixpoint(u22, u32_godel, u32_luk,
+                                            diamond_1pt, data):
+    u = data.draw(st.sampled_from([u22, u32_godel, u32_luk, diamond_1pt]))
+    cells = st.integers(0, u.graded_size - 1)
+    grades = st.integers(0, u.lattice.n - 1)
+    seed = [u.lattice.bot] * u.graded_size
+    for gi, a in data.draw(st.lists(st.tuples(cells, grades), max_size=6)):
+        seed[gi] = a
+    assert saturate(u, tuple(seed)) == saturate_by_passes(u, seed)

@@ -14,6 +14,8 @@ def test_powerset_enumeration_count(bool2, chain3):
 def test_powerset_cap_enforced(chain3):
     with pytest.raises(SizeLimit):
         enumerate_powerset(chain3, Ground(9), cap=4096)
+    with pytest.raises(SizeLimit):  # without computing 3**(10**12)
+        enumerate_powerset(chain3, Ground(10 ** 12), cap=4096)
 
 
 def test_powerset_is_lexicographic(chain3):

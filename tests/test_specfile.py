@@ -115,6 +115,19 @@ def test_map_unknown_space():
         parse_spec(doc_text.replace("to = Y", "to = Z"))
 
 
+@pytest.mark.parametrize("old, new", [
+    ("from = X", "from ="), ("on = X", "on ="),
+    ("point 1 -> 0", "point x -> 0"), ("point 1 -> 0", "point -1 -> 0"),
+    ("grade f = bot bot @ bot -> bot", "grade f = @"),
+    ("grade f = bot bot @ bot -> bot", "grade f = bot -> @"),
+    ("grade f = bot bot @ bot -> bot", "grade f = bot bot @ bot top -> bot"),
+])
+def test_malformed_map_and_filter_lines(old, new):
+    doc_text = (SPECS / "two_spaces.spec").read_text()
+    with pytest.raises(SpecSyntaxError):
+        parse_spec(doc_text.replace(old, new, 1))
+
+
 def test_duplicate_element_names():
     with pytest.raises(SpecSyntaxError):
         parse_spec(MINIMAL.replace("elements = bot top",

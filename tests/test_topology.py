@@ -1,6 +1,9 @@
-import pytest
+import itertools
 
-from fuzztop.errors import PreconditionViolated
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from fuzztop.errors import PreconditionViolated, SizeLimit
 from fuzztop.topology import (Topology, check_continuity_nbhd, check_interior,
                               check_nbhd, check_topology, enumerate_topologies,
                               generate_topology, interior_from_topology,
@@ -96,6 +99,70 @@ def test_enumeration_counts(u21, u22, u31_godel):
     assert len(enumerate_topologies(u21)) == 1
     assert len(enumerate_topologies(u22)) == 4
     assert len(enumerate_topologies(u31_godel)) == 3
+
+
+def topologies_by_sweep(u):
+    """Oracle: every |L|**n_sets grade table that passes check_topology, in
+    table-lexicographic order."""
+    out = []
+    for values in itertools.product(u.lattice.elements(), repeat=u.n_sets):
+        t = Topology(universe=u, table=values)
+        if check_topology(t).passed:
+            out.append(t)
+    return out
+
+
+def test_enumeration_matches_sweep(u21, u22, u23, u31_godel, u31_luk,
+                                   diamond_1pt, chain4_godel_1pt,
+                                   chain4_luk_1pt):
+    for u in (u21, u22, u23, u31_godel, u31_luk, diamond_1pt,
+              chain4_godel_1pt, chain4_luk_1pt):
+        assert enumerate_topologies(u) == topologies_by_sweep(u)
+
+
+def test_u32_topology_goldens(u32_godel, u32_luk):
+    assert len(enumerate_topologies(u32_godel)) == 491
+    assert len(enumerate_topologies(u32_luk)) == 308
+
+
+def test_enumeration_cap(u32_godel):
+    with pytest.raises(SizeLimit):
+        enumerate_topologies(u32_godel, cap=10)
+
+
+def generate_by_passes(u, seed):
+    """Oracle: the all-pairs fixpoint loop, rescanning every ordered pair of
+    sets until a pass changes nothing."""
+    lat = u.lattice
+    table = list(seed)
+    table[u.one_idx] = lat.top
+    table[u.zero_idx] = lat.top
+    changed = True
+    while changed:
+        changed = False
+        for i in range(u.n_sets):
+            for j in range(u.n_sets):
+                for k, v in ((u.pw_tensor[i][j],
+                              u.tensor.app(table[i], table[j])),
+                             (u.pw_join[i][j],
+                              lat.meet2(table[i], table[j]))):
+                    w = lat.join2(table[k], v)
+                    changed |= w != table[k]
+                    table[k] = w
+    return Topology(universe=u, table=tuple(table))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_generate_topology_equals_all_pairs_fixpoint(u23, u32_godel, u32_luk,
+                                                     diamond_1pt, data):
+    u = data.draw(st.sampled_from([u23, u32_godel, u32_luk, diamond_1pt]))
+    sets = st.integers(0, u.n_sets - 1)
+    grades = st.integers(0, u.lattice.n - 1)
+    seed = [u.lattice.bot] * u.n_sets
+    for si, a in data.draw(st.lists(st.tuples(sets, grades), max_size=4)):
+        seed[si] = a
+    assert generate_topology(u, seed) == generate_by_passes(u, seed)
 
 
 def test_interior_axioms_hold_on_discrete(u22, u31_godel, u31_luk):
