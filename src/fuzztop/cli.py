@@ -19,6 +19,7 @@ from .errors import FuzztopError, PreconditionViolated
 from .filters import (FilterTable, NoFilterAbove, check_filter,
                       enumerate_filters, is_ultrafilter, saturate)
 from .lattice import check_infinite_distributivity
+from .powerset import DEFAULT_POWERSET_CAP
 from .report import Report
 from .residuated import check_co_gl_monoid, check_cqm, check_gl_monoid, classify
 from .specfile import build_universe, parse_spec
@@ -34,9 +35,8 @@ def _parser():
                     "axioms, enumerate filters, decide compactness.")
     p.add_argument("spec", help="path to a spec file")
     p.add_argument("--format", choices=("human", "machine"), default="human")
-    p.add_argument("--max-subsets", type=int, default=20,
-                   help="largest carrier for all-subsets sweeps (2**N)")
-    p.add_argument("--max-powerset", type=int, default=4096)
+    p.add_argument("--max-powerset", type=int, default=DEFAULT_POWERSET_CAP,
+                   help="most fuzzy sets in a space's powerset")
     p.add_argument("--max-filters", type=int, default=200_000,
                    help="most closures computed while enumerating filters")
     sub = p.add_subparsers(dest="command", required=True)
@@ -96,7 +96,7 @@ class _Kernel:
         failed axioms when its table is not a topology.  Only check_topology
         runs: the interior and neighbourhood batteries of a validating Space
         gate no verdict."""
-        report = check_topology(self.topology(name), cap=self.args.max_subsets)
+        report = check_topology(self.topology(name))
         if not report.passed:
             raise PreconditionViolated(
                 f"space {name!r} is not a topology: fails "
@@ -127,22 +127,21 @@ class _Kernel:
 def run_command(doc, args):
     """Dispatch one parsed command; returns (reports, extras)."""
     k = _Kernel(doc, args)
-    cap = args.max_subsets
     reports, extras = [], {}
 
     if args.command == "validate":
         t = args.target
         if t == "lattice":
-            reports.append(check_infinite_distributivity(k.lattice, cap=cap))
+            reports.append(check_infinite_distributivity(k.lattice))
         elif t == "cqm":
             reports.append(check_cqm(k.tensor))
         elif t == "glmonoid":
-            reports.append(check_gl_monoid(k.tensor, cap=cap))
+            reports.append(check_gl_monoid(k.tensor))
         elif t == "co-glmonoid":
-            reports.append(check_co_gl_monoid(k.cotensor, cap=cap))
+            reports.append(check_co_gl_monoid(k.cotensor))
         elif t == "topology":
             for name in k.space_names(args.space):
-                r = check_topology(k.topology(name), cap=cap)
+                r = check_topology(k.topology(name))
                 r.name = f"topology[{name}]"
                 reports.append(r)
         elif t == "interior":
@@ -294,7 +293,7 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         with open(args.spec, encoding="utf-8") as fh:
-            doc = parse_spec(fh.read())
+            doc = parse_spec(fh.read(), powerset_cap=args.max_powerset)
         start = time.monotonic()
         reports, extras = run_command(doc, args)
         elapsed = time.monotonic() - start

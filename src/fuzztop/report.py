@@ -33,16 +33,16 @@ class Report:
 
     def record(self, axiom, ok, witness=None):
         if axiom in self.verdicts and self.verdicts[axiom].status == FAIL:
-            return  # keep the first witness
+            return  # a failure stands, with its first witness
         self.verdicts[axiom] = Verdict(PASS if ok else FAIL, None if ok else witness)
 
     def record_pass(self, axiom):
         self.record(axiom, True)
 
     def record_fail(self, axiom, witness):
-        self.verdicts[axiom] = Verdict(FAIL, witness)
+        self.record(axiom, False, witness)
 
-    def record_skip(self, axiom, reason="SizeLimit"):
+    def record_skip(self, axiom, reason):
         self.verdicts[axiom] = Verdict(SKIPPED, reason)
 
     @property

@@ -38,7 +38,8 @@ from dataclasses import dataclass, field
 from .errors import FuzztopError
 from .lattice import build_lattice
 from .instances import join_cotensor
-from .powerset import Ground, Universe, enumerate_powerset
+from .powerset import (DEFAULT_POWERSET_CAP, Ground, Universe,
+                       enumerate_powerset)
 from .residuated import Tensor
 
 
@@ -105,8 +106,9 @@ def _strip(line):
     return line.strip()
 
 
-def parse_spec(text):
-    """Parse spec text into a SpecDocument; diagnostics carry line numbers."""
+def parse_spec(text, powerset_cap=DEFAULT_POWERSET_CAP):
+    """Parse spec text into a SpecDocument; diagnostics carry line numbers.
+    A space's powerset may hold at most `powerset_cap` sets."""
     lines = text.splitlines()
     element_names = None
     name_index = {}
@@ -250,7 +252,7 @@ def parse_spec(text):
 
     for name, data in spaces.items():
         m = data["points"]
-        powerset = enumerate_powerset(lattice, Ground(m))
+        powerset = enumerate_powerset(lattice, Ground(m), powerset_cap)
         table = []
         for s in powerset:
             if s not in data["rows"]:
@@ -282,7 +284,7 @@ def parse_spec(text):
         if data["space"] not in doc.spaces:
             raise UnknownName(data["line"], data["space"])
         m = doc.spaces[data["space"]].points
-        powerset = enumerate_powerset(lattice, Ground(m))
+        powerset = enumerate_powerset(lattice, Ground(m), powerset_cap)
         table = []
         for s in powerset:
             for a in range(n):
@@ -356,7 +358,7 @@ def render_spec(doc):
     return "\n".join(out) + "\n"
 
 
-def build_universe(doc, space_name, powerset_cap=4096):
+def build_universe(doc, space_name, powerset_cap=DEFAULT_POWERSET_CAP):
     """The Universe for one declared space."""
     lattice = doc.build_lattice()
     tensor = doc.build_tensor(lattice)

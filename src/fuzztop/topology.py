@@ -7,7 +7,8 @@ are enumerated as that closure system from its least member (see
 `closure`).  The interior operator derived from a topology, and the
 per-point neighborhood system derived from that, are materialized as full
 tables and validated by exhaustive axiom sweeps, turning the structural
-lemmas into executable checks.
+lemmas into executable checks.  o3 and I6, axioms over arbitrary families,
+are checked on pairs and the empty family: the same on finite models.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from .closure import enumerate_closed, worklist
 from .errors import PreconditionViolated
 from .report import Report
 
-#: largest powerset for which all-subsets (o3) sweeps are attempted
-MAX_SUBSET_SETS = 20
+#: default closure cap of `enumerate_topologies`: 16- and 27-set universes
+#: reach it within about 2 s, u32 needs 3,783 closures
+DEFAULT_TOPOLOGY_CAP = 40_000
 
 
 @dataclass(frozen=True)
@@ -49,9 +51,10 @@ class NbhdSystem:
         return self.tables[p][self.universe.gidx(si, a)]
 
 
-def check_topology(t, cap=MAX_SUBSET_SETS):
+def check_topology(t):
     """Axioms o1 (top set graded top), o2 (tensor stability on pairs) and
-    o3 (meet of grades below the grade of the join, all subsets)."""
+    o3 (meet of grades below the grade of the join), checked on the empty
+    family, which is o1', and on pairs: witness {"subset": () or (i, j)}."""
     u = t.universe
     lat = u.lattice
     report = Report("topology")
@@ -68,17 +71,16 @@ def check_topology(t, cap=MAX_SUBSET_SETS):
                 ok = False
     if ok:
         report.record_pass("o2")
-    if u.n_sets > cap:
-        report.record_skip("o3")
-        return report
-    ok = True
-    for mask in range(1 << u.n_sets):
-        members = [i for i in range(u.n_sets) if mask >> i & 1]
-        lhs = lat.meet_set([t.table[i] for i in members])
-        if not lat.le(lhs, t.table[u.join_sets(members)]):
-            report.record_fail("o3", {"subset": tuple(members)})
-            ok = False
-            break
+    table, meet, le = t.table, lat.meet, lat.leq
+    ok = table[u.zero_idx] == lat.top
+    if not ok:
+        report.record_fail("o3", {"subset": ()})
+    for i in range(u.n_sets):
+        row_j, meet_i = u.pw_join[i], meet[table[i]]
+        for j in range(i + 1, u.n_sets):
+            if not le[meet_i[table[j]]][table[row_j[j]]]:
+                report.record_fail("o3", {"subset": (i, j)})
+                ok = False
     if ok:
         report.record_pass("o3")
     return report
@@ -145,7 +147,7 @@ def generate_topology(universe, seed):
     return Topology(universe=u, table=tuple(table))
 
 
-def enumerate_topologies(universe, cap=2 ** 20):
+def enumerate_topologies(universe, cap=DEFAULT_TOPOLOGY_CAP):
     """All topologies on the universe, in table-lexicographic order.
 
     The topologies are the closed tables of `generate_topology`; they are
@@ -193,8 +195,8 @@ def interior_from_topology(t):
     return InteriorOp(universe=u, table=tuple(table))
 
 
-def check_interior(i, cap=MAX_SUBSET_SETS):
-    """Axioms I0-I6 for an interior operator table."""
+def check_interior(i):
+    """Axioms I0-I6 for an interior operator table, I6 on pairs of grades."""
     u = i.universe
     lat = u.lattice
     report = Report("interior")
@@ -247,20 +249,17 @@ def check_interior(i, cap=MAX_SUBSET_SETS):
     ok = all(i.app(si, lat.bot) == si for si in range(u.n_sets))
     report.record("I5", ok, None)
 
-    # constancy over a nonempty grade subset transfers to its join
-    if lat.n > cap:
-        report.record_skip("I6")
-        return report
+    # constancy over a nonempty family of grades transfers to its join;
+    # by induction on the family it is enough to check pairs
     ok = True
     for si in range(u.n_sets):
-        for mask in range(1, 1 << lat.n):
-            grades = [a for a in lat.elements() if mask >> a & 1]
-            vals = {i.app(si, a) for a in grades}
-            if len(vals) == 1:
-                common = vals.pop()
-                if i.app(si, lat.join_set(grades)) != common:
+        for a in lat.elements():
+            value = i.app(si, a)
+            for b in range(a + 1, lat.n):
+                if i.app(si, b) == value and \
+                        i.app(si, lat.join2(a, b)) != value:
                     report.record_fail("I6", {"f": u.sets[si],
-                                              "grades": tuple(grades)})
+                                              "grades": (a, b)})
                     ok = False
     if ok:
         report.record_pass("I6")

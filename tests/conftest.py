@@ -5,6 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from fuzztop.filters import enumerate_filters_bruteforce
 from fuzztop.instances import (boolean, chain, diamond, lukasiewicz_tensor,
                                meet_tensor)
 from fuzztop.powerset import Ground, Universe
@@ -86,3 +87,12 @@ def chain4_godel_1pt():
 def chain4_luk_1pt():
     lat = chain(4)
     return Universe(lat, lukasiewicz_tensor(lat), Ground(1))
+
+
+@pytest.fixture(scope="session")
+def bruteforce_filter_tables(u21, u22, u31_godel, u31_luk):
+    """Sorted filter tables from enumerate_filters_bruteforce, keyed by the
+    id of the universe.  The sweep takes seconds, so it runs once for every
+    test that compares against it."""
+    return {id(u): sorted(F.table for F in enumerate_filters_bruteforce(u))
+            for u in (u21, u22, u31_godel, u31_luk)}

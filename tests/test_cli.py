@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -203,6 +204,34 @@ def test_invalid_topology_exits_2(tmp_path, command):
     assert "Traceback" not in err
     assert "o1_prime" in err
     assert run_cli(spec, "validate", "topology")[0] == 1
+
+
+def test_max_subsets_option_is_gone(tmp_path):
+    # no axiom sweeps subsets any more, so there is no cap to set
+    spec = tmp_path / "bool.spec"
+    spec.write_text(BOOL_HEADER)
+    code, err = run_cli(spec, "--max-subsets", "5", "validate", "lattice")
+    assert code == 2
+    assert "Traceback" not in err
+
+
+def test_max_powerset_reaches_the_spec_parser(tmp_path, capsys):
+    # an 8-point space over the 3-chain has 3**8 = 6561 fuzzy sets
+    names = ("lo", "mid", "hi")
+    lines = ["[lattice]", "elements = lo mid hi", "covers = lo<mid mid<hi",
+             "", "[tensor]"]
+    lines += [f"{names[a]} {names[b]} -> {names[min(a, b)]}"
+              for a in range(3) for b in range(3)]
+    lines += ["", "[space A]", "points = 8"]
+    lines += ["grade f = " + " ".join(names[v] for v in values) + " -> hi"
+              for values in itertools.product(range(3), repeat=8)]
+    spec = tmp_path / "big.spec"
+    spec.write_text("\n".join(lines) + "\n")
+    code, _, err = run(capsys, str(spec), "validate", "lattice")
+    assert code == 2 and "6561 exceeds cap 4096" in err
+    code, out, _ = run(capsys, str(spec), "--max-powerset", "10000",
+                       "validate", "lattice")
+    assert code == 0 and "[PASS]" in out
 
 
 FUZZ_TOKENS = ["x", "0", "1", "2", "-1", "99999999999999", "=", "->", "@",

@@ -152,3 +152,28 @@ def test_divisibility_witness_exists_on_diamond():
     t = meet_tensor(d)
     rep = check_gl_monoid(t)
     assert rep.verdicts["divisible"].status == "pass"
+
+
+def test_failed_axiom_keeps_its_first_witness():
+    # the constant-bottom tensor breaks integrality at every a above bot;
+    # the report names the first, a = 1
+    c3 = chain(3)
+    t = Tensor(base=c3, table=tuple(tuple(c3.bot for _ in range(3))
+                                    for _ in range(3)), kind="tensor")
+    assert check_gl_monoid(t).verdicts["integral"].witness == (1, c3.bot)
+
+
+def test_join_distributive_witnesses():
+    c3 = chain(3)
+    table = [list(r) for r in c3.meet]
+    table[2][0] = 1  # top (*) bot is no longer bot: the empty join fails
+    t = Tensor(base=c3, table=tuple(tuple(r) for r in table), kind="tensor")
+    wit = check_gl_monoid(t).verdicts["join_distributive"].witness
+    assert wit == {"a": 2, "subset": (), "lhs": 1, "rhs": c3.bot}
+    table = [list(r) for r in c3.meet]
+    table[1][2] = 0  # mid (*) top: now mid (*) (mid join top) != mid
+    t = Tensor(base=c3, table=tuple(tuple(r) for r in table), kind="tensor")
+    wit = check_gl_monoid(t).verdicts["join_distributive"].witness
+    a, (b, c) = wit["a"], wit["subset"]
+    assert wit["lhs"] == t.app(a, c3.join2(b, c)) != wit["rhs"]
+    assert wit["rhs"] == c3.join2(t.app(a, b), t.app(a, c))

@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fuzztop.errors import PreconditionViolated, SizeLimit
-from fuzztop.topology import (Topology, check_continuity_nbhd, check_interior,
-                              check_nbhd, check_topology, enumerate_topologies,
-                              generate_topology, interior_from_topology,
-                              is_continuous, nbhd_from_interior,
-                              order_topologies)
+from fuzztop.instances import chain, diamond, meet_tensor
+from fuzztop.powerset import Ground, Universe
+from fuzztop.topology import (InteriorOp, Topology, check_continuity_nbhd,
+                              check_interior, check_nbhd, check_topology,
+                              enumerate_topologies, generate_topology,
+                              interior_from_topology, is_continuous,
+                              nbhd_from_interior, order_topologies)
 
 
 def discrete(u):
@@ -47,6 +49,29 @@ def test_broken_o3_detected(u23):
     table[u23.set_index[(1, 0, 0)]] = lat.top
     table[u23.set_index[(0, 1, 0)]] = lat.top
     rep = check_topology(Topology(universe=u23, table=tuple(table)))
+    assert rep.verdicts["o3"].status == "fail"
+    i, j = pair = rep.verdicts["o3"].witness["subset"]
+    assert not lat.le(lat.meet2(table[i], table[j]),
+                      table[u23.join_sets(pair)])
+    table[u23.zero_idx] = lat.bot  # the empty family: o1' fails too
+    rep = check_topology(Topology(universe=u23, table=tuple(table)))
+    assert rep.verdicts["o3"].witness == {"subset": ()}
+    assert rep.verdicts["o1_prime"].status == "fail"
+
+
+def test_o3_decided_on_243_sets():
+    # o3 is decided on pairs, so no universe is too large for it
+    lat = chain(3)
+    u = Universe(lat, meet_tensor(lat), Ground(5))
+    assert u.n_sets == 243
+    seed = [lat.bot] * u.n_sets
+    seed[u.set_index[(2, 0, 0, 0, 0)]] = lat.top
+    seed[u.set_index[(0, 2, 1, 0, 0)]] = 1
+    t = generate_topology(u, seed)
+    assert check_topology(t).verdicts["o3"].status == "pass"
+    table = list(t.table)
+    table[u.set_index[(2, 2, 1, 0, 0)]] = lat.bot
+    rep = check_topology(Topology(universe=u, table=tuple(table)))
     assert rep.verdicts["o3"].status == "fail"
 
 
@@ -130,6 +155,14 @@ def test_enumeration_cap(u32_godel):
         enumerate_topologies(u32_godel, cap=10)
 
 
+def test_default_cap_stops_a_16_set_universe():
+    # the diamond with two points has too many topologies to list; the
+    # default cap stops it in about a second
+    lat = diamond()
+    with pytest.raises(SizeLimit):
+        enumerate_topologies(Universe(lat, meet_tensor(lat), Ground(2)))
+
+
 def generate_by_passes(u, seed):
     """Oracle: the all-pairs fixpoint loop, rescanning every ordered pair of
     sets until a pass changes nothing."""
@@ -211,6 +244,17 @@ def test_tensor_graded_stability_holds(u22, u31_godel, u31_luk):
                             rhs = i.app(u.pw_tensor[si][sj],
                                         u.tensor.app(a, b))
                             assert u.pw_leq[lhs][rhs]
+
+
+def test_i6_witness_is_a_pair_of_grades(diamond_1pt):
+    # the discrete interior is constant, f, on both atoms; lowering it at
+    # their join breaks I6 on that pair only
+    u = diamond_1pt
+    table = list(interior_from_topology(discrete(u)).table)
+    f = u.set_index[(1,)]
+    table[u.gidx(f, 3)] = u.zero_idx
+    rep = check_interior(InteriorOp(universe=u, table=tuple(table)))
+    assert rep.verdicts["I6"].witness == {"f": (1,), "grades": (1, 2)}
 
 
 def test_interior_values(u31_godel):
