@@ -16,8 +16,9 @@ import time
 from .compactness import (Space, build_product, is_compact,
                           product_nbhd_system, tychonoff_check)
 from .errors import FuzztopError, PreconditionViolated
-from .filters import (FilterTable, NoFilterAbove, check_filter,
-                      enumerate_filters, is_ultrafilter, saturate)
+from .filters import (DEFAULT_FILTER_CAP, FilterTable, NoFilterAbove,
+                      check_filter, enumerate_filters, is_ultrafilter,
+                      saturate)
 from .lattice import check_infinite_distributivity
 from .powerset import DEFAULT_POWERSET_CAP
 from .report import Report
@@ -37,7 +38,7 @@ def _parser():
     p.add_argument("--format", choices=("human", "machine"), default="human")
     p.add_argument("--max-powerset", type=int, default=DEFAULT_POWERSET_CAP,
                    help="most fuzzy sets in a space's powerset")
-    p.add_argument("--max-filters", type=int, default=200_000,
+    p.add_argument("--max-filters", type=int, default=DEFAULT_FILTER_CAP,
                    help="most closures computed while enumerating filters")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -93,9 +94,7 @@ class _Kernel:
 
     def space(self, name):
         """The named space, or PreconditionViolated (exit 2) naming the
-        failed axioms when its table is not a topology.  Only check_topology
-        runs: the interior and neighbourhood batteries of a validating Space
-        gate no verdict."""
+        failed axioms when its table is not a topology."""
         report = check_topology(self.topology(name))
         if not report.passed:
             raise PreconditionViolated(

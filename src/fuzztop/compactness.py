@@ -20,22 +20,24 @@ from .filters import (FilterTable, NoFilterAbove, check_filter,
                       preimage_filter, saturate)
 from .powerset import DEFAULT_POWERSET_CAP, Ground, Universe
 from .report import Report
-from .topology import (NbhdSystem, Topology, check_interior, check_nbhd,
-                       check_topology, generate_topology,
-                       interior_from_topology, is_continuous,
-                       nbhd_from_interior)
+from .topology import (NbhdSystem, Topology, check_topology,
+                       generate_topology, interior_from_topology,
+                       is_continuous, nbhd_from_interior)
 
 
 class Space:
     """An L-fuzzy topological space with derived structures.
 
-    Construction insists on the topology axioms.  The interior and
-    neighborhood axiom batteries are run too, but their outcomes are kept as
-    reports rather than enforced: the tensor-stability axioms I2 and N2
-    combine grades with the join, and the interior derived from any
-    non-discrete topology violates that combination (take the full set at
-    grade top against any set of grade below top at grade bottom), so
-    enforcing them would reject almost every space.
+    Construction insists on the topology axioms (validate=False skips them
+    for a caller that has checked the table already) and derives the
+    interior operator and the neighborhood system.  Their axiom batteries
+    are not run here; `check_interior(space.interior)` and
+    `check_nbhd(space.nbhd)` run them on demand.  They gate nothing: the
+    tensor-stability axioms I2 and N2 combine grades with the join, and the
+    interior derived from any non-discrete topology violates that
+    combination (take the full set at grade top against any set of grade
+    below top at grade bottom), so enforcing them would reject almost every
+    space.
     """
 
     def __init__(self, universe, topology, validate=True):
@@ -43,13 +45,12 @@ class Space:
             topology = Topology(universe=universe, table=tuple(topology))
         self.universe = universe
         self.topology = topology
-        if validate and not check_topology(topology).passed:
-            raise ValueError("table is not a topology:\n"
-                             + str(check_topology(topology)))
+        if validate:
+            report = check_topology(topology)
+            if not report.passed:
+                raise ValueError("table is not a topology:\n" + str(report))
         self.interior = interior_from_topology(topology)
         self.nbhd = nbhd_from_interior(self.interior)
-        self.interior_report = check_interior(self.interior) if validate else None
-        self.nbhd_report = check_nbhd(self.nbhd) if validate else None
 
 
 def converges(F, p, space):
@@ -82,18 +83,17 @@ def adherent_points(F, space):
             if is_adherent(p, F, space)[0]]
 
 
-def is_compact(space, mode="sweep", filters=None, cap=None):
+def is_compact(space, mode="sweep", filters=None):
     """Decide compactness: every filter has at least one adherent point.
 
     mode="sweep" checks every enumerated filter; mode="ultrafilter" checks
     ultrafilters only (equivalent: an adherence certificate for an
     ultrafilter above F also witnesses adherence for F).  Without `filters`
-    they are enumerated with at most `cap` closures (the default cap when
-    None).  Returns (bool, witness filter or None).
+    they are enumerated with the default closure cap.  Returns (bool,
+    witness filter or None).
     """
-    u = space.universe
     if filters is None:
-        filters = enumerate_filters(u) if cap is None else enumerate_filters(u, cap)
+        filters = enumerate_filters(space.universe)
     if mode == "ultrafilter":
         filters = [F for F in filters
                    if is_ultrafilter(F, "characterization")[0]]
@@ -127,19 +127,16 @@ def image_compactness_check(phi, space_x, space_y, filters_y=None):
     lat = ux.lattice
     if filters_y is None:
         filters_y = enumerate_filters(uy)
-    ok_round = ok_chain = ok_adherent = True
+    round_trip, upstream, chain, image = [], [], [], []
     for F in filters_y:
         Fpre = preimage_filter(phi, F, ux)
         report.record("preimage_is_filter", check_filter(Fpre).passed,
                       {"filter": F.table})
-        round_trip = image_filter(phi, Fpre, uy)
-        if round_trip.table != F.table:
-            report.record_fail("round_trip", {"filter": F.table})
-            ok_round = False
+        if image_filter(phi, Fpre, uy).table != F.table:
+            round_trip.append({"filter": F.table})
         points = [p for p in ux.ground.points() if is_adherent(p, Fpre, space_x)[0]]
         if not points:
-            report.record_fail("adherent_upstream", {"filter": F.table})
-            ok_adherent = False
+            upstream.append({"filter": F.table})
             continue
         p = points[0]
         _, G = is_adherent(p, Fpre, space_x)
@@ -148,17 +145,16 @@ def image_compactness_check(phi, space_x, space_y, filters_y=None):
         dominated = F.leq(G_img) and all(
             lat.le(nb_y[gj], G_img.table[gj]) for gj in uy.graded_cells())
         if not dominated:
-            report.record_fail("proof_chain", {"filter": F.table, "p": p})
-            ok_chain = False
+            chain.append({"filter": F.table, "p": p})
         if not is_adherent(phi[p], F, space_y)[0]:
-            report.record_fail("image_point_adherent", {"filter": F.table})
-            ok_adherent = False
-    if ok_round:
-        report.record_pass("round_trip")
-    if ok_chain:
-        report.record_pass("proof_chain")
-    if ok_adherent:
-        report.record_pass("image_point_adherent")
+            image.append({"filter": F.table})
+    report.sweep("round_trip", round_trip)
+    if upstream:
+        report.record_fail("adherent_upstream", upstream[0])
+    report.sweep("proof_chain", chain)
+    # a filter with no adherent point upstream withholds the pass
+    if image or not upstream:
+        report.sweep("image_point_adherent", image)
     compact_y, witness = is_compact(space_y, filters=filters_y)
     report.record("codomain_compact", compact_y,
                   None if compact_y else {"filter": witness.table})
@@ -296,18 +292,17 @@ def product_convergence_check(P, U, formula_nbhd=None):
     report = Report("product_convergence")
     images = [image_filter(P.projections[k], U, f.universe)
               for k, f in enumerate(P.factors)]
-    ok = True
-    for p in range(u.ground.m):
-        lhs = all(lat.le(formula_nbhd.tables[p][gi], U.table[gi])
-                  for gi in u.graded_cells())
-        rhs = all(converges(images[k], P.point_tuples[p][k], f)
-                  for k, f in enumerate(P.factors))
-        if lhs != rhs:
-            report.record_fail("componentwise_convergence",
-                               {"point": p, "product": lhs, "factors": rhs})
-            ok = False
-    if ok:
-        report.record_pass("componentwise_convergence")
+
+    def disagreements():
+        for p in range(u.ground.m):
+            lhs = all(lat.le(formula_nbhd.tables[p][gi], U.table[gi])
+                      for gi in u.graded_cells())
+            rhs = all(converges(images[k], P.point_tuples[p][k], f)
+                      for k, f in enumerate(P.factors))
+            if lhs != rhs:
+                yield {"point": p, "product": lhs, "factors": rhs}
+
+    report.sweep("componentwise_convergence", disagreements())
     return report
 
 

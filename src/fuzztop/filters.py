@@ -42,37 +42,19 @@ def check_filter(F):
     lat = u.lattice
     report = Report("filter")
 
-    ok = all(F.app(u.one_idx, a) == lat.top for a in lat.elements())
-    report.record("FF0", ok,
-                  None if ok else {"row": [F.app(u.one_idx, a)
-                                           for a in lat.elements()]})
+    top_row = [F.app(u.one_idx, a) for a in lat.elements()]
+    report.record("FF0", all(v == lat.top for v in top_row), {"row": top_row})
 
-    ok = True
-    for gi in u.graded_cells():
-        for gj in u.graded_cells():
-            if u.graded_leq(gi, gj) and not lat.le(F.table[gi], F.table[gj]):
-                report.record_fail("FF1", {"cells": (u.gpair(gi), u.gpair(gj))})
-                ok = False
-    if ok:
-        report.record_pass("FF1")
+    cells = u.graded_cells()
+    report.sweep("FF1", ({"cells": (u.gpair(gi), u.gpair(gj))}
+                         for gi in cells for gj in cells
+                         if u.graded_leq(gi, gj)
+                         and not lat.le(F.table[gi], F.table[gj])))
+    report.sweep("FF2", ({"cells": cell} for cell in
+                         u.unstable_cells(F.table, u.tensor.table, lat.leq)))
 
-    ok = True
-    for si in range(u.n_sets):
-        for a in lat.elements():
-            for sj in range(u.n_sets):
-                for b in lat.elements():
-                    lhs = u.tensor.app(F.app(si, a), F.app(sj, b))
-                    rhs = F.app(u.pw_tensor[si][sj], lat.join2(a, b))
-                    if not lat.le(lhs, rhs):
-                        report.record_fail("FF2", {"cells": (si, a, sj, b)})
-                        ok = False
-    if ok:
-        report.record_pass("FF2")
-
-    ok = all(F.app(u.zero_idx, a) == lat.bot for a in lat.elements())
-    report.record("FF3", ok,
-                  None if ok else {"row": [F.app(u.zero_idx, a)
-                                           for a in lat.elements()]})
+    bot_row = [F.app(u.zero_idx, a) for a in lat.elements()]
+    report.record("FF3", all(v == lat.bot for v in bot_row), {"row": bot_row})
     return report
 
 

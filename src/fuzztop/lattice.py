@@ -130,20 +130,17 @@ def check_infinite_distributivity(lat):
     element x: (join A) meet x == join {a meet x} and (meet A) join x ==
     meet {a join x}.  Both hold for the empty family in every lattice."""
     report = Report("infinite_distributivity")
-    for axiom, outer, inner in (
-        ("join_meet_distributive", lat.join, lat.meet),
-        ("meet_join_distributive", lat.meet, lat.join),
-    ):
-        ok = True
-        for a in lat.elements():
-            for b in lat.elements():
-                for x in lat.elements():
+    els = lat.elements()
+
+    def undistributed(outer, inner):
+        for a in els:
+            for b in els:
+                for x in els:
                     lhs = inner[outer[a][b]][x]
                     rhs = outer[inner[a][x]][inner[b][x]]
                     if lhs != rhs:
-                        report.record_fail(axiom, {"subset": (a, b), "x": x,
-                                                   "lhs": lhs, "rhs": rhs})
-                        ok = False
-        if ok:
-            report.record_pass(axiom)
+                        yield {"subset": (a, b), "x": x, "lhs": lhs, "rhs": rhs}
+
+    report.sweep("join_meet_distributive", undistributed(lat.join, lat.meet))
+    report.sweep("meet_join_distributive", undistributed(lat.meet, lat.join))
     return report

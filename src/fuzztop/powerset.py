@@ -207,6 +207,26 @@ class Universe:
             grade_acc = self.lattice.join2(grade_acc, a)
         return self.gidx(set_acc, grade_acc)
 
+    def unstable_cells(self, tab, op, le):
+        """Yield (si, a, sj, b), in index order, wherever the value of `tab`
+        at (f, a) `op` the value at (g, b) is not `le` the value at (f tensor
+        g, a join b): the tensor-stability sweep of FF2, I2 and N2.
+
+        `tab` holds one value per graded cell.  The target cell is found by
+        index arithmetic, not from `box_table`, which has graded_size**2
+        entries.
+        """
+        n, join = self.n, self.lattice.join
+        for si in range(self.n_sets):
+            row_t = self.pw_tensor[si]
+            for a in range(n):
+                op_fa, join_a = op[tab[si * n + a]], join[a]
+                for sj in range(self.n_sets):
+                    src, dst = sj * n, row_t[sj] * n
+                    for b in range(n):
+                        if not le[op_fa[tab[src + b]]][tab[dst + join_a[b]]]:
+                            yield si, a, sj, b
+
     def graded_lattice(self):
         """The graded carrier packaged as a plain Lattice over flat indices."""
         leq = [[self.graded_leq(i, j) for j in self.graded_cells()]
@@ -234,7 +254,7 @@ def check_graded_gl(universe):
     """
     report = Report("graded_gl")
     glat = universe.graded_lattice()
-    cells = list(universe.graded_cells())
+    cells = universe.graded_cells()
     box = universe.box_table
     gl = check_gl_monoid(Tensor(base=glat, table=box, kind="tensor"))
     report.verdicts.update(gl.verdicts)
@@ -245,61 +265,28 @@ def check_graded_gl(universe):
                   (glat.bot, universe.graded_bot))
 
     # componentwise joins/meets agree with the order-theoretic ones
-    ok = True
-    for i in cells:
-        for j in cells:
-            if universe.graded_join([i, j]) != glat.join2(i, j) or \
-                    universe.graded_meet([i, j]) != glat.meet2(i, j):
-                report.record_fail("componentwise_bounds", (i, j))
-                ok = False
-    if ok:
-        report.record_pass("componentwise_bounds")
+    report.sweep("componentwise_bounds", (
+        (i, j) for i in cells for j in cells
+        if universe.graded_join([i, j]) != glat.join2(i, j)
+        or universe.graded_meet([i, j]) != glat.meet2(i, j)))
 
     impl = tuple(tuple(universe.gimpl(i, j) for j in cells) for i in cells)
-    ok = True
-    for i in cells:
-        for j in cells:
-            if impl[i][j] != universe.gimpl_sup(i, j):
-                report.record_fail("impl_closed_vs_sup", (i, j))
-                ok = False
-    if ok:
-        report.record_pass("impl_closed_vs_sup")
+    report.sweep("impl_closed_vs_sup", ((i, j) for i in cells for j in cells
+                                        if impl[i][j] != universe.gimpl_sup(i, j)))
 
-    ok = True
-    for a in cells:
-        for b in cells:
-            for c in cells:
-                if universe.graded_leq(box[a][b], c) != \
-                        universe.graded_leq(a, impl[b][c]):
-                    report.record_fail("adjunction", (a, b, c))
-                    ok = False
-    if ok:
-        report.record_pass("adjunction")
-
-    ok = True
-    for a in cells:
-        for b in cells:
-            for c in cells:
-                if not universe.graded_leq(box[a][impl[b][c]],
-                                           impl[b][box[a][c]]):
-                    report.record_fail("tensor_impl_exchange", (a, b, c))
-                    ok = False
-    if ok:
-        report.record_pass("tensor_impl_exchange")
+    le = glat.leq  # the graded order
+    report.sweep("adjunction", (
+        (a, b, c) for a, b, c in itertools.product(cells, repeat=3)
+        if le[box[a][b]][c] != le[a][impl[b][c]]))
+    report.sweep("tensor_impl_exchange", (
+        (a, b, c) for a, b, c in itertools.product(cells, repeat=3)
+        if not le[box[a][impl[b][c]]][impl[b][box[a][c]]]))
 
     lat = universe.lattice
-    idempotent = all(universe.tensor.app(x, x) == x for x in lat.elements())
-    if idempotent:
-        ok = True
-        for a in cells:
-            for b in cells:
-                for c in cells:
-                    if not universe.graded_leq(box[impl[b][a]][impl[b][c]],
-                                               impl[b][box[a][c]]):
-                        report.record_fail("impl_product_exchange", (a, b, c))
-                        ok = False
-        if ok:
-            report.record_pass("impl_product_exchange")
+    if all(universe.tensor.app(x, x) == x for x in lat.elements()):
+        report.sweep("impl_product_exchange", (
+            (a, b, c) for a, b, c in itertools.product(cells, repeat=3)
+            if not le[box[impl[b][a]][impl[b][c]]][impl[b][box[a][c]]]))
     else:
         report.record_skip("impl_product_exchange", "tensor not idempotent")
     return report

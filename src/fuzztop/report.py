@@ -1,8 +1,11 @@
 """Structured pass/fail reports for axiom batteries and oracles.
 
 Every check in the kernel returns a Report: one verdict per named axiom or
-property, each failure carrying a concrete witness.  Reports render to a
-JSON-compatible tree so the command-line driver can emit them verbatim.
+property, each failure carrying a concrete witness.  A battery states each
+axiom as a generator of its failure witnesses, in sweep order, and hands it
+to `Report.sweep`, which keeps the first one and draws no further.  Reports
+render to a JSON-compatible tree so the command-line driver can emit them
+verbatim.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ from dataclasses import dataclass, field
 PASS = "pass"
 FAIL = "fail"
 SKIPPED = "skipped"
+
+_NO_WITNESS = object()  # witnesses may be None, so `next` needs its own default
 
 
 @dataclass
@@ -41,6 +46,15 @@ class Report:
 
     def record_fail(self, axiom, witness):
         self.record(axiom, False, witness)
+
+    def sweep(self, axiom, witnesses):
+        """Record `axiom` failed with the first of `witnesses`, or passed
+        when there is none; nothing after the first witness is drawn."""
+        first = next(iter(witnesses), _NO_WITNESS)
+        if first is _NO_WITNESS:
+            self.record_pass(axiom)
+        else:
+            self.record_fail(axiom, first)
 
     def record_skip(self, axiom, reason):
         self.verdicts[axiom] = Verdict(SKIPPED, reason)

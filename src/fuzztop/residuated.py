@@ -44,18 +44,11 @@ def check_cqm(t):
     """Isotonicity in both arguments and idempotence of top."""
     lat = t.base
     report = Report("cqm_lattice")
-    ok = True
-    for a1 in lat.elements():
-        for a2 in lat.elements():
-            if not lat.le(a1, a2):
-                continue
-            for b1 in lat.elements():
-                for b2 in lat.elements():
-                    if lat.le(b1, b2) and not lat.le(t.app(a1, b1), t.app(a2, b2)):
-                        report.record_fail("isotone", (a1, a2, b1, b2))
-                        ok = False
-    if ok:
-        report.record_pass("isotone")
+    els, le, tab = lat.elements(), lat.leq, t.table
+    report.sweep("isotone", ((a1, a2, b1, b2)
+                             for a1 in els for a2 in els if le[a1][a2]
+                             for b1 in els for b2 in els
+                             if le[b1][b2] and not le[tab[a1][b1]][tab[a2][b2]]))
     report.record("top_idempotent", t.app(lat.top, lat.top) == lat.top,
                   (lat.top, t.app(lat.top, lat.top)))
     return report
@@ -66,103 +59,42 @@ def _check_monoid(t, unit, zero, dist_op, dist_name, div_name, report):
 
     dist_op is the binary lattice operation table the operation must
     distribute over (join for tensors, meet for cotensors), whose empty
-    aggregate is `zero`; divisibility searches an exhaustive witness gamma
-    for every comparable pair.
+    aggregate is `zero`; divisibility asks every comparable pair for a
+    gamma in the row of the operation table.
     """
-    lat = t.base
-    ok = True
-    for a in lat.elements():
-        for b in lat.elements():
-            if not lat.le(a, b):
-                continue
-            for c in lat.elements():
-                if not lat.le(t.app(a, c), t.app(b, c)):
-                    report.record_fail("isotone", (a, b, c))
-                    ok = False
-    if ok:
-        report.record_pass("isotone")
+    els, le, tab = t.base.elements(), t.base.leq, t.table
+    tensor = t.kind == "tensor"
+    report.sweep("isotone", ((a, b, c) for a in els for b in els if le[a][b]
+                             for c in els if not le[tab[a][c]][tab[b][c]]))
+    report.sweep("commutative", ((a, b) for a in els for b in els
+                                 if tab[a][b] != tab[b][a]))
+    report.sweep("associative", ((a, b, c) for a in els for b in els
+                                 for c in els
+                                 if tab[a][tab[b][c]] != tab[tab[a][b]][c]))
+    report.sweep("integral" if tensor else "co_integral",
+                 ((a, tab[a][unit]) for a in els if tab[a][unit] != a))
+    report.sweep("zero" if tensor else "co_zero",
+                 ((a, tab[a][zero]) for a in els if tab[a][zero] != zero))
 
-    ok = True
-    for a in lat.elements():
-        for b in lat.elements():
-            if t.app(a, b) != t.app(b, a):
-                report.record_fail("commutative", (a, b))
-                ok = False
-    if ok:
-        report.record_pass("commutative")
+    def undistributed():
+        # a (*) join B == join {a (*) b}: the empty family B, then pairs;
+        # `a` stays on the left, so a non-commutative table is judged as is
+        for a in els:
+            row = tab[a]
+            if row[zero] != zero:
+                yield {"a": a, "subset": (), "lhs": row[zero], "rhs": zero}
+            for b in els:
+                for c in els:
+                    lhs = row[dist_op[b][c]]
+                    rhs = dist_op[row[b]][row[c]]
+                    if lhs != rhs:
+                        yield {"a": a, "subset": (b, c), "lhs": lhs, "rhs": rhs}
 
-    ok = True
-    for a in lat.elements():
-        for b in lat.elements():
-            for c in lat.elements():
-                if t.app(a, t.app(b, c)) != t.app(t.app(a, b), c):
-                    report.record_fail("associative", (a, b, c))
-                    ok = False
-    if ok:
-        report.record_pass("associative")
-
-    unit_name = "integral" if t.kind == "tensor" else "co_integral"
-    ok = True
-    for a in lat.elements():
-        if t.app(a, unit) != a:
-            report.record_fail(unit_name, (a, t.app(a, unit)))
-            ok = False
-    if ok:
-        report.record_pass(unit_name)
-
-    zero_name = "zero" if t.kind == "tensor" else "co_zero"
-    ok = True
-    for a in lat.elements():
-        if t.app(a, zero) != zero:
-            report.record_fail(zero_name, (a, t.app(a, zero)))
-            ok = False
-    if ok:
-        report.record_pass(zero_name)
-
-    # a (*) join B == join {a (*) b}: the empty family B, then pairs;
-    # `a` stays on the left, so a non-commutative table is judged as is
-    ok = True
-    for a in lat.elements():
-        row = t.table[a]
-        if row[zero] != zero:
-            report.record_fail(dist_name, {"a": a, "subset": (),
-                                           "lhs": row[zero], "rhs": zero})
-            ok = False
-        for b in lat.elements():
-            for c in lat.elements():
-                lhs = row[dist_op[b][c]]
-                rhs = dist_op[row[b]][row[c]]
-                if lhs != rhs:
-                    report.record_fail(dist_name, {"a": a, "subset": (b, c),
-                                                   "lhs": lhs, "rhs": rhs})
-                    ok = False
-    if ok:
-        report.record_pass(dist_name)
-
-    # divisibility: a <= b must admit gamma with the displayed equation
-    ok = True
-    witnesses = {}
-    for a in lat.elements():
-        for b in lat.elements():
-            if not lat.le(a, b):
-                continue
-            found = None
-            for g in lat.elements():
-                if t.kind == "tensor":
-                    hit = t.app(b, g) == a
-                else:
-                    hit = t.app(a, g) == b
-                if hit:
-                    found = g
-                    break
-            if found is None:
-                report.record_fail(div_name, (a, b))
-                ok = False
-            else:
-                witnesses[(a, b)] = found
-    if ok:
-        report.record_pass(div_name)
-    return witnesses
+    report.sweep(dist_name, undistributed())
+    # divisibility: a <= b admits gamma with b (*) gamma == a for a tensor,
+    # a (+) gamma == b for a cotensor
+    report.sweep(div_name, ((a, b) for a in els for b in els if le[a][b]
+                            and (a not in tab[b] if tensor else b not in tab[a])))
 
 
 def check_gl_monoid(t):

@@ -334,7 +334,9 @@ def render_spec(doc):
     for sname in sorted(doc.spaces):
         decl = doc.spaces[sname]
         out += ["", f"[space {sname}]", f"points = {decl.points}"]
-        powerset = enumerate_powerset(lattice, Ground(decl.points))
+        # the table has one grade per set, so it caps what parse_spec accepted
+        powerset = enumerate_powerset(lattice, Ground(decl.points),
+                                      len(decl.topology))
         for i, s in enumerate(powerset):
             vals = " ".join(names[v] for v in s)
             out.append(f"grade f = {vals} -> {names[decl.topology[i]]}")
@@ -347,7 +349,7 @@ def render_spec(doc):
         decl = doc.filters[fname]
         out += ["", f"[filter {fname}]", f"on = {decl.space}"]
         m = doc.spaces[decl.space].points
-        powerset = enumerate_powerset(lattice, Ground(m))
+        powerset = enumerate_powerset(lattice, Ground(m), len(decl.table) // n)
         k = 0
         for s in powerset:
             for a in range(n):

@@ -62,27 +62,22 @@ def check_topology(t):
                   {"grade": t.table[u.one_idx]})
     report.record("o1_prime", t.table[u.zero_idx] == lat.top,
                   {"grade": t.table[u.zero_idx]})
-    ok = True
-    for i in range(u.n_sets):
-        for j in range(u.n_sets):
-            lhs = u.tensor.app(t.table[i], t.table[j])
-            if not lat.le(lhs, t.table[u.pw_tensor[i][j]]):
-                report.record_fail("o2", {"f": u.sets[i], "g": u.sets[j]})
-                ok = False
-    if ok:
-        report.record_pass("o2")
-    table, meet, le = t.table, lat.meet, lat.leq
-    ok = table[u.zero_idx] == lat.top
-    if not ok:
-        report.record_fail("o3", {"subset": ()})
-    for i in range(u.n_sets):
-        row_j, meet_i = u.pw_join[i], meet[table[i]]
-        for j in range(i + 1, u.n_sets):
-            if not le[meet_i[table[j]]][table[row_j[j]]]:
-                report.record_fail("o3", {"subset": (i, j)})
-                ok = False
-    if ok:
-        report.record_pass("o3")
+    table, le, ten, meet = t.table, lat.leq, u.tensor.table, lat.meet
+    sets, pw_tensor = range(u.n_sets), u.pw_tensor
+    report.sweep("o2", ({"f": u.sets[i], "g": u.sets[j]}
+                        for i in sets for j in sets
+                        if not le[ten[table[i]][table[j]]][table[pw_tensor[i][j]]]))
+
+    def o3_failures():
+        if table[u.zero_idx] != lat.top:
+            yield {"subset": ()}
+        for i in sets:
+            row_j, meet_i = u.pw_join[i], meet[table[i]]
+            for j in range(i + 1, u.n_sets):
+                if not le[meet_i[table[j]]][table[row_j[j]]]:
+                    yield {"subset": (i, j)}
+
+    report.sweep("o3", o3_failures())
     return report
 
 
@@ -201,68 +196,26 @@ def check_interior(i):
     lat = u.lattice
     report = Report("interior")
 
-    ok = all(i.app(u.one_idx, a) == u.one_idx for a in lat.elements())
-    report.record("I0", ok, None)
-
-    ok = True
-    for gi in u.graded_cells():
-        for gj in u.graded_cells():
-            if u.graded_leq(gi, gj) and not u.pw_leq[i.table[gi]][i.table[gj]]:
-                report.record_fail("I1", (gi, gj))
-                ok = False
-    if ok:
-        report.record_pass("I1")
-
-    ok = True
-    for si in range(u.n_sets):
-        for a in lat.elements():
-            for sj in range(u.n_sets):
-                for b in lat.elements():
-                    lhs = u.pw_tensor[i.app(si, a)][i.app(sj, b)]
-                    rhs = i.app(u.pw_tensor[si][sj], lat.join2(a, b))
-                    if not u.pw_leq[lhs][rhs]:
-                        report.record_fail("I2", (si, a, sj, b))
-                        ok = False
-    if ok:
-        report.record_pass("I2")
-
-    ok = True
-    for si in range(u.n_sets):
-        for a in lat.elements():
-            if not u.pw_leq[i.app(si, a)][si]:
-                report.record_fail("I3", (si, a))
-                ok = False
-    if ok:
-        report.record_pass("I3")
-
+    report.record("I0", all(i.app(u.one_idx, a) == u.one_idx
+                            for a in lat.elements()), None)
+    cells, sets, pw_leq = u.graded_cells(), range(u.n_sets), u.pw_leq
+    report.sweep("I1", ((gi, gj) for gi in cells for gj in cells
+                        if u.graded_leq(gi, gj)
+                        and not pw_leq[i.table[gi]][i.table[gj]]))
+    report.sweep("I2", u.unstable_cells(i.table, u.pw_tensor, pw_leq))
+    report.sweep("I3", ((si, a) for si in sets for a in lat.elements()
+                        if not pw_leq[i.app(si, a)][si]))
     # idempotence; the inner application reuses the same grade
-    ok = True
-    for si in range(u.n_sets):
-        for a in lat.elements():
-            inner = i.app(si, a)
-            if not u.pw_leq[inner][i.app(inner, a)]:
-                report.record_fail("I4", (si, a))
-                ok = False
-    if ok:
-        report.record_pass("I4")
-
-    ok = all(i.app(si, lat.bot) == si for si in range(u.n_sets))
-    report.record("I5", ok, None)
-
+    report.sweep("I4", ((si, a) for si in sets for a in lat.elements()
+                        if not pw_leq[i.app(si, a)][i.app(i.app(si, a), a)]))
+    report.record("I5", all(i.app(si, lat.bot) == si for si in sets), None)
     # constancy over a nonempty family of grades transfers to its join;
     # by induction on the family it is enough to check pairs
-    ok = True
-    for si in range(u.n_sets):
-        for a in lat.elements():
-            value = i.app(si, a)
-            for b in range(a + 1, lat.n):
-                if i.app(si, b) == value and \
-                        i.app(si, lat.join2(a, b)) != value:
-                    report.record_fail("I6", {"f": u.sets[si],
-                                              "grades": (a, b)})
-                    ok = False
-    if ok:
-        report.record_pass("I6")
+    report.sweep("I6", ({"f": u.sets[si], "grades": (a, b)}
+                        for si in sets for a in lat.elements()
+                        for b in range(a + 1, lat.n)
+                        if i.app(si, b) == i.app(si, a)
+                        and i.app(si, lat.join2(a, b)) != i.app(si, a)))
     return report
 
 
@@ -280,52 +233,32 @@ def check_nbhd(n):
     u = n.universe
     lat = u.lattice
     report = Report("nbhd")
-    for p in u.ground.points():
-        tab = n.tables[p]
+    points, cells, els = u.ground.points(), u.graded_cells(), lat.elements()
+    tabs, le = n.tables, lat.leq
+    report.sweep("N0", ({"p": p} for p in points
+                        if any(tabs[p][u.gidx(u.one_idx, a)] != lat.top
+                               for a in els)))
+    report.sweep("N1", ({"p": p, "cells": (gi, gj)}
+                        for p in points for gi in cells for gj in cells
+                        if u.graded_leq(gi, gj)
+                        and not le[tabs[p][gi]][tabs[p][gj]]))
+    report.sweep("N2", ({"p": p, "cells": cell} for p in points
+                        for cell in u.unstable_cells(tabs[p], u.tensor.table, le)))
+    report.sweep("N3", ({"p": p, "cell": (si, a)}
+                        for p in points for si in range(u.n_sets) for a in els
+                        if not le[n.at(p, si, a)][u.sets[si][p]]))
 
-        ok = all(tab[u.gidx(u.one_idx, a)] == lat.top for a in lat.elements())
-        if not ok:
-            report.record_fail("N0", {"p": p})
-        ok = True
-        for gi in u.graded_cells():
-            for gj in u.graded_cells():
-                if u.graded_leq(gi, gj) and not lat.le(tab[gi], tab[gj]):
-                    report.record_fail("N1", {"p": p, "cells": (gi, gj)})
-                    ok = False
+    def n4_failures():
+        for p in points:
+            for gi in cells:
+                candidates = [tabs[p][gj] for gj in cells
+                              if u.graded_leq(gi, gj)
+                              and all(le[u.sets[gj // u.n][q]][tabs[q][gi]]
+                                      for q in points)]
+                if not le[tabs[p][gi]][lat.join_set(candidates)]:
+                    yield {"p": p, "cell": u.gpair(gi)}
 
-        for si in range(u.n_sets):
-            for a in lat.elements():
-                for sj in range(u.n_sets):
-                    for b in lat.elements():
-                        lhs = u.tensor.app(tab[u.gidx(si, a)], tab[u.gidx(sj, b)])
-                        rhs = tab[u.gidx(u.pw_tensor[si][sj], lat.join2(a, b))]
-                        if not lat.le(lhs, rhs):
-                            report.record_fail("N2", {"p": p,
-                                                      "cells": (si, a, sj, b)})
-
-        for si in range(u.n_sets):
-            for a in lat.elements():
-                if not lat.le(tab[u.gidx(si, a)], u.sets[si][p]):
-                    report.record_fail("N3", {"p": p, "cell": (si, a)})
-
-        for si in range(u.n_sets):
-            for a in lat.elements():
-                gi = u.gidx(si, a)
-                candidates = []
-                for sj in range(u.n_sets):
-                    for b in lat.elements():
-                        gj = u.gidx(sj, b)
-                        if not u.graded_leq(gi, gj):
-                            continue
-                        g = u.sets[sj]
-                        if all(lat.le(g[q], n.tables[q][gi])
-                               for q in u.ground.points()):
-                            candidates.append(tab[gj])
-                if not lat.le(tab[gi], lat.join_set(candidates)):
-                    report.record_fail("N4", {"p": p, "cell": (si, a)})
-    for ax in ("N0", "N1", "N2", "N3", "N4"):
-        if ax not in report.verdicts:
-            report.record_pass(ax)
+    report.sweep("N4", n4_failures())
     return report
 
 
@@ -347,18 +280,10 @@ def check_continuity_nbhd(phi, tau, eta):
     nx = nbhd_from_interior(interior_from_topology(tau))
     ny = nbhd_from_interior(interior_from_topology(eta))
     report = Report("continuity_nbhd")
-    ok = True
-    for p in ux.ground.points():
-        q = phi[p]
-        for sj in range(uy.n_sets):
-            for b in lat.elements():
-                lhs = ny.tables[q][uy.gidx(sj, b)]
-                pulled = uy.compose(phi, sj, ux)
-                rhs = nx.tables[p][ux.gidx(pulled, b)]
-                if not lat.le(lhs, rhs):
-                    report.record_fail("nbhd_pushforward",
-                                       {"p": p, "g": uy.sets[sj], "beta": b})
-                    ok = False
-    if ok:
-        report.record_pass("nbhd_pushforward")
+    report.sweep("nbhd_pushforward", (
+        {"p": p, "g": uy.sets[sj], "beta": b}
+        for p in ux.ground.points() for sj in range(uy.n_sets)
+        for b in lat.elements()
+        if not lat.le(ny.tables[phi[p]][uy.gidx(sj, b)],
+                      nx.tables[p][ux.gidx(uy.compose(phi, sj, ux), b)])))
     return report

@@ -7,7 +7,7 @@ from fuzztop.compactness import (ProductSpace, Space, build_product, converges,
                                  product_convergence_check, tychonoff_check)
 from fuzztop.errors import PreconditionViolated, SizeLimit
 from fuzztop.filters import FilterTable, check_filter, enumerate_filters
-from fuzztop.topology import check_nbhd
+from fuzztop.topology import check_interior, check_nbhd
 
 
 def discrete_space(u):
@@ -32,8 +32,8 @@ def test_space_rejects_non_topology(u22):
 
 def test_space_keeps_axiom_reports(u22):
     s = indiscrete_space(u22)
-    assert s.interior_report is not None
-    assert s.nbhd_report.verdicts["N3"].status == "pass"
+    assert check_interior(s.interior) is not None
+    assert check_nbhd(s.nbhd).verdicts["N3"].status == "pass"
 
 
 def test_nbhd_saturation_converges_to_its_point(u22, u31_luk):

@@ -45,6 +45,26 @@ def test_ff1_failure_detected(u21):
     assert rep.verdicts["FF0"].status == "fail"
 
 
+def test_ff2_first_witness(u22, u32_luk):
+    # filters raised at one cell break tensor stability; the first failing
+    # pair is fixed by the sweep order, and on u32 its target grade is the
+    # join 1 v 2 of the two grades
+    F = principal(u22, 2)
+    assert check_filter(F).passed
+    table = list(F.table)
+    table[u22.gidx(1, 0)] = u22.lattice.top
+    rep = check_filter(FilterTable(universe=u22, table=tuple(table)))
+    assert rep.failures().keys() == {"FF2"}
+    assert rep.verdicts["FF2"].witness == {"cells": (1, 0, 2, 0)}
+
+    least = enumerate_filters(u32_luk)[0]
+    assert least.table == (0,) * 24 + (2, 2, 2)
+    table = list(least.table)
+    table[u32_luk.gidx(0, 1)] = 1
+    rep = check_filter(FilterTable(universe=u32_luk, table=tuple(table)))
+    assert rep.verdicts["FF2"].witness == {"cells": (0, 1, 8, 2)}
+
+
 def test_enumeration_matches_bruteforce(u21, u22, u31_godel, u31_luk,
                                         bruteforce_filter_tables):
     expected = {id(u21): 1, id(u22): 3, id(u31_godel): 3, id(u31_luk): 2}

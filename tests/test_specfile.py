@@ -1,3 +1,4 @@
+import itertools
 from pathlib import Path
 
 import pytest
@@ -54,6 +55,23 @@ def test_render_parse_roundtrip():
         text = render_spec(doc)
         assert parse_spec(text) == doc
         assert render_spec(parse_spec(text)) == text
+
+
+def test_render_roundtrip_above_the_default_powerset_cap():
+    # an 8-point space over the 3-chain has 3**8 = 6561 fuzzy sets
+    names = ("lo", "mid", "hi")
+    sets = [" ".join(names[v] for v in values)
+            for values in itertools.product(range(3), repeat=8)]
+    lines = ["[lattice]", "elements = lo mid hi", "covers = lo<mid mid<hi",
+             "", "[tensor]"]
+    lines += [f"{names[a]} {names[b]} -> {names[min(a, b)]}"
+              for a in range(3) for b in range(3)]
+    lines += ["", "[space A]", "points = 8"]
+    lines += [f"grade f = {s} -> hi" for s in sets]
+    lines += ["", "[filter F]", "on = A"]
+    lines += [f"grade f = {s} @ {a} -> lo" for s in sets for a in names]
+    doc = parse_spec("\n".join(lines) + "\n", powerset_cap=10000)
+    assert parse_spec(render_spec(doc), powerset_cap=10000) == doc
 
 
 def test_comments_and_blank_lines_ignored():

@@ -229,6 +229,15 @@ def test_join_graded_tensor_stability_counterexample(u22):
     assert not u.pw_leq[lhs][rhs]
 
 
+def test_first_i2_and_n2_witnesses(u32_luk):
+    # the first failures of the shared tensor-stability sweep, in
+    # (set, grade, set, grade) order; set 8 is the full set
+    i = interior_from_topology(indiscrete(u32_luk))
+    assert check_interior(i).verdicts["I2"].witness == (1, 0, 8, 1)
+    assert check_nbhd(nbhd_from_interior(i)).verdicts["N2"].witness == \
+        {"p": 0, "cells": (3, 0, 8, 1)}
+
+
 def test_tensor_graded_stability_holds(u22, u31_godel, u31_luk):
     # the tensor-graded variant I(f,a) tensor I(g,b) <= I(f tensor g, a
     # tensor b) is derivable from the topology axioms and holds throughout
