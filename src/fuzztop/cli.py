@@ -94,14 +94,11 @@ class _Kernel:
 
     def space(self, name):
         """The named space, or PreconditionViolated (exit 2) naming the
-        failed axioms when its table is not a topology."""
-        report = check_topology(self.topology(name))
-        if not report.passed:
-            raise PreconditionViolated(
-                f"space {name!r} is not a topology: fails "
-                + ", ".join(sorted(report.failures())))
-        return Space(self.universe(name), self.doc.spaces[name].topology,
-                     validate=False)
+        space and its failed axioms when its table is not a topology."""
+        try:
+            return Space(self.universe(name), self.doc.spaces[name].topology)
+        except PreconditionViolated as exc:
+            raise PreconditionViolated(f"space {name!r}: {exc}") from None
 
     def topology(self, name):
         from .topology import Topology

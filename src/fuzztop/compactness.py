@@ -28,27 +28,26 @@ from .topology import (NbhdSystem, Topology, check_topology,
 class Space:
     """An L-fuzzy topological space with derived structures.
 
-    Construction insists on the topology axioms (validate=False skips them
-    for a caller that has checked the table already) and derives the
-    interior operator and the neighborhood system.  Their axiom batteries
-    are not run here; `check_interior(space.interior)` and
-    `check_nbhd(space.nbhd)` run them on demand.  They gate nothing: the
-    tensor-stability axioms I2 and N2 combine grades with the join, and the
-    interior derived from any non-discrete topology violates that
-    combination (take the full set at grade top against any set of grade
-    below top at grade bottom), so enforcing them would reject almost every
-    space.
+    Construction checks the topology axioms, raising PreconditionViolated
+    that names the failed ones, and derives the interior operator and the
+    neighborhood system.  Their axiom batteries are not run here;
+    `check_interior(space.interior)` and `check_nbhd(space.nbhd)` run them
+    on demand.  They gate nothing: the tensor-stability axioms I2 and N2
+    combine grades with the join, and the interior derived from any
+    non-discrete topology violates that combination (take the full set at
+    grade top against any set of grade below top at grade bottom), so
+    enforcing them would reject almost every space.
     """
 
-    def __init__(self, universe, topology, validate=True):
+    def __init__(self, universe, topology):
         if not isinstance(topology, Topology):
             topology = Topology(universe=universe, table=tuple(topology))
         self.universe = universe
         self.topology = topology
-        if validate:
-            report = check_topology(topology)
-            if not report.passed:
-                raise ValueError("table is not a topology:\n" + str(report))
+        failed = check_topology(topology).failures()
+        if failed:
+            raise PreconditionViolated("table is not a topology: fails "
+                                       + ", ".join(sorted(failed)))
         self.interior = interior_from_topology(topology)
         self.nbhd = nbhd_from_interior(self.interior)
 
@@ -134,12 +133,13 @@ def image_compactness_check(phi, space_x, space_y, filters_y=None):
                       {"filter": F.table})
         if image_filter(phi, Fpre, uy).table != F.table:
             round_trip.append({"filter": F.table})
-        points = [p for p in ux.ground.points() if is_adherent(p, Fpre, space_x)[0]]
-        if not points:
+        for p in ux.ground.points():
+            adherent, G = is_adherent(p, Fpre, space_x)
+            if adherent:
+                break
+        else:
             upstream.append({"filter": F.table})
             continue
-        p = points[0]
-        _, G = is_adherent(p, Fpre, space_x)
         G_img = image_filter(phi, G, uy)
         nb_y = space_y.nbhd.tables[phi[p]]
         dominated = F.leq(G_img) and all(
@@ -149,11 +149,13 @@ def image_compactness_check(phi, space_x, space_y, filters_y=None):
         if not is_adherent(phi[p], F, space_y)[0]:
             image.append({"filter": F.table})
     report.sweep("round_trip", round_trip)
-    if upstream:
-        report.record_fail("adherent_upstream", upstream[0])
+    report.sweep("adherent_upstream", upstream)
     report.sweep("proof_chain", chain)
-    # a filter with no adherent point upstream withholds the pass
-    if image or not upstream:
+    if upstream and not image:
+        report.record_skip("image_point_adherent",
+                           "a filter with no adherent point upstream has no "
+                           "image point to check")
+    else:
         report.sweep("image_point_adherent", image)
     compact_y, witness = is_compact(space_y, filters=filters_y)
     report.record("codomain_compact", compact_y,

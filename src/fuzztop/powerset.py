@@ -1,11 +1,12 @@
 """The fuzzy powerset over a finite ground set and the graded carrier.
 
 A fuzzy set is a length-m tuple of lattice element indices.  The Universe
-precomputes the whole powerset in lexicographic order together with pointwise
-operation tables, and exposes the product carrier (powerset x lattice) under
-the graded order: (f, a) below (g, b) iff f <= g pointwise and b <= a.
-Graded cells are flat indices gi = set_index * n + grade so every table over
-the carrier is a plain array.
+lists the powerset in lexicographic order, so set i is the base-n numeral of
+its values (n = |L|, point 0 the most significant digit), and the graded
+cell gi = i * n + grade appends one more digit.  Every table over sets or
+cells is therefore its one-point table composed digit by digit.  The product
+carrier (powerset x lattice) has the graded order: (f, a) below (g, b) iff
+f <= g pointwise and b <= a.
 """
 
 from __future__ import annotations
@@ -48,14 +49,26 @@ def enumerate_powerset(lat, ground, cap=DEFAULT_POWERSET_CAP):
     return [tuple(v) for v in itertools.product(lat.elements(), repeat=ground.m)]
 
 
+def _append_digit(out, table):
+    """Extend a table over numerals by one base-n digit: the pair
+    (i*n + a, j*n + b) maps to out[i][j]*n + table[a][b], where table is an
+    n x n table of digits."""
+    n = len(table)
+    rows = []
+    for row in out:
+        shifted = [v * n for v in row]
+        for digit_row in table:
+            rows.append(tuple([s + d for s in shifted for d in digit_row]))
+    return tuple(rows)
+
+
 class Universe:
     """Ambient data for one ground set: powerset, graded carrier, tables.
 
     Bundles the lattice, a GL tensor with its residuum, and a cotensor
     (default: the lattice join) with its co-implication.  The pointwise
-    operation tables are precomputed at construction; the graded `above`
-    lists and the boxtimes table, which only filter saturation and
-    enumeration read, are built on first use.
+    tensor, join and order tables are built at construction; the meet,
+    residuum, boxtimes and graded `above` tables on first use.
     """
 
     def __init__(self, lattice, tensor, ground, cotensor=None,
@@ -75,45 +88,39 @@ class Universe:
         self.zero_idx = self.set_index[tuple([lattice.bot] * ground.m)]
         self.one_idx = self.set_index[tuple([lattice.top] * ground.m)]
 
-        n_sets, sets, lat = self.n_sets, self.sets, lattice
-        self.pw_leq = tuple(
-            tuple(all(lat.le(f[p], g[p]) for p in ground.points()) for g in sets)
-            for f in sets
-        )
-        self.pw_tensor = self._pointwise_table(tensor.app)
-        self.pw_join = self._pointwise_table(lat.join2)
-        self.pw_meet = self._pointwise_table(lat.meet2)
+        self.pw_tensor = self._pointwise(tensor.table)
+        self.pw_join = self._pointwise(lattice.join)
+        # f <= g pointwise iff f join g == g
+        self.pw_leq = tuple(tuple(k == j for j, k in enumerate(row))
+                            for row in self.pw_join)
 
         # graded carrier: gi = si * n + a
         self.n = lattice.n
-        self.graded_size = n_sets * lattice.n
+        self.graded_size = self.n_sets * lattice.n
 
-    def _pointwise_table(self, op):
-        idx = self.set_index
-        pts = self.ground.points()
-        return tuple(
-            tuple(idx[tuple(op(f[p], g[p]) for p in pts)] for g in self.sets)
-            for f in self.sets
-        )
+    def _pointwise(self, table):
+        """The pointwise table over set indices of a one-point table: from
+        the one set on no points, append each point's digit, point 0 first,
+        which is the `itertools.product` order of `enumerate_powerset`."""
+        out = ((0,),)
+        for _ in self.ground.points():
+            out = _append_digit(out, table)
+        return out
 
-    # ---- pointwise operations on set indices -------------------------------
+    @cached_property
+    def pw_meet(self):
+        """The pointwise meet table; built on first use."""
+        return self._pointwise(self.lattice.meet)
 
-    def set_leq(self, i, j):
-        return self.pw_leq[i][j]
-
-    def tensor_sets(self, i, j):
-        return self.pw_tensor[i][j]
+    @cached_property
+    def pw_res(self):
+        """The pointwise residuum table; built on first use."""
+        return self._pointwise(self.res.table)
 
     def join_sets(self, indices):
         out = self.zero_idx
         for i in indices:
             out = self.pw_join[out][i]
-        return out
-
-    def meet_sets(self, indices):
-        out = self.one_idx
-        for i in indices:
-            out = self.pw_meet[out][i]
         return out
 
     # ---- graded carrier ----------------------------------------------------
@@ -144,9 +151,9 @@ class Universe:
 
     @cached_property
     def box_table(self):
-        """The full boxtimes table over graded cells; built on first use."""
-        cells = self.graded_cells()
-        return tuple(tuple(self.boxtimes(i, j) for j in cells) for i in cells)
+        """The full boxtimes table over graded cells, the grade appended to
+        `pw_tensor` as its last digit; built on first use."""
+        return _append_digit(self.pw_tensor, self.lattice.join)
 
     @property
     def graded_top(self):
@@ -166,10 +173,7 @@ class Universe:
         """Graded residuation by closed form: (f -> g, b coimpl a)."""
         si, a = divmod(gi, self.n)
         sj, b = divmod(gj, self.n)
-        res, pts, idx = self.res, self.ground.points(), self.set_index
-        f, g = self.sets[si], self.sets[sj]
-        impl_set = idx[tuple(res.app(f[p], g[p]) for p in pts)]
-        return self.gidx(impl_set, self.coimpl.app(b, a))
+        return self.gidx(self.pw_res[si][sj], self.coimpl.app(b, a))
 
     def gimpl_sup(self, gi, gj):
         """Graded residuation by its sup-form definition (test oracle).

@@ -26,10 +26,6 @@ class Tensor:
     def app(self, a, b):
         return self.table[a][b]
 
-    def is_standard_cotensor(self):
-        """True when this cotensor is the lattice join, the kernel default."""
-        return self.kind == "cotensor" and self.table == self.base.join
-
 
 @dataclass(frozen=True)
 class Residuum:

@@ -198,10 +198,10 @@ def check_interior(i):
 
     report.record("I0", all(i.app(u.one_idx, a) == u.one_idx
                             for a in lat.elements()), None)
-    cells, sets, pw_leq = u.graded_cells(), range(u.n_sets), u.pw_leq
-    report.sweep("I1", ((gi, gj) for gi in cells for gj in cells
-                        if u.graded_leq(gi, gj)
-                        and not pw_leq[i.table[gi]][i.table[gj]]))
+    sets, pw_leq = range(u.n_sets), u.pw_leq
+    report.sweep("I1", ((gi, gj) for gi in u.graded_cells()
+                        for gj in u.graded_above[gi]
+                        if not pw_leq[i.table[gi]][i.table[gj]]))
     report.sweep("I2", u.unstable_cells(i.table, u.pw_tensor, pw_leq))
     report.sweep("I3", ((si, a) for si in sets for a in lat.elements()
                         if not pw_leq[i.app(si, a)][si]))
@@ -234,14 +234,13 @@ def check_nbhd(n):
     lat = u.lattice
     report = Report("nbhd")
     points, cells, els = u.ground.points(), u.graded_cells(), lat.elements()
-    tabs, le = n.tables, lat.leq
+    tabs, le, above = n.tables, lat.leq, u.graded_above
     report.sweep("N0", ({"p": p} for p in points
                         if any(tabs[p][u.gidx(u.one_idx, a)] != lat.top
                                for a in els)))
     report.sweep("N1", ({"p": p, "cells": (gi, gj)}
-                        for p in points for gi in cells for gj in cells
-                        if u.graded_leq(gi, gj)
-                        and not le[tabs[p][gi]][tabs[p][gj]]))
+                        for p in points for gi in cells for gj in above[gi]
+                        if not le[tabs[p][gi]][tabs[p][gj]]))
     report.sweep("N2", ({"p": p, "cells": cell} for p in points
                         for cell in u.unstable_cells(tabs[p], u.tensor.table, le)))
     report.sweep("N3", ({"p": p, "cell": (si, a)}
@@ -251,10 +250,9 @@ def check_nbhd(n):
     def n4_failures():
         for p in points:
             for gi in cells:
-                candidates = [tabs[p][gj] for gj in cells
-                              if u.graded_leq(gi, gj)
-                              and all(le[u.sets[gj // u.n][q]][tabs[q][gi]]
-                                      for q in points)]
+                candidates = [tabs[p][gj] for gj in (gi, *above[gi])
+                              if all(le[u.sets[gj // u.n][q]][tabs[q][gi]]
+                                     for q in points)]
                 if not le[tabs[p][gi]][lat.join_set(candidates)]:
                     yield {"p": p, "cell": u.gpair(gi)}
 

@@ -26,7 +26,7 @@ def test_space_rejects_non_topology(u22):
     lat = u22.lattice
     table = [lat.top] * u22.n_sets
     table[u22.one_idx] = lat.bot
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionViolated, match="fails o1, o3$"):
         Space(u22, tuple(table))
 
 
@@ -146,6 +146,24 @@ def test_image_compactness_identity(u22):
     rep = image_compactness_check((0, 1), discrete_space(u22),
                                   discrete_space(u22))
     assert rep.passed
+
+
+def test_image_compactness_records_every_verdict(u21, u22):
+    sx, sy = discrete_space(u22), discrete_space(u21)
+    rep = image_compactness_check((0, 0), sx, sy)
+    assert {k: v.status for k, v in rep.verdicts.items()} == dict.fromkeys(
+        ("adherent_upstream", "codomain_compact", "image_point_adherent",
+         "preimage_is_filter", "proof_chain", "round_trip"), "pass")
+
+    # a codomain "filter" grading every cell top pulls back to a table whose
+    # saturation collapses, so it has no adherent point upstream
+    (F,) = enumerate_filters(u21)
+    bad = FilterTable(universe=u21, table=(u21.lattice.top,) * u21.graded_size)
+    rep = image_compactness_check((0, 0), sx, sy, filters_y=[F, bad])
+    assert rep.verdicts["adherent_upstream"].status == "fail"
+    assert rep.verdicts["adherent_upstream"].witness == {"filter": bad.table}
+    assert rep.verdicts["image_point_adherent"].status == "skipped"
+    assert rep.verdicts["preimage_is_filter"].status == "fail"
 
 
 def test_image_compactness_preconditions(u21, u22):

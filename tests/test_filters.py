@@ -65,6 +65,16 @@ def test_ff2_first_witness(u22, u32_luk):
     assert rep.verdicts["FF2"].witness == {"cells": (0, 1, 8, 2)}
 
 
+def test_ff1_first_witness(u32_luk):
+    # the least filter raised at (set 4, grade 1); in the graded order the
+    # first cell above it is (set 4, grade 0), still at bot
+    least = enumerate_filters(u32_luk)[0]
+    table = list(least.table)
+    table[u32_luk.gidx(4, 1)] = 2
+    rep = check_filter(FilterTable(universe=u32_luk, table=tuple(table)))
+    assert rep.verdicts["FF1"].witness == {"cells": ((4, 1), (4, 0))}
+
+
 def test_enumeration_matches_bruteforce(u21, u22, u31_godel, u31_luk,
                                         bruteforce_filter_tables):
     expected = {id(u21): 1, id(u22): 3, id(u31_godel): 3, id(u31_luk): 2}

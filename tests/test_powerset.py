@@ -26,10 +26,10 @@ def test_powerset_is_lexicographic(chain3):
 
 
 def test_pointwise_order(u22):
-    idx = u22.set_index
-    assert u22.set_leq(idx[(0, 0)], idx[(1, 0)])
-    assert not u22.set_leq(idx[(1, 0)], idx[(0, 1)])
-    assert u22.set_leq(u22.zero_idx, u22.one_idx)
+    idx, leq = u22.set_index, u22.pw_leq
+    assert leq[idx[(0, 0)]][idx[(1, 0)]]
+    assert not leq[idx[(1, 0)]][idx[(0, 1)]]
+    assert leq[u22.zero_idx][u22.one_idx]
 
 
 def test_graded_order_reverses_grades(u22):

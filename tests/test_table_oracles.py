@@ -1,0 +1,182 @@
+"""The Universe tables, composed digit by digit, against the per-pair
+construction they replaced: apply the one-point operation at every point,
+then look the resulting tuple up in `set_index`.  Also the order axioms
+FF1, I1, N1 and N4, which walk `graded_above`, against sweeps over every
+pair of cells filtered by the definition `graded_leq`."""
+
+import random
+
+import pytest
+
+from fuzztop.filters import FilterTable, check_filter, enumerate_filters
+from fuzztop.instances import boolean, chain, diamond, lukasiewicz_tensor, \
+    meet_tensor
+from fuzztop.lattice import build_lattice
+from fuzztop.powerset import Ground, Universe
+from fuzztop.topology import (InteriorOp, NbhdSystem, check_interior,
+                              check_nbhd, enumerate_topologies,
+                              interior_from_topology, nbhd_from_interior)
+
+
+def by_pairs(u, op):
+    """Oracle: the pointwise table of `op`, one tuple and lookup per pair."""
+    pts = u.ground.points()
+    return tuple(tuple(u.set_index[tuple(op(f[p], g[p]) for p in pts)]
+                       for g in u.sets) for f in u.sets)
+
+
+def leq_by_pairs(u):
+    le = u.lattice.le
+    return tuple(tuple(all(le(f[p], g[p]) for p in u.ground.points())
+                       for g in u.sets) for f in u.sets)
+
+
+def top_first_chain3():
+    """The 3-chain declared top-first: bot is index 2 and top index 0."""
+    return build_lattice(3, [(2, 1), (1, 0)])
+
+
+def make(lat, tensor, m):
+    return Universe(lat, tensor(lat), Ground(m))
+
+
+SMALL = {
+    "u22": lambda: make(boolean(), meet_tensor, 2),
+    "u32-lukasiewicz": lambda: make(chain(3), lukasiewicz_tensor, 2),
+    "diamond-3pt": lambda: make(diamond(), meet_tensor, 3),
+    "chain4-lukasiewicz-2pt": lambda: make(chain(4), lukasiewicz_tensor, 2),
+    "chain3-top-first-2pt": lambda: make(top_first_chain3(), meet_tensor, 2),
+}
+LARGE = {
+    "chain3-5pt": lambda: make(chain(3), meet_tensor, 5),
+    "chain2-8pt": lambda: make(boolean(), meet_tensor, 8),
+}
+
+
+def check_set_tables(u):
+    lat = u.lattice
+    assert u.pw_tensor == by_pairs(u, u.tensor.app)
+    assert u.pw_join == by_pairs(u, lat.join2)
+    assert u.pw_meet == by_pairs(u, lat.meet2)
+    assert u.pw_res == by_pairs(u, u.res.app)
+    assert u.pw_leq == leq_by_pairs(u)
+
+
+@pytest.mark.parametrize("name", sorted(SMALL))
+def test_tables_match_per_pair_construction(name):
+    u = SMALL[name]()
+    check_set_tables(u)
+    n, cells = u.n, u.graded_cells()
+    assert u.box_table == tuple(tuple(u.boxtimes(i, j) for j in cells)
+                                for i in cells)
+    for gi in cells:
+        si, a = divmod(gi, n)
+        f = u.sets[si]
+        for gj in cells:
+            sj, b = divmod(gj, n)
+            g = u.sets[sj]
+            impl = u.set_index[tuple(u.res.app(f[p], g[p])
+                                     for p in u.ground.points())]
+            assert u.gimpl(gi, gj) == impl * n + u.coimpl.app(b, a)
+
+
+@pytest.mark.parametrize("name", sorted(LARGE))
+def test_large_tables_match_per_pair_construction(name):
+    u = LARGE[name]()
+    assert u.n_sets in (243, 256)
+    check_set_tables(u)
+    # boxtimes from the oracle tensor table, cell by cell
+    pw_tensor, join, n = by_pairs(u, u.tensor.app), u.lattice.join, u.n
+    box = u.box_table
+    for gi in u.graded_cells():
+        row, t_row, join_a = box[gi], pw_tensor[gi // n], join[gi % n]
+        assert row == tuple(t * n + j for t in t_row for j in join_a)
+
+
+def test_top_first_chain_keeps_bot_at_index_2():
+    u = SMALL["chain3-top-first-2pt"]()
+    assert (u.lattice.bot, u.lattice.top) == (2, 0)
+    assert u.sets[u.zero_idx] == (2, 2) and u.sets[u.one_idx] == (0, 0)
+    assert u.join_sets([]) == u.zero_idx
+    assert u.pw_leq[u.zero_idx][u.one_idx]
+    assert not u.pw_leq[u.one_idx][u.zero_idx]
+
+
+# ---- order axioms against all-pairs sweeps ---------------------------------
+
+def first(witnesses):
+    return next(iter(witnesses), None)
+
+
+def graded_pairs(u):
+    cells = u.graded_cells()
+    return [(gi, gj) for gi in cells for gj in cells if u.graded_leq(gi, gj)]
+
+
+def ff1_by_pairs(F, pairs):
+    u, le = F.universe, F.universe.lattice.leq
+    return first({"cells": (u.gpair(gi), u.gpair(gj))} for gi, gj in pairs
+                 if not le[F.table[gi]][F.table[gj]])
+
+
+def i1_by_pairs(i, pairs):
+    leq = i.universe.pw_leq
+    return first((gi, gj) for gi, gj in pairs
+                 if not leq[i.table[gi]][i.table[gj]])
+
+
+def n1_by_pairs(nb, pairs):
+    le, tabs = nb.universe.lattice.leq, nb.tables
+    return first({"p": p, "cells": (gi, gj)} for p in range(len(tabs))
+                 for gi, gj in pairs if not le[tabs[p][gi]][tabs[p][gj]])
+
+
+def n4_by_pairs(nb, pairs):
+    u, tabs = nb.universe, nb.tables
+    lat, points = u.lattice, u.ground.points()
+    for p in points:
+        for gi in u.graded_cells():
+            candidates = [tabs[p][gj] for i, gj in pairs if i == gi
+                          and all(lat.le(u.sets[gj // u.n][q], tabs[q][gi])
+                                  for q in points)]
+            if not lat.le(tabs[p][gi], lat.join_set(candidates)):
+                return {"p": p, "cell": u.gpair(gi)}
+    return None
+
+
+def witness(report, axiom):
+    v = report.verdicts[axiom]
+    return v.witness if v.status == "fail" else None
+
+
+def mutants(rng, table, values, count):
+    """`table` itself, then `count` copies with one cell set at random."""
+    yield tuple(table)
+    for _ in range(count):
+        t = list(table)
+        t[rng.randrange(len(t))] = rng.randrange(values)
+        yield tuple(t)
+
+
+@pytest.mark.parametrize("name", ["u22", "u32-lukasiewicz",
+                                  "chain3-top-first-2pt"])
+def test_order_axioms_match_all_pairs_sweeps(name):
+    u = SMALL[name]()
+    rng, pairs, lat = random.Random(name), graded_pairs(u), u.lattice
+    for F in enumerate_filters(u)[:6]:
+        for tab in mutants(rng, F.table, lat.n, 15):
+            mut = FilterTable(universe=u, table=tab)
+            assert witness(check_filter(mut), "FF1") == ff1_by_pairs(mut, pairs)
+    for t in enumerate_topologies(u)[:6]:
+        i = interior_from_topology(t)
+        for tab in mutants(rng, i.table, u.n_sets, 10):
+            mut = InteriorOp(universe=u, table=tab)
+            assert witness(check_interior(mut), "I1") == i1_by_pairs(mut, pairs)
+        nb = nbhd_from_interior(i)
+        for p in u.ground.points():
+            for tab in mutants(rng, nb.tables[p], lat.n, 10):
+                mut = NbhdSystem(universe=u, tables=nb.tables[:p] + (tab,)
+                                 + nb.tables[p + 1:])
+                rep = check_nbhd(mut)
+                assert witness(rep, "N1") == n1_by_pairs(mut, pairs)
+                assert witness(rep, "N4") == n4_by_pairs(mut, pairs)

@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 from fuzztop.errors import PreconditionViolated, SizeLimit
 from fuzztop.instances import chain, diamond, meet_tensor
 from fuzztop.powerset import Ground, Universe
-from fuzztop.topology import (InteriorOp, Topology, check_continuity_nbhd,
-                              check_interior, check_nbhd, check_topology,
+from fuzztop.topology import (InteriorOp, NbhdSystem, Topology,
+                              check_continuity_nbhd, check_interior,
+                              check_nbhd, check_topology,
                               enumerate_topologies, generate_topology,
                               interior_from_topology, is_continuous,
                               nbhd_from_interior, order_topologies)
@@ -236,6 +237,29 @@ def test_first_i2_and_n2_witnesses(u32_luk):
     assert check_interior(i).verdicts["I2"].witness == (1, 0, 8, 1)
     assert check_nbhd(nbhd_from_interior(i)).verdicts["N2"].witness == \
         {"p": 0, "cells": (3, 0, 8, 1)}
+
+
+def test_first_i1_n1_n4_witnesses(u32_luk):
+    # single-cell mutations of the discrete interior and neighbourhood
+    # system; cells are flat indices set * 3 + grade, set 8 the full set
+    u = u32_luk
+    i = interior_from_topology(discrete(u))
+    table = list(i.table)
+    table[u.gidx(4, 2)] = 8
+    rep = check_interior(InteriorOp(universe=u, table=tuple(table)))
+    assert rep.verdicts["I1"].witness == (14, 12)
+
+    nb = nbhd_from_interior(i)
+    assert check_nbhd(nb).passed  # N4: each cell is its own candidate
+    tabs = [list(t) for t in nb.tables]
+    tabs[1][u.gidx(3, 0)] = 2
+    rep = check_nbhd(NbhdSystem(universe=u, tables=tuple(map(tuple, tabs))))
+    assert rep.verdicts["N1"].witness == {"p": 1, "cells": (9, 12)}
+    # lowering point 0's value drops candidates of point 1 at the same cell
+    tabs = [list(t) for t in nb.tables]
+    tabs[0][u.gidx(4, 0)] = 0
+    rep = check_nbhd(NbhdSystem(universe=u, tables=tuple(map(tuple, tabs))))
+    assert rep.verdicts["N4"].witness == {"p": 1, "cell": (4, 0)}
 
 
 def test_tensor_graded_stability_holds(u22, u31_godel, u31_luk):
