@@ -3,12 +3,15 @@
 Exit status: 0 when every verdict passed, 1 when any failed, 2 on usage,
 parse, or size-cap errors.  With --format machine the output is a single
 JSON document with no wall-clock content, so identical inputs produce
-byte-identical output.
+byte-identical output.  The argument parser is built on first use and then
+reused; every command works on the one lattice, tensor and cotensor that its
+parsed document carries.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -22,14 +25,34 @@ from .filters import (DEFAULT_FILTER_CAP, FilterTable, NoFilterAbove,
 from .lattice import check_infinite_distributivity
 from .powerset import DEFAULT_POWERSET_CAP
 from .report import Report
-from .residuated import check_co_gl_monoid, check_cqm, check_gl_monoid, classify
+from .residuated import (check_co_gl_monoid, check_cqm, check_gl_monoid,
+                         classify, co_implication, residuum)
 from .specfile import build_universe, parse_spec
-from .topology import (check_interior, check_nbhd, check_topology,
+from .topology import (Topology, check_interior, check_nbhd, check_topology,
                        check_continuity_nbhd, interior_from_topology,
                        is_continuous, nbhd_from_interior)
 
 
+#: `validate` targets checked once per document; they are also its choices.
+#: The lambdas look each check up when called, so a rebinding is seen.
+DOC_BATTERIES = {
+    "lattice": lambda doc: check_infinite_distributivity(doc.lattice),
+    "cqm": lambda doc: check_cqm(doc.tensor_op),
+    "glmonoid": lambda doc: check_gl_monoid(doc.tensor_op),
+    "co-glmonoid": lambda doc: check_co_gl_monoid(doc.cotensor_op),
+}
+#: `validate` targets checked once per space, on its topology
+SPACE_BATTERIES = {
+    "topology": lambda tau: check_topology(tau),
+    "interior": lambda tau: check_interior(interior_from_topology(tau)),
+    "nbhd": lambda tau: check_nbhd(
+        nbhd_from_interior(interior_from_topology(tau))),
+}
+
+
+@functools.cache
 def _parser():
+    """The argument parser, built on first use and shared by every call."""
     p = argparse.ArgumentParser(
         prog="fuzztop",
         description="Finite-model kernel for graded topology: validate "
@@ -43,9 +66,7 @@ def _parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("validate", help="run an axiom battery")
-    v.add_argument("target", choices=("lattice", "cqm", "glmonoid",
-                                      "co-glmonoid", "topology", "interior",
-                                      "nbhd"))
+    v.add_argument("target", choices=(*DOC_BATTERIES, *SPACE_BATTERIES))
     v.add_argument("--space", default=None)
 
     for name in ("residuum", "coimpl", "classify"):
@@ -79,9 +100,6 @@ class _Kernel:
     def __init__(self, doc, args):
         self.doc = doc
         self.args = args
-        self.lattice = doc.build_lattice()
-        self.tensor = doc.build_tensor(self.lattice)
-        self.cotensor = doc.build_cotensor(self.lattice)
         self._universes = {}
 
     def universe(self, name):
@@ -101,7 +119,6 @@ class _Kernel:
             raise PreconditionViolated(f"space {name!r}: {exc}") from None
 
     def topology(self, name):
-        from .topology import Topology
         return Topology(universe=self.universe(name),
                         table=self.doc.spaces[name].topology)
 
@@ -126,36 +143,17 @@ def run_command(doc, args):
     reports, extras = [], {}
 
     if args.command == "validate":
-        t = args.target
-        if t == "lattice":
-            reports.append(check_infinite_distributivity(k.lattice))
-        elif t == "cqm":
-            reports.append(check_cqm(k.tensor))
-        elif t == "glmonoid":
-            reports.append(check_gl_monoid(k.tensor))
-        elif t == "co-glmonoid":
-            reports.append(check_co_gl_monoid(k.cotensor))
-        elif t == "topology":
+        if args.target in DOC_BATTERIES:
+            reports.append(DOC_BATTERIES[args.target](doc))
+        else:
             for name in k.space_names(args.space):
-                r = check_topology(k.topology(name))
-                r.name = f"topology[{name}]"
-                reports.append(r)
-        elif t == "interior":
-            for name in k.space_names(args.space):
-                r = check_interior(interior_from_topology(k.topology(name)))
-                r.name = f"interior[{name}]"
-                reports.append(r)
-        elif t == "nbhd":
-            for name in k.space_names(args.space):
-                i = interior_from_topology(k.topology(name))
-                r = check_nbhd(nbhd_from_interior(i))
-                r.name = f"nbhd[{name}]"
+                r = SPACE_BATTERIES[args.target](k.topology(name))
+                r.name = f"{args.target}[{name}]"
                 reports.append(r)
 
     elif args.command in ("residuum", "coimpl"):
-        from .residuated import co_implication, residuum
-        table = (residuum(k.tensor) if args.command == "residuum"
-                 else co_implication(k.cotensor)).table
+        table = (residuum(doc.tensor_op) if args.command == "residuum"
+                 else co_implication(doc.cotensor_op)).table
         names = doc.element_names
         extras["table"] = {
             f"{names[a]} {names[b]}": names[table[a][b]]
@@ -165,8 +163,7 @@ def run_command(doc, args):
         reports.append(r)
 
     elif args.command == "classify":
-        from .residuated import residuum
-        tags = classify(k.tensor, residuum(k.tensor))
+        tags = classify(doc.tensor_op, residuum(doc.tensor_op))
         extras["tags"] = sorted(tags)
         r = Report("classify")
         r.record_pass("computed")

@@ -88,8 +88,9 @@ def is_compact(space, mode="sweep", filters=None):
     mode="sweep" checks every enumerated filter; mode="ultrafilter" checks
     ultrafilters only (equivalent: an adherence certificate for an
     ultrafilter above F also witnesses adherence for F).  Without `filters`
-    they are enumerated with the default closure cap.  Returns (bool,
-    witness filter or None).
+    they are enumerated with the default closure cap.  The search for a
+    filter's adherent point stops at the first one.  Returns (bool, witness
+    filter or None).
     """
     if filters is None:
         filters = enumerate_filters(space.universe)
@@ -98,8 +99,9 @@ def is_compact(space, mode="sweep", filters=None):
                    if is_ultrafilter(F, "characterization")[0]]
     elif mode != "sweep":
         raise ValueError(f"unknown mode {mode!r}")
+    points = space.universe.ground.points()
     for F in filters:
-        if not adherent_points(F, space):
+        if not any(is_adherent(p, F, space)[0] for p in points):
             return False, F
     return True, None
 

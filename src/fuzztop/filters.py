@@ -223,13 +223,12 @@ def _characterization_holds(U):
     return True, None
 
 
-def is_ultrafilter(U, mode="characterization", all_filters=None,
-                   cap=DEFAULT_FILTER_CAP):
+def is_ultrafilter(U, mode="characterization", all_filters=None):
     """Decide maximality of a filter.
 
     mode="maximality": search for a strictly larger filter (all_filters may
-    supply a precomputed enumeration; otherwise one is made with at most
-    `cap` closures).  mode="characterization": test the
+    supply a precomputed enumeration; otherwise one is made with the default
+    closure cap).  mode="characterization": test the
     impl-into-bottom identity on every cell and every grade below the cell's.
     Returns (bool, witness).
     """
@@ -240,7 +239,7 @@ def is_ultrafilter(U, mode="characterization", all_filters=None,
         return ok, witness
     if mode == "maximality":
         if all_filters is None:
-            all_filters = enumerate_filters(U.universe, cap=cap)
+            all_filters = enumerate_filters(U.universe)
         for G in all_filters:
             if U.leq(G) and U.table != G.table:
                 return False, {"larger": G.table}

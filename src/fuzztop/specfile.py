@@ -28,7 +28,9 @@ The format is diffable and golden-test friendly:
     grade f = bot top @ mid -> bot
     ...
 
-Comments run from '#' to end of line.  Every table must be total.
+Comments run from '#' to end of line.  One rule builds every table: it must
+be total, and a header or row key given twice, or a row outside its table
+(such as a map row for no point of its domain), is an error naming its line.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import FuzztopError
-from .lattice import build_lattice
+from .lattice import Lattice, build_lattice
 from .instances import join_cotensor
 from .powerset import (DEFAULT_POWERSET_CAP, Ground, Universe,
                        enumerate_powerset)
@@ -80,6 +82,10 @@ class FilterDecl:
 
 @dataclass
 class SpecDocument:
+    """The declarations of one spec file.  The lattice and the tensor and
+    cotensor objects are built once, from the declared fields, when the
+    document is made; they take no part in equality."""
+
     element_names: tuple
     covers: tuple
     tensor: tuple
@@ -87,23 +93,29 @@ class SpecDocument:
     spaces: dict = field(default_factory=dict)
     maps: dict = field(default_factory=dict)
     filters: dict = field(default_factory=dict)
+    lattice: Lattice = field(init=False, repr=False, compare=False)
+    tensor_op: Tensor = field(init=False, repr=False, compare=False)
+    cotensor_op: Tensor = field(init=False, repr=False, compare=False)
 
-    def build_lattice(self):
-        return build_lattice(len(self.element_names), list(self.covers))
-
-    def build_tensor(self, lattice):
-        return Tensor(base=lattice, table=self.tensor, kind="tensor")
-
-    def build_cotensor(self, lattice):
-        if self.cotensor is None:
-            return join_cotensor(lattice)
-        return Tensor(base=lattice, table=self.cotensor, kind="cotensor")
+    def __post_init__(self):
+        self.lattice = build_lattice(len(self.element_names), list(self.covers))
+        self.tensor_op = Tensor(base=self.lattice, table=self.tensor,
+                                kind="tensor")
+        self.cotensor_op = (join_cotensor(self.lattice) if self.cotensor is None
+                            else Tensor(base=self.lattice, table=self.cotensor,
+                                        kind="cotensor"))
 
 
 def _strip(line):
     if "#" in line:
         line = line[: line.index("#")]
     return line.strip()
+
+
+#: settings each named section must give, and the message when it does not
+_REQUIRED = {"space": (("points",), "space lacks a points line"),
+             "map": (("src", "dst"), "map lacks from/to lines"),
+             "filter": (("space",), "filter lacks an on line")}
 
 
 def parse_spec(text, powerset_cap=DEFAULT_POWERSET_CAP):
@@ -113,38 +125,19 @@ def parse_spec(text, powerset_cap=DEFAULT_POWERSET_CAP):
     element_names = None
     name_index = {}
     covers = []
-    tensor_rows = {}
-    cotensor_rows = {}
-    spaces = {}
-    maps = {}
-    filters = {}
-
-    section = None       # ("lattice",) / ("tensor",) / ("space", name) / ...
-    cur = None           # mutable scratch for the open section
+    sections = {}        # (kind, name or None) -> record, in header order
+    cur = None           # the record of the open section
 
     def elem(tok, lno):
         if tok not in name_index:
             raise UnknownName(lno, tok)
         return name_index[tok]
 
-    def close_section():
-        nonlocal cur
-        if section is None:
-            return
-        kind = section[0]
-        if kind == "space":
-            if cur["points"] is None:
-                raise SpecSyntaxError(cur["line"], "space lacks a points line")
-            spaces[section[1]] = cur
-        elif kind == "map":
-            if cur["src"] is None or cur["dst"] is None:
-                raise SpecSyntaxError(cur["line"], "map lacks from/to lines")
-            maps[section[1]] = cur
-        elif kind == "filter":
-            if cur["space"] is None:
-                raise SpecSyntaxError(cur["line"], "filter lacks an on line")
-            filters[section[1]] = cur
-        cur = None
+    def put(key, value, lno):
+        if key in cur["rows"]:
+            raise SpecSyntaxError(
+                lno, f"repeats the row of line {cur['rows'][key][1]}")
+        cur["rows"][key] = (value, lno)
 
     for lno, raw in enumerate(lines, start=1):
         line = _strip(raw)
@@ -153,29 +146,23 @@ def parse_spec(text, powerset_cap=DEFAULT_POWERSET_CAP):
         if line.startswith("["):
             if not line.endswith("]"):
                 raise SpecSyntaxError(lno, "unterminated section header")
-            close_section()
             header = line[1:-1].split()
-            if header == ["lattice"]:
-                section = ("lattice",)
-            elif header == ["tensor"]:
-                section = ("tensor",)
-            elif header == ["cotensor"]:
-                section = ("cotensor",)
-            elif len(header) == 2 and header[0] in ("space", "map", "filter"):
-                section = (header[0], header[1])
-                if header[0] == "space":
-                    cur = {"points": None, "rows": {}, "line": lno}
-                elif header[0] == "map":
-                    cur = {"src": None, "dst": None, "rows": {}, "line": lno}
-                else:
-                    cur = {"space": None, "rows": {}, "line": lno}
+            if header in (["lattice"], ["tensor"], ["cotensor"]):
+                key = (header[0], None)
+            elif len(header) == 2 and header[0] in _REQUIRED:
+                key = tuple(header)
             else:
                 raise SpecSyntaxError(lno, f"unknown section {line!r}")
+            if key in sections:
+                raise SpecSyntaxError(lno, f"repeated section {line!r}")
+            settings = _REQUIRED[key[0]][0] if key[1] else ()
+            cur = sections[key] = {"kind": key[0], "line": lno, "rows": {},
+                                   **dict.fromkeys(settings)}
             continue
-        if section is None:
+        if cur is None:
             raise SpecSyntaxError(lno, "content before any section header")
 
-        kind = section[0]
+        kind = cur["kind"]
         toks = line.split()
         if kind == "lattice":
             if toks[0] == "elements" and toks[1:2] == ["="]:
@@ -194,8 +181,8 @@ def parse_spec(text, powerset_cap=DEFAULT_POWERSET_CAP):
         elif kind in ("tensor", "cotensor"):
             if len(toks) != 4 or toks[2] != "->":
                 raise SpecSyntaxError(lno, "expected: <a> <b> -> <c>")
-            a, b, c = elem(toks[0], lno), elem(toks[1], lno), elem(toks[3], lno)
-            (tensor_rows if kind == "tensor" else cotensor_rows)[(a, b)] = c
+            put((elem(toks[0], lno), elem(toks[1], lno)), elem(toks[3], lno),
+                lno)
         elif kind == "space":
             if toks[0] == "points" and toks[1:2] == ["="]:
                 if len(toks) != 3 or not toks[2].isdecimal() \
@@ -211,8 +198,8 @@ def parse_spec(text, powerset_cap=DEFAULT_POWERSET_CAP):
                 if len(rest) != m + 2 or rest[m] != "->":
                     raise SpecSyntaxError(
                         lno, f"expected: grade f = <{m} values> -> <grade>")
-                key = tuple(elem(t, lno) for t in rest[:m])
-                cur["rows"][key] = elem(rest[m + 1], lno)
+                put(tuple(elem(t, lno) for t in rest[:m]),
+                    elem(rest[m + 1], lno), lno)
             else:
                 raise SpecSyntaxError(lno, f"unexpected space line {line!r}")
         elif kind == "map":
@@ -221,7 +208,7 @@ def parse_spec(text, powerset_cap=DEFAULT_POWERSET_CAP):
                 cur["src" if toks[0] == "from" else "dst"] = toks[2]
             elif toks[0] == "point" and len(toks) == 4 and toks[2] == "->" \
                     and toks[1].isdecimal() and toks[3].isdecimal():
-                cur["rows"][int(toks[1])] = int(toks[3])
+                put(int(toks[1]), int(toks[3]), lno)
             else:
                 raise SpecSyntaxError(lno, f"unexpected map line {line!r}")
         elif kind == "filter":
@@ -233,81 +220,87 @@ def parse_spec(text, powerset_cap=DEFAULT_POWERSET_CAP):
                 if at < 0 or len(rest) != at + 4 or rest[-2] != "->":
                     raise SpecSyntaxError(
                         lno, "expected: grade f = <values> @ <grade> -> <value>")
-                key = (tuple(elem(t, lno) for t in rest[:at]),
-                       elem(rest[at + 1], lno))
-                cur["rows"][key] = elem(rest[-1], lno)
+                put((tuple(elem(t, lno) for t in rest[:at]),
+                     elem(rest[at + 1], lno)), elem(rest[-1], lno), lno)
             else:
                 raise SpecSyntaxError(lno, f"unexpected filter line {line!r}")
-    close_section()
 
+    for (kind, name), rec in sections.items():
+        if name and any(rec[s] is None for s in _REQUIRED[kind][0]):
+            raise SpecSyntaxError(rec["line"], _REQUIRED[kind][1])
     if element_names is None:
         raise SpecSyntaxError(len(lines), "missing [lattice] section")
     n = len(element_names)
-    tensor = _totalize(tensor_rows, n, "tensor")
-    cotensor = _totalize(cotensor_rows, n, "cotensor") if cotensor_rows else None
+    pairs = [(a, b) for a in range(n) for b in range(n)]
+
+    def op_table(kind):
+        rows = sections.get((kind, None), {"rows": {}})["rows"]
+        if kind == "cotensor" and not rows:
+            return None
+        flat = _table(rows, pairs,
+                      lambda k: f"{kind} table misses cell ({k[0]},{k[1]})",
+                      lambda k: f"{kind} table has no cell ({k[0]},{k[1]})")
+        return tuple(flat[a * n:(a + 1) * n] for a in range(n))
 
     doc = SpecDocument(element_names=element_names, covers=tuple(covers),
-                       tensor=tensor, cotensor=cotensor)
-    lattice = doc.build_lattice()
+                       tensor=op_table("tensor"), cotensor=op_table("cotensor"))
 
-    for name, data in spaces.items():
-        m = data["points"]
-        powerset = enumerate_powerset(lattice, Ground(m), powerset_cap)
-        table = []
-        for s in powerset:
-            if s not in data["rows"]:
-                raise NonTotalTable(
-                    f"space {name!r}: no grade for value tuple "
-                    f"{tuple(element_names[v] for v in s)}")
-            table.append(data["rows"][s])
-        doc.spaces[name] = SpaceDecl(points=m, topology=tuple(table))
+    def show(values):
+        return tuple(element_names[v] for v in values)
 
-    for name, data in maps.items():
+    def named(kind):
+        return [(key[1], rec) for key, rec in sections.items() if key[0] == kind]
+
+    for name, rec in named("space"):
+        m = rec["points"]
+        table = _table(
+            rec["rows"], enumerate_powerset(doc.lattice, Ground(m), powerset_cap),
+            lambda s: f"space {name!r}: no grade for value tuple {show(s)}",
+            lambda s: f"space {name!r}: no such fuzzy set")
+        doc.spaces[name] = SpaceDecl(points=m, topology=table)
+
+    for name, rec in named("map"):
         for end in ("src", "dst"):
-            if data[end] not in doc.spaces:
-                raise UnknownName(data["line"], data[end])
-        m_src = doc.spaces[data["src"]].points
-        m_dst = doc.spaces[data["dst"]].points
-        mapping = []
-        for p in range(m_src):
-            if p not in data["rows"]:
-                raise NonTotalTable(f"map {name!r}: point {p} unmapped")
-            q = data["rows"][p]
-            if not 0 <= q < m_dst:
-                raise SpecSyntaxError(data["line"],
+            if rec[end] not in doc.spaces:
+                raise UnknownName(rec["line"], rec[end])
+        mapping = _table(
+            rec["rows"], range(doc.spaces[rec["src"]].points),
+            lambda p: f"map {name!r}: point {p} unmapped",
+            lambda p: f"map {name!r}: source point {p} out of range")
+        for q in mapping:
+            if not 0 <= q < doc.spaces[rec["dst"]].points:
+                raise SpecSyntaxError(rec["line"],
                                       f"map {name!r}: target point {q} out of range")
-            mapping.append(q)
-        doc.maps[name] = MapDecl(src=data["src"], dst=data["dst"],
-                                 mapping=tuple(mapping))
+        doc.maps[name] = MapDecl(src=rec["src"], dst=rec["dst"], mapping=mapping)
 
-    for name, data in filters.items():
-        if data["space"] not in doc.spaces:
-            raise UnknownName(data["line"], data["space"])
-        m = doc.spaces[data["space"]].points
-        powerset = enumerate_powerset(lattice, Ground(m), powerset_cap)
-        table = []
-        for s in powerset:
-            for a in range(n):
-                key = (s, a)
-                if key not in data["rows"]:
-                    raise NonTotalTable(
-                        f"filter {name!r}: no value for "
-                        f"({tuple(element_names[v] for v in s)}, "
-                        f"{element_names[a]})")
-                table.append(data["rows"][key])
-        doc.filters[name] = FilterDecl(space=data["space"], table=tuple(table))
+    for name, rec in named("filter"):
+        if rec["space"] not in doc.spaces:
+            raise UnknownName(rec["line"], rec["space"])
+        powerset = enumerate_powerset(
+            doc.lattice, Ground(doc.spaces[rec["space"]].points), powerset_cap)
+        table = _table(
+            rec["rows"], [(s, a) for s in powerset for a in range(n)],
+            lambda k: f"filter {name!r}: no value for "
+                      f"({show(k[0])}, {element_names[k[1]]})",
+            lambda k: f"filter {name!r}: no such graded cell")
+        doc.filters[name] = FilterDecl(space=rec["space"], table=table)
     return doc
 
 
-def _totalize(rows, n, what):
+def _table(rows, keys, missing, stray):
+    """The one table rule: the values of `rows` in the order of `keys`.
+    `rows` maps each key given in the spec to its (value, line).  A key
+    without a row raises NonTotalTable(missing(key)); then a row whose key
+    is not in `keys` raises SpecSyntaxError(line, stray(key))."""
     table = []
-    for a in range(n):
-        row = []
-        for b in range(n):
-            if (a, b) not in rows:
-                raise NonTotalTable(f"{what} table misses cell ({a},{b})")
-            row.append(rows[(a, b)])
-        table.append(tuple(row))
+    for key in keys:
+        if key not in rows:
+            raise NonTotalTable(missing(key))
+        table.append(rows[key][0])
+    if len(rows) > len(table):
+        known = set(keys)
+        key, (_, lno) = next(row for row in rows.items() if row[0] not in known)
+        raise SpecSyntaxError(lno, stray(key))
     return tuple(table)
 
 
@@ -330,12 +323,11 @@ def render_spec(doc):
             for b in range(n):
                 out.append(f"{names[a]} {names[b]} -> "
                            f"{names[doc.cotensor[a][b]]}")
-    lattice = doc.build_lattice()
     for sname in sorted(doc.spaces):
         decl = doc.spaces[sname]
         out += ["", f"[space {sname}]", f"points = {decl.points}"]
         # the table has one grade per set, so it caps what parse_spec accepted
-        powerset = enumerate_powerset(lattice, Ground(decl.points),
+        powerset = enumerate_powerset(doc.lattice, Ground(decl.points),
                                       len(decl.topology))
         for i, s in enumerate(powerset):
             vals = " ".join(names[v] for v in s)
@@ -349,7 +341,8 @@ def render_spec(doc):
         decl = doc.filters[fname]
         out += ["", f"[filter {fname}]", f"on = {decl.space}"]
         m = doc.spaces[decl.space].points
-        powerset = enumerate_powerset(lattice, Ground(m), len(decl.table) // n)
+        powerset = enumerate_powerset(doc.lattice, Ground(m),
+                                      len(decl.table) // n)
         k = 0
         for s in powerset:
             for a in range(n):
@@ -362,9 +355,6 @@ def render_spec(doc):
 
 def build_universe(doc, space_name, powerset_cap=DEFAULT_POWERSET_CAP):
     """The Universe for one declared space."""
-    lattice = doc.build_lattice()
-    tensor = doc.build_tensor(lattice)
-    cotensor = doc.build_cotensor(lattice)
-    decl = doc.spaces[space_name]
-    return Universe(lattice, tensor, Ground(decl.points),
-                    cotensor=cotensor, powerset_cap=powerset_cap)
+    return Universe(doc.lattice, doc.tensor_op,
+                    Ground(doc.spaces[space_name].points),
+                    cotensor=doc.cotensor_op, powerset_cap=powerset_cap)

@@ -1,3 +1,4 @@
+import argparse
 import io
 import itertools
 import json
@@ -206,6 +207,52 @@ def test_invalid_topology_exits_2(tmp_path, command):
     assert run_cli(spec, "validate", "topology")[0] == 1
 
 
+def test_repeated_tensor_row_exits_2(tmp_path):
+    # a second `top top` row used to replace the first, so cqm FAILed
+    spec = tmp_path / "repeat.spec"
+    spec.write_text(BOOL_HEADER.replace("top top -> top\n",
+                                        "top top -> top\ntop top -> bot\n"))
+    code, err = run_cli(spec, "validate", "cqm")
+    assert code == 2
+    assert "Traceback" not in err
+    assert "line 10" in err
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    argv = [LUK, "--format", "machine", "filters", "enumerate"]
+    code1, out1, _ = run(capsys, *argv)
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    with pytest.raises(SystemExit) as err:
+        main([LUK, "validate", "bogus"])
+    assert err.value.code == 2
+    code2, out2, _ = run(capsys, *argv)
+    assert built == []
+    assert code1 == code2 == 0
+    assert out1 == out2
+
+
+def test_one_lattice_per_document(capsys, monkeypatch):
+    import fuzztop.specfile as specfile
+    calls = []
+    build = specfile.build_lattice
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(specfile, "build_lattice", counting)
+    code, _, _ = run(capsys, TWO, "tychonoff", "--spaces", "X", "Y")
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_max_subsets_option_is_gone(tmp_path):
     # no axiom sweeps subsets any more, so there is no cap to set
     spec = tmp_path / "bool.spec"
@@ -254,16 +301,18 @@ FUZZ_COMMANDS = [("validate", "topology"), ("validate", "lattice"),
 @st.composite
 def mutated_specs(draw):
     """A repository spec, without its comment lines, with lines dropped,
-    tokens replaced and lines of random tokens inserted."""
+    tokens replaced, lines of random tokens inserted and lines repeated."""
     spec = draw(st.sampled_from(sorted(SPECS.glob("*.spec"))))
     lines = [line for line in spec.read_text().splitlines()
              if not line.startswith("#")]
     tokens = st.sampled_from(FUZZ_TOKENS)
     for _ in range(draw(st.integers(1, 4))):
         k = draw(st.integers(0, len(lines) - 1))
-        kind = draw(st.sampled_from(("drop", "replace", "insert")))
+        kind = draw(st.sampled_from(("drop", "replace", "insert", "repeat")))
         if kind == "drop":
             del lines[k]
+        elif kind == "repeat":
+            lines.insert(k, lines[k])
         elif kind == "replace" and lines[k].split():
             toks = lines[k].split()
             toks[draw(st.integers(0, len(toks) - 1))] = draw(tokens)

@@ -122,6 +122,26 @@ def test_corpus_spaces_compact(u21, u22, u31_godel, u31_luk):
             assert ok and witness is None
 
 
+def test_is_compact_stops_at_the_first_adherent_point(u22, monkeypatch):
+    import fuzztop.compactness as compactness
+    space = indiscrete_space(u22)
+    filters = enumerate_filters(u22)
+    expected = []
+    for F in filters:
+        first = adherent_points(F, space)[0]
+        expected += [(p, F.table) for p in range(first + 1)]
+    assert len(expected) < 2 * len(filters)  # some filter adheres at 0
+    calls = []
+
+    def counting(p, F, space):
+        calls.append((p, F.table))
+        return is_adherent(p, F, space)
+
+    monkeypatch.setattr(compactness, "is_adherent", counting)
+    assert is_compact(space, filters=filters) == (True, None)
+    assert calls == expected
+
+
 def test_compactness_modes_agree(u22, u31_godel, u31_luk):
     for u in (u22, u31_godel, u31_luk):
         for space in (discrete_space(u), indiscrete_space(u)):

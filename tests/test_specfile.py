@@ -32,10 +32,11 @@ def test_parse_minimal():
 
 def test_golden_lukasiewicz_file():
     doc = parse_spec((SPECS / "lukasiewicz3.spec").read_text())
-    lat = doc.build_lattice()
     expected = lukasiewicz_tensor(chain(3))
-    assert lat.leq == chain(3).leq
-    assert doc.build_tensor(lat).table == expected.table
+    assert doc.lattice.leq == chain(3).leq
+    assert doc.tensor_op.table == expected.table
+    assert doc.tensor_op.base is doc.lattice
+    assert doc.cotensor_op.table == doc.lattice.join
     assert "A" in doc.spaces
     assert doc.spaces["A"].points == 1
 
@@ -133,17 +134,59 @@ def test_map_unknown_space():
         parse_spec(doc_text.replace("to = Y", "to = Z"))
 
 
+# two_spaces.spec with a cotensor and a map out of the one-point space Y
+RULES_BASE = (SPECS / "two_spaces.spec").read_text() + """
+[cotensor]
+bot bot -> bot
+bot top -> top
+top bot -> top
+top top -> top
+
+[map back]
+from = Y
+to = X
+point 0 -> 1
+"""
+
+
+def test_rules_base_parses():
+    doc = parse_spec(RULES_BASE)
+    assert doc.cotensor == ((0, 1), (1, 1))
+    assert doc.maps["back"].mapping == (1,)
+
+
+def repeat(line, extra):
+    """Replace the first `line` by itself followed by `extra`."""
+    return pytest.param(line, f"{line}\n{extra}", id=extra.split("\n")[0])
+
+
 @pytest.mark.parametrize("old, new", [
     ("from = X", "from ="), ("on = X", "on ="),
     ("point 1 -> 0", "point x -> 0"), ("point 1 -> 0", "point -1 -> 0"),
     ("grade f = bot bot @ bot -> bot", "grade f = @"),
     ("grade f = bot bot @ bot -> bot", "grade f = bot -> @"),
     ("grade f = bot bot @ bot -> bot", "grade f = bot bot @ bot top -> bot"),
+    # a row key, a section header and a map source point appear at most once
+    repeat("top top -> top", "top top -> bot"),
+    repeat("[cotensor]\nbot bot -> bot", "bot bot -> top"),
+    repeat("grade f = bot top -> top", "grade f = bot top -> bot"),
+    repeat("grade f = top bot @ top -> top", "grade f = top bot @ top -> bot"),
+    repeat("point 1 -> 0", "point 1 -> 0"),
+    repeat("top top -> top", "[tensor]"),
+    repeat("grade f = top -> top",
+           "[space Y]\npoints = 1\ngrade f = bot -> top\ngrade f = top -> top"),
+    # Y has one point, so there is no point 7 to map
+    repeat("point 0 -> 1", "point 7 -> 0"),
+    # nor a one-value fuzzy set on the two-point space X
+    repeat("grade f = top top @ top -> top", "grade f = top @ top -> top"),
 ])
 def test_malformed_map_and_filter_lines(old, new):
-    doc_text = (SPECS / "two_spaces.spec").read_text()
-    with pytest.raises(SpecSyntaxError):
-        parse_spec(doc_text.replace(old, new, 1))
+    text = RULES_BASE.replace(old, new, 1)
+    with pytest.raises(SpecSyntaxError) as err:
+        parse_spec(text)
+    changed = next(lno for lno, (a, b) in enumerate(itertools.zip_longest(
+        text.splitlines(), RULES_BASE.splitlines()), start=1) if a != b)
+    assert err.value.line == changed
 
 
 def test_duplicate_element_names():
