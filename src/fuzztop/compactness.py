@@ -3,7 +3,10 @@
 A Space bundles a validated topology with its derived interior operator and
 neighborhood system.  Compactness is decided by brute force: every filter
 must have an adherent point, where adherence is decided constructively by
-saturating the join of the filter with the point's neighborhood table.
+closing the join of the filter with the point's neighborhood table.  Each
+filter is saturated once; per point only the cells the neighborhood table
+raises are re-closed, which gives the same least filter because
+cl(F v N) = cl(cl(F) v N).
 Finite products are built as the least topology making the projections
 continuous; the explicit product neighborhood formula doubles as a
 consistency check on that construction.
@@ -15,9 +18,8 @@ import itertools
 from dataclasses import dataclass, field
 
 from .errors import PreconditionViolated, SizeLimit
-from .filters import (FilterTable, NoFilterAbove, check_filter,
-                      enumerate_filters, image_filter, is_ultrafilter,
-                      preimage_filter, saturate)
+from .filters import (check_filter, enumerate_filters, image_filter,
+                      is_ultrafilter, least_filter_above, preimage_filter)
 from .powerset import DEFAULT_POWERSET_CAP, Ground, Universe
 from .report import Report
 from .topology import (NbhdSystem, Topology, check_topology,
@@ -64,17 +66,13 @@ def is_adherent(p, F, space):
     """Decide adherence of p to F; returns (bool, certificate).
 
     The certificate is the least filter dominating both F and the
-    neighborhood table at p, found by saturation; adherence fails exactly
-    when that saturation collapses the bottom row.
+    neighborhood table at p, or None when no filter does.  It is closed
+    from F's kept closure, re-firing only the cells the neighborhood table
+    raises (`least_filter_above`), so each filter is saturated once however
+    many points and spaces test it.
     """
-    u = space.universe
-    lat = u.lattice
-    tab = space.nbhd.tables[p]
-    seed = tuple(lat.join2(tab[gi], F.table[gi]) for gi in u.graded_cells())
-    G = saturate(u, seed)
-    if isinstance(G, NoFilterAbove):
-        return False, None
-    return True, G
+    G = least_filter_above(F, space.nbhd.tables[p])
+    return G is not None, G
 
 
 def adherent_points(F, space):

@@ -6,14 +6,17 @@ monotonicity and tensor-stability rules, by a worklist that re-fires only
 the rules of cells whose grade changed.  Saturated tables are closed under
 pointwise meet, and the filters are those whose empty-set row stays at bot,
 so enumeration lists that closure system from its least member (see
-`closure`).  The ultrafilter characterization and the hat extension follow
-their explicit formulas.
+`closure`).  Saturation is a closure operator, so cl(A v B) = cl(cl(A) v B):
+`least_filter_above` starts from a table's kept closure and re-closes only
+the cells a seed raises.  The ultrafilter characterization and the hat
+extension follow their explicit formulas.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .closure import enumerate_closed, worklist
 from .errors import NotAChain, NotSurjective, PreconditionViolated, SizeLimit
@@ -24,8 +27,25 @@ DEFAULT_FILTER_CAP = 200_000
 
 @dataclass(frozen=True)
 class FilterTable:
+    """A grade table over the graded carrier of `universe`.
+
+    It is a filter when it passes `check_filter`, but any table may be
+    wrapped.  `closure` is computed on first use and kept on the object; it
+    is not a field, so equality and hashing see only the table.
+    """
+
     universe: object
     table: tuple  # grade per graded cell
+
+    @cached_property
+    def closure(self):
+        """The table of the least filter above this one, by one `saturate`
+        call: the table itself when it is a filter, None when no filter
+        lies above it."""
+        G = saturate(self.universe, self.table)
+        if isinstance(G, NoFilterAbove):
+            return None
+        return self.table if G.table == self.table else G.table
 
     def app(self, si, a):
         return self.table[self.universe.gidx(si, a)]
@@ -181,6 +201,33 @@ def saturate(universe, seed):
         v = table[u.gidx(u.zero_idx, a)]
         if v != lat.bot:
             return NoFilterAbove(alpha=a, table=tuple(table))
+    return FilterTable(universe=u, table=tuple(table))
+
+
+def least_filter_above(F, seed):
+    """The least filter above both F and the seed table, or None.
+
+    The same filter as `saturate` of their pointwise join, but closed from
+    `F.closure` with only the cells the seed raises marked dirty.
+    """
+    base = F.closure
+    if base is None:
+        return None
+    u = F.universe
+    join = u.lattice.join
+    zero_lo = u.zero_idx * u.n
+    zero_hi = zero_lo + u.n
+    table = list(base)
+    dirty = []
+    for k, (v, s) in enumerate(zip(base, seed)):
+        w = join[v][s]
+        if w != v:
+            if zero_lo <= k < zero_hi:
+                return None
+            table[k] = w
+            dirty.append(k)
+    if not _close(u, table, dirty, abort=True):
+        return None
     return FilterTable(universe=u, table=tuple(table))
 
 

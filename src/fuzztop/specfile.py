@@ -29,8 +29,9 @@ The format is diffable and golden-test friendly:
     ...
 
 Comments run from '#' to end of line.  One rule builds every table: it must
-be total, and a header or row key given twice, or a row outside its table
-(such as a map row for no point of its domain), is an error naming its line.
+be total (a header with no rows is an empty table), and a header, setting or
+row key given twice, or a row outside its table (such as a map row for no
+point of its domain), is an error naming its line.
 """
 
 from __future__ import annotations
@@ -139,6 +140,13 @@ def parse_spec(text, powerset_cap=DEFAULT_POWERSET_CAP):
                 lno, f"repeats the row of line {cur['rows'][key][1]}")
         cur["rows"][key] = (value, lno)
 
+    def setting(key, value, lno):
+        if key in cur["lines"]:
+            raise SpecSyntaxError(
+                lno, f"repeats the setting of line {cur['lines'][key]}")
+        cur["lines"][key] = lno
+        cur[key] = value
+
     for lno, raw in enumerate(lines, start=1):
         line = _strip(raw)
         if not line:
@@ -157,7 +165,7 @@ def parse_spec(text, powerset_cap=DEFAULT_POWERSET_CAP):
                 raise SpecSyntaxError(lno, f"repeated section {line!r}")
             settings = _REQUIRED[key[0]][0] if key[1] else ()
             cur = sections[key] = {"kind": key[0], "line": lno, "rows": {},
-                                   **dict.fromkeys(settings)}
+                                   "lines": {}, **dict.fromkeys(settings)}
             continue
         if cur is None:
             raise SpecSyntaxError(lno, "content before any section header")
@@ -166,7 +174,8 @@ def parse_spec(text, powerset_cap=DEFAULT_POWERSET_CAP):
         toks = line.split()
         if kind == "lattice":
             if toks[0] == "elements" and toks[1:2] == ["="]:
-                element_names = tuple(toks[2:])
+                setting("elements", tuple(toks[2:]), lno)
+                element_names = cur["elements"]
                 if len(set(element_names)) != len(element_names):
                     raise SpecSyntaxError(lno, "duplicate element names")
                 name_index = {nm: i for i, nm in enumerate(element_names)}
@@ -189,7 +198,7 @@ def parse_spec(text, powerset_cap=DEFAULT_POWERSET_CAP):
                         or int(toks[2]) < 1:
                     raise SpecSyntaxError(
                         lno, "expected: points = <positive integer>")
-                cur["points"] = int(toks[2])
+                setting("points", int(toks[2]), lno)
             elif toks[0] == "grade" and toks[1:3] == ["f", "="]:
                 if cur["points"] is None:
                     raise SpecSyntaxError(lno, "points must precede grade rows")
@@ -205,7 +214,7 @@ def parse_spec(text, powerset_cap=DEFAULT_POWERSET_CAP):
         elif kind == "map":
             if toks[0] in ("from", "to") and toks[1:2] == ["="] \
                     and len(toks) == 3:
-                cur["src" if toks[0] == "from" else "dst"] = toks[2]
+                setting("src" if toks[0] == "from" else "dst", toks[2], lno)
             elif toks[0] == "point" and len(toks) == 4 and toks[2] == "->" \
                     and toks[1].isdecimal() and toks[3].isdecimal():
                 put(int(toks[1]), int(toks[3]), lno)
@@ -213,7 +222,7 @@ def parse_spec(text, powerset_cap=DEFAULT_POWERSET_CAP):
                 raise SpecSyntaxError(lno, f"unexpected map line {line!r}")
         elif kind == "filter":
             if toks[0] == "on" and toks[1:2] == ["="] and len(toks) == 3:
-                cur["space"] = toks[2]
+                setting("space", toks[2], lno)
             elif toks[0] == "grade" and toks[1:3] == ["f", "="]:
                 rest = toks[3:]
                 at = rest.index("@") if "@" in rest else -1
@@ -234,9 +243,9 @@ def parse_spec(text, powerset_cap=DEFAULT_POWERSET_CAP):
     pairs = [(a, b) for a in range(n) for b in range(n)]
 
     def op_table(kind):
-        rows = sections.get((kind, None), {"rows": {}})["rows"]
-        if kind == "cotensor" and not rows:
+        if kind == "cotensor" and (kind, None) not in sections:
             return None
+        rows = sections.get((kind, None), {"rows": {}})["rows"]
         flat = _table(rows, pairs,
                       lambda k: f"{kind} table misses cell ({k[0]},{k[1]})",
                       lambda k: f"{kind} table has no cell ({k[0]},{k[1]})")
@@ -267,9 +276,9 @@ def parse_spec(text, powerset_cap=DEFAULT_POWERSET_CAP):
             rec["rows"], range(doc.spaces[rec["src"]].points),
             lambda p: f"map {name!r}: point {p} unmapped",
             lambda p: f"map {name!r}: source point {p} out of range")
-        for q in mapping:
+        for p, q in enumerate(mapping):
             if not 0 <= q < doc.spaces[rec["dst"]].points:
-                raise SpecSyntaxError(rec["line"],
+                raise SpecSyntaxError(rec["rows"][p][1],
                                       f"map {name!r}: target point {q} out of range")
         doc.maps[name] = MapDecl(src=rec["src"], dst=rec["dst"], mapping=mapping)
 

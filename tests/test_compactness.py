@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from fuzztop.compactness import (ProductSpace, Space, build_product, converges,
@@ -6,8 +8,10 @@ from fuzztop.compactness import (ProductSpace, Space, build_product, converges,
                                  product_nbhd_system,
                                  product_convergence_check, tychonoff_check)
 from fuzztop.errors import PreconditionViolated, SizeLimit
-from fuzztop.filters import FilterTable, check_filter, enumerate_filters
-from fuzztop.topology import check_interior, check_nbhd
+from fuzztop.filters import (FilterTable, NoFilterAbove, check_filter,
+                             enumerate_filters, saturate)
+from fuzztop.topology import (check_interior, check_nbhd,
+                              enumerate_topologies)
 
 
 def discrete_space(u):
@@ -113,6 +117,93 @@ def test_adherent_points_indiscrete(u22):
         pts = adherent_points(F, space)
         assert len(pts) == 1
         assert converges(F, pts[0], space)
+
+
+def adherence_by_saturation(p, F, space):
+    """The oracle: saturate the join of F and N_p from scratch."""
+    u = space.universe
+    tab = space.nbhd.tables[p]
+    seed = tuple(u.lattice.join2(a, b) for a, b in zip(tab, F.table))
+    G = saturate(u, seed)
+    if isinstance(G, NoFilterAbove):
+        return False, None
+    return True, G
+
+
+def oracle_tables(u, filters, rng):
+    """Every filter, a single-cell mutant of each, and ten random tables
+    that are not filters."""
+    lat = u.lattice
+    out = list(filters)
+    for F in filters:
+        table = list(F.table)
+        k = rng.randrange(len(table))
+        table[k] = rng.choice([v for v in lat.elements() if v != table[k]])
+        out.append(FilterTable(universe=u, table=tuple(table)))
+    while len(out) < 2 * len(filters) + 10:
+        G = FilterTable(universe=u, table=tuple(
+            rng.randrange(lat.n) for _ in range(u.graded_size)))
+        if not check_filter(G).passed:
+            out.append(G)
+    return out
+
+
+# on the 2-chain the Lukasiewicz tensor is the meet, so u22 and u23 stand for
+# both tensors
+@pytest.mark.parametrize("name", ["u22", "u23", "u31_godel", "u31_luk",
+                                  "u32_godel", "u32_luk", "diamond_1pt",
+                                  "chain4_godel_1pt", "chain4_luk_1pt"])
+def test_adherence_matches_saturation_from_scratch(name, request):
+    # both rules read only F and the table N_p, so every topology and point
+    # is covered by one (space, point) per distinct table
+    u = request.getfixturevalue(name)
+    tables = {}
+    for t in enumerate_topologies(u):
+        space = Space(u, t)
+        for p in u.ground.points():
+            tables.setdefault(space.nbhd.tables[p], (space, p))
+    corpus = oracle_tables(u, enumerate_filters(u), random.Random(name))
+    hits = 0
+    for space, p in tables.values():
+        for F in corpus:
+            got = is_adherent(p, F, space)
+            assert got == adherence_by_saturation(p, F, space), (p, F.table)
+            hits += got[0]
+    assert 0 < hits < len(tables) * len(corpus)
+
+
+def test_closure_is_kept_and_not_a_field(u32_luk):
+    filters = enumerate_filters(u32_luk)
+    F = filters[-1]
+    assert F.closure is F.table
+    assert F == FilterTable(universe=u32_luk, table=F.table)
+    assert hash(F) == hash(FilterTable(universe=u32_luk, table=F.table))
+    lat = u32_luk.lattice
+    low = FilterTable(universe=u32_luk, table=(lat.bot,) * u32_luk.graded_size)
+    assert low.closure == filters[0].table
+    high = FilterTable(universe=u32_luk, table=(lat.top,) * u32_luk.graded_size)
+    assert high.closure is None
+
+
+def test_each_filter_is_saturated_once(u23, u32_luk, monkeypatch):
+    import fuzztop.filters as filters_module
+    calls = []
+
+    def counting(universe, seed):
+        calls.append(seed)
+        return saturate(universe, seed)
+
+    monkeypatch.setattr(filters_module, "saturate", counting)
+    for u in (u23, u32_luk):
+        calls.clear()
+        tables = oracle_tables(u, enumerate_filters(u), random.Random(8))
+        spaces = [Space(u, t) for t in enumerate_topologies(u)]
+        for k, space in enumerate(spaces):
+            is_compact(space, filters=tables[:5])
+            for F in tables:
+                is_adherent(k % u.ground.m, F, space)
+        assert len(spaces) > 20
+        assert sorted(calls) == sorted(F.table for F in tables)
 
 
 def test_corpus_spaces_compact(u21, u22, u31_godel, u31_luk):

@@ -134,14 +134,16 @@ def test_map_unknown_space():
         parse_spec(doc_text.replace("to = Y", "to = Z"))
 
 
-# two_spaces.spec with a cotensor and a map out of the one-point space Y
-RULES_BASE = (SPECS / "two_spaces.spec").read_text() + """
-[cotensor]
-bot bot -> bot
+COTENSOR_ROWS = """bot bot -> bot
 bot top -> top
 top bot -> top
 top top -> top
+"""
 
+# two_spaces.spec with a cotensor and a map out of the one-point space Y
+RULES_BASE = (SPECS / "two_spaces.spec").read_text() + """
+[cotensor]
+""" + COTENSOR_ROWS + """
 [map back]
 from = Y
 to = X
@@ -179,14 +181,37 @@ def repeat(line, extra):
     repeat("point 0 -> 1", "point 7 -> 0"),
     # nor a one-value fuzzy set on the two-point space X
     repeat("grade f = top top @ top -> top", "grade f = top @ top -> top"),
+    # a setting appears at most once
+    repeat("elements = bot top", "elements = bot top"),
+    repeat("points = 1", "points = 1"),
+    repeat("from = X", "from = Y"),
+    repeat("to = Y", "to = X"),
+    repeat("on = X", "on = X"),
+    # a target out of range is reported at the row that names it
+    ("point 1 -> 0", "point 1 -> 5"),
+    # an empty [cotensor] section is a table missing every cell, not the join
+    pytest.param("[cotensor]\n" + COTENSOR_ROWS, "[cotensor]\n",
+                 id="empty [cotensor]"),
 ])
 def test_malformed_map_and_filter_lines(old, new):
     text = RULES_BASE.replace(old, new, 1)
+    if new == "[cotensor]\n":
+        with pytest.raises(NonTotalTable, match=r"misses cell \(0,0\)"):
+            parse_spec(text)
+        return
     with pytest.raises(SpecSyntaxError) as err:
         parse_spec(text)
     changed = next(lno for lno, (a, b) in enumerate(itertools.zip_longest(
         text.splitlines(), RULES_BASE.splitlines()), start=1) if a != b)
     assert err.value.line == changed
+
+
+def test_repeated_setting_names_the_first_line():
+    first = RULES_BASE.splitlines().index("on = X") + 1
+    with pytest.raises(SpecSyntaxError) as err:
+        parse_spec(RULES_BASE.replace("on = X", "on = X\non = Y", 1))
+    assert str(err.value) == \
+        f"line {first + 1}: repeats the setting of line {first}"
 
 
 def test_duplicate_element_names():
