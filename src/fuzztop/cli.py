@@ -1,11 +1,12 @@
 """Command-line driver: parse a spec file, dispatch checks, emit reports.
 
 Exit status: 0 when every verdict passed, 1 when any failed, 2 on usage,
-parse, or size-cap errors.  With --format machine the output is a single
-JSON document with no wall-clock content, so identical inputs produce
-byte-identical output.  The argument parser is built on first use and then
-reused; every command works on the one lattice, tensor and cotensor that its
-parsed document carries.
+parse, or size-cap errors, and when `compact`, `product`, `tychonoff` or
+`continuity` uses a space whose table is not a topology.  With --format
+machine the output is a single JSON document with no wall-clock content, so
+identical inputs produce byte-identical output.  The argument parser is
+built on first use and then reused; every command works on the one lattice,
+tensor and cotensor that its parsed document carries.
 """
 
 from __future__ import annotations
@@ -250,8 +251,8 @@ def run_command(doc, args):
         if args.map_name not in doc.maps:
             raise FuzztopError(f"unknown map {args.map_name!r}")
         decl = doc.maps[args.map_name]
-        tau = k.topology(decl.src)
-        eta = k.topology(decl.dst)
+        tau = k.space(decl.src).topology
+        eta = k.space(decl.dst).topology
         cont, wit = is_continuous(decl.mapping, tau, eta)
         r = Report(f"continuity[{args.map_name}]")
         r.record("continuous", cont,

@@ -1,19 +1,69 @@
-"""Enumeration of a closure system of grade tables.
+"""One closure engine for the closure systems of grade tables.
 
 Filters and topologies are both closed under pointwise meet, so each family
-is the set of fixpoints of a closure operator on L-valued tables (the
-saturation and the generated topology).  Such a family is enumerated
-depth-first from its least table.  For members P strictly below C there
-is a cell where some join-irreducible grade j lies below C but not below
-P; closing P raised by j at that cell gives a member strictly above P and
-still below C, so every member is reached.  This is Close-by-One (Ganter,
-Kuznetsov) carried to L-sets as in Belohlavek's algorithms for fuzzy
-concept lattices; duplicates are dropped with a visited set.
+is the set of fixpoints of a closure operator on L-valued tables: a table is
+raised to the least one closed under a unary transport rule and pairwise
+rules (`close`).  Such a family is enumerated depth-first from its least
+table (`enumerate_closed`).  For members P strictly below C there is a cell
+where some join-irreducible grade j lies below C but not below P; closing P
+raised by j at that cell gives a member strictly above P and still below C,
+so every member is reached.  This is Close-by-One (Ganter, Kuznetsov)
+carried to L-sets as in Belohlavek's algorithms for fuzzy concept lattices;
+duplicates are dropped with a visited set.
 """
 
 from __future__ import annotations
 
 from .errors import SizeLimit
+
+
+def close(table, join, rules, dirty=None, above=None, stop=()):
+    """Raise `table`, a list, in place to the least fixpoint of the rules.
+
+    The unary rule, when `above` is given, is table[k] >= table[x] for k in
+    above[x].  Each binary rule `(target, op)` is table[target[x][y]] >=
+    op[table[x]][table[y]].  Every `op` and `target` must be symmetric, so a
+    rule fires once per unordered pair of cells.  That holds for every
+    `Universe`: its residuum check rejects a non-commutative tensor (with
+    c = b (*) a, a <= res(b, c) gives a (*) b <= b (*) a by the adjunction,
+    and the converse by symmetry), and the pointwise tables inherit it.
+
+    `dirty` lists the cells raised since the table was last closed.  None
+    means it never was: every cell is then visited once in index order,
+    paired with itself and the cells before it, since each later cell pairs
+    back with it on its own visit.  A cell raised during the closure is
+    visited again, paired with every cell.  Returns False as soon as a cell
+    in `stop` is raised, leaving the table half closed; otherwise True.
+    Whether that happens does not depend on the order the rules fire: the
+    least fixpoint is unique and the table only rises toward it.
+    """
+    size = len(table)
+    if dirty is None:
+        dirty = []
+        visits = [(x, x + 1) for x in range(size - 1, -1, -1)]
+    else:
+        visits = []
+    while visits or dirty:
+        x, span = visits.pop() if visits else (dirty.pop(), size)
+        v = table[x]
+        if above is not None:
+            for k in above[x]:
+                w = join[table[k]][v]
+                if w != table[k]:
+                    if k in stop:
+                        return False
+                    table[k] = w
+                    dirty.append(k)
+        for target, op in rules:
+            op_v = op[v]
+            for k, g in zip(target[x], table[:span]):
+                w = join[table[k]][op_v[g]]
+                if w != table[k]:
+                    if k in stop:
+                        return False
+                    table[k] = w
+                    dirty.append(k)
+    return True
 
 
 def enumerate_closed(lattice, least, close, cells, cap, what):
@@ -52,20 +102,3 @@ def enumerate_closed(lattice, least, close, cells, cap, what):
                         seen.add(child)
                         stack.append(child)
     return sorted(seen)
-
-
-def worklist(size, sweep, dirty):
-    """The cells a worklist closure processes, as (cell, full) pairs.
-
-    With `sweep` every cell is first visited once in index order with
-    full=False: its rules need only be paired with the cells before it and
-    itself, because each later cell is paired back with it on its own visit.
-    Then the `dirty` list is drained with full=True; a closure appends to it
-    every cell it raises, so a cell changed after its visit is paired with
-    every cell again.
-    """
-    if sweep:
-        for cell in range(size):
-            yield cell, False
-    while dirty:
-        yield dirty.pop(), True

@@ -169,6 +169,7 @@ class ProductSpace:
     space: Space
     projections: tuple       # per factor: product point index -> factor point
     point_tuples: tuple = field(default=())
+    pullbacks: tuple = field(default=())  # per factor: set -> product set
 
     @property
     def universe(self):
@@ -203,15 +204,15 @@ def build_product(factors, powerset_cap=DEFAULT_POWERSET_CAP):
     projections = tuple(
         tuple(pt[k] for pt in point_tuples) for k in range(len(factors)))
 
+    pullbacks = tuple(
+        tuple(f.universe.compose(projections[k], hi, u)
+              for hi in range(f.universe.n_sets))
+        for k, f in enumerate(factors))
     lat = u.lattice
     seed = [lat.bot] * u.n_sets
-    for k, f in enumerate(factors):
-        fu = f.universe
-        for hi in range(fu.n_sets):
-            h = fu.sets[hi]
-            pulled = u.set_index[tuple(h[projections[k][p]]
-                                       for p in range(ground.m))]
-            seed[pulled] = lat.join2(seed[pulled], f.topology.table[hi])
+    for f, pulled in zip(factors, pullbacks):
+        for grade, si in zip(f.topology.table, pulled):
+            seed[si] = lat.join2(seed[si], grade)
     topo = generate_topology(u, tuple(seed))
     space = Space(u, topo)
     for k, f in enumerate(factors):
@@ -219,7 +220,8 @@ def build_product(factors, powerset_cap=DEFAULT_POWERSET_CAP):
         if not cont:
             raise AssertionError(f"projection {k} not continuous, witness {wit}")
     return ProductSpace(factors=list(factors), space=space,
-                        projections=projections, point_tuples=point_tuples)
+                        projections=projections, point_tuples=point_tuples,
+                        pullbacks=pullbacks)
 
 
 def _fold_tensor(lat, tensor, values):
@@ -243,11 +245,8 @@ def product_nbhd(P, p, f_idx, alpha):
     acc = lat.bot
     for h in itertools.product(*[range(f.universe.n_sets) for f in P.factors]):
         pullback = u.one_idx
-        for k, f in enumerate(P.factors):
-            hset = f.universe.sets[h[k]]
-            pulled = u.set_index[tuple(hset[P.projections[k][q]]
-                                       for q in range(u.ground.m))]
-            pullback = u.pw_tensor[pullback][pulled]
+        for hk, pulled in zip(h, P.pullbacks):
+            pullback = u.pw_tensor[pullback][pulled[hk]]
         if not u.pw_leq[pullback][f_idx]:
             continue
         grade = _fold_tensor(lat, tensor,

@@ -2,14 +2,16 @@
 
 A filter is a total grade table over the graded carrier satisfying FF0-FF3.
 Saturation computes the least table above a seed closed under the
-monotonicity and tensor-stability rules, by a worklist that re-fires only
-the rules of cells whose grade changed.  Saturated tables are closed under
-pointwise meet, and the filters are those whose empty-set row stays at bot,
-so enumeration lists that closure system from its least member (see
-`closure`).  Saturation is a closure operator, so cl(A v B) = cl(cl(A) v B):
+monotonicity and tensor-stability rules with `closure.close`, which re-fires
+only the rules of cells whose grade changed and fires the tensor rule once
+per unordered pair of cells (every `Universe` tensor commutes).  Saturated
+tables are closed under pointwise meet, and the filters are those whose
+empty-set row stays at bot, so enumeration lists that closure system from
+its least member, the saturation of the all-bot table (see `closure`).
+Saturation is a closure operator, so cl(A v B) = cl(cl(A) v B):
 `least_filter_above` starts from a table's kept closure and re-closes only
-the cells a seed raises.  The ultrafilter characterization and the hat
-extension follow their explicit formulas.
+the cells a seed raises.  The ultrafilter characterization, kept on each
+table, and the hat extension follow their explicit formulas.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .closure import enumerate_closed, worklist
+from .closure import close, enumerate_closed
 from .errors import NotAChain, NotSurjective, PreconditionViolated, SizeLimit
 from .report import Report
 
@@ -30,8 +32,9 @@ class FilterTable:
     """A grade table over the graded carrier of `universe`.
 
     It is a filter when it passes `check_filter`, but any table may be
-    wrapped.  `closure` is computed on first use and kept on the object; it
-    is not a field, so equality and hashing see only the table.
+    wrapped.  `closure` and `characterization` are computed on first use
+    and kept on the object; they are not fields, so equality and hashing see
+    only the table.
     """
 
     universe: object
@@ -46,6 +49,27 @@ class FilterTable:
         if isinstance(G, NoFilterAbove):
             return None
         return self.table if G.table == self.table else G.table
+
+    @cached_property
+    def characterization(self):
+        """The ultrafilter characterization's (bool, witness): the
+        impl-into-bottom identity on every cell and every grade below the
+        cell's.  None when the table is not a filter."""
+        if not check_filter(self).passed:
+            return None
+        u = self.universe
+        lat = u.lattice
+        for gi in u.graded_cells():
+            _, a = u.gpair(gi)
+            for rho in lat.elements():
+                if not lat.le(rho, a):
+                    continue
+                val = u.res.app(
+                    self.table[u.gimpl(gi, u.gidx(u.zero_idx, rho))], lat.bot)
+                if val != self.table[gi]:
+                    return False, {"cell": u.gpair(gi), "rho": rho,
+                                   "expected": val, "actual": self.table[gi]}
+        return True, None
 
     def app(self, si, a):
         return self.table[self.universe.gidx(si, a)]
@@ -76,70 +100,23 @@ def check_filter(F):
     return report
 
 
-def _close(u, table, dirty, sweep=False, abort=False):
-    """Raise `table`, a list, in place to its least fixpoint under the
-    monotonicity rule and the tensor rule on index-ordered pairs of cells.
-
-    `dirty` lists the cells raised since the table was last closed, and
-    sweep=True visits every cell first (see `closure.worklist`).  With
-    abort=True it returns False as soon as an empty-set cell leaves bot,
-    leaving the table half closed; otherwise it returns True.
-    """
-    join, ten = u.lattice.join, u.tensor.table
-    above, box = u.graded_above, u.box_table
-    size = u.graded_size
-    zero_lo = u.zero_idx * u.n
-    zero_hi = zero_lo + u.n
-
-    def lift(k, w):
-        table[k] = w
-        dirty.append(k)
-        return not (abort and zero_lo <= k < zero_hi)
-
-    for x, full in worklist(size, sweep, dirty):
-        v = table[x]
-        for k in above[x]:
-            w = join[table[k]][v]
-            if w != table[k] and not lift(k, w):
-                return False
-        for y in range(x + 1):
-            k = box[y][x]
-            w = join[table[k]][ten[table[y]][v]]
-            if w != table[k] and not lift(k, w):
-                return False
-        if full:
-            row, ten_v = box[x], ten[v]
-            for y in range(x + 1, size):
-                k = row[y]
-                w = join[table[k]][ten_v[table[y]]]
-                if w != table[k] and not lift(k, w):
-                    return False
-    return True
-
-
-def _pin_top_row(u, table):
-    for a in u.lattice.elements():
-        table[u.gidx(u.one_idx, a)] = u.lattice.top
-
-
 def enumerate_filters(universe, cap=DEFAULT_FILTER_CAP):
     """All filters on the universe, in canonical (table-lexicographic) order.
 
     The filters are the saturated tables whose empty-set row stays at bot,
     a down-set of a closure system; they are enumerated from the least one
-    (only the top row at top) by `closure.enumerate_closed`.  Raises
-    SizeLimit when more than `cap` closures would be computed.
+    (the saturation of the all-bot table) by `closure.enumerate_closed`.
+    Raises SizeLimit when more than `cap` closures would be computed.
     """
     u = universe
-    lat = u.lattice
-    least = [lat.bot] * u.graded_size
-    _pin_top_row(u, least)
-    feasible = _close(u, least, [], sweep=True, abort=True)
+    least = saturate(u, (u.lattice.bot,) * u.graded_size)
+    rules, stop = [(u.box_table, u.tensor.table)], _empty_row(u)
     # raising an empty-set cell above bot is infeasible from the start
-    cells = [gi for gi in u.graded_cells() if gi // u.n != u.zero_idx]
+    cells = [gi for gi in u.graded_cells() if gi not in stop]
     tables = enumerate_closed(
-        lat, tuple(least) if feasible else None,
-        lambda table, gi: _close(u, table, [gi], abort=True),
+        u.lattice, None if isinstance(least, NoFilterAbove) else least.table,
+        lambda table, gi: close(table, u.lattice.join, rules, [gi],
+                                u.graded_above, stop),
         cells, cap, "filter")
     return [FilterTable(universe=u, table=t) for t in tables]
 
@@ -185,21 +162,31 @@ class NoFilterAbove:
     table: tuple
 
 
+def _empty_row(u):
+    """The graded cells of the empty set, which a filter keeps at bot."""
+    return range(u.zero_idx * u.n, (u.zero_idx + 1) * u.n)
+
+
 def saturate(universe, seed):
     """Least table above the seed closed under the filter rules.
 
-    Forces the top row to top, transports values up the graded order, and
-    applies the tensor rule until a fixpoint; returns the FilterTable if the
-    bottom row stayed at bot, otherwise NoFilterAbove.
+    Forces the top row to top, then raises the table to its least fixpoint
+    under monotonicity in the graded order and the tensor rule
+    F(f tensor g, a join b) >= F(f, a) tensor F(g, b), one `closure.close`
+    sweep.  The tensor rule fires once per unordered pair of cells: every
+    `Universe` tensor commutes (see `closure.close`).  Returns the
+    FilterTable if the empty-set row stayed at bot, otherwise NoFilterAbove
+    with the full fixpoint.
     """
     u = universe
     lat = u.lattice
     table = list(seed)
-    _pin_top_row(u, table)
-    _close(u, table, [], sweep=True)
     for a in lat.elements():
-        v = table[u.gidx(u.zero_idx, a)]
-        if v != lat.bot:
+        table[u.gidx(u.one_idx, a)] = lat.top
+    close(table, lat.join, [(u.box_table, u.tensor.table)],
+          above=u.graded_above)
+    for a in lat.elements():
+        if table[u.gidx(u.zero_idx, a)] != lat.bot:
             return NoFilterAbove(alpha=a, table=tuple(table))
     return FilterTable(universe=u, table=tuple(table))
 
@@ -215,18 +202,18 @@ def least_filter_above(F, seed):
         return None
     u = F.universe
     join = u.lattice.join
-    zero_lo = u.zero_idx * u.n
-    zero_hi = zero_lo + u.n
+    stop = _empty_row(u)
     table = list(base)
     dirty = []
     for k, (v, s) in enumerate(zip(base, seed)):
         w = join[v][s]
         if w != v:
-            if zero_lo <= k < zero_hi:
+            if k in stop:
                 return None
             table[k] = w
             dirty.append(k)
-    if not _close(u, table, dirty, abort=True):
+    if not close(table, join, [(u.box_table, u.tensor.table)], dirty,
+                 u.graded_above, stop):
         return None
     return FilterTable(universe=u, table=tuple(table))
 
@@ -254,36 +241,20 @@ def hat_extension(U, g_idx, beta, rho=None):
     return FilterTable(universe=u, table=tuple(table))
 
 
-def _characterization_holds(U):
-    u = U.universe
-    lat = u.lattice
-    for gi in u.graded_cells():
-        _, a = u.gpair(gi)
-        for rho in lat.elements():
-            if not lat.le(rho, a):
-                continue
-            val = u.res.app(U.table[u.gimpl(gi, u.gidx(u.zero_idx, rho))],
-                            lat.bot)
-            if val != U.table[gi]:
-                return False, {"cell": u.gpair(gi), "rho": rho,
-                               "expected": val, "actual": U.table[gi]}
-    return True, None
-
-
 def is_ultrafilter(U, mode="characterization", all_filters=None):
     """Decide maximality of a filter.
 
     mode="maximality": search for a strictly larger filter (all_filters may
     supply a precomputed enumeration; otherwise one is made with the default
-    closure cap).  mode="characterization": test the
-    impl-into-bottom identity on every cell and every grade below the cell's.
-    Returns (bool, witness).
+    closure cap).  mode="characterization": the verdict kept on the table as
+    `FilterTable.characterization`, so the filter axioms and the identity
+    are checked once per table object.  Returns (bool, witness).
     """
-    if not check_filter(U).passed:
+    verdict = U.characterization
+    if verdict is None:
         raise PreconditionViolated("input does not pass the filter axioms")
     if mode == "characterization":
-        ok, witness = _characterization_holds(U)
-        return ok, witness
+        return verdict
     if mode == "maximality":
         if all_filters is None:
             all_filters = enumerate_filters(U.universe)

@@ -1,10 +1,11 @@
 """Grade-valued topologies, interiors, neighborhood systems, continuity.
 
 A topology is a total grade table over the enumerated powerset.  The least
-topology above a seed is computed by a worklist closure of the pairwise
-tensor and join rules; topologies are closed under pointwise meet, so they
-are enumerated as that closure system from its least member (see
-`closure`).  The interior operator derived from a topology, and the
+topology above a seed is the least fixpoint of the pairwise tensor and join
+rules under `closure.close`, each rule fired once per unordered pair of sets
+(every `Universe` tensor commutes); topologies are closed under pointwise
+meet, so they are enumerated as that closure system from its least member
+(see `closure`).  The interior operator derived from a topology, and the
 per-point neighborhood system derived from that, are materialized as full
 tables and validated by exhaustive axiom sweeps, turning the structural
 lemmas into executable checks.  o3 and I6, axioms over arbitrary families,
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .closure import enumerate_closed, worklist
+from .closure import close, enumerate_closed
 from .errors import PreconditionViolated
 from .report import Report
 
@@ -95,50 +96,26 @@ def order_topologies(t1, t2):
     return "incomparable"
 
 
-def _close(u, table, dirty, sweep=False):
-    """Raise `table`, a list, in place to its least fixpoint under the
-    pairwise rules grade(f tensor g) >= grade(f) tensor grade(g) and
-    grade(f join g) >= grade(f) meet grade(g); `dirty` and `sweep` as in
-    `closure.worklist`."""
-    join, meet, ten = u.lattice.join, u.lattice.meet, u.tensor.table
-    pw_tensor, pw_join = u.pw_tensor, u.pw_join
-
-    def lift(k, w):
-        table[k] = w
-        dirty.append(k)
-
-    for x, full in worklist(u.n_sets, sweep, dirty):
-        v = table[x]
-        row_t, row_j, ten_v, meet_v = pw_tensor[x], pw_join[x], ten[v], meet[v]
-        for y in range(u.n_sets if full else x + 1):
-            g = table[y]
-            k = row_t[y]
-            w = join[table[k]][ten_v[g]]
-            if w != table[k]:
-                lift(k, w)
-            k = pw_tensor[y][x]
-            w = join[table[k]][ten[g][v]]
-            if w != table[k]:
-                lift(k, w)
-            k = row_j[y]
-            w = join[table[k]][meet_v[g]]
-            if w != table[k]:
-                lift(k, w)
+def _rules(u):
+    """The pairwise rules of a topology: grade(f tensor g) >= grade(f)
+    tensor grade(g) and grade(f join g) >= grade(f) meet grade(g)."""
+    return [(u.pw_tensor, u.tensor.table), (u.pw_join, u.lattice.meet)]
 
 
 def generate_topology(universe, seed):
-    """Least topology above a seed grading, by a worklist closure.
+    """Least topology above a seed grading.
 
-    Forces the top and bottom sets to grade top, then lifts grade(f tensor
-    g) by grade(f) tensor grade(g) and grade(f join g) by grade(f) meet
-    grade(g), from every set whose grade changed, until stable.
+    Forces the top and bottom sets to grade top, then raises the table to
+    the least fixpoint of the tensor and join rules, one `closure.close`
+    sweep.  Each rule fires once per unordered pair of sets: every
+    `Universe` tensor commutes (see `closure.close`).
     """
     u = universe
     lat = u.lattice
     table = list(seed)
     table[u.one_idx] = lat.top
     table[u.zero_idx] = lat.top
-    _close(u, table, [], sweep=True)
+    close(table, lat.join, _rules(u))
     return Topology(universe=u, table=tuple(table))
 
 
@@ -151,13 +128,11 @@ def enumerate_topologies(universe, cap=DEFAULT_TOPOLOGY_CAP):
     """
     u = universe
     least = generate_topology(u, [u.lattice.bot] * u.n_sets).table
-
-    def close(table, si):
-        _close(u, table, [si])
-        return True
-
-    tables = enumerate_closed(u.lattice, least, close, range(u.n_sets), cap,
-                              "topology")
+    rules = _rules(u)
+    tables = enumerate_closed(
+        u.lattice, least,
+        lambda table, si: close(table, u.lattice.join, rules, [si]),
+        range(u.n_sets), cap, "topology")
     return [Topology(universe=u, table=t) for t in tables]
 
 

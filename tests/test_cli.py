@@ -207,6 +207,21 @@ def test_invalid_topology_exits_2(tmp_path, command):
     assert run_cli(spec, "validate", "topology")[0] == 1
 
 
+def test_continuity_on_invalid_topology_exits_2(tmp_path):
+    # X grades its empty set bot, failing o1'; the map is looked up first,
+    # then both of its spaces are validated
+    spec = tmp_path / "invalid_x.spec"
+    text = (ROOT / "specs" / "two_spaces.spec").read_text()
+    spec.write_text(text.replace("grade f = bot bot -> top",
+                                 "grade f = bot bot -> bot"))
+    code, err = run_cli(spec, "continuity", "--map", "collapse")
+    assert code == 2
+    assert "Traceback" not in err
+    assert "space 'X'" in err and "o1_prime" in err
+    assert run_cli(spec, "continuity", "--map", "nowhere")[1].endswith(
+        "unknown map 'nowhere'\n")
+
+
 def test_repeated_tensor_row_exits_2(tmp_path):
     # a second `top top` row used to replace the first, so cqm FAILed
     spec = tmp_path / "repeat.spec"

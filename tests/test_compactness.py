@@ -196,7 +196,11 @@ def test_each_filter_is_saturated_once(u23, u32_luk, monkeypatch):
     monkeypatch.setattr(filters_module, "saturate", counting)
     for u in (u23, u32_luk):
         calls.clear()
-        tables = oracle_tables(u, enumerate_filters(u), random.Random(8))
+        # enumerate_filters takes its least filter from one saturate call
+        filters = enumerate_filters(u)
+        assert calls == [(u.lattice.bot,) * u.graded_size]
+        calls.clear()
+        tables = oracle_tables(u, filters, random.Random(8))
         spaces = [Space(u, t) for t in enumerate_topologies(u)]
         for k, space in enumerate(spaces):
             is_compact(space, filters=tables[:5])
@@ -240,6 +244,30 @@ def test_compactness_modes_agree(u22, u31_godel, u31_luk):
             sweep = is_compact(space, filters=filters)
             fast = is_compact(space, mode="ultrafilter", filters=filters)
             assert sweep[0] == fast[0]
+
+
+def test_ultrafilter_mode_checks_each_filter_once(u32_luk, monkeypatch):
+    import fuzztop.filters as filters_module
+    calls = []
+
+    def counting(F):
+        calls.append(F)
+        return check_filter(F)
+
+    monkeypatch.setattr(filters_module, "check_filter", counting)
+    filters = enumerate_filters(u32_luk)
+    spaces = [Space(u32_luk, t) for t in enumerate_topologies(u32_luk)]
+    for space in spaces:
+        assert is_compact(space, mode="ultrafilter", filters=filters)[0] is False
+    assert len(spaces) == 308
+    assert sorted(map(id, calls)) == sorted(map(id, filters))
+    # a table that is not a filter is rejected on every call
+    lat = u32_luk.lattice
+    junk = FilterTable(universe=u32_luk,
+                       table=(lat.top,) * u32_luk.graded_size)
+    for _ in range(2):
+        with pytest.raises(PreconditionViolated):
+            is_compact(spaces[0], mode="ultrafilter", filters=[junk])
 
 
 def test_is_compact_unknown_mode(u21):

@@ -1,14 +1,28 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fuzztop.errors import SizeLimit
+from fuzztop.errors import AdjunctionFailure, SizeLimit
 from fuzztop.instances import boolean, meet_tensor
+from fuzztop.residuated import Tensor, check_cqm
 from fuzztop.powerset import Ground, Universe, enumerate_powerset
 
 
 def test_powerset_enumeration_count(bool2, chain3):
     assert len(enumerate_powerset(bool2, Ground(3))) == 8
     assert len(enumerate_powerset(chain3, Ground(2))) == 9
+
+
+def test_universe_rejects_a_non_commutative_tensor(chain3):
+    # the closure engine fires each pairwise rule once per unordered pair,
+    # which is exact only for a commutative tensor; this one is isotone with
+    # top idempotent, but 2 (*) 1 = 2 while 1 (*) 2 = 1
+    table = [list(row) for row in chain3.meet]
+    table[2][1] = 2
+    t = Tensor(base=chain3, table=tuple(map(tuple, table)), kind="tensor")
+    assert check_cqm(t).passed
+    assert t.app(2, 1) != t.app(1, 2)
+    with pytest.raises(AdjunctionFailure):
+        Universe(chain3, t, Ground(1))
 
 
 def test_powerset_cap_enforced(chain3):

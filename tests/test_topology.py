@@ -199,6 +199,17 @@ def test_generate_topology_equals_all_pairs_fixpoint(u23, u32_godel, u32_luk,
     assert generate_topology(u, seed) == generate_by_passes(u, seed)
 
 
+def test_generate_topology_from_each_single_set(u32_godel, u32_luk,
+                                               diamond_1pt):
+    # a set raised alone reaches f tensor f only through its pair with itself
+    for u in (u32_godel, u32_luk, diamond_1pt):
+        for si in range(u.n_sets):
+            for a in u.lattice.elements():
+                seed = [u.lattice.bot] * u.n_sets
+                seed[si] = a
+                assert generate_topology(u, seed) == generate_by_passes(u, seed)
+
+
 def test_interior_axioms_hold_on_discrete(u22, u31_godel, u31_luk):
     for u in (u22, u31_godel, u31_luk):
         rep = check_interior(interior_from_topology(discrete(u)))
