@@ -30,8 +30,7 @@ from .residuated import (check_co_gl_monoid, check_cqm, check_gl_monoid,
                          classify, co_implication, residuum)
 from .specfile import build_universe, parse_spec
 from .topology import (Topology, check_interior, check_nbhd, check_topology,
-                       check_continuity_nbhd, interior_from_topology,
-                       is_continuous, nbhd_from_interior)
+                       check_continuity_nbhd, is_continuous)
 
 
 #: `validate` targets checked once per document; they are also its choices.
@@ -45,9 +44,8 @@ DOC_BATTERIES = {
 #: `validate` targets checked once per space, on its topology
 SPACE_BATTERIES = {
     "topology": lambda tau: check_topology(tau),
-    "interior": lambda tau: check_interior(interior_from_topology(tau)),
-    "nbhd": lambda tau: check_nbhd(
-        nbhd_from_interior(interior_from_topology(tau))),
+    "interior": lambda tau: check_interior(tau.interior),
+    "nbhd": lambda tau: check_nbhd(tau.nbhd),
 }
 
 
@@ -258,8 +256,7 @@ def run_command(doc, args):
         r.record("continuous", cont,
                  None if cont else {"g": list(eta.universe.sets[wit])})
         reports.append(r)
-        surjective = set(decl.mapping) == set(range(doc.spaces[decl.dst].points))
-        if cont and surjective:
+        if cont and set(decl.mapping) == set(eta.universe.ground.points()):
             reports.append(check_continuity_nbhd(decl.mapping, tau, eta))
 
     return reports, extras

@@ -1,15 +1,18 @@
 """Convergence, adherence, the compactness oracle, products, Tychonoff.
 
-A Space bundles a validated topology with its derived interior operator and
-neighborhood system.  Compactness is decided by brute force: every filter
-must have an adherent point, where adherence is decided constructively by
-closing the join of the filter with the point's neighborhood table.  Each
-filter is saturated once; per point only the cells the neighborhood table
-raises are re-closed, which gives the same least filter because
-cl(F v N) = cl(cl(F) v N).
+A Space bundles a validated topology with the interior operator and
+neighborhood system that the topology derives once and keeps.  Compactness
+is decided by brute force: every filter must have an adherent point, where
+adherence is decided constructively by closing the join of the filter with
+the point's neighborhood table.  Each filter is saturated once; per point
+only the cells the neighborhood table raises are re-closed, which gives the
+same least filter because cl(F v N) = cl(cl(F) v N).
 Finite products are built as the least topology making the projections
-continuous; the explicit product neighborhood formula doubles as a
-consistency check on that construction.
+continuous, seeded with each factor's grading pulled back along its
+projection by one `Universe.pullback` table per factor; the explicit
+product neighborhood formula doubles as a consistency check on that
+construction.  Images of compact spaces share the continuous-surjection
+precondition of `topology.check_continuity_nbhd`.
 """
 
 from __future__ import annotations
@@ -23,22 +26,23 @@ from .filters import (check_filter, enumerate_filters, image_filter,
 from .powerset import DEFAULT_POWERSET_CAP, Ground, Universe
 from .report import Report
 from .topology import (NbhdSystem, Topology, check_topology,
-                       generate_topology, interior_from_topology,
-                       is_continuous, nbhd_from_interior)
+                       generate_topology, is_continuous,
+                       require_continuous_surjection)
 
 
 class Space:
     """An L-fuzzy topological space with derived structures.
 
     Construction checks the topology axioms, raising PreconditionViolated
-    that names the failed ones, and derives the interior operator and the
-    neighborhood system.  Their axiom batteries are not run here;
-    `check_interior(space.interior)` and `check_nbhd(space.nbhd)` run them
-    on demand.  They gate nothing: the tensor-stability axioms I2 and N2
-    combine grades with the join, and the interior derived from any
-    non-discrete topology violates that combination (take the full set at
-    grade top against any set of grade below top at grade bottom), so
-    enforcing them would reject almost every space.
+    that names the failed ones, and takes the interior operator and the
+    neighborhood system that the topology keeps.  Their axiom batteries are
+    not run here; `check_interior(space.interior)` and
+    `check_nbhd(space.nbhd)` run them on demand.  They gate nothing: the
+    tensor-stability axioms I2 and N2 combine grades with the join, and the
+    interior derived from any non-discrete topology violates that
+    combination (take the full set at grade top against any set of grade
+    below top at grade bottom), so enforcing them would reject almost every
+    space.
     """
 
     def __init__(self, universe, topology):
@@ -50,8 +54,8 @@ class Space:
         if failed:
             raise PreconditionViolated("table is not a topology: fails "
                                        + ", ".join(sorted(failed)))
-        self.interior = interior_from_topology(topology)
-        self.nbhd = nbhd_from_interior(self.interior)
+        self.interior = topology.interior
+        self.nbhd = topology.nbhd
 
 
 def converges(F, p, space):
@@ -107,23 +111,19 @@ def is_compact(space, mode="sweep", filters=None):
 def image_compactness_check(phi, space_x, space_y, filters_y=None):
     """Continuous surjective images of compact spaces are compact.
 
-    Verifies the conclusion and replays the proof skeleton for every filter
-    on the codomain: pull the filter back, find an adherent point upstream,
-    push the certificate forward, and confirm it witnesses adherence of the
-    image point.
+    Requires phi to be continuous and surjective and the domain to be
+    compact (PreconditionViolated otherwise).  Verifies the conclusion and
+    replays the proof skeleton for every filter on the codomain: pull the
+    filter back, find an adherent point upstream, push the certificate
+    forward, and confirm it witnesses adherence of the image point.
     """
     ux, uy = space_x.universe, space_y.universe
-    cont, _ = is_continuous(phi, space_x.topology, space_y.topology)
-    if not cont:
-        raise PreconditionViolated("map is not continuous")
-    if set(phi) != set(uy.ground.points()):
-        raise PreconditionViolated("map is not surjective")
+    require_continuous_surjection(phi, space_x.topology, space_y.topology)
     compact_x, _ = is_compact(space_x)
     if not compact_x:
         raise PreconditionViolated("domain space is not compact")
 
     report = Report("image_compactness")
-    lat = ux.lattice
     if filters_y is None:
         filters_y = enumerate_filters(uy)
     round_trip, upstream, chain, image = [], [], [], []
@@ -141,10 +141,7 @@ def image_compactness_check(phi, space_x, space_y, filters_y=None):
             upstream.append({"filter": F.table})
             continue
         G_img = image_filter(phi, G, uy)
-        nb_y = space_y.nbhd.tables[phi[p]]
-        dominated = F.leq(G_img) and all(
-            lat.le(nb_y[gj], G_img.table[gj]) for gj in uy.graded_cells())
-        if not dominated:
+        if not (F.leq(G_img) and converges(G_img, phi[p], space_y)):
             chain.append({"filter": F.table, "p": p})
         if not is_adherent(phi[p], F, space_y)[0]:
             image.append({"filter": F.table})
@@ -204,10 +201,8 @@ def build_product(factors, powerset_cap=DEFAULT_POWERSET_CAP):
     projections = tuple(
         tuple(pt[k] for pt in point_tuples) for k in range(len(factors)))
 
-    pullbacks = tuple(
-        tuple(f.universe.compose(projections[k], hi, u)
-              for hi in range(f.universe.n_sets))
-        for k, f in enumerate(factors))
+    pullbacks = tuple(f.universe.pullback(projections[k], u)
+                      for k, f in enumerate(factors))
     lat = u.lattice
     seed = [lat.bot] * u.n_sets
     for f, pulled in zip(factors, pullbacks):
@@ -284,8 +279,6 @@ def product_convergence_check(P, U, formula_nbhd=None):
     """
     u = P.universe
     lat = u.lattice
-    if not check_filter(U).passed:
-        raise PreconditionViolated("input does not pass the filter axioms")
     if not is_ultrafilter(U, "characterization")[0]:
         raise PreconditionViolated("input is not an ultrafilter")
     if formula_nbhd is None:

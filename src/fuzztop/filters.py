@@ -270,8 +270,7 @@ def image_filter(phi, F, cod_universe):
     u = F.universe
     uy = cod_universe
     table = []
-    for sj in range(uy.n_sets):
-        pulled = uy.compose(phi, sj, u)
+    for pulled in uy.pullback(phi, u):
         for b in uy.lattice.elements():
             table.append(F.app(pulled, b))
     return FilterTable(universe=uy, table=tuple(table))
@@ -288,12 +287,12 @@ def preimage_filter(phi, F, dom_universe):
     lat = ux.lattice
     if set(phi) != set(uy.ground.points()):
         raise NotSurjective("point map misses some codomain point")
+    pullback = uy.pullback(phi, ux)
     table = []
     for si in range(ux.n_sets):
         for a in lat.elements():
             vals = []
-            for sj in range(uy.n_sets):
-                pulled = uy.compose(phi, sj, ux)
+            for sj, pulled in enumerate(pullback):
                 if not ux.pw_leq[pulled][si]:
                     continue
                 for b in lat.elements():

@@ -6,7 +6,8 @@ its values (n = |L|, point 0 the most significant digit), and the graded
 cell gi = i * n + grade appends one more digit.  Every table over sets or
 cells is therefore its one-point table composed digit by digit.  The product
 carrier (powerset x lattice) has the graded order: (f, a) below (g, b) iff
-f <= g pointwise and b <= a.
+f <= g pointwise and b <= a.  A point map acts on sets by one table,
+`Universe.pullback`.
 """
 
 from __future__ import annotations
@@ -25,10 +26,9 @@ DEFAULT_POWERSET_CAP = 4096
 
 @dataclass(frozen=True)
 class Ground:
-    """A finite ground set of m points with optional display names."""
+    """A finite ground set of m points."""
 
     m: int
-    names: tuple = None
 
     def __post_init__(self):
         if self.m < 1:
@@ -163,12 +163,6 @@ class Universe:
     def graded_bot(self):
         return self.gidx(self.zero_idx, self.lattice.top)
 
-    def boxtimes(self, gi, gj):
-        """(f, a) boxtimes (g, b) = (f tensor g, a join b), componentwise."""
-        si, a = divmod(gi, self.n)
-        sj, b = divmod(gj, self.n)
-        return self.gidx(self.pw_tensor[si][sj], self.lattice.join2(a, b))
-
     def gimpl(self, gi, gj):
         """Graded residuation by closed form: (f -> g, b coimpl a)."""
         si, a = divmod(gi, self.n)
@@ -237,15 +231,15 @@ class Universe:
                for i in self.graded_cells()]
         return lattice_from_order(leq)
 
-    def compose(self, phi, g_idx, dom_universe):
-        """Pull a fuzzy set on this universe back along a point map.
+    def pullback(self, phi, dom):
+        """Pull every fuzzy set on this universe back along a point map.
 
-        phi maps points of dom_universe's ground into this ground; returns
-        the set index of g o phi in dom_universe.
+        phi maps the points of dom's ground into this ground; entry g is the
+        set index of g o phi in dom.  Callers build it once per map.
         """
-        g = self.sets[g_idx]
-        pulled = tuple(g[phi[p]] for p in dom_universe.ground.points())
-        return dom_universe.set_index[pulled]
+        points = dom.ground.points()
+        return tuple(dom.set_index[tuple(g[phi[p]] for p in points)]
+                     for g in self.sets)
 
 
 def check_graded_gl(universe):

@@ -7,14 +7,17 @@ rules under `closure.close`, each rule fired once per unordered pair of sets
 meet, so they are enumerated as that closure system from its least member
 (see `closure`).  The interior operator derived from a topology, and the
 per-point neighborhood system derived from that, are materialized as full
-tables and validated by exhaustive axiom sweeps, turning the structural
-lemmas into executable checks.  o3 and I6, axioms over arbitrary families,
-are checked on pairs and the empty family: the same on finite models.
+tables, once per `Topology`, and validated by exhaustive axiom sweeps,
+turning the structural lemmas into executable checks.  o3 and I6, axioms
+over arbitrary families, are checked on pairs and the empty family: the
+same on finite models.  A point map is pulled back once per check
+(`Universe.pullback`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .closure import close, enumerate_closed
 from .errors import PreconditionViolated
@@ -27,11 +30,19 @@ DEFAULT_TOPOLOGY_CAP = 40_000
 
 @dataclass(frozen=True)
 class Topology:
+    """A grade table over the powerset.  `interior` and `nbhd` are kept on
+    first use; not being fields, they take no part in equality or hashing."""
+
     universe: object
     table: tuple  # grade per set index
 
-    def grade(self, si):
-        return self.table[si]
+    @cached_property
+    def interior(self):
+        return interior_from_topology(self)
+
+    @cached_property
+    def nbhd(self):
+        return nbhd_from_interior(self.interior)
 
 
 @dataclass(frozen=True)
@@ -142,13 +153,20 @@ def is_continuous(phi, tau, eta):
     phi maps domain point indices to codomain point indices.  Returns
     (True, None) or (False, witness set index on the codomain).
     """
-    ux, uy = tau.universe, eta.universe
-    lat = ux.lattice
-    for gj in range(uy.n_sets):
-        pulled = uy.compose(phi, gj, ux)
-        if not lat.le(eta.table[gj], tau.table[pulled]):
+    le = tau.universe.lattice.le
+    pulled = eta.universe.pullback(phi, tau.universe)
+    for gj, grade in enumerate(eta.table):
+        if not le(grade, tau.table[pulled[gj]]):
             return False, gj
     return True, None
+
+
+def require_continuous_surjection(phi, tau, eta):
+    """Raise PreconditionViolated unless phi is a continuous surjection."""
+    if not is_continuous(phi, tau, eta)[0]:
+        raise PreconditionViolated("map is not continuous")
+    if set(phi) != set(eta.universe.ground.points()):
+        raise PreconditionViolated("map is not surjective")
 
 
 def interior_from_topology(t):
@@ -243,20 +261,14 @@ def check_continuity_nbhd(phi, tau, eta):
     Requires phi to be continuous and surjective (PreconditionViolated
     otherwise).
     """
+    require_continuous_surjection(phi, tau, eta)
     ux, uy = tau.universe, eta.universe
-    lat = ux.lattice
-    cont, _ = is_continuous(phi, tau, eta)
-    if not cont:
-        raise PreconditionViolated("map is not continuous")
-    if set(phi) != set(uy.ground.points()):
-        raise PreconditionViolated("map is not surjective")
-    nx = nbhd_from_interior(interior_from_topology(tau))
-    ny = nbhd_from_interior(interior_from_topology(eta))
+    lat, pulled = ux.lattice, uy.pullback(phi, ux)
     report = Report("continuity_nbhd")
     report.sweep("nbhd_pushforward", (
         {"p": p, "g": uy.sets[sj], "beta": b}
         for p in ux.ground.points() for sj in range(uy.n_sets)
         for b in lat.elements()
-        if not lat.le(ny.tables[phi[p]][uy.gidx(sj, b)],
-                      nx.tables[p][ux.gidx(uy.compose(phi, sj, ux), b)])))
+        if not lat.le(eta.nbhd.at(phi[p], sj, b),
+                      tau.nbhd.at(p, pulled[sj], b))))
     return report

@@ -22,6 +22,20 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line("  " + line)
 
 
+def _boxtimes(u, gi, gj):
+    si, a = divmod(gi, u.n)
+    sj, b = divmod(gj, u.n)
+    return u.gidx(u.pw_tensor[si][sj], u.lattice.join2(a, b))
+
+
+@pytest.fixture(scope="session")
+def boxtimes():
+    """Oracle: (f, a) boxtimes (g, b) = (f tensor g, a join b), one cell pair
+    at a time, for checking `Universe.box_table`; called as
+    boxtimes(u, gi, gj)."""
+    return _boxtimes
+
+
 @pytest.fixture(scope="session")
 def bool2():
     return boolean()

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import io
 import itertools
 import json
@@ -18,6 +19,9 @@ SPECS = ROOT / "specs"
 LUK = str(SPECS / "lukasiewicz3.spec")
 N5 = str(SPECS / "n5.spec")
 TWO = str(SPECS / "two_spaces.spec")
+#: per cli-workload command on specs/*.spec: exit code and the sha256 of its
+#: full --format machine stdout, witnesses included
+DIGESTS = Path(__file__).resolve().parent / "cli_machine_digests.json"
 
 
 def run(capsys, *argv):
@@ -156,6 +160,46 @@ def test_continuity_command(capsys):
     assert code == 0
     assert "continuity[collapse]" in out
     assert "nbhd_pushforward" in out
+
+
+def test_continuity_derives_each_interior_once(capsys, monkeypatch):
+    # count through every fuzztop binding of the function, as the tracer does
+    import fuzztop.topology as topology
+    derive, calls = topology.interior_from_topology, []
+
+    def counting(t):
+        calls.append(t.table)
+        return derive(t)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fuzztop") and \
+                getattr(module, "interior_from_topology", None) is derive:
+            monkeypatch.setattr(module, "interior_from_topology", counting)
+    code, _, _ = run(capsys, TWO, "--format", "machine", "continuity",
+                     "--map", "collapse")
+    assert code == 0
+    assert len(calls) == 2  # one per space: X and Y
+
+
+def test_machine_output_matches_recorded_digests(capsys):
+    drift = {}
+    for key, want in json.loads(DIGESTS.read_text()).items():
+        spec, *cmd = key.split()
+        code, out, _ = run(capsys, str(SPECS / spec), "--format", "machine",
+                           *cmd)
+        got = [code, hashlib.sha256(out.encode()).hexdigest()]
+        if got != want:
+            drift[key] = got
+    assert not drift
+
+
+def test_recorded_digests_cover_the_cli_workload_specs(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import clitasks
+
+    workload = {f"{spec} {' '.join(cmd)}"
+                for spec, cmds in clitasks.FIXED.items() for cmd in cmds}
+    assert set(json.loads(DIGESTS.read_text())) == workload
 
 
 BOOL_HEADER = ("[lattice]\nelements = bot top\ncovers = bot<top\n\n"

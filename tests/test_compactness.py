@@ -306,8 +306,11 @@ def test_image_compactness_records_every_verdict(u21, u22):
 
 
 def test_image_compactness_preconditions(u21, u22):
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(PreconditionViolated, match="map is not surjective"):
         image_compactness_check((1, 1), discrete_space(u22),
+                                discrete_space(u22))
+    with pytest.raises(PreconditionViolated, match="map is not continuous"):
+        image_compactness_check((0, 1), indiscrete_space(u22),
                                 discrete_space(u22))
 
 
@@ -377,6 +380,16 @@ def test_product_convergence_requires_ultrafilter(u22):
     small = next(F for F in filters if not is_ultrafilter(F)[0])
     with pytest.raises(PreconditionViolated):
         product_convergence_check(P, small)
+
+
+def test_product_convergence_requires_a_filter(u22):
+    s = discrete_space(u22)
+    P = build_product([s, s])
+    u = P.universe
+    junk = FilterTable(universe=u, table=(u.lattice.top,) * u.graded_size)
+    with pytest.raises(PreconditionViolated,
+                       match="input does not pass the filter axioms"):
+        product_convergence_check(P, junk)
 
 
 def test_tychonoff_two_factors(u21, u22):

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -58,10 +60,10 @@ def test_graded_order_reverses_grades(u22):
     assert not u22.graded_leq(u22.graded_top, a)
 
 
-def test_boxtimes_components(u31_luk):
+def test_boxtimes_components(u31_luk, boxtimes):
     u, lat = u31_luk, u31_luk.lattice
     f, g = u.set_index[(1,)], u.set_index[(2,)]
-    gi = u.boxtimes(u.gidx(f, 1), u.gidx(g, 2))
+    gi = boxtimes(u, u.gidx(f, 1), u.gidx(g, 2))
     si, grade = u.gpair(gi)
     assert u.sets[si] == (u.tensor.app(1, 2),)
     assert grade == lat.join2(1, 2)
@@ -93,13 +95,20 @@ def test_graded_join_meet_examples(u31_godel):
     assert u.graded_meet([]) == u.graded_top
 
 
-def test_compose_pullback(u21, u22):
-    # collapse both points of the 2-point ground onto the single point
-    phi = (0, 0)
-    for gi in range(u21.n_sets):
-        pulled = u21.compose(phi, gi, u22)
-        v = u21.sets[gi][0]
-        assert u22.sets[pulled] == (v, v)
+def check_pullback(cod, dom):
+    """`pullback` against the definition g o phi, for every point map."""
+    for phi in itertools.product(cod.ground.points(), repeat=dom.ground.m):
+        table = cod.pullback(phi, dom)
+        assert len(table) == cod.n_sets
+        for g, pulled in zip(cod.sets, table):
+            assert dom.sets[pulled] == tuple(g[q] for q in phi)
+
+
+def test_compose_pullback(u21, u22, u23, u31_godel, u32_godel):
+    for cod, dom in itertools.product((u21, u22, u23), repeat=2):
+        check_pullback(cod, dom)
+    check_pullback(u31_godel, u32_godel)
+    check_pullback(u32_godel, u31_godel)
 
 
 def test_graded_gl_battery(u21, u22, u31_godel, u31_luk):
@@ -129,10 +138,10 @@ def test_exchange_skipped_for_non_idempotent(u31_luk, u31_godel):
 
 @settings(max_examples=50, deadline=None)
 @given(st.data())
-def test_adjunction_random_cells(data):
+def test_adjunction_random_cells(boxtimes, data):
     u = Universe(boolean(), meet_tensor(boolean()), Ground(2))
     cell = st.integers(0, u.graded_size - 1)
     a, b, c = data.draw(cell), data.draw(cell), data.draw(cell)
-    lhs = u.graded_leq(u.boxtimes(a, b), c)
+    lhs = u.graded_leq(boxtimes(u, a, b), c)
     rhs = u.graded_leq(a, u.gimpl(b, c))
     assert lhs == rhs

@@ -339,6 +339,18 @@ def test_nbhd_values_discrete(u22):
                 assert n.at(p, si, a) == u.sets[si][p]
 
 
+def test_interior_and_nbhd_are_kept_and_not_fields(u32_luk):
+    t = enumerate_topologies(u32_luk)[-1]
+    assert t.interior is t.interior
+    assert t.interior == interior_from_topology(t)
+    assert t.nbhd is t.nbhd
+    assert t.nbhd == nbhd_from_interior(t.interior)
+    fresh = Topology(universe=u32_luk, table=t.table)
+    assert t == fresh
+    assert hash(t) == hash(fresh)
+    assert "interior" not in vars(fresh) and "nbhd" not in vars(fresh)
+
+
 def test_identity_map_is_continuous(u22):
     t = indiscrete(u22)
     ok, wit = is_continuous((0, 1), t, t)
@@ -372,12 +384,12 @@ def test_continuity_nbhd_pushforward(u21, u22):
 
 
 def test_continuity_nbhd_preconditions(u21, u22, u32_godel):
-    with pytest.raises(PreconditionViolated):
-        check_continuity_nbhd((0,), discrete(u21), discrete(u22))  # not onto
+    with pytest.raises(PreconditionViolated, match="map is not surjective"):
+        check_continuity_nbhd((0,), discrete(u21), discrete(u22))
     u = u32_godel
     lat = u.lattice
     fine = list(indiscrete(u).table)
     fine[u.set_index[(2, 0)]] = lat.top
     eta = Topology(universe=u, table=tuple(fine))
-    with pytest.raises(PreconditionViolated):
-        check_continuity_nbhd((0, 1), indiscrete(u), eta)  # not continuous
+    with pytest.raises(PreconditionViolated, match="map is not continuous"):
+        check_continuity_nbhd((0, 1), indiscrete(u), eta)
