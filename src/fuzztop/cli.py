@@ -6,7 +6,10 @@ parse, or size-cap errors, and when `compact`, `product`, `tychonoff` or
 machine the output is a single JSON document with no wall-clock content, so
 identical inputs produce byte-identical output.  The argument parser is
 built on first use and then reused; every command works on the one lattice,
-tensor and cotensor that its parsed document carries.
+tensor and cotensor that its parsed document carries.  `_Kernel` builds
+each space and product once, under the caps: --max-powerset bounds every
+powerset, the product's included; --max-filters bounds the enumeration of
+`filters` and `compact` only (`tychonoff` uses the default filter cap).
 """
 
 from __future__ import annotations
@@ -61,7 +64,8 @@ def _parser():
     p.add_argument("--max-powerset", type=int, default=DEFAULT_POWERSET_CAP,
                    help="most fuzzy sets in a space's powerset")
     p.add_argument("--max-filters", type=int, default=DEFAULT_FILTER_CAP,
-                   help="most closures computed while enumerating filters")
+                   help="most closures computed while enumerating filters "
+                        "(filters and compact only)")
     sub = p.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("validate", help="run an axiom battery")
@@ -94,12 +98,13 @@ def _parser():
 
 
 class _Kernel:
-    """Resolved structures for one document, built lazily per space."""
+    """One document's structures, each built on first use, under the caps."""
 
     def __init__(self, doc, args):
         self.doc = doc
         self.args = args
         self._universes = {}
+        self._spaces = {}
 
     def universe(self, name):
         if name not in self.doc.spaces:
@@ -112,10 +117,21 @@ class _Kernel:
     def space(self, name):
         """The named space, or PreconditionViolated (exit 2) naming the
         space and its failed axioms when its table is not a topology."""
-        try:
-            return Space(self.universe(name), self.doc.spaces[name].topology)
-        except PreconditionViolated as exc:
-            raise PreconditionViolated(f"space {name!r}: {exc}") from None
+        if name not in self._spaces:
+            try:
+                self._spaces[name] = Space(self.universe(name),
+                                           self.doc.spaces[name].topology)
+            except PreconditionViolated as exc:
+                raise PreconditionViolated(f"space {name!r}: {exc}") from None
+        return self._spaces[name]
+
+    def product(self, names):
+        return build_product([self.space(n) for n in names],
+                             powerset_cap=self.args.max_powerset)
+
+    def filters(self, name):
+        return enumerate_filters(self.universe(name),
+                                 cap=self.args.max_filters)
 
     def topology(self, name):
         return Topology(universe=self.universe(name),
@@ -126,14 +142,11 @@ class _Kernel:
             raise FuzztopError(f"unknown filter {name!r}")
         decl = self.doc.filters[name]
         return FilterTable(universe=self.universe(decl.space),
-                           table=decl.table), decl.space
+                           table=decl.table)
 
     def space_names(self, chosen):
-        if chosen is not None:
-            if chosen not in self.doc.spaces:
-                raise FuzztopError(f"unknown space {chosen!r}")
-            return [chosen]
-        return sorted(self.doc.spaces)
+        """The chosen name, checked when it is resolved, or every space."""
+        return sorted(self.doc.spaces) if chosen is None else [chosen]
 
 
 def run_command(doc, args):
@@ -172,39 +185,29 @@ def run_command(doc, args):
         if args.action == "check":
             if not args.filter_name:
                 raise FuzztopError("filters check requires --filter")
-            F, _ = k.named_filter(args.filter_name)
-            r = check_filter(F)
+            r = check_filter(k.named_filter(args.filter_name))
             r.name = f"filter[{args.filter_name}]"
             reports.append(r)
         else:
-            names = k.space_names(args.space)
-            for name in names:
-                u = k.universe(name)
-                fs = enumerate_filters(u, cap=args.max_filters)
+            for name in k.space_names(args.space):
+                fs = k.filters(name)
                 if args.action == "enumerate":
-                    extras.setdefault("counts", {})[name] = len(fs)
-                    extras.setdefault("tables", {})[name] = [
-                        list(F.table) for F in fs]
                     r = Report(f"filters[{name}]")
                     r.record_pass("enumerated")
-                    reports.append(r)
                 else:
-                    ultras = []
-                    agree = True
-                    for F in fs:
-                        um, _ = is_ultrafilter(F, "maximality", all_filters=fs)
-                        uc, _ = is_ultrafilter(F, "characterization")
-                        agree = agree and um == uc
-                        if uc:
-                            ultras.append(list(F.table))
-                    extras.setdefault("counts", {})[name] = len(ultras)
-                    extras.setdefault("tables", {})[name] = ultras
+                    modes = [(is_ultrafilter(F, "maximality", all_filters=fs)[0],
+                              is_ultrafilter(F, "characterization")[0])
+                             for F in fs]
                     r = Report(f"ultrafilters[{name}]")
-                    r.record("modes_agree", agree, None)
-                    reports.append(r)
+                    r.record("modes_agree", all(m == c for m, c in modes), None)
+                    fs = [F for F, (_, c) in zip(fs, modes) if c]
+                extras.setdefault("counts", {})[name] = len(fs)
+                extras.setdefault("tables", {})[name] = [list(F.table)
+                                                         for F in fs]
+                reports.append(r)
 
     elif args.command == "saturate":
-        F, _ = k.named_filter(args.filter_name)
+        F = k.named_filter(args.filter_name)
         result = saturate(F.universe, F.table)
         r = Report(f"saturate[{args.filter_name}]")
         if isinstance(result, NoFilterAbove):
@@ -217,7 +220,7 @@ def run_command(doc, args):
 
     elif args.command == "compact":
         space = k.space(args.space)
-        fs = enumerate_filters(space.universe, cap=args.max_filters)
+        fs = k.filters(args.space)
         sweep, witness = is_compact(space, filters=fs)
         fast, _ = is_compact(space, mode="ultrafilter", filters=fs)
         r = Report(f"compact[{args.space}]")
@@ -227,11 +230,10 @@ def run_command(doc, args):
         reports.append(r)
 
     elif args.command == "product":
-        factors = [k.space(n) for n in args.spaces]
-        P = build_product(factors, powerset_cap=args.max_powerset)
+        P = k.product(args.spaces)
         r = Report("product[" + ",".join(args.spaces) + "]")
-        r.record("topology_valid", check_topology(P.space.topology).passed, None)
-        for i, f in enumerate(factors):
+        r.record("topology_valid", P.space.topology_report.passed, None)
+        for i, f in enumerate(P.factors):
             cont, wit = is_continuous(P.projections[i], P.space.topology,
                                       f.topology)
             r.record(f"projection_{i}_continuous", cont, wit)
@@ -242,8 +244,8 @@ def run_command(doc, args):
         reports.append(r)
 
     elif args.command == "tychonoff":
-        factors = [k.space(n) for n in args.spaces]
-        reports.append(tychonoff_check(factors))
+        P = k.product(args.spaces)
+        reports.append(tychonoff_check(P.factors, P))
 
     elif args.command == "continuity":
         if args.map_name not in doc.maps:

@@ -26,23 +26,22 @@ from .filters import (check_filter, enumerate_filters, image_filter,
 from .powerset import DEFAULT_POWERSET_CAP, Ground, Universe
 from .report import Report
 from .topology import (NbhdSystem, Topology, check_topology,
-                       generate_topology, is_continuous,
-                       require_continuous_surjection)
+                       generate_topology, require_continuous_surjection)
 
 
 class Space:
     """An L-fuzzy topological space with derived structures.
 
     Construction checks the topology axioms, raising PreconditionViolated
-    that names the failed ones, and takes the interior operator and the
-    neighborhood system that the topology keeps.  Their axiom batteries are
-    not run here; `check_interior(space.interior)` and
-    `check_nbhd(space.nbhd)` run them on demand.  They gate nothing: the
-    tensor-stability axioms I2 and N2 combine grades with the join, and the
-    interior derived from any non-discrete topology violates that
-    combination (take the full set at grade top against any set of grade
-    below top at grade bottom), so enforcing them would reject almost every
-    space.
+    that names the failed ones, and keeps that report as `topology_report`
+    with the interior operator and the neighborhood system that the
+    topology keeps.  Their axiom batteries are not run here;
+    `check_interior(space.interior)` and `check_nbhd(space.nbhd)` run them
+    on demand.  They gate nothing: the tensor-stability axioms I2 and N2
+    combine grades with the join, and the interior derived from any
+    non-discrete topology violates that combination (take the full set at
+    grade top against any set of grade below top at grade bottom), so
+    enforcing them would reject almost every space.
     """
 
     def __init__(self, universe, topology):
@@ -50,7 +49,8 @@ class Space:
             topology = Topology(universe=universe, table=tuple(topology))
         self.universe = universe
         self.topology = topology
-        failed = check_topology(topology).failures()
+        self.topology_report = check_topology(topology)
+        failed = self.topology_report.failures()
         if failed:
             raise PreconditionViolated("table is not a topology: fails "
                                        + ", ".join(sorted(failed)))
@@ -178,8 +178,8 @@ def build_product(factors, powerset_cap=DEFAULT_POWERSET_CAP):
     the topology is generated from the pulled-back factor gradings.
 
     All factors must share the lattice and tensor.  At most three factors
-    are supported (SizeLimit beyond that); each projection is verified
-    continuous.
+    are supported (SizeLimit beyond that).  The projections are continuous
+    by construction: the topology lies above every pulled-back grading.
     """
     if not factors:
         raise PreconditionViolated("need at least one factor")
@@ -209,12 +209,7 @@ def build_product(factors, powerset_cap=DEFAULT_POWERSET_CAP):
         for grade, si in zip(f.topology.table, pulled):
             seed[si] = lat.join2(seed[si], grade)
     topo = generate_topology(u, tuple(seed))
-    space = Space(u, topo)
-    for k, f in enumerate(factors):
-        cont, wit = is_continuous(projections[k], topo, f.topology)
-        if not cont:
-            raise AssertionError(f"projection {k} not continuous, witness {wit}")
-    return ProductSpace(factors=list(factors), space=space,
+    return ProductSpace(factors=list(factors), space=Space(u, topo),
                         projections=projections, point_tuples=point_tuples,
                         pullbacks=pullbacks)
 

@@ -110,7 +110,7 @@ def enumerate_filters(universe, cap=DEFAULT_FILTER_CAP):
     """
     u = universe
     least = saturate(u, (u.lattice.bot,) * u.graded_size)
-    rules, stop = [(u.box_table, u.tensor.table)], _empty_row(u)
+    rules, stop = _rules(u), _empty_row(u)
     # raising an empty-set cell above bot is infeasible from the start
     cells = [gi for gi in u.graded_cells() if gi not in stop]
     tables = enumerate_closed(
@@ -162,6 +162,11 @@ class NoFilterAbove:
     table: tuple
 
 
+def _rules(u):
+    """The filter rule F(f tensor g, a join b) >= F(f, a) tensor F(g, b)."""
+    return [(u.box_table, u.tensor.table)]
+
+
 def _empty_row(u):
     """The graded cells of the empty set, which a filter keeps at bot."""
     return range(u.zero_idx * u.n, (u.zero_idx + 1) * u.n)
@@ -183,8 +188,7 @@ def saturate(universe, seed):
     table = list(seed)
     for a in lat.elements():
         table[u.gidx(u.one_idx, a)] = lat.top
-    close(table, lat.join, [(u.box_table, u.tensor.table)],
-          above=u.graded_above)
+    close(table, lat.join, _rules(u), above=u.graded_above)
     for a in lat.elements():
         if table[u.gidx(u.zero_idx, a)] != lat.bot:
             return NoFilterAbove(alpha=a, table=tuple(table))
@@ -212,8 +216,7 @@ def least_filter_above(F, seed):
                 return None
             table[k] = w
             dirty.append(k)
-    if not close(table, join, [(u.box_table, u.tensor.table)], dirty,
-                 u.graded_above, stop):
+    if not close(table, join, _rules(u), dirty, u.graded_above, stop):
         return None
     return FilterTable(universe=u, table=tuple(table))
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import SizeLimit
+from .instances import join_cotensor
 from .lattice import lattice_from_order
 from .report import Report
 from .residuated import Tensor, check_gl_monoid, co_implication, residuum
@@ -73,8 +74,6 @@ class Universe:
 
     def __init__(self, lattice, tensor, ground, cotensor=None,
                  powerset_cap=DEFAULT_POWERSET_CAP):
-        from .instances import join_cotensor  # avoid a cyclic import
-
         self.lattice = lattice
         self.tensor = tensor
         self.cotensor = cotensor if cotensor is not None else join_cotensor(lattice)

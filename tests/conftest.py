@@ -22,6 +22,33 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line("  " + line)
 
 
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(target) replaces every `fuzztop` module binding of the
+    function `target` with a counting wrapper, or wraps `__init__` when
+    target is a class, as the bench tracer does; returns the list that
+    gets each call's positional arguments."""
+    def install(target):
+        calls = []
+        is_class = isinstance(target, type)
+        original = target.__init__ if is_class else target
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        if is_class:
+            monkeypatch.setattr(target, "__init__", counting)
+            return calls
+        for name, module in list(sys.modules.items()):
+            if name == "fuzztop" or name.startswith("fuzztop."):
+                for attr, value in list(vars(module).items()):
+                    if value is target:
+                        monkeypatch.setattr(module, attr, counting)
+        return calls
+    return install
+
+
 def _boxtimes(u, gi, gj):
     si, a = divmod(gi, u.n)
     sj, b = divmod(gj, u.n)

@@ -162,23 +162,43 @@ def test_continuity_command(capsys):
     assert "nbhd_pushforward" in out
 
 
-def test_continuity_derives_each_interior_once(capsys, monkeypatch):
-    # count through every fuzztop binding of the function, as the tracer does
+def test_continuity_derives_each_interior_once(capsys, count_calls):
     import fuzztop.topology as topology
-    derive, calls = topology.interior_from_topology, []
-
-    def counting(t):
-        calls.append(t.table)
-        return derive(t)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("fuzztop") and \
-                getattr(module, "interior_from_topology", None) is derive:
-            monkeypatch.setattr(module, "interior_from_topology", counting)
+    calls = count_calls(topology.interior_from_topology)
     code, _, _ = run(capsys, TWO, "--format", "machine", "continuity",
                      "--map", "collapse")
     assert code == 0
     assert len(calls) == 2  # one per space: X and Y
+
+
+@pytest.mark.parametrize("argv, counts", [
+    (("product", "--spaces", "X", "Y"), (3, 2, 3)),
+    (("product", "--spaces", "X", "X"), (2, 2, 2)),
+    (("tychonoff", "--spaces", "X", "Y"), (3, 0, 3)),
+    (("tychonoff", "--spaces", "X", "X"), (2, 0, 2)),
+])
+def test_each_space_is_built_and_checked_once(capsys, count_calls, argv,
+                                              counts):
+    # (check_topology, is_continuous, Space) calls: one Space per distinct
+    # name plus the product's, and a projection is checked only where its
+    # verdict is reported
+    import fuzztop.compactness as compactness
+    import fuzztop.topology as topology
+    calls = [count_calls(f) for f in (topology.check_topology,
+                                      topology.is_continuous,
+                                      compactness.Space)]
+    code, _, _ = run(capsys, TWO, "--format", "machine", *argv)
+    assert code == 0
+    assert tuple(map(len, calls)) == counts
+
+
+@pytest.mark.parametrize("command", ["product", "tychonoff"])
+def test_max_powerset_bounds_the_product(capsys, command):
+    # X has 2**2 fuzzy sets, X*X has 2**4
+    code, out, err = run(capsys, TWO, "--max-powerset", "8", command,
+                         "--spaces", "X", "X")
+    assert code == 2 and out == ""
+    assert err == "fuzztop: error: powerset size 2**4 exceeds cap 8\n"
 
 
 def test_machine_output_matches_recorded_digests(capsys):
@@ -297,16 +317,9 @@ def test_parser_is_built_once(capsys, monkeypatch):
     assert out1 == out2
 
 
-def test_one_lattice_per_document(capsys, monkeypatch):
-    import fuzztop.specfile as specfile
-    calls = []
-    build = specfile.build_lattice
-
-    def counting(*args):
-        calls.append(args)
-        return build(*args)
-
-    monkeypatch.setattr(specfile, "build_lattice", counting)
+def test_one_lattice_per_document(capsys, count_calls):
+    import fuzztop.lattice as lattice
+    calls = count_calls(lattice.build_lattice)
     code, _, _ = run(capsys, TWO, "tychonoff", "--spaces", "X", "Y")
     assert code == 0
     assert len(calls) == 1

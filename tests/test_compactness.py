@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -11,7 +12,7 @@ from fuzztop.errors import PreconditionViolated, SizeLimit
 from fuzztop.filters import (FilterTable, NoFilterAbove, check_filter,
                              enumerate_filters, saturate)
 from fuzztop.topology import (check_interior, check_nbhd,
-                              enumerate_topologies)
+                              enumerate_topologies, is_continuous)
 
 
 def discrete_space(u):
@@ -328,6 +329,21 @@ def test_product_ground_and_projections(u22):
     assert P.point_tuples == ((0, 0), (0, 1), (1, 0), (1, 1))
     for k in range(2):
         assert len(P.projections[k]) == 4
+
+
+def test_every_projection_is_continuous(u22, u31_godel, u31_luk):
+    # build_product checks no projection: the product topology lies above
+    # every pulled-back factor grading, so each one is continuous
+    products = 0
+    for u in (u22, u31_godel, u31_luk):
+        spaces = [Space(u, t) for t in enumerate_topologies(u)]
+        for factors in itertools.product(spaces, repeat=2):
+            P = build_product(list(factors))
+            products += 1
+            for k, f in enumerate(factors):
+                assert is_continuous(P.projections[k], P.space.topology,
+                                     f.topology)[0]
+    assert products == 34
 
 
 def test_product_factor_limit(u21):
