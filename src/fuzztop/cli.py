@@ -8,8 +8,8 @@ identical inputs produce byte-identical output.  The argument parser is
 built on first use and then reused; every command works on the one lattice,
 tensor and cotensor that its parsed document carries.  `_Kernel` builds
 each space and product once, under the caps: --max-powerset bounds every
-powerset, the product's included; --max-filters bounds the enumeration of
-`filters` and `compact` only (`tychonoff` uses the default filter cap).
+powerset, the product's included; --max-filters bounds every filter
+enumeration, those of `filters`, `compact` and `tychonoff`.
 """
 
 from __future__ import annotations
@@ -64,8 +64,7 @@ def _parser():
     p.add_argument("--max-powerset", type=int, default=DEFAULT_POWERSET_CAP,
                    help="most fuzzy sets in a space's powerset")
     p.add_argument("--max-filters", type=int, default=DEFAULT_FILTER_CAP,
-                   help="most closures computed while enumerating filters "
-                        "(filters and compact only)")
+                   help="most closures computed while enumerating filters")
     sub = p.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("validate", help="run an axiom battery")
@@ -245,7 +244,8 @@ def run_command(doc, args):
 
     elif args.command == "tychonoff":
         P = k.product(args.spaces)
-        reports.append(tychonoff_check(P.factors, P))
+        reports.append(tychonoff_check(P.factors, P,
+                                       filter_cap=args.max_filters))
 
     elif args.command == "continuity":
         if args.map_name not in doc.maps:

@@ -1,12 +1,18 @@
 """Convergence, adherence, the compactness oracle, products, Tychonoff.
 
 A Space bundles a validated topology with the interior operator and
-neighborhood system that the topology derives once and keeps.  Compactness
-is decided by brute force: every filter must have an adherent point, where
-adherence is decided constructively by closing the join of the filter with
-the point's neighborhood table.  Each filter is saturated once; per point
-only the cells the neighborhood table raises are re-closed, which gives the
-same least filter because cl(F v N) = cl(cl(F) v N).
+neighborhood system that the topology derives once and keeps.  A space is
+compact when every filter has an adherent point, where adherence is decided
+constructively by closing the join of the filter with the point's
+neighborhood table.  Each filter is saturated once; per point only the
+cells the neighborhood table raises are re-closed, which gives the same
+least filter because cl(F v N) = cl(cl(F) v N).  Adherence is antitone in
+the filter: the certificate of p adhering to G, the least filter above G
+and N_p, lies above every F <= G and N_p, so p adheres to F too.  Hence
+compactness is decided from the maximal filters, with one adherence test
+per maximal filter and point up to its first adherent point.  A filter
+below no such certificate falls back to its own closure per point, which
+keeps the answer exact for any list of filters.
 Finite products are built as the least topology making the projections
 continuous, seeded with each factor's grading pulled back along its
 projection by one `Universe.pullback` table per factor; the explicit
@@ -21,8 +27,9 @@ import itertools
 from dataclasses import dataclass, field
 
 from .errors import PreconditionViolated, SizeLimit
-from .filters import (check_filter, enumerate_filters, image_filter,
-                      is_ultrafilter, least_filter_above, preimage_filter)
+from .filters import (DEFAULT_FILTER_CAP, check_filter, enumerate_filters,
+                      image_filter, is_ultrafilter, least_filter_above,
+                      preimage_filter)
 from .powerset import DEFAULT_POWERSET_CAP, Ground, Universe
 from .report import Report
 from .topology import (NbhdSystem, Topology, check_topology,
@@ -79,6 +86,15 @@ def is_adherent(p, F, space):
     return G is not None, G
 
 
+def _first_adherence(F, space):
+    """(p, certificate) for the first point p adherent to F, or None."""
+    for p in space.universe.ground.points():
+        adherent, G = is_adherent(p, F, space)
+        if adherent:
+            return p, G
+    return None
+
+
 def adherent_points(F, space):
     return [p for p in space.universe.ground.points()
             if is_adherent(p, F, space)[0]]
@@ -87,23 +103,57 @@ def adherent_points(F, space):
 def is_compact(space, mode="sweep", filters=None):
     """Decide compactness: every filter has at least one adherent point.
 
-    mode="sweep" checks every enumerated filter; mode="ultrafilter" checks
-    ultrafilters only (equivalent: an adherence certificate for an
-    ultrafilter above F also witnesses adherence for F).  Without `filters`
-    they are enumerated with the default closure cap.  The search for a
-    filter's adherent point stops at the first one.  Returns (bool, witness
-    filter or None).
+    mode="sweep" checks every member of `filters`; mode="ultrafilter" checks
+    the members the ultrafilter characterization accepts (equivalent: an
+    adherence certificate for an ultrafilter above F also witnesses
+    adherence for F).  Without `filters` they are enumerated with the
+    default closure cap.  Returns (bool, witness filter or None): the
+    witness is the first checked member with no adherent point.
+
+    Adherence is antitone in the filter, so the maximal checked members are
+    tested first, each up to its first adherent point p.  Every checked
+    member lies below one of them, so when each has an adherent point the
+    space is compact.  Otherwise the members are walked in order.  The
+    certificate G of an adherent test is a filter above N_p, so p adheres
+    to every member below G: G lies above it and N_p.  A member below no
+    certificate falls back to its own test point by point, so every member
+    gets the verdict of its own test, whatever the list holds.  When the
+    checked members are all the filters, a member with an adherent point
+    lies below a maximal filter that has one, so the fallback runs only for
+    the witness.
     """
     if filters is None:
         filters = enumerate_filters(space.universe)
     if mode == "ultrafilter":
-        filters = [F for F in filters
+        targets = [F for F in filters
                    if is_ultrafilter(F, "characterization")[0]]
-    elif mode != "sweep":
+    elif mode == "sweep":
+        targets = filters
+    else:
         raise ValueError(f"unknown mode {mode!r}")
-    points = space.universe.ground.points()
-    for F in filters:
-        if not any(is_adherent(p, F, space)[0] for p in points):
+    # a table as one int holding, per cell, a bit for each grade at or below
+    # the cell's value: F <= G iff bits(F) & ~bits(G) == 0
+    lat = space.universe.lattice
+    downsets = [sum(1 << a for a in lat.elements() if lat.le(a, v))
+                .to_bytes(lat.n // 8 + 1, "little") for v in lat.elements()]
+
+    def bits(F):
+        return int.from_bytes(b"".join(map(downsets.__getitem__, F.table)),
+                              "little")
+
+    checked = [(bits(F), F) for F in targets]
+    tops = []
+    for f, F in reversed(checked):
+        if all(f & ~t for t, _ in tops):
+            tops = [(t, T) for t, T in tops if t & ~f] + [(f, F)]
+    tops.reverse()
+    found = [_first_adherence(T, space) for _, T in tops]
+    if None not in found:
+        return True, None
+    certificates = [bits(G) for _, G in filter(None, found)]
+    for f, F in checked:
+        if all(f & ~g for g in certificates) \
+                and _first_adherence(F, space) is None:
             return False, F
     return True, None
 
@@ -133,13 +183,11 @@ def image_compactness_check(phi, space_x, space_y, filters_y=None):
                       {"filter": F.table})
         if image_filter(phi, Fpre, uy).table != F.table:
             round_trip.append({"filter": F.table})
-        for p in ux.ground.points():
-            adherent, G = is_adherent(p, Fpre, space_x)
-            if adherent:
-                break
-        else:
+        found = _first_adherence(Fpre, space_x)
+        if found is None:
             upstream.append({"filter": F.table})
             continue
+        p, G = found
         G_img = image_filter(phi, G, uy)
         if not (F.leq(G_img) and converges(G_img, phi[p], space_y)):
             chain.append({"filter": F.table, "p": p})
@@ -295,20 +343,30 @@ def product_convergence_check(P, U, formula_nbhd=None):
     return report
 
 
-def tychonoff_check(factors, product=None):
-    """All factors compact iff the product is compact, decided by oracle."""
+def tychonoff_check(factors, product=None, filter_cap=DEFAULT_FILTER_CAP):
+    """All factors compact iff the product is compact, decided by oracle.
+
+    A factor listed more than once is decided once.  Every filter
+    enumeration computes at most `filter_cap` closures (SizeLimit beyond).
+    """
+    def decide(space):
+        return is_compact(space, filters=enumerate_filters(space.universe,
+                                                           cap=filter_cap))
+
     report = Report("tychonoff")
-    factor_verdicts = []
+    verdicts = {}
     for k, f in enumerate(factors):
-        compact, witness = is_compact(f)
-        factor_verdicts.append(compact)
+        if f not in verdicts:
+            verdicts[f] = decide(f)
+        compact, witness = verdicts[f]
         report.record(f"factor_{k}_compact", compact,
                       None if compact else {"filter": witness.table})
     if product is None:
         product = build_product(factors)
-    compact_p, witness = is_compact(product.space)
+    compact_p, witness = decide(product.space)
     report.record("product_compact", compact_p,
                   None if compact_p else {"filter": witness.table})
+    factor_verdicts = [verdicts[f][0] for f in factors]
     report.record("biconditional", all(factor_verdicts) == compact_p,
                   {"factors": factor_verdicts, "product": compact_p})
     return report

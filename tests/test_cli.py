@@ -201,6 +201,27 @@ def test_max_powerset_bounds_the_product(capsys, command):
     assert err == "fuzztop: error: powerset size 2**4 exceeds cap 8\n"
 
 
+@pytest.mark.parametrize("argv", [("compact", "--space", "X"),
+                                  ("tychonoff", "--spaces", "X", "X")])
+def test_max_filters_bounds_every_enumeration(capsys, argv):
+    code, out, err = run(capsys, TWO, "--max-filters", "1", *argv)
+    assert code == 2 and out == ""
+    assert err == "fuzztop: error: filter enumeration exceeded cap 1 closures\n"
+
+
+@pytest.mark.parametrize("argv, count", [
+    (("compact", "--space", "X"), 1),
+    (("tychonoff", "--spaces", "X", "X"), 2),  # X once, then X*X
+    (("tychonoff", "--spaces", "X", "Y"), 3),
+])
+def test_tychonoff_decides_each_factor_once(capsys, count_calls, argv, count):
+    import fuzztop.filters as filters
+    calls = count_calls(filters.enumerate_filters)
+    code, _, _ = run(capsys, TWO, "--format", "machine", *argv)
+    assert code == 0
+    assert len(calls) == count
+
+
 def test_machine_output_matches_recorded_digests(capsys):
     drift = {}
     for key, want in json.loads(DIGESTS.read_text()).items():

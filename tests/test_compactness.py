@@ -10,7 +10,7 @@ from fuzztop.compactness import (ProductSpace, Space, build_product, converges,
                                  product_convergence_check, tychonoff_check)
 from fuzztop.errors import PreconditionViolated, SizeLimit
 from fuzztop.filters import (FilterTable, NoFilterAbove, check_filter,
-                             enumerate_filters, saturate)
+                             enumerate_filters, is_ultrafilter, saturate)
 from fuzztop.topology import (check_interior, check_nbhd,
                               enumerate_topologies, is_continuous)
 
@@ -218,24 +218,137 @@ def test_corpus_spaces_compact(u21, u22, u31_godel, u31_luk):
             assert ok and witness is None
 
 
-def test_is_compact_stops_at_the_first_adherent_point(u22, monkeypatch):
-    import fuzztop.compactness as compactness
-    space = indiscrete_space(u22)
-    filters = enumerate_filters(u22)
-    expected = []
+def compact_by_sweep(space, mode, filters, adheres=None):
+    """The oracle: every checked member, point by point, up to its first
+    adherent point; the first member with none is the witness.  `adheres`
+    (p, F, space) -> bool defaults to `is_adherent`'s verdict."""
+    if adheres is None:
+        def adheres(p, F, space):
+            return is_adherent(p, F, space)[0]
+    if mode == "ultrafilter":
+        filters = [F for F in filters
+                   if is_ultrafilter(F, "characterization")[0]]
+    points = space.universe.ground.points()
     for F in filters:
-        first = adherent_points(F, space)[0]
-        expected += [(p, F.table) for p in range(first + 1)]
-    assert len(expected) < 2 * len(filters)  # some filter adheres at 0
-    calls = []
+        if not any(adheres(p, F, space) for p in points):
+            return False, F
+    return True, None
 
-    def counting(p, F, space):
-        calls.append((p, F.table))
-        return is_adherent(p, F, space)
 
-    monkeypatch.setattr(compactness, "is_adherent", counting)
-    assert is_compact(space, filters=filters) == (True, None)
-    assert calls == expected
+def maximal_members(filters):
+    """The members no other member lies above; of equal tables, the last."""
+    return [F for i, F in enumerate(filters)
+            if not any(F.leq(G) and (G.table != F.table or j > i)
+                       for j, G in enumerate(filters) if j != i)]
+
+
+def first_adherent_prefix(F, space):
+    """The (point, table) tests up to F's first adherent point, or all."""
+    out = []
+    for p in space.universe.ground.points():
+        out.append((p, F.table))
+        if is_adherent(p, F, space)[0]:
+            break
+    return out
+
+
+def test_is_compact_tests_the_maximal_filters_first(u22, u32_luk,
+                                                    count_calls):
+    import fuzztop.compactness as compactness
+    calls = count_calls(compactness.is_adherent)
+    non_compact = Space(u32_luk, enumerate_topologies(u32_luk)[0])
+    for space in (indiscrete_space(u22), non_compact):
+        filters = enumerate_filters(space.universe)
+        for listed in (filters, filters[::-1]):
+            want = compact_by_sweep(space, "sweep", listed)
+            expected = [call for F in maximal_members(listed)
+                        for call in first_adherent_prefix(F, space)]
+            if not want[0]:  # the witness lies below no certificate
+                expected += [(p, want[1].table)
+                             for p in space.universe.ground.points()]
+            calls.clear()
+            assert is_compact(space, filters=listed) == want
+            assert [(p, F.table) for p, F, _ in calls] == expected
+
+    # the least filter lies below a table no filter lies above, so it is no
+    # maximal member; that table has no certificate, so the least filter
+    # falls back to its own test, and the table is the witness
+    space = indiscrete_space(u22)
+    least = enumerate_filters(u22)[0]
+    junk = FilterTable(universe=u22, table=(u22.lattice.top,) * u22.graded_size)
+    calls.clear()
+    assert is_compact(space, filters=[least, junk]) == (False, junk)
+    assert [(p, F.table) for p, F, _ in calls] == [
+        (0, junk.table), (1, junk.table), (0, least.table),
+        (0, junk.table), (1, junk.table)]
+
+
+@pytest.mark.parametrize("name, total", [("u32_godel", 1473),
+                                         ("u32_luk", 2156)])
+def test_adherence_tests_are_bounded_by_the_maximal_filters(
+        name, total, request, count_calls):
+    # per space, each maximal filter's points, then the witness's; the
+    # all-filters sweep makes 17,676 and 5,236 tests
+    import fuzztop.compactness as compactness
+    u = request.getfixturevalue(name)
+    filters = enumerate_filters(u)
+    bound = (len(maximal_members(filters)) + 1) * u.ground.m
+    spaces = [Space(u, t) for t in enumerate_topologies(u)]
+    calls = count_calls(compactness.is_adherent)
+    per_space = []
+    for space in spaces:
+        calls.clear()
+        is_compact(space, filters=filters)
+        per_space.append(len(calls))
+    assert len(spaces) == {"u32_godel": 491, "u32_luk": 308}[name]
+    assert max(per_space) <= bound
+    assert sum(per_space) == total
+
+
+# on the 2-chain the Lukasiewicz tensor is the meet, so u22 and u23 stand for
+# both tensors
+@pytest.mark.parametrize("name", ["u22", "u23", "u32_godel", "u32_luk",
+                                  "diamond_1pt", "chain4_godel_1pt",
+                                  "chain4_luk_1pt"])
+def test_is_compact_matches_the_all_filters_sweep(name, request):
+    # every topology, both modes, on the full enumeration, a shuffled half
+    # of it, and that half with a table that is not a filter, so members lie
+    # below no certificate and the per-point fallback decides them.  The
+    # oracle keeps each verdict by (table, N_p), the two things it reads
+    u = request.getfixturevalue(name)
+    verdicts = {}
+
+    def adheres(p, F, space):
+        key = (F.table, space.nbhd.tables[p])
+        if key not in verdicts:
+            verdicts[key] = is_adherent(p, F, space)[0]
+        return verdicts[key]
+
+    rng = random.Random(name)
+    filters = enumerate_filters(u)
+    junk = [F for F in oracle_tables(u, filters, rng)[len(filters):]
+            if not check_filter(F).passed]
+    topologies = enumerate_topologies(u)
+    checks = 0
+    for t in topologies:
+        space = Space(u, t)
+        half = rng.sample(filters, (len(filters) + 1) // 2)
+        mixed = half + [rng.choice(junk)]
+        rng.shuffle(mixed)
+        for mode in ("sweep", "ultrafilter"):
+            for listed in (filters, half, mixed):
+                try:
+                    want = compact_by_sweep(space, mode, listed, adheres)
+                except PreconditionViolated:
+                    # the ultrafilter characterization rejects the junk
+                    with pytest.raises(PreconditionViolated):
+                        is_compact(space, mode, listed)
+                    continue
+                got = is_compact(space, mode, listed)
+                assert (got[0], got[1] and got[1].table) == \
+                    (want[0], want[1] and want[1].table), (t.table, mode)
+                checks += 1
+    assert checks == 5 * len(topologies)
 
 
 def test_compactness_modes_agree(u22, u31_godel, u31_luk):
