@@ -33,7 +33,7 @@ from .residuated import (check_co_gl_monoid, check_cqm, check_gl_monoid,
                          classify, co_implication, residuum)
 from .specfile import build_universe, parse_spec
 from .topology import (Topology, check_interior, check_nbhd, check_topology,
-                       check_continuity_nbhd, is_continuous)
+                       is_continuous, nbhd_pushforward)
 
 
 #: `validate` targets checked once per document; they are also its choices.
@@ -170,14 +170,14 @@ def run_command(doc, args):
             f"{names[a]} {names[b]}": names[table[a][b]]
             for a in range(len(names)) for b in range(len(names))}
         r = Report(args.command)
-        r.record_pass("computed")
+        r.record("computed", True)
         reports.append(r)
 
     elif args.command == "classify":
         tags = classify(doc.tensor_op, residuum(doc.tensor_op))
         extras["tags"] = sorted(tags)
         r = Report("classify")
-        r.record_pass("computed")
+        r.record("computed", True)
         reports.append(r)
 
     elif args.command == "filters":
@@ -192,7 +192,7 @@ def run_command(doc, args):
                 fs = k.filters(name)
                 if args.action == "enumerate":
                     r = Report(f"filters[{name}]")
-                    r.record_pass("enumerated")
+                    r.record("enumerated", True)
                 else:
                     modes = [(is_ultrafilter(F, "maximality", all_filters=fs)[0],
                               is_ultrafilter(F, "characterization")[0])
@@ -211,7 +211,7 @@ def run_command(doc, args):
         r = Report(f"saturate[{args.filter_name}]")
         if isinstance(result, NoFilterAbove):
             extras["no_filter_above"] = {"alpha": result.alpha}
-            r.record_pass("no_filter_above")
+            r.record("no_filter_above", True)
         else:
             extras["filter"] = list(result.table)
             r.record("is_filter", check_filter(result).passed, None)
@@ -259,7 +259,7 @@ def run_command(doc, args):
                  None if cont else {"g": list(eta.universe.sets[wit])})
         reports.append(r)
         if cont and set(decl.mapping) == set(eta.universe.ground.points()):
-            reports.append(check_continuity_nbhd(decl.mapping, tau, eta))
+            reports.append(nbhd_pushforward(decl.mapping, tau, eta))
 
     return reports, extras
 

@@ -10,9 +10,10 @@ least filter because cl(F v N) = cl(cl(F) v N).  Adherence is antitone in
 the filter: the certificate of p adhering to G, the least filter above G
 and N_p, lies above every F <= G and N_p, so p adheres to F too.  Hence
 compactness is decided from the maximal filters, with one adherence test
-per maximal filter and point up to its first adherent point.  A filter
-below no such certificate falls back to its own closure per point, which
-keeps the answer exact for any list of filters.
+per maximal filter and point up to its first adherent point, comparing
+filters by the `FilterTable.code` each keeps.  Any other filter below no
+such certificate falls back to its own closure per point, which keeps the
+answer exact for any list of filters.
 Finite products are built as the least topology making the projections
 continuous, seeded with each factor's grading pulled back along its
 projection by one `Universe.pullback` table per factor; the explicit
@@ -67,10 +68,7 @@ class Space:
 
 def converges(F, p, space):
     """True iff the neighborhood table at p sits below the filter."""
-    lat = space.universe.lattice
-    tab = space.nbhd.tables[p]
-    return all(lat.le(tab[gi], F.table[gi])
-               for gi in space.universe.graded_cells())
+    return all(map(space.universe.lattice.le, space.nbhd.tables[p], F.table))
 
 
 def is_adherent(p, F, space):
@@ -103,57 +101,46 @@ def adherent_points(F, space):
 def is_compact(space, mode="sweep", filters=None):
     """Decide compactness: every filter has at least one adherent point.
 
-    mode="sweep" checks every member of `filters`; mode="ultrafilter" checks
-    the members the ultrafilter characterization accepts (equivalent: an
-    adherence certificate for an ultrafilter above F also witnesses
-    adherence for F).  Without `filters` they are enumerated with the
-    default closure cap.  Returns (bool, witness filter or None): the
-    witness is the first checked member with no adherent point.
+    mode="sweep" checks every member of `filters`; mode="ultrafilter", a
+    cross-check, checks the members the ultrafilter characterization
+    accepts (equivalent: an adherence certificate for an ultrafilter above F
+    also witnesses adherence for F).  Without `filters` they are enumerated
+    with the default closure cap.  Returns (bool, witness filter or None):
+    the witness is the first checked member with no adherent point.
 
-    Adherence is antitone in the filter, so the maximal checked members are
-    tested first, each up to its first adherent point p.  Every checked
-    member lies below one of them, so when each has an adherent point the
-    space is compact.  Otherwise the members are walked in order.  The
-    certificate G of an adherent test is a filter above N_p, so p adheres
-    to every member below G: G lies above it and N_p.  A member below no
-    certificate falls back to its own test point by point, so every member
-    gets the verdict of its own test, whatever the list holds.  When the
-    checked members are all the filters, a member with an adherent point
-    lies below a maximal filter that has one, so the fallback runs only for
-    the witness.
+    Adherence is antitone in the filter, so the maximal checked members,
+    found by comparing `FilterTable.code`, are tested first, each up to its
+    first adherent point p.  Every checked member lies below one of them, so
+    when each has an adherent point the space is compact.  Otherwise the
+    members are walked in order.  The certificate G of an adherent test is a
+    filter above N_p, so p adheres to every member below G: G lies above it
+    and N_p.  A member below no certificate is the witness if it equals a
+    maximal member, whose test has run, and otherwise falls back to its own
+    test point by point.  So every member gets the verdict of its own test,
+    whatever the list holds.  When the checked members are all the filters,
+    a member with an adherent point lies below a maximal filter that has
+    one, so the fallback runs at most for the witness.
     """
+    if mode not in ("sweep", "ultrafilter"):
+        raise ValueError(f"unknown mode {mode!r}")
     if filters is None:
         filters = enumerate_filters(space.universe)
     if mode == "ultrafilter":
-        targets = [F for F in filters
+        filters = [F for F in filters
                    if is_ultrafilter(F, "characterization")[0]]
-    elif mode == "sweep":
-        targets = filters
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    # a table as one int holding, per cell, a bit for each grade at or below
-    # the cell's value: F <= G iff bits(F) & ~bits(G) == 0
-    lat = space.universe.lattice
-    downsets = [sum(1 << a for a in lat.elements() if lat.le(a, v))
-                .to_bytes(lat.n // 8 + 1, "little") for v in lat.elements()]
-
-    def bits(F):
-        return int.from_bytes(b"".join(map(downsets.__getitem__, F.table)),
-                              "little")
-
-    checked = [(bits(F), F) for F in targets]
     tops = []
-    for f, F in reversed(checked):
-        if all(f & ~t for t, _ in tops):
-            tops = [(t, T) for t, T in tops if t & ~f] + [(f, F)]
-    tops.reverse()
-    found = [_first_adherence(T, space) for _, T in tops]
-    if None not in found:
+    for F in reversed(filters):
+        f = F.code
+        if all(f & ~T.code for T in tops):
+            tops = [T for T in tops if T.code & ~f] + [F]
+    found = [(T, _first_adherence(T, space)) for T in reversed(tops)]
+    lost = [T for T, a in found if a is None]
+    if not lost:
         return True, None
-    certificates = [bits(G) for _, G in filter(None, found)]
-    for f, F in checked:
-        if all(f & ~g for g in certificates) \
-                and _first_adherence(F, space) is None:
+    certificates = [a[1].code for _, a in found if a]
+    for F in filters:
+        if all(F.code & ~g for g in certificates) and (
+                F in lost or _first_adherence(F, space) is None):
             return False, F
     return True, None
 
@@ -225,7 +212,7 @@ def build_product(factors, powerset_cap=DEFAULT_POWERSET_CAP):
     """The finite topological product: ground is the cartesian product and
     the topology is generated from the pulled-back factor gradings.
 
-    All factors must share the lattice and tensor.  At most three factors
+    All factors must share the lattice, tensor and cotensor; at most three
     are supported (SizeLimit beyond that).  The projections are continuous
     by construction: the topology lies above every pulled-back grading.
     """
@@ -240,6 +227,8 @@ def build_product(factors, powerset_cap=DEFAULT_POWERSET_CAP):
             raise PreconditionViolated("factors must share the lattice")
         if f.universe.tensor.table != base.tensor.table:
             raise PreconditionViolated("factors must share the tensor")
+        if f.universe.cotensor.table != base.cotensor.table:
+            raise PreconditionViolated("factors must share the cotensor")
 
     point_tuples = tuple(itertools.product(
         *[f.universe.ground.points() for f in factors]))
@@ -332,8 +321,7 @@ def product_convergence_check(P, U, formula_nbhd=None):
 
     def disagreements():
         for p in range(u.ground.m):
-            lhs = all(lat.le(formula_nbhd.tables[p][gi], U.table[gi])
-                      for gi in u.graded_cells())
+            lhs = all(map(lat.le, formula_nbhd.tables[p], U.table))
             rhs = all(converges(images[k], P.point_tuples[p][k], f)
                       for k, f in enumerate(P.factors))
             if lhs != rhs:

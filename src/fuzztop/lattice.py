@@ -10,6 +10,7 @@ on the size of the family); the checkers decide such laws that way.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import Degenerate, NotALattice, NotAPartialOrder
 from .report import Report
@@ -28,6 +29,13 @@ class Lattice:
 
     def elements(self):
         return range(self.n)
+
+    @cached_property
+    def downsets(self):
+        """Per element a, bytes with bit b set for each b <= a; not a field."""
+        return tuple(sum(1 << b for b in self.elements() if self.leq[b][a])
+                     .to_bytes(self.n // 8 + 1, "little")
+                     for a in self.elements())
 
     def le(self, a, b):
         return self.leq[a][b]

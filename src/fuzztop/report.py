@@ -41,20 +41,11 @@ class Report:
             return  # a failure stands, with its first witness
         self.verdicts[axiom] = Verdict(PASS if ok else FAIL, None if ok else witness)
 
-    def record_pass(self, axiom):
-        self.record(axiom, True)
-
-    def record_fail(self, axiom, witness):
-        self.record(axiom, False, witness)
-
     def sweep(self, axiom, witnesses):
         """Record `axiom` failed with the first of `witnesses`, or passed
         when there is none; nothing after the first witness is drawn."""
         first = next(iter(witnesses), _NO_WITNESS)
-        if first is _NO_WITNESS:
-            self.record_pass(axiom)
-        else:
-            self.record_fail(axiom, first)
+        self.record(axiom, first is _NO_WITNESS, first)
 
     def record_skip(self, axiom, reason):
         self.verdicts[axiom] = Verdict(SKIPPED, reason)

@@ -262,6 +262,11 @@ def check_continuity_nbhd(phi, tau, eta):
     otherwise).
     """
     require_continuous_surjection(phi, tau, eta)
+    return nbhd_pushforward(phi, tau, eta)
+
+
+def nbhd_pushforward(phi, tau, eta):
+    """The sweep of `check_continuity_nbhd`, without its precondition."""
     ux, uy = tau.universe, eta.universe
     lat, pulled = ux.lattice, uy.pullback(phi, ux)
     report = Report("continuity_nbhd")

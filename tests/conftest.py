@@ -8,6 +8,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from fuzztop.filters import enumerate_filters_bruteforce
 from fuzztop.instances import (boolean, chain, diamond, lukasiewicz_tensor,
                                meet_tensor)
+from fuzztop.lattice import build_lattice
 from fuzztop.powerset import Ground, Universe
 
 
@@ -63,6 +64,18 @@ def boxtimes():
     return _boxtimes
 
 
+def _pointwise_leq(F, G):
+    le = F.universe.lattice.le
+    return all(le(a, b) for a, b in zip(F.table, G.table))
+
+
+@pytest.fixture(scope="session")
+def pointwise_leq():
+    """Oracle: the filter order cell by cell through `Lattice.le`, for
+    checking `FilterTable.leq`; called as pointwise_leq(F, G)."""
+    return _pointwise_leq
+
+
 @pytest.fixture(scope="session")
 def bool2():
     return boolean()
@@ -111,6 +124,14 @@ def u32_godel(chain3):
 @pytest.fixture(scope="session")
 def u32_luk(chain3):
     return Universe(chain3, lukasiewicz_tensor(chain3), Ground(2))
+
+
+@pytest.fixture(scope="session")
+def u32_godel_reindexed():
+    """u32-Goedel on the 3-chain indexed top first (2 < 1 < 0), so the
+    element indices are no linear extension of the order."""
+    lat = build_lattice(3, [(2, 1), (1, 0)])
+    return Universe(lat, meet_tensor(lat), Ground(2))
 
 
 @pytest.fixture(scope="session")

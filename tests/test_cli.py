@@ -171,6 +171,18 @@ def test_continuity_derives_each_interior_once(capsys, count_calls):
     assert len(calls) == 2  # one per space: X and Y
 
 
+def test_continuity_decides_continuity_once(capsys, count_calls):
+    # the pushforward sweep runs without re-deciding its precondition
+    import fuzztop.topology as topology
+    calls = count_calls(topology.is_continuous)
+    code, out, _ = run(capsys, TWO, "--format", "machine", "continuity",
+                       "--map", "collapse")
+    assert code == 0
+    assert [r["name"] for r in json.loads(out)["reports"]] == [
+        "continuity[collapse]", "continuity_nbhd"]
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("argv, counts", [
     (("product", "--spaces", "X", "Y"), (3, 2, 3)),
     (("product", "--spaces", "X", "X"), (2, 2, 2)),

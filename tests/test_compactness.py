@@ -11,6 +11,9 @@ from fuzztop.compactness import (ProductSpace, Space, build_product, converges,
 from fuzztop.errors import PreconditionViolated, SizeLimit
 from fuzztop.filters import (FilterTable, NoFilterAbove, check_filter,
                              enumerate_filters, is_ultrafilter, saturate)
+from fuzztop.instances import meet_tensor
+from fuzztop.powerset import Ground, Universe
+from fuzztop.residuated import Tensor
 from fuzztop.topology import (check_interior, check_nbhd,
                               enumerate_topologies, is_continuous)
 
@@ -235,10 +238,11 @@ def compact_by_sweep(space, mode, filters, adheres=None):
     return True, None
 
 
-def maximal_members(filters):
-    """The members no other member lies above; of equal tables, the last."""
+def maximal_members(filters, leq):
+    """The members no other member lies above in the order `leq`; of equal
+    tables, the last."""
     return [F for i, F in enumerate(filters)
-            if not any(F.leq(G) and (G.table != F.table or j > i)
+            if not any(leq(F, G) and (G.table != F.table or j > i)
                        for j, G in enumerate(filters) if j != i)]
 
 
@@ -253,7 +257,8 @@ def first_adherent_prefix(F, space):
 
 
 def test_is_compact_tests_the_maximal_filters_first(u22, u32_luk,
-                                                    count_calls):
+                                                    count_calls,
+                                                    pointwise_leq):
     import fuzztop.compactness as compactness
     calls = count_calls(compactness.is_adherent)
     non_compact = Space(u32_luk, enumerate_topologies(u32_luk)[0])
@@ -261,9 +266,12 @@ def test_is_compact_tests_the_maximal_filters_first(u22, u32_luk,
         filters = enumerate_filters(space.universe)
         for listed in (filters, filters[::-1]):
             want = compact_by_sweep(space, "sweep", listed)
-            expected = [call for F in maximal_members(listed)
+            maximal = maximal_members(listed, pointwise_leq)
+            expected = [call for F in maximal
                         for call in first_adherent_prefix(F, space)]
-            if not want[0]:  # the witness lies below no certificate
+            # the witness lies below no certificate; a maximal one has
+            # been tested already
+            if not want[0] and not any(want[1] is F for F in maximal):
                 expected += [(p, want[1].table)
                              for p in space.universe.ground.points()]
             calls.clear()
@@ -272,27 +280,27 @@ def test_is_compact_tests_the_maximal_filters_first(u22, u32_luk,
 
     # the least filter lies below a table no filter lies above, so it is no
     # maximal member; that table has no certificate, so the least filter
-    # falls back to its own test, and the table is the witness
+    # falls back to its own test, and the table, tested already, is the
+    # witness
     space = indiscrete_space(u22)
     least = enumerate_filters(u22)[0]
     junk = FilterTable(universe=u22, table=(u22.lattice.top,) * u22.graded_size)
     calls.clear()
     assert is_compact(space, filters=[least, junk]) == (False, junk)
     assert [(p, F.table) for p, F, _ in calls] == [
-        (0, junk.table), (1, junk.table), (0, least.table),
-        (0, junk.table), (1, junk.table)]
+        (0, junk.table), (1, junk.table), (0, least.table)]
 
 
 @pytest.mark.parametrize("name, total", [("u32_godel", 1473),
                                          ("u32_luk", 2156)])
 def test_adherence_tests_are_bounded_by_the_maximal_filters(
-        name, total, request, count_calls):
+        name, total, request, count_calls, pointwise_leq):
     # per space, each maximal filter's points, then the witness's; the
     # all-filters sweep makes 17,676 and 5,236 tests
     import fuzztop.compactness as compactness
     u = request.getfixturevalue(name)
     filters = enumerate_filters(u)
-    bound = (len(maximal_members(filters)) + 1) * u.ground.m
+    bound = (len(maximal_members(filters, pointwise_leq)) + 1) * u.ground.m
     spaces = [Space(u, t) for t in enumerate_topologies(u)]
     calls = count_calls(compactness.is_adherent)
     per_space = []
@@ -305,11 +313,33 @@ def test_adherence_tests_are_bounded_by_the_maximal_filters(
     assert sum(per_space) == total
 
 
+@pytest.mark.parametrize("name, total", [("u32_godel", 1473),
+                                         ("u32_luk", 1540)])
+def test_ultrafilter_mode_tests_each_maximal_member_once(
+        name, total, request, count_calls, pointwise_leq):
+    # each maximal ultrafilter up to its first adherent point; a witness
+    # among them is not tested again (that made 2,156 tests on u32_luk)
+    import fuzztop.compactness as compactness
+    u = request.getfixturevalue(name)
+    filters = enumerate_filters(u)
+    ultra = [F for F in filters if is_ultrafilter(F, "characterization")[0]]
+    bound = len(maximal_members(ultra, pointwise_leq)) * u.ground.m
+    spaces = [Space(u, t) for t in enumerate_topologies(u)]
+    calls = count_calls(compactness.is_adherent)
+    per_space = []
+    for space in spaces:
+        calls.clear()
+        is_compact(space, mode="ultrafilter", filters=filters)
+        per_space.append(len(calls))
+    assert max(per_space) <= bound
+    assert sum(per_space) == total
+
+
 # on the 2-chain the Lukasiewicz tensor is the meet, so u22 and u23 stand for
 # both tensors
 @pytest.mark.parametrize("name", ["u22", "u23", "u32_godel", "u32_luk",
                                   "diamond_1pt", "chain4_godel_1pt",
-                                  "chain4_luk_1pt"])
+                                  "chain4_luk_1pt", "u32_godel_reindexed"])
 def test_is_compact_matches_the_all_filters_sweep(name, request):
     # every topology, both modes, on the full enumeration, a shuffled half
     # of it, and that half with a table that is not a filter, so members lie
@@ -384,9 +414,12 @@ def test_ultrafilter_mode_checks_each_filter_once(u32_luk, monkeypatch):
             is_compact(spaces[0], mode="ultrafilter", filters=[junk])
 
 
-def test_is_compact_unknown_mode(u21):
-    with pytest.raises(ValueError):
+def test_is_compact_unknown_mode(u21, count_calls):
+    import fuzztop.filters as filters
+    calls = count_calls(filters.enumerate_filters)
+    with pytest.raises(ValueError, match="unknown mode 'nonsense'"):
         is_compact(discrete_space(u21), mode="nonsense")
+    assert calls == []  # the mode is checked before any enumeration
 
 
 def test_image_compactness_collapse(u21, u22):
@@ -468,6 +501,19 @@ def test_product_factor_limit(u21):
 def test_product_requires_shared_tensor(u31_godel, u31_luk):
     with pytest.raises(PreconditionViolated):
         build_product([discrete_space(u31_godel), discrete_space(u31_luk)])
+
+
+def test_product_requires_shared_cotensor(chain3):
+    # the join and the bounded sum min(2, a + b) on the 3-chain
+    bounded_sum = Tensor(base=chain3, kind="cotensor", table=tuple(
+        tuple(min(2, a + b) for b in range(3)) for a in range(3)))
+    spaces = [discrete_space(Universe(chain3, meet_tensor(chain3), Ground(1),
+                                      cotensor=cotensor))
+              for cotensor in (None, bounded_sum)]
+    for factors in (spaces, spaces[::-1]):
+        with pytest.raises(PreconditionViolated,
+                           match="factors must share the cotensor"):
+            build_product(factors)
 
 
 def test_product_nbhd_matches_derived_tables(u22):

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -128,6 +129,45 @@ def test_enumeration_cap(u32_godel):
     # u32 takes under a thousand closures: the default cap lets it finish
     with pytest.raises(SizeLimit):
         enumerate_filters(u32_godel, cap=10)
+
+
+# on the 2-chain the Lukasiewicz tensor is the meet, so u22 stands for both
+# tensors; u32_godel_reindexed lists the 3-chain top first
+@pytest.mark.parametrize("name", ["u22", "u32_godel", "u32_luk", "diamond_1pt",
+                                  "chain4_godel_1pt", "chain4_luk_1pt",
+                                  "u32_godel_reindexed"])
+def test_leq_is_the_pointwise_order(name, request, pointwise_leq):
+    # every ordered pair of filters, and of random tables that are no
+    # filters, each next to a copy with one cell raised to top and one with
+    # it lowered to bot, so comparable non-filters occur
+    u = request.getfixturevalue(name)
+    lat = u.lattice
+    rng = random.Random(name)
+    filters = enumerate_filters(u)
+    junk = []
+    while len(junk) < 30:
+        table = [rng.randrange(lat.n) for _ in range(u.graded_size)]
+        k = rng.randrange(u.graded_size)
+        for v in (table[k], lat.top, lat.bot):
+            table[k] = v
+            junk.append(FilterTable(universe=u, table=tuple(table)))
+        if any(check_filter(G).passed for G in junk[-3:]):
+            del junk[-3:]
+    for tables in (filters, junk):
+        verdicts = [(F.leq(G), pointwise_leq(F, G))
+                    for F in tables for G in tables]
+        assert all(got == want for got, want in verdicts)
+        assert {want for _, want in verdicts} == {True, False}
+
+
+def test_code_is_kept_and_not_a_field(u32_luk):
+    F = enumerate_filters(u32_luk)[-1]
+    assert "code" not in vars(F)
+    code = F.code
+    assert vars(F)["code"] is code
+    G = FilterTable(universe=u32_luk, table=F.table)
+    assert F == G and hash(F) == hash(G) and G.code == code
+    assert vars(u32_luk.lattice)["downsets"] is u32_luk.lattice.downsets
 
 
 def test_sup_of_chain(u31_godel):

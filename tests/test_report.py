@@ -3,10 +3,10 @@ from fuzztop.report import FAIL, PASS, Report
 
 def test_record_fail_keeps_the_first_witness():
     rep = Report("r")
-    rep.record_fail("ax", "first")
-    rep.record_fail("ax", "second")
+    rep.record("ax", False, "first")
+    rep.record("ax", False, "second")
     rep.record("ax", False, "third")
-    rep.record_pass("ax")
+    rep.record("ax", True)
     assert rep.verdicts["ax"].status == FAIL
     assert rep.verdicts["ax"].witness == "first"
     assert not rep.passed
@@ -37,7 +37,7 @@ def test_sweep_of_a_none_witness_fails():
 
 def test_sweep_keeps_an_earlier_failure():
     rep = Report("r")
-    rep.record_fail("ax", "earlier")
+    rep.record("ax", False, "earlier")
     rep.sweep("ax", [])
     rep.sweep("ax", ["later"])
     assert rep.verdicts["ax"].status == FAIL
