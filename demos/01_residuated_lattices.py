@@ -46,7 +46,7 @@ def main():
     print("\n== a broken table is caught ==")
     table = [list(r) for r in c3.meet]
     table[1][2] = 0  # mid tensor top should be mid: breaks integrality
-    bad = Tensor(base=c3, table=tuple(tuple(r) for r in table), kind="tensor")
+    bad = Tensor(base=c3, table=tuple(tuple(r) for r in table))
     rep = check_gl_monoid(bad)
     for axiom in rep.failures():
         print(f"  {axiom} fails, witness {rep.verdicts[axiom].witness}")

@@ -11,7 +11,7 @@ from .errors import (AdjunctionFailure, Degenerate, FuzztopError, NotAChain,
                      PreconditionViolated, SizeLimit)
 from .lattice import (Lattice, build_lattice, check_infinite_distributivity,
                       lattice_from_order)
-from .residuated import (Residuum, Tensor, check_co_gl_monoid, check_cqm,
+from .residuated import (Tensor, check_co_gl_monoid, check_cqm,
                          check_gl_monoid, classify, co_implication, residuum)
 from .instances import (boolean, chain, diamond, join_cotensor,
                         lukasiewicz_tensor, m3, meet_tensor, pentagon)

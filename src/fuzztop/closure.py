@@ -4,10 +4,12 @@ Filters and topologies are both closed under pointwise meet, so each family
 is the set of fixpoints of a closure operator on L-valued tables: a table is
 raised to the least one closed under a unary transport rule and pairwise
 rules (`close`).  Such a family is enumerated depth-first from its least
-table (`enumerate_closed`).  For members P strictly below C there is a cell
-where some join-irreducible grade j lies below C but not below P; closing P
-raised by j at that cell gives a member strictly above P and still below C,
-so every member is reached.  This is Close-by-One (Ganter, Kuznetsov)
+table (`enumerate_closed`), which takes the family as `close` does: its
+pairwise rules, its unary rule `above` and the cells `stop` no member
+raises.  For members P strictly below C there is a cell where some
+join-irreducible grade j lies below C but not below P; closing P raised by
+j at that cell gives a member strictly above P and still below C, so every
+member is reached.  This is Close-by-One (Ganter, Kuznetsov)
 carried to L-sets as in Belohlavek's algorithms for fuzzy concept lattices;
 duplicates are dropped with a visited set.
 """
@@ -66,20 +68,21 @@ def close(table, join, rules, dirty=None, above=None, stop=()):
     return True
 
 
-def enumerate_closed(lattice, least, close, cells, cap, what):
-    """Every closed table of a closure system, sorted.
+def enumerate_closed(lattice, least, rules, cap, what, above=None, stop=()):
+    """Every table closed under the rules, `above` and `stop` of `close`,
+    sorted.
 
-    `least` is the least closed table, or None when it is infeasible.
-    `close(table, cell)` closes a list, in place, that was a closed table
-    before `table[cell]` was raised; it returns False when the result is
-    infeasible.  Feasibility must be a down-set: the closures above an
-    infeasible table are never explored.  Only the `cells` are ever raised.
+    `least` is the least closed table, or None when it is infeasible.  A
+    table is infeasible when its closure raises a cell in `stop`.
+    Feasibility is a down-set, so the closures above an infeasible table
+    are never explored, and only the cells outside `stop` are raised.
     Raises SizeLimit once more than `cap` closures have been computed.
     """
     if least is None:
         return []
     join, le = lattice.join, lattice.leq
     irreducibles = lattice.join_irreducibles()
+    cells = [cell for cell in range(len(least)) if cell not in stop]
     seen = {least}
     stack = [least]
     closures = 1
@@ -96,7 +99,7 @@ def enumerate_closed(lattice, least, close, cells, cap, what):
                                     f"closures")
                 table = list(parent)
                 table[cell] = join[v][j]
-                if close(table, cell):
+                if close(table, join, rules, [cell], above, stop):
                     child = tuple(table)
                     if child not in seen:
                         seen.add(child)

@@ -40,10 +40,11 @@ from .topology import (NbhdSystem, Topology, check_topology,
 class Space:
     """An L-fuzzy topological space with derived structures.
 
-    Construction checks the topology axioms, raising PreconditionViolated
-    that names the failed ones, and keeps that report as `topology_report`
-    with the interior operator and the neighborhood system that the
-    topology keeps.  Their axiom batteries are not run here;
+    Construction checks that the topology is over `universe` with one grade
+    per set, and the topology axioms, raising PreconditionViolated that
+    names the mismatch or the failed axioms.  It keeps the axioms' report as
+    `topology_report` with the interior operator and the neighborhood
+    system that the topology keeps.  Their axiom batteries are not run here;
     `check_interior(space.interior)` and `check_nbhd(space.nbhd)` run them
     on demand.  They gate nothing: the tensor-stability axioms I2 and N2
     combine grades with the join, and the interior derived from any
@@ -55,6 +56,12 @@ class Space:
     def __init__(self, universe, topology):
         if not isinstance(topology, Topology):
             topology = Topology(universe=universe, table=tuple(topology))
+        if topology.universe is not universe:
+            raise PreconditionViolated("topology is over another universe")
+        if len(topology.table) != universe.n_sets:
+            raise PreconditionViolated(
+                f"table has {len(topology.table)} grades for "
+                f"{universe.n_sets} sets")
         self.universe = universe
         self.topology = topology
         self.topology_report = check_topology(topology)
@@ -105,7 +112,8 @@ def is_compact(space, mode="sweep", filters=None):
     cross-check, checks the members the ultrafilter characterization
     accepts (equivalent: an adherence certificate for an ultrafilter above F
     also witnesses adherence for F).  Without `filters` they are enumerated
-    with the default closure cap.  Returns (bool, witness filter or None):
+    with the default closure cap; a listed member over another universe
+    raises PreconditionViolated.  Returns (bool, witness filter or None):
     the witness is the first checked member with no adherent point.
 
     Adherence is antitone in the filter, so the maximal checked members,
@@ -125,6 +133,8 @@ def is_compact(space, mode="sweep", filters=None):
         raise ValueError(f"unknown mode {mode!r}")
     if filters is None:
         filters = enumerate_filters(space.universe)
+    elif any(F.universe is not space.universe for F in filters):
+        raise PreconditionViolated("a filter is over another universe")
     if mode == "ultrafilter":
         filters = [F for F in filters
                    if is_ultrafilter(F, "characterization")[0]]

@@ -118,14 +118,9 @@ def enumerate_filters(universe, cap=DEFAULT_FILTER_CAP):
     """
     u = universe
     least = saturate(u, (u.lattice.bot,) * u.graded_size)
-    rules, stop = _rules(u), _empty_row(u)
-    # raising an empty-set cell above bot is infeasible from the start
-    cells = [gi for gi in u.graded_cells() if gi not in stop]
     tables = enumerate_closed(
         u.lattice, None if isinstance(least, NoFilterAbove) else least.table,
-        lambda table, gi: close(table, u.lattice.join, rules, [gi],
-                                u.graded_above, stop),
-        cells, cap, "filter")
+        _rules(u), cap, "filter", u.graded_above, _empty_row(u))
     return [FilterTable(universe=u, table=t) for t in tables]
 
 

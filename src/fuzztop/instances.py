@@ -33,12 +33,12 @@ def m3():
 
 def meet_tensor(lat):
     """The Heyting (Goedel) tensor: the lattice meet itself."""
-    return Tensor(base=lat, table=lat.meet, kind="tensor")
+    return Tensor(base=lat, table=lat.meet)
 
 
 def join_cotensor(lat):
     """The default cotensor: the lattice join."""
-    return Tensor(base=lat, table=lat.join, kind="cotensor")
+    return Tensor(base=lat, table=lat.join)
 
 
 def lukasiewicz_tensor(lat):
@@ -51,4 +51,4 @@ def lukasiewicz_tensor(lat):
     table = tuple(
         tuple(max(0, i + j - (n - 1)) for j in range(n)) for i in range(n)
     )
-    return Tensor(base=lat, table=table, kind="tensor")
+    return Tensor(base=lat, table=table)

@@ -1,7 +1,11 @@
 """Finite complete lattices: carrier, order, join/meet tables, distributivity.
 
 Elements are dense integer indices 0..n-1; the order and the binary join/meet
-are precomputed as full tables so every later sweep is a table lookup.
+are precomputed as full tables so every later sweep is a table lookup.  The
+reversed order (`Lattice.geq`) is a lattice too, with join and meet, top and
+bot swapped, so a law or a search on meets is the one on joins run on the
+reversed order (the duality principle): `lattice_from_order` finds each meet
+with the bound search that finds each join.
 "Arbitrary" joins and meets are finite ones here, so a law over arbitrary
 joins or meets holds iff it holds for the empty one and for pairs (induction
 on the size of the family); the checkers decide such laws that way.
@@ -36,6 +40,11 @@ class Lattice:
         return tuple(sum(1 << b for b in self.elements() if self.leq[b][a])
                      .to_bytes(self.n // 8 + 1, "little")
                      for a in self.elements())
+
+    @cached_property
+    def geq(self):
+        """The reversed order, `leq` transposed; not a field."""
+        return tuple(zip(*self.leq))
 
     def le(self, a, b):
         return self.leq[a][b]
@@ -76,20 +85,18 @@ def lattice_from_order(leq):
     pair lacks a least upper or greatest lower bound.
     """
     n = len(leq)
+    geq = tuple(zip(*leq))
     join = [[None] * n for _ in range(n)]
     meet = [[None] * n for _ in range(n)]
     for a in range(n):
         for b in range(n):
-            ub = [c for c in range(n) if leq[a][c] and leq[b][c]]
-            lub = [u for u in ub if all(leq[u][c] for c in ub)]
-            if len(lub) != 1:
-                raise NotALattice(f"elements {a},{b} have no least upper bound")
-            join[a][b] = lub[0]
-            lb = [c for c in range(n) if leq[c][a] and leq[c][b]]
-            glb = [u for u in lb if all(leq[c][u] for c in lb)]
-            if len(glb) != 1:
-                raise NotALattice(f"elements {a},{b} have no greatest lower bound")
-            meet[a][b] = glb[0]
+            for order, bound, name in ((leq, join, "least upper"),
+                                       (geq, meet, "greatest lower")):
+                ub = [c for c in range(n) if order[a][c] and order[b][c]]
+                lub = [u for u in ub if all(order[u][c] for c in ub)]
+                if len(lub) != 1:
+                    raise NotALattice(f"elements {a},{b} have no {name} bound")
+                bound[a][b] = lub[0]
     top = 0
     bot = 0
     for e in range(n):

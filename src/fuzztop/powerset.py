@@ -253,7 +253,7 @@ def check_graded_gl(universe):
     glat = universe.graded_lattice()
     cells = universe.graded_cells()
     box = universe.box_table
-    gl = check_gl_monoid(Tensor(base=glat, table=box, kind="tensor"))
+    gl = check_gl_monoid(Tensor(base=glat, table=box))
     report.verdicts.update(gl.verdicts)
 
     report.record("top_is_one_bot", glat.top == universe.graded_top,

@@ -1,11 +1,14 @@
 """Monoidal structure on a finite lattice and its residuation.
 
-A Tensor is a full binary-operation table, a candidate multiplicative
-structure (kind "tensor") or its order dual (kind "cotensor").  The checkers
-evaluate every axiom exhaustively and report witnesses; distributivity over
-arbitrary joins (meets) is its empty case plus the binary law on a finite
-lattice.  The residuation tables are computed from the explicit join/meet
-formulas and re-verified against their adjunctions.
+A Tensor is a full binary-operation table.  As a tensor it is checked for
+the GL-monoid axioms and residuated by res(a, b) = join{x | a (*) x <= b};
+as a cotensor it is the same on the reversed order (`Lattice.geq`), where
+join and meet, top and bot trade places (the duality principle; Hoehle and
+Sostak 1999).  So each law and the residuation are written once, over a
+given order.  Every axiom is swept exhaustively with witnesses; a law over
+arbitrary joins is its empty case plus the binary law on a finite lattice.
+The residuation is re-verified against its adjunction, which only a
+commutative table passes.
 """
 
 from __future__ import annotations
@@ -21,16 +24,6 @@ from .report import Report
 class Tensor:
     base: Lattice
     table: tuple          # n x n element indices
-    kind: str = "tensor"  # "tensor" or "cotensor"
-
-    def app(self, a, b):
-        return self.table[a][b]
-
-
-@dataclass(frozen=True)
-class Residuum:
-    base: Lattice
-    table: tuple
 
     def app(self, a, b):
         return self.table[a][b]
@@ -50,16 +43,12 @@ def check_cqm(t):
     return report
 
 
-def _check_monoid(t, unit, zero, dist_op, dist_name, div_name, report):
-    """Shared axiom battery for GL-monoids and their order duals.
-
-    dist_op is the binary lattice operation table the operation must
-    distribute over (join for tensors, meet for cotensors), whose empty
-    aggregate is `zero`; divisibility asks every comparable pair for a
-    gamma in the row of the operation table.
-    """
-    els, le, tab = t.base.elements(), t.base.leq, t.table
-    tensor = t.kind == "tensor"
+def _check_monoid(tab, le, join, top, bot, name, names):
+    """Report `name`: the seven GL-monoid axioms of `tab` over the order
+    `le`, whose join table is `join`, the last four under `names`.  On the
+    reversed order this is the co-GL battery."""
+    report, els = Report(name), range(len(le))
+    integral, zero, distributive, divisible = names
     report.sweep("isotone", ((a, b, c) for a in els for b in els if le[a][b]
                              for c in els if not le[tab[a][c]][tab[b][c]]))
     report.sweep("commutative", ((a, b) for a in els for b in els
@@ -67,89 +56,90 @@ def _check_monoid(t, unit, zero, dist_op, dist_name, div_name, report):
     report.sweep("associative", ((a, b, c) for a in els for b in els
                                  for c in els
                                  if tab[a][tab[b][c]] != tab[tab[a][b]][c]))
-    report.sweep("integral" if tensor else "co_integral",
-                 ((a, tab[a][unit]) for a in els if tab[a][unit] != a))
-    report.sweep("zero" if tensor else "co_zero",
-                 ((a, tab[a][zero]) for a in els if tab[a][zero] != zero))
+    report.sweep(integral, ((a, tab[a][top]) for a in els if tab[a][top] != a))
+    report.sweep(zero, ((a, tab[a][bot]) for a in els if tab[a][bot] != bot))
 
     def undistributed():
         # a (*) join B == join {a (*) b}: the empty family B, then pairs;
         # `a` stays on the left, so a non-commutative table is judged as is
         for a in els:
             row = tab[a]
-            if row[zero] != zero:
-                yield {"a": a, "subset": (), "lhs": row[zero], "rhs": zero}
+            if row[bot] != bot:
+                yield {"a": a, "subset": (), "lhs": row[bot], "rhs": bot}
             for b in els:
                 for c in els:
-                    lhs = row[dist_op[b][c]]
-                    rhs = dist_op[row[b]][row[c]]
+                    lhs = row[join[b][c]]
+                    rhs = join[row[b]][row[c]]
                     if lhs != rhs:
                         yield {"a": a, "subset": (b, c), "lhs": lhs, "rhs": rhs}
 
-    report.sweep(dist_name, undistributed())
-    # divisibility: a <= b admits gamma with b (*) gamma == a for a tensor,
-    # a (+) gamma == b for a cotensor
-    report.sweep(div_name, ((a, b) for a in els for b in els if le[a][b]
-                            and (a not in tab[b] if tensor else b not in tab[a])))
+    report.sweep(distributive, undistributed())
+    # a <= b admits gamma with b (*) gamma == a
+    report.sweep(divisible, ((a, b) for a in els for b in els
+                             if le[a][b] and a not in tab[b]))
+    return report
 
 
 def check_gl_monoid(t):
     """The seven GL-monoid axioms, each exhaustively evaluated."""
-    report = Report("gl_monoid")
     lat = t.base
-    _check_monoid(t, unit=lat.top, zero=lat.bot, dist_op=lat.join,
-                  dist_name="join_distributive", div_name="divisible",
-                  report=report)
-    return report
+    return _check_monoid(t.table, lat.leq, lat.join, lat.top, lat.bot,
+                         "gl_monoid", ("integral", "zero",
+                                       "join_distributive", "divisible"))
 
 
 def check_co_gl_monoid(t):
-    """The seven order-dual axioms for a cotensor."""
-    report = Report("co_gl_monoid")
+    """The seven co-GL axioms of a cotensor: the GL axioms on the reversed
+    order, where the unit is bot, the zero top and the join the meet."""
     lat = t.base
-    _check_monoid(t, unit=lat.bot, zero=lat.top, dist_op=lat.meet,
-                  dist_name="meet_distributive", div_name="co_divisible",
-                  report=report)
-    return report
+    return _check_monoid(t.table, lat.geq, lat.meet, lat.bot, lat.top,
+                         "co_gl_monoid", ("co_integral", "co_zero",
+                                          "meet_distributive", "co_divisible"))
+
+
+def _residuate(tab, le, join, bot):
+    """The table res(a, b) = join{x | a (*) x <= b} over the order `le`;
+    raises AdjunctionFailure at the first triple that breaks
+    a (*) b <= c iff a <= res(b, c)."""
+    els = range(len(le))
+    res = []
+    for row in tab:
+        out = []
+        for b in els:
+            r = bot
+            for x in els:
+                if le[row[x]][b]:
+                    r = join[r][x]
+            out.append(r)
+        res.append(tuple(out))
+    for a in els:
+        for b in els:
+            for c in els:
+                if le[tab[a][b]][c] != le[a][res[b][c]]:
+                    raise AdjunctionFailure(f"triple ({a},{b},{c})")
+    return tuple(res)
 
 
 def residuum(t):
     """The implication table res(a, b) = join{x | a (*) x <= b}.
 
-    Verifies the adjunction a (*) b <= c iff a <= res(b, c) on all triples
-    and raises AdjunctionFailure otherwise (a non-GL tensor slipped through).
+    Raises AdjunctionFailure unless a (*) b <= c iff a <= res(b, c) on all
+    triples (a non-GL tensor slipped through).  With c = b (*) a the
+    adjunction gives a (*) b <= b (*) a, so only a commutative tensor passes.
     """
     lat = t.base
-    table = tuple(
-        tuple(lat.join_set([x for x in lat.elements() if lat.le(t.app(a, x), b)])
-              for b in lat.elements())
-        for a in lat.elements()
-    )
-    for a in lat.elements():
-        for b in lat.elements():
-            for c in lat.elements():
-                if lat.le(t.app(a, b), c) != lat.le(a, table[b][c]):
-                    raise AdjunctionFailure(f"triple ({a},{b},{c})")
-    return Residuum(base=lat, table=table)
+    return Tensor(base=lat, table=_residuate(t.table, lat.leq, lat.join,
+                                             lat.bot))
 
 
 def co_implication(t):
-    """The co-implication table coi(a, b) = meet{x | a <= b (+) x}.
-
-    Verifies coi(a, b) <= c iff a <= b (+) c on all triples.
+    """The co-implication table coi(a, b) = meet{x | a <= b (+) x}: the
+    residuum on the reversed order, transposed, with its adjunction check
+    (coi(c, b) <= a iff c <= a (+) b), so a non-commutative cotensor fails.
     """
     lat = t.base
-    table = tuple(
-        tuple(lat.meet_set([x for x in lat.elements() if lat.le(a, t.app(b, x))])
-              for b in lat.elements())
-        for a in lat.elements()
-    )
-    for a in lat.elements():
-        for b in lat.elements():
-            for c in lat.elements():
-                if lat.le(table[a][b], c) != lat.le(a, t.app(b, c)):
-                    raise AdjunctionFailure(f"triple ({a},{b},{c})")
-    return Residuum(base=lat, table=table)
+    res = _residuate(t.table, lat.geq, lat.meet, lat.top)
+    return Tensor(base=lat, table=tuple(zip(*res)))
 
 
 def classify(t, r):

@@ -100,11 +100,9 @@ class SpecDocument:
 
     def __post_init__(self):
         self.lattice = build_lattice(len(self.element_names), list(self.covers))
-        self.tensor_op = Tensor(base=self.lattice, table=self.tensor,
-                                kind="tensor")
+        self.tensor_op = Tensor(base=self.lattice, table=self.tensor)
         self.cotensor_op = (join_cotensor(self.lattice) if self.cotensor is None
-                            else Tensor(base=self.lattice, table=self.cotensor,
-                                        kind="cotensor"))
+                            else Tensor(base=self.lattice, table=self.cotensor))
 
 
 def _strip(line):

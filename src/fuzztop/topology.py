@@ -139,11 +139,7 @@ def enumerate_topologies(universe, cap=DEFAULT_TOPOLOGY_CAP):
     """
     u = universe
     least = generate_topology(u, [u.lattice.bot] * u.n_sets).table
-    rules = _rules(u)
-    tables = enumerate_closed(
-        u.lattice, least,
-        lambda table, si: close(table, u.lattice.join, rules, [si]),
-        range(u.n_sets), cap, "topology")
+    tables = enumerate_closed(u.lattice, least, _rules(u), cap, "topology")
     return [Topology(universe=u, table=t) for t in tables]
 
 

@@ -110,9 +110,8 @@ def test_criterion_02_mutation_batteries():
                    ("chain3_join", 1, 1, 2)}   # becomes the bounded-sum cotensor
     total = caught = 0
     passed_battery = set()
-    for corpus, checker, kind in ((tensor_corpus(), check_gl_monoid, "tensor"),
-                                  (cotensor_corpus(), check_co_gl_monoid,
-                                   "cotensor")):
+    for corpus, checker in ((tensor_corpus(), check_gl_monoid),
+                            (cotensor_corpus(), check_co_gl_monoid)):
         for name, t in corpus:
             lat = t.base
             for a in lat.elements():
@@ -124,8 +123,7 @@ def test_criterion_02_mutation_batteries():
                         tab = [list(r) for r in t.table]
                         tab[a][b] = v
                         m = Tensor(base=lat,
-                                   table=tuple(tuple(r) for r in tab),
-                                   kind=kind)
+                                   table=tuple(tuple(r) for r in tab))
                         rep = checker(m)
                         if rep.passed:
                             passed_battery.add((name, a, b, v))

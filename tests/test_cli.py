@@ -19,6 +19,8 @@ SPECS = ROOT / "specs"
 LUK = str(SPECS / "lukasiewicz3.spec")
 N5 = str(SPECS / "n5.spec")
 TWO = str(SPECS / "two_spaces.spec")
+#: two_spaces.spec with an explicit [cotensor]; a base text of the fuzz test
+COTENSOR_BASE = Path(__file__).resolve().parent / "two_spaces_cotensor.spec"
 #: per cli-workload command on specs/*.spec: exit code and the sha256 of its
 #: full --format machine stdout, witnesses included
 DIGESTS = Path(__file__).resolve().parent / "cli_machine_digests.json"
@@ -386,10 +388,28 @@ def test_max_powerset_reaches_the_spec_parser(tmp_path, capsys):
     assert code == 0 and "[PASS]" in out
 
 
+def test_cotensor_base_reaches_the_cotensor_path(tmp_path, capsys):
+    base = str(COTENSOR_BASE)
+    for command in (("coimpl",), ("validate", "co-glmonoid")):
+        code, out, _ = run(capsys, base, "--format", "machine", *command)
+        assert code == 0 and json.loads(out)["passed"]
+    # a (+) b = b: not commutative, so no co-implication
+    spec = tmp_path / "projection.spec"
+    spec.write_text(COTENSOR_BASE.read_text().replace("top bot -> top",
+                                                      "top bot -> bot", 1))
+    code, _, err = run(capsys, str(spec), "coimpl")
+    assert code == 2 and "triple" in err
+    code, out, _ = run(capsys, str(spec), "--format", "machine", "validate",
+                       "co-glmonoid")
+    verdicts = json.loads(out)["reports"][0]["verdicts"]
+    assert code == 1 and verdicts["commutative"]["status"] == "fail"
+
+
 FUZZ_TOKENS = ["x", "0", "1", "2", "-1", "99999999999999", "=", "->", "@",
                "<", "bot", "top", "mid", "bot<top", "points", "grade", "f",
                "from", "to", "on", "point", "[space", "B]", "[map", "[filter",
-               "[tensor]", "[lattice]", "#", "elements", "covers"]
+               "[tensor]", "[cotensor]", "[lattice]", "#", "elements",
+               "covers"]
 FUZZ_COMMANDS = [("validate", "topology"), ("validate", "lattice"),
                  ("validate", "nbhd"), ("classify",), ("residuum",),
                  ("filters", "enumerate"), ("filters", "ultrafilters"),
@@ -400,14 +420,17 @@ FUZZ_COMMANDS = [("validate", "topology"), ("validate", "lattice"),
                  ("tychonoff", "--spaces", "X", "Y"),
                  ("continuity", "--map", "collapse"),
                  ("compact", "--space", "A"), ("saturate", "--filter", "F"),
-                 ("continuity", "--map", "m")]
+                 ("continuity", "--map", "m"), ("coimpl",),
+                 ("validate", "co-glmonoid")]
 
 
 @st.composite
 def mutated_specs(draw):
-    """A repository spec, without its comment lines, with lines dropped,
-    tokens replaced, lines of random tokens inserted and lines repeated."""
-    spec = draw(st.sampled_from(sorted(SPECS.glob("*.spec"))))
+    """A repository spec or COTENSOR_BASE, without its comment lines, with
+    lines dropped, tokens replaced, lines of random tokens inserted and
+    lines repeated."""
+    spec = draw(st.sampled_from(sorted(SPECS.glob("*.spec"))
+                                + [COTENSOR_BASE]))
     lines = [line for line in spec.read_text().splitlines()
              if not line.startswith("#")]
     tokens = st.sampled_from(FUZZ_TOKENS)

@@ -14,7 +14,7 @@ from fuzztop.filters import (FilterTable, NoFilterAbove, check_filter,
 from fuzztop.instances import meet_tensor
 from fuzztop.powerset import Ground, Universe
 from fuzztop.residuated import Tensor
-from fuzztop.topology import (check_interior, check_nbhd,
+from fuzztop.topology import (Topology, check_interior, check_nbhd,
                               enumerate_topologies, is_continuous)
 
 
@@ -36,6 +36,28 @@ def test_space_rejects_non_topology(u22):
     table[u22.one_idx] = lat.bot
     with pytest.raises(PreconditionViolated, match="fails o1, o3$"):
         Space(u22, tuple(table))
+
+
+def test_space_rejects_a_table_of_another_universe(u21, u22):
+    # u21 has 2 sets and u22 has 4; before the check the 4-grade table on
+    # u21 was accepted and decided compact, the others raised IndexError
+    with pytest.raises(PreconditionViolated, match="4 grades for 2 sets"):
+        Space(u21, (1, 1, 1, 0))
+    with pytest.raises(PreconditionViolated, match="2 grades for 4 sets"):
+        Space(u22, (1, 1))
+    with pytest.raises(PreconditionViolated, match="over another universe"):
+        Space(u22, Topology(universe=u21, table=(1, 1)))
+
+
+def test_is_compact_rejects_filters_of_another_universe(u21, u22):
+    space = discrete_space(u22)
+    with pytest.raises(PreconditionViolated, match="over another universe"):
+        is_compact(space, filters=enumerate_filters(u21))
+    mixed = enumerate_filters(u22) + enumerate_filters(u21)[:1]
+    for mode in ("sweep", "ultrafilter"):
+        with pytest.raises(PreconditionViolated,
+                           match="over another universe"):
+            is_compact(space, mode, filters=mixed)
 
 
 def test_space_keeps_axiom_reports(u22):
@@ -505,7 +527,7 @@ def test_product_requires_shared_tensor(u31_godel, u31_luk):
 
 def test_product_requires_shared_cotensor(chain3):
     # the join and the bounded sum min(2, a + b) on the 3-chain
-    bounded_sum = Tensor(base=chain3, kind="cotensor", table=tuple(
+    bounded_sum = Tensor(base=chain3, table=tuple(
         tuple(min(2, a + b) for b in range(3)) for a in range(3)))
     spaces = [discrete_space(Universe(chain3, meet_tensor(chain3), Ground(1),
                                       cotensor=cotensor))

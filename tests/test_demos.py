@@ -1,6 +1,8 @@
-"""Every demo script runs to completion as a user would run it."""
+"""Every demo script, and the README's Quick start, runs to completion as a
+user would run it."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,3 +21,15 @@ def test_demo_runs(demo):
     assert done.returncode == 0, done.stderr
     assert "Traceback" not in done.stderr
     assert done.stdout
+
+
+def test_readme_quick_start_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Quick start\n\n```python\n(.*?)```", readme,
+                      re.S).group(1)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", block], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    # one line per topology of the 2-point Boolean universe
+    assert len(done.stdout.splitlines()) == 4

@@ -131,6 +131,17 @@ def test_enumeration_cap(u32_godel):
         enumerate_filters(u32_godel, cap=10)
 
 
+@pytest.mark.parametrize("name, closures", [("u32_godel", 760),
+                                            ("u32_luk", 670),
+                                            ("diamond_1pt", 97)])
+def test_enumeration_cap_counts_every_closure(name, closures, request):
+    # the cap bounds the closures computed, the least table included
+    u = request.getfixturevalue(name)
+    with pytest.raises(SizeLimit):
+        enumerate_filters(u, cap=closures - 1)
+    assert enumerate_filters(u, cap=closures)
+
+
 # on the 2-chain the Lukasiewicz tensor is the meet, so u22 stands for both
 # tensors; u32_godel_reindexed lists the 3-chain top first
 @pytest.mark.parametrize("name", ["u22", "u32_godel", "u32_luk", "diamond_1pt",

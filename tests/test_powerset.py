@@ -20,7 +20,7 @@ def test_universe_rejects_a_non_commutative_tensor(chain3):
     # top idempotent, but 2 (*) 1 = 2 while 1 (*) 2 = 1
     table = [list(row) for row in chain3.meet]
     table[2][1] = 2
-    t = Tensor(base=chain3, table=tuple(map(tuple, table)), kind="tensor")
+    t = Tensor(base=chain3, table=tuple(map(tuple, table)))
     assert check_cqm(t).passed
     assert t.app(2, 1) != t.app(1, 2)
     with pytest.raises(AdjunctionFailure):

@@ -6,9 +6,12 @@ and on pairs, which on a finite model is the same law.  The oracles here
 decide the laws by their definition, over every subset, and the tests assert
 that both give the same verdict status on lattices, on random and mutated
 tensors and cotensors, and on random, generated and mutated grade and
-interior tables.  Every loop is seeded, so a failure reproduces.
+interior tables.  The co-GL battery, which runs the GL laws on the reversed
+order, is checked against all seven laws written in the lattice's own
+order.  Every loop is seeded, so a failure reproduces.
 """
 
+import itertools
 import random
 
 import pytest
@@ -43,11 +46,11 @@ def distributivity_by_subsets(lat):
                 ("meet_join_distributive", lat.meet_set, lat.join2))}
 
 
-def monoid_distributivity_by_subsets(t):
+def monoid_distributivity_by_subsets(kind, t):
     """a (*) join B == join {a (*) b} over every a and subset B, with meets
     in place of joins for a cotensor."""
     lat = t.base
-    agg = lat.join_set if t.kind == "tensor" else lat.meet_set
+    agg = lat.join_set if kind == "tensor" else lat.meet_set
     return status(all(t.app(a, agg(B)) == agg([t.app(a, b) for b in B])
                       for a in lat.elements() for B in subsets(lat.n)))
 
@@ -103,14 +106,15 @@ def test_distributivity_matches_subset_sweep():
 
 
 def _operations(lat, rng):
-    """The standard tensor and cotensor of a lattice (and the Lukasiewicz
-    tensor of a chain), their single-cell mutants (a seeded sample on the
-    larger carriers), and random tables of both kinds."""
-    bases = [meet_tensor(lat), join_cotensor(lat)]
+    """(kind, operation) pairs: the standard tensor and cotensor of a
+    lattice (and the Lukasiewicz tensor of a chain), their single-cell
+    mutants (a seeded sample on the larger carriers), and random tables of
+    both kinds."""
+    bases = [("tensor", meet_tensor(lat)), ("cotensor", join_cotensor(lat))]
     if lat.n > 2 and all(lat.le(a, a + 1) for a in range(lat.n - 1)):
-        bases.append(lukasiewicz_tensor(lat))
-    for t in bases:
-        yield t
+        bases.append(("tensor", lukasiewicz_tensor(lat)))
+    for kind, t in bases:
+        yield kind, t
         mutants = [(a, b, v) for a in lat.elements() for b in lat.elements()
                    for v in lat.elements() if v != t.table[a][b]]
         if len(mutants) > 60:
@@ -118,11 +122,10 @@ def _operations(lat, rng):
         for a, b, v in mutants:
             table = [list(row) for row in t.table]
             table[a][b] = v
-            yield Tensor(base=lat, table=tuple(map(tuple, table)),
-                         kind=t.kind)
+            yield kind, Tensor(base=lat, table=tuple(map(tuple, table)))
     for kind in ("tensor", "cotensor"):
         for _ in range(10):
-            yield Tensor(base=lat, kind=kind, table=tuple(
+            yield kind, Tensor(base=lat, table=tuple(
                 tuple(rng.randrange(lat.n) for _ in lat.elements())
                 for _ in lat.elements()))
 
@@ -132,16 +135,68 @@ def test_monoid_distributivity_matches_subset_sweep():
     cases = 0
     seen = set()
     for name, lat in LATTICES:
-        for t in _operations(lat, rng):
-            if t.kind == "tensor":
+        for kind, t in _operations(lat, rng):
+            if kind == "tensor":
                 axiom, rep = "join_distributive", check_gl_monoid(t)
             else:
                 axiom, rep = "meet_distributive", check_co_gl_monoid(t)
-            want = monoid_distributivity_by_subsets(t)
-            assert rep.verdicts[axiom].status == want, (name, t.kind, t.table)
+            want = monoid_distributivity_by_subsets(kind, t)
+            assert rep.verdicts[axiom].status == want, (name, kind, t.table)
             seen.add(want)
             cases += 1
     assert cases > 1000 and seen == {"pass", "fail"}
+
+
+def co_gl_by_definition(t):
+    """The seven co-GL laws in the lattice's own order, by definition:
+    isotone, commutative, associative, a (+) bot == a, a (+) top == top,
+    a (+) meet B == meet {a (+) b} over every subset B, and a <= b admits
+    some gamma with a (+) gamma == b."""
+    lat, op, le, els = t.base, t.app, t.base.le, t.base.elements()
+    laws = {
+        "isotone": all(le(op(a, c), op(b, c)) for a in els for b in els
+                       if le(a, b) for c in els),
+        "commutative": all(op(a, b) == op(b, a) for a in els for b in els),
+        "associative": all(op(a, op(b, c)) == op(op(a, b), c)
+                           for a in els for b in els for c in els),
+        "co_integral": all(op(a, lat.bot) == a for a in els),
+        "co_zero": all(op(a, lat.top) == lat.top for a in els),
+        "meet_distributive": all(
+            op(a, lat.meet_set(B)) == lat.meet_set([op(a, b) for b in B])
+            for a in els for B in subsets(lat.n)),
+        "co_divisible": all(any(op(a, g) == b for g in els)
+                            for a in els for b in els if le(a, b)),
+    }
+    return {axiom: status(ok) for axiom, ok in laws.items()}
+
+
+def test_co_gl_battery_matches_the_laws_in_the_lattice_order():
+    # criterion 02's cotensor corpus with every single-cell mutant, and the
+    # cotensors of _operations on every lattice
+    cotensors = []
+    for lat in (chain(2), chain(3), diamond()):
+        join = join_cotensor(lat).table
+        cotensors.append(join_cotensor(lat))
+        for a, b, v in itertools.product(lat.elements(), repeat=3):
+            if v != join[a][b]:
+                table = [list(row) for row in join]
+                table[a][b] = v
+                cotensors.append(Tensor(base=lat,
+                                        table=tuple(map(tuple, table))))
+    rng = random.Random(20101)
+    for _, lat in LATTICES:
+        cotensors += [t for kind, t in _operations(lat, rng)
+                      if kind == "cotensor"]
+    seen = {}
+    for t in cotensors:
+        want = co_gl_by_definition(t)
+        got = check_co_gl_monoid(t).verdicts
+        assert list(got) == list(want)
+        assert {axiom: v.status for axiom, v in got.items()} == want, t.table
+        for axiom, verdict in want.items():
+            seen.setdefault(axiom, set()).add(verdict)
+    assert len(cotensors) > 500
+    assert all(verdicts == {"pass", "fail"} for verdicts in seen.values())
 
 
 #: (lattice, tensor, points) of the grade and interior table families

@@ -156,6 +156,17 @@ def test_enumeration_cap(u32_godel):
         enumerate_topologies(u32_godel, cap=10)
 
 
+@pytest.mark.parametrize("name, closures", [("u32_godel", 3783),
+                                            ("u32_luk", 2624),
+                                            ("diamond_1pt", 33)])
+def test_enumeration_cap_counts_every_closure(name, closures, request):
+    # the cap bounds the closures computed, the least table included
+    u = request.getfixturevalue(name)
+    with pytest.raises(SizeLimit):
+        enumerate_topologies(u, cap=closures - 1)
+    assert enumerate_topologies(u, cap=closures)
+
+
 def test_default_cap_stops_a_16_set_universe():
     # the diamond with two points has too many topologies to list; the
     # default cap stops it in about a second
