@@ -6,12 +6,13 @@ raised to the least one closed under a unary transport rule and pairwise
 rules (`close`).  Such a family is enumerated depth-first from its least
 table (`enumerate_closed`), which takes the family as `close` does: its
 pairwise rules, its unary rule `above` and the cells `stop` no member
-raises.  For members P strictly below C there is a cell where some
-join-irreducible grade j lies below C but not below P; closing P raised by
-j at that cell gives a member strictly above P and still below C, so every
-member is reached.  This is Close-by-One (Ganter, Kuznetsov)
-carried to L-sets as in Belohlavek's algorithms for fuzzy concept lattices;
-duplicates are dropped with a visited set.
+raises.  A table is read as the set of attributes (cell, j), j a
+join-irreducible grade below the table's grade at the cell, so each member
+is made from a smaller one by adding one attribute and closing.  This is
+Close-by-One (Kuznetsov 1993) carried to L-sets as in Belohlavek's
+algorithms for fuzzy concept lattices: its canonicity test keeps each
+member's one canonical parent, so every member is closed once, and a
+closure that is not canonical stops at the first earlier cell it raises.
 """
 
 from __future__ import annotations
@@ -77,31 +78,61 @@ def enumerate_closed(lattice, least, rules, cap, what, above=None, stop=()):
     Feasibility is a down-set, so the closures above an infeasible table
     are never explored, and only the cells outside `stop` are raised.
     Raises SizeLimit once more than `cap` closures have been computed.
+
+    A table holds the attribute (cell, j), for j join-irreducible, when
+    j <= table[cell]; the attributes are ordered by cell, then by j's place
+    in `join_irreducibles`.  A member made by attribute y only tries the
+    attributes after y, each one it does not hold, and keeps the closure
+    only when it holds no new attribute before the one added: no earlier
+    cell rises (the closure stops at once, as at a cell in `stop`) and no
+    earlier j comes below the cell.  Every member C but the least thus has
+    one parent: the closure P of C's attributes before the first attribute
+    y at which C's attributes up to y close to C.  P is a member, since it
+    lies below C; it was made by an attribute before y; and raising it by y
+    gives C, canonically.  So each member is listed once, with no visited
+    set.
     """
     if least is None:
         return []
     join, le = lattice.join, lattice.leq
     irreducibles = lattice.join_irreducibles()
-    cells = [cell for cell in range(len(least)) if cell not in stop]
-    seen = {least}
-    stack = [least]
+    attributes = [(cell, j, irreducibles[:i], _Before(cell, stop))
+                  for cell in range(len(least)) if cell not in stop
+                  for i, j in enumerate(irreducibles)]
+    found = [least]
+    stack = [(least, 0)]
     closures = 1
     while stack:
-        parent = stack.pop()
-        for cell in cells:
+        parent, start = stack.pop()
+        for a in range(start, len(attributes)):
+            cell, j, earlier, guard = attributes[a]
             v = parent[cell]
-            for j in irreducibles:
-                if le[j][v]:
-                    continue
-                closures += 1
-                if closures > cap:
-                    raise SizeLimit(f"{what} enumeration exceeded cap {cap} "
-                                    f"closures")
-                table = list(parent)
-                table[cell] = join[v][j]
-                if close(table, join, rules, [cell], above, stop):
-                    child = tuple(table)
-                    if child not in seen:
-                        seen.add(child)
-                        stack.append(child)
-    return sorted(seen)
+            if le[j][v]:
+                continue
+            closures += 1
+            if closures > cap:
+                raise SizeLimit(f"{what} enumeration exceeded cap {cap} "
+                                f"closures")
+            table = list(parent)
+            table[cell] = join[v][j]
+            if not close(table, join, rules, [cell], above, guard):
+                continue
+            w = table[cell]
+            if any(le[e][w] and not le[e][v] for e in earlier):
+                continue
+            child = tuple(table)
+            found.append(child)
+            stack.append((child, a + 1))
+    return sorted(found)
+
+
+class _Before:
+    """The cells before `cell` and those in `stop`, as a `stop` of `close`."""
+
+    __slots__ = ("cell", "stop")
+
+    def __init__(self, cell, stop):
+        self.cell, self.stop = cell, stop
+
+    def __contains__(self, k):
+        return k < self.cell or k in self.stop

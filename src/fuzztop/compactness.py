@@ -58,10 +58,6 @@ class Space:
             topology = Topology(universe=universe, table=tuple(topology))
         if topology.universe is not universe:
             raise PreconditionViolated("topology is over another universe")
-        if len(topology.table) != universe.n_sets:
-            raise PreconditionViolated(
-                f"table has {len(topology.table)} grades for "
-                f"{universe.n_sets} sets")
         self.universe = universe
         self.topology = topology
         self.topology_report = check_topology(topology)

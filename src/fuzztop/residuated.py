@@ -97,10 +97,11 @@ def check_co_gl_monoid(t):
                                           "meet_distributive", "co_divisible"))
 
 
-def _residuate(tab, le, join, bot):
+def _residuate(tab, le, join, bot, adjunction):
     """The table res(a, b) = join{x | a (*) x <= b} over the order `le`;
     raises AdjunctionFailure at the first triple that breaks
-    a (*) b <= c iff a <= res(b, c)."""
+    a (*) b <= c iff a <= res(b, c), with that triple and `adjunction`,
+    which names the operation and states the law in its own terms."""
     els = range(len(le))
     res = []
     for row in tab:
@@ -116,7 +117,8 @@ def _residuate(tab, le, join, bot):
         for b in els:
             for c in els:
                 if le[tab[a][b]][c] != le[a][res[b][c]]:
-                    raise AdjunctionFailure(f"triple ({a},{b},{c})")
+                    raise AdjunctionFailure(f"{adjunction} fails at triple "
+                                            f"({a},{b},{c})")
     return tuple(res)
 
 
@@ -128,8 +130,9 @@ def residuum(t):
     adjunction gives a (*) b <= b (*) a, so only a commutative tensor passes.
     """
     lat = t.base
-    return Tensor(base=lat, table=_residuate(t.table, lat.leq, lat.join,
-                                             lat.bot))
+    return Tensor(base=lat, table=_residuate(
+        t.table, lat.leq, lat.join, lat.bot,
+        "tensor residuum: adjunction a (*) b <= c iff a <= res(b, c)"))
 
 
 def co_implication(t):
@@ -138,7 +141,9 @@ def co_implication(t):
     (coi(c, b) <= a iff c <= a (+) b), so a non-commutative cotensor fails.
     """
     lat = t.base
-    res = _residuate(t.table, lat.geq, lat.meet, lat.top)
+    res = _residuate(
+        t.table, lat.geq, lat.meet, lat.top,
+        "cotensor co-implication: adjunction coi(c, b) <= a iff c <= a (+) b")
     return Tensor(base=lat, table=tuple(zip(*res)))
 
 

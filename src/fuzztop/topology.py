@@ -23,8 +23,8 @@ from .closure import close, enumerate_closed
 from .errors import PreconditionViolated
 from .report import Report
 
-#: default closure cap of `enumerate_topologies`: 16- and 27-set universes
-#: reach it within about 2 s, u32 needs 3,783 closures
+#: default closure cap of `enumerate_topologies`: 16- to 64-set universes
+#: reach it within about 0.3 s; u32 needs 1,002 closures and u25 36,813
 DEFAULT_TOPOLOGY_CAP = 40_000
 
 
@@ -66,9 +66,13 @@ class NbhdSystem:
 def check_topology(t):
     """Axioms o1 (top set graded top), o2 (tensor stability on pairs) and
     o3 (meet of grades below the grade of the join), checked on the empty
-    family, which is o1', and on pairs: witness {"subset": () or (i, j)}."""
+    family, which is o1', and on pairs: witness {"subset": () or (i, j)}.
+    Raises PreconditionViolated unless the table has one grade per set."""
     u = t.universe
     lat = u.lattice
+    if len(t.table) != u.n_sets:
+        raise PreconditionViolated(f"table has {len(t.table)} grades for "
+                                   f"{u.n_sets} sets")
     report = Report("topology")
     report.record("o1", t.table[u.one_idx] == lat.top,
                   {"grade": t.table[u.one_idx]})
@@ -237,12 +241,17 @@ def check_nbhd(n):
                         if not le[n.at(p, si, a)][u.sets[si][p]]))
 
     def n4_failures():
+        # the candidate cells gj of gi, whose set lies below gi's grade at
+        # every point, do not depend on p
+        candidates = [[gj for gj in (gi, *above[gi])
+                       if all(le[u.sets[gj // u.n][q]][tabs[q][gi]]
+                              for q in points)]
+                      for gi in cells]
         for p in points:
+            tab = tabs[p]
             for gi in cells:
-                candidates = [tabs[p][gj] for gj in (gi, *above[gi])
-                              if all(le[u.sets[gj // u.n][q]][tabs[q][gi]]
-                                     for q in points)]
-                if not le[tabs[p][gi]][lat.join_set(candidates)]:
+                if not le[tab[gi]][lat.join_set(tab[gj]
+                                                for gj in candidates[gi])]:
                     yield {"p": p, "cell": u.gpair(gi)}
 
     report.sweep("N4", n4_failures())

@@ -405,6 +405,20 @@ def test_cotensor_base_reaches_the_cotensor_path(tmp_path, capsys):
     assert code == 1 and verdicts["commutative"]["status"] == "fail"
 
 
+@pytest.mark.parametrize("command", [("coimpl",), ("compact", "--space", "X"),
+                                     ("filters", "enumerate"),
+                                     ("validate", "topology")])
+def test_adjunction_failure_names_the_cotensor(tmp_path, capsys, command):
+    # a (+) b = b: every command that builds the universe co-implies it
+    spec = tmp_path / "projection.spec"
+    spec.write_text(COTENSOR_BASE.read_text().replace("top bot -> top",
+                                                      "top bot -> bot", 1))
+    code, out, err = run(capsys, str(spec), "--format", "machine", *command)
+    assert code == 2 and out == ""
+    assert err == ("fuzztop: error: cotensor co-implication: adjunction "
+                   "coi(c, b) <= a iff c <= a (+) b fails at triple (0,1,1)\n")
+
+
 FUZZ_TOKENS = ["x", "0", "1", "2", "-1", "99999999999999", "=", "->", "@",
                "<", "bot", "top", "mid", "bot<top", "points", "grade", "f",
                "from", "to", "on", "point", "[space", "B]", "[map", "[filter",

@@ -244,6 +244,21 @@ def test_co_implication_rejects_a_non_commutative_cotensor():
         co_implication(t)
 
 
+def test_adjunction_failure_names_the_operation_and_the_law():
+    # the same non-commutative table on the 2-chain, as tensor and cotensor
+    t = Tensor(base=boolean(), table=((0, 1), (0, 1)))
+    with pytest.raises(AdjunctionFailure) as tensor_side:
+        residuum(t)
+    assert str(tensor_side.value) == (
+        "tensor residuum: adjunction a (*) b <= c iff a <= res(b, c) fails "
+        "at triple (0,1,0)")
+    with pytest.raises(AdjunctionFailure) as cotensor_side:
+        co_implication(t)
+    assert str(cotensor_side.value) == (
+        "cotensor co-implication: adjunction coi(c, b) <= a iff "
+        "c <= a (+) b fails at triple (0,1,1)")
+
+
 def test_each_battery_reads_the_table_in_its_own_order():
     # the join is a cotensor, not a GL tensor: it divides nothing from above
     for lat in (boolean(), chain(3), chain(4), diamond()):
