@@ -35,8 +35,10 @@ def close(table, join, rules, dirty=None, above=None, stop=()):
     means it never was: every cell is then visited once in index order,
     paired with itself and the cells before it, since each later cell pairs
     back with it on its own visit.  A cell raised during the closure is
-    visited again, paired with every cell.  Returns False as soon as a cell
-    in `stop` is raised, leaving the table half closed; otherwise True.
+    visited again, paired with every cell, unless its own first visit is
+    still to come: that visit reads the raised value.  Returns False as
+    soon as a cell in `stop` is raised, leaving the table half closed;
+    otherwise True.
     Whether that happens does not depend on the order the rules fire: the
     least fixpoint is unique and the table only rises toward it.
     """
@@ -47,7 +49,12 @@ def close(table, join, rules, dirty=None, above=None, stop=()):
     else:
         visits = []
     while visits or dirty:
-        x, span = visits.pop() if visits else (dirty.pop(), size)
+        if visits:
+            x, span = visits.pop()
+            last = x  # the cells after x have their first visit to come
+        else:
+            x = dirty.pop()
+            span = last = size
         v = table[x]
         if above is not None:
             for k in above[x]:
@@ -56,7 +63,8 @@ def close(table, join, rules, dirty=None, above=None, stop=()):
                     if k in stop:
                         return False
                     table[k] = w
-                    dirty.append(k)
+                    if k <= last:
+                        dirty.append(k)
         for target, op in rules:
             op_v = op[v]
             for k, g in zip(target[x], table[:span]):
@@ -65,7 +73,8 @@ def close(table, join, rules, dirty=None, above=None, stop=()):
                     if k in stop:
                         return False
                     table[k] = w
-                    dirty.append(k)
+                    if k <= last:
+                        dirty.append(k)
     return True
 
 

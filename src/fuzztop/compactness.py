@@ -123,7 +123,10 @@ def is_compact(space, mode="sweep", filters=None):
     test point by point.  So every member gets the verdict of its own test,
     whatever the list holds.  When the checked members are all the filters,
     a member with an adherent point lies below a maximal filter that has
-    one, so the fallback runs at most for the witness.
+    one, so the fallback runs at most for the witness.  When every checked
+    member is maximal among them, as the ultrafilters are, no member lies
+    below another's certificate unless it adheres, so they are tested in
+    order up to the first with no adherent point, with no certificates.
     """
     if mode not in ("sweep", "ultrafilter"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -139,6 +142,13 @@ def is_compact(space, mode="sweep", filters=None):
         f = F.code
         if all(f & ~T.code for T in tops):
             tops = [T for T in tops if T.code & ~f] + [F]
+    if len(tops) == len(filters):
+        # the members are pairwise incomparable: each is decided by its own
+        # test alone, so the first with no adherent point is the witness
+        for F in filters:
+            if _first_adherence(F, space) is None:
+                return False, F
+        return True, None
     found = [(T, _first_adherence(T, space)) for T in reversed(tops)]
     lost = [T for T, a in found if a is None]
     if not lost:

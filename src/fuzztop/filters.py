@@ -11,7 +11,10 @@ its least member, the saturation of the all-bot table (see `closure`).
 Saturation is a closure operator, so cl(A v B) = cl(cl(A) v B):
 `least_filter_above` starts from a table's kept closure and re-closes only
 the cells a seed raises.  The ultrafilter characterization, kept on each
-table, and the hat extension follow their explicit formulas.  Each table
+table, and the hat extension follow their explicit formulas; the
+characterization reads each value it needs by table lookups.  FF1 is decided
+on the covers of the graded order and FF2 on unordered pairs of cells not
+at bot (`Universe.decreasing_cells`, `Universe.unstable_cells`).  Each table
 keeps its place in the filter order as one int, `FilterTable.code`.
 """
 
@@ -58,21 +61,31 @@ class FilterTable:
     def characterization(self):
         """The ultrafilter characterization's (bool, witness): the
         impl-into-bottom identity on every cell and every grade below the
-        cell's.  None when the table is not a filter."""
+        cell's.  None when the table is not a filter.
+
+        The identity at (f, a) and rho reads the table at
+        (f -> 0, rho coimpl a), which is `gimpl` of the cell and (0, rho),
+        and takes its residuum into bot: one lookup each in the `pw_res`
+        column at the empty set, `coimpl` and the `res` column at bot.
+        """
         if not check_filter(self).passed:
             return None
         u = self.universe
-        lat = u.lattice
-        for gi in u.graded_cells():
-            _, a = u.gpair(gi)
-            for rho in lat.elements():
-                if not lat.le(rho, a):
+        n, le, table = u.n, u.lattice.leq, self.table
+        bot, zero = u.lattice.bot, u.zero_idx
+        into_bot = [row[bot] for row in u.res.table]
+        into_zero = [row[zero] for row in u.pw_res]
+        coimpl = u.coimpl.table
+        for gi, v in enumerate(table):
+            si, a = divmod(gi, n)
+            base = into_zero[si] * n
+            for rho in range(n):
+                if not le[rho][a]:
                     continue
-                val = u.res.app(
-                    self.table[u.gimpl(gi, u.gidx(u.zero_idx, rho))], lat.bot)
-                if val != self.table[gi]:
-                    return False, {"cell": u.gpair(gi), "rho": rho,
-                                   "expected": val, "actual": self.table[gi]}
+                val = into_bot[table[base + coimpl[rho][a]]]
+                if val != v:
+                    return False, {"cell": (si, a), "rho": rho,
+                                   "expected": val, "actual": v}
         return True, None
 
     @cached_property
@@ -106,10 +119,9 @@ def check_filter(F):
     report.record("FF0", all(v == lat.top for v in top_row), {"row": top_row})
 
     report.sweep("FF1", ({"cells": (u.gpair(gi), u.gpair(gj))}
-                         for gi in u.graded_cells() for gj in u.graded_above[gi]
-                         if not lat.le(F.table[gi], F.table[gj])))
-    report.sweep("FF2", ({"cells": cell} for cell in
-                         u.unstable_cells(F.table, u.tensor.table, lat.leq)))
+                         for gi, gj in u.decreasing_cells(F.table, lat.leq)))
+    report.sweep("FF2", ({"cells": cell} for cell in u.unstable_cells(
+        F.table, u.tensor.table, lat.leq, lat.bot)))
 
     bot_row = [F.app(u.zero_idx, a) for a in lat.elements()]
     report.record("FF3", all(v == lat.bot for v in bot_row), {"row": bot_row})

@@ -42,6 +42,16 @@ class Lattice:
                      for a in self.elements())
 
     @cached_property
+    def lower_covers(self):
+        """Per element a, the elements c < a with nothing strictly between,
+        whose reflexive-transitive closure is the order; not a field."""
+        below = [[c for c in self.elements() if c != a and self.leq[c][a]]
+                 for a in self.elements()]
+        return tuple(tuple(c for c in cs
+                           if not any(e != c and self.leq[c][e] for e in cs))
+                     for cs in below)
+
+    @cached_property
     def geq(self):
         """The reversed order, `leq` transposed; not a field."""
         return tuple(zip(*self.leq))

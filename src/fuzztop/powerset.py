@@ -6,8 +6,11 @@ its values (n = |L|, point 0 the most significant digit), and the graded
 cell gi = i * n + grade appends one more digit.  Every table over sets or
 cells is therefore its one-point table composed digit by digit.  The product
 carrier (powerset x lattice) has the graded order: (f, a) below (g, b) iff
-f <= g pointwise and b <= a.  A point map acts on sets by one table,
-`Universe.pullback`.
+f <= g pointwise and b <= a.  A finite order is the reflexive-transitive
+closure of its covers, and a cover of a set lowers or raises one point's
+value by one cover of L, so order laws are decided on the covers
+(`Universe.lower_covers`, `Universe.graded_covers`).  A point map acts on
+sets by one table, `Universe.pullback`.
 """
 
 from __future__ import annotations
@@ -116,12 +119,6 @@ class Universe:
         """The pointwise residuum table; built on first use."""
         return self._pointwise(self.res.table)
 
-    def join_sets(self, indices):
-        out = self.zero_idx
-        for i in indices:
-            out = self.pw_join[out][i]
-        return out
-
     # ---- graded carrier ----------------------------------------------------
 
     def gidx(self, si, a):
@@ -147,6 +144,44 @@ class Universe:
             tuple(sj * n + b for sj in range(self.n_sets) if pw_leq[si][sj]
                   for b in range(n) if le[b][a] and (sj, b) != (si, a))
             for si in range(self.n_sets) for a in range(n))
+
+    @cached_property
+    def lower_covers(self):
+        """Per set, its lower covers in the pointwise order: one point's
+        value lowered to a lower cover of it in L, which moves the numeral
+        by that digit's place value; built on first use."""
+        covers, n, m = self.lattice.lower_covers, self.n, self.ground.m
+        places = [n ** (m - 1 - p) for p in range(m)]
+        return tuple(tuple(si + (c - v) * w for v, w in zip(f, places)
+                           for c in covers[v])
+                     for si, f in enumerate(self.sets))
+
+    @cached_property
+    def ascending_sets(self):
+        """The set indices in a linear extension of the pointwise order, so
+        each set comes after every set below it: sorted by the sum over
+        points of the size of the value's down-set, which a strict
+        inequality raises; built on first use."""
+        le = self.lattice.leq
+        size = [sum(row[a] for row in le) for a in range(self.n)]
+        return tuple(sorted(range(self.n_sets), key=lambda si: sum(
+            size[v] for v in self.sets[si])))
+
+    @cached_property
+    def graded_covers(self):
+        """Per graded cell (f, a), its upper covers in the graded order:
+        (g, a) for g an upper cover of f, and (f, b) for b a lower cover of
+        a.  `graded_above` is their transitive closure; built on first
+        use."""
+        n = self.n
+        upper = [[] for _ in range(self.n_sets)]
+        for si, below in enumerate(self.lower_covers):
+            for sj in below:
+                upper[sj].append(si)
+        grade_covers = self.lattice.lower_covers
+        return tuple(tuple([sj * n + a for sj in upper[si]]
+                           + [si * n + b for b in grade_covers[a]])
+                     for si in range(self.n_sets) for a in range(n))
 
     @cached_property
     def box_table(self):
@@ -204,25 +239,47 @@ class Universe:
             grade_acc = self.lattice.join2(grade_acc, a)
         return self.gidx(set_acc, grade_acc)
 
-    def unstable_cells(self, tab, op, le):
+    def decreasing_cells(self, tab, le):
+        """Yield (gi, gj), gj in `graded_above[gi]`, in index order,
+        wherever the value of `tab` at gi is not `le` its value at gj: the
+        monotonicity sweep of FF1, I1 and N1.
+
+        `tab` holds one value per graded cell.  A table is monotone iff it
+        is monotone on `graded_covers`, whose closure is the graded order,
+        so the covers are checked first, and the sweep of `graded_above`,
+        which names the first failing pair, runs only when a cover fails.
+        """
+        covers = self.graded_covers
+        if all(le[v][tab[k]] for v, ks in zip(tab, covers) for k in ks):
+            return
+        for gi, ks in enumerate(self.graded_above):
+            v = le[tab[gi]]
+            for gj in ks:
+                if not v[tab[gj]]:
+                    yield gi, gj
+
+    def unstable_cells(self, tab, op, le, zero):
         """Yield (si, a, sj, b), in index order, wherever the value of `tab`
         at (f, a) `op` the value at (g, b) is not `le` the value at (f tensor
         g, a join b): the tensor-stability sweep of FF2, I2 and N2.
 
-        `tab` holds one value per graded cell.  The target cell is found by
-        index arithmetic, not from `box_table`, which has graded_size**2
-        entries.
+        `tab` holds one value per graded cell.  Two preconditions make the
+        sweep of unordered pairs of cells whose value is not `zero` exact:
+        `op` is symmetric, so a failing pair fails both ways round and the
+        first in index order has (f, a) at or before (g, b); and `op`
+        absorbs `zero`, the least value under `le`, so a pair with a `zero`
+        value cannot fail.  Every `Universe` tensor commutes and has bot as
+        its zero (see `closure.close`), and so does its pointwise table.
+        The target cell is found by index arithmetic, not from `box_table`,
+        which has graded_size**2 entries.
         """
-        n, join = self.n, self.lattice.join
-        for si in range(self.n_sets):
-            row_t = self.pw_tensor[si]
-            for a in range(n):
-                op_fa, join_a = op[tab[si * n + a]], join[a]
-                for sj in range(self.n_sets):
-                    src, dst = sj * n, row_t[sj] * n
-                    for b in range(n):
-                        if not le[op_fa[tab[src + b]]][tab[dst + join_a[b]]]:
-                            yield si, a, sj, b
+        n, join, pw_tensor = self.n, self.lattice.join, self.pw_tensor
+        live = [(v, *divmod(c, n)) for c, v in enumerate(tab) if v != zero]
+        for k, (v, si, a) in enumerate(live):
+            op_v, row_t, join_a = op[v], pw_tensor[si], join[a]
+            for w, sj, b in live[k:]:
+                if not le[op_v[w]][tab[row_t[sj] * n + join_a[b]]]:
+                    yield si, a, sj, b
 
     def graded_lattice(self):
         """The graded carrier packaged as a plain Lattice over flat indices."""

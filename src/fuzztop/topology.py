@@ -8,9 +8,12 @@ meet, so they are enumerated as that closure system from its least member
 (see `closure`).  The interior operator derived from a topology, and the
 per-point neighborhood system derived from that, are materialized as full
 tables, once per `Topology`, and validated by exhaustive axiom sweeps,
-turning the structural lemmas into executable checks.  o3 and I6, axioms
-over arbitrary families, are checked on pairs and the empty family: the
-same on finite models.  A point map is pulled back once per check
+turning the structural lemmas into executable checks; the interior is
+built over each set's lower covers.  o3 and I6, axioms over arbitrary
+families, are checked on pairs and the empty family: the same on finite
+models.  Each sweep skips the cases that cannot fail (bottom values, one of
+each symmetric pair, non-covers; see `Universe`) and still names the full
+sweep's first failure.  A point map is pulled back once per check
 (`Universe.pullback`).
 """
 
@@ -67,7 +70,12 @@ def check_topology(t):
     """Axioms o1 (top set graded top), o2 (tensor stability on pairs) and
     o3 (meet of grades below the grade of the join), checked on the empty
     family, which is o1', and on pairs: witness {"subset": () or (i, j)}.
-    Raises PreconditionViolated unless the table has one grade per set."""
+    Raises PreconditionViolated unless the table has one grade per set.
+
+    o2 and o3 are symmetric in the pair, and the tensor and the meet absorb
+    bot, so both sweep the unordered pairs of sets not graded bot, i <= j
+    (i < j for o3, whose diagonal holds): a failing pair fails both ways
+    round, so the first in index order is among them."""
     u = t.universe
     lat = u.lattice
     if len(t.table) != u.n_sets:
@@ -79,17 +87,18 @@ def check_topology(t):
     report.record("o1_prime", t.table[u.zero_idx] == lat.top,
                   {"grade": t.table[u.zero_idx]})
     table, le, ten, meet = t.table, lat.leq, u.tensor.table, lat.meet
-    sets, pw_tensor = range(u.n_sets), u.pw_tensor
+    live = [i for i, v in enumerate(table) if v != lat.bot]
     report.sweep("o2", ({"f": u.sets[i], "g": u.sets[j]}
-                        for i in sets for j in sets
-                        if not le[ten[table[i]][table[j]]][table[pw_tensor[i][j]]]))
+                        for k, i in enumerate(live) for j in live[k:]
+                        if not le[ten[table[i]][table[j]]][
+                            table[u.pw_tensor[i][j]]]))
 
     def o3_failures():
         if table[u.zero_idx] != lat.top:
             yield {"subset": ()}
-        for i in sets:
+        for k, i in enumerate(live):
             row_j, meet_i = u.pw_join[i], meet[table[i]]
-            for j in range(i + 1, u.n_sets):
+            for j in live[k + 1:]:
                 if not le[meet_i[table[j]]][table[row_j[j]]]:
                     yield {"subset": (i, j)}
 
@@ -170,32 +179,53 @@ def require_continuous_surjection(phi, tau, eta):
 
 
 def interior_from_topology(t):
-    """Interior table: pointwise join of all u <= f whose grade dominates
-    the requested grade."""
+    """Interior table: int(f, a) is the pointwise join of all u <= f whose
+    grade dominates a.
+
+    It is f itself when a <= t(f), and otherwise the join of int(g, a) over
+    the lower covers g of f: every u < f lies below one of them.  So the
+    sets are visited in `Universe.ascending_sets`, each after its lower
+    covers, and each value is one join over those covers.  The recursion
+    holds for any table, a topology or not.  Raises PreconditionViolated
+    unless the table has one grade per set.
+    """
     u = t.universe
-    lat = u.lattice
-    table = []
-    for si in range(u.n_sets):
-        for a in lat.elements():
-            members = [ui for ui in range(u.n_sets)
-                       if u.pw_leq[ui][si] and lat.le(a, t.table[ui])]
-            table.append(u.join_sets(members))
+    if len(t.table) != u.n_sets:
+        raise PreconditionViolated(f"table has {len(t.table)} grades for "
+                                   f"{u.n_sets} sets")
+    n, join, geq = u.n, u.pw_join, u.lattice.geq
+    covers, zero = u.lower_covers, u.zero_idx
+    table = [zero] * u.graded_size
+    for si in u.ascending_sets:
+        below, dominated = covers[si], geq[t.table[si]]
+        for a in range(n):
+            if dominated[a]:
+                table[si * n + a] = si
+            else:
+                v = zero
+                for sj in below:
+                    v = join[v][table[sj * n + a]]
+                table[si * n + a] = v
     return InteriorOp(universe=u, table=tuple(table))
 
 
 def check_interior(i):
-    """Axioms I0-I6 for an interior operator table, I6 on pairs of grades."""
+    """Axioms I0-I6 for an interior operator table, I6 on pairs of grades.
+    Raises PreconditionViolated unless the table has one set per graded
+    cell."""
     u = i.universe
     lat = u.lattice
+    if len(i.table) != u.graded_size:
+        raise PreconditionViolated(f"table has {len(i.table)} sets for "
+                                   f"{u.graded_size} graded cells")
     report = Report("interior")
 
     report.record("I0", all(i.app(u.one_idx, a) == u.one_idx
                             for a in lat.elements()), None)
     sets, pw_leq = range(u.n_sets), u.pw_leq
-    report.sweep("I1", ((gi, gj) for gi in u.graded_cells()
-                        for gj in u.graded_above[gi]
-                        if not pw_leq[i.table[gi]][i.table[gj]]))
-    report.sweep("I2", u.unstable_cells(i.table, u.pw_tensor, pw_leq))
+    report.sweep("I1", u.decreasing_cells(i.table, pw_leq))
+    report.sweep("I2", u.unstable_cells(i.table, u.pw_tensor, pw_leq,
+                                        u.zero_idx))
     report.sweep("I3", ((si, a) for si in sets for a in lat.elements()
                         if not pw_leq[i.app(si, a)][si]))
     # idempotence; the inner application reuses the same grade
@@ -215,27 +245,36 @@ def check_interior(i):
 def nbhd_from_interior(i):
     """Per-point evaluation of the interior table."""
     u = i.universe
-    tables = []
-    for p in u.ground.points():
-        tables.append(tuple(u.sets[i.table[gi]][p] for gi in u.graded_cells()))
-    return NbhdSystem(universe=u, tables=tuple(tables))
+    sets = u.sets
+    return NbhdSystem(universe=u, tables=tuple(
+        tuple([sets[si][p] for si in i.table]) for p in u.ground.points()))
 
 
 def check_nbhd(n):
-    """Axioms N0-N4 per point, N4 by exhaustive candidate sweep."""
+    """Axioms N0-N4 per point, N4 by exhaustive candidate sweep.  Raises
+    PreconditionViolated unless there is one table per point, each with one
+    grade per graded cell."""
     u = n.universe
     lat = u.lattice
+    if len(n.tables) != u.ground.m:
+        raise PreconditionViolated(f"system has {len(n.tables)} tables for "
+                                   f"{u.ground.m} points")
+    for p, tab in enumerate(n.tables):
+        if len(tab) != u.graded_size:
+            raise PreconditionViolated(f"table of point {p} has {len(tab)} "
+                                       f"grades for {u.graded_size} graded "
+                                       f"cells")
     report = Report("nbhd")
     points, cells, els = u.ground.points(), u.graded_cells(), lat.elements()
     tabs, le, above = n.tables, lat.leq, u.graded_above
     report.sweep("N0", ({"p": p} for p in points
                         if any(tabs[p][u.gidx(u.one_idx, a)] != lat.top
                                for a in els)))
-    report.sweep("N1", ({"p": p, "cells": (gi, gj)}
-                        for p in points for gi in cells for gj in above[gi]
-                        if not le[tabs[p][gi]][tabs[p][gj]]))
+    report.sweep("N1", ({"p": p, "cells": pair} for p in points
+                        for pair in u.decreasing_cells(tabs[p], le)))
     report.sweep("N2", ({"p": p, "cells": cell} for p in points
-                        for cell in u.unstable_cells(tabs[p], u.tensor.table, le)))
+                        for cell in u.unstable_cells(tabs[p], u.tensor.table,
+                                                     le, lat.bot)))
     report.sweep("N3", ({"p": p, "cell": (si, a)}
                         for p in points for si in range(u.n_sets) for a in els
                         if not le[n.at(p, si, a)][u.sets[si][p]]))

@@ -1,9 +1,12 @@
 """`closure.enumerate_closed`, canonical Close-by-One, against the engine it
 replaced: close every (member, cell, join-irreducible) triple and drop the
 tables already seen.  The canonical engine keeps no visited set, so a
-broken canonicity test shows up as a table listed twice or as one missed."""
+broken canonicity test shows up as a table listed twice or as one missed.
+Also `closure.close` against the fixpoint loop over every ordered pair, on
+random symmetric rules."""
 
 import hashlib
+import random
 
 import pytest
 
@@ -107,3 +110,98 @@ def test_next_tier_filters(lat, tensor, count, sha256):
     assert len(found) == count
     assert len(set(tables(found))) == count
     assert digest(found) == sha256
+
+
+# ---- close against the all-pairs fixpoint ---------------------------------
+
+def close_by_passes(table, join, rules, above):
+    """Oracle: fire the unary rule and every rule on every ordered pair of
+    cells until a pass changes nothing."""
+    table = list(table)
+    cells = range(len(table))
+    changed = True
+    while changed:
+        changed = False
+        for x in cells:
+            for k in above[x]:
+                w = join[table[k]][table[x]]
+                changed |= w != table[k]
+                table[k] = w
+            for target, op in rules:
+                for y in cells:
+                    k = target[x][y]
+                    w = join[table[k]][op[table[x]][table[y]]]
+                    changed |= w != table[k]
+                    table[k] = w
+    return table
+
+
+def random_rules(rng, lat, size):
+    """One or two rules with random symmetric targets, each firing a
+    monotone symmetric operation that may exceed both of its arguments."""
+    n = lat.n
+    ops = [lat.join, lat.meet,
+           tuple(tuple(min(n - 1, a + b) for b in range(n))
+                 for a in range(n))]
+    rules = []
+    for _ in range(rng.randint(1, 2)):
+        target = [[0] * size for _ in range(size)]
+        for x in range(size):
+            for y in range(x + 1):
+                target[x][y] = target[y][x] = rng.randrange(size)
+        rules.append((target, rng.choice(ops)))
+    return rules
+
+
+def test_close_reaches_the_all_pairs_fixpoint():
+    # a cell can raise itself on its own visit here, which no filter or
+    # topology rule does: its pairs with the cells before it must be fired
+    # again with the raised value
+    rng, lat = random.Random(7), chain(4)
+    raised_itself = 0
+    for _ in range(400):
+        size = rng.randint(2, 7)
+        rules = random_rules(rng, lat, size)
+        above = [rng.sample(range(size), rng.randint(0, 2))
+                 for _ in range(size)]
+        seed = [rng.randrange(lat.n) for _ in range(size)]
+        want = close_by_passes(seed, lat.join, rules, above)
+        table = list(seed)
+        assert close(table, lat.join, rules, above=above)
+        assert table == want
+        raised_itself += any(want[x] != seed[x] and target[x][y] == x
+                             for target, _ in rules
+                             for x in range(size) for y in range(x))
+        # from a closed table, with the raised cells dirty
+        table = list(want)
+        dirty = rng.sample(range(size), rng.randint(1, size))
+        for k in dirty:
+            table[k] = lat.join[table[k]][rng.randrange(lat.n)]
+        want = close_by_passes(table, lat.join, rules, above)
+        assert close(table, lat.join, rules, list(dirty), above)
+        assert table == want
+    assert raised_itself > 50
+
+
+class CountingRows:
+    """A join table that counts its row lookups, one per rule firing."""
+
+    def __init__(self, join):
+        self.join, self.count = join, 0
+
+    def __getitem__(self, a):
+        self.count += 1
+        return self.join[a]
+
+
+def test_first_sweep_requeues_only_visited_cells():
+    # a cell raised before its first visit is not queued again: saturating
+    # each single cell of u32-Goedel at top fires 16,155 rules, against
+    # 21,007 when every raised cell is queued
+    u = make(chain(3), meet_tensor, 2)
+    lat, join = u.lattice, CountingRows(u.lattice.join)
+    for gi in u.graded_cells():
+        table = [lat.bot] * u.graded_size
+        table[gi] = lat.top
+        close(table, join, filters._rules(u), above=u.graded_above)
+    assert join.count == 16155

@@ -97,7 +97,6 @@ def test_top_first_chain_keeps_bot_at_index_2():
     u = SMALL["chain3-top-first-2pt"]()
     assert (u.lattice.bot, u.lattice.top) == (2, 0)
     assert u.sets[u.zero_idx] == (2, 2) and u.sets[u.one_idx] == (0, 0)
-    assert u.join_sets([]) == u.zero_idx
     assert u.pw_leq[u.zero_idx][u.one_idx]
     assert not u.pw_leq[u.one_idx][u.zero_idx]
 

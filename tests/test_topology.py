@@ -36,6 +36,43 @@ def test_check_topology_rejects_a_table_of_another_length(u22, length):
         check_topology(t)
 
 
+@pytest.mark.parametrize("length", [3, 5])
+def test_interior_rejects_a_topology_table_of_another_length(u22, length):
+    # 5 entries gave an interior and a neighbourhood system that passed
+    # every axiom; 3 raised IndexError
+    message = f"^table has {length} grades for 4 sets$"
+    for derive in (interior_from_topology, lambda t: t.interior,
+                   lambda t: t.nbhd):
+        t = Topology(universe=u22, table=(u22.lattice.top,) * length)
+        with pytest.raises(PreconditionViolated, match=message):
+            derive(t)
+
+
+@pytest.mark.parametrize("length", [5, 9])
+def test_check_interior_rejects_a_table_of_another_length(u22, length):
+    # u22 has 8 graded cells; a short table raised IndexError
+    table = interior_from_topology(discrete(u22)).table
+    i = InteriorOp(universe=u22, table=(table * 2)[:length])
+    with pytest.raises(PreconditionViolated,
+                       match=f"^table has {length} sets for 8 graded cells$"):
+        check_interior(i)
+
+
+def test_check_nbhd_rejects_a_system_of_another_shape(u22):
+    tables = nbhd_from_interior(interior_from_topology(discrete(u22))).tables
+    with pytest.raises(PreconditionViolated,
+                       match="^system has 1 tables for 2 points$"):
+        check_nbhd(NbhdSystem(universe=u22, tables=tables[:1]))
+    with pytest.raises(PreconditionViolated,
+                       match="^system has 3 tables for 2 points$"):
+        check_nbhd(NbhdSystem(universe=u22, tables=tables + tables[:1]))
+    for row in (tables[1][:7], tables[1] + (0,)):
+        with pytest.raises(PreconditionViolated,
+                           match=f"^table of point 1 has {len(row)} grades "
+                                 f"for 8 graded cells$"):
+            check_nbhd(NbhdSystem(universe=u22, tables=(tables[0], row)))
+
+
 def test_discrete_and_indiscrete_are_topologies(u22, u31_godel, u31_luk):
     for u in (u22, u31_godel, u31_luk):
         assert check_topology(discrete(u)).passed
@@ -60,9 +97,9 @@ def test_broken_o3_detected(u23):
     table[u23.set_index[(0, 1, 0)]] = lat.top
     rep = check_topology(Topology(universe=u23, table=tuple(table)))
     assert rep.verdicts["o3"].status == "fail"
-    i, j = pair = rep.verdicts["o3"].witness["subset"]
+    i, j = rep.verdicts["o3"].witness["subset"]
     assert not lat.le(lat.meet2(table[i], table[j]),
-                      table[u23.join_sets(pair)])
+                      table[u23.pw_join[i][j]])
     table[u23.zero_idx] = lat.bot  # the empty family: o1' fails too
     rep = check_topology(Topology(universe=u23, table=tuple(table)))
     assert rep.verdicts["o3"].witness == {"subset": ()}
