@@ -10,7 +10,8 @@ class Degenerate(FuzztopError):
 
 
 class NotAPartialOrder(FuzztopError):
-    """The reflexive-transitive closure of the input violates antisymmetry."""
+    """The input relation is not a partial order; for a list of pairs,
+    their reflexive-transitive closure violates antisymmetry."""
 
 
 class NotALattice(FuzztopError):

@@ -106,13 +106,12 @@ class FilterTable:
 def check_filter(F):
     """Per-axiom verdicts for FF0 (top row pinned to top), FF1 (monotone in
     the graded order), FF2 (tensor stability), FF3 (bottom row pinned).
-    Raises PreconditionViolated unless the table has one grade per graded
-    cell."""
+    Raises PreconditionViolated unless the table has one grade of L per
+    graded cell (`Universe.require_table`)."""
     u = F.universe
     lat = u.lattice
-    if len(F.table) != u.graded_size:
-        raise PreconditionViolated(f"table has {len(F.table)} grades for "
-                                   f"{u.graded_size} graded cells")
+    u.require_table(F.table, u.graded_size,
+                    ("table", "grades", "graded cells"), lat.n)
     report = Report("filter")
 
     top_row = [F.app(u.one_idx, a) for a in lat.elements()]

@@ -4,8 +4,8 @@ Elements are dense integer indices 0..n-1; the order and the binary join/meet
 are precomputed as full tables so every later sweep is a table lookup.  The
 reversed order (`Lattice.geq`) is a lattice too, with join and meet, top and
 bot swapped, so a law or a search on meets is the one on joins run on the
-reversed order (the duality principle): `lattice_from_order` finds each meet
-with the bound search that finds each join.
+reversed order (the duality principle): `lattice_from_order` looks each meet
+up in the down-sets as it looks each join up in the up-sets.
 "Arbitrary" joins and meets are finite ones here, so a law over arbitrary
 joins or meets holds iff it holds for the empty one and for pairs (induction
 on the size of the family); the checkers decide such laws that way.
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 
 from .errors import Degenerate, NotALattice, NotAPartialOrder
 from .report import Report
@@ -88,25 +89,55 @@ class Lattice:
                                       if e != j and self.le(e, j)) != j)
 
 
+def _upsets(rows):
+    """Per row, the int bitmask of its true columns."""
+    return [sum(1 << c for c in compress(range(len(row)), row)) for row in rows]
+
+
+def _bounds(ups):
+    """The least-upper-bound table of the partial order with these up-sets:
+    the element whose up-set is up(a) & up(b), or None."""
+    by_up = dict(zip(ups, range(len(ups))))
+    return tuple(tuple([by_up.get(up & u) for u in ups]) for up in ups)
+
+
 def lattice_from_order(leq):
     """Build a Lattice from a full order relation (n x n boolean rows).
 
-    The relation must already be a partial order; raises NotALattice if some
-    pair lacks a least upper or greatest lower bound.
+    Each element's up-set is kept as an int bitmask.  The relation must be
+    a partial order, checked on the bitmasks: each up-set holds its element
+    (reflexivity) and the up-sets of its members (transitivity), and no two
+    elements share one (antisymmetry); NotAPartialOrder names the first
+    failure.  In a partial order the upper bounds of a and b are
+    up(a) & up(b), with a least member u iff they are up(u), so each join
+    is one lookup in the map from up-set to element, and each meet is that
+    lookup on the reversed order.  Raises NotALattice for the first pair,
+    in index order and join before meet, without its bound.
     """
     n = len(leq)
     geq = tuple(zip(*leq))
-    join = [[None] * n for _ in range(n)]
-    meet = [[None] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            for order, bound, name in ((leq, join, "least upper"),
-                                       (geq, meet, "greatest lower")):
-                ub = [c for c in range(n) if order[a][c] and order[b][c]]
-                lub = [u for u in ub if all(order[u][c] for c in ub)]
-                if len(lub) != 1:
-                    raise NotALattice(f"elements {a},{b} have no {name} bound")
-                bound[a][b] = lub[0]
+    ups, downs = _upsets(leq), _upsets(geq)
+    for a, up in enumerate(ups):
+        if not up >> a & 1:
+            raise NotAPartialOrder(f"reflexivity fails on {a}")
+        for b in compress(range(n), leq[a]):
+            missing = ups[b] & ~up
+            if missing:
+                c = (missing & -missing).bit_length() - 1
+                raise NotAPartialOrder(f"transitivity fails on {a},{b},{c}")
+    if len(set(ups)) < n:
+        a = next(a for a, up in enumerate(ups) if ups.count(up) > 1)
+        raise NotAPartialOrder(
+            f"antisymmetry fails on {a},{ups.index(ups[a], a + 1)}")
+    join, meet = _bounds(ups), _bounds(downs)
+    if any(None in row for row in join + meet):
+        for a in range(n):
+            for b in range(n):
+                for bound, name in ((join, "least upper"),
+                                    (meet, "greatest lower")):
+                    if bound[a][b] is None:
+                        raise NotALattice(
+                            f"elements {a},{b} have no {name} bound")
     top = 0
     bot = 0
     for e in range(n):
@@ -115,8 +146,8 @@ def lattice_from_order(leq):
     return Lattice(
         n=n,
         leq=tuple(tuple(row) for row in leq),
-        join=tuple(tuple(row) for row in join),
-        meet=tuple(tuple(row) for row in meet),
+        join=join,
+        meet=meet,
         top=top,
         bot=bot,
     )
@@ -125,29 +156,25 @@ def lattice_from_order(leq):
 def build_lattice(n, leq_pairs):
     """Build a Lattice from a carrier size and a list of (lower, upper) pairs.
 
-    The order is the reflexive-transitive closure of the pairs.  Raises
-    Degenerate for n < 2, NotAPartialOrder if the closure violates
-    antisymmetry, NotALattice if some pair lacks a lub or glb.
+    The order is the reflexive-transitive closure of the pairs, closed on
+    up-set bitmasks.  Raises Degenerate for n < 2, and, from
+    `lattice_from_order`, NotAPartialOrder if the closure violates
+    antisymmetry and NotALattice if some pair lacks a lub or glb.
     """
     if n < 2:
         raise Degenerate(f"carrier size {n} < 2")
-    leq = [[i == j for j in range(n)] for i in range(n)]
+    ups = [1 << a for a in range(n)]
     for a, b in leq_pairs:
         if not (0 <= a < n and 0 <= b < n):
             raise NotAPartialOrder(f"pair ({a},{b}) outside carrier 0..{n - 1}")
-        leq[a][b] = True
+        ups[a] |= 1 << b
     for k in range(n):  # Warshall closure
-        for i in range(n):
-            if leq[i][k]:
-                row_i, row_k = leq[i], leq[k]
-                for j in range(n):
-                    if row_k[j]:
-                        row_i[j] = True
-    for a in range(n):
-        for b in range(a + 1, n):
-            if leq[a][b] and leq[b][a]:
-                raise NotAPartialOrder(f"antisymmetry fails on {a},{b}")
-    return lattice_from_order(leq)
+        bit, up_k = 1 << k, ups[k]
+        for a in range(n):
+            if ups[a] & bit:
+                ups[a] |= up_k
+    return lattice_from_order([[up >> b & 1 == 1 for b in range(n)]
+                               for up in ups])
 
 
 def check_infinite_distributivity(lat):

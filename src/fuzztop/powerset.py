@@ -16,10 +16,11 @@ sets by one table, `Universe.pullback`.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import SizeLimit
+from .errors import PreconditionViolated, SizeLimit
 from .instances import join_cotensor
 from .lattice import lattice_from_order
 from .report import Report
@@ -71,7 +72,7 @@ class Universe:
 
     Bundles the lattice, a GL tensor with its residuum, and a cotensor
     (default: the lattice join) with its co-implication.  The pointwise
-    tensor, join and order tables are built at construction; the meet,
+    tensor and join tables are built at construction; the order, meet,
     residuum, boxtimes and graded `above` tables on first use.
     """
 
@@ -92,9 +93,6 @@ class Universe:
 
         self.pw_tensor = self._pointwise(tensor.table)
         self.pw_join = self._pointwise(lattice.join)
-        # f <= g pointwise iff f join g == g
-        self.pw_leq = tuple(tuple(k == j for j, k in enumerate(row))
-                            for row in self.pw_join)
 
         # graded carrier: gi = si * n + a
         self.n = lattice.n
@@ -110,6 +108,13 @@ class Universe:
         return out
 
     @cached_property
+    def pw_leq(self):
+        """The pointwise order: f <= g iff f join g == g; built on first
+        use."""
+        return tuple(tuple(map(operator.eq, row, range(self.n_sets)))
+                     for row in self.pw_join)
+
+    @cached_property
     def pw_meet(self):
         """The pointwise meet table; built on first use."""
         return self._pointwise(self.lattice.meet)
@@ -118,6 +123,20 @@ class Universe:
     def pw_res(self):
         """The pointwise residuum table; built on first use."""
         return self._pointwise(self.res.table)
+
+    def require_table(self, table, size, what, bound=None):
+        """Raise PreconditionViolated unless `table` has `size` entries,
+        each in range(bound) when a bound is given.  `what` names the
+        table, its entries and what they index, as in ("table", "grades",
+        "sets"); a value out of range is named with its position."""
+        name, entries, index = what
+        if len(table) != size:
+            raise PreconditionViolated(f"{name} has {len(table)} {entries} "
+                                       f"for {size} {index}")
+        if bound is not None and not (0 <= min(table) and max(table) < bound):
+            k = next(k for k, v in enumerate(table) if not 0 <= v < bound)
+            raise PreconditionViolated(f"{name} entry {k} is {table[k]}, "
+                                       f"outside 0..{bound - 1}")
 
     # ---- graded carrier ----------------------------------------------------
 
@@ -137,13 +156,22 @@ class Universe:
 
     @cached_property
     def graded_above(self):
-        """Per graded cell, the cells strictly above it in the graded order;
+        """Per graded cell (f, a), the cells strictly above it in the
+        graded order, in index order: the sets above f crossed with the
+        grades below a, less the cell itself.  The sets above f are the
+        product over points of the up-sets in L of f's values, built digit
+        by digit like `_pointwise`, so the cost is the size of the output;
         built on first use."""
-        n, le, pw_leq = self.n, self.lattice.leq, self.pw_leq
-        return tuple(
-            tuple(sj * n + b for sj in range(self.n_sets) if pw_leq[si][sj]
-                  for b in range(n) if le[b][a] and (sj, b) != (si, a))
-            for si in range(self.n_sets) for a in range(n))
+        n, le = self.n, self.lattice.leq
+        up = [[b for b in range(n) if le[a][b]] for a in range(n)]
+        down = [[b for b in range(n) if le[b][a]] for a in range(n)]
+        ups = [(0,)]
+        for _ in self.ground.points():
+            ups = [[s * n + b for s in row for b in up[a]]
+                   for row in ups for a in range(n)]
+        return tuple(tuple(c for sj in row for b in down[a]
+                           if (c := sj * n + b) != si * n + a)
+                     for si, row in enumerate(ups) for a in range(n))
 
     @cached_property
     def lower_covers(self):
@@ -282,9 +310,14 @@ class Universe:
                     yield si, a, sj, b
 
     def graded_lattice(self):
-        """The graded carrier packaged as a plain Lattice over flat indices."""
-        leq = [[self.graded_leq(i, j) for j in self.graded_cells()]
-               for i in self.graded_cells()]
+        """The graded carrier packaged as a plain Lattice over flat indices,
+        its order rows read from `graded_above`."""
+        leq = []
+        for gi, above in enumerate(self.graded_above):
+            row = [False] * self.graded_size
+            for gj in (gi, *above):
+                row[gj] = True
+            leq.append(row)
         return lattice_from_order(leq)
 
     def pullback(self, phi, dom):

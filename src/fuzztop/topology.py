@@ -26,6 +26,9 @@ from .closure import close, enumerate_closed
 from .errors import PreconditionViolated
 from .report import Report
 
+#: what a grade table over the powerset holds, for `Universe.require_table`
+GRADES_OF_SETS = ("table", "grades", "sets")
+
 #: default closure cap of `enumerate_topologies`: 16- to 64-set universes
 #: reach it within about 0.3 s; u32 needs 1,002 closures and u25 36,813
 DEFAULT_TOPOLOGY_CAP = 40_000
@@ -70,7 +73,8 @@ def check_topology(t):
     """Axioms o1 (top set graded top), o2 (tensor stability on pairs) and
     o3 (meet of grades below the grade of the join), checked on the empty
     family, which is o1', and on pairs: witness {"subset": () or (i, j)}.
-    Raises PreconditionViolated unless the table has one grade per set.
+    Raises PreconditionViolated unless the table has one grade of L per set
+    (`Universe.require_table`).
 
     o2 and o3 are symmetric in the pair, and the tensor and the meet absorb
     bot, so both sweep the unordered pairs of sets not graded bot, i <= j
@@ -78,9 +82,7 @@ def check_topology(t):
     round, so the first in index order is among them."""
     u = t.universe
     lat = u.lattice
-    if len(t.table) != u.n_sets:
-        raise PreconditionViolated(f"table has {len(t.table)} grades for "
-                                   f"{u.n_sets} sets")
+    u.require_table(t.table, u.n_sets, GRADES_OF_SETS, lat.n)
     report = Report("topology")
     report.record("o1", t.table[u.one_idx] == lat.top,
                   {"grade": t.table[u.one_idx]})
@@ -187,12 +189,10 @@ def interior_from_topology(t):
     sets are visited in `Universe.ascending_sets`, each after its lower
     covers, and each value is one join over those covers.  The recursion
     holds for any table, a topology or not.  Raises PreconditionViolated
-    unless the table has one grade per set.
+    unless the table has one grade of L per set.
     """
     u = t.universe
-    if len(t.table) != u.n_sets:
-        raise PreconditionViolated(f"table has {len(t.table)} grades for "
-                                   f"{u.n_sets} sets")
+    u.require_table(t.table, u.n_sets, GRADES_OF_SETS, u.n)
     n, join, geq = u.n, u.pw_join, u.lattice.geq
     covers, zero = u.lower_covers, u.zero_idx
     table = [zero] * u.graded_size
@@ -211,13 +211,12 @@ def interior_from_topology(t):
 
 def check_interior(i):
     """Axioms I0-I6 for an interior operator table, I6 on pairs of grades.
-    Raises PreconditionViolated unless the table has one set per graded
-    cell."""
+    Raises PreconditionViolated unless the table has one set index per
+    graded cell."""
     u = i.universe
     lat = u.lattice
-    if len(i.table) != u.graded_size:
-        raise PreconditionViolated(f"table has {len(i.table)} sets for "
-                                   f"{u.graded_size} graded cells")
+    u.require_table(i.table, u.graded_size,
+                    ("table", "sets", "graded cells"), u.n_sets)
     report = Report("interior")
 
     report.record("I0", all(i.app(u.one_idx, a) == u.one_idx
@@ -251,19 +250,19 @@ def nbhd_from_interior(i):
 
 
 def check_nbhd(n):
-    """Axioms N0-N4 per point, N4 by exhaustive candidate sweep.  Raises
+    """Axioms N0-N4 per point.  N4 joins, for each cell gi, the grades of
+    its candidates: the cells at or above gi whose set lies pointwise below
+    s(gi), the set of gi's grades across the points, found by one
+    `set_index` lookup; each candidate is one `pw_leq` read.  Raises
     PreconditionViolated unless there is one table per point, each with one
-    grade per graded cell."""
+    grade of L per graded cell."""
     u = n.universe
     lat = u.lattice
-    if len(n.tables) != u.ground.m:
-        raise PreconditionViolated(f"system has {len(n.tables)} tables for "
-                                   f"{u.ground.m} points")
+    u.require_table(n.tables, u.ground.m, ("system", "tables", "points"))
     for p, tab in enumerate(n.tables):
-        if len(tab) != u.graded_size:
-            raise PreconditionViolated(f"table of point {p} has {len(tab)} "
-                                       f"grades for {u.graded_size} graded "
-                                       f"cells")
+        u.require_table(tab, u.graded_size,
+                        (f"table of point {p}", "grades", "graded cells"),
+                        lat.n)
     report = Report("nbhd")
     points, cells, els = u.ground.points(), u.graded_cells(), lat.elements()
     tabs, le, above = n.tables, lat.leq, u.graded_above
@@ -280,12 +279,13 @@ def check_nbhd(n):
                         if not le[n.at(p, si, a)][u.sets[si][p]]))
 
     def n4_failures():
-        # the candidate cells gj of gi, whose set lies below gi's grade at
-        # every point, do not depend on p
-        candidates = [[gj for gj in (gi, *above[gi])
-                       if all(le[u.sets[gj // u.n][q]][tabs[q][gi]]
-                              for q in points)]
-                      for gi in cells]
+        # the candidates of gi, the cells at or above it whose set lies
+        # below the set s(gi) of gi's grades across the points, do not
+        # depend on p
+        n, pw_leq = u.n, u.pw_leq
+        s = map(u.set_index.__getitem__, zip(*tabs))
+        candidates = [[gj for gj in (gi, *above[gi]) if pw_leq[gj // n][si]]
+                      for gi, si in zip(cells, s)]
         for p in points:
             tab = tabs[p]
             for gi in cells:

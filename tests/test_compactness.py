@@ -49,6 +49,17 @@ def test_space_rejects_a_table_of_another_universe(u21, u22):
         Space(u22, Topology(universe=u21, table=(1, 1)))
 
 
+@pytest.mark.parametrize("grade", [-1, 2])
+def test_space_rejects_grades_outside_the_lattice(u22, grade):
+    # the all-top table with grade -1 at set 1 was accepted and decided
+    # compact; grade 2 raised IndexError
+    table = [u22.lattice.top] * u22.n_sets
+    table[1] = grade
+    with pytest.raises(PreconditionViolated,
+                       match=f"^table entry 1 is {grade}, outside 0..1$"):
+        Space(u22, tuple(table))
+
+
 def test_is_compact_rejects_filters_of_another_universe(u21, u22):
     space = discrete_space(u22)
     with pytest.raises(PreconditionViolated, match="over another universe"):

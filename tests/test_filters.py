@@ -39,6 +39,20 @@ def test_check_filter_rejects_a_table_of_another_length(u22, length):
         check_filter(F)
 
 
+@pytest.mark.parametrize("grade", [-1, 2])
+def test_check_filter_rejects_grades_outside_the_lattice(u22, grade):
+    # -1 in place of a top cell outside the top row passed every axiom (a
+    # negative index reads the last row); 2 raised IndexError
+    F = principal(u22, 1)
+    gi = next(gi for gi, v in enumerate(F.table)
+              if v == u22.lattice.top and gi // u22.n != u22.one_idx)
+    table = list(F.table)
+    table[gi] = grade
+    with pytest.raises(PreconditionViolated,
+                       match=f"^table entry {gi} is {grade}, outside 0..1$"):
+        check_filter(FilterTable(universe=u22, table=tuple(table)))
+
+
 def test_ff3_failure_detected(u22):
     F = principal(u22, u22.zero_idx)  # grades the empty set at top
     rep = check_filter(F)

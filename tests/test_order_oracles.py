@@ -1,0 +1,270 @@
+"""The order tables built by lookup, against the searches they replaced:
+lattice bounds looked up by up-set against the search of every pair's upper
+bounds for the least one, `graded_above` as a product of up-sets against
+the comprehension over `pw_leq`, and N4's candidates found by one
+`set_index` lookup against the per-point `all(...)` sweep.  Also that the
+pointwise order is built only when something reads it."""
+
+import random
+
+import pytest
+
+from fuzztop.errors import NotALattice, NotAPartialOrder
+from fuzztop.instances import (chain, diamond, lukasiewicz_tensor, m3,
+                               meet_tensor, pentagon)
+from fuzztop.lattice import build_lattice, lattice_from_order
+from fuzztop.powerset import Ground, Universe
+from fuzztop.topology import (NbhdSystem, check_nbhd, check_topology,
+                              generate_topology)
+
+# ---- lattice bounds --------------------------------------------------------
+
+
+def bound_search(leq):
+    """Oracle: (join, meet, top, bot), each bound the one upper (lower)
+    bound below (above) every other, pairs in index order and join before
+    meet; raises NotALattice for the first pair without one."""
+    n = len(leq)
+    geq = tuple(zip(*leq))
+    join = [[None] * n for _ in range(n)]
+    meet = [[None] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            for order, bound, name in ((leq, join, "least upper"),
+                                       (geq, meet, "greatest lower")):
+                ub = [c for c in range(n) if order[a][c] and order[b][c]]
+                lub = [u for u in ub if all(order[u][c] for c in ub)]
+                if len(lub) != 1:
+                    raise NotALattice(f"elements {a},{b} have no {name} bound")
+                bound[a][b] = lub[0]
+    top = bot = 0
+    for e in range(n):
+        top, bot = join[top][e], meet[bot][e]
+    return tuple(map(tuple, join)), tuple(map(tuple, meet)), top, bot
+
+
+def closure(n, pairs):
+    """Oracle: the reflexive-transitive closure of the pairs, by relaxing
+    until nothing changes."""
+    leq = [[a == b for b in range(n)] for a in range(n)]
+    for a, b in pairs:
+        leq[a][b] = True
+    changed = True
+    while changed:
+        changed = False
+        for a in range(n):
+            for b in range(n):
+                for c in range(n):
+                    if leq[a][b] and leq[b][c] and not leq[a][c]:
+                        leq[a][c] = changed = True
+    return leq
+
+
+def first_antisymmetry_failure(leq):
+    """Oracle: the first pair a < b, in index order, with a <= b <= a."""
+    n = len(leq)
+    return next(((a, b) for a in range(n) for b in range(a + 1, n)
+                 if leq[a][b] and leq[b][a]), None)
+
+
+def bounds(lat):
+    return lat.join, lat.meet, lat.top, lat.bot
+
+
+def chain_pairs(k):
+    return [(i, i + 1) for i in range(k - 1)]
+
+
+ORDERS = {f"chain{k}": (k, chain_pairs(k)) for k in range(2, 13)}
+ORDERS.update({
+    "diamond": (4, [(0, 1), (0, 2), (1, 3), (2, 3)]),
+    "pentagon": (5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)]),
+    "m3": (5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)]),
+    # the cube: i < i | bit
+    "boolean8": (8, [(i, i | b) for i in range(8) for b in (1, 2, 4)
+                     if not i & b]),
+})
+
+
+@pytest.mark.parametrize("name", sorted(ORDERS))
+def test_bounds_match_the_bound_search(name):
+    n, pairs = ORDERS[name]
+    leq = closure(n, pairs)
+    want = bound_search(leq)
+    assert bounds(build_lattice(n, pairs)) == want
+    assert bounds(lattice_from_order(leq)) == want
+    assert build_lattice(n, pairs).leq == tuple(map(tuple, leq))
+
+
+def test_instances_are_the_searched_lattices():
+    for lat in (chain(3), diamond(), pentagon(), m3()):
+        assert bounds(lat) == bound_search(lat.leq)
+
+
+@pytest.mark.parametrize("name", ["u21", "u22", "u31_godel", "u31_luk",
+                                  "u23"])
+def test_graded_bounds_match_the_bound_search(name, request):
+    u = request.getfixturevalue(name)
+    cells = u.graded_cells()
+    leq = [[u.graded_leq(i, j) for j in cells] for i in cells]
+    glat = u.graded_lattice()
+    assert glat.leq == tuple(map(tuple, leq))
+    assert bounds(glat) == bound_search(leq)
+
+
+NON_LATTICES = {
+    "two-maximal": (4, [(0, 1), (0, 2)]),
+    "bowtie": (4, [(0, 2), (0, 3), (1, 2), (1, 3)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_LATTICES))
+def test_non_lattices_raise_the_search_message(name):
+    n, pairs = NON_LATTICES[name]
+    leq = closure(n, pairs)
+    with pytest.raises(NotALattice) as searched:
+        bound_search(leq)
+    message = f"^{searched.value}$"
+    with pytest.raises(NotALattice, match=message):
+        lattice_from_order(leq)
+    with pytest.raises(NotALattice, match=message):
+        build_lattice(n, pairs)
+
+
+@pytest.mark.parametrize("pairs", [
+    [(0, 1), (1, 0), (1, 2)],                 # 0 and 1 equivalent
+    [(0, 3), (3, 0), (1, 2), (2, 1)],         # {0, 3} first, {1, 2} met first
+    [(2, 1), (1, 2), (0, 3), (3, 0), (0, 1)],
+    [(0, 3), (3, 2), (2, 0)],                 # 0, 2 and 3 equivalent
+])
+def test_preorders_raise_the_first_antisymmetry_failure(pairs):
+    leq = closure(4, pairs)
+    a, b = first_antisymmetry_failure(leq)
+    message = f"^antisymmetry fails on {a},{b}$"
+    with pytest.raises(NotAPartialOrder, match=message):
+        lattice_from_order(leq)
+    with pytest.raises(NotAPartialOrder, match=message):
+        build_lattice(4, pairs)
+
+
+def test_non_reflexive_relation_is_not_a_partial_order():
+    leq = closure(3, chain_pairs(3))
+    leq[1][1] = False
+    with pytest.raises(NotAPartialOrder, match="^reflexivity fails on 1$"):
+        lattice_from_order(leq)
+
+
+def test_non_transitive_relation_is_not_a_partial_order():
+    # 0 <= 1 <= 2 but not 0 <= 2, above a top 3
+    leq = closure(4, [(0, 1), (1, 2), (2, 3), (0, 3), (1, 3)])
+    leq[0][2] = False
+    with pytest.raises(NotAPartialOrder,
+                       match="^transitivity fails on 0,1,2$"):
+        lattice_from_order(leq)
+
+
+# ---- graded up-sets ----------------------------------------------------------
+
+
+def above_by_comprehension(u):
+    """Oracle: per cell, every cell above it read off `pw_leq` and the
+    lattice order, in index order, less the cell itself."""
+    n, le, pw_leq = u.n, u.lattice.leq, u.pw_leq
+    return tuple(
+        tuple(sj * n + b for sj in range(u.n_sets) if pw_leq[si][sj]
+              for b in range(n) if le[b][a] and (sj, b) != (si, a))
+        for si in range(u.n_sets) for a in range(n))
+
+
+def make(lat, tensor, m):
+    return Universe(lat, tensor(lat), Ground(m))
+
+
+TWO_POINT = {
+    "diamond-2pt": lambda: make(diamond(), meet_tensor, 2),
+    "chain4-2pt": lambda: make(chain(4), lukasiewicz_tensor, 2),
+}
+
+
+def universe(name, request):
+    if name in TWO_POINT:
+        return TWO_POINT[name]()
+    return request.getfixturevalue(name)
+
+
+@pytest.mark.parametrize("name", ["u22", "u32_godel", "u32_luk",
+                                  "u32_godel_reindexed", "diamond-2pt",
+                                  "chain4-2pt"])
+def test_graded_above_matches_the_comprehension(name, request):
+    u = universe(name, request)
+    assert u.graded_above == above_by_comprehension(u)
+
+
+# ---- N4 ------------------------------------------------------------------
+
+
+def n4_by_points(nb):
+    """Oracle: N4's first failure, each candidate's set tested against
+    gi's grade point by point."""
+    u, tabs = nb.universe, nb.tables
+    lat, points, above = u.lattice, u.ground.points(), u.graded_above
+    candidates = [[gj for gj in (gi, *above[gi])
+                   if all(lat.le(u.sets[gj // u.n][q], tabs[q][gi])
+                          for q in points)]
+                  for gi in u.graded_cells()]
+    for p in points:
+        for gi in u.graded_cells():
+            if not lat.le(tabs[p][gi], lat.join_set(tabs[p][gj]
+                                                    for gj in candidates[gi])):
+                return {"p": p, "cell": u.gpair(gi)}
+    return None
+
+
+def n4_witness(nb):
+    v = check_nbhd(nb).verdicts["N4"]
+    return v.witness if v.status == "fail" else None
+
+
+def single_cell_mutants(rng, tables, values, count):
+    """`count` systems, each `tables` with one cell of one point's table
+    set to another value at random."""
+    for _ in range(count):
+        p = rng.randrange(len(tables))
+        tab = list(tables[p])
+        k = rng.randrange(len(tab))
+        tab[k] = rng.choice([v for v in range(values) if v != tab[k]])
+        yield tables[:p] + (tuple(tab),) + tables[p + 1:]
+
+
+@pytest.mark.parametrize("name", ["u22", "u32_godel", "u32_luk",
+                                  "u32_godel_reindexed", "diamond-2pt",
+                                  "chain4-2pt"])
+def test_n4_matches_the_per_point_sweep(name, request):
+    u = universe(name, request)
+    rng, lat = random.Random(name), u.lattice
+    failed = 0
+    for _ in range(4):
+        seed = [rng.randrange(lat.n) if rng.random() < 0.3 else lat.bot
+                for _ in range(u.n_sets)]
+        nb = generate_topology(u, seed).nbhd
+        assert n4_witness(nb) == n4_by_points(nb)
+        for tables in single_cell_mutants(rng, nb.tables, lat.n, 25):
+            mut = NbhdSystem(universe=u, tables=tables)
+            want = n4_by_points(mut)
+            failed += want is not None
+            assert n4_witness(mut) == want
+    assert failed  # the mutants reach N4's failing branch
+
+
+# ---- laziness --------------------------------------------------------------
+
+
+def test_topology_checks_leave_the_pointwise_order_unbuilt():
+    lat = chain(2)
+    u = Universe(lat, meet_tensor(lat), Ground(8))
+    assert u.n_sets == 256
+    rng = random.Random(256)
+    seed = [rng.randrange(2) if rng.random() < 0.3 else 0
+            for _ in range(u.n_sets)]
+    assert check_topology(generate_topology(u, seed)).passed
+    assert "pw_leq" not in u.__dict__

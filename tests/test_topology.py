@@ -73,6 +73,40 @@ def test_check_nbhd_rejects_a_system_of_another_shape(u22):
             check_nbhd(NbhdSystem(universe=u22, tables=(tables[0], row)))
 
 
+@pytest.mark.parametrize("grade", [-1, 2])
+def test_topology_tables_reject_grades_outside_the_lattice(u22, grade):
+    # u22 grades in the 2-chain 0..1; grade -1 at set 1 of an all-top table
+    # passed every axiom (a negative index reads the last row), grade 2
+    # raised IndexError
+    table = [u22.lattice.top] * u22.n_sets
+    table[1] = grade
+    t = Topology(universe=u22, table=tuple(table))
+    message = f"^table entry 1 is {grade}, outside 0..1$"
+    for check in (check_topology, interior_from_topology):
+        with pytest.raises(PreconditionViolated, match=message):
+            check(t)
+
+
+@pytest.mark.parametrize("value", [-1, 4])
+def test_check_interior_rejects_set_indices_outside_the_powerset(u22, value):
+    table = list(interior_from_topology(discrete(u22)).table)
+    table[5] = value
+    with pytest.raises(PreconditionViolated,
+                       match=f"^table entry 5 is {value}, outside 0..3$"):
+        check_interior(InteriorOp(universe=u22, table=tuple(table)))
+
+
+@pytest.mark.parametrize("grade", [-1, 2])
+def test_check_nbhd_rejects_grades_outside_the_lattice(u22, grade):
+    tables = nbhd_from_interior(interior_from_topology(discrete(u22))).tables
+    row = list(tables[1])
+    row[6] = grade
+    with pytest.raises(PreconditionViolated,
+                       match=f"^table of point 1 entry 6 is {grade}, "
+                             f"outside 0..1$"):
+        check_nbhd(NbhdSystem(universe=u22, tables=(tables[0], tuple(row))))
+
+
 def test_discrete_and_indiscrete_are_topologies(u22, u31_godel, u31_luk):
     for u in (u22, u31_godel, u31_luk):
         assert check_topology(discrete(u)).passed
