@@ -3,12 +3,15 @@
 Filters and topologies are both closed under pointwise meet, so each family
 is the set of fixpoints of a closure operator on L-valued tables: a table is
 raised to the least one closed under a unary transport rule and pairwise
-rules (`close`).  Such a family is enumerated depth-first from its least
-table (`enumerate_closed`), which takes the family as `close` does: its
-pairwise rules, its unary rule `above` and the cells `stop` no member
-raises.  A table is read as the set of attributes (cell, j), j a
-join-irreducible grade below the table's grade at the cell, so each member
-is made from a smaller one by adding one attribute and closing.  This is
+rules (`close`).  Every rule's operation has bot as its zero, so a fresh
+table is swept from its live cells, those not at bot, in value order: on a
+chain with an integral tensor each pair of live cells fires once per rule.
+Such a family is enumerated depth-first from its least table
+(`enumerate_closed`), which takes the family as `close` does: its pairwise
+rules, its unary rule `above` and the cells `stop` no member raises.  A
+table is read as the set of attributes (cell, j), j a join-irreducible
+grade below the table's grade at the cell, so each member is made from a
+smaller one by adding one attribute and closing.  This is
 Close-by-One (Kuznetsov 1993) carried to L-sets as in Belohlavek's
 algorithms for fuzzy concept lattices: its canonicity test keeps each
 member's one canonical parent, so every member is closed once, and a
@@ -20,41 +23,79 @@ from __future__ import annotations
 from .errors import SizeLimit
 
 
-def close(table, join, rules, dirty=None, above=None, stop=()):
+def close(table, lattice, rules, dirty=None, above=None, stop=()):
     """Raise `table`, a list, in place to the least fixpoint of the rules.
 
     The unary rule, when `above` is given, is table[k] >= table[x] for k in
     above[x].  Each binary rule `(target, op)` is table[target[x][y]] >=
     op[table[x]][table[y]].  Every `op` and `target` must be symmetric, so a
-    rule fires once per unordered pair of cells.  That holds for every
+    rule fires once per unordered pair of cells, and every `op` must have
+    bot as its zero, so a cell at bot raises nothing.  Both hold for every
     `Universe`: its residuum check rejects a non-commutative tensor (with
     c = b (*) a, a <= res(b, c) gives a (*) b <= b (*) a by the adjunction,
-    and the converse by symmetry), and the pointwise tables inherit it.
+    and the converse by symmetry), bot <= res(a, c) gives bot (*) a <= c
+    for every c, the meet has both, and the pointwise tables inherit them.
 
-    `dirty` lists the cells raised since the table was last closed.  None
-    means it never was: every cell is then visited once in index order,
-    paired with itself and the cells before it, since each later cell pairs
-    back with it on its own visit.  A cell raised during the closure is
-    visited again, paired with every cell, unless its own first visit is
-    still to come: that visit reads the raised value.  Returns False as
-    soon as a cell in `stop` is raised, leaving the table half closed;
-    otherwise True.
-    Whether that happens does not depend on the order the rules fire: the
-    least fixpoint is unique and the table only rises toward it.
+    `dirty` lists the cells raised since the table was last closed; each is
+    visited again, paired with every cell, as is each cell a visit raises.
+    None means the table never was closed.  The first sweep then visits
+    the live cells, those not at bot, highest `Lattice.rank` first from one
+    bucket per rank, each paired with itself and the live cells visited
+    before it.  A cell raised before its visit moves to the bucket of its
+    new rank; one raised after it is dirty.  This is Knuth's generalization
+    of Dijkstra's algorithm to superior functions, read upside down: an
+    integral tensor and the meet never exceed their smaller argument, so on
+    a chain no visit raises a cell visited before it, and each rule fires
+    once per unordered pair of live cells.  Returns False as soon as a
+    cell in `stop` is raised, leaving the table half closed; otherwise
+    True.  Whether that happens does not depend on the order the rules
+    fire: the least fixpoint is unique and the table only rises toward it.
     """
-    size = len(table)
+    join = lattice.join
     if dirty is None:
-        dirty = []
-        visits = [(x, x + 1) for x in range(size - 1, -1, -1)]
-    else:
-        visits = []
-    while visits or dirty:
-        if visits:
-            x, span = visits.pop()
-            last = x  # the cells after x have their first visit to come
-        else:
-            x = dirty.pop()
-            span = last = size
+        dirty, done, rank = [], [], lattice.rank
+        buckets = [[] for _ in range(lattice.n)]
+        for x, v in enumerate(table):
+            buckets[rank[v]].append(x)
+        seen = [False] * len(table)
+        r = lattice.n - 1
+        while r:  # rank 0 holds bot alone
+            if not buckets[r]:
+                r -= 1
+                continue
+            x = buckets[r].pop()
+            v = table[x]
+            if rank[v] != r:
+                continue  # moved to a higher bucket
+            seen[x] = True
+            done.append(x)
+            raised = []
+            if above is not None:
+                for k in above[x]:
+                    w = join[table[k]][v]
+                    if w != table[k]:
+                        table[k] = w
+                        raised.append(k)
+            for target, op in rules:
+                op_v, row = op[v], target[x]
+                for y in done:
+                    k = row[y]
+                    t = table[k]
+                    w = join[t][op_v[table[y]]]
+                    if w != t:
+                        table[k] = w
+                        raised.append(k)
+            for k in raised:
+                if k in stop:
+                    return False
+                if seen[k]:
+                    dirty.append(k)
+                else:
+                    s = rank[table[k]]
+                    buckets[s].append(k)
+                    r = max(r, s)
+    while dirty:
+        x = dirty.pop()
         v = table[x]
         if above is not None:
             for k in above[x]:
@@ -63,18 +104,16 @@ def close(table, join, rules, dirty=None, above=None, stop=()):
                     if k in stop:
                         return False
                     table[k] = w
-                    if k <= last:
-                        dirty.append(k)
+                    dirty.append(k)
         for target, op in rules:
             op_v = op[v]
-            for k, g in zip(target[x], table[:span]):
+            for k, g in zip(target[x], table[:]):
                 w = join[table[k]][op_v[g]]
                 if w != table[k]:
                     if k in stop:
                         return False
                     table[k] = w
-                    if k <= last:
-                        dirty.append(k)
+                    dirty.append(k)
     return True
 
 
@@ -124,7 +163,7 @@ def enumerate_closed(lattice, least, rules, cap, what, above=None, stop=()):
                                 f"closures")
             table = list(parent)
             table[cell] = join[v][j]
-            if not close(table, join, rules, [cell], above, guard):
+            if not close(table, lattice, rules, [cell], above, guard):
                 continue
             w = table[cell]
             if any(le[e][w] and not le[e][v] for e in earlier):

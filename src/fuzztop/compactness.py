@@ -17,9 +17,9 @@ answer exact for any list of filters.
 Finite products are built as the least topology making the projections
 continuous, seeded with each factor's grading pulled back along its
 projection by one `Universe.pullback` table per factor; the explicit
-product neighborhood formula doubles as a consistency check on that
-construction.  Images of compact spaces share the continuous-surjection
-precondition of `topology.check_continuity_nbhd`.
+product neighborhood formula, a join of per-tuple terms, doubles as a
+consistency check on that construction.  Images of compact spaces share the
+continuous-surjection precondition of `topology.check_continuity_nbhd`.
 """
 
 from __future__ import annotations
@@ -306,14 +306,41 @@ def product_nbhd(P, p, f_idx, alpha):
 
 
 def product_nbhd_system(P):
-    """The full per-point table of the explicit product formula."""
+    """The full per-point table of the explicit product formula.
+
+    Each factor tuple h is one term: its pulled-back set s_h and the tensor
+    g_h of its factor grades, found once, and at each point and grade
+    a <= g_h its value, found once.  The value at (f, a) joins the terms
+    with s_h <= f: those at s_h = f and the values at f's lower covers,
+    visited first in `Universe.ascending_sets`, as every set below f lies
+    below one of them.  `product_nbhd` is the formula cell by cell.
+    """
     u = P.universe
+    lat, ten, n = u.lattice, u.tensor.table, u.n
+    join, top = lat.join, lat.top
+    terms = []
+    for h in itertools.product(*[range(f.universe.n_sets) for f in P.factors]):
+        s, g = u.one_idx, top
+        for hk, f, pulled in zip(h, P.factors, P.pullbacks):
+            s, g = u.pw_tensor[s][pulled[hk]], ten[g][f.topology.table[hk]]
+        terms.append(([hk * n for hk in h], s, g))
     tables = []
-    for p in range(u.ground.m):
-        row = []
-        for si in range(u.n_sets):
-            for a in u.lattice.elements():
-                row.append(product_nbhd(P, p, si, a))
+    for p_tuple in P.point_tuples:
+        nbhds = [f.nbhd.tables[q] for f, q in zip(P.factors, p_tuple)]
+        row = [lat.bot] * u.graded_size
+        for a in lat.elements():
+            here = [lat.bot] * u.n_sets
+            for cells, s, g in terms:
+                if lat.leq[a][g]:
+                    v = top
+                    for c, tab in zip(cells, nbhds):
+                        v = ten[v][tab[c + a]]
+                    here[s] = join[here[s]][v]
+            for si in u.ascending_sets:
+                v = here[si]
+                for sj in u.lower_covers[si]:
+                    v = join[v][row[sj * n + a]]
+                row[si * n + a] = v
         tables.append(tuple(row))
     return NbhdSystem(universe=u, tables=tuple(tables))
 

@@ -200,8 +200,8 @@ def saturate(universe, seed):
     Forces the top row to top, then raises the table to its least fixpoint
     under monotonicity in the graded order and the tensor rule
     F(f tensor g, a join b) >= F(f, a) tensor F(g, b), one `closure.close`
-    sweep.  The tensor rule fires once per unordered pair of cells: every
-    `Universe` tensor commutes (see `closure.close`).  Returns the
+    sweep.  The tensor rule fires once per unordered pair of cells not at
+    bot, visited in value order (see `closure.close`).  Returns the
     FilterTable if the empty-set row stayed at bot, otherwise NoFilterAbove
     with the full fixpoint.
     """
@@ -210,7 +210,7 @@ def saturate(universe, seed):
     table = list(seed)
     for a in lat.elements():
         table[u.gidx(u.one_idx, a)] = lat.top
-    close(table, lat.join, _rules(u), above=u.graded_above)
+    close(table, lat, _rules(u), above=u.graded_above)
     for a in lat.elements():
         if table[u.gidx(u.zero_idx, a)] != lat.bot:
             return NoFilterAbove(alpha=a, table=tuple(table))
@@ -238,7 +238,7 @@ def least_filter_above(F, seed):
                 return None
             table[k] = w
             dirty.append(k)
-    if not close(table, join, _rules(u), dirty, u.graded_above, stop):
+    if not close(table, u.lattice, _rules(u), dirty, u.graded_above, stop):
         return None
     return FilterTable(universe=u, table=tuple(table))
 
@@ -310,9 +310,9 @@ def preimage_filter(phi, F, dom_universe):
     uy = F.universe
     ux = dom_universe
     lat = ux.lattice
+    pullback = uy.pullback(phi, ux)
     if set(phi) != set(uy.ground.points()):
         raise NotSurjective("point map misses some codomain point")
-    pullback = uy.pullback(phi, ux)
     table = []
     for si in range(ux.n_sets):
         for a in lat.elements():

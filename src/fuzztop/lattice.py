@@ -53,6 +53,12 @@ class Lattice:
                      for cs in below)
 
     @cached_property
+    def rank(self):
+        """Per element a, the number of elements strictly below it, which a
+        strict inequality raises; not a field."""
+        return tuple(sum(below) - 1 for below in self.geq)
+
+    @cached_property
     def geq(self):
         """The reversed order, `leq` transposed; not a field."""
         return tuple(zip(*self.leq))

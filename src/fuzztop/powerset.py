@@ -324,9 +324,14 @@ class Universe:
         """Pull every fuzzy set on this universe back along a point map.
 
         phi maps the points of dom's ground into this ground; entry g is the
-        set index of g o phi in dom.  Callers build it once per map.
+        set index of g o phi in dom.  Callers build it once per map.  Raises
+        PreconditionViolated, naming the map, unless phi has one point of
+        this ground per point of dom's.
         """
         points = dom.ground.points()
+        self.require_table(phi, dom.ground.m, (f"point map {tuple(phi)}",
+                                               "targets", "points"),
+                           self.ground.m)
         return tuple(dom.set_index[tuple(g[phi[p]] for p in points)]
                      for g in self.sets)
 

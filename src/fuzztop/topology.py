@@ -2,18 +2,20 @@
 
 A topology is a total grade table over the enumerated powerset.  The least
 topology above a seed is the least fixpoint of the pairwise tensor and join
-rules under `closure.close`, each rule fired once per unordered pair of sets
-(every `Universe` tensor commutes); topologies are closed under pointwise
-meet, so they are enumerated as that closure system from its least member
-(see `closure`).  The interior operator derived from a topology, and the
+rules under `closure.close`, which visits the sets not graded bot in value
+order, so on a chain with an integral tensor each rule fires once per
+unordered pair of them (every `Universe` tensor commutes and has bot as its
+zero); topologies are closed under pointwise meet, so they are enumerated
+as that closure system from its least member (see `closure`).  The interior operator derived from a topology, and the
 per-point neighborhood system derived from that, are materialized as full
 tables, once per `Topology`, and validated by exhaustive axiom sweeps,
 turning the structural lemmas into executable checks; the interior is
 built over each set's lower covers.  o3 and I6, axioms over arbitrary
 families, are checked on pairs and the empty family: the same on finite
-models.  Each sweep skips the cases that cannot fail (bottom values, one of
-each symmetric pair, non-covers; see `Universe`) and still names the full
-sweep's first failure.  A point map is pulled back once per check
+models.  Each sweep skips the cases that cannot fail (bottom values, or for
+o2 and o3 values the table's floor makes safe, one of each symmetric pair,
+non-covers; see `Universe`) and still names the full sweep's first failure.
+A point map is checked and pulled back once per check
 (`Universe.pullback`).
 """
 
@@ -76,10 +78,14 @@ def check_topology(t):
     Raises PreconditionViolated unless the table has one grade of L per set
     (`Universe.require_table`).
 
-    o2 and o3 are symmetric in the pair, and the tensor and the meet absorb
-    bot, so both sweep the unordered pairs of sets not graded bot, i <= j
-    (i < j for o3, whose diagonal holds): a failing pair fails both ways
-    round, so the first in index order is among them."""
+    o2 and o3 are symmetric in the pair, so each sweeps unordered pairs,
+    i <= j (i < j for o3, whose diagonal holds): a failing pair fails both
+    ways round, so the first in index order is among them.  Both skip the
+    sets in no failing pair by the floor, the meet of the grades: for o2 a
+    set graded v with v (*) top <= floor, as v (*) w <= v (*) top for every
+    w (the tensor is monotone), and for o3 a set at the floor.  o2 keeps
+    the floor itself unless v (*) top <= floor: a tensor that is not
+    integral can have v (*) top > v."""
     u = t.universe
     lat = u.lattice
     u.require_table(t.table, u.n_sets, GRADES_OF_SETS, lat.n)
@@ -89,7 +95,9 @@ def check_topology(t):
     report.record("o1_prime", t.table[u.zero_idx] == lat.top,
                   {"grade": t.table[u.zero_idx]})
     table, le, ten, meet = t.table, lat.leq, u.tensor.table, lat.meet
-    live = [i for i, v in enumerate(table) if v != lat.bot]
+    floor = lat.bot if lat.bot in table else lat.meet_set(set(table))
+    unstable = [not le[row[lat.top]][floor] for row in ten]
+    live = [i for i, v in enumerate(table) if unstable[v]]
     report.sweep("o2", ({"f": u.sets[i], "g": u.sets[j]}
                         for k, i in enumerate(live) for j in live[k:]
                         if not le[ten[table[i]][table[j]]][
@@ -98,9 +106,10 @@ def check_topology(t):
     def o3_failures():
         if table[u.zero_idx] != lat.top:
             yield {"subset": ()}
-        for k, i in enumerate(live):
+        above = [i for i, v in enumerate(table) if v != floor]
+        for k, i in enumerate(above):
             row_j, meet_i = u.pw_join[i], meet[table[i]]
-            for j in live[k + 1:]:
+            for j in above[k + 1:]:
                 if not le[meet_i[table[j]]][table[row_j[j]]]:
                     yield {"subset": (i, j)}
 
@@ -133,15 +142,15 @@ def generate_topology(universe, seed):
 
     Forces the top and bottom sets to grade top, then raises the table to
     the least fixpoint of the tensor and join rules, one `closure.close`
-    sweep.  Each rule fires once per unordered pair of sets: every
-    `Universe` tensor commutes (see `closure.close`).
+    sweep.  Each rule fires once per unordered pair of sets not graded bot,
+    visited in value order (see `closure.close`).
     """
     u = universe
     lat = u.lattice
     table = list(seed)
     table[u.one_idx] = lat.top
     table[u.zero_idx] = lat.top
-    close(table, lat.join, _rules(u))
+    close(table, lat, _rules(u))
     return Topology(universe=u, table=tuple(table))
 
 

@@ -5,6 +5,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from fuzztop import filters, topology
+from fuzztop.closure import close
 from fuzztop.filters import enumerate_filters_bruteforce
 from fuzztop.instances import (boolean, chain, diamond, lukasiewicz_tensor,
                                meet_tensor)
@@ -48,6 +50,73 @@ def count_calls(monkeypatch):
                         monkeypatch.setattr(module, attr, counting)
         return calls
     return install
+
+
+def _close_by_index(table, join, rules, dirty=None, above=None, stop=()):
+    """Oracle: `closure.close` with the first sweep it replaced.  With no
+    dirty cells every cell is visited once in index order, bot or not,
+    paired with itself and the cells before it; a cell raised after its
+    first visit is visited again, paired with every cell."""
+    size = len(table)
+    if dirty is None:
+        dirty = []
+        visits = [(x, x + 1) for x in range(size - 1, -1, -1)]
+    else:
+        visits = []
+    while visits or dirty:
+        if visits:
+            x, span = visits.pop()
+            last = x  # the cells after x have their first visit to come
+        else:
+            x = dirty.pop()
+            span = last = size
+        v = table[x]
+        if above is not None:
+            for k in above[x]:
+                w = join[table[k]][v]
+                if w != table[k]:
+                    if k in stop:
+                        return False
+                    table[k] = w
+                    if k <= last:
+                        dirty.append(k)
+        for target, op in rules:
+            op_v = op[v]
+            for k, g in zip(target[x], table[:span]):
+                w = join[table[k]][op_v[g]]
+                if w != table[k]:
+                    if k in stop:
+                        return False
+                    table[k] = w
+                    if k <= last:
+                        dirty.append(k)
+    return True
+
+
+@pytest.fixture(autouse=True)
+def fresh_closures_match_the_index_order_sweep(monkeypatch):
+    """Every fresh closure a test makes, `close` with no dirty cells as
+    `generate_topology` and `saturate` call it, closes to the table and the
+    answer of `_close_by_index`."""
+    def checked(table, lattice, rules, dirty=None, above=None, stop=()):
+        if dirty is None:
+            want = list(table)
+            closed = _close_by_index(want, lattice.join, rules, None, above,
+                                     stop)
+            assert close(table, lattice, rules, None, above, stop) == closed
+            assert not closed or table == want
+            return closed
+        return close(table, lattice, rules, dirty, above, stop)
+
+    monkeypatch.setattr(topology, "close", checked)
+    monkeypatch.setattr(filters, "close", checked)
+
+
+@pytest.fixture(scope="session")
+def close_by_index():
+    """The index-order closure oracle, called as `closure.close` is but with
+    the lattice's join table in place of the lattice."""
+    return _close_by_index
 
 
 def _boxtimes(u, gi, gj):

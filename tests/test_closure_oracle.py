@@ -5,11 +5,15 @@ broken canonicity test shows up as a table listed twice or as one missed.
 Also `closure.close` against the fixpoint loop over every ordered pair, on
 random symmetric rules."""
 
+import dataclasses
 import hashlib
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
+import fuzztop
 from fuzztop import filters, topology
 from fuzztop.closure import close
 from fuzztop.errors import SizeLimit
@@ -45,12 +49,15 @@ def enumerate_closed_visited(lattice, least, rules, cap, what, above=None,
                                     f"closures")
                 table = list(parent)
                 table[cell] = join[v][j]
-                if close(table, join, rules, [cell], above, stop):
+                if close(table, lattice, rules, [cell], above, stop):
                     child = tuple(table)
                     if child not in seen:
                         seen.add(child)
                         stack.append(child)
     return sorted(seen)
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def make(lat, tensor, m):
@@ -136,13 +143,23 @@ def close_by_passes(table, join, rules, above):
     return table
 
 
+def bot_zero_ops(lat):
+    """Monotone symmetric operations with bot as their zero, as `close`
+    requires: the meet, and one that exceeds both of its arguments when
+    neither is bot (the sum capped at top on a chain, top elsewhere)."""
+    n, bot = lat.n, lat.bot
+    if lat.leq == chain(n).leq:
+        rise = [[min(n - 1, a + b) for b in range(n)] for a in range(n)]
+    else:
+        rise = [[lat.top] * n for _ in range(n)]
+    return [lat.meet, tuple(tuple(bot if bot in (a, b) else rise[a][b]
+                                  for b in range(n)) for a in range(n))]
+
+
 def random_rules(rng, lat, size):
-    """One or two rules with random symmetric targets, each firing a
-    monotone symmetric operation that may exceed both of its arguments."""
-    n = lat.n
-    ops = [lat.join, lat.meet,
-           tuple(tuple(min(n - 1, a + b) for b in range(n))
-                 for a in range(n))]
+    """One or two rules with random symmetric targets, each firing one of
+    `bot_zero_ops`."""
+    ops = bot_zero_ops(lat)
     rules = []
     for _ in range(rng.randint(1, 2)):
         target = [[0] * size for _ in range(size)]
@@ -153,12 +170,34 @@ def random_rules(rng, lat, size):
     return rules
 
 
-def test_close_reaches_the_all_pairs_fixpoint():
+def reclosings(seed, lat, rules, above):
+    """How many times `close` from `seed` re-closes a cell it visited: the
+    first sweep reads each visited cell's `above` row once, and each
+    re-closing reads it again."""
+    visits = []
+
+    class Rows(list):
+        def __getitem__(self, x):
+            visits.append(x)
+            return list.__getitem__(self, x)
+
+    close(list(seed), lat, rules, above=Rows(above))
+    return len(visits) - len(set(visits))
+
+
+def test_close_reaches_the_all_pairs_fixpoint(close_by_index):
     # a cell can raise itself on its own visit here, which no filter or
     # topology rule does: its pairs with the cells before it must be fired
-    # again with the raised value
-    rng, lat = random.Random(7), chain(4)
-    raised_itself = 0
+    # again with the raised value.  A cell can also be raised after its
+    # visit: by the capped sum, and on the diamond by a cell whose value is
+    # the other atom, so the first sweep must leave it dirty.
+    for lat in (chain(4), diamond()):
+        check_close_on(lat, close_by_index)
+
+
+def check_close_on(lat, close_by_index):
+    rng = random.Random(7)
+    raised_itself = raised_again = 0
     for _ in range(400):
         size = rng.randint(2, 7)
         rules = random_rules(rng, lat, size)
@@ -167,20 +206,25 @@ def test_close_reaches_the_all_pairs_fixpoint():
         seed = [rng.randrange(lat.n) for _ in range(size)]
         want = close_by_passes(seed, lat.join, rules, above)
         table = list(seed)
-        assert close(table, lat.join, rules, above=above)
+        assert close(table, lat, rules, above=above)
+        assert table == want
+        table = list(seed)
+        assert close_by_index(table, lat.join, rules, above=above)
         assert table == want
         raised_itself += any(want[x] != seed[x] and target[x][y] == x
                              for target, _ in rules
                              for x in range(size) for y in range(x))
+        raised_again += reclosings(seed, lat, rules, above) > 0
         # from a closed table, with the raised cells dirty
         table = list(want)
         dirty = rng.sample(range(size), rng.randint(1, size))
         for k in dirty:
             table[k] = lat.join[table[k]][rng.randrange(lat.n)]
         want = close_by_passes(table, lat.join, rules, above)
-        assert close(table, lat.join, rules, list(dirty), above)
+        assert close(table, lat, rules, list(dirty), above)
         assert table == want
-    assert raised_itself > 50
+    assert raised_itself > 50, lat
+    assert raised_again > 50, lat
 
 
 class CountingRows:
@@ -194,14 +238,54 @@ class CountingRows:
         return self.join[a]
 
 
+def counting(lat):
+    """`lat` with its join table counting row lookups."""
+    return dataclasses.replace(lat, join=CountingRows(lat.join))
+
+
 def test_first_sweep_requeues_only_visited_cells():
-    # a cell raised before its first visit is not queued again: saturating
-    # each single cell of u32-Goedel at top fires 16,155 rules, against
-    # 21,007 when every raised cell is queued
+    # the first sweep visits the live cells, highest rank first, and a cell
+    # raised before its visit is visited once, with its raised value, not
+    # queued again: saturating each single cell of u32-Goedel at top fires
+    # 2,264 rules, against 7,962 when every raised cell is queued and
+    # 16,155 for the index-order sweep over every cell
     u = make(chain(3), meet_tensor, 2)
-    lat, join = u.lattice, CountingRows(u.lattice.join)
+    lat = counting(u.lattice)
     for gi in u.graded_cells():
         table = [lat.bot] * u.graded_size
         table[gi] = lat.top
-        close(table, join, filters._rules(u), above=u.graded_above)
-    assert join.count == 16155
+        close(table, lat, filters._rules(u), above=u.graded_above)
+    assert lat.join.count == 2264
+
+
+@pytest.fixture(scope="module")
+def batteries_large_seeds():
+    """The seed gradings of the 243- and 256-set universes of the
+    batteries benchmark at seed 1."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import batteries
+        return batteries.make_inputs(fuzztop, 1)["large"]
+    finally:
+        sys.path.remove(str(PERFBENCH))
+
+
+# each unordered pair of the live sets fires once per rule: every set of
+# both generated topologies is live, so 2 * (243 * 244 / 2) and
+# 2 * (256 * 257 / 2) firings, against the index-order sweep's re-closings
+@pytest.mark.parametrize("name, lat, m, pairs", [
+    ("chain3-5pt", chain(3), 5, 59_292),
+    ("chain2-8pt", chain(2), 8, 65_792),
+])
+def test_generated_topology_fires_each_live_pair_once(
+        name, lat, m, pairs, batteries_large_seeds, close_by_index):
+    u = make(lat, meet_tensor, m)
+    table = list(batteries_large_seeds[name])
+    table[u.one_idx] = table[u.zero_idx] = lat.top
+    want = list(table)
+    close_by_index(want, lat.join, topology._rules(u))
+    counted = counting(lat)
+    close(table, counted, topology._rules(u))
+    assert table == want == list(topology.generate_topology(
+        u, batteries_large_seeds[name]).table)
+    assert counted.join.count == pairs

@@ -1,5 +1,7 @@
 import itertools
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -10,12 +12,17 @@ from fuzztop.compactness import (ProductSpace, Space, build_product, converges,
                                  product_convergence_check, tychonoff_check)
 from fuzztop.errors import PreconditionViolated, SizeLimit
 from fuzztop.filters import (FilterTable, NoFilterAbove, check_filter,
-                             enumerate_filters, is_ultrafilter, saturate)
-from fuzztop.instances import meet_tensor
+                             enumerate_filters, image_filter, is_ultrafilter,
+                             preimage_filter, saturate)
+from fuzztop.instances import chain, lukasiewicz_tensor, meet_tensor
 from fuzztop.powerset import Ground, Universe
 from fuzztop.residuated import Tensor
-from fuzztop.topology import (Topology, check_interior, check_nbhd,
-                              enumerate_topologies, is_continuous)
+from fuzztop.specfile import build_universe, parse_spec
+from fuzztop.topology import (Topology, check_continuity_nbhd, check_interior,
+                              check_nbhd, enumerate_topologies, is_continuous,
+                              nbhd_pushforward)
+
+SPECS = Path(__file__).resolve().parents[1] / "specs"
 
 
 def discrete_space(u):
@@ -564,6 +571,50 @@ def test_product_nbhd_matches_derived_tables(u22):
                     P.space.nbhd.tables[p][u.gidx(si, a)]
 
 
+def assert_system_is_the_formula(P):
+    """`product_nbhd_system` equals `product_nbhd` cell by cell."""
+    u = P.universe
+    tables = product_nbhd_system(P).tables
+    assert len(tables) == u.ground.m
+    for p in range(u.ground.m):
+        assert tables[p] == tuple(product_nbhd(P, p, si, a)
+                                  for si in range(u.n_sets)
+                                  for a in u.lattice.elements())
+
+
+def test_product_nbhd_system_on_the_two_spaces_spec():
+    doc = parse_spec((SPECS / "two_spaces.spec").read_text())
+    spaces = {name: Space(build_universe(doc, name),
+                          doc.spaces[name].topology) for name in ("X", "Y")}
+    for pair in (("X", "X"), ("X", "Y")):
+        P = build_product([spaces[name] for name in pair])
+        assert_system_is_the_formula(P)
+        assert product_nbhd_system(P).tables == P.space.nbhd.tables
+
+
+def test_product_nbhd_system_on_non_discrete_factors(u21, u22):
+    # two non-discrete u22 factors, and three u21 factors, 256 sets
+    topologies = enumerate_topologies(u22)
+    middle = [Space(u22, t) for t in topologies[1:-1]]
+    assert len(middle) >= 2
+    assert_system_is_the_formula(build_product(middle[:2]))
+    assert_system_is_the_formula(build_product([middle[0], middle[-1]]))
+    assert_system_is_the_formula(build_product([discrete_space(u21),
+                                                indiscrete_space(u21),
+                                                discrete_space(u21)]))
+
+
+@pytest.mark.parametrize("tensor", [meet_tensor, lukasiewicz_tensor])
+def test_product_nbhd_system_on_the_3_chain(tensor):
+    lat = chain(3)
+    u32, u31 = (Universe(lat, tensor(lat), Ground(m)) for m in (2, 1))
+    rng = random.Random(tensor.__name__)
+    for _ in range(3):
+        factors = [Space(u, rng.choice(enumerate_topologies(u)))
+                   for u in (u32, u31)]
+        assert_system_is_the_formula(build_product(factors))
+
+
 def test_product_nbhd_system_passes_axioms(u22):
     s = discrete_space(u22)
     P = build_product([s, s])
@@ -611,3 +662,23 @@ def test_tychonoff_two_factors(u21, u22):
 def test_tychonoff_single_factor(u31_luk):
     rep = tychonoff_check([indiscrete_space(u31_luk)])
     assert rep.passed
+
+
+# a 2-point domain and a 1-point codomain over the 2-chain; before the check
+# is_continuous gave (True, None) for the first two maps (-1 wraps round)
+# and raised IndexError for the others
+@pytest.mark.parametrize("phi", [(0, 0, 0), (-1, -1), (0,), (5,), (0, 5)])
+def test_point_maps_are_validated(u21, u22, phi):
+    x, y = discrete_space(u22), discrete_space(u21)
+    tau, eta = x.topology, y.topology
+    F, G = enumerate_filters(u22)[-1], enumerate_filters(u21)[-1]
+    calls = [lambda: is_continuous(phi, tau, eta),
+             lambda: check_continuity_nbhd(phi, tau, eta),
+             lambda: nbhd_pushforward(phi, tau, eta),
+             lambda: image_filter(phi, F, u21),
+             lambda: preimage_filter(phi, G, u22),
+             lambda: image_compactness_check(phi, x, y)]
+    for call in calls:
+        with pytest.raises(PreconditionViolated,
+                           match=f"^point map {re.escape(str(phi))} "):
+            call()

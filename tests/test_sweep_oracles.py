@@ -10,12 +10,13 @@ import random
 import pytest
 
 from fuzztop.filters import FilterTable, check_filter, enumerate_filters
-from fuzztop.instances import diamond, meet_tensor
+from fuzztop.instances import chain, diamond, meet_tensor
 from fuzztop.powerset import Ground, Universe
+from fuzztop.residuated import Tensor
 from fuzztop.topology import (InteriorOp, NbhdSystem, Topology,
                               check_interior, check_nbhd, check_topology,
-                              enumerate_topologies, interior_from_topology,
-                              nbhd_from_interior)
+                              enumerate_topologies, generate_topology,
+                              interior_from_topology, nbhd_from_interior)
 
 # on the 2-chain the Lukasiewicz tensor is the meet, so u22 and u23 stand for
 # both tensors; u32_godel_reindexed is the 3-chain declared top first
@@ -194,6 +195,85 @@ def test_a_cell_is_paired_with_itself(u32_luk):
                                           lat.leq)) == [want]
     assert list(u.unstable_cells(tab, u.tensor.table, lat.leq,
                                  lat.bot)) == [want]
+
+
+# ---- o2 and o3 pruned by the floor ------------------------------------------
+
+def o2_o3_by_live_pairs(t):
+    """Oracle: the first o2 and o3 witnesses of the sweep of unordered pairs
+    of sets not graded bot, i <= j for o2 and i < j for o3."""
+    u = t.universe
+    lat, table = u.lattice, t.table
+    le, ten, meet = lat.leq, u.tensor.table, lat.meet
+    live = [i for i, v in enumerate(table) if v != lat.bot]
+    o2 = first({"f": u.sets[i], "g": u.sets[j]}
+               for k, i in enumerate(live) for j in live[k:]
+               if not le[ten[table[i]][table[j]]][table[u.pw_tensor[i][j]]])
+    o3 = {"subset": ()} if table[u.zero_idx] != lat.top else first(
+        {"subset": (i, j)} for k, i in enumerate(live) for j in live[k + 1:]
+        if not le[meet[table[i]][table[j]]][table[u.pw_join[i][j]]])
+    return o2, o3
+
+
+def non_integral_32():
+    """The 3-chain with a (*) b = bot when either is bot, else
+    min(top, a + b - 1), on 2 points: 1 is the unit, so top (*) 1 = top and
+    1 (*) top = top > 1."""
+    lat = chain(3)
+    table = tuple(tuple(0 if 0 in (a, b) else min(2, a + b - 1)
+                        for b in range(3)) for a in range(3))
+    return Universe(lat, Tensor(base=lat, table=table), Ground(2))
+
+
+def check_floor_pruning(topologies, rng, seen, mutants_each):
+    """Verdicts and first witnesses of o2 and o3 against the oracle, on each
+    topology and on single-cell mutants of it; `seen` collects which axioms
+    failed."""
+    for t in topologies:
+        u = t.universe
+        tables = [t.table]
+        for _ in range(mutants_each):
+            tab = list(t.table)
+            tab[rng.randrange(u.n_sets)] = rng.randrange(u.n)
+            tables.append(tuple(tab))
+        for tab in tables:
+            mut = Topology(universe=u, table=tab)
+            want = o2_o3_by_live_pairs(mut)
+            got = check_topology(mut)
+            for axiom, w in zip(("o2", "o3"), want):
+                assert witness(got, axiom) == w, axiom
+                assert got.verdicts[axiom].status == ("pass" if w is None
+                                                      else "fail")
+                if w is not None:
+                    seen.add((axiom, min(tab) != u.lattice.bot))
+
+
+def test_floor_pruning_names_the_live_pair_sweeps_first_witness(request):
+    # every topology of each universe, and 3 single-cell mutants of each;
+    # on the non-integral tensor some o2 failure has no set graded bot, so
+    # pruning the sets at the floor, not those with v (*) top <= floor,
+    # misses it
+    rng, seen = random.Random(18), set()
+    universes = [request.getfixturevalue(name) for name in
+                 ("u22", "u23", "u32_godel", "u32_luk", "diamond_1pt")]
+    for u in universes + [non_integral_32()]:
+        check_floor_pruning(enumerate_topologies(u), rng, seen, 3)
+    assert len(enumerate_topologies(non_integral_32())) == 150
+    assert seen == {(axiom, floor_above_bot) for axiom in ("o2", "o3")
+                    for floor_above_bot in (False, True)}
+
+
+@pytest.mark.parametrize("lat, m", [(chain(3), 5), (chain(2), 8)],
+                         ids=["chain3-5pt", "chain2-8pt"])
+def test_floor_pruning_on_generated_large_topologies(lat, m):
+    u = Universe(lat, meet_tensor(lat), Ground(m))
+    rng, seen = random.Random(m), set()
+    topologies = [generate_topology(u, [rng.randrange(lat.n)
+                                        if rng.random() < p else lat.bot
+                                        for _ in range(u.n_sets)])
+                  for p in (0.0, 0.01, 0.05, 0.3)]
+    check_floor_pruning(topologies, rng, seen, 20)
+    assert {axiom for axiom, _ in seen} == {"o2", "o3"}
 
 
 # ---- the ultrafilter characterization --------------------------------------
