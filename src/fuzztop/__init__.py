@@ -28,7 +28,7 @@ from .filters import (FilterTable, NoFilterAbove, check_filter,
                       preimage_filter, saturate, sup_of_chain)
 from .compactness import (ProductSpace, Space, adherent_points, build_product,
                           converges, image_compactness_check, is_adherent,
-                          is_compact, product_convergence_check, product_nbhd,
+                          is_compact, product_convergence_check,
                           product_nbhd_system, tychonoff_check)
 from .specfile import (SpecDocument, build_universe, parse_spec, render_spec)
 

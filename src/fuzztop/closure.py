@@ -15,7 +15,8 @@ smaller one by adding one attribute and closing.  This is
 Close-by-One (Kuznetsov 1993) carried to L-sets as in Belohlavek's
 algorithms for fuzzy concept lattices: its canonicity test keeps each
 member's one canonical parent, so every member is closed once, and a
-closure that is not canonical stops at the first earlier cell it raises.
+closure that is not canonical stops at the first earlier cell it raises:
+its `stop` is the set of the cells before the added one and the family's.
 """
 
 from __future__ import annotations
@@ -37,16 +38,18 @@ def close(table, lattice, rules, dirty=None, above=None, stop=()):
     for every c, the meet has both, and the pointwise tables inherit them.
 
     `dirty` lists the cells raised since the table was last closed; each is
-    visited again, paired with every cell, as is each cell a visit raises.
-    None means the table never was closed.  The first sweep then visits
-    the live cells, those not at bot, highest `Lattice.rank` first from one
-    bucket per rank, each paired with itself and the live cells visited
-    before it.  A cell raised before its visit moves to the bucket of its
-    new rank; one raised after it is dirty.  This is Knuth's generalization
-    of Dijkstra's algorithm to superior functions, read upside down: an
-    integral tensor and the meet never exceed their smaller argument, so on
-    a chain no visit raises a cell visited before it, and each rule fires
-    once per unordered pair of live cells.  Returns False as soon as a
+    visited again, paired with every cell as the table stands, as is each
+    cell a visit raises (values only rise, and a cell raised during a visit
+    is visited again, so the fixpoint is the same).  None means the table
+    never was closed.  The first sweep then visits the live cells, those
+    not at bot, highest `Lattice.rank` first from one bucket per rank, each
+    paired with itself and the live cells visited before it.  A cell raised
+    before its visit moves to the bucket of its new rank; one raised after
+    it is dirty.  This is Knuth's generalization of Dijkstra's algorithm to
+    superior functions, read upside down: an integral tensor and the meet
+    never exceed their smaller argument, so on a chain no visit raises a
+    cell visited before it, and each rule fires once per unordered pair of
+    live cells.  Returns False as soon as a
     cell in `stop` is raised, leaving the table half closed; otherwise
     True.  Whether that happens does not depend on the order the rules
     fire: the least fixpoint is unique and the table only rises toward it.
@@ -107,7 +110,7 @@ def close(table, lattice, rules, dirty=None, above=None, stop=()):
                     dirty.append(k)
         for target, op in rules:
             op_v = op[v]
-            for k, g in zip(target[x], table[:]):
+            for k, g in zip(target[x], table):
                 w = join[table[k]][op_v[g]]
                 if w != table[k]:
                     if k in stop:
@@ -132,8 +135,9 @@ def enumerate_closed(lattice, least, rules, cap, what, above=None, stop=()):
     in `join_irreducibles`.  A member made by attribute y only tries the
     attributes after y, each one it does not hold, and keeps the closure
     only when it holds no new attribute before the one added: no earlier
-    cell rises (the closure stops at once, as at a cell in `stop`) and no
-    earlier j comes below the cell.  Every member C but the least thus has
+    cell rises (the closure stops at once: its `stop`, one frozenset per
+    cell, holds the earlier cells and those in `stop`) and no earlier j
+    comes below the cell.  Every member C but the least thus has
     one parent: the closure P of C's attributes before the first attribute
     y at which C's attributes up to y close to C.  P is a member, since it
     lies below C; it was made by an attribute before y; and raising it by y
@@ -144,9 +148,12 @@ def enumerate_closed(lattice, least, rules, cap, what, above=None, stop=()):
         return []
     join, le = lattice.join, lattice.leq
     irreducibles = lattice.join_irreducibles()
-    attributes = [(cell, j, irreducibles[:i], _Before(cell, stop))
-                  for cell in range(len(least)) if cell not in stop
-                  for i, j in enumerate(irreducibles)]
+    attributes = []
+    for cell in range(len(least)):
+        if cell not in stop:
+            guard = frozenset(range(cell)).union(stop)
+            attributes += [(cell, j, irreducibles[:i], guard)
+                           for i, j in enumerate(irreducibles)]
     found = [least]
     stack = [(least, 0)]
     closures = 1
@@ -173,14 +180,3 @@ def enumerate_closed(lattice, least, rules, cap, what, above=None, stop=()):
             stack.append((child, a + 1))
     return sorted(found)
 
-
-class _Before:
-    """The cells before `cell` and those in `stop`, as a `stop` of `close`."""
-
-    __slots__ = ("cell", "stop")
-
-    def __init__(self, cell, stop):
-        self.cell, self.stop = cell, stop
-
-    def __contains__(self, k):
-        return k < self.cell or k in self.stop

@@ -70,7 +70,10 @@ class Space:
 
 
 def converges(F, p, space):
-    """True iff the neighborhood table at p sits below the filter."""
+    """True iff the neighborhood table at p sits below the filter; raises
+    PreconditionViolated when F is over another universe."""
+    if F.universe is not space.universe:
+        raise PreconditionViolated("a filter is over another universe")
     return all(map(space.universe.lattice.le, space.nbhd.tables[p], F.table))
 
 
@@ -81,8 +84,11 @@ def is_adherent(p, F, space):
     neighborhood table at p, or None when no filter does.  It is closed
     from F's kept closure, re-firing only the cells the neighborhood table
     raises (`least_filter_above`), so each filter is saturated once however
-    many points and spaces test it.
+    many points and spaces test it.  Raises PreconditionViolated when F
+    is over another universe.
     """
+    if F.universe is not space.universe:
+        raise PreconditionViolated("a filter is over another universe")
     G = least_filter_above(F, space.nbhd.tables[p])
     return G is not None, G
 
@@ -267,44 +273,6 @@ def build_product(factors, powerset_cap=DEFAULT_POWERSET_CAP):
                         pullbacks=pullbacks)
 
 
-def _fold_tensor(lat, tensor, values):
-    out = lat.top
-    for v in values:
-        out = tensor.app(out, v)
-    return out
-
-
-def product_nbhd(P, p, f_idx, alpha):
-    """The explicit product neighborhood value at point p and cell (f, a).
-
-    Joins, over every factor tuple h whose pulled-back tensor product sits
-    below f and whose factor grades tensor above a, the tensor of the factor
-    neighborhood values.
-    """
-    u = P.universe
-    lat = u.lattice
-    tensor = u.tensor
-    p_tuple = P.point_tuples[p]
-    acc = lat.bot
-    for h in itertools.product(*[range(f.universe.n_sets) for f in P.factors]):
-        pullback = u.one_idx
-        for hk, pulled in zip(h, P.pullbacks):
-            pullback = u.pw_tensor[pullback][pulled[hk]]
-        if not u.pw_leq[pullback][f_idx]:
-            continue
-        grade = _fold_tensor(lat, tensor,
-                             [f.topology.table[h[k]]
-                              for k, f in enumerate(P.factors)])
-        if not lat.le(alpha, grade):
-            continue
-        val = _fold_tensor(lat, tensor,
-                           [f.nbhd.tables[p_tuple[k]][
-                               f.universe.gidx(h[k], alpha)]
-                            for k, f in enumerate(P.factors)])
-        acc = lat.join2(acc, val)
-    return acc
-
-
 def product_nbhd_system(P):
     """The full per-point table of the explicit product formula.
 
@@ -313,7 +281,7 @@ def product_nbhd_system(P):
     a <= g_h its value, found once.  The value at (f, a) joins the terms
     with s_h <= f: those at s_h = f and the values at f's lower covers,
     visited first in `Universe.ascending_sets`, as every set below f lies
-    below one of them.  `product_nbhd` is the formula cell by cell.
+    below one of them.
     """
     u = P.universe
     lat, ten, n = u.lattice, u.tensor.table, u.n

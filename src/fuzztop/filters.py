@@ -161,11 +161,14 @@ def enumerate_filters_bruteforce(universe, cap=DEFAULT_FILTER_CAP):
 
 
 def sup_of_chain(chain):
-    """Pointwise join of a chain of filters; a filter again."""
+    """Pointwise join of a chain of filters; a filter again.  Raises
+    PreconditionViolated when the filters are over different universes."""
     if not chain:
         raise NotAChain("empty chain")
     u = chain[0].universe
     lat = u.lattice
+    if any(F.universe is not u for F in chain):
+        raise PreconditionViolated("a filter is over another universe")
     for F in chain:
         for G in chain:
             if not (F.leq(G) or G.leq(F)):

@@ -88,11 +88,12 @@ class Lattice:
 
     def join_irreducibles(self):
         """Elements that are not the join of the elements strictly below
-        them (so not bot, the empty join); every element is the join of the
-        join-irreducibles below it."""
-        return tuple(j for j in self.elements()
-                     if self.join_set(e for e in self.elements()
-                                      if e != j and self.le(e, j)) != j)
+        them (so not bot, the empty join), in index order; every element is
+        the join of the join-irreducibles below it.  In a finite lattice
+        these are the elements with exactly one lower cover: with none it
+        is bot, and with two or more it is their join."""
+        return tuple(j for j, covers in enumerate(self.lower_covers)
+                     if len(covers) == 1)
 
 
 def _upsets(rows):

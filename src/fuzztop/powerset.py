@@ -149,11 +149,6 @@ class Universe:
     def graded_cells(self):
         return range(self.graded_size)
 
-    def graded_leq(self, gi, gj):
-        si, a = divmod(gi, self.n)
-        sj, b = divmod(gj, self.n)
-        return self.pw_leq[si][sj] and self.lattice.le(b, a)
-
     @cached_property
     def graded_above(self):
         """Per graded cell (f, a), the cells strictly above it in the
@@ -235,19 +230,23 @@ class Universe:
         """Graded residuation by its sup-form definition (test oracle).
 
         Join, in the graded order, of all (h, e) with h tensor f <= g and
-        b <= e join a; the graded join is (pointwise join, lattice meet).
+        b <= e cotensor a; the graded join is (pointwise join, lattice
+        meet).  The pairs are a product of a set of sets and a set of
+        grades, so the join is (join of the sets, meet of the grades) when
+        neither is empty, and neither is: the empty set is among the sets,
+        as bot is the tensor's zero, and top among the grades, as the
+        co-implication's adjunction forces top cotensor a = top.
         """
         si, a = divmod(gi, self.n)
         sj, b = divmod(gj, self.n)
-        lat = self.lattice
-        set_acc, grade_acc = self.zero_idx, lat.top
-        for hi in range(self.n_sets):
-            for e in lat.elements():
-                if self.pw_leq[self.pw_tensor[hi][si]][sj] \
-                        and lat.le(b, self.cotensor.app(e, a)):
-                    set_acc = self.pw_join[set_acc][hi]
-                    grade_acc = lat.meet2(grade_acc, e)
-        return self.gidx(set_acc, grade_acc)
+        lat, cot = self.lattice, self.cotensor
+        set_acc = self.zero_idx
+        for hi, row in enumerate(self.pw_tensor):
+            if self.pw_leq[row[si]][sj]:
+                set_acc = self.pw_join[set_acc][hi]
+        grade = lat.meet_set(e for e in lat.elements()
+                             if lat.le(b, cot.app(e, a)))
+        return self.gidx(set_acc, grade)
 
     def graded_join(self, gis):
         """Componentwise join in the graded order (grades use the meet)."""

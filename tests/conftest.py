@@ -1,3 +1,4 @@
+import itertools
 import sys
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from fuzztop.instances import (boolean, chain, diamond, lukasiewicz_tensor,
                                meet_tensor)
 from fuzztop.lattice import build_lattice
 from fuzztop.powerset import Ground, Universe
+from fuzztop.residuated import Tensor
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -133,6 +135,62 @@ def boxtimes():
     return _boxtimes
 
 
+def _graded_leq(u, gi, gj):
+    si, a = divmod(gi, u.n)
+    sj, b = divmod(gj, u.n)
+    return u.pw_leq[si][sj] and u.lattice.le(b, a)
+
+
+@pytest.fixture(scope="session")
+def graded_leq():
+    """Oracle: the graded order by its definition, (f, a) below (g, b) iff
+    f <= g pointwise and b <= a, one pair of cells at a time; called as
+    graded_leq(u, gi, gj)."""
+    return _graded_leq
+
+
+def _fold_tensor(lat, tensor, values):
+    out = lat.top
+    for v in values:
+        out = tensor.app(out, v)
+    return out
+
+
+def _product_nbhd(P, p, f_idx, alpha):
+    u = P.universe
+    lat = u.lattice
+    tensor = u.tensor
+    p_tuple = P.point_tuples[p]
+    acc = lat.bot
+    for h in itertools.product(*[range(f.universe.n_sets) for f in P.factors]):
+        pullback = u.one_idx
+        for hk, pulled in zip(h, P.pullbacks):
+            pullback = u.pw_tensor[pullback][pulled[hk]]
+        if not u.pw_leq[pullback][f_idx]:
+            continue
+        grade = _fold_tensor(lat, tensor,
+                             [f.topology.table[h[k]]
+                              for k, f in enumerate(P.factors)])
+        if not lat.le(alpha, grade):
+            continue
+        val = _fold_tensor(lat, tensor,
+                           [f.nbhd.tables[p_tuple[k]][
+                               f.universe.gidx(h[k], alpha)]
+                            for k, f in enumerate(P.factors)])
+        acc = lat.join2(acc, val)
+    return acc
+
+
+@pytest.fixture(scope="session")
+def product_nbhd():
+    """Oracle: the explicit product neighborhood value at point p and cell
+    (f, a), for checking `compactness.product_nbhd_system`: the join, over
+    every factor tuple h whose pulled-back tensor product sits below f and
+    whose factor grades tensor above a, of the tensor of the factor
+    neighborhood values; called as product_nbhd(P, p, f_idx, alpha)."""
+    return _product_nbhd
+
+
 def _pointwise_leq(F, G):
     le = F.universe.lattice.le
     return all(le(a, b) for a, b in zip(F.table, G.table))
@@ -201,6 +259,43 @@ def u32_godel_reindexed():
     element indices are no linear extension of the order."""
     lat = build_lattice(3, [(2, 1), (1, 0)])
     return Universe(lat, meet_tensor(lat), Ground(2))
+
+
+def _middle_unit_cotensor(lat):
+    """On the 3-chain, a (+) b = top if top is a or b, else min(a, b).  Its
+    unit is the middle element, not bot, so unlike every co-GL cotensor it
+    has rho coimpl a above bot for some rho <= a (here rho = a = 1), and
+    the ultrafilter characterization reads a cell other than (f -> 0, bot)
+    there."""
+    top = lat.top
+    return Tensor(base=lat, table=tuple(
+        tuple(top if top in (a, b) else min(a, b) for b in lat.elements())
+        for a in lat.elements()))
+
+
+def _middle_unit(chain3, tensor, m):
+    return Universe(chain3, tensor(chain3), Ground(m),
+                    cotensor=_middle_unit_cotensor(chain3))
+
+
+@pytest.fixture(scope="session")
+def u31_godel_middle_unit(chain3):
+    return _middle_unit(chain3, meet_tensor, 1)
+
+
+@pytest.fixture(scope="session")
+def u31_luk_middle_unit(chain3):
+    return _middle_unit(chain3, lukasiewicz_tensor, 1)
+
+
+@pytest.fixture(scope="session")
+def u32_godel_middle_unit(chain3):
+    return _middle_unit(chain3, meet_tensor, 2)
+
+
+@pytest.fixture(scope="session")
+def u32_luk_middle_unit(chain3):
+    return _middle_unit(chain3, lukasiewicz_tensor, 2)
 
 
 @pytest.fixture(scope="session")

@@ -7,8 +7,7 @@ import pytest
 
 from fuzztop.compactness import (ProductSpace, Space, build_product, converges,
                                  adherent_points, image_compactness_check,
-                                 is_adherent, is_compact, product_nbhd,
-                                 product_nbhd_system,
+                                 is_adherent, is_compact, product_nbhd_system,
                                  product_convergence_check, tychonoff_check)
 from fuzztop.errors import PreconditionViolated, SizeLimit
 from fuzztop.filters import (FilterTable, NoFilterAbove, check_filter,
@@ -76,6 +75,22 @@ def test_is_compact_rejects_filters_of_another_universe(u21, u22):
         with pytest.raises(PreconditionViolated,
                            match="over another universe"):
             is_compact(space, mode, filters=mixed)
+
+
+# before the check the tables were zipped to the shorter one: p = 0 adhered
+# to u21's filter in u22's space with a 4-cell certificate, both points did,
+# and u22's filter converged to 0 in u21's space
+@pytest.mark.parametrize("verdict", [
+    lambda F, G, s21, s22: is_adherent(0, F, s22),
+    lambda F, G, s21, s22: adherent_points(F, s22),
+    lambda F, G, s21, s22: converges(G, 0, s21),
+], ids=["is_adherent", "adherent_points", "converges"])
+def test_verdicts_reject_filters_of_another_universe(u21, u22, verdict):
+    F, = enumerate_filters(u21)
+    G = FilterTable(universe=u22, table=(0, 0, 1, 1, 0, 0, 1, 1))
+    assert check_filter(G).passed
+    with pytest.raises(PreconditionViolated, match="over another universe"):
+        verdict(F, G, discrete_space(u21), discrete_space(u22))
 
 
 def test_space_keeps_axiom_reports(u22):
@@ -558,7 +573,7 @@ def test_product_requires_shared_cotensor(chain3):
             build_product(factors)
 
 
-def test_product_nbhd_matches_derived_tables(u22):
+def test_product_nbhd_matches_derived_tables(u22, product_nbhd):
     # the explicit formula against the tables derived from the generated
     # topology, cell by cell
     s = discrete_space(u22)
@@ -571,8 +586,9 @@ def test_product_nbhd_matches_derived_tables(u22):
                     P.space.nbhd.tables[p][u.gidx(si, a)]
 
 
-def assert_system_is_the_formula(P):
-    """`product_nbhd_system` equals `product_nbhd` cell by cell."""
+def assert_system_is_the_formula(P, product_nbhd):
+    """`product_nbhd_system` equals the `product_nbhd` oracle cell by
+    cell."""
     u = P.universe
     tables = product_nbhd_system(P).tables
     assert len(tables) == u.ground.m
@@ -582,37 +598,37 @@ def assert_system_is_the_formula(P):
                                   for a in u.lattice.elements())
 
 
-def test_product_nbhd_system_on_the_two_spaces_spec():
+def test_product_nbhd_system_on_the_two_spaces_spec(product_nbhd):
     doc = parse_spec((SPECS / "two_spaces.spec").read_text())
     spaces = {name: Space(build_universe(doc, name),
                           doc.spaces[name].topology) for name in ("X", "Y")}
     for pair in (("X", "X"), ("X", "Y")):
         P = build_product([spaces[name] for name in pair])
-        assert_system_is_the_formula(P)
+        assert_system_is_the_formula(P, product_nbhd)
         assert product_nbhd_system(P).tables == P.space.nbhd.tables
 
 
-def test_product_nbhd_system_on_non_discrete_factors(u21, u22):
+def test_product_nbhd_system_on_non_discrete_factors(u21, u22,
+                                                     product_nbhd):
     # two non-discrete u22 factors, and three u21 factors, 256 sets
     topologies = enumerate_topologies(u22)
     middle = [Space(u22, t) for t in topologies[1:-1]]
     assert len(middle) >= 2
-    assert_system_is_the_formula(build_product(middle[:2]))
-    assert_system_is_the_formula(build_product([middle[0], middle[-1]]))
-    assert_system_is_the_formula(build_product([discrete_space(u21),
-                                                indiscrete_space(u21),
-                                                discrete_space(u21)]))
+    for factors in (middle[:2], [middle[0], middle[-1]],
+                    [discrete_space(u21), indiscrete_space(u21),
+                     discrete_space(u21)]):
+        assert_system_is_the_formula(build_product(factors), product_nbhd)
 
 
 @pytest.mark.parametrize("tensor", [meet_tensor, lukasiewicz_tensor])
-def test_product_nbhd_system_on_the_3_chain(tensor):
+def test_product_nbhd_system_on_the_3_chain(tensor, product_nbhd):
     lat = chain(3)
     u32, u31 = (Universe(lat, tensor(lat), Ground(m)) for m in (2, 1))
     rng = random.Random(tensor.__name__)
     for _ in range(3):
         factors = [Space(u, rng.choice(enumerate_topologies(u)))
                    for u in (u32, u31)]
-        assert_system_is_the_formula(build_product(factors))
+        assert_system_is_the_formula(build_product(factors), product_nbhd)
 
 
 def test_product_nbhd_system_passes_axioms(u22):

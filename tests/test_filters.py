@@ -109,7 +109,7 @@ def test_enumeration_matches_bruteforce(u21, u22, u31_godel, u31_luk,
         assert [F.table for F in fast] == bruteforce_filter_tables[id(u)]
 
 
-def filters_by_sweep(u):
+def filters_by_sweep(u, graded_leq):
     """Oracle: every table with the top row at top and the empty-set row at
     bot, swept over the remaining cells, kept when monotone in the graded
     order and passing check_filter.  The monotonicity test only skips
@@ -118,7 +118,7 @@ def filters_by_sweep(u):
     pinned = {u.one_idx: lat.top, u.zero_idx: lat.bot}
     free = [gi for gi in u.graded_cells() if gi // u.n not in pinned]
     pairs = [(gi, gj) for gi in u.graded_cells() for gj in u.graded_cells()
-             if u.graded_leq(gi, gj)]
+             if graded_leq(u, gi, gj)]
     table = [pinned.get(gi // u.n) for gi in u.graded_cells()]
     out = []
     for values in itertools.product(lat.elements(), repeat=len(free)):
@@ -132,10 +132,11 @@ def filters_by_sweep(u):
 
 
 def test_enumeration_matches_sweep(u23, diamond_1pt, chain4_godel_1pt,
-                                   chain4_luk_1pt):
+                                   chain4_luk_1pt, graded_leq):
     # the plain |L|**cells sweep is 2**16 or 4**16 tables here
     for u in (u23, diamond_1pt, chain4_godel_1pt, chain4_luk_1pt):
-        assert [F.table for F in enumerate_filters(u)] == filters_by_sweep(u)
+        assert [F.table for F in enumerate_filters(u)] == \
+            filters_by_sweep(u, graded_leq)
 
 
 def test_u32_filter_goldens(u32_godel, u32_luk):
@@ -224,6 +225,18 @@ def test_sup_of_chain_rejects_antichain(u22):
         sup_of_chain(list(anti[0]))
     with pytest.raises(NotAChain):
         sup_of_chain([])
+
+
+def test_sup_of_chain_rejects_filters_of_another_universe(u21, u22):
+    # before the check the codes of F and G compared as a chain: [F, G]
+    # gave F's 4-cell table back and [G, F] raised IndexError
+    F, = enumerate_filters(u21)
+    G = FilterTable(universe=u22, table=(0, 0, 1, 1, 0, 0, 1, 1))
+    assert check_filter(G).passed and F.leq(G)
+    for chain in ([F, G], [G, F]):
+        with pytest.raises(PreconditionViolated,
+                           match="over another universe"):
+            sup_of_chain(chain)
 
 
 def test_saturate_is_least_filter_above(u22, u31_luk):
@@ -361,7 +374,7 @@ def test_preimage_identity_is_identity(u22):
         assert preimage_filter(phi, F, u22).table == F.table
 
 
-def saturate_by_passes(u, seed, boxtimes):
+def saturate_by_passes(u, seed, boxtimes, graded_leq):
     """Oracle: the all-pairs fixpoint loop, rescanning every cell and every
     ordered pair of cells until a pass changes nothing.  It assumes no
     symmetry of the tensor rule."""
@@ -374,7 +387,7 @@ def saturate_by_passes(u, seed, boxtimes):
         changed = False
         for gi in u.graded_cells():
             for gj in u.graded_cells():
-                if gj != gi and u.graded_leq(gi, gj):
+                if gj != gi and graded_leq(u, gi, gj):
                     w = lat.join2(table[gj], table[gi])
                     changed |= w != table[gj]
                     table[gj] = w
@@ -393,12 +406,14 @@ def saturate_by_passes(u, seed, boxtimes):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_saturate_equals_all_pairs_fixpoint(u22, u32_godel, u32_luk,
-                                            diamond_1pt, boxtimes, data):
+                                            diamond_1pt, boxtimes, graded_leq,
+                                            data):
     u = data.draw(st.sampled_from([u22, u32_godel, u32_luk, diamond_1pt]))
     cells = st.integers(0, u.graded_size - 1)
     grades = st.integers(0, u.lattice.n - 1)
     seed = [u.lattice.bot] * u.graded_size
     for gi, a in data.draw(st.lists(st.tuples(cells, grades), max_size=6)):
         seed[gi] = a
-    assert saturate(u, tuple(seed)) == saturate_by_passes(u, seed, boxtimes)
+    assert saturate(u, tuple(seed)) == \
+        saturate_by_passes(u, seed, boxtimes, graded_leq)
 

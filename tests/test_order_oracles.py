@@ -2,8 +2,10 @@
 lattice bounds looked up by up-set against the search of every pair's upper
 bounds for the least one, `graded_above` as a product of up-sets against
 the comprehension over `pw_leq`, and N4's candidates found by one
-`set_index` lookup against the per-point `all(...)` sweep.  Also that the
-pointwise order is built only when something reads it."""
+`set_index` lookup against the per-point `all(...)` sweep, and the
+join-irreducibles read off the lower covers against the join of each
+element's strict down-set.  Also that the pointwise order is built only
+when something reads it."""
 
 import random
 
@@ -83,7 +85,23 @@ ORDERS.update({
     # the cube: i < i | bit
     "boolean8": (8, [(i, i | b) for i in range(8) for b in (1, 2, 4)
                      if not i & b]),
+    # indices that are no linear extension of the order: 2 < 1 < 0
+    "chain3-top-first": (3, [(2, 1), (1, 0)]),
 })
+
+
+def join_irreducibles_by_sweep(lat):
+    """Oracle: the elements that are not the join of the elements strictly
+    below them, in index order."""
+    return tuple(j for j in lat.elements()
+                 if lat.join_set(e for e in lat.elements()
+                                 if e != j and lat.le(e, j)) != j)
+
+
+@pytest.mark.parametrize("name", sorted(ORDERS))
+def test_join_irreducibles_match_the_sweep(name):
+    lat = build_lattice(*ORDERS[name])
+    assert lat.join_irreducibles() == join_irreducibles_by_sweep(lat)
 
 
 @pytest.mark.parametrize("name", sorted(ORDERS))
@@ -103,10 +121,10 @@ def test_instances_are_the_searched_lattices():
 
 @pytest.mark.parametrize("name", ["u21", "u22", "u31_godel", "u31_luk",
                                   "u23"])
-def test_graded_bounds_match_the_bound_search(name, request):
+def test_graded_bounds_match_the_bound_search(name, request, graded_leq):
     u = request.getfixturevalue(name)
     cells = u.graded_cells()
-    leq = [[u.graded_leq(i, j) for j in cells] for i in cells]
+    leq = [[graded_leq(u, i, j) for j in cells] for i in cells]
     glat = u.graded_lattice()
     assert glat.leq == tuple(map(tuple, leq))
     assert bounds(glat) == bound_search(leq)

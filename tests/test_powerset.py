@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from fuzztop.errors import AdjunctionFailure, SizeLimit
 from fuzztop.instances import boolean, meet_tensor
-from fuzztop.residuated import Tensor, check_cqm
+from fuzztop.residuated import Tensor, check_co_gl_monoid, check_cqm
 from fuzztop.powerset import Ground, Universe, enumerate_powerset
 
 
@@ -48,16 +48,16 @@ def test_pointwise_order(u22):
     assert leq[u22.zero_idx][u22.one_idx]
 
 
-def test_graded_order_reverses_grades(u22):
+def test_graded_order_reverses_grades(u22, graded_leq):
     lo = u22.gidx(u22.zero_idx, u22.lattice.top)
     hi = u22.gidx(u22.one_idx, u22.lattice.bot)
-    assert u22.graded_leq(lo, hi)
-    assert not u22.graded_leq(hi, lo)
+    assert graded_leq(u22, lo, hi)
+    assert not graded_leq(u22, hi, lo)
     assert lo == u22.graded_bot and hi == u22.graded_top
     # same set, comparable only when the grades reverse
     a = u22.gidx(u22.one_idx, u22.lattice.top)
-    assert u22.graded_leq(a, u22.graded_top)
-    assert not u22.graded_leq(u22.graded_top, a)
+    assert graded_leq(u22, a, u22.graded_top)
+    assert not graded_leq(u22, u22.graded_top, a)
 
 
 def test_boxtimes_components(u31_luk, boxtimes):
@@ -69,11 +69,23 @@ def test_boxtimes_components(u31_luk, boxtimes):
     assert grade == lat.join2(1, 2)
 
 
-def test_gimpl_matches_sup_form(u22, u31_luk):
-    for u in (u22, u31_luk):
+def test_gimpl_matches_sup_form(u22, u31_luk, u31_godel_middle_unit,
+                                u31_luk_middle_unit, u32_godel_middle_unit,
+                                u32_luk_middle_unit):
+    for u in (u22, u31_luk, u31_godel_middle_unit, u31_luk_middle_unit,
+              u32_godel_middle_unit, u32_luk_middle_unit):
         for i in u.graded_cells():
             for j in u.graded_cells():
                 assert u.gimpl(i, j) == u.gimpl_sup(i, j)
+
+
+def test_middle_unit_cotensor_is_not_co_gl(u32_luk_middle_unit):
+    # a cotensor `Universe` accepts whose co-implication is not bot at
+    # rho = a = 1, which no co-GL cotensor allows
+    u = u32_luk_middle_unit
+    assert set(check_co_gl_monoid(u.cotensor).failures()) == {
+        "co_integral", "co_divisible"}
+    assert u.coimpl.table == ((0, 0, 0), (2, 1, 0), (2, 2, 0))
 
 
 def test_graded_lattice_bounds(u31_godel):
@@ -138,10 +150,10 @@ def test_exchange_skipped_for_non_idempotent(u31_luk, u31_godel):
 
 @settings(max_examples=50, deadline=None)
 @given(st.data())
-def test_adjunction_random_cells(boxtimes, data):
+def test_adjunction_random_cells(boxtimes, graded_leq, data):
     u = Universe(boolean(), meet_tensor(boolean()), Ground(2))
     cell = st.integers(0, u.graded_size - 1)
     a, b, c = data.draw(cell), data.draw(cell), data.draw(cell)
-    lhs = u.graded_leq(boxtimes(u, a, b), c)
-    rhs = u.graded_leq(a, u.gimpl(b, c))
+    lhs = graded_leq(u, boxtimes(u, a, b), c)
+    rhs = graded_leq(u, a, u.gimpl(b, c))
     assert lhs == rhs

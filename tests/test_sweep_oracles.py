@@ -296,7 +296,13 @@ def characterization_by_definition(F):
     return True, None
 
 
-@pytest.mark.parametrize("name", INSTANCES)
+# the cotensor's unit is not bot on these, so the rho loop reads cells
+# other than (f -> 0, bot)
+MIDDLE_UNIT = ["u31_godel_middle_unit", "u31_luk_middle_unit",
+               "u32_godel_middle_unit", "u32_luk_middle_unit"]
+
+
+@pytest.mark.parametrize("name", INSTANCES + MIDDLE_UNIT)
 def test_characterization_matches_its_definition(name, request):
     u = request.getfixturevalue(name)
     verdicts = set()
