@@ -318,14 +318,18 @@ def product_convergence_check(P, U, formula_nbhd=None):
 
     For every product point, convergence against the explicit product
     neighborhood formula must agree with convergence of every projected
-    filter in its factor.
+    filter in its factor.  U and the formula must be over P's universe.
     """
     u = P.universe
     lat = u.lattice
+    if U.universe is not u:
+        raise PreconditionViolated("a filter is over another universe")
     if not is_ultrafilter(U, "characterization")[0]:
         raise PreconditionViolated("input is not an ultrafilter")
     if formula_nbhd is None:
         formula_nbhd = product_nbhd_system(P)
+    elif formula_nbhd.universe is not u:
+        raise PreconditionViolated("the formula is over another universe")
     report = Report("product_convergence")
     images = [image_filter(P.projections[k], U, f.universe)
               for k, f in enumerate(P.factors)]

@@ -4,13 +4,14 @@ A fuzzy set is a length-m tuple of lattice element indices.  The Universe
 lists the powerset in lexicographic order, so set i is the base-n numeral of
 its values (n = |L|, point 0 the most significant digit), and the graded
 cell gi = i * n + grade appends one more digit.  Every table over sets or
-cells is therefore its one-point table composed digit by digit.  The product
-carrier (powerset x lattice) has the graded order: (f, a) below (g, b) iff
-f <= g pointwise and b <= a.  A finite order is the reflexive-transitive
-closure of its covers, and a cover of a set lowers or raises one point's
-value by one cover of L, so order laws are decided on the covers
-(`Universe.lower_covers`, `Universe.graded_covers`).  A point map acts on
-sets by one table, `Universe.pullback`.
+cells is therefore a one-point table with a leading digit prepended per point
+by whole-row shifts (`_prepend_digit`).  The product carrier (powerset x
+lattice) has the graded order: (f, a) below (g, b) iff f <= g pointwise and
+b <= a.  A finite order is the reflexive-transitive closure of its covers,
+and a cover of a set lowers or raises one point's value by one cover of L,
+so order laws are decided on the covers (`Universe.lower_covers`,
+`Universe.graded_covers`).  A point map acts on sets by one table,
+`Universe.pullback`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 from .errors import PreconditionViolated, SizeLimit
 from .instances import join_cotensor
@@ -54,17 +55,15 @@ def enumerate_powerset(lat, ground, cap=DEFAULT_POWERSET_CAP):
     return [tuple(v) for v in itertools.product(lat.elements(), repeat=ground.m)]
 
 
-def _append_digit(out, table):
-    """Extend a table over numerals by one base-n digit: the pair
-    (i*n + a, j*n + b) maps to out[i][j]*n + table[a][b], where table is an
-    n x n table of digits."""
-    n = len(table)
-    rows = []
-    for row in out:
-        shifted = [v * n for v in row]
-        for digit_row in table:
-            rows.append(tuple([s + d for s in shifted for d in digit_row]))
-    return tuple(rows)
+def _prepend_digit(out, table):
+    """Prepend a base-n digit to a table over N = len(out) numerals, its
+    rows tuples: (a*N + i, b*N + j) maps to table[a][b]*N + out[i][j].  The
+    copies of out shifted by c*N are built whole; each new row joins n rows."""
+    N = len(out)
+    shifted = [out] + [tuple([tuple([v + s for v in row]) for row in out])
+                       for s in range(N, len(table) * N, N)]
+    return tuple([sum([shifted[c][i] for c in digits], ())
+                  for digits in table for i in range(N)])
 
 
 class Universe:
@@ -73,7 +72,8 @@ class Universe:
     Bundles the lattice, a GL tensor with its residuum, and a cotensor
     (default: the lattice join) with its co-implication.  The pointwise
     tensor and join tables are built at construction; the order, meet,
-    residuum, boxtimes and graded `above` tables on first use.
+    residuum, boxtimes and graded `above` tables on first use.  A table of
+    an operation gains a leading digit per point by whole-row shifts.
     """
 
     def __init__(self, lattice, tensor, ground, cotensor=None,
@@ -99,13 +99,11 @@ class Universe:
         self.graded_size = self.n_sets * lattice.n
 
     def _pointwise(self, table):
-        """The pointwise table over set indices of a one-point table: from
-        the one set on no points, append each point's digit, point 0 first,
-        which is the `itertools.product` order of `enumerate_powerset`."""
-        out = ((0,),)
-        for _ in self.ground.points():
-            out = _append_digit(out, table)
-        return out
+        """The pointwise table over set indices of a one-point table: the
+        table as tuples, and a leading digit per further point; all points
+        share it, so this is the `itertools.product` order of the sets."""
+        return reduce(_prepend_digit, [table] * (self.ground.m - 1),
+                      tuple(map(tuple, table)))
 
     @cached_property
     def pw_leq(self):
@@ -151,12 +149,11 @@ class Universe:
 
     @cached_property
     def graded_above(self):
-        """Per graded cell (f, a), the cells strictly above it in the
-        graded order, in index order: the sets above f crossed with the
-        grades below a, less the cell itself.  The sets above f are the
-        product over points of the up-sets in L of f's values, built digit
-        by digit like `_pointwise`, so the cost is the size of the output;
-        built on first use."""
+        """Per graded cell (f, a), the cells strictly above it in the graded
+        order, in index order: the sets above f crossed with the grades
+        below a, less the cell itself.  The sets above f are the product over
+        points of the up-sets in L of f's values, built digit by digit, so
+        the cost is the size of the output; built on first use."""
         n, le = self.n, self.lattice.leq
         up = [[b for b in range(n) if le[a][b]] for a in range(n)]
         down = [[b for b in range(n) if le[b][a]] for a in range(n)]
@@ -208,9 +205,10 @@ class Universe:
 
     @cached_property
     def box_table(self):
-        """The full boxtimes table over graded cells, the grade appended to
-        `pw_tensor` as its last digit; built on first use."""
-        return _append_digit(self.pw_tensor, self.lattice.join)
+        """The boxtimes table over graded cells: the lattice join (the grade
+        digit) with a leading tensor digit per point; built on first use."""
+        return reduce(_prepend_digit, [self.tensor.table] * self.ground.m,
+                      self.lattice.join)
 
     @property
     def graded_top(self):
@@ -311,12 +309,10 @@ class Universe:
     def graded_lattice(self):
         """The graded carrier packaged as a plain Lattice over flat indices,
         its order rows read from `graded_above`."""
-        leq = []
+        leq = [[False] * self.graded_size for _ in self.graded_above]
         for gi, above in enumerate(self.graded_above):
-            row = [False] * self.graded_size
             for gj in (gi, *above):
-                row[gj] = True
-            leq.append(row)
+                leq[gi][gj] = True
         return lattice_from_order(leq)
 
     def pullback(self, phi, dom):

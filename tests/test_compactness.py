@@ -669,6 +669,31 @@ def test_product_convergence_requires_a_filter(u22):
         product_convergence_check(P, junk)
 
 
+# before the check a u31 ultrafilter raised IndexError, a u22 one raised a
+# PreconditionViolated naming a point map, and one over another u21 of the
+# same shape got a verdict
+@pytest.mark.parametrize("k, m", [(3, 1), (2, 2), (2, 1)],
+                         ids=["u31", "u22", "another-u21"])
+def test_product_convergence_rejects_filters_of_another_universe(u21, k, m):
+    P = build_product([discrete_space(u21), discrete_space(u21)])
+    lat = chain(k)
+    other = Universe(lat, meet_tensor(lat), Ground(m))
+    U = next(F for F in enumerate_filters(other) if is_ultrafilter(F)[0])
+    with pytest.raises(PreconditionViolated,
+                       match="a filter is over another universe"):
+        product_convergence_check(P, U)
+
+
+def test_product_convergence_rejects_a_formula_of_another_product(u21):
+    P, Q = (build_product([discrete_space(u21), discrete_space(u21)])
+            for _ in range(2))
+    U = next(F for F in enumerate_filters(P.universe) if is_ultrafilter(F)[0])
+    assert product_convergence_check(P, U, product_nbhd_system(P)).passed
+    with pytest.raises(PreconditionViolated,
+                       match="the formula is over another universe"):
+        product_convergence_check(P, U, product_nbhd_system(Q))
+
+
 def test_tychonoff_two_factors(u21, u22):
     rep = tychonoff_check([discrete_space(u22), discrete_space(u21)])
     assert rep.passed

@@ -2,13 +2,18 @@ import ast
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "fuzztop"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+# perfbench's scripts import each other by bare name from their directory
+PERFBENCH_SIBLINGS = {"common", "run", "tracer", "census", "batteries",
+                      "clitasks"}
 
 
-def test_runtime_imports_only_the_standard_library():
-    # relative imports stay inside the package; every absolute one must
-    # name a standard-library module
-    paths = sorted(SRC.glob("*.py"))
+def outside_imports(paths, allowed=frozenset()):
+    """(file name, module) for every absolute import in `paths` that names
+    neither a standard-library module nor a top-level name in `allowed`;
+    relative imports stay inside their package.  The files are only read."""
     outside = []
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -20,6 +25,22 @@ def test_runtime_imports_only_the_standard_library():
                 continue
             outside += [(path.name, name) for name in names
                         if name.split(".")[0] not in sys.stdlib_module_names
+                        and name.split(".")[0] not in allowed
                         and name != "__future__"]
+    return outside
+
+
+def test_runtime_imports_only_the_standard_library():
+    paths = sorted((ROOT / "src" / "fuzztop").glob("*.py"))
     assert "__init__.py" in {path.name for path in paths}
-    assert outside == []
+    assert outside_imports(paths) == []
+
+
+@pytest.mark.parametrize("directory, allowed", [
+    ("perfbench", {"fuzztop"} | PERFBENCH_SIBLINGS),
+    ("demos", {"fuzztop"}),
+])
+def test_scripts_import_only_the_standard_library(directory, allowed):
+    paths = sorted((ROOT / directory).glob("*.py"))
+    assert paths
+    assert outside_imports(paths, allowed) == []

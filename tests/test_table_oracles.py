@@ -1,8 +1,9 @@
-"""The Universe tables, composed digit by digit, against the per-pair
-construction they replaced: apply the one-point operation at every point,
-then look the resulting tuple up in `set_index`.  Also the order axioms
-FF1, I1, N1 and N4, which walk `graded_above`, against sweeps over every
-pair of cells filtered by the definition `graded_leq`."""
+"""The Universe tables, built by prepending a leading digit per point,
+against the per-pair construction they replaced: apply the one-point
+operation at every point, then look the resulting tuple up in `set_index`.
+Also the order axioms FF1, I1, N1 and N4, which walk `graded_above`,
+against sweeps over every pair of cells filtered by the definition
+`graded_leq`."""
 
 import random
 
@@ -13,6 +14,7 @@ from fuzztop.instances import boolean, chain, diamond, lukasiewicz_tensor, \
     meet_tensor
 from fuzztop.lattice import build_lattice
 from fuzztop.powerset import Ground, Universe
+from fuzztop.residuated import Tensor
 from fuzztop.topology import (InteriorOp, NbhdSystem, check_interior,
                               check_nbhd, enumerate_topologies,
                               interior_from_topology, nbhd_from_interior)
@@ -36,6 +38,18 @@ def top_first_chain3():
     return build_lattice(3, [(2, 1), (1, 0)])
 
 
+def boolean8():
+    """The 8-element Boolean algebra: the cube of subsets of three atoms."""
+    return build_lattice(8, [(i, i | b) for i in range(8) for b in (1, 2, 4)
+                             if not i & b])
+
+
+def listed(tensor):
+    """`tensor` with its table given as nested lists."""
+    return lambda lat: Tensor(base=lat,
+                              table=[list(row) for row in tensor(lat).table])
+
+
 def make(lat, tensor, m):
     return Universe(lat, tensor(lat), Ground(m))
 
@@ -46,11 +60,28 @@ SMALL = {
     "diamond-3pt": lambda: make(diamond(), meet_tensor, 3),
     "chain4-lukasiewicz-2pt": lambda: make(chain(4), lukasiewicz_tensor, 2),
     "chain3-top-first-2pt": lambda: make(top_first_chain3(), meet_tensor, 2),
+    # one point: the pointwise tables prepend no digit
+    "u31-lukasiewicz": lambda: make(chain(3), lukasiewicz_tensor, 1),
+    "chain5-godel-1pt": lambda: make(chain(5), meet_tensor, 1),
+    "diamond-1pt": lambda: make(diamond(), meet_tensor, 1),
+    "boolean8-1pt": lambda: make(boolean8(), meet_tensor, 1),
+    # four points: three prepends
+    "u24": lambda: make(boolean(), meet_tensor, 4),
+    # a tensor table of lists, which no table may share
+    "u31-listed-lukasiewicz": lambda: make(chain(3),
+                                           listed(lukasiewicz_tensor), 1),
+    "u32-listed-lukasiewicz": lambda: make(chain(3),
+                                           listed(lukasiewicz_tensor), 2),
 }
 LARGE = {
     "chain3-5pt": lambda: make(chain(3), meet_tensor, 5),
     "chain2-8pt": lambda: make(boolean(), meet_tensor, 8),
 }
+
+
+def assert_tuples(table):
+    assert type(table) is tuple
+    assert all(type(row) is tuple for row in table)
 
 
 def check_set_tables(u):
@@ -60,6 +91,9 @@ def check_set_tables(u):
     assert u.pw_meet == by_pairs(u, lat.meet2)
     assert u.pw_res == by_pairs(u, u.res.app)
     assert u.pw_leq == leq_by_pairs(u)
+    for table in (u.pw_tensor, u.pw_join, u.pw_meet, u.pw_res, u.pw_leq,
+                  u.box_table):
+        assert_tuples(table)
 
 
 @pytest.mark.parametrize("name", sorted(SMALL))
