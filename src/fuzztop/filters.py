@@ -67,6 +67,10 @@ class FilterTable:
         (f -> 0, rho coimpl a), which is `gimpl` of the cell and (0, rho),
         and takes its residuum into bot: one lookup each in the `pw_res`
         column at the empty set, `coimpl` and the `res` column at bot.
+        Its outcome depends only on the cell read, so each grade a keeps,
+        per distinct grade rho coimpl a over rho <= a, only the first rho
+        in index order: the first failing rho is the same, and when the
+        cotensor's unit is bot one cell is read per grade.
         """
         if not check_filter(self).passed:
             return None
@@ -76,13 +80,18 @@ class FilterTable:
         into_bot = [row[bot] for row in u.res.table]
         into_zero = [row[zero] for row in u.pw_res]
         coimpl = u.coimpl.table
+        reads = []
+        for a in range(n):
+            first = {}
+            for rho in range(n):
+                if le[rho][a]:
+                    first.setdefault(coimpl[rho][a], rho)
+            reads.append(first.items())
         for gi, v in enumerate(table):
             si, a = divmod(gi, n)
             base = into_zero[si] * n
-            for rho in range(n):
-                if not le[rho][a]:
-                    continue
-                val = into_bot[table[base + coimpl[rho][a]]]
+            for grade, rho in reads[a]:
+                val = into_bot[table[base + grade]]
                 if val != v:
                     return False, {"cell": (si, a), "rho": rho,
                                    "expected": val, "actual": v}

@@ -555,6 +555,17 @@ def test_product_factor_limit(u21):
         build_product([s, s, s, s])
 
 
+def test_product_requires_shared_lattice(u31_godel, diamond_1pt):
+    with pytest.raises(PreconditionViolated,
+                       match="factors must share the lattice"):
+        build_product([discrete_space(u31_godel), discrete_space(diamond_1pt)])
+    # an equal lattice built apart is the same lattice
+    twin = Universe(chain(3), meet_tensor(chain(3)), Ground(1))
+    assert twin.lattice is not u31_godel.lattice
+    P = build_product([discrete_space(u31_godel), discrete_space(twin)])
+    assert P.universe.ground.m == 1
+
+
 def test_product_requires_shared_tensor(u31_godel, u31_luk):
     with pytest.raises(PreconditionViolated):
         build_product([discrete_space(u31_godel), discrete_space(u31_luk)])

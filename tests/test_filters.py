@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from fuzztop.errors import (NotAChain, NotSurjective, PreconditionViolated,
                             SizeLimit)
 from fuzztop.filters import (FilterTable, NoFilterAbove, check_filter,
-                             enumerate_filters, hat_extension, image_filter,
+                             enumerate_filters, enumerate_filters_bruteforce,
+                             hat_extension, image_filter,
                              is_ultrafilter, preimage_filter, saturate,
                              sup_of_chain)
 
@@ -417,3 +418,20 @@ def test_saturate_equals_all_pairs_fixpoint(u22, u32_godel, u32_luk,
     assert saturate(u, tuple(seed)) == \
         saturate_by_passes(u, seed, boxtimes, graded_leq)
 
+
+
+def test_bruteforce_cap_is_inclusive(u21):
+    # u21 has 4 graded cells, so 2**4 candidate tables: a cap of 16 admits
+    # them and a cap of 15 does not
+    assert sorted(F.table for F in enumerate_filters_bruteforce(u21, cap=16)) \
+        == sorted(F.table for F in enumerate_filters(u21))
+    with pytest.raises(SizeLimit, match="16 candidate tables exceeds cap 15"):
+        enumerate_filters_bruteforce(u21, cap=15)
+
+
+def test_maximality_mode_enumerates_the_filters_itself(u22, u31_luk):
+    for u in (u22, u31_luk):
+        filters = enumerate_filters(u)
+        for F in filters:
+            assert is_ultrafilter(F, "maximality") == \
+                is_ultrafilter(F, "maximality", all_filters=filters)

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fuzztop.errors import AdjunctionFailure, SizeLimit
-from fuzztop.instances import boolean, meet_tensor
+from fuzztop.instances import boolean, chain, meet_tensor
 from fuzztop.residuated import Tensor, check_co_gl_monoid, check_cqm
-from fuzztop.powerset import Ground, Universe, enumerate_powerset
+from fuzztop.powerset import (Ground, Universe, check_graded_gl,
+                              enumerate_powerset)
 
 
 def test_powerset_enumeration_count(bool2, chain3):
@@ -157,3 +158,20 @@ def test_adjunction_random_cells(boxtimes, graded_leq, data):
     lhs = graded_leq(u, boxtimes(u, a, b), c)
     rhs = graded_leq(u, a, u.gimpl(b, c))
     assert lhs == rhs
+
+
+def test_powerset_cap_refuses_by_bit_length_at_the_boundary():
+    # m == cap.bit_length(): 2**m alone exceeds the cap, so the power is
+    # named, not computed
+    with pytest.raises(SizeLimit, match=r"^powerset size 2\*\*3 exceeds cap 4$"):
+        enumerate_powerset(chain(2), Ground(3), cap=4)
+
+
+def test_graded_gl_catches_a_wrong_graded_join():
+    u = Universe(chain(2), meet_tensor(chain(2)), Ground(2))
+    assert check_graded_gl(u).verdicts["componentwise_bounds"].status == "pass"
+    u.graded_join = u.graded_meet  # the meet, where the join is due
+    bounds = check_graded_gl(u).verdicts["componentwise_bounds"]
+    assert bounds.status == "fail"
+    i, j = bounds.witness
+    assert u.graded_join([i, j]) != u.graded_lattice().join2(i, j)

@@ -92,7 +92,8 @@ def boolean8():
 
 LATTICES = ([(f"chain{k}", chain(k)) for k in range(2, 9)]
             + [("diamond", diamond()), ("pentagon", pentagon()),
-               ("m3", m3()), ("boolean8", boolean8())])
+               ("m3", m3()), ("boolean8", boolean8()),
+               ("chain3-top-first", build_lattice(3, [(2, 1), (1, 0)]))])
 
 
 def test_distributivity_matches_subset_sweep():
@@ -208,6 +209,7 @@ UNIVERSES = {"u22": (chain(2), meet_tensor, 2),
              "u32-godel": (chain(3), meet_tensor, 2),
              "u32-lukasiewicz": (chain(3), lukasiewicz_tensor, 2),
              "diamond-1pt": (diamond(), meet_tensor, 1),
+             "diamond-2pt": (diamond(), meet_tensor, 2),
              "chain4-godel-1pt": (chain(4), meet_tensor, 1),
              "chain4-lukasiewicz-1pt": (chain(4), lukasiewicz_tensor, 1)}
 
@@ -280,7 +282,7 @@ def test_i6_matches_subset_sweep(universes):
     for name, u in universes.items():
         # on a chain the join of two grades is one of them, so I6 can fail
         # only on the diamond: it gets the most tables
-        count = 120 if name == "diamond-1pt" else 12
+        count = 120 if name.startswith("diamond") else 12
         for table in _interior_tables(u, rng, count):
             i = InteriorOp(universe=u, table=tuple(table))
             want = i6_by_subsets(i)

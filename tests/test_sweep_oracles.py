@@ -2,21 +2,28 @@
 sweeps they replaced: the interior by lower covers against the join over
 every subset, the covers of the graded order against `graded_above`, the
 stability laws o2, FF2, I2 and N2 on unordered pairs of non-bottom cells
-against every ordered pair, and the ultrafilter characterization by table
-lookups against its per-cell definition."""
+against every ordered pair, the ultrafilter characterization by table
+lookups against its per-cell definition, and the element batteries and I6,
+on covers and incomparable pairs, against their sweeps of every pair,
+triple and quadruple."""
 
+import itertools
 import random
 
 import pytest
 
 from fuzztop.filters import FilterTable, check_filter, enumerate_filters
 from fuzztop.instances import chain, diamond, meet_tensor
+from fuzztop.lattice import build_lattice, check_infinite_distributivity
 from fuzztop.powerset import Ground, Universe
-from fuzztop.residuated import Tensor
+from fuzztop.report import Report
+from fuzztop.residuated import (Tensor, check_co_gl_monoid, check_cqm,
+                                check_gl_monoid)
 from fuzztop.topology import (InteriorOp, NbhdSystem, Topology,
                               check_interior, check_nbhd, check_topology,
                               enumerate_topologies, generate_topology,
                               interior_from_topology, nbhd_from_interior)
+from test_order_oracles import ORDERS
 
 # on the 2-chain the Lukasiewicz tensor is the meet, so u22 and u23 stand for
 # both tensors; u32_godel_reindexed is the 3-chain declared top first
@@ -311,3 +318,198 @@ def test_characterization_matches_its_definition(name, request):
         assert F.characterization == want
         verdicts.add(want[0])
     assert verdicts == {True, False}
+
+
+# ---- element batteries on covers and incomparable pairs ---------------------
+
+def covers_by_definition(lat):
+    """Oracle: per element a, the c < a with no element strictly between."""
+    def lt(x, y):
+        return x != y and lat.le(x, y)
+    return tuple(tuple(c for c in lat.elements() if lt(c, a) and not any(
+        lt(c, e) and lt(e, a) for e in lat.elements())) for a in lat.elements())
+
+
+def distributivity_by_all_pairs(lat):
+    """Oracle: both infinite-distributivity laws on every ordered pair and
+    element."""
+    report, els = Report("infinite_distributivity"), lat.elements()
+    for axiom, outer, inner in (("join_meet_distributive", lat.join, lat.meet),
+                                ("meet_join_distributive", lat.meet, lat.join)):
+        report.sweep(axiom, (
+            {"subset": (a, b), "x": x, "lhs": inner[outer[a][b]][x],
+             "rhs": outer[inner[a][x]][inner[b][x]]}
+            for a in els for b in els for x in els
+            if inner[outer[a][b]][x] != outer[inner[a][x]][inner[b][x]]))
+    return report
+
+
+def cqm_by_quadruples(t):
+    """Oracle: isotonicity over every a1 <= a2 and b1 <= b2."""
+    lat, report = t.base, Report("cqm_lattice")
+    els, le, tab = lat.elements(), lat.leq, t.table
+    report.sweep("isotone", ((a1, a2, b1, b2) for a1 in els for a2 in els
+                             if le[a1][a2] for b1 in els for b2 in els
+                             if le[b1][b2] and not le[tab[a1][b1]][tab[a2][b2]]))
+    report.record("top_idempotent", t.app(lat.top, lat.top) == lat.top,
+                  (lat.top, t.app(lat.top, lat.top)))
+    return report
+
+
+def monoid_by_all_pairs(tab, le, join, top, bot, name, names):
+    """Oracle: the seven GL laws over the order `le`, isotonicity over every
+    triple, commutativity and distributivity over every ordered pair, and
+    divisibility by scanning the row."""
+    report, els = Report(name), range(len(le))
+    integral, zero, distributive, divisible = names
+    report.sweep("isotone", ((a, b, c) for a in els for b in els if le[a][b]
+                             for c in els if not le[tab[a][c]][tab[b][c]]))
+    report.sweep("commutative", ((a, b) for a in els for b in els
+                                 if tab[a][b] != tab[b][a]))
+    report.sweep("associative", ((a, b, c) for a in els for b in els
+                                 for c in els
+                                 if tab[a][tab[b][c]] != tab[tab[a][b]][c]))
+    report.sweep(integral, ((a, tab[a][top]) for a in els if tab[a][top] != a))
+    report.sweep(zero, ((a, tab[a][bot]) for a in els if tab[a][bot] != bot))
+
+    def undistributed():
+        for a in els:
+            row = tab[a]
+            if row[bot] != bot:
+                yield {"a": a, "subset": (), "lhs": row[bot], "rhs": bot}
+            for b in els:
+                for c in els:
+                    lhs, rhs = row[join[b][c]], join[row[b]][row[c]]
+                    if lhs != rhs:
+                        yield {"a": a, "subset": (b, c), "lhs": lhs, "rhs": rhs}
+
+    report.sweep(distributive, undistributed())
+    report.sweep(divisible, ((a, b) for a in els for b in els
+                             if le[a][b] and a not in tab[b]))
+    return report
+
+
+def gl_by_all_pairs(t):
+    lat = t.base
+    return monoid_by_all_pairs(t.table, lat.leq, lat.join, lat.top, lat.bot,
+                               "gl_monoid", ("integral", "zero",
+                                             "join_distributive", "divisible"))
+
+
+def co_gl_by_all_pairs(t):
+    lat = t.base
+    return monoid_by_all_pairs(t.table, lat.geq, lat.meet, lat.bot, lat.top,
+                               "co_gl_monoid",
+                               ("co_integral", "co_zero", "meet_distributive",
+                                "co_divisible"))
+
+
+def lukasiewicz_by_rank(lat):
+    """The Lukasiewicz tensor of a chain in any indexing: ranks r(a) and
+    r(b) give the element of rank max(0, r(a) + r(b) - (n - 1))."""
+    by_rank = {r: a for a, r in enumerate(lat.rank)}
+    return tuple(tuple(by_rank[max(0, ra + rb - (lat.n - 1))]
+                       for rb in lat.rank) for ra in lat.rank)
+
+
+def tables(lat, rng):
+    """The meet, the join and (on a chain) the Lukasiewicz table, each with
+    one-entry and symmetric-pair mutants, then random tables."""
+    n = lat.n
+    bases = [lat.meet, lat.join]
+    if len(set(lat.rank)) == n:
+        bases.append(lukasiewicz_by_rank(lat))
+    each = 12 if n <= 5 else 4
+    for base in bases:
+        yield base
+        for symmetric in (False, True) * each:
+            t = [list(row) for row in base]
+            a, b, v = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+            t[a][b] = v
+            if symmetric:
+                t[b][a] = v
+            yield tuple(map(tuple, t))
+    for _ in range(each):
+        yield tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(n))
+
+
+@pytest.mark.parametrize("name", sorted(ORDERS))
+def test_lower_covers_match_their_definition(name):
+    lat = build_lattice(*ORDERS[name])
+    assert lat.lower_covers == covers_by_definition(lat)
+    assert lat.incomparable == tuple(
+        (a, b) for a, b in itertools.combinations(lat.elements(), 2)
+        if not lat.le(a, b) and not lat.le(b, a))
+
+
+def test_element_batteries_name_the_full_sweeps_first_witness():
+    rng, seen = random.Random(21), set()
+    for name in sorted(ORDERS):
+        lat = build_lattice(*ORDERS[name])
+        assert check_infinite_distributivity(lat).to_dict() == \
+            distributivity_by_all_pairs(lat).to_dict(), name
+        for table in tables(lat, rng):
+            t = Tensor(base=lat, table=table)
+            for check, oracle in ((check_cqm, cqm_by_quadruples),
+                                  (check_gl_monoid, gl_by_all_pairs),
+                                  (check_co_gl_monoid, co_gl_by_all_pairs)):
+                want = oracle(t).to_dict()
+                assert check(t).to_dict() == want, (name, table)
+                seen.update((want["name"], axiom, v["status"])
+                            for axiom, v in want["verdicts"].items())
+    # every law both passes and fails somewhere
+    laws = {(battery, axiom) for battery, axiom, _ in seen}
+    assert seen == {(*law, status) for law in laws
+                    for status in ("pass", "fail")}
+
+
+def test_distributivity_fails_in_an_isotone_row():
+    # the meet of the pentagon is isotone in every row, so its first
+    # distributivity failure is found on an incomparable pair alone
+    lat = build_lattice(*ORDERS["pentagon"])
+    t = Tensor(base=lat, table=lat.meet)
+    got = check_gl_monoid(t)
+    assert got.verdicts["isotone"].status == "pass"
+    b, c = got.verdicts["join_distributive"].witness["subset"]
+    assert (b, c) in lat.incomparable
+    assert got.to_dict() == gl_by_all_pairs(t).to_dict()
+
+
+def i6_by_all_pairs(i):
+    """Oracle: I6 over every ordered pair of grades, as a verdict dict."""
+    u, lat = i.universe, i.universe.lattice
+    report = Report("interior")
+    report.sweep("I6", ({"f": u.sets[si], "grades": (a, b)}
+                        for si in range(u.n_sets) for a in lat.elements()
+                        for b in lat.elements()
+                        if i.app(si, b) == i.app(si, a)
+                        and i.app(si, lat.join2(a, b)) != i.app(si, a)))
+    return report.to_dict()["verdicts"]["I6"]
+
+
+@pytest.mark.parametrize("lat, m", [(diamond(), 1), (diamond(), 2),
+                                    (chain(2), 2), (chain(3), 2),
+                                    (chain(4), 1)],
+                         ids=["diamond-1pt", "diamond-2pt", "u22", "u32",
+                              "chain4-1pt"])
+def test_i6_on_incomparable_pairs_names_the_full_sweeps_first_witness(lat, m):
+    u = Universe(lat, meet_tensor(lat), Ground(m))
+    rng, seen = random.Random(m * lat.n), set()
+    for _ in range(30):
+        table = []
+        for _ in range(u.n_sets):
+            pool = (rng.randrange(u.n_sets), rng.randrange(u.n_sets))
+            table.extend(rng.choice(pool) for _ in lat.elements())
+        seed = [rng.randrange(lat.n) if rng.random() < 0.2 else lat.bot
+                for _ in range(u.n_sets)]
+        generated = list(interior_from_topology(
+            generate_topology(u, seed)).table)
+        mutant = list(generated)
+        mutant[rng.randrange(len(mutant))] = rng.randrange(u.n_sets)
+        for tab in (table, generated, mutant):
+            i = InteriorOp(universe=u, table=tuple(tab))
+            want = i6_by_all_pairs(i)
+            assert check_interior(i).to_dict()["verdicts"]["I6"] == want
+            seen.add(want["status"])
+    # on a chain every pair of grades is comparable, so I6 cannot fail
+    assert seen == ({"pass", "fail"} if lat.incomparable else {"pass"})
