@@ -73,7 +73,7 @@ def check_cqm(t):
     els, le, tab = lat.elements(), lat.leq, t.table
     covers = _covers(lat)
 
-    def unordered():
+    def decreasing():
         if all(le[x][y] for c, a in covers for x, y in zip(tab[c], tab[a])) \
                 and all(le[row[c]][row[a]] for row in tab for c, a in covers):
             return
@@ -81,7 +81,7 @@ def check_cqm(t):
                     if le[a1][a2] for b1 in els for b2 in els
                     if le[b1][b2] and not le[tab[a1][b1]][tab[a2][b2]])
 
-    report.sweep("isotone", unordered())
+    report.sweep("isotone", decreasing())
     report.record("top_idempotent", t.app(lat.top, lat.top) == lat.top,
                   (lat.top, t.app(lat.top, lat.top)))
     return report
@@ -107,13 +107,13 @@ def _check_monoid(tab, le, covers, pairs, join, top, bot, name, names):
     report, els = Report(name), range(len(le))
     integral, zero, distributive, divisible = names
 
-    def unordered():
+    def decreasing():
         if all(le[x][y] for c, a in covers for x, y in zip(tab[c], tab[a])):
             return
         yield from ((a, b, c) for a in els for b in els if le[a][b]
                     for c in els if not le[tab[a][c]][tab[b][c]])
 
-    report.sweep("isotone", unordered())
+    report.sweep("isotone", decreasing())
     report.sweep("commutative", ((a, b) for a in els for b in els[a + 1:]
                                  if tab[a][b] != tab[b][a]))
     report.sweep("associative", ((a, b, c) for a in els for b in els
