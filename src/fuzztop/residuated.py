@@ -40,13 +40,14 @@ class Tensor:
         if len(table) != n:
             raise PreconditionViolated(f"table has {len(table)} rows for {n} "
                                        "elements")
-        if set(map(len, table)) - {n}:
+        if set(map(len, table)) != {n}:
             r = next(r for r, row in enumerate(table) if len(row) != n)
             raise PreconditionViolated(f"table row {r} has {len(table[r])} "
                                        f"entries for {n} elements")
-        if not (min(map(min, table)) >= 0 and max(map(max, table)) < n):
+        elements = self.base.elements()
+        if not set().union(*table) <= set(elements):
             r, c, v = next((r, c, v) for r, row in enumerate(table)
-                           for c, v in enumerate(row) if not 0 <= v < n)
+                           for c, v in enumerate(row) if v not in elements)
             raise PreconditionViolated(f"table entry ({r}, {c}) is {v}, "
                                        f"outside 0..{n - 1}")
 

@@ -280,11 +280,14 @@ def test_each_battery_reads_the_table_in_its_own_order():
                                          r"outside 0\.\.2"),
     (((0, 0, 0), (0, 1, 1), (3, 1, 2)), r"table entry \(2, 0\) is 3, "
                                          r"outside 0\.\.2"),
+    (((0, 0, 0), (0, 1, 1), (0, 1, 1.5)), r"table entry \(2, 2\) is 1\.5, "
+                                           r"outside 0\.\.2"),
     (((0, 0), (0, 1), (0, 1)), r"table row 0 has 2 entries for 3 elements"),
     (((0, 0, 0), (0, 1, 1, 1), (0, 1, 2)),
      r"table row 1 has 4 entries for 3 elements"),
     (((0, 0, 0), (0, 1, 1)), r"table has 2 rows for 3 elements"),
-], ids=["minus-one", "seven", "three", "short-rows", "long-row", "two-rows"])
+], ids=["minus-one", "seven", "three", "one-and-a-half", "short-rows",
+        "long-row", "two-rows"])
 def test_tensor_rejects_a_table_of_the_wrong_shape_or_range(table, message):
     # each once gave a verdict or an IndexError: -1 was read by negative
     # indexing, and the Universe built on it
