@@ -128,7 +128,9 @@ def enumerate_closed(lattice, least, rules, cap, what, above=None, stop=()):
     table is infeasible when its closure raises a cell in `stop`.
     Feasibility is a down-set, so the closures above an infeasible table
     are never explored, and only the cells outside `stop` are raised.
-    Raises SizeLimit once more than `cap` closures have been computed.
+    Raises SizeLimit once more than `cap` closures have been computed,
+    counting the least table's as the first, so a cap below 1 always
+    refuses.
 
     A table holds the attribute (cell, j), for j join-irreducible, when
     j <= table[cell]; the attributes are ordered by cell, then by j's place
@@ -144,6 +146,8 @@ def enumerate_closed(lattice, least, rules, cap, what, above=None, stop=()):
     gives C, canonically.  So each member is listed once, with no visited
     set.
     """
+    if cap < 1:  # the least table's closure is the first
+        raise SizeLimit(f"{what} enumeration exceeded cap {cap} closures")
     if least is None:
         return []
     join, le = lattice.join, lattice.leq

@@ -9,11 +9,19 @@ cells the neighborhood table raises are re-closed, which gives the same
 least filter because cl(F v N) = cl(cl(F) v N).  Adherence is antitone in
 the filter: the certificate of p adhering to G, the least filter above G
 and N_p, lies above every F <= G and N_p, so p adheres to F too.  Hence
-compactness is decided from the maximal filters, with one adherence test
-per maximal filter and point up to its first adherent point, comparing
-filters by the `FilterTable.code` each keeps.  Any other filter below no
-such certificate falls back to its own closure per point, which keeps the
-answer exact for any list of filters.
+compactness is decided from the maximal filters, comparing filters by the
+`FilterTable.code` each keeps.  A maximal filter needs no closure:
+
+Lemma.  If U is maximal among all filters of its universe, the least filter
+above U and N_p is U when N_p <= U (U converges to p) and there is none
+otherwise.  Proof: a filter G above U and N_p lies above U, so G = U by
+maximality, and then N_p <= U.  So when N_p <= U, U is the least such
+filter, and when not, there is none.
+
+So a maximal filter (`FilterTable.maximal`) adheres exactly to the points
+it converges to, with itself as certificate, and is decided by
+`converges`.  Any other filter below no certificate falls back to its own
+closure per point, which keeps the answer exact for any list of filters.
 Finite products are built as the least topology making the projections
 continuous, seeded with each factor's grading pulled back along its
 projection by one `Universe.pullback` table per factor; the explicit
@@ -69,11 +77,22 @@ class Space:
         self.nbhd = topology.nbhd
 
 
-def converges(F, p, space):
-    """True iff the neighborhood table at p sits below the filter; raises
-    PreconditionViolated when F is over another universe."""
+def _require_point(F, p, space):
+    """Raise PreconditionViolated unless F is over the space's universe and
+    p is a point of its ground set."""
     if F.universe is not space.universe:
         raise PreconditionViolated("a filter is over another universe")
+    points = space.universe.ground.points()
+    if not (isinstance(p, int) and p in points):
+        raise PreconditionViolated(f"point {p!r} is outside the ground set "
+                                   f"0..{len(points) - 1}")
+
+
+def converges(F, p, space):
+    """True iff the neighborhood table at p sits below the filter; raises
+    PreconditionViolated when F is over another universe or p is not a
+    point of it."""
+    _require_point(F, p, space)
     return all(map(space.universe.lattice.le, space.nbhd.tables[p], F.table))
 
 
@@ -85,10 +104,9 @@ def is_adherent(p, F, space):
     from F's kept closure, re-firing only the cells the neighborhood table
     raises (`least_filter_above`), so each filter is saturated once however
     many points and spaces test it.  Raises PreconditionViolated when F
-    is over another universe.
+    is over another universe or p is not a point of it.
     """
-    if F.universe is not space.universe:
-        raise PreconditionViolated("a filter is over another universe")
+    _require_point(F, p, space)
     G = least_filter_above(F, space.nbhd.tables[p])
     return G is not None, G
 
@@ -99,6 +117,19 @@ def _first_adherence(F, space):
         adherent, G = is_adherent(p, F, space)
         if adherent:
             return p, G
+    return None
+
+
+def _first_adherence_of_member(F, space):
+    """`_first_adherence` for a member of `is_compact`'s list: a maximal
+    filter adheres exactly where it converges, with itself as certificate,
+    so it is decided by convergence alone."""
+    if not F.maximal:
+        return _first_adherence(F, space)
+    le, table = space.universe.lattice.le, F.table
+    for p, N in enumerate(space.nbhd.tables):
+        if all(map(le, N, table)):
+            return p, F
     return None
 
 
@@ -120,19 +151,26 @@ def is_compact(space, mode="sweep", filters=None):
 
     Adherence is antitone in the filter, so the maximal checked members,
     found by comparing `FilterTable.code`, are tested first, each up to its
-    first adherent point p.  Every checked member lies below one of them, so
-    when each has an adherent point the space is compact.  Otherwise the
-    members are walked in order.  The certificate G of an adherent test is a
-    filter above N_p, so p adheres to every member below G: G lies above it
-    and N_p.  A member below no certificate is the witness if it equals a
-    maximal member, whose test has run, and otherwise falls back to its own
-    test point by point.  So every member gets the verdict of its own test,
-    whatever the list holds.  When the checked members are all the filters,
-    a member with an adherent point lies below a maximal filter that has
-    one, so the fallback runs at most for the witness.  When every checked
-    member is maximal among them, as the ultrafilters are, no member lies
-    below another's certificate unless it adheres, so they are tested in
-    order up to the first with no adherent point, with no certificates.
+    first adherent point p.  A member that is a maximal filter of its
+    universe (`FilterTable.maximal`, set on every table `enumerate_filters`
+    lists) is tested by `converges` alone, with itself as certificate: by
+    the module's lemma the least filter above it and N_p is itself when
+    N_p lies below it, and there is none otherwise.  Any other member is
+    tested by `is_adherent`, a closure per point.  Every checked member
+    lies below a maximal one, so when each has an adherent point the space
+    is compact.  Otherwise the members are walked in order.  The
+    certificate G of an adherent test is a filter above N_p, so p adheres
+    to every member below G: G lies above it and N_p.  A member below no
+    certificate is the witness if it equals a maximal member, whose test
+    has run, and otherwise falls back to its own test point by point.  So
+    every member gets the verdict of its own test, whatever the list
+    holds.  When the checked members are all the filters, the maximal
+    members are maximal filters, tested with no closure, and a member with
+    an adherent point lies below one that has one, so closures run at most
+    for the witness.  When every checked member is maximal among them, as
+    the ultrafilters are, no member lies below another's certificate
+    unless it adheres, so they are tested in order up to the first with no
+    adherent point, with no certificates.
     """
     if mode not in ("sweep", "ultrafilter"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -152,10 +190,11 @@ def is_compact(space, mode="sweep", filters=None):
         # the members are pairwise incomparable: each is decided by its own
         # test alone, so the first with no adherent point is the witness
         for F in filters:
-            if _first_adherence(F, space) is None:
+            if _first_adherence_of_member(F, space) is None:
                 return False, F
         return True, None
-    found = [(T, _first_adherence(T, space)) for T in reversed(tops)]
+    found = [(T, _first_adherence_of_member(T, space))
+             for T in reversed(tops)]
     lost = [T for T, a in found if a is None]
     if not lost:
         return True, None

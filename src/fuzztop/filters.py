@@ -15,7 +15,11 @@ table, and the hat extension follow their explicit formulas; the
 characterization reads each value it needs by table lookups.  FF1 is decided
 on the covers of the graded order and FF2 on unordered pairs of cells not
 at bot (`Universe.decreasing_cells`, `Universe.unstable_cells`).  Each table
-keeps its place in the filter order as one int, `FilterTable.code`.
+keeps its place in the filter order as one int, `FilterTable.code`, and
+whether it is a maximal filter, `FilterTable.maximal`: set from the
+complete listing by `enumerate_filters`, and otherwise decided by raising
+each attribute the table does not hold and closing, which a maximal filter
+never survives.
 """
 
 from __future__ import annotations
@@ -39,9 +43,9 @@ class FilterTable:
     """A grade table over the graded carrier of `universe`.
 
     It is a filter when it passes `check_filter`, but any table may be
-    wrapped.  `closure`, `characterization` and `code` are computed on first
-    use and kept on the object; they are not fields, so equality and hashing
-    see only the table.
+    wrapped.  `closure`, `characterization`, `code` and `maximal` are
+    computed on first use and kept on the object; they are not fields, so
+    equality and hashing see only the table.
     """
 
     universe: object
@@ -101,15 +105,51 @@ class FilterTable:
     def code(self):
         """The table as one int: per cell, the bits of its value's down-set
         (`Lattice.downsets`), so F <= G iff no bit of F is missing in G."""
-        downsets = self.universe.lattice.downsets
-        return int.from_bytes(b"".join(map(downsets.__getitem__, self.table)),
-                              "little")
+        return _code(self.universe.lattice.downsets, self.table)
+
+    @cached_property
+    def maximal(self):
+        """True iff the table is a filter below no other filter of its
+        universe.
+
+        A filter F is maximal iff no attribute it does not hold closes
+        feasibly: raising a cell c outside the empty row by a
+        join-irreducible j not below F(c) and closing it with the filter
+        rules from `[c]` always raises the empty row.  A feasible closure
+        is a filter strictly above F.  Conversely a filter G > F has a cell
+        c with G(c) not below F(c), and as G(c) is the join of the
+        irreducibles below it, one of them, j, is not below F(c); raising c
+        by j closes below G, so feasibly.  `enumerate_filters` sets it on
+        each table it lists, so the listing pays no closures.  False for a
+        table that is not a filter.
+        """
+        if not check_filter(self).passed:
+            return False
+        u = self.universe
+        lat = u.lattice
+        join, le = lat.join, lat.leq
+        rules, stop = _rules(u), _empty_row(u)
+        irreducibles = lat.join_irreducibles()
+        for cell, v in enumerate(self.table):
+            if cell in stop:
+                continue
+            for j in irreducibles:
+                if not le[j][v]:
+                    table = list(self.table)
+                    table[cell] = join[v][j]
+                    if close(table, lat, rules, [cell], u.graded_above, stop):
+                        return False
+        return True
 
     def app(self, si, a):
         return self.table[self.universe.gidx(si, a)]
 
     def leq(self, other):
         return not self.code & ~other.code
+
+
+def _code(downsets, table):
+    return int.from_bytes(b"".join(map(downsets.__getitem__, table)), "little")
 
 
 def check_filter(F):
@@ -142,14 +182,29 @@ def enumerate_filters(universe, cap=DEFAULT_FILTER_CAP):
     The filters are the saturated tables whose empty-set row stays at bot,
     a down-set of a closure system; they are enumerated from the least one
     (the saturation of the all-bot table) by `closure.enumerate_closed`.
-    Raises SizeLimit when more than `cap` closures would be computed.
+    Raises SizeLimit when more than `cap` closures would be computed, the
+    least filter's included.  The listing is complete, so each returned
+    table gets `FilterTable.maximal` from it: true for the members below no
+    other, found by comparing their `FilterTable.code` encodings.
     """
     u = universe
     least = saturate(u, (u.lattice.bot,) * u.graded_size)
     tables = enumerate_closed(
         u.lattice, None if isinstance(least, NoFilterAbove) else least.table,
         _rules(u), cap, "filter", u.graded_above, _empty_row(u))
-    return [FilterTable(universe=u, table=t) for t in tables]
+    downsets = u.lattice.downsets
+    codes = [_code(downsets, t) for t in tables]
+    tops = []
+    for f in codes:
+        if all(f & ~t for t in tops):
+            tops = [t for t in tops if t & ~f] + [f]
+    tops = set(tops)
+    out = []
+    for t, f in zip(tables, codes):
+        F = FilterTable(universe=u, table=t)
+        vars(F)["maximal"] = f in tops
+        out.append(F)
+    return out
 
 
 def enumerate_filters_bruteforce(universe, cap=DEFAULT_FILTER_CAP):

@@ -30,7 +30,9 @@ class Tensor:
     (nested lists too): the shape and range are checked once, here, with
     C-level scans, so no battery, residuation or `Universe` reads an
     unvalidated table.  PreconditionViolated names the shape or the first
-    bad entry."""
+    bad entry.  The table is kept as a tuple of tuples, converted here when
+    it is not one, so tables compare by value whatever container held
+    them."""
 
     base: Lattice
     table: tuple          # n x n element indices
@@ -50,6 +52,13 @@ class Tensor:
                            for c, v in enumerate(row) if v not in elements)
             raise PreconditionViolated(f"table entry ({r}, {c}) is {v}, "
                                        f"outside 0..{n - 1}")
+        if isinstance(table, tuple):
+            for row in table:
+                if not isinstance(row, tuple):
+                    break
+            else:
+                return  # a tuple of tuples already: keep it as given
+        object.__setattr__(self, "table", tuple(map(tuple, table)))
 
     def app(self, a, b):
         return self.table[a][b]

@@ -8,7 +8,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from fuzztop import filters, topology
 from fuzztop.closure import close
-from fuzztop.filters import enumerate_filters_bruteforce
+from fuzztop.compactness import _first_adherence
+from fuzztop.filters import enumerate_filters_bruteforce, is_ultrafilter
 from fuzztop.instances import (boolean, chain, diamond, lukasiewicz_tensor,
                                meet_tensor)
 from fuzztop.lattice import build_lattice
@@ -203,6 +204,46 @@ def pointwise_leq():
     return _pointwise_leq
 
 
+def _compact_by_closures(space, mode, filters):
+    """Oracle: `compactness.is_compact` on a list of filters over the
+    space's universe, as it was before maximal filters were decided by
+    convergence.  Every maximal member of the list is tested by
+    `is_adherent` closures, point by point up to its first adherent point
+    (`compactness._first_adherence`, which looks `is_adherent` up per call,
+    so a counting wrapper sees each test); the rest of the walk is the
+    same."""
+    if mode == "ultrafilter":
+        filters = [F for F in filters
+                   if is_ultrafilter(F, "characterization")[0]]
+    tops = []
+    for F in reversed(filters):
+        f = F.code
+        if all(f & ~T.code for T in tops):
+            tops = [T for T in tops if T.code & ~f] + [F]
+    if len(tops) == len(filters):
+        for F in filters:
+            if _first_adherence(F, space) is None:
+                return False, F
+        return True, None
+    found = [(T, _first_adherence(T, space)) for T in reversed(tops)]
+    lost = [T for T, a in found if a is None]
+    if not lost:
+        return True, None
+    certificates = [a[1].code for _, a in found if a]
+    for F in filters:
+        if all(F.code & ~g for g in certificates) and (
+                F in lost or _first_adherence(F, space) is None):
+            return False, F
+    return True, None
+
+
+@pytest.fixture(scope="session")
+def compact_by_closures():
+    """The closure-only compactness oracle, called as
+    compact_by_closures(space, mode, filters)."""
+    return _compact_by_closures
+
+
 @pytest.fixture(scope="session")
 def bool2():
     return boolean()
@@ -231,6 +272,11 @@ def u22(bool2):
 @pytest.fixture(scope="session")
 def u23(bool2):
     return Universe(bool2, meet_tensor(bool2), Ground(3))
+
+
+@pytest.fixture(scope="session")
+def u24(bool2):
+    return Universe(bool2, meet_tensor(bool2), Ground(4))
 
 
 @pytest.fixture(scope="session")

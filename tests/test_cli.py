@@ -223,6 +223,20 @@ def test_max_filters_bounds_every_enumeration(capsys, argv):
     assert err == "fuzztop: error: filter enumeration exceeded cap 1 closures\n"
 
 
+@pytest.mark.parametrize("cap, argv", [("0", ("compact", "--space", "A")),
+                                       ("-5", ("filters", "enumerate"))])
+def test_a_filter_cap_below_1_refuses(tmp_path, capsys, cap, argv):
+    # the least filter's closure is the first counted
+    spec = tmp_path / "one_point.spec"
+    spec.write_text(BOOL_HEADER + "[space A]\npoints = 1\n"
+                    "grade f = bot -> top\ngrade f = top -> top\n")
+    code, out, err = run(capsys, str(spec), "--max-filters", cap, *argv)
+    assert code == 2 and out == ""
+    assert err == (f"fuzztop: error: filter enumeration exceeded cap {cap} "
+                   "closures\n")
+    assert run(capsys, str(spec), "--max-filters", "1", *argv)[0] == 0
+
+
 @pytest.mark.parametrize("argv, count", [
     (("compact", "--space", "X"), 1),
     (("tychonoff", "--spaces", "X", "X"), 2),  # X once, then X*X

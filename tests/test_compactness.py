@@ -93,6 +93,19 @@ def test_verdicts_reject_filters_of_another_universe(u21, u22, verdict):
         verdict(F, G, discrete_space(u21), discrete_space(u22))
 
 
+# before the check p = -1 got the verdict of the last point's table and
+# p = 2 raised IndexError
+@pytest.mark.parametrize("p", [-1, 2, 7, 1.0, "0", None])
+def test_verdicts_reject_a_point_outside_the_ground_set(u32_luk, p):
+    space = Space(u32_luk, enumerate_topologies(u32_luk)[0])
+    F = enumerate_filters(u32_luk)[-1]
+    message = f"^point {re.escape(repr(p))} is outside the ground set 0..1$"
+    with pytest.raises(PreconditionViolated, match=message):
+        converges(F, p, space)
+    with pytest.raises(PreconditionViolated, match=message):
+        is_adherent(p, F, space)
+
+
 def test_space_keeps_axiom_reports(u22):
     s = indiscrete_space(u22)
     assert check_interior(s.interior) is not None
@@ -301,19 +314,12 @@ def maximal_members(filters, leq):
                        for j, G in enumerate(filters) if j != i)]
 
 
-def first_adherent_prefix(F, space):
-    """The (point, table) tests up to F's first adherent point, or all."""
-    out = []
-    for p in space.universe.ground.points():
-        out.append((p, F.table))
-        if is_adherent(p, F, space)[0]:
-            break
-    return out
-
-
 def test_is_compact_tests_the_maximal_filters_first(u22, u32_luk,
                                                     count_calls,
                                                     pointwise_leq):
+    # every maximal member of a full listing is a maximal filter, decided by
+    # convergence with no test; only a witness that is not maximal, so
+    # below no certificate, is tested, at every point
     import fuzztop.compactness as compactness
     calls = count_calls(compactness.is_adherent)
     non_compact = Space(u32_luk, enumerate_topologies(u32_luk)[0])
@@ -322,13 +328,10 @@ def test_is_compact_tests_the_maximal_filters_first(u22, u32_luk,
         for listed in (filters, filters[::-1]):
             want = compact_by_sweep(space, "sweep", listed)
             maximal = maximal_members(listed, pointwise_leq)
-            expected = [call for F in maximal
-                        for call in first_adherent_prefix(F, space)]
-            # the witness lies below no certificate; a maximal one has
-            # been tested already
+            expected = []
             if not want[0] and not any(want[1] is F for F in maximal):
-                expected += [(p, want[1].table)
-                             for p in space.universe.ground.points()]
+                expected = [(p, want[1].table)
+                            for p in space.universe.ground.points()]
             calls.clear()
             assert is_compact(space, filters=listed) == want
             assert [(p, F.table) for p, F, _ in calls] == expected
@@ -346,50 +349,56 @@ def test_is_compact_tests_the_maximal_filters_first(u22, u32_luk,
         (0, junk.table), (1, junk.table), (0, least.table)]
 
 
-@pytest.mark.parametrize("name, total", [("u32_godel", 1473),
-                                         ("u32_luk", 2156)])
+def count_adherence_tests(decide, spaces, mode, filters, calls):
+    """The `is_adherent` calls `decide` makes per space."""
+    per_space = []
+    for space in spaces:
+        calls.clear()
+        decide(space, mode, filters)
+        per_space.append(len(calls))
+    return per_space
+
+
+@pytest.mark.parametrize("name, by_closures", [("u32_godel", 1473),
+                                               ("u32_luk", 2156)])
 def test_adherence_tests_are_bounded_by_the_maximal_filters(
-        name, total, request, count_calls, pointwise_leq):
-    # per space, each maximal filter's points, then the witness's; the
-    # all-filters sweep makes 17,676 and 5,236 tests
+        name, by_closures, request, count_calls, compact_by_closures):
+    # a maximal filter adheres exactly where it converges, so only a
+    # witness that is not maximal is tested, at each point: 0 and 616
+    # tests, where testing each maximal filter by closures made
+    # `by_closures` and the all-filters sweep 17,676 and 5,236
     import fuzztop.compactness as compactness
     u = request.getfixturevalue(name)
     filters = enumerate_filters(u)
-    bound = (len(maximal_members(filters, pointwise_leq)) + 1) * u.ground.m
     spaces = [Space(u, t) for t in enumerate_topologies(u)]
     calls = count_calls(compactness.is_adherent)
-    per_space = []
-    for space in spaces:
-        calls.clear()
-        is_compact(space, filters=filters)
-        per_space.append(len(calls))
+    per_space = count_adherence_tests(is_compact, spaces, "sweep", filters,
+                                      calls)
     assert len(spaces) == {"u32_godel": 491, "u32_luk": 308}[name]
-    assert max(per_space) <= bound
-    assert sum(per_space) == total
+    assert max(per_space) <= u.ground.m
+    assert sum(per_space) == {"u32_godel": 0, "u32_luk": 616}[name]
+    assert sum(count_adherence_tests(compact_by_closures, spaces, "sweep",
+                                     filters, calls)) == by_closures
 
 
-@pytest.mark.parametrize("name, total", [("u32_godel", 1473),
-                                         ("u32_luk", 924)])
+@pytest.mark.parametrize("name, by_closures", [("u32_godel", 1473),
+                                               ("u32_luk", 924)])
 def test_ultrafilter_mode_tests_each_maximal_member_once(
-        name, total, request, count_calls, pointwise_leq):
-    # the ultrafilters are pairwise incomparable, so each is tested once, in
-    # list order, up to its first adherent point, and the sweep stops at the
-    # first with none: 924 tests on u32_luk, where testing every maximal
-    # member before the witness made 1,540 (and 2,156 before that)
+        name, by_closures, request, count_calls, compact_by_closures):
+    # on a full listing every ultrafilter is a maximal filter, decided by
+    # convergence, so no test is made; testing each by closures, in list
+    # order up to the first with no adherent point, made `by_closures`
+    # (and 1,540 and 2,156 on u32_luk before that)
     import fuzztop.compactness as compactness
     u = request.getfixturevalue(name)
     filters = enumerate_filters(u)
-    ultra = [F for F in filters if is_ultrafilter(F, "characterization")[0]]
-    bound = len(maximal_members(ultra, pointwise_leq)) * u.ground.m
     spaces = [Space(u, t) for t in enumerate_topologies(u)]
     calls = count_calls(compactness.is_adherent)
-    per_space = []
-    for space in spaces:
-        calls.clear()
-        is_compact(space, mode="ultrafilter", filters=filters)
-        per_space.append(len(calls))
-    assert max(per_space) <= bound
-    assert sum(per_space) == total
+    assert count_adherence_tests(is_compact, spaces, "ultrafilter", filters,
+                                 calls) == [0] * len(spaces)
+    assert sum(count_adherence_tests(compact_by_closures, spaces,
+                                     "ultrafilter", filters,
+                                     calls)) == by_closures
 
 
 # on the 2-chain the Lukasiewicz tensor is the meet, so u22 and u23 stand for
@@ -436,6 +445,32 @@ def test_is_compact_matches_the_all_filters_sweep(name, request):
                     (want[0], want[1] and want[1].table), (t.table, mode)
                 checks += 1
     assert checks == 5 * len(topologies)
+
+
+# every census instance, and u22 and u24
+CENSUS = ["u22", "u23", "u24", "u31_godel", "u31_luk", "u32_godel",
+          "u32_luk", "diamond_1pt", "chain4_godel_1pt", "chain4_luk_1pt"]
+
+
+@pytest.mark.parametrize("name", CENSUS)
+def test_is_compact_matches_the_closure_only_decision(name, request,
+                                                      compact_by_closures):
+    # deciding maximal filters by convergence gives the verdict and the
+    # witness object of testing them by closures, on the full listing, its
+    # reverse, every other member, and copies that `enumerate_filters` has
+    # not told which are maximal
+    u = request.getfixturevalue(name)
+    filters = enumerate_filters(u)
+    copies = [FilterTable(universe=u, table=F.table) for F in filters]
+    assert not any("maximal" in vars(F) for F in copies)
+    for t in enumerate_topologies(u):
+        space = Space(u, t)
+        for mode in ("sweep", "ultrafilter"):
+            for listed in (filters, filters[::-1], filters[::2], copies):
+                want = compact_by_closures(space, mode, listed)
+                got = is_compact(space, mode, listed)
+                assert got[0] == want[0] and got[1] is want[1], \
+                    (t.table, mode)
 
 
 def test_compactness_modes_agree(u22, u31_godel, u31_luk):
@@ -569,6 +604,15 @@ def test_product_requires_shared_lattice(u31_godel, diamond_1pt):
 def test_product_requires_shared_tensor(u31_godel, u31_luk):
     with pytest.raises(PreconditionViolated):
         build_product([discrete_space(u31_godel), discrete_space(u31_luk)])
+
+
+def test_product_takes_equal_tensors_held_in_other_containers(chain3,
+                                                              u31_godel):
+    listed = Tensor(base=chain3, table=[list(row) for row in chain3.meet])
+    other = Universe(chain3, listed, Ground(1))
+    P = build_product([discrete_space(u31_godel), discrete_space(other)])
+    assert P.universe.ground.m == 1
+    assert P.universe.tensor.table == u31_godel.tensor.table
 
 
 def test_product_requires_shared_cotensor(chain3):

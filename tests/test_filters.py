@@ -299,6 +299,41 @@ def test_ultrafilter_modes_agree(u21, u22, u31_godel, u31_luk):
         assert len(by_char) == expected[id(u)]
 
 
+@pytest.mark.parametrize("name", ["u22", "u23", "u24", "u31_godel",
+                                  "u31_luk", "u32_godel", "u32_luk",
+                                  "diamond_1pt", "chain4_godel_1pt",
+                                  "chain4_luk_1pt"])
+def test_maximal_is_maximality_among_all_filters(name, request):
+    # as set by enumerate_filters, and as computed on an unlisted copy
+    u = request.getfixturevalue(name)
+    filters = enumerate_filters(u)
+    for F in filters:
+        want = is_ultrafilter(F, "maximality", all_filters=filters)[0]
+        G = FilterTable(universe=u, table=F.table)
+        assert "maximal" in vars(F) and "maximal" not in vars(G)
+        assert F.maximal is want and G.maximal is want, F.table
+    assert any(F.maximal for F in filters)
+    assert not all(F.maximal for F in filters)
+
+
+def test_maximal_is_false_for_a_table_that_is_no_filter(u22, u32_luk):
+    # every single-cell change of every filter that is no filter, and the
+    # all-top table, which holds every attribute, so that only the filter
+    # check rejects it
+    for u in (u22, u32_luk):
+        lat = u.lattice
+        junk = [FilterTable(universe=u, table=(lat.top,) * u.graded_size)]
+        for F in enumerate_filters(u):
+            for k, v in itertools.product(range(u.graded_size),
+                                          lat.elements()):
+                table = F.table[:k] + (v,) + F.table[k + 1:]
+                G = FilterTable(universe=u, table=table)
+                if not check_filter(G).passed:
+                    junk.append(G)
+        assert len(junk) > 20
+        assert not any(G.maximal for G in junk)
+
+
 def test_is_ultrafilter_rejects_non_filter(u22):
     lat = u22.lattice
     junk = FilterTable(universe=u22, table=tuple([lat.top] * u22.graded_size))

@@ -306,6 +306,17 @@ def test_tensor_takes_nested_lists():
         check_gl_monoid(meet_tensor(c3)).to_dict()
 
 
+def test_tensor_compares_by_value_whatever_the_container():
+    c3 = chain(3)
+    t = Tensor(base=c3, table=[list(row) for row in c3.meet])
+    assert t == meet_tensor(c3) and t.table == c3.meet
+    assert type(t.table) is tuple and {type(row) for row in t.table} == {tuple}
+    assert classify(t, residuum(t)) == classify(
+        meet_tensor(c3), residuum(meet_tensor(c3))) == {"heyting"}
+    # a table of tuples is kept as given
+    assert meet_tensor(c3).table is c3.meet
+
+
 # ---- how many table entries each battery reads -----------------------------
 
 class CountedRow(tuple):
