@@ -4,12 +4,14 @@ Exit status: 0 when every verdict passed, 1 when any failed, 2 on usage,
 parse, or size-cap errors, and when `compact`, `product`, `tychonoff` or
 `continuity` uses a space whose table is not a topology.  With --format
 machine the output is a single JSON document with no wall-clock content, so
-identical inputs produce byte-identical output.  The argument parser is
-built on first use and then reused; every command works on the one lattice,
-tensor and cotensor that its parsed document carries.  `_Kernel` builds
-each space and product once, under the caps: --max-powerset bounds every
-powerset, the product's included; --max-filters bounds every filter
-enumeration, those of `filters`, `compact` and `tychonoff`.
+identical inputs produce byte-identical output; it is written directly
+(`_write_json`), byte-identical to `json.dumps(tree, sort_keys=True,
+indent=2)`.  The argument parser is built on first use and then reused;
+every command works on the one lattice, tensor and cotensor that its parsed
+document carries.  `_Kernel` builds each space and product once, under the
+caps: --max-powerset bounds every powerset, the product's included;
+--max-filters bounds every filter enumeration, those of `filters`,
+`compact` and `tychonoff`.
 """
 
 from __future__ import annotations
@@ -265,6 +267,44 @@ def run_command(doc, args):
     return reports, extras
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _write_json(obj, out, pad=""):
+    """Append to `out` the parts of `json.dumps(obj, sort_keys=True,
+    indent=2)`, `pad` being the indent of the line obj starts on.  Keys are
+    strings, as in every report tree; strings are quoted in C, and a list
+    of plain ints is one join.  With any indent the stdlib runs its
+    pure-Python encoder, which this replaces."""
+    if isinstance(obj, str):
+        out.append(_quote(obj))
+    elif obj is None or isinstance(obj, (int, float)):
+        out.append(str(obj) if type(obj) is int else json.dumps(obj))
+    elif not isinstance(obj, (dict, list, tuple)):
+        raise TypeError(f"Object of type {type(obj).__name__} "
+                        f"is not JSON serializable")
+    elif not obj:
+        out.append("{}" if isinstance(obj, dict) else "[]")
+    else:
+        inner = pad + "  "
+        sep = ",\n" + inner
+        if isinstance(obj, dict):
+            out.append("{\n" + inner)
+            for k, key in enumerate(sorted(obj)):
+                out.append(f"{sep if k else ''}{_quote(key)}: ")
+                _write_json(obj[key], out, inner)
+            out.append("\n" + pad + "}")
+        elif all(type(v) is int for v in obj):
+            out.append(f"[\n{inner}{sep.join(map(str, obj))}\n{pad}]")
+        else:
+            out.append("[\n" + inner)
+            for k, v in enumerate(obj):
+                if k:
+                    out.append(sep)
+                _write_json(v, out, inner)
+            out.append("\n" + pad + "]")
+
+
 def _render(args, reports, extras, elapsed):
     ok = all(r.passed for r in reports)
     if args.format == "machine":
@@ -275,7 +315,10 @@ def _render(args, reports, extras, elapsed):
         }
         if extras:
             tree["results"] = extras
-        return json.dumps(tree, sort_keys=True, indent=2) + "\n", ok
+        out = []
+        _write_json(tree, out)
+        out.append("\n")
+        return "".join(out), ok
     lines = [str(r) for r in reports]
     for key, value in extras.items():
         lines.append(f"{key}: {value}")

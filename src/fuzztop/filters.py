@@ -104,7 +104,8 @@ class FilterTable:
     @cached_property
     def code(self):
         """The table as one int: per cell, the bits of its value's down-set
-        (`Lattice.downsets`), so F <= G iff no bit of F is missing in G."""
+        (`Lattice.downsets`), so F <= G iff no bit of F is missing in G.
+        `enumerate_filters` sets it on each table it lists."""
         return _code(self.universe.lattice.downsets, self.table)
 
     @cached_property
@@ -185,7 +186,8 @@ def enumerate_filters(universe, cap=DEFAULT_FILTER_CAP):
     Raises SizeLimit when more than `cap` closures would be computed, the
     least filter's included.  The listing is complete, so each returned
     table gets `FilterTable.maximal` from it: true for the members below no
-    other, found by comparing their `FilterTable.code` encodings.
+    other, found by comparing their `FilterTable.code` encodings, which
+    each table keeps.
     """
     u = universe
     least = saturate(u, (u.lattice.bot,) * u.graded_size)
@@ -202,7 +204,7 @@ def enumerate_filters(universe, cap=DEFAULT_FILTER_CAP):
     out = []
     for t, f in zip(tables, codes):
         F = FilterTable(universe=u, table=t)
-        vars(F)["maximal"] = f in tops
+        vars(F)["code"], vars(F)["maximal"] = f, f in tops
         out.append(F)
     return out
 

@@ -128,35 +128,21 @@ def _bounds(ups):
     return tuple(tuple([by_up.get(up & u) for u in ups]) for up in ups)
 
 
-def lattice_from_order(leq):
-    """Build a Lattice from a full order relation (n x n boolean rows).
-
-    Each element's up-set is kept as an int bitmask.  The relation must be
-    a partial order, checked on the bitmasks: each up-set holds its element
-    (reflexivity) and the up-sets of its members (transitivity), and no two
-    elements share one (antisymmetry); NotAPartialOrder names the first
-    failure.  In a partial order the upper bounds of a and b are
-    up(a) & up(b), with a least member u iff they are up(u), so each join
-    is one lookup in the map from up-set to element, and each meet is that
-    lookup on the reversed order.  Raises NotALattice for the first pair,
-    in index order and join before meet, without its bound.
-    """
-    n = len(leq)
-    geq = tuple(zip(*leq))
-    ups, downs = _upsets(leq), _upsets(geq)
-    for a, up in enumerate(ups):
-        if not up >> a & 1:
-            raise NotAPartialOrder(f"reflexivity fails on {a}")
-        for b in compress(range(n), leq[a]):
-            missing = ups[b] & ~up
-            if missing:
-                c = (missing & -missing).bit_length() - 1
-                raise NotAPartialOrder(f"transitivity fails on {a},{b},{c}")
+def _from_upsets(leq, ups):
+    """The Lattice of a reflexive, transitive relation given as boolean
+    rows (tuples) and as per-element up-set bitmasks.  NotAPartialOrder
+    names the first element sharing its up-set with a later one
+    (antisymmetry).  The upper bounds of a and b are up(a) & up(b), with a
+    least member u iff they are up(u), so each join is one lookup by
+    up-set, and each meet that lookup on the reversed order; NotALattice
+    names the first pair, in index order and join before meet, without its
+    bound."""
+    n = len(ups)
     if len(set(ups)) < n:
         a = next(a for a, up in enumerate(ups) if ups.count(up) > 1)
         raise NotAPartialOrder(
             f"antisymmetry fails on {a},{ups.index(ups[a], a + 1)}")
-    join, meet = _bounds(ups), _bounds(downs)
+    join, meet = _bounds(ups), _bounds(_upsets(zip(*leq)))
     if any(None in row for row in join + meet):
         for a in range(n):
             for b in range(n):
@@ -165,28 +151,41 @@ def lattice_from_order(leq):
                     if bound[a][b] is None:
                         raise NotALattice(
                             f"elements {a},{b} have no {name} bound")
-    top = 0
-    bot = 0
+    top = bot = 0
     for e in range(n):
-        top = join[top][e]
-        bot = meet[bot][e]
-    return Lattice(
-        n=n,
-        leq=tuple(tuple(row) for row in leq),
-        join=join,
-        meet=meet,
-        top=top,
-        bot=bot,
-    )
+        top, bot = join[top][e], meet[bot][e]
+    return Lattice(n=n, leq=leq, join=join, meet=meet, top=top, bot=bot)
+
+
+def lattice_from_order(leq):
+    """Build a Lattice from a full order relation (n x n boolean rows),
+    checked on up-set bitmasks to be a partial order: each up-set holds its
+    element (reflexivity) and the up-sets of its members (transitivity);
+    NotAPartialOrder names the first failure.  `_from_upsets` checks
+    antisymmetry and looks the bounds up.
+    """
+    n = len(leq)
+    ups = _upsets(leq)
+    for a, up in enumerate(ups):
+        if not up >> a & 1:
+            raise NotAPartialOrder(f"reflexivity fails on {a}")
+        for b in compress(range(n), leq[a]):
+            missing = ups[b] & ~up
+            if missing:
+                c = (missing & -missing).bit_length() - 1
+                raise NotAPartialOrder(f"transitivity fails on {a},{b},{c}")
+    return _from_upsets(tuple(tuple(row) for row in leq), ups)
 
 
 def build_lattice(n, leq_pairs):
     """Build a Lattice from a carrier size and a list of (lower, upper) pairs.
 
     The order is the reflexive-transitive closure of the pairs, closed on
-    up-set bitmasks.  Raises Degenerate for n < 2, and, from
-    `lattice_from_order`, NotAPartialOrder if the closure violates
-    antisymmetry and NotALattice if some pair lacks a lub or glb.
+    up-set bitmasks, which are handed to `_from_upsets` with the rows read
+    off them: the closure is reflexive and transitive, so only antisymmetry
+    is checked.  Raises Degenerate for n < 2, NotAPartialOrder for a pair
+    outside the carrier or a closure that violates antisymmetry, and
+    NotALattice if some pair lacks a lub or glb.
     """
     if n < 2:
         raise Degenerate(f"carrier size {n} < 2")
@@ -200,8 +199,8 @@ def build_lattice(n, leq_pairs):
         for a in range(n):
             if ups[a] & bit:
                 ups[a] |= up_k
-    return lattice_from_order([[up >> b & 1 == 1 for b in range(n)]
-                               for up in ups])
+    return _from_upsets(tuple([tuple([up >> b & 1 == 1 for b in range(n)])
+                               for up in ups]), ups)
 
 
 def check_infinite_distributivity(lat):

@@ -261,12 +261,19 @@ def nbhd_from_interior(i):
 
 
 def check_nbhd(n):
-    """Axioms N0-N4 per point.  N4 joins, for each cell gi, the grades of
-    its candidates: the cells at or above gi whose set lies pointwise below
-    s(gi), the set of gi's grades across the points, found by one
-    `set_index` lookup; each candidate is one `pw_leq` read.  Raises
-    PreconditionViolated unless there is one table per point, each with one
-    grade of L per graded cell."""
+    """Axioms N0-N4 per point.  Raises PreconditionViolated unless there is
+    one table per point, each with one grade of L per graded cell.
+
+    N4 asks, at each point p and cell gi = (f, a), that N_p(gi) lie below
+    the join of N_p over gi's candidates: the cells at or above gi whose
+    set lies pointwise below s(gi), the set p -> N_p(gi).  It is decided
+    without listing them.  A candidate (g, b) lies at or above gi, so
+    f <= g, and g <= s(gi); so a candidate exists iff f <= s(gi).  When one
+    does, gi itself is one, and N_p(gi) lies below the join.  When none
+    does, the join is empty, bot.  So N4 fails exactly at the (p, gi) with
+    f not below s(gi) and N_p(gi) != bot, swept p first, then gi, as the
+    candidate sweep did; s(gi) is one `set_index` lookup and the test one
+    `pw_leq` read."""
     u = n.universe
     lat = u.lattice
     u.require_table(n.tables, u.ground.m, ("system", "tables", "points"))
@@ -276,7 +283,7 @@ def check_nbhd(n):
                         lat.n)
     report = Report("nbhd")
     points, cells, els = u.ground.points(), u.graded_cells(), lat.elements()
-    tabs, le, above = n.tables, lat.leq, u.graded_above
+    tabs, le = n.tables, lat.leq
     report.sweep("N0", ({"p": p} for p in points
                         if any(tabs[p][u.gidx(u.one_idx, a)] != lat.top
                                for a in els)))
@@ -289,22 +296,12 @@ def check_nbhd(n):
                         for p in points for si in range(u.n_sets) for a in els
                         if not le[n.at(p, si, a)][u.sets[si][p]]))
 
-    def n4_failures():
-        # the candidates of gi, the cells at or above it whose set lies
-        # below the set s(gi) of gi's grades across the points, do not
-        # depend on p
-        n, pw_leq = u.n, u.pw_leq
-        s = map(u.set_index.__getitem__, zip(*tabs))
-        candidates = [[gj for gj in (gi, *above[gi]) if pw_leq[gj // n][si]]
-                      for gi, si in zip(cells, s)]
-        for p in points:
-            tab = tabs[p]
-            for gi in cells:
-                if not le[tab[gi]][lat.join_set(tab[gj]
-                                                for gj in candidates[gi])]:
-                    yield {"p": p, "cell": u.gpair(gi)}
-
-    report.sweep("N4", n4_failures())
+    grades, pw_leq = u.n, u.pw_leq
+    s = map(u.set_index.__getitem__, zip(*tabs))
+    uncovered = [gi for gi, si in zip(cells, s)
+                 if not pw_leq[gi // grades][si]]
+    report.sweep("N4", ({"p": p, "cell": u.gpair(gi)} for p in points
+                        for gi in uncovered if tabs[p][gi] != lat.bot))
     return report
 
 

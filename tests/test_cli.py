@@ -12,7 +12,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fuzztop.cli import main
+from fuzztop.cli import (DOC_BATTERIES, SPACE_BATTERIES, _write_json,
+                         main)
+from fuzztop.specfile import parse_spec
 
 ROOT = Path(__file__).resolve().parents[1]
 SPECS = ROOT / "specs"
@@ -26,9 +28,17 @@ COTENSOR_BASE = Path(__file__).resolve().parent / "two_spaces_cotensor.spec"
 DIGESTS = Path(__file__).resolve().parent / "cli_machine_digests.json"
 
 
+def assert_dumps_bytes(out):
+    """The machine output is what `json.dumps(sort_keys=True, indent=2)`
+    writes for its own tree, plus a newline."""
+    assert json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n" == out
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
+    if "machine" in argv and captured.out:
+        assert_dumps_bytes(captured.out)
     return code, captured.out, captured.err
 
 
@@ -271,6 +281,94 @@ def test_recorded_digests_cover_the_cli_workload_specs(monkeypatch):
     assert set(json.loads(DIGESTS.read_text())) == workload
 
 
+# ---- the machine writer ------------------------------------------------------
+
+def every_command(path, filters=True, products=True):
+    """Each command on each name the spec declares; the filter and
+    compactness commands, and the products, only when asked for."""
+    doc = parse_spec(Path(path).read_text(encoding="utf-8"))
+    spaces = sorted(doc.spaces)
+    cmds = [("validate", t) for t in (*DOC_BATTERIES, *SPACE_BATTERIES)]
+    cmds += [("residuum",), ("coimpl",), ("classify",)]
+    cmds += [("continuity", "--map", m) for m in sorted(doc.maps)]
+    if filters:
+        cmds += [("filters", "enumerate"), ("filters", "ultrafilters")]
+        cmds += [c for f in sorted(doc.filters)
+                 for c in (("filters", "check", "--filter", f),
+                           ("saturate", "--filter", f))]
+        cmds += [("compact", "--space", x) for x in spaces]
+    if products:
+        cmds += [(c, "--spaces", x, y) for c in ("product", "tychonoff")
+                 for x in spaces for y in spaces]
+    return cmds
+
+
+@pytest.mark.parametrize("spec", sorted(SPECS.glob("*.spec"))
+                         + [COTENSOR_BASE], ids=lambda p: p.name)
+def test_machine_output_is_the_stdlib_encoding_on_every_command(capsys,
+                                                                 spec):
+    written = 0
+    for cmd in every_command(spec):
+        code, out, _ = run(capsys, str(spec), "--format", "machine", *cmd)
+        assert code == 2 or out  # `run` compares each output with json
+        written += bool(out)
+    assert written
+
+
+#: (lattice, points): the generated specs of the writer test
+GENERATED = [(lat, m) for lat in ("chain2", "chain3", "chain4", "diamond",
+                                  "pentagon") for m in (1, 2)]
+
+
+@pytest.mark.parametrize("lattice, points", GENERATED,
+                         ids=[f"{lat}-{m}pt" for lat, m in GENERATED])
+def test_machine_output_is_the_stdlib_encoding_on_generated_specs(
+        tmp_path, capsys, monkeypatch, lattice, points):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import clitasks
+
+    n = len(clitasks.LATTICES[lattice][0])
+    cells = n ** points * n
+    tensors = ("godel", "lukasiewicz") if lattice.startswith("chain") \
+        and lattice != "chain2" else ("godel",)
+    written = 0
+    for tensor in tensors:
+        for variant in ("discrete", "indiscrete", "random0"):
+            spec = tmp_path / f"{tensor}-{variant}.spec"
+            spec.write_text(clitasks.spec_text(lattice, tensor, points,
+                                               variant))
+            # filters on at most 25 cells, products on at most 4 sets
+            for cmd in every_command(spec, filters=cells <= 25,
+                                     products=n ** points <= 4):
+                code, out, _ = run(capsys, str(spec), "--format", "machine",
+                                   *cmd)
+                written += bool(out)
+    assert written
+
+
+@pytest.mark.parametrize("tree", [
+    {}, [], {"a": {}}, [[]], {"a": [[], {}], "b": [{}]}, ({}, []),
+    (1, 2), [(), (3, (4, 5))], {"t": (1, "x", (True,))},
+    "plain", "caf\u00e9 \u2192 \U0001f600", "\x00\x1f\t\n\"\\/\x7f",
+    {"\u00e9\n": ["\u00fc", "\r"]},
+    True, False, None, [True, False, None], {"f": False, "n": None},
+    [1, True, 0], -3, [-1, 0, 7], 2.5, [-0.5, 1e300, 0.1, -0.0],
+    {"z": 1, "a": [1, [2, {"y": None, "b": 1.0}]], "m": "s"},
+], ids=repr)
+def test_the_writer_matches_json_dumps(tree):
+    out = []
+    _write_json(tree, out)
+    assert "".join(out) == json.dumps(tree, sort_keys=True, indent=2)
+
+
+def test_the_writer_refuses_what_json_refuses():
+    for value in ({1, 2}, object(), b"bytes"):
+        with pytest.raises(TypeError):
+            json.dumps(value)
+        with pytest.raises(TypeError):
+            _write_json(value, [])
+
+
 BOOL_HEADER = ("[lattice]\nelements = bot top\ncovers = bot<top\n\n"
                "[tensor]\nbot bot -> bot\nbot top -> bot\n"
                "top bot -> bot\ntop top -> top\n\n")
@@ -495,3 +593,5 @@ def test_mutated_specs_keep_the_exit_contract(fuzz_spec, text, command):
             code = exc.code
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+    if out.getvalue():
+        assert_dumps_bytes(out.getvalue())

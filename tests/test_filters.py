@@ -199,12 +199,21 @@ def test_leq_is_the_pointwise_order(name, request, pointwise_leq):
 
 def test_code_is_kept_and_not_a_field(u32_luk):
     F = enumerate_filters(u32_luk)[-1]
-    assert "code" not in vars(F)
-    code = F.code
-    assert vars(F)["code"] is code
     G = FilterTable(universe=u32_luk, table=F.table)
-    assert F == G and hash(F) == hash(G) and G.code == code
+    assert "code" not in vars(G)
+    code = G.code
+    assert vars(G)["code"] is code
+    assert F == G and hash(F) == hash(G) and F.code == code
     assert vars(u32_luk.lattice)["downsets"] is u32_luk.lattice.downsets
+
+
+@pytest.mark.parametrize("name", ["u22", "u32_godel", "u32_luk",
+                                  "diamond_1pt", "chain4_luk_1pt"])
+def test_enumerated_filters_carry_their_code(name, request):
+    u = request.getfixturevalue(name)
+    for F in enumerate_filters(u):
+        assert "code" in vars(F)
+        assert F.code == FilterTable(universe=u, table=F.table).code
 
 
 def test_sup_of_chain(u31_godel):

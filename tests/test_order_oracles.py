@@ -1,23 +1,26 @@
 """The order tables built by lookup, against the searches they replaced:
 lattice bounds looked up by up-set against the search of every pair's upper
-bounds for the least one, `graded_above` as a product of up-sets against
-the comprehension over `pw_leq`, and N4's candidates found by one
-`set_index` lookup against the per-point `all(...)` sweep, and the
+bounds for the least one, `build_lattice` from its closure's up-sets
+against `lattice_from_order` of the closure's rows, `graded_above` as a
+product of up-sets against the comprehension over `pw_leq`, N4 decided
+without candidates against the per-point `all(...)` sweep of them, and the
 join-irreducibles read off the lower covers against the join of each
 element's strict down-set.  Also that the pointwise order is built only
-when something reads it."""
+when something reads it, and `graded_above` not for a neighbourhood
+check."""
 
 import random
 
 import pytest
 
-from fuzztop.errors import NotALattice, NotAPartialOrder
+from fuzztop.errors import (Degenerate, FuzztopError, NotALattice,
+                            NotAPartialOrder)
 from fuzztop.instances import (chain, diamond, lukasiewicz_tensor, m3,
                                meet_tensor, pentagon)
 from fuzztop.lattice import build_lattice, lattice_from_order
 from fuzztop.powerset import Ground, Universe
-from fuzztop.topology import (NbhdSystem, check_nbhd, check_topology,
-                              generate_topology)
+from fuzztop.topology import (NbhdSystem, Topology, check_nbhd,
+                              check_topology, generate_topology)
 
 # ---- lattice bounds --------------------------------------------------------
 
@@ -112,6 +115,42 @@ def test_bounds_match_the_bound_search(name):
     assert bounds(build_lattice(n, pairs)) == want
     assert bounds(lattice_from_order(leq)) == want
     assert build_lattice(n, pairs).leq == tuple(map(tuple, leq))
+
+
+def build_by_rows(n, pairs):
+    """Oracle: `build_lattice` as `lattice_from_order` of the rows of the
+    pairs' closure, after the carrier checks."""
+    if n < 2:
+        raise Degenerate(f"carrier size {n} < 2")
+    for a, b in pairs:
+        if not (0 <= a < n and 0 <= b < n):
+            raise NotAPartialOrder(f"pair ({a},{b}) outside carrier "
+                                   f"0..{n - 1}")
+    return lattice_from_order(closure(n, pairs))
+
+
+@pytest.mark.parametrize("name", sorted(ORDERS))
+def test_build_lattice_is_the_lattice_of_the_closures_rows(name):
+    lat, want = build_lattice(*ORDERS[name]), build_by_rows(*ORDERS[name])
+    assert lat == want
+    assert lat.geq == want.geq == tuple(zip(*want.leq))
+
+
+@pytest.mark.parametrize("n, pairs", [
+    (3, [(0, 1), (1, 0)]),
+    (4, [(0, 1), (0, 2)]),
+    (3, [(0, 1), (1, 3)]),
+    (3, [(-1, 0)]),
+    (1, []),
+    (0, [(0, 1)]),
+], ids=["2-cycle", "no-bound", "above-range", "below-range", "n1", "n0"])
+def test_build_lattice_fails_as_the_closures_rows_do(n, pairs):
+    with pytest.raises(FuzztopError) as want:
+        build_by_rows(n, pairs)
+    with pytest.raises(FuzztopError) as got:
+        build_lattice(n, pairs)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
 
 
 def test_instances_are_the_searched_lattices():
@@ -286,3 +325,13 @@ def test_topology_checks_leave_the_pointwise_order_unbuilt():
             for _ in range(u.n_sets)]
     assert check_topology(generate_topology(u, seed)).passed
     assert "pw_leq" not in u.__dict__
+
+
+def test_nbhd_check_leaves_the_graded_up_sets_unbuilt():
+    # N4 needs no candidate list, so a passing check_nbhd never reads
+    # graded_above; N1 reads it only to name a failing pair
+    lat = chain(3)
+    u = Universe(lat, meet_tensor(lat), Ground(2))
+    discrete = Topology(universe=u, table=(lat.top,) * u.n_sets)
+    assert check_nbhd(discrete.nbhd).passed
+    assert "graded_above" not in vars(u)

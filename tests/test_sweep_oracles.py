@@ -513,3 +513,59 @@ def test_i6_on_incomparable_pairs_names_the_full_sweeps_first_witness(lat, m):
             seen.add(want["status"])
     # on a chain every pair of grades is comparable, so I6 cannot fail
     assert seen == ({"pass", "fail"} if lat.incomparable else {"pass"})
+
+
+# ---- N4 without candidate lists --------------------------------------------
+
+def n4_by_candidates(nb):
+    """Oracle: N4's first failure, p first, then gi, joining at p the
+    grades of gi's candidates: the cells at or above gi, from
+    `graded_above`, whose set lies below s(gi), the set of gi's grades
+    across the points."""
+    u, tabs = nb.universe, nb.tables
+    lat, pw_leq, above = u.lattice, u.pw_leq, u.graded_above
+    s = [u.set_index[col] for col in zip(*tabs)]
+    candidates = [[gj for gj in (gi, *above[gi]) if pw_leq[gj // u.n][s[gi]]]
+                  for gi in u.graded_cells()]
+    return first({"p": p, "cell": u.gpair(gi)}
+                 for p in u.ground.points() for gi in u.graded_cells()
+                 if not lat.le(tabs[p][gi], lat.join_set(
+                     tabs[p][gj] for gj in candidates[gi])))
+
+
+@pytest.mark.parametrize("name", INSTANCES)
+def test_n4_names_the_candidate_sweeps_first_witness(name, request):
+    # every topology, then systems with one cell of one point changed
+    u = request.getfixturevalue(name)
+    rng, seen = random.Random(name), set()
+    topologies = enumerate_topologies(u)
+    for t in topologies:
+        want = n4_by_candidates(t.nbhd)
+        seen.add(want is None)
+        assert witness(check_nbhd(t.nbhd), "N4") == want
+    for t in rng.sample(topologies, min(5, len(topologies))):
+        tables = t.nbhd.tables
+        for _ in range(10):
+            p, k = rng.randrange(u.ground.m), rng.randrange(u.graded_size)
+            tab = list(tables[p])
+            tab[k] = rng.randrange(u.n)
+            nb = NbhdSystem(universe=u, tables=tables[:p] + (tuple(tab),)
+                            + tables[p + 1:])
+            want = n4_by_candidates(nb)
+            seen.add(want is None)
+            assert witness(check_nbhd(nb), "N4") == want
+    assert seen == {True, False}
+
+
+def test_n4_on_the_criterion_07_tables_names_the_candidate_sweeps_witness(
+        request):
+    from test_acceptance import _topology_corpus
+    failing = 0
+    for name in ("u22", "u31_godel", "u31_luk", "u23", "u32_godel"):
+        u = request.getfixturevalue(name)
+        for t in _topology_corpus(u)[0]:
+            nb = nbhd_from_interior(interior_from_topology(t))
+            want = n4_by_candidates(nb)
+            failing += want is not None
+            assert witness(check_nbhd(nb), "N4") == want
+    assert failing == 13  # criterion 07's N4 count
