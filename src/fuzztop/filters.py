@@ -19,7 +19,10 @@ keeps its place in the filter order as one int, `FilterTable.code`, and
 whether it is a maximal filter, `FilterTable.maximal`: set from the
 complete listing by `enumerate_filters`, and otherwise decided by raising
 each attribute the table does not hold and closing, which a maximal filter
-never survives.
+never survives.  A listed table also records the maximal filters at or
+above it, `FilterTable.maximal_above`, which only a complete listing can
+give.  A table no listing recorded is checked for one grade of L per
+graded cell (`require_grades`) before any verdict reads it.
 """
 
 from __future__ import annotations
@@ -45,11 +48,15 @@ class FilterTable:
     It is a filter when it passes `check_filter`, but any table may be
     wrapped.  `closure`, `characterization`, `code` and `maximal` are
     computed on first use and kept on the object; they are not fields, so
-    equality and hashing see only the table.
+    equality and hashing see only the table.  Nor is `maximal_above`:
+    `enumerate_filters` sets it on each table it lists to the listed
+    maximal filters at or above it, in list order, and it is None on any
+    other table.
     """
 
     universe: object
     table: tuple  # grade per graded cell
+    maximal_above = None
 
     @cached_property
     def closure(self):
@@ -105,7 +112,9 @@ class FilterTable:
     def code(self):
         """The table as one int: per cell, the bits of its value's down-set
         (`Lattice.downsets`), so F <= G iff no bit of F is missing in G.
-        `enumerate_filters` sets it on each table it lists."""
+        `enumerate_filters` sets it on each table it lists; on any other
+        table it is computed after `require_grades`."""
+        require_grades(self)
         return _code(self.universe.lattice.downsets, self.table)
 
     @cached_property
@@ -146,6 +155,11 @@ class FilterTable:
         return self.table[self.universe.gidx(si, a)]
 
     def leq(self, other):
+        """F <= G cell by cell, by `code`.  Raises PreconditionViolated when
+        the tables are over different universes or either is not a table
+        of grades (`require_grades`)."""
+        if self.universe is not other.universe:
+            raise PreconditionViolated("a filter is over another universe")
         return not self.code & ~other.code
 
 
@@ -153,15 +167,24 @@ def _code(downsets, table):
     return int.from_bytes(b"".join(map(downsets.__getitem__, table)), "little")
 
 
+def require_grades(F):
+    """Raise PreconditionViolated unless F's table has one grade of L per
+    graded cell (`Universe.require_table`).  A table `enumerate_filters`
+    listed is valid by construction and is not checked again."""
+    if F.maximal_above is None:
+        u = F.universe
+        u.require_table(F.table, u.graded_size,
+                        ("table", "grades", "graded cells"), u.lattice.n)
+
+
 def check_filter(F):
     """Per-axiom verdicts for FF0 (top row pinned to top), FF1 (monotone in
     the graded order), FF2 (tensor stability), FF3 (bottom row pinned).
     Raises PreconditionViolated unless the table has one grade of L per
-    graded cell (`Universe.require_table`)."""
+    graded cell (`require_grades`)."""
     u = F.universe
     lat = u.lattice
-    u.require_table(F.table, u.graded_size,
-                    ("table", "grades", "graded cells"), lat.n)
+    require_grades(F)
     report = Report("filter")
 
     top_row = [F.app(u.one_idx, a) for a in lat.elements()]
@@ -187,7 +210,10 @@ def enumerate_filters(universe, cap=DEFAULT_FILTER_CAP):
     least filter's included.  The listing is complete, so each returned
     table gets `FilterTable.maximal` from it: true for the members below no
     other, found by comparing their `FilterTable.code` encodings, which
-    each table keeps.
+    each table keeps.  Each also gets `FilterTable.maximal_above`, the
+    maximal members whose code holds every bit of its own: as the listing
+    holds every filter, these are all the maximal filters of the universe
+    at or above it.
     """
     u = universe
     least = saturate(u, (u.lattice.bot,) * u.graded_size)
@@ -201,11 +227,11 @@ def enumerate_filters(universe, cap=DEFAULT_FILTER_CAP):
         if all(f & ~t for t in tops):
             tops = [t for t in tops if t & ~f] + [f]
     tops = set(tops)
-    out = []
-    for t, f in zip(tables, codes):
-        F = FilterTable(universe=u, table=t)
-        vars(F)["code"], vars(F)["maximal"] = f, f in tops
-        out.append(F)
+    out = [FilterTable(universe=u, table=t) for t in tables]
+    maxima = [(f, F) for f, F in zip(codes, out) if f in tops]
+    for f, F in zip(codes, out):
+        vars(F).update(code=f, maximal=f in tops, maximal_above=tuple(
+            M for m, M in maxima if not f & ~m))
     return out
 
 
@@ -339,8 +365,9 @@ def is_ultrafilter(U, mode="characterization", all_filters=None):
     """Decide maximality of a filter.
 
     mode="maximality": search for a strictly larger filter (all_filters may
-    supply a precomputed enumeration; otherwise one is made with the default
-    closure cap).  mode="characterization": the verdict kept on the table as
+    supply a precomputed enumeration, all over U's universe, else
+    PreconditionViolated; otherwise one is made with the default closure
+    cap).  mode="characterization": the verdict kept on the table as
     `FilterTable.characterization`, so the filter axioms and the identity
     are checked once per table object.  Returns (bool, witness).
     """
@@ -352,6 +379,8 @@ def is_ultrafilter(U, mode="characterization", all_filters=None):
     if mode == "maximality":
         if all_filters is None:
             all_filters = enumerate_filters(U.universe)
+        elif any(G.universe is not U.universe for G in all_filters):
+            raise PreconditionViolated("a filter is over another universe")
         for G in all_filters:
             if U.leq(G) and U.table != G.table:
                 return False, {"larger": G.table}

@@ -350,6 +350,11 @@ def diamond_1pt(diamond4):
 
 
 @pytest.fixture(scope="session")
+def diamond_2pt(diamond4):
+    return Universe(diamond4, meet_tensor(diamond4), Ground(2))
+
+
+@pytest.fixture(scope="session")
 def chain4_godel_1pt():
     lat = chain(4)
     return Universe(lat, meet_tensor(lat), Ground(1))

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import re
@@ -104,6 +105,31 @@ def test_verdicts_reject_a_point_outside_the_ground_set(u32_luk, p):
         converges(F, p, space)
     with pytest.raises(PreconditionViolated, match=message):
         is_adherent(p, F, space)
+
+
+# before the check the 3-grade table converged to 0, as `map` stopped at the
+# shorter table, and `is_adherent` raised IndexError; the grade-7 table
+# raised IndexError from `converges` and `is_compact`
+@pytest.mark.parametrize("verdict", [
+    lambda F, space: converges(F, 0, space),
+    lambda F, space: is_adherent(0, F, space),
+    lambda F, space: is_compact(space, filters=[F]),
+    lambda F, space: is_compact(space, filters=enumerate_filters(
+        space.universe) + [F]),
+    # a witness comes first, so the table is checked before any decision
+    lambda F, space: is_compact(space, filters=[FilterTable(
+        universe=space.universe, table=(2,) * 9), F]),
+], ids=["converges", "is_adherent", "is_compact", "is_compact-listed",
+        "is_compact-after-witness"])
+@pytest.mark.parametrize("table, message", [
+    ((2, 2, 2), "^table has 3 grades for 9 graded cells$"),
+    ((7,) * 9, "^table entry 0 is 7, outside 0..2$"),
+], ids=["short", "grade-7"])
+def test_verdicts_reject_a_table_that_is_not_one_of_grades(u31_godel, verdict,
+                                                           table, message):
+    F = FilterTable(universe=u31_godel, table=table)
+    with pytest.raises(PreconditionViolated, match=message):
+        verdict(F, discrete_space(u31_godel))
 
 
 def test_space_keeps_axiom_reports(u22):
@@ -317,9 +343,9 @@ def maximal_members(filters, leq):
 def test_is_compact_tests_the_maximal_filters_first(u22, u32_luk,
                                                     count_calls,
                                                     pointwise_leq):
-    # every maximal member of a full listing is a maximal filter, decided by
-    # convergence with no test; only a witness that is not maximal, so
-    # below no certificate, is tested, at every point
+    # every member of a full listing is decided by the maximal filters it
+    # records, with no test; only a witness that is not maximal is tested,
+    # at every point
     import fuzztop.compactness as compactness
     calls = count_calls(compactness.is_adherent)
     non_compact = Space(u32_luk, enumerate_topologies(u32_luk)[0])
@@ -336,17 +362,81 @@ def test_is_compact_tests_the_maximal_filters_first(u22, u32_luk,
             assert is_compact(space, filters=listed) == want
             assert [(p, F.table) for p, F, _ in calls] == expected
 
-    # the least filter lies below a table no filter lies above, so it is no
-    # maximal member; that table has no certificate, so the least filter
-    # falls back to its own test, and the table, tested already, is the
-    # witness
+    # the listed least filter is decided by the maximal filters it records,
+    # with no test; the hand-built table no filter lies above records none,
+    # so it is tested at every point and is the witness
     space = indiscrete_space(u22)
     least = enumerate_filters(u22)[0]
     junk = FilterTable(universe=u22, table=(u22.lattice.top,) * u22.graded_size)
     calls.clear()
     assert is_compact(space, filters=[least, junk]) == (False, junk)
     assert [(p, F.table) for p, F, _ in calls] == [
-        (0, junk.table), (1, junk.table), (0, least.table)]
+        (0, junk.table), (1, junk.table)]
+
+
+@pytest.mark.parametrize("name", ["u22", "u23", "u32_godel", "u32_luk"])
+def test_a_point_adheres_iff_a_recorded_upper_bound_converges(name, request):
+    # the module's Lemma 2 on every listed filter, point and topology; the
+    # closure side is kept per (filter, N_p), the two things it reads
+    u = request.getfixturevalue(name)
+    filters = enumerate_filters(u)
+    verdicts, seen = {}, set()
+    for t in enumerate_topologies(u):
+        space = Space(u, t)
+        for F in filters:
+            for p in u.ground.points():
+                key = (id(F), space.nbhd.tables[p])
+                if key not in verdicts:
+                    verdicts[key] = is_adherent(p, F, space)[0]
+                lemma = any(converges(U, p, space) for U in F.maximal_above)
+                assert lemma == verdicts[key], (t.table, F.table, p)
+                seen.add(lemma)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("name", ["u32_godel", "u32_luk"])
+def test_is_compact_work_per_call(name, request, monkeypatch):
+    # on the full listing each call compares each maximal filter with each
+    # point's neighborhood table at most once and reads no filter's code,
+    # so no pairwise search of the listing can come back unnoticed; its
+    # adherence tests are pinned by
+    # test_adherence_tests_are_bounded_by_the_maximal_filters
+    import fuzztop.compactness as compactness
+    u = request.getfixturevalue(name)
+    filters = enumerate_filters(u)
+    spaces = [Space(u, t) for t in enumerate_topologies(u)]
+    reads, tested = [], []
+
+    class Tables(tuple):
+        def __iter__(self):
+            for p, N in enumerate(tuple.__iter__(self)):
+                reads.append((id(tested[-1]), p))
+                yield N
+
+    original = compactness._converges_somewhere
+
+    def counting(U, space):
+        tested.append(U)
+        return original(U, space)
+
+    monkeypatch.setattr(compactness, "_converges_somewhere", counting)
+    code = FilterTable.code
+    codes = []
+    monkeypatch.setattr(FilterTable, "code", property(
+        lambda F: codes.append(F) or code.func(F)))
+    compared = 0
+    for space in spaces:
+        space.nbhd = dataclasses.replace(
+            space.nbhd, tables=Tables(space.nbhd.tables))
+        reads.clear()
+        tested.clear()
+        is_compact(space, filters=filters)
+        assert len(reads) == len(set(reads))
+        assert all(U.maximal for U in tested)
+        assert len(tested) == len({id(U) for U in tested})
+        compared += len(reads)
+    assert compared >= len(spaces)
+    assert codes == []
 
 
 def count_adherence_tests(decide, spaces, mode, filters, calls):

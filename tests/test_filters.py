@@ -239,14 +239,77 @@ def test_sup_of_chain_rejects_antichain(u22):
 
 def test_sup_of_chain_rejects_filters_of_another_universe(u21, u22):
     # before the check the codes of F and G compared as a chain: [F, G]
-    # gave F's 4-cell table back and [G, F] raised IndexError
+    # gave F's 4-cell table back and [G, F] raised IndexError; `leq` now
+    # rejects the pair itself (test_leq_rejects_filters_of_another_universe)
     F, = enumerate_filters(u21)
     G = FilterTable(universe=u22, table=(0, 0, 1, 1, 0, 0, 1, 1))
-    assert check_filter(G).passed and F.leq(G)
+    assert check_filter(G).passed
     for chain in ([F, G], [G, F]):
         with pytest.raises(PreconditionViolated,
                            match="over another universe"):
             sup_of_chain(chain)
+
+
+def test_leq_rejects_filters_of_another_universe(u21, u22):
+    # before the check the codes of a 4-cell and an 8-cell table were
+    # compared: F.leq(G) was True
+    F, = enumerate_filters(u21)
+    G = FilterTable(universe=u22, table=(0, 0, 1, 1, 0, 0, 1, 1))
+    for low, high in ((F, G), (G, F)):
+        with pytest.raises(PreconditionViolated,
+                           match="^a filter is over another universe$"):
+            low.leq(high)
+
+
+@pytest.mark.parametrize("table, message", [
+    ((2, 2, 2), "^table has 3 grades for 9 graded cells$"),
+    ((7,) * 9, "^table entry 0 is 7, outside 0..2$"),
+], ids=["short", "grade-7"])
+def test_leq_rejects_a_table_that_is_not_one_of_grades(u31_godel, table,
+                                                       message):
+    # before the check the grade-7 table raised IndexError, and the short
+    # one was compared as a table with 3 cells
+    F = enumerate_filters(u31_godel)[0]
+    G = FilterTable(universe=u31_godel, table=table)
+    for low, high in ((F, G), (G, F)):
+        with pytest.raises(PreconditionViolated, match=message):
+            low.leq(high)
+
+
+def test_maximality_rejects_filters_of_another_universe(u31_godel, u31_luk,
+                                                        u32_godel):
+    # before the check the second filter, not maximal in its own listing,
+    # was judged maximal against the Lukasiewicz listing, and not maximal
+    # against the 2-point one, with a 27-cell "larger" table
+    filters = enumerate_filters(u31_godel)
+    F = filters[1]
+    assert is_ultrafilter(F, "maximality", all_filters=filters)[0] is False
+    for other in (u31_luk, u32_godel):
+        with pytest.raises(PreconditionViolated,
+                           match="^a filter is over another universe$"):
+            is_ultrafilter(F, "maximality",
+                           all_filters=enumerate_filters(other))
+
+
+# the census instances, u22, u24 and diamond-2pt
+RECORDED = ["u22", "u23", "u24", "u31_godel", "u31_luk", "u32_godel",
+            "u32_luk", "diamond_1pt", "diamond_2pt", "chain4_godel_1pt",
+            "chain4_luk_1pt"]
+
+
+@pytest.mark.parametrize("name", RECORDED)
+def test_maximal_above_is_the_maximal_filters_above(name, request,
+                                                    pointwise_leq):
+    # the record of each listed filter is, in list order and as the listed
+    # objects, the filters maximal among the listing that lie above it
+    u = request.getfixturevalue(name)
+    filters = enumerate_filters(u)
+    maximal = [U for U in filters
+               if is_ultrafilter(U, "maximality", all_filters=filters)[0]]
+    for F in filters:
+        want = [U for U in maximal if pointwise_leq(F, U)]
+        assert [id(U) for U in F.maximal_above] == [id(U) for U in want]
+        assert FilterTable(universe=u, table=F.table).maximal_above is None
 
 
 def test_saturate_is_least_filter_above(u22, u31_luk):
