@@ -26,7 +26,8 @@ lies below a maximal filter U, and U >= G >= F and U >= G >= N_p.
 
 So a maximal filter adheres exactly to the points it converges to, with
 itself as certificate (Lemma 1), and a filter of a complete listing, which
-records the maximal filters above it (`FilterTable.maximal_above`),
+records the maximal filters above it by their tables
+(`FilterTable.maximal_above`),
 adheres somewhere exactly when one of them converges somewhere (Lemma 2).
 A table no listing recorded is decided by its own closure per point.
 Finite products are built as the least topology making the projections
@@ -130,11 +131,11 @@ def _first_adherence(F, space):
     return None
 
 
-def _converges_somewhere(U, space):
-    """True iff the filter U converges to some point of the space: the
-    neighborhood table of each point is compared with U at most once."""
+def _converges_somewhere(table, space):
+    """True iff the grade table lies above the neighborhood table of some
+    point of the space, each compared with it at most once."""
     le = space.universe.lattice.le
-    return any(all(map(le, N, U.table)) for N in space.nbhd.tables)
+    return any(all(map(le, N, table)) for N in space.nbhd.tables)
 
 
 def adherent_points(F, space):
@@ -156,7 +157,7 @@ def is_compact(space, mode="sweep", filters=None):
     member with no adherent point.
 
     The members are walked in list order.  A member that `enumerate_filters`
-    listed carries the maximal filters at or above it
+    listed carries the tables of the maximal filters at or above it
     (`FilterTable.maximal_above`), and by the module's Lemma 2 it has an
     adherent point exactly when one of them converges to some point.  Each
     maximal filter is compared with each point's neighborhood table at most
@@ -177,17 +178,17 @@ def is_compact(space, mode="sweep", filters=None):
     if mode == "ultrafilter":
         filters = [F for F in filters
                    if is_ultrafilter(F, "characterization")[0]]
-    converging = {}  # id of a maximal filter -> converges to some point
+    converging = {}  # id of a maximal filter's table -> converges somewhere
     for F in filters:
         above = F.maximal_above
         if above is None:
             adherent = _first_adherence(F, space) is not None
         else:
             adherent = False
-            for U in above:
-                key = id(U)
+            for table in above:
+                key = id(table)
                 if key not in converging:
-                    converging[key] = _converges_somewhere(U, space)
+                    converging[key] = _converges_somewhere(table, space)
                 if converging[key]:
                     adherent = True
                     break

@@ -19,10 +19,10 @@ keeps its place in the filter order as one int, `FilterTable.code`, and
 whether it is a maximal filter, `FilterTable.maximal`: set from the
 complete listing by `enumerate_filters`, and otherwise decided by raising
 each attribute the table does not hold and closing, which a maximal filter
-never survives.  A listed table also records the maximal filters at or
-above it, `FilterTable.maximal_above`, which only a complete listing can
-give.  A table no listing recorded is checked for one grade of L per
-graded cell (`require_grades`) before any verdict reads it.
+never survives.  A listed table also records the tables of the maximal
+filters at or above it, `FilterTable.maximal_above`, which only a complete
+listing can give.  A table no listing recorded is checked for one grade of
+L per graded cell (`require_grades`) before any verdict reads it.
 """
 
 from __future__ import annotations
@@ -49,9 +49,11 @@ class FilterTable:
     wrapped.  `closure`, `characterization`, `code` and `maximal` are
     computed on first use and kept on the object; they are not fields, so
     equality and hashing see only the table.  Nor is `maximal_above`:
-    `enumerate_filters` sets it on each table it lists to the listed
-    maximal filters at or above it, in list order, and it is None on any
-    other table.
+    `enumerate_filters` sets it on each table it lists to the tables of the
+    listed maximal filters at or above it, in list order, and it is None on
+    any other table.  It holds tables, not filters, so that a maximal
+    filter does not refer to itself: a listing holds no reference cycle and
+    is freed as soon as it is dropped.
     """
 
     universe: object
@@ -211,9 +213,9 @@ def enumerate_filters(universe, cap=DEFAULT_FILTER_CAP):
     table gets `FilterTable.maximal` from it: true for the members below no
     other, found by comparing their `FilterTable.code` encodings, which
     each table keeps.  Each also gets `FilterTable.maximal_above`, the
-    maximal members whose code holds every bit of its own: as the listing
-    holds every filter, these are all the maximal filters of the universe
-    at or above it.
+    tables of the maximal members whose code holds every bit of its own:
+    as the listing holds every filter, these are all the maximal filters of
+    the universe at or above it.
     """
     u = universe
     least = saturate(u, (u.lattice.bot,) * u.graded_size)
@@ -227,11 +229,13 @@ def enumerate_filters(universe, cap=DEFAULT_FILTER_CAP):
         if all(f & ~t for t in tops):
             tops = [t for t in tops if t & ~f] + [f]
     tops = set(tops)
-    out = [FilterTable(universe=u, table=t) for t in tables]
-    maxima = [(f, F) for f, F in zip(codes, out) if f in tops]
-    for f, F in zip(codes, out):
+    maxima = [(f, t) for t, f in zip(tables, codes) if f in tops]
+    out = []
+    for t, f in zip(tables, codes):
+        F = FilterTable(universe=u, table=t)
         vars(F).update(code=f, maximal=f in tops, maximal_above=tuple(
-            M for m, M in maxima if not f & ~m))
+            top for m, top in maxima if not f & ~m))
+        out.append(F)
     return out
 
 

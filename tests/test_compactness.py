@@ -380,6 +380,7 @@ def test_a_point_adheres_iff_a_recorded_upper_bound_converges(name, request):
     # closure side is kept per (filter, N_p), the two things it reads
     u = request.getfixturevalue(name)
     filters = enumerate_filters(u)
+    listed = {id(U.table): U for U in filters}
     verdicts, seen = {}, set()
     for t in enumerate_topologies(u):
         space = Space(u, t)
@@ -388,7 +389,8 @@ def test_a_point_adheres_iff_a_recorded_upper_bound_converges(name, request):
                 key = (id(F), space.nbhd.tables[p])
                 if key not in verdicts:
                     verdicts[key] = is_adherent(p, F, space)[0]
-                lemma = any(converges(U, p, space) for U in F.maximal_above)
+                lemma = any(converges(listed[id(t)], p, space)
+                            for t in F.maximal_above)
                 assert lemma == verdicts[key], (t.table, F.table, p)
                 seen.add(lemma)
     assert seen == {True, False}
@@ -405,6 +407,7 @@ def test_is_compact_work_per_call(name, request, monkeypatch):
     u = request.getfixturevalue(name)
     filters = enumerate_filters(u)
     spaces = [Space(u, t) for t in enumerate_topologies(u)]
+    maximal = {id(U.table) for U in filters if U.maximal}
     reads, tested = [], []
 
     class Tables(tuple):
@@ -415,9 +418,9 @@ def test_is_compact_work_per_call(name, request, monkeypatch):
 
     original = compactness._converges_somewhere
 
-    def counting(U, space):
-        tested.append(U)
-        return original(U, space)
+    def counting(table, space):
+        tested.append(table)
+        return original(table, space)
 
     monkeypatch.setattr(compactness, "_converges_somewhere", counting)
     code = FilterTable.code
@@ -432,8 +435,8 @@ def test_is_compact_work_per_call(name, request, monkeypatch):
         tested.clear()
         is_compact(space, filters=filters)
         assert len(reads) == len(set(reads))
-        assert all(U.maximal for U in tested)
-        assert len(tested) == len({id(U) for U in tested})
+        assert all(id(t) in maximal for t in tested)
+        assert len(tested) == len(set(map(id, tested)))
         compared += len(reads)
     assert compared >= len(spaces)
     assert codes == []

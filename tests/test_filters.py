@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -301,15 +303,31 @@ RECORDED = ["u22", "u23", "u24", "u31_godel", "u31_luk", "u32_godel",
 def test_maximal_above_is_the_maximal_filters_above(name, request,
                                                     pointwise_leq):
     # the record of each listed filter is, in list order and as the listed
-    # objects, the filters maximal among the listing that lie above it
+    # table objects, the tables of the filters maximal among the listing
+    # that lie above it
     u = request.getfixturevalue(name)
     filters = enumerate_filters(u)
     maximal = [U for U in filters
                if is_ultrafilter(U, "maximality", all_filters=filters)[0]]
     for F in filters:
-        want = [U for U in maximal if pointwise_leq(F, U)]
-        assert [id(U) for U in F.maximal_above] == [id(U) for U in want]
+        want = [U.table for U in maximal if pointwise_leq(F, U)]
+        assert list(map(id, F.maximal_above)) == list(map(id, want))
         assert FilterTable(universe=u, table=F.table).maximal_above is None
+
+
+def test_a_listing_is_freed_without_the_cycle_collector(u32_luk):
+    # a record that held the maximal filters themselves made each maximal
+    # filter refer to itself, so every dropped listing waited for the
+    # cyclic collector
+    filters = enumerate_filters(u32_luk)
+    refs = [weakref.ref(F) for F in filters]
+    assert any(F.maximal for F in filters)
+    gc.disable()
+    try:
+        del filters
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
 
 
 def test_saturate_is_least_filter_above(u22, u31_luk):
