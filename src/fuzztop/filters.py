@@ -347,12 +347,21 @@ def hat_extension(U, g_idx, beta, rho=None):
 
     With G = impl-into-bottom of U at the cell (g, beta) => (0_X, rho), the
     value at (f, a) is U(f, a) joined with U[(g, beta) => (f, a)] tensor G.
-    rho must satisfy rho <= beta; defaults to the lattice bottom.
+    rho must satisfy rho <= beta; defaults to the lattice bottom.  Raises
+    PreconditionViolated, naming the argument, unless U is a table of grades
+    (`require_grades`), g_idx is a set index and beta and rho are elements
+    of L with rho <= beta.
     """
     u = U.universe
     lat = u.lattice
+    require_grades(U)
     if rho is None:
         rho = lat.bot
+    for name, value, size in (("g_idx", g_idx, u.n_sets),
+                              ("beta", beta, lat.n), ("rho", rho, lat.n)):
+        if not (isinstance(value, int) and 0 <= value < size):
+            raise PreconditionViolated(f"{name} {value!r} is outside "
+                                       f"0..{size - 1}")
     if not lat.le(rho, beta):
         raise PreconditionViolated("rho must lie below beta")
     gb = u.gidx(g_idx, beta)

@@ -118,8 +118,15 @@ def check_topology(t):
 
 
 def order_topologies(t1, t2):
-    """Pointwise comparison: one of '<=', '>=', '=', 'incomparable'."""
-    lat = t1.universe.lattice
+    """Pointwise comparison: one of '<=', '>=', '=', 'incomparable'.
+    Raises PreconditionViolated unless both are over one universe with one
+    grade of L per set."""
+    u = t1.universe
+    if t2.universe is not u:
+        raise PreconditionViolated("topology is over another universe")
+    for t in (t1, t2):
+        u.require_table(t.table, u.n_sets, GRADES_OF_SETS, u.n)
+    lat = u.lattice
     le = all(lat.le(a, b) for a, b in zip(t1.table, t2.table))
     ge = all(lat.le(b, a) for a, b in zip(t1.table, t2.table))
     if le and ge:

@@ -6,15 +6,11 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+import models
 from fuzztop import filters, topology
 from fuzztop.closure import close
 from fuzztop.compactness import _first_adherence
 from fuzztop.filters import enumerate_filters_bruteforce, is_ultrafilter
-from fuzztop.instances import (boolean, chain, diamond, lukasiewicz_tensor,
-                               meet_tensor)
-from fuzztop.lattice import build_lattice
-from fuzztop.powerset import Ground, Universe
-from fuzztop.residuated import Tensor
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -244,126 +240,10 @@ def compact_by_closures():
     return _compact_by_closures
 
 
-@pytest.fixture(scope="session")
-def bool2():
-    return boolean()
-
-
-@pytest.fixture(scope="session")
-def chain3():
-    return chain(3)
-
-
-@pytest.fixture(scope="session")
-def diamond4():
-    return diamond()
-
-
-@pytest.fixture(scope="session")
-def u21(bool2):
-    return Universe(bool2, meet_tensor(bool2), Ground(1))
-
-
-@pytest.fixture(scope="session")
-def u22(bool2):
-    return Universe(bool2, meet_tensor(bool2), Ground(2))
-
-
-@pytest.fixture(scope="session")
-def u23(bool2):
-    return Universe(bool2, meet_tensor(bool2), Ground(3))
-
-
-@pytest.fixture(scope="session")
-def u24(bool2):
-    return Universe(bool2, meet_tensor(bool2), Ground(4))
-
-
-@pytest.fixture(scope="session")
-def u31_godel(chain3):
-    return Universe(chain3, meet_tensor(chain3), Ground(1))
-
-
-@pytest.fixture(scope="session")
-def u31_luk(chain3):
-    return Universe(chain3, lukasiewicz_tensor(chain3), Ground(1))
-
-
-@pytest.fixture(scope="session")
-def u32_godel(chain3):
-    return Universe(chain3, meet_tensor(chain3), Ground(2))
-
-
-@pytest.fixture(scope="session")
-def u32_luk(chain3):
-    return Universe(chain3, lukasiewicz_tensor(chain3), Ground(2))
-
-
-@pytest.fixture(scope="session")
-def u32_godel_reindexed():
-    """u32-Goedel on the 3-chain indexed top first (2 < 1 < 0), so the
-    element indices are no linear extension of the order."""
-    lat = build_lattice(3, [(2, 1), (1, 0)])
-    return Universe(lat, meet_tensor(lat), Ground(2))
-
-
-def _middle_unit_cotensor(lat):
-    """On the 3-chain, a (+) b = top if top is a or b, else min(a, b).  Its
-    unit is the middle element, not bot, so unlike every co-GL cotensor it
-    has rho coimpl a above bot for some rho <= a (here rho = a = 1), and
-    the ultrafilter characterization reads a cell other than (f -> 0, bot)
-    there."""
-    top = lat.top
-    return Tensor(base=lat, table=tuple(
-        tuple(top if top in (a, b) else min(a, b) for b in lat.elements())
-        for a in lat.elements()))
-
-
-def _middle_unit(chain3, tensor, m):
-    return Universe(chain3, tensor(chain3), Ground(m),
-                    cotensor=_middle_unit_cotensor(chain3))
-
-
-@pytest.fixture(scope="session")
-def u31_godel_middle_unit(chain3):
-    return _middle_unit(chain3, meet_tensor, 1)
-
-
-@pytest.fixture(scope="session")
-def u31_luk_middle_unit(chain3):
-    return _middle_unit(chain3, lukasiewicz_tensor, 1)
-
-
-@pytest.fixture(scope="session")
-def u32_godel_middle_unit(chain3):
-    return _middle_unit(chain3, meet_tensor, 2)
-
-
-@pytest.fixture(scope="session")
-def u32_luk_middle_unit(chain3):
-    return _middle_unit(chain3, lukasiewicz_tensor, 2)
-
-
-@pytest.fixture(scope="session")
-def diamond_1pt(diamond4):
-    return Universe(diamond4, meet_tensor(diamond4), Ground(1))
-
-
-@pytest.fixture(scope="session")
-def diamond_2pt(diamond4):
-    return Universe(diamond4, meet_tensor(diamond4), Ground(2))
-
-
-@pytest.fixture(scope="session")
-def chain4_godel_1pt():
-    lat = chain(4)
-    return Universe(lat, meet_tensor(lat), Ground(1))
-
-
-@pytest.fixture(scope="session")
-def chain4_luk_1pt():
-    lat = chain(4)
-    return Universe(lat, lukasiewicz_tensor(lat), Ground(1))
+# one session fixture per catalogue name, such as u22 and u32_godel
+for _name in models.MODELS:
+    globals()[_name] = pytest.fixture(scope="session", name=_name)(
+        lambda name=_name: models.build(name))
 
 
 @pytest.fixture(scope="session")

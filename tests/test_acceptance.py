@@ -22,16 +22,18 @@ from fuzztop.compactness import (Space, build_product, is_compact,
 from fuzztop.filters import (check_filter, enumerate_filters,
                              hat_extension, image_filter, is_ultrafilter,
                              preimage_filter)
-from fuzztop.instances import (boolean, chain, diamond, join_cotensor,
-                               lukasiewicz_tensor, meet_tensor)
+from fuzztop.instances import boolean, chain, diamond, join_cotensor
 from fuzztop.powerset import check_graded_gl
 from fuzztop.residuated import (Tensor, check_co_gl_monoid, check_gl_monoid,
                                 co_implication, residuum)
-from fuzztop.topology import (Topology, check_continuity_nbhd, check_interior,
+from fuzztop.topology import (check_continuity_nbhd, check_interior,
                               check_nbhd, check_topology, enumerate_topologies,
                               generate_topology, interior_from_topology,
                               is_continuous, nbhd_from_interior,
                               order_topologies)
+
+from test_residuated import corpus
+from test_topology import discrete, indiscrete
 
 RESULTS = []
 
@@ -46,36 +48,16 @@ def record(num, name, ok, detail, elapsed, budget=None):
     assert ok, line
 
 
-def tensor_corpus():
-    return [("boolean_meet", meet_tensor(boolean())),
-            ("godel3", meet_tensor(chain(3))),
-            ("lukasiewicz3", lukasiewicz_tensor(chain(3))),
-            ("diamond_meet", meet_tensor(diamond()))]
-
-
 def cotensor_corpus():
     return [("boolean_join", join_cotensor(boolean())),
             ("chain3_join", join_cotensor(chain(3))),
             ("diamond_join", join_cotensor(diamond()))]
 
 
-def discrete(u):
-    return Topology(universe=u, table=tuple(u.lattice.top
-                                            for _ in range(u.n_sets)))
-
-
-def indiscrete(u):
-    lat = u.lattice
-    table = [lat.bot] * u.n_sets
-    table[u.zero_idx] = lat.top
-    table[u.one_idx] = lat.top
-    return Topology(universe=u, table=tuple(table))
-
-
 def test_criterion_01_adjunction_suites():
     start = time.monotonic()
     checked = 0
-    for name, t in tensor_corpus():
+    for name, t in corpus():
         lat = t.base
         r = residuum(t)
         for a in lat.elements():
@@ -97,7 +79,7 @@ def test_criterion_01_adjunction_suites():
 
 def test_criterion_02_mutation_batteries():
     start = time.monotonic()
-    for name, t in tensor_corpus():
+    for name, t in corpus():
         assert check_gl_monoid(t).passed, name
     for name, t in cotensor_corpus():
         assert check_co_gl_monoid(t).passed, name
@@ -110,9 +92,9 @@ def test_criterion_02_mutation_batteries():
                    ("chain3_join", 1, 1, 2)}   # becomes the bounded-sum cotensor
     total = caught = 0
     passed_battery = set()
-    for corpus, checker in ((tensor_corpus(), check_gl_monoid),
-                            (cotensor_corpus(), check_co_gl_monoid)):
-        for name, t in corpus:
+    for tensors, checker in ((corpus(), check_gl_monoid),
+                             (cotensor_corpus(), check_co_gl_monoid)):
+        for name, t in tensors:
             lat = t.base
             for a in lat.elements():
                 for b in lat.elements():

@@ -18,9 +18,10 @@ from fuzztop import filters, topology
 from fuzztop.closure import close
 from fuzztop.errors import SizeLimit
 from fuzztop.filters import enumerate_filters
-from fuzztop.instances import chain, diamond, lukasiewicz_tensor, meet_tensor
-from fuzztop.powerset import Ground, Universe
+from fuzztop.instances import chain, diamond
 from fuzztop.topology import enumerate_topologies
+
+import models
 
 
 def enumerate_closed_visited(lattice, least, rules, cap, what, above=None,
@@ -60,38 +61,26 @@ def enumerate_closed_visited(lattice, least, rules, cap, what, above=None,
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def make(lat, tensor, m):
-    return Universe(lat, tensor(lat), Ground(m))
-
-
-# on the 2-chain the Lukasiewicz tensor is the meet, so u22 and u23 stand
-# for both tensors
-INSTANCES = {
-    "u22": lambda: make(chain(2), meet_tensor, 2),
-    "u23": lambda: make(chain(2), meet_tensor, 3),
-    "u24": lambda: make(chain(2), meet_tensor, 4),
-    "u31-goedel": lambda: make(chain(3), meet_tensor, 1),
-    "u31-lukasiewicz": lambda: make(chain(3), lukasiewicz_tensor, 1),
-    "u32-goedel": lambda: make(chain(3), meet_tensor, 2),
-    "u32-lukasiewicz": lambda: make(chain(3), lukasiewicz_tensor, 2),
-    "diamond-1pt": lambda: make(diamond(), meet_tensor, 1),
-    "chain4-1pt-goedel": lambda: make(chain(4), meet_tensor, 1),
-    "chain4-1pt-lukasiewicz": lambda: make(chain(4), lukasiewicz_tensor, 1),
-}
+# the ids these tests had before the catalogue, kept so that no id changes
+PARENT_IDS = {"u31_godel": "u31-goedel", "u31_luk": "u31-lukasiewicz",
+              "u32_godel": "u32-goedel", "u32_luk": "u32-lukasiewicz",
+              "diamond_1pt": "diamond-1pt",
+              "chain4_godel_1pt": "chain4-1pt-goedel",
+              "chain4_luk_1pt": "chain4-1pt-lukasiewicz"}
 
 FAMILIES = {"filters": (filters, enumerate_filters),
             "topologies": (topology, enumerate_topologies)}
-
-CASES = [(name, family) for name in INSTANCES for family in FAMILIES]
 
 
 def tables(members):
     return [m.table for m in members]
 
 
-@pytest.mark.parametrize("name, family", CASES)
-def test_enumeration_matches_visited_set_oracle(name, family, monkeypatch):
-    u = INSTANCES[name]()
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("name", models.CENSUS, ids=PARENT_IDS.get)
+def test_enumeration_matches_visited_set_oracle(name, family, request,
+                                                monkeypatch):
+    u = request.getfixturevalue(name)
     module, enumerate_family = FAMILIES[family]
     got = tables(enumerate_family(u))
     assert len(got) == len(set(got)), "a member is listed twice"
@@ -105,15 +94,15 @@ def digest(members):
 
 
 # the sorted filter tables as the visited-set engine listed them, which
-# takes 1.5 s (diamond-2pt) and 4 s (chain4-2pt-lukasiewicz)
-@pytest.mark.parametrize("lat, tensor, count, sha256", [
-    (diamond, meet_tensor, 225,
+# takes 1.5 s (diamond_2pt) and 4 s (chain4_luk_2pt)
+@pytest.mark.parametrize("name, count, sha256", [
+    ("diamond_2pt", 225,
      "ad3eed58543d8f9505e8e826d4d70a3687362dcf3290f5ff64e75cc8a3a1aeb0"),
-    (lambda: chain(4), lukasiewicz_tensor, 532,
+    ("chain4_luk_2pt", 532,
      "f8858e35d3ec737e17eda1e3ed290d28fa9ac343046bcb81483efbf5a10fc8d2"),
 ], ids=["diamond-2pt", "chain4-2pt-lukasiewicz"])
-def test_next_tier_filters(lat, tensor, count, sha256):
-    found = enumerate_filters(make(lat(), tensor, 2))
+def test_next_tier_filters(name, count, sha256, request):
+    found = enumerate_filters(request.getfixturevalue(name))
     assert len(found) == count
     assert len(set(tables(found))) == count
     assert digest(found) == sha256
@@ -243,13 +232,13 @@ def counting(lat):
     return dataclasses.replace(lat, join=CountingRows(lat.join))
 
 
-def test_first_sweep_requeues_only_visited_cells():
+def test_first_sweep_requeues_only_visited_cells(u32_godel):
     # the first sweep visits the live cells, highest rank first, and a cell
     # raised before its visit is visited once, with its raised value, not
-    # queued again: saturating each single cell of u32-Goedel at top fires
+    # queued again: saturating each single cell of u32_godel at top fires
     # 2,264 rules, against 7,962 when every raised cell is queued and
     # 16,155 for the index-order sweep over every cell
-    u = make(chain(3), meet_tensor, 2)
+    u = u32_godel
     lat = counting(u.lattice)
     for gi in u.graded_cells():
         table = [lat.bot] * u.graded_size
@@ -272,20 +261,22 @@ def batteries_large_seeds():
 
 # each unordered pair of the live sets fires once per rule: every set of
 # both generated topologies is live, so 2 * (243 * 244 / 2) and
-# 2 * (256 * 257 / 2) firings, against the index-order sweep's re-closings
-@pytest.mark.parametrize("name, lat, m, pairs", [
-    ("chain3-5pt", chain(3), 5, 59_292),
-    ("chain2-8pt", chain(2), 8, 65_792),
-])
+# 2 * (256 * 257 / 2) firings, against the index-order sweep's re-closings;
+# the benchmark names the two universes chain3-5pt and chain2-8pt
+@pytest.mark.parametrize("name, bench, pairs", [
+    ("u35_godel", "chain3-5pt", 59_292),
+    ("u28", "chain2-8pt", 65_792),
+], ids=["chain3-5pt", "chain2-8pt"])
 def test_generated_topology_fires_each_live_pair_once(
-        name, lat, m, pairs, batteries_large_seeds, close_by_index):
-    u = make(lat, meet_tensor, m)
-    table = list(batteries_large_seeds[name])
+        name, bench, pairs, request, batteries_large_seeds, close_by_index):
+    u = request.getfixturevalue(name)
+    lat = u.lattice
+    table = list(batteries_large_seeds[bench])
     table[u.one_idx] = table[u.zero_idx] = lat.top
     want = list(table)
     close_by_index(want, lat.join, topology._rules(u))
     counted = counting(lat)
     close(table, counted, topology._rules(u))
     assert table == want == list(topology.generate_topology(
-        u, batteries_large_seeds[name]).table)
+        u, batteries_large_seeds[bench]).table)
     assert counted.join.count == pairs

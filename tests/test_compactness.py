@@ -14,7 +14,6 @@ from fuzztop.errors import PreconditionViolated, SizeLimit
 from fuzztop.filters import (FilterTable, NoFilterAbove, check_filter,
                              enumerate_filters, image_filter, is_ultrafilter,
                              preimage_filter, saturate)
-from fuzztop.instances import chain, lukasiewicz_tensor, meet_tensor
 from fuzztop.powerset import Ground, Universe
 from fuzztop.residuated import Tensor
 from fuzztop.specfile import build_universe, parse_spec
@@ -22,19 +21,18 @@ from fuzztop.topology import (Topology, check_continuity_nbhd, check_interior,
                               check_nbhd, enumerate_topologies, is_continuous,
                               nbhd_pushforward)
 
+import models
+from test_topology import discrete, indiscrete
+
 SPECS = Path(__file__).resolve().parents[1] / "specs"
 
 
 def discrete_space(u):
-    return Space(u, tuple(u.lattice.top for _ in range(u.n_sets)))
+    return Space(u, discrete(u))
 
 
 def indiscrete_space(u):
-    lat = u.lattice
-    table = [lat.bot] * u.n_sets
-    table[u.zero_idx] = lat.top
-    table[u.one_idx] = lat.top
-    return Space(u, tuple(table))
+    return Space(u, indiscrete(u))
 
 
 def test_space_rejects_non_topology(u22):
@@ -246,11 +244,8 @@ def oracle_tables(u, filters, rng):
     return out
 
 
-# on the 2-chain the Lukasiewicz tensor is the meet, so u22 and u23 stand for
-# both tensors
-@pytest.mark.parametrize("name", ["u22", "u23", "u31_godel", "u31_luk",
-                                  "u32_godel", "u32_luk", "diamond_1pt",
-                                  "chain4_godel_1pt", "chain4_luk_1pt"])
+@pytest.mark.parametrize("name", [name for name in models.CENSUS
+                                  if name != "u24"])
 def test_adherence_matches_saturation_from_scratch(name, request):
     # both rules read only F and the table N_p, so every topology and point
     # is covered by one (space, point) per distinct table
@@ -494,11 +489,7 @@ def test_ultrafilter_mode_tests_each_maximal_member_once(
                                      calls)) == by_closures
 
 
-# on the 2-chain the Lukasiewicz tensor is the meet, so u22 and u23 stand for
-# both tensors
-@pytest.mark.parametrize("name", ["u22", "u23", "u32_godel", "u32_luk",
-                                  "diamond_1pt", "chain4_godel_1pt",
-                                  "chain4_luk_1pt", "u32_godel_reindexed"])
+@pytest.mark.parametrize("name", models.SWEPT)
 def test_is_compact_matches_the_all_filters_sweep(name, request):
     # every topology, both modes, on the full enumeration, a shuffled half
     # of it, and that half with a table that is not a filter, so members lie
@@ -540,12 +531,7 @@ def test_is_compact_matches_the_all_filters_sweep(name, request):
     assert checks == 5 * len(topologies)
 
 
-# every census instance, and u22 and u24
-CENSUS = ["u22", "u23", "u24", "u31_godel", "u31_luk", "u32_godel",
-          "u32_luk", "diamond_1pt", "chain4_godel_1pt", "chain4_luk_1pt"]
-
-
-@pytest.mark.parametrize("name", CENSUS)
+@pytest.mark.parametrize("name", models.CENSUS)
 def test_is_compact_matches_the_closure_only_decision(name, request,
                                                       compact_by_closures):
     # deciding maximal filters by convergence gives the verdict and the
@@ -637,6 +623,23 @@ def test_image_compactness_records_every_verdict(u21, u22):
     assert rep.verdicts["preimage_is_filter"].status == "fail"
 
 
+@pytest.mark.parametrize("half", ["converges", "leq"])
+def test_image_compactness_replays_both_halves_of_the_proof_chain(
+        u21, u22, half, monkeypatch):
+    # on valid input F <= phi(G) and phi(G) -> phi(p) both hold, so a replay
+    # that tested only one of them passed every other test; each is made to
+    # fail here in turn
+    import fuzztop.compactness as compactness
+    target = compactness if half == "converges" else FilterTable
+    monkeypatch.setattr(target, half, lambda *args: False)
+    (F,) = enumerate_filters(u21)
+    rep = image_compactness_check((0, 0), discrete_space(u22),
+                                  discrete_space(u21))
+    chain = rep.verdicts["proof_chain"]
+    assert chain.status == "fail"
+    assert chain.witness["filter"] == F.table
+
+
 def test_image_compactness_preconditions(u21, u22):
     with pytest.raises(PreconditionViolated, match="map is not surjective"):
         image_compactness_check((1, 1), discrete_space(u22),
@@ -688,7 +691,7 @@ def test_product_requires_shared_lattice(u31_godel, diamond_1pt):
                        match="factors must share the lattice"):
         build_product([discrete_space(u31_godel), discrete_space(diamond_1pt)])
     # an equal lattice built apart is the same lattice
-    twin = Universe(chain(3), meet_tensor(chain(3)), Ground(1))
+    twin = models.build("u31_godel")
     assert twin.lattice is not u31_godel.lattice
     P = build_product([discrete_space(u31_godel), discrete_space(twin)])
     assert P.universe.ground.m == 1
@@ -699,22 +702,19 @@ def test_product_requires_shared_tensor(u31_godel, u31_luk):
         build_product([discrete_space(u31_godel), discrete_space(u31_luk)])
 
 
-def test_product_takes_equal_tensors_held_in_other_containers(chain3,
-                                                              u31_godel):
-    listed = Tensor(base=chain3, table=[list(row) for row in chain3.meet])
-    other = Universe(chain3, listed, Ground(1))
+def test_product_takes_equal_tensors_held_in_other_containers(u31_godel):
+    lat = u31_godel.lattice
+    listed = Tensor(base=lat, table=[list(row) for row in lat.meet])
+    other = Universe(lat, listed, Ground(1))
     P = build_product([discrete_space(u31_godel), discrete_space(other)])
     assert P.universe.ground.m == 1
     assert P.universe.tensor.table == u31_godel.tensor.table
 
 
-def test_product_requires_shared_cotensor(chain3):
+def test_product_requires_shared_cotensor(u31_godel, u31_godel_bounded_sum):
     # the join and the bounded sum min(2, a + b) on the 3-chain
-    bounded_sum = Tensor(base=chain3, table=tuple(
-        tuple(min(2, a + b) for b in range(3)) for a in range(3)))
-    spaces = [discrete_space(Universe(chain3, meet_tensor(chain3), Ground(1),
-                                      cotensor=cotensor))
-              for cotensor in (None, bounded_sum)]
+    spaces = [discrete_space(u31_godel),
+              discrete_space(u31_godel_bounded_sum)]
     for factors in (spaces, spaces[::-1]):
         with pytest.raises(PreconditionViolated,
                            match="factors must share the cotensor"):
@@ -768,14 +768,17 @@ def test_product_nbhd_system_on_non_discrete_factors(u21, u22,
         assert_system_is_the_formula(build_product(factors), product_nbhd)
 
 
-@pytest.mark.parametrize("tensor", [meet_tensor, lukasiewicz_tensor])
-def test_product_nbhd_system_on_the_3_chain(tensor, product_nbhd):
-    lat = chain(3)
-    u32, u31 = (Universe(lat, tensor(lat), Ground(m)) for m in (2, 1))
-    rng = random.Random(tensor.__name__)
+@pytest.mark.parametrize("tensor, names", [
+    ("meet_tensor", ("u32_godel", "u31_godel")),
+    ("lukasiewicz_tensor", ("u32_luk", "u31_luk")),
+], ids=["meet_tensor", "lukasiewicz_tensor"])
+def test_product_nbhd_system_on_the_3_chain(tensor, names, request,
+                                            product_nbhd):
+    universes = [request.getfixturevalue(name) for name in names]
+    rng = random.Random(tensor)
     for _ in range(3):
         factors = [Space(u, rng.choice(enumerate_topologies(u)))
-                   for u in (u32, u31)]
+                   for u in universes]
         assert_system_is_the_formula(build_product(factors), product_nbhd)
 
 
@@ -820,12 +823,11 @@ def test_product_convergence_requires_a_filter(u22):
 # before the check a u31 ultrafilter raised IndexError, a u22 one raised a
 # PreconditionViolated naming a point map, and one over another u21 of the
 # same shape got a verdict
-@pytest.mark.parametrize("k, m", [(3, 1), (2, 2), (2, 1)],
+@pytest.mark.parametrize("name", ["u31_godel", "u22", "u21"],
                          ids=["u31", "u22", "another-u21"])
-def test_product_convergence_rejects_filters_of_another_universe(u21, k, m):
+def test_product_convergence_rejects_filters_of_another_universe(u21, name):
     P = build_product([discrete_space(u21), discrete_space(u21)])
-    lat = chain(k)
-    other = Universe(lat, meet_tensor(lat), Ground(m))
+    other = models.build(name)
     U = next(F for F in enumerate_filters(other) if is_ultrafilter(F)[0])
     with pytest.raises(PreconditionViolated,
                        match="a filter is over another universe"):

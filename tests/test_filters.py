@@ -14,6 +14,8 @@ from fuzztop.filters import (FilterTable, NoFilterAbove, check_filter,
                              is_ultrafilter, preimage_filter, saturate,
                              sup_of_chain)
 
+import models
+
 
 def principal(u, si):
     """The filter concentrated on the sets above a fixed crisp set."""
@@ -117,7 +119,7 @@ def filters_by_sweep(u, graded_leq):
     bot, swept over the remaining cells, kept when monotone in the graded
     order and passing check_filter.  The monotonicity test only skips
     check_filter calls that would fail FF1."""
-    lat = u.lattice
+    lat, le = u.lattice, u.lattice.leq
     pinned = {u.one_idx: lat.top, u.zero_idx: lat.bot}
     free = [gi for gi in u.graded_cells() if gi // u.n not in pinned]
     pairs = [(gi, gj) for gi in u.graded_cells() for gj in u.graded_cells()
@@ -127,7 +129,7 @@ def filters_by_sweep(u, graded_leq):
     for values in itertools.product(lat.elements(), repeat=len(free)):
         for gi, v in zip(free, values):
             table[gi] = v
-        if all(lat.le(table[gi], table[gj]) for gi, gj in pairs):
+        if all(le[table[gi]][table[gj]] for gi, gj in pairs):
             F = FilterTable(universe=u, table=tuple(table))
             if check_filter(F).passed:
                 out.append(F.table)
@@ -170,11 +172,7 @@ def test_enumeration_cap_counts_every_closure(name, closures, request):
     assert enumerate_filters(u, cap=closures)
 
 
-# on the 2-chain the Lukasiewicz tensor is the meet, so u22 stands for both
-# tensors; u32_godel_reindexed lists the 3-chain top first
-@pytest.mark.parametrize("name", ["u22", "u32_godel", "u32_luk", "diamond_1pt",
-                                  "chain4_godel_1pt", "chain4_luk_1pt",
-                                  "u32_godel_reindexed"])
+@pytest.mark.parametrize("name", models.SWEPT)
 def test_leq_is_the_pointwise_order(name, request, pointwise_leq):
     # every ordered pair of filters, and of random tables that are no
     # filters, each next to a copy with one cell raised to top and one with
@@ -209,8 +207,7 @@ def test_code_is_kept_and_not_a_field(u32_luk):
     assert vars(u32_luk.lattice)["downsets"] is u32_luk.lattice.downsets
 
 
-@pytest.mark.parametrize("name", ["u22", "u32_godel", "u32_luk",
-                                  "diamond_1pt", "chain4_luk_1pt"])
+@pytest.mark.parametrize("name", models.names("tiny"))
 def test_enumerated_filters_carry_their_code(name, request):
     u = request.getfixturevalue(name)
     for F in enumerate_filters(u):
@@ -293,13 +290,7 @@ def test_maximality_rejects_filters_of_another_universe(u31_godel, u31_luk,
                            all_filters=enumerate_filters(other))
 
 
-# the census instances, u22, u24 and diamond-2pt
-RECORDED = ["u22", "u23", "u24", "u31_godel", "u31_luk", "u32_godel",
-            "u32_luk", "diamond_1pt", "diamond_2pt", "chain4_godel_1pt",
-            "chain4_luk_1pt"]
-
-
-@pytest.mark.parametrize("name", RECORDED)
+@pytest.mark.parametrize("name", models.names("tiny") + ["diamond_2pt"])
 def test_maximal_above_is_the_maximal_filters_above(name, request,
                                                     pointwise_leq):
     # the record of each listed filter is, in list order and as the listed
@@ -389,10 +380,7 @@ def test_ultrafilter_modes_agree(u21, u22, u31_godel, u31_luk):
         assert len(by_char) == expected[id(u)]
 
 
-@pytest.mark.parametrize("name", ["u22", "u23", "u24", "u31_godel",
-                                  "u31_luk", "u32_godel", "u32_luk",
-                                  "diamond_1pt", "chain4_godel_1pt",
-                                  "chain4_luk_1pt"])
+@pytest.mark.parametrize("name", models.TWO_OR_MORE)
 def test_maximal_is_maximality_among_all_filters(name, request):
     # as set by enumerate_filters, and as computed on an unlisted copy
     u = request.getfixturevalue(name)
@@ -470,6 +458,26 @@ def test_hat_extension_rho_precondition(u31_godel):
     U = enumerate_filters(u31_godel)[0]
     with pytest.raises(PreconditionViolated):
         hat_extension(U, 0, beta=1, rho=2)
+
+
+@pytest.mark.parametrize("table, cell, message", [
+    (None, (99, 1), r"^g_idx 99 is outside 0\.\.3$"),
+    (None, (-1, 1), r"^g_idx -1 is outside 0\.\.3$"),
+    (None, (0, 5), r"^beta 5 is outside 0\.\.1$"),
+    (None, (0, -1), r"^beta -1 is outside 0\.\.1$"),
+    (None, (0, 1, 5), r"^rho 5 is outside 0\.\.1$"),
+    ((1, 1, 1), (0, 1), r"^table has 3 grades for 8 graded cells$"),
+], ids=["set-99", "set-minus-one", "beta-5", "beta-minus-one", "rho-5",
+        "short-table"])
+def test_hat_extension_rejects_input_outside_the_universe(u22, table, cell,
+                                                          message):
+    # before the checks an index past the end raised IndexError, and -1 was
+    # read by negative indexing
+    U = enumerate_filters(u22)[0]
+    if table is not None:
+        U = FilterTable(universe=u22, table=table)
+    with pytest.raises(PreconditionViolated, match=message):
+        hat_extension(U, *cell)
 
 
 def test_image_filter_is_filter(u21, u22):

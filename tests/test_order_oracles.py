@@ -15,12 +15,12 @@ import pytest
 
 from fuzztop.errors import (Degenerate, FuzztopError, NotALattice,
                             NotAPartialOrder)
-from fuzztop.instances import (chain, diamond, lukasiewicz_tensor, m3,
-                               meet_tensor, pentagon)
+from fuzztop.instances import chain, diamond, m3, pentagon
 from fuzztop.lattice import build_lattice, lattice_from_order
-from fuzztop.powerset import Ground, Universe
 from fuzztop.topology import (NbhdSystem, Topology, check_nbhd,
                               check_topology, generate_topology)
+
+import models
 
 # ---- lattice bounds --------------------------------------------------------
 
@@ -80,17 +80,19 @@ def chain_pairs(k):
     return [(i, i + 1) for i in range(k - 1)]
 
 
-ORDERS = {f"chain{k}": (k, chain_pairs(k)) for k in range(2, 13)}
-ORDERS.update({
-    "diamond": (4, [(0, 1), (0, 2), (1, 3), (2, 3)]),
-    "pentagon": (5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)]),
-    "m3": (5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)]),
-    # the cube: i < i | bit
-    "boolean8": (8, [(i, i | b) for i in range(8) for b in (1, 2, 4)
-                     if not i & b]),
-    # indices that are no linear extension of the order: 2 < 1 < 0
-    "chain3-top-first": (3, [(2, 1), (1, 0)]),
-})
+def covers_by_definition(lat):
+    """Oracle: per element a, the c < a with no element strictly between."""
+    def lt(x, y):
+        return x != y and lat.le(x, y)
+    return tuple(tuple(c for c in lat.elements() if lt(c, a) and not any(
+        lt(c, e) and lt(e, a) for e in lat.elements())) for a in lat.elements())
+
+
+#: each catalogue lattice as its size and its cover pairs (c, a), c < a
+ORDERS = {name: (lat.n, [(c, a) for a, covers in enumerate(
+              covers_by_definition(lat)) for c in covers])
+          for name, lat in ((name, make()) for name, make in
+                            models.LATTICES.items())}
 
 
 def join_irreducibles_by_sweep(lat):
@@ -233,27 +235,14 @@ def above_by_comprehension(u):
         for si in range(u.n_sets) for a in range(n))
 
 
-def make(lat, tensor, m):
-    return Universe(lat, tensor(lat), Ground(m))
+# the ids these tests had before the catalogue, kept so that no id changes
+PARENT_IDS = {"diamond_2pt": "diamond-2pt", "chain4_luk_2pt": "chain4-2pt"}
 
 
-TWO_POINT = {
-    "diamond-2pt": lambda: make(diamond(), meet_tensor, 2),
-    "chain4-2pt": lambda: make(chain(4), lukasiewicz_tensor, 2),
-}
-
-
-def universe(name, request):
-    if name in TWO_POINT:
-        return TWO_POINT[name]()
-    return request.getfixturevalue(name)
-
-
-@pytest.mark.parametrize("name", ["u22", "u32_godel", "u32_luk",
-                                  "u32_godel_reindexed", "diamond-2pt",
-                                  "chain4-2pt"])
+@pytest.mark.parametrize("name", models.names("tiny") + models.names("small"),
+                         ids=PARENT_IDS.get)
 def test_graded_above_matches_the_comprehension(name, request):
-    u = universe(name, request)
+    u = request.getfixturevalue(name)
     assert u.graded_above == above_by_comprehension(u)
 
 
@@ -294,11 +283,13 @@ def single_cell_mutants(rng, tables, values, count):
 
 
 @pytest.mark.parametrize("name", ["u22", "u32_godel", "u32_luk",
-                                  "u32_godel_reindexed", "diamond-2pt",
-                                  "chain4-2pt"])
+                                  "u32_godel_reindexed", "diamond_2pt",
+                                  "chain4_luk_2pt"],
+                         ids=PARENT_IDS.get)
 def test_n4_matches_the_per_point_sweep(name, request):
-    u = universe(name, request)
-    rng, lat = random.Random(name), u.lattice
+    u = request.getfixturevalue(name)
+    # seeded by the test id
+    rng, lat = random.Random(PARENT_IDS.get(name, name)), u.lattice
     failed = 0
     for _ in range(4):
         seed = [rng.randrange(lat.n) if rng.random() < 0.3 else lat.bot
@@ -317,8 +308,8 @@ def test_n4_matches_the_per_point_sweep(name, request):
 
 
 def test_topology_checks_leave_the_pointwise_order_unbuilt():
-    lat = chain(2)
-    u = Universe(lat, meet_tensor(lat), Ground(8))
+    u = models.build("u28")
+    lat = u.lattice
     assert u.n_sets == 256
     rng = random.Random(256)
     seed = [rng.randrange(2) if rng.random() < 0.3 else 0
@@ -330,8 +321,8 @@ def test_topology_checks_leave_the_pointwise_order_unbuilt():
 def test_nbhd_check_leaves_the_graded_up_sets_unbuilt():
     # N4 needs no candidate list, so a passing check_nbhd never reads
     # graded_above; N1 reads it only to name a failing pair
-    lat = chain(3)
-    u = Universe(lat, meet_tensor(lat), Ground(2))
+    u = models.build("u32_godel")
+    lat = u.lattice
     discrete = Topology(universe=u, table=(lat.top,) * u.n_sets)
     assert check_nbhd(discrete.nbhd).passed
     assert "graded_above" not in vars(u)

@@ -4,21 +4,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fuzztop.errors import AdjunctionFailure, SizeLimit
-from fuzztop.instances import boolean, chain, meet_tensor
+from fuzztop.instances import chain
 from fuzztop.residuated import Tensor, check_co_gl_monoid, check_cqm
 from fuzztop.powerset import (Ground, Universe, check_graded_gl,
                               enumerate_powerset)
 
-
-def test_powerset_enumeration_count(bool2, chain3):
-    assert len(enumerate_powerset(bool2, Ground(3))) == 8
-    assert len(enumerate_powerset(chain3, Ground(2))) == 9
+import models
 
 
-def test_universe_rejects_a_non_commutative_tensor(chain3):
+def test_powerset_enumeration_count():
+    assert len(enumerate_powerset(chain(2), Ground(3))) == 8
+    assert len(enumerate_powerset(chain(3), Ground(2))) == 9
+
+
+def test_universe_rejects_a_non_commutative_tensor():
     # the closure engine fires each pairwise rule once per unordered pair,
     # which is exact only for a commutative tensor; this one is isotone with
     # top idempotent, but 2 (*) 1 = 2 while 1 (*) 2 = 1
+    chain3 = chain(3)
     table = [list(row) for row in chain3.meet]
     table[2][1] = 2
     t = Tensor(base=chain3, table=tuple(map(tuple, table)))
@@ -28,15 +31,16 @@ def test_universe_rejects_a_non_commutative_tensor(chain3):
         Universe(chain3, t, Ground(1))
 
 
-def test_powerset_cap_enforced(chain3):
+def test_powerset_cap_enforced():
+    chain3 = chain(3)
     with pytest.raises(SizeLimit):
         enumerate_powerset(chain3, Ground(9), cap=4096)
     with pytest.raises(SizeLimit):  # without computing 3**(10**12)
         enumerate_powerset(chain3, Ground(10 ** 12), cap=4096)
 
 
-def test_powerset_is_lexicographic(chain3):
-    sets = enumerate_powerset(chain3, Ground(2))
+def test_powerset_is_lexicographic():
+    sets = enumerate_powerset(chain(3), Ground(2))
     assert sets[0] == (0, 0)
     assert sets[-1] == (2, 2)
     assert sets == sorted(sets)
@@ -151,8 +155,8 @@ def test_exchange_skipped_for_non_idempotent(u31_luk, u31_godel):
 
 @settings(max_examples=50, deadline=None)
 @given(st.data())
-def test_adjunction_random_cells(boxtimes, graded_leq, data):
-    u = Universe(boolean(), meet_tensor(boolean()), Ground(2))
+def test_adjunction_random_cells(u22, boxtimes, graded_leq, data):
+    u = u22
     cell = st.integers(0, u.graded_size - 1)
     a, b, c = data.draw(cell), data.draw(cell), data.draw(cell)
     lhs = graded_leq(u, boxtimes(u, a, b), c)
@@ -168,7 +172,7 @@ def test_powerset_cap_refuses_by_bit_length_at_the_boundary():
 
 
 def test_graded_gl_catches_a_wrong_graded_join():
-    u = Universe(chain(2), meet_tensor(chain(2)), Ground(2))
+    u = models.build("u22")
     assert check_graded_gl(u).verdicts["componentwise_bounds"].status == "pass"
     u.graded_join = u.graded_meet  # the meet, where the join is due
     bounds = check_graded_gl(u).verdicts["componentwise_bounds"]

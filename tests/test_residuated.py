@@ -12,6 +12,8 @@ from fuzztop.residuated import (Tensor, check_co_gl_monoid, check_cqm,
                                 check_gl_monoid, classify, co_implication,
                                 residuum)
 
+from models import bounded_sum_cotensor
+
 
 def corpus():
     b, c3, d = boolean(), chain(3), diamond()
@@ -192,17 +194,10 @@ def co_implication_by_definition(t):
                        for b in els) for a in els)
 
 
-def bounded_sum(lat):
-    """min(top, a + b) on a chain: the order dual of the Lukasiewicz tensor."""
-    return Tensor(base=lat, table=tuple(tuple(min(lat.top, a + b)
-                                              for b in lat.elements())
-                                        for a in lat.elements()))
-
-
 def test_co_implication_matches_its_definition():
     cotensors = [join_cotensor(lat) for lat in (boolean(), chain(3), chain(4),
                                                 diamond())]
-    cotensors += [bounded_sum(chain(3)), bounded_sum(chain(4))]
+    cotensors += [bounded_sum_cotensor(chain(k)) for k in (3, 4)]
     for t in cotensors:
         assert check_co_gl_monoid(t).passed
         assert co_implication(t).table == co_implication_by_definition(t)

@@ -44,3 +44,7 @@ def test_scripts_import_only_the_standard_library(directory, allowed):
     paths = sorted((ROOT / directory).glob("*.py"))
     assert paths
     assert outside_imports(paths, allowed) == []
+
+
+def test_the_model_catalogue_imports_only_the_standard_library():
+    assert outside_imports([ROOT / "tests" / "models.py"], {"fuzztop"}) == []

@@ -17,13 +17,14 @@ import random
 import pytest
 
 from fuzztop.instances import (chain, diamond, join_cotensor,
-                               lukasiewicz_tensor, m3, meet_tensor, pentagon)
-from fuzztop.lattice import build_lattice, check_infinite_distributivity
-from fuzztop.powerset import Ground, Universe
+                               lukasiewicz_tensor, meet_tensor)
+from fuzztop.lattice import check_infinite_distributivity
 from fuzztop.residuated import Tensor, check_co_gl_monoid, check_gl_monoid
 from fuzztop.topology import (InteriorOp, Topology, check_interior,
                               check_topology, generate_topology,
                               interior_from_topology)
+
+import models
 
 
 def subsets(n):
@@ -59,15 +60,15 @@ def o3_by_subsets(t):
     """o3 over every subset of sets: the meet of the grades is below the
     grade of the join.  Subsets are visited depth-first, each extended from
     its parent by one set, so the 2**16 subsets of u24 stay cheap."""
-    u, lat = t.universe, t.universe.lattice
+    u, lat, table = t.universe, t.universe.lattice, t.table
+    le, meet, pw_join = lat.leq, lat.meet, u.pw_join
     stack = [(0, lat.top, u.zero_idx)]
     while stack:
         k, grade, joined = stack.pop()
-        if not lat.le(grade, t.table[joined]):
+        if not le[grade][table[joined]]:
             return "fail"
         for si in range(k, u.n_sets):
-            stack.append((si + 1, lat.meet2(grade, t.table[si]),
-                          u.pw_join[joined][si]))
+            stack.append((si + 1, meet[grade][table[si]], pw_join[joined][si]))
     return "pass"
 
 
@@ -84,16 +85,10 @@ def i6_by_subsets(i):
     return "pass"
 
 
-def boolean8():
-    """The 8-element Boolean algebra: the cube of subsets of three atoms."""
-    return build_lattice(8, [(i, i | b) for i in range(8) for b in (1, 2, 4)
-                             if not i & b])
-
-
-LATTICES = ([(f"chain{k}", chain(k)) for k in range(2, 9)]
-            + [("diamond", diamond()), ("pentagon", pentagon()),
-               ("m3", m3()), ("boolean8", boolean8()),
-               ("chain3-top-first", build_lattice(3, [(2, 1), (1, 0)]))])
+#: the catalogue's lattices of at most 8 elements, each with 2**n subsets
+LATTICES = [(name, lat) for name, lat in ((name, make()) for name, make in
+                                          models.LATTICES.items())
+            if lat.n <= 8]
 
 
 def test_distributivity_matches_subset_sweep():
@@ -200,24 +195,13 @@ def test_co_gl_battery_matches_the_laws_in_the_lattice_order():
     assert all(verdicts == {"pass", "fail"} for verdicts in seen.values())
 
 
-#: (lattice, tensor, points) of the grade and interior table families
-UNIVERSES = {"u22": (chain(2), meet_tensor, 2),
-             "u23": (chain(2), meet_tensor, 3),
-             "u24": (chain(2), meet_tensor, 4),
-             "u31-godel": (chain(3), meet_tensor, 1),
-             "u31-lukasiewicz": (chain(3), lukasiewicz_tensor, 1),
-             "u32-godel": (chain(3), meet_tensor, 2),
-             "u32-lukasiewicz": (chain(3), lukasiewicz_tensor, 2),
-             "diamond-1pt": (diamond(), meet_tensor, 1),
-             "diamond-2pt": (diamond(), meet_tensor, 2),
-             "chain4-godel-1pt": (chain(4), meet_tensor, 1),
-             "chain4-lukasiewicz-1pt": (chain(4), lukasiewicz_tensor, 1)}
-
-
 @pytest.fixture(scope="module")
-def universes():
-    return {name: Universe(lat, tensor(lat), Ground(m))
-            for name, (lat, tensor, m) in UNIVERSES.items()}
+def universes(request):
+    """The grade and interior table families' universes; o3 over every
+    subset of sets visits 2**16 subsets on the 16-set ones."""
+    return {name: request.getfixturevalue(name) for name in (
+        "u22", "u23", "u24", "u31_godel", "u31_luk", "u32_godel", "u32_luk",
+        "diamond_1pt", "diamond_2pt", "chain4_godel_1pt", "chain4_luk_1pt")}
 
 
 def _grade_tables(u, rng, count):

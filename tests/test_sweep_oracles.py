@@ -13,9 +13,7 @@ import random
 import pytest
 
 from fuzztop.filters import FilterTable, check_filter, enumerate_filters
-from fuzztop.instances import chain, diamond, meet_tensor
 from fuzztop.lattice import build_lattice, check_infinite_distributivity
-from fuzztop.powerset import Ground, Universe
 from fuzztop.report import Report
 from fuzztop.residuated import (Tensor, check_co_gl_monoid, check_cqm,
                                 check_gl_monoid)
@@ -23,12 +21,13 @@ from fuzztop.topology import (InteriorOp, NbhdSystem, Topology,
                               check_interior, check_nbhd, check_topology,
                               enumerate_topologies, generate_topology,
                               interior_from_topology, nbhd_from_interior)
-from test_order_oracles import ORDERS
+import models
+from test_order_oracles import ORDERS, covers_by_definition
 
-# on the 2-chain the Lukasiewicz tensor is the meet, so u22 and u23 stand for
-# both tensors; u32_godel_reindexed is the 3-chain declared top first
-INSTANCES = ["u22", "u23", "u32_godel", "u32_luk", "diamond_1pt",
-             "chain4_godel_1pt", "chain4_luk_1pt", "u32_godel_reindexed"]
+# the ids these tests had before the catalogue, kept so that no id changes
+PARENT_IDS = {"u35_godel": "chain3-5pt", "u28": "chain2-8pt",
+              "diamond_1pt": "diamond-1pt", "diamond_2pt": "diamond-2pt",
+              "u32_godel": "u32", "chain4_godel_1pt": "chain4-1pt"}
 
 
 def first(witnesses):
@@ -67,7 +66,7 @@ def interior_by_subsets(t):
     return tuple(table)
 
 
-@pytest.mark.parametrize("name", INSTANCES)
+@pytest.mark.parametrize("name", models.SWEPT)
 def test_interior_by_covers_matches_the_join_over_subsets(name, request):
     # every topology, then random tables that are none: the recursion holds
     # for any table, and `validate interior` reads such tables unvalidated
@@ -81,15 +80,9 @@ def test_interior_by_covers_matches_the_join_over_subsets(name, request):
         assert interior_from_topology(t).table == interior_by_subsets(t)
 
 
-def diamond_2pt():
-    lat = diamond()
-    return Universe(lat, meet_tensor(lat), Ground(2))
-
-
-@pytest.mark.parametrize("name", INSTANCES + ["diamond_2pt"])
+@pytest.mark.parametrize("name", models.names("tiny") + models.names("small"))
 def test_covers_generate_the_orders(name, request):
-    u = diamond_2pt() if name == "diamond_2pt" \
-        else request.getfixturevalue(name)
+    u = request.getfixturevalue(name)
     sets, leq = range(u.n_sets), u.pw_leq
 
     def strictly(i, j):
@@ -149,7 +142,7 @@ def test_live_pair_sweeps_name_the_ordered_sweeps_first_witness(request):
     # each axiom both passes and fails over the instances (o2 cannot fail on
     # a 1-point Goedel chain: f tensor g is f or g there)
     seen = set()
-    for name in INSTANCES:
+    for name in models.SWEPT:
         check_live_pair_sweeps(request.getfixturevalue(name), name, seen)
     assert seen == {(axiom, passed) for axiom in ("FF2", "o2", "I2", "N2")
                     for passed in (True, False)}
@@ -222,16 +215,6 @@ def o2_o3_by_live_pairs(t):
     return o2, o3
 
 
-def non_integral_32():
-    """The 3-chain with a (*) b = bot when either is bot, else
-    min(top, a + b - 1), on 2 points: 1 is the unit, so top (*) 1 = top and
-    1 (*) top = top > 1."""
-    lat = chain(3)
-    table = tuple(tuple(0 if 0 in (a, b) else min(2, a + b - 1)
-                        for b in range(3)) for a in range(3))
-    return Universe(lat, Tensor(base=lat, table=table), Ground(2))
-
-
 def check_floor_pruning(topologies, rng, seen, mutants_each):
     """Verdicts and first witnesses of o2 and o3 against the oracle, on each
     topology and on single-cell mutants of it; `seen` collects which axioms
@@ -261,20 +244,21 @@ def test_floor_pruning_names_the_live_pair_sweeps_first_witness(request):
     # pruning the sets at the floor, not those with v (*) top <= floor,
     # misses it
     rng, seen = random.Random(18), set()
-    universes = [request.getfixturevalue(name) for name in
-                 ("u22", "u23", "u32_godel", "u32_luk", "diamond_1pt")]
-    for u in universes + [non_integral_32()]:
+    for name in ("u22", "u23", "u32_godel", "u32_luk", "diamond_1pt",
+                 "u32_non_integral"):
+        u = request.getfixturevalue(name)
         check_floor_pruning(enumerate_topologies(u), rng, seen, 3)
-    assert len(enumerate_topologies(non_integral_32())) == 150
+    assert len(enumerate_topologies(u)) == 150  # u32_non_integral
     assert seen == {(axiom, floor_above_bot) for axiom in ("o2", "o3")
                     for floor_above_bot in (False, True)}
 
 
-@pytest.mark.parametrize("lat, m", [(chain(3), 5), (chain(2), 8)],
-                         ids=["chain3-5pt", "chain2-8pt"])
-def test_floor_pruning_on_generated_large_topologies(lat, m):
-    u = Universe(lat, meet_tensor(lat), Ground(m))
-    rng, seen = random.Random(m), set()
+@pytest.mark.parametrize("name", models.names("next-tier"),
+                         ids=PARENT_IDS.get)
+def test_floor_pruning_on_generated_large_topologies(name, request):
+    u = request.getfixturevalue(name)
+    lat = u.lattice
+    rng, seen = random.Random(u.ground.m), set()
     topologies = [generate_topology(u, [rng.randrange(lat.n)
                                         if rng.random() < p else lat.bot
                                         for _ in range(u.n_sets)])
@@ -303,13 +287,9 @@ def characterization_by_definition(F):
     return True, None
 
 
-# the cotensor's unit is not bot on these, so the rho loop reads cells
-# other than (f -> 0, bot)
-MIDDLE_UNIT = ["u31_godel_middle_unit", "u31_luk_middle_unit",
-               "u32_godel_middle_unit", "u32_luk_middle_unit"]
-
-
-@pytest.mark.parametrize("name", INSTANCES + MIDDLE_UNIT)
+# on the middle-unit models the cotensor's unit is not bot, so the rho loop
+# reads cells other than (f -> 0, bot)
+@pytest.mark.parametrize("name", models.TWO_OR_MORE)
 def test_characterization_matches_its_definition(name, request):
     u = request.getfixturevalue(name)
     verdicts = set()
@@ -321,14 +301,6 @@ def test_characterization_matches_its_definition(name, request):
 
 
 # ---- element batteries on covers and incomparable pairs ---------------------
-
-def covers_by_definition(lat):
-    """Oracle: per element a, the c < a with no element strictly between."""
-    def lt(x, y):
-        return x != y and lat.le(x, y)
-    return tuple(tuple(c for c in lat.elements() if lt(c, a) and not any(
-        lt(c, e) and lt(e, a) for e in lat.elements())) for a in lat.elements())
-
 
 def distributivity_by_all_pairs(lat):
     """Oracle: both infinite-distributivity laws on every ordered pair and
@@ -487,14 +459,14 @@ def i6_by_all_pairs(i):
     return report.to_dict()["verdicts"]["I6"]
 
 
-@pytest.mark.parametrize("lat, m", [(diamond(), 1), (diamond(), 2),
-                                    (chain(2), 2), (chain(3), 2),
-                                    (chain(4), 1)],
-                         ids=["diamond-1pt", "diamond-2pt", "u22", "u32",
-                              "chain4-1pt"])
-def test_i6_on_incomparable_pairs_names_the_full_sweeps_first_witness(lat, m):
-    u = Universe(lat, meet_tensor(lat), Ground(m))
-    rng, seen = random.Random(m * lat.n), set()
+@pytest.mark.parametrize("name", ["diamond_1pt", "diamond_2pt", "u22",
+                                  "u32_godel", "chain4_godel_1pt"],
+                         ids=PARENT_IDS.get)
+def test_i6_on_incomparable_pairs_names_the_full_sweeps_first_witness(
+        name, request):
+    u = request.getfixturevalue(name)
+    lat = u.lattice
+    rng, seen = random.Random(u.ground.m * lat.n), set()
     for _ in range(30):
         table = []
         for _ in range(u.n_sets):
@@ -533,7 +505,7 @@ def n4_by_candidates(nb):
                      tabs[p][gj] for gj in candidates[gi])))
 
 
-@pytest.mark.parametrize("name", INSTANCES)
+@pytest.mark.parametrize("name", models.SWEPT)
 def test_n4_names_the_candidate_sweeps_first_witness(name, request):
     # every topology, then systems with one cell of one point changed
     u = request.getfixturevalue(name)

@@ -10,14 +10,12 @@ import random
 import pytest
 
 from fuzztop.filters import FilterTable, check_filter, enumerate_filters
-from fuzztop.instances import boolean, chain, diamond, lukasiewicz_tensor, \
-    meet_tensor
-from fuzztop.lattice import build_lattice
-from fuzztop.powerset import Ground, Universe
-from fuzztop.residuated import Tensor
 from fuzztop.topology import (InteriorOp, NbhdSystem, check_interior,
                               check_nbhd, enumerate_topologies,
                               interior_from_topology, nbhd_from_interior)
+
+import models
+from test_sweep_oracles import first, witness
 
 
 def by_pairs(u, op):
@@ -33,50 +31,16 @@ def leq_by_pairs(u):
                        for g in u.sets) for f in u.sets)
 
 
-def top_first_chain3():
-    """The 3-chain declared top-first: bot is index 2 and top index 0."""
-    return build_lattice(3, [(2, 1), (1, 0)])
-
-
-def boolean8():
-    """The 8-element Boolean algebra: the cube of subsets of three atoms."""
-    return build_lattice(8, [(i, i | b) for i in range(8) for b in (1, 2, 4)
-                             if not i & b])
-
-
-def listed(tensor):
-    """`tensor` with its table given as nested lists."""
-    return lambda lat: Tensor(base=lat,
-                              table=[list(row) for row in tensor(lat).table])
-
-
-def make(lat, tensor, m):
-    return Universe(lat, tensor(lat), Ground(m))
-
-
-SMALL = {
-    "u22": lambda: make(boolean(), meet_tensor, 2),
-    "u32-lukasiewicz": lambda: make(chain(3), lukasiewicz_tensor, 2),
-    "diamond-3pt": lambda: make(diamond(), meet_tensor, 3),
-    "chain4-lukasiewicz-2pt": lambda: make(chain(4), lukasiewicz_tensor, 2),
-    "chain3-top-first-2pt": lambda: make(top_first_chain3(), meet_tensor, 2),
-    # one point: the pointwise tables prepend no digit
-    "u31-lukasiewicz": lambda: make(chain(3), lukasiewicz_tensor, 1),
-    "chain5-godel-1pt": lambda: make(chain(5), meet_tensor, 1),
-    "diamond-1pt": lambda: make(diamond(), meet_tensor, 1),
-    "boolean8-1pt": lambda: make(boolean8(), meet_tensor, 1),
-    # four points: three prepends
-    "u24": lambda: make(boolean(), meet_tensor, 4),
-    # a tensor table of lists, which no table may share
-    "u31-listed-lukasiewicz": lambda: make(chain(3),
-                                           listed(lukasiewicz_tensor), 1),
-    "u32-listed-lukasiewicz": lambda: make(chain(3),
-                                           listed(lukasiewicz_tensor), 2),
-}
-LARGE = {
-    "chain3-5pt": lambda: make(chain(3), meet_tensor, 5),
-    "chain2-8pt": lambda: make(boolean(), meet_tensor, 8),
-}
+# the ids these tests had before the catalogue, kept so that no id changes
+PARENT_IDS = {"u32_luk": "u32-lukasiewicz", "diamond_3pt": "diamond-3pt",
+              "chain4_luk_2pt": "chain4-lukasiewicz-2pt",
+              "u32_godel_reindexed": "chain3-top-first-2pt",
+              "u31_luk": "u31-lukasiewicz",
+              "chain5_godel_1pt": "chain5-godel-1pt",
+              "diamond_1pt": "diamond-1pt", "boolean8_1pt": "boolean8-1pt",
+              "u31_luk_listed": "u31-listed-lukasiewicz",
+              "u32_luk_listed": "u32-listed-lukasiewicz",
+              "u35_godel": "chain3-5pt", "u28": "chain2-8pt"}
 
 
 def assert_tuples(table):
@@ -85,8 +49,11 @@ def assert_tuples(table):
 
 
 def check_set_tables(u):
+    """Assert the set tables against the oracle; return the oracle's
+    pointwise tensor table."""
     lat = u.lattice
-    assert u.pw_tensor == by_pairs(u, u.tensor.app)
+    pw_tensor = by_pairs(u, u.tensor.app)
+    assert u.pw_tensor == pw_tensor
     assert u.pw_join == by_pairs(u, lat.join2)
     assert u.pw_meet == by_pairs(u, lat.meet2)
     assert u.pw_res == by_pairs(u, u.res.app)
@@ -94,11 +61,13 @@ def check_set_tables(u):
     for table in (u.pw_tensor, u.pw_join, u.pw_meet, u.pw_res, u.pw_leq,
                   u.box_table):
         assert_tuples(table)
+    return pw_tensor
 
 
-@pytest.mark.parametrize("name", sorted(SMALL))
-def test_tables_match_per_pair_construction(name, boxtimes):
-    u = SMALL[name]()
+@pytest.mark.parametrize("name", models.names("tiny") + models.names("small"),
+                         ids=PARENT_IDS.get)
+def test_tables_match_per_pair_construction(name, boxtimes, request):
+    u = request.getfixturevalue(name)
     check_set_tables(u)
     n, cells = u.n, u.graded_cells()
     assert u.box_table == tuple(tuple(boxtimes(u, i, j) for j in cells)
@@ -114,21 +83,22 @@ def test_tables_match_per_pair_construction(name, boxtimes):
             assert u.gimpl(gi, gj) == impl * n + u.coimpl.app(b, a)
 
 
-@pytest.mark.parametrize("name", sorted(LARGE))
-def test_large_tables_match_per_pair_construction(name):
-    u = LARGE[name]()
+@pytest.mark.parametrize("name", models.names("next-tier"),
+                         ids=PARENT_IDS.get)
+def test_large_tables_match_per_pair_construction(name, request):
+    u = request.getfixturevalue(name)
     assert u.n_sets in (243, 256)
-    check_set_tables(u)
+    pw_tensor = check_set_tables(u)
     # boxtimes from the oracle tensor table, cell by cell
-    pw_tensor, join, n = by_pairs(u, u.tensor.app), u.lattice.join, u.n
+    join, n = u.lattice.join, u.n
     box = u.box_table
     for gi in u.graded_cells():
         row, t_row, join_a = box[gi], pw_tensor[gi // n], join[gi % n]
         assert row == tuple(t * n + j for t in t_row for j in join_a)
 
 
-def test_top_first_chain_keeps_bot_at_index_2():
-    u = SMALL["chain3-top-first-2pt"]()
+def test_top_first_chain_keeps_bot_at_index_2(u32_godel_reindexed):
+    u = u32_godel_reindexed
     assert (u.lattice.bot, u.lattice.top) == (2, 0)
     assert u.sets[u.zero_idx] == (2, 2) and u.sets[u.one_idx] == (0, 0)
     assert u.pw_leq[u.zero_idx][u.one_idx]
@@ -136,10 +106,6 @@ def test_top_first_chain_keeps_bot_at_index_2():
 
 
 # ---- order axioms against all-pairs sweeps ---------------------------------
-
-def first(witnesses):
-    return next(iter(witnesses), None)
-
 
 def graded_pairs(u, graded_leq):
     cells = u.graded_cells()
@@ -178,11 +144,6 @@ def n4_by_pairs(nb, pairs):
     return None
 
 
-def witness(report, axiom):
-    v = report.verdicts[axiom]
-    return v.witness if v.status == "fail" else None
-
-
 def mutants(rng, table, values, count):
     """`table` itself, then `count` copies with one cell set at random."""
     yield tuple(table)
@@ -192,11 +153,12 @@ def mutants(rng, table, values, count):
         yield tuple(t)
 
 
-@pytest.mark.parametrize("name", ["u22", "u32-lukasiewicz",
-                                  "chain3-top-first-2pt"])
-def test_order_axioms_match_all_pairs_sweeps(name, graded_leq):
-    u = SMALL[name]()
-    rng, lat = random.Random(name), u.lattice
+@pytest.mark.parametrize("name", ["u22", "u32_luk", "u32_godel_reindexed"],
+                         ids=PARENT_IDS.get)
+def test_order_axioms_match_all_pairs_sweeps(name, graded_leq, request):
+    u = request.getfixturevalue(name)
+    # seeded by the test id
+    rng, lat = random.Random(PARENT_IDS.get(name, name)), u.lattice
     pairs = graded_pairs(u, graded_leq)
     for F in enumerate_filters(u)[:6]:
         for tab in mutants(rng, F.table, lat.n, 15):

@@ -4,8 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fuzztop.errors import PreconditionViolated, SizeLimit
-from fuzztop.instances import chain, diamond, meet_tensor
-from fuzztop.powerset import Ground, Universe
 from fuzztop.topology import (InteriorOp, NbhdSystem, Topology,
                               check_continuity_nbhd, check_interior,
                               check_nbhd, check_topology,
@@ -140,10 +138,10 @@ def test_broken_o3_detected(u23):
     assert rep.verdicts["o1_prime"].status == "fail"
 
 
-def test_o3_decided_on_243_sets():
+def test_o3_decided_on_243_sets(u35_godel):
     # o3 is decided on pairs, so no universe is too large for it
-    lat = chain(3)
-    u = Universe(lat, meet_tensor(lat), Ground(5))
+    u = u35_godel
+    lat = u.lattice
     assert u.n_sets == 243
     seed = [lat.bot] * u.n_sets
     seed[u.set_index[(2, 0, 0, 0, 0)]] = lat.top
@@ -161,6 +159,23 @@ def test_order_topologies(u22):
     assert order_topologies(i, d) == "<="
     assert order_topologies(d, i) == ">="
     assert order_topologies(d, d) == "="
+
+
+def test_order_topologies_rejects_tables_it_cannot_compare(u22, u23):
+    # before the checks zip stopped at the shorter table, so u22's least
+    # topology came out below u23's greatest and a 6-grade table over u22
+    # compared with a topology; a grade of 7 raised IndexError
+    with pytest.raises(PreconditionViolated,
+                       match="^topology is over another universe$"):
+        order_topologies(indiscrete(u22), discrete(u23))
+    with pytest.raises(PreconditionViolated,
+                       match="^table has 6 grades for 4 sets$"):
+        order_topologies(Topology(universe=u22, table=(1, 0, 1, 1, 1, 1)),
+                         discrete(u22))
+    with pytest.raises(PreconditionViolated,
+                       match=r"^table entry 2 is 7, outside 0\.\.1$"):
+        order_topologies(discrete(u22),
+                         Topology(universe=u22, table=(1, 0, 7, 1)))
 
 
 def test_order_topologies_incomparable(u32_godel):
@@ -247,12 +262,11 @@ def test_enumeration_cap_counts_every_closure(name, closures, request):
     assert enumerate_topologies(u, cap=closures)
 
 
-def test_default_cap_stops_a_16_set_universe():
+def test_default_cap_stops_a_16_set_universe(diamond_2pt):
     # the diamond with two points has 126,025 topologies, more than the
     # default cap's closures; the cap stops it in about 0.1 s
-    lat = diamond()
     with pytest.raises(SizeLimit):
-        enumerate_topologies(Universe(lat, meet_tensor(lat), Ground(2)))
+        enumerate_topologies(diamond_2pt)
 
 
 def generate_by_passes(u, seed):
