@@ -197,7 +197,9 @@ def run_command(doc, args):
                     r = Report(f"filters[{name}]")
                     r.record("enumerated", True)
                 else:
-                    modes = [(is_ultrafilter(F, "maximality", all_filters=fs)[0],
+                    # maximality as the complete listing recorded it, by
+                    # the definition `is_ultrafilter(.., "maximality")` uses
+                    modes = [(F.maximal,
                               is_ultrafilter(F, "characterization")[0])
                              for F in fs]
                     r = Report(f"ultrafilters[{name}]")

@@ -43,14 +43,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .errors import PreconditionViolated, SizeLimit
+from .errors import PreconditionViolated, SizeLimit, require_index
 from .filters import (DEFAULT_FILTER_CAP, check_filter, enumerate_filters,
                       image_filter, is_ultrafilter, least_filter_above,
                       preimage_filter, require_grades)
 from .powerset import DEFAULT_POWERSET_CAP, Ground, Universe
 from .report import Report
 from .topology import (NbhdSystem, Topology, check_topology,
-                       generate_topology, require_continuous_surjection)
+                       generate_topology, require_continuous_surjection,
+                       require_nbhd)
 
 
 class Space:
@@ -92,10 +93,7 @@ def _require_point(F, p, space):
     if F.universe is not space.universe:
         raise PreconditionViolated("a filter is over another universe")
     require_grades(F)
-    points = space.universe.ground.points()
-    if not (isinstance(p, int) and p in points):
-        raise PreconditionViolated(f"point {p!r} is outside the ground set "
-                                   f"0..{len(points) - 1}")
+    require_index(p, space.universe.ground.m, "point")
 
 
 def converges(F, p, space):
@@ -210,7 +208,9 @@ def image_compactness_check(phi, space_x, space_y, filters_y=None):
     compact (PreconditionViolated otherwise).  Verifies the conclusion and
     replays the proof skeleton for every filter on the codomain: pull the
     filter back, find an adherent point upstream, push the certificate
-    forward, and confirm it witnesses adherence of the image point.
+    forward, and confirm it witnesses adherence of the image point.  A
+    member of `filters_y` that `is_compact` rejects, as over another
+    universe than the codomain's, raises PreconditionViolated first.
     """
     ux, uy = space_x.universe, space_y.universe
     require_continuous_surjection(phi, space_x.topology, space_y.topology)
@@ -221,6 +221,8 @@ def image_compactness_check(phi, space_x, space_y, filters_y=None):
     report = Report("image_compactness")
     if filters_y is None:
         filters_y = enumerate_filters(uy)
+    # first, as it checks every filter before any is used
+    compact_y, witness = is_compact(space_y, filters=filters_y)
     round_trip, upstream, chain, image = [], [], [], []
     for F in filters_y:
         Fpre = preimage_filter(phi, F, ux)
@@ -247,7 +249,6 @@ def image_compactness_check(phi, space_x, space_y, filters_y=None):
                            "image point to check")
     else:
         report.sweep("image_point_adherent", image)
-    compact_y, witness = is_compact(space_y, filters=filters_y)
     report.record("codomain_compact", compact_y,
                   None if compact_y else {"filter": witness.table})
     return report
@@ -354,7 +355,9 @@ def product_convergence_check(P, U, formula_nbhd=None):
 
     For every product point, convergence against the explicit product
     neighborhood formula must agree with convergence of every projected
-    filter in its factor.  U and the formula must be over P's universe.
+    filter in its factor.  U and the formula must be over P's universe, U
+    an ultrafilter and the formula one table of grades per point
+    (`require_nbhd`).
     """
     u = P.universe
     lat = u.lattice
@@ -366,6 +369,8 @@ def product_convergence_check(P, U, formula_nbhd=None):
         formula_nbhd = product_nbhd_system(P)
     elif formula_nbhd.universe is not u:
         raise PreconditionViolated("the formula is over another universe")
+    else:
+        require_nbhd(formula_nbhd)
     report = Report("product_convergence")
     images = [image_filter(P.projections[k], U, f.universe)
               for k, f in enumerate(P.factors)]

@@ -32,13 +32,17 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .closure import close, enumerate_closed
-from .errors import NotAChain, NotSurjective, PreconditionViolated, SizeLimit
+from .errors import (NotAChain, NotSurjective, PreconditionViolated, SizeLimit,
+                     require_index)
 from .report import Report
 
 #: default closure cap of `enumerate_filters`: 64- and 81-set universes
 #: reach it in about 3 s; diamond-2pt needs 5,724 closures and
 #: u33-Lukasiewicz 24,691
 DEFAULT_FILTER_CAP = 200_000
+
+#: what a grade table over the graded carrier holds, for `require_index`
+GRADES_OF_CELLS = ("table", "grades", "graded cells")
 
 
 @dataclass(frozen=True)
@@ -171,12 +175,11 @@ def _code(downsets, table):
 
 def require_grades(F):
     """Raise PreconditionViolated unless F's table has one grade of L per
-    graded cell (`Universe.require_table`).  A table `enumerate_filters`
-    listed is valid by construction and is not checked again."""
+    graded cell (`require_index`).  A table `enumerate_filters` listed is
+    valid by construction and is not checked again."""
     if F.maximal_above is None:
         u = F.universe
-        u.require_table(F.table, u.graded_size,
-                        ("table", "grades", "graded cells"), u.lattice.n)
+        require_index(F.table, u.n, GRADES_OF_CELLS, u.graded_size)
 
 
 def check_filter(F):
@@ -302,10 +305,12 @@ def saturate(universe, seed):
     sweep.  The tensor rule fires once per unordered pair of cells not at
     bot, visited in value order (see `closure.close`).  Returns the
     FilterTable if the empty-set row stayed at bot, otherwise NoFilterAbove
-    with the full fixpoint.
+    with the full fixpoint.  Raises PreconditionViolated unless the seed
+    has one grade of L per graded cell.
     """
     u = universe
     lat = u.lattice
+    require_index(seed, lat.n, GRADES_OF_CELLS, u.graded_size)
     table = list(seed)
     for a in lat.elements():
         table[u.gidx(u.one_idx, a)] = lat.top
@@ -359,9 +364,7 @@ def hat_extension(U, g_idx, beta, rho=None):
         rho = lat.bot
     for name, value, size in (("g_idx", g_idx, u.n_sets),
                               ("beta", beta, lat.n), ("rho", rho, lat.n)):
-        if not (isinstance(value, int) and 0 <= value < size):
-            raise PreconditionViolated(f"{name} {value!r} is outside "
-                                       f"0..{size - 1}")
+        require_index(value, size, name)
     if not lat.le(rho, beta):
         raise PreconditionViolated("rho must lie below beta")
     gb = u.gidx(g_idx, beta)
@@ -402,7 +405,11 @@ def is_ultrafilter(U, mode="characterization", all_filters=None):
 
 
 def image_filter(phi, F, cod_universe):
-    """Pushforward along a point map: value at (g, b) is F(g o phi, b)."""
+    """Pushforward along a point map: value at (g, b) is F(g o phi, b).
+    Raises PreconditionViolated unless F is a table of grades
+    (`require_grades`) and phi a point map into the codomain
+    (`Universe.pullback`)."""
+    require_grades(F)
     u = F.universe
     uy = cod_universe
     table = []
@@ -416,8 +423,11 @@ def preimage_filter(phi, F, dom_universe):
     """Pullback along a surjective point map.
 
     Value at (f, a) is the join of F(g, b) over all codomain cells whose
-    pullback sits below (f, a) in the graded order.
+    pullback sits below (f, a) in the graded order.  Raises
+    PreconditionViolated unless F is a table of grades (`require_grades`)
+    and phi a point map into F's universe (`Universe.pullback`).
     """
+    require_grades(F)
     uy = F.universe
     ux = dom_universe
     lat = ux.lattice

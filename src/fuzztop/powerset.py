@@ -21,7 +21,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
-from .errors import PreconditionViolated, SizeLimit
+from .errors import PreconditionViolated, SizeLimit, require_index
 from .instances import join_cotensor
 from .lattice import lattice_from_order
 from .report import Report
@@ -32,13 +32,15 @@ DEFAULT_POWERSET_CAP = 4096
 
 @dataclass(frozen=True)
 class Ground:
-    """A finite ground set of m points."""
+    """A finite ground set of m points; PreconditionViolated unless m is a
+    positive int (not a bool)."""
 
     m: int
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("ground set must be non-empty")
+        if type(self.m) is not int or self.m < 1:
+            raise PreconditionViolated(f"ground set size {self.m!r} is not a "
+                                       "positive int")
 
     def points(self):
         return range(self.m)
@@ -70,10 +72,11 @@ class Universe:
     """Ambient data for one ground set: powerset, graded carrier, tables.
 
     Bundles the lattice, a GL tensor with its residuum, and a cotensor
-    (default: the lattice join) with its co-implication.  The pointwise
-    tensor and join tables are built at construction; the order, meet,
-    residuum, boxtimes and graded `above` tables on first use.  A table of
-    an operation gains a leading digit per point by whole-row shifts.
+    (default: the lattice join) with its co-implication, both over the
+    lattice (PreconditionViolated otherwise).  The pointwise tensor and
+    join tables are built at construction; the order, meet, residuum,
+    boxtimes and graded `above` tables on first use.  A table of an
+    operation gains a leading digit per point by whole-row shifts.
     """
 
     def __init__(self, lattice, tensor, ground, cotensor=None,
@@ -81,6 +84,10 @@ class Universe:
         self.lattice = lattice
         self.tensor = tensor
         self.cotensor = cotensor if cotensor is not None else join_cotensor(lattice)
+        # equal lattices built apart are one, as for `build_product`
+        if tensor.base != lattice or self.cotensor.base != lattice:
+            raise PreconditionViolated("a tensor or cotensor is over another "
+                                       "lattice")
         self.ground = ground
         self.res = residuum(tensor)
         self.coimpl = co_implication(self.cotensor)
@@ -121,20 +128,6 @@ class Universe:
     def pw_res(self):
         """The pointwise residuum table; built on first use."""
         return self._pointwise(self.res.table)
-
-    def require_table(self, table, size, what, bound=None):
-        """Raise PreconditionViolated unless `table` has `size` entries,
-        each in range(bound) when a bound is given.  `what` names the
-        table, its entries and what they index, as in ("table", "grades",
-        "sets"); a value out of range is named with its position."""
-        name, entries, index = what
-        if len(table) != size:
-            raise PreconditionViolated(f"{name} has {len(table)} {entries} "
-                                       f"for {size} {index}")
-        if bound is not None and not (0 <= min(table) and max(table) < bound):
-            k = next(k for k, v in enumerate(table) if not 0 <= v < bound)
-            raise PreconditionViolated(f"{name} entry {k} is {table[k]}, "
-                                       f"outside 0..{bound - 1}")
 
     # ---- graded carrier ----------------------------------------------------
 
@@ -321,12 +314,15 @@ class Universe:
         phi maps the points of dom's ground into this ground; entry g is the
         set index of g o phi in dom.  Callers build it once per map.  Raises
         PreconditionViolated, naming the map, unless phi has one point of
-        this ground per point of dom's.
+        this ground per point of dom's, or when the universes are over
+        different lattices.
         """
+        if dom.lattice != self.lattice:
+            raise PreconditionViolated("a point map joins universes over "
+                                       "different lattices")
         points = dom.ground.points()
-        self.require_table(phi, dom.ground.m, (f"point map {tuple(phi)}",
-                                               "targets", "points"),
-                           self.ground.m)
+        require_index(phi, self.ground.m, (f"point map {tuple(phi)}",
+                                           "targets", "points"), dom.ground.m)
         return tuple(dom.set_index[tuple(g[phi[p]] for p in points)]
                      for g in self.sets)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import AdjunctionFailure, PreconditionViolated
+from .errors import AdjunctionFailure, require_index
 from .lattice import Lattice
 from .report import Report
 
@@ -27,31 +27,21 @@ from .report import Report
 class Tensor:
     """A binary operation on `base` as its full table, row a holding a (*) b
     at column b.  Only an n x n table of elements of the lattice is taken
-    (nested lists too): the shape and range are checked once, here, with
-    C-level scans, so no battery, residuation or `Universe` reads an
-    unvalidated table.  PreconditionViolated names the shape or the first
-    bad entry.  The table is kept as a tuple of tuples, converted here when
-    it is not one, so tables compare by value whatever container held
-    them."""
+    (nested lists too): the shape and entries are checked once, here, row
+    by row with `require_index`, so no battery, residuation or `Universe`
+    reads an unvalidated table.  PreconditionViolated names the shape or
+    the first bad entry.  The table is kept as a tuple of tuples, converted
+    here when it is not one, so tables compare by value whatever container
+    held them."""
 
     base: Lattice
     table: tuple          # n x n element indices
 
     def __post_init__(self):
         n, table = self.base.n, self.table
-        if len(table) != n:
-            raise PreconditionViolated(f"table has {len(table)} rows for {n} "
-                                       "elements")
-        if set(map(len, table)) != {n}:
-            r = next(r for r, row in enumerate(table) if len(row) != n)
-            raise PreconditionViolated(f"table row {r} has {len(table[r])} "
-                                       f"entries for {n} elements")
-        elements = self.base.elements()
-        if not set().union(*table) <= set(elements):
-            r, c, v = next((r, c, v) for r, row in enumerate(table)
-                           for c, v in enumerate(row) if v not in elements)
-            raise PreconditionViolated(f"table entry ({r}, {c}) is {v}, "
-                                       f"outside 0..{n - 1}")
+        require_index(table, None, ("table", "rows", "elements"), n)
+        for r, row in enumerate(table):
+            require_index(row, n, (f"table row {r}", "entries", "elements"), n)
         if isinstance(table, tuple):
             for row in table:
                 if not isinstance(row, tuple):

@@ -25,11 +25,13 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .closure import close, enumerate_closed
-from .errors import PreconditionViolated
+from .errors import PreconditionViolated, require_index
 from .report import Report
 
-#: what a grade table over the powerset holds, for `Universe.require_table`
+#: what a grade table over the powerset holds, for `require_index`
 GRADES_OF_SETS = ("table", "grades", "sets")
+#: what an interior table over the graded carrier holds
+SETS_OF_CELLS = ("table", "sets", "graded cells")
 
 #: default closure cap of `enumerate_topologies`: 16- to 64-set universes
 #: reach it within about 0.3 s; u32 needs 1,002 closures and u25 36,813
@@ -50,7 +52,7 @@ class Topology:
 
     @cached_property
     def nbhd(self):
-        return nbhd_from_interior(self.interior)
+        return _nbhd(self.interior)
 
 
 @dataclass(frozen=True)
@@ -76,7 +78,7 @@ def check_topology(t):
     o3 (meet of grades below the grade of the join), checked on the empty
     family, which is o1', and on pairs: witness {"subset": () or (i, j)}.
     Raises PreconditionViolated unless the table has one grade of L per set
-    (`Universe.require_table`).
+    (`require_index`).
 
     o2 and o3 are symmetric in the pair, so each sweeps unordered pairs,
     i <= j (i < j for o3, whose diagonal holds): a failing pair fails both
@@ -88,7 +90,7 @@ def check_topology(t):
     integral can have v (*) top > v."""
     u = t.universe
     lat = u.lattice
-    u.require_table(t.table, u.n_sets, GRADES_OF_SETS, lat.n)
+    require_index(t.table, lat.n, GRADES_OF_SETS, u.n_sets)
     report = Report("topology")
     report.record("o1", t.table[u.one_idx] == lat.top,
                   {"grade": t.table[u.one_idx]})
@@ -125,7 +127,7 @@ def order_topologies(t1, t2):
     if t2.universe is not u:
         raise PreconditionViolated("topology is over another universe")
     for t in (t1, t2):
-        u.require_table(t.table, u.n_sets, GRADES_OF_SETS, u.n)
+        require_index(t.table, u.n, GRADES_OF_SETS, u.n_sets)
     lat = u.lattice
     le = all(lat.le(a, b) for a, b in zip(t1.table, t2.table))
     ge = all(lat.le(b, a) for a, b in zip(t1.table, t2.table))
@@ -150,10 +152,12 @@ def generate_topology(universe, seed):
     Forces the top and bottom sets to grade top, then raises the table to
     the least fixpoint of the tensor and join rules, one `closure.close`
     sweep.  Each rule fires once per unordered pair of sets not graded bot,
-    visited in value order (see `closure.close`).
+    visited in value order (see `closure.close`).  Raises
+    PreconditionViolated unless the seed has one grade of L per set.
     """
     u = universe
     lat = u.lattice
+    require_index(seed, lat.n, GRADES_OF_SETS, u.n_sets)
     table = list(seed)
     table[u.one_idx] = lat.top
     table[u.zero_idx] = lat.top
@@ -178,8 +182,13 @@ def is_continuous(phi, tau, eta):
     """Check eta(g) <= tau(g o phi) for every g on the codomain.
 
     phi maps domain point indices to codomain point indices.  Returns
-    (True, None) or (False, witness set index on the codomain).
+    (True, None) or (False, witness set index on the codomain).  Raises
+    PreconditionViolated unless each table has one grade of L per set of
+    its universe and phi is a point map between them
+    (`Universe.pullback`).
     """
+    for t in (tau, eta):
+        require_index(t.table, t.universe.n, GRADES_OF_SETS, t.universe.n_sets)
     le = tau.universe.lattice.le
     pulled = eta.universe.pullback(phi, tau.universe)
     for gj, grade in enumerate(eta.table):
@@ -208,7 +217,7 @@ def interior_from_topology(t):
     unless the table has one grade of L per set.
     """
     u = t.universe
-    u.require_table(t.table, u.n_sets, GRADES_OF_SETS, u.n)
+    require_index(t.table, u.n, GRADES_OF_SETS, u.n_sets)
     n, join, geq = u.n, u.pw_join, u.lattice.geq
     covers, zero = u.lower_covers, u.zero_idx
     table = [zero] * u.graded_size
@@ -234,8 +243,7 @@ def check_interior(i):
     graded cell."""
     u = i.universe
     lat = u.lattice
-    u.require_table(i.table, u.graded_size,
-                    ("table", "sets", "graded cells"), u.n_sets)
+    require_index(i.table, u.n_sets, SETS_OF_CELLS, u.graded_size)
     report = Report("interior")
 
     report.record("I0", all(i.app(u.one_idx, a) == u.one_idx
@@ -260,16 +268,25 @@ def check_interior(i):
 
 
 def nbhd_from_interior(i):
-    """Per-point evaluation of the interior table."""
+    """Per-point evaluation of the interior table.  Raises
+    PreconditionViolated unless the table has one set index per graded
+    cell."""
     u = i.universe
-    sets = u.sets
+    require_index(i.table, u.n_sets, SETS_OF_CELLS, u.graded_size)
+    return _nbhd(i)
+
+
+def _nbhd(i):
+    """`nbhd_from_interior` of a valid table, as `Topology.interior` is."""
+    u, sets = i.universe, i.universe.sets
     return NbhdSystem(universe=u, tables=tuple(
         tuple([sets[si][p] for si in i.table]) for p in u.ground.points()))
 
 
 def check_nbhd(n):
     """Axioms N0-N4 per point.  Raises PreconditionViolated unless there is
-    one table per point, each with one grade of L per graded cell.
+    one table per point, each with one grade of L per graded cell
+    (`require_nbhd`).
 
     N4 asks, at each point p and cell gi = (f, a), that N_p(gi) lie below
     the join of N_p over gi's candidates: the cells at or above gi whose
@@ -283,11 +300,7 @@ def check_nbhd(n):
     `pw_leq` read."""
     u = n.universe
     lat = u.lattice
-    u.require_table(n.tables, u.ground.m, ("system", "tables", "points"))
-    for p, tab in enumerate(n.tables):
-        u.require_table(tab, u.graded_size,
-                        (f"table of point {p}", "grades", "graded cells"),
-                        lat.n)
+    require_nbhd(n)
     report = Report("nbhd")
     points, cells, els = u.ground.points(), u.graded_cells(), lat.elements()
     tabs, le = n.tables, lat.leq
@@ -310,6 +323,16 @@ def check_nbhd(n):
     report.sweep("N4", ({"p": p, "cell": u.gpair(gi)} for p in points
                         for gi in uncovered if tabs[p][gi] != lat.bot))
     return report
+
+
+def require_nbhd(n):
+    """Raise PreconditionViolated unless the system has one table per
+    point, each with one grade of L per graded cell."""
+    u = n.universe
+    require_index(n.tables, None, ("system", "tables", "points"), u.ground.m)
+    for p, tab in enumerate(n.tables):
+        require_index(tab, u.n, (f"table of point {p}", "grades",
+                                 "graded cells"), u.graded_size)
 
 
 def check_continuity_nbhd(phi, tau, eta):

@@ -140,8 +140,7 @@ def names(tag):
 #: the benchmark's census instances, with u22 and u24
 CENSUS = ["u22", "u23", "u24", "u31_godel", "u31_luk", "u32_godel", "u32_luk",
           "diamond_1pt", "chain4_godel_1pt", "chain4_luk_1pt"]
-#: CENSUS less its 1-point 3-chains and u24, with u32_godel_reindexed: the
-#: seeded mutants of the N4 sweep reach both its verdicts on each
+#: CENSUS less its 1-point 3-chains and u24, with u32_godel_reindexed
 SWEPT = ["u22", "u23", "u32_godel", "u32_luk", "diamond_1pt",
          "chain4_godel_1pt", "chain4_luk_1pt", "u32_godel_reindexed"]
 #: every tiny model but u21, which has one filter and one topology

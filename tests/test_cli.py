@@ -127,6 +127,19 @@ def test_filters_check_and_ultrafilters(capsys):
     assert tree["results"]["counts"]["X"] == 2
 
 
+def test_ultrafilters_read_the_recorded_maximality(capsys, count_calls):
+    # each listed filter keeps the maximality enumerate_filters recorded
+    # from the complete listing; before, a maximality search of the listing
+    # ran once per filter
+    import fuzztop.filters as filters
+    calls = count_calls(filters.is_ultrafilter)
+    code, out, _ = run(capsys, TWO, "--format", "machine",
+                       "filters", "ultrafilters", "--space", "X")
+    verdicts = json.loads(out)["reports"][0]["verdicts"]
+    assert code == 0 and verdicts["modes_agree"]["status"] == "pass"
+    assert calls and {args[1] for args in calls} == {"characterization"}
+
+
 def test_filters_check_requires_name(capsys):
     code, _, err = run(capsys, TWO, "filters", "check")
     assert code == 2 and "requires --filter" in err

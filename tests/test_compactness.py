@@ -98,7 +98,7 @@ def test_verdicts_reject_filters_of_another_universe(u21, u22, verdict):
 def test_verdicts_reject_a_point_outside_the_ground_set(u32_luk, p):
     space = Space(u32_luk, enumerate_topologies(u32_luk)[0])
     F = enumerate_filters(u32_luk)[-1]
-    message = f"^point {re.escape(repr(p))} is outside the ground set 0..1$"
+    message = f"^point {re.escape(repr(p))} is outside 0..1$"
     with pytest.raises(PreconditionViolated, match=message):
         converges(F, p, space)
     with pytest.raises(PreconditionViolated, match=message):

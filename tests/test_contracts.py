@@ -1,0 +1,400 @@
+"""The kernel's input contract: every export that takes a table, a point, a
+point map or a universe raises PreconditionViolated on malformed input,
+and neither leaks another exception nor returns.
+
+`CONTRACTS` maps each such export to the malformed calls made of it on u22
+(and u21 where a map needs a codomain): a table one entry short or long,
+or with one entry -1, past its bound, 1.5, 1.0, None, "a", True or a list;
+a point or an index malformed alike; and a table or filter over another
+universe, or an operation over another lattice.  `ALLOWED` names every
+other export with the reason it takes none of these.  An export in
+neither, or an entry that is no export, fails the AST check.
+"""
+
+import ast
+from functools import partial
+from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
+
+import fuzztop as fz
+from fuzztop import (FilterTable, InteriorOp, NbhdSystem, PreconditionViolated,
+                     Tensor, Topology)
+
+INIT = Path(__file__).resolve().parents[1] / "src" / "fuzztop" / "__init__.py"
+
+RECORD = "a record of a table: any table may be wrapped, and every export " \
+         "that reads it validates it"
+TENSOR = "takes a Tensor, whose table is validated when it is built"
+SPEC = "takes spec text, rejected with a SpecError"
+ORDER = "takes an order on a new carrier, not a table over a universe: " \
+        "a pair outside it raises NotAPartialOrder, but an entry that is " \
+        "not an int is not checked yet"
+#: exports that take no table, point, point map or universe from outside,
+#: each with the reason
+ALLOWED = {
+    **dict.fromkeys(["AdjunctionFailure", "Degenerate", "FuzztopError",
+                     "NotAChain", "NotALattice", "NotAPartialOrder",
+                     "NotSurjective", "PreconditionViolated", "SizeLimit"],
+                    "an exception type"),
+    **dict.fromkeys(["build_lattice", "lattice_from_order"], ORDER),
+    "Lattice": "built only by build_lattice and lattice_from_order",
+    **dict.fromkeys(["boolean", "chain", "diamond", "m3", "pentagon"],
+                    "a named lattice, made by build_lattice (chain's size "
+                    "is not checked to be an int yet)"),
+    "check_infinite_distributivity": "takes a Lattice, validated when built",
+    **dict.fromkeys(["check_co_gl_monoid", "check_cqm", "check_gl_monoid",
+                     "classify", "co_implication", "residuum"], TENSOR),
+    **dict.fromkeys(["join_cotensor", "lukasiewicz_tensor", "meet_tensor"],
+                    "a named operation on a Lattice, made by Tensor"),
+    **dict.fromkeys(["Report", "Verdict"], "a verdict, not an input"),
+    "enumerate_powerset": "takes a Lattice and a Ground, each validated "
+                          "when built",
+    **dict.fromkeys(["check_graded_gl", "enumerate_filters",
+                     "enumerate_filters_bruteforce", "enumerate_topologies"],
+                    "takes only a Universe, validated when built"),
+    **dict.fromkeys(["InteriorOp", "NbhdSystem"], RECORD),
+    "NoFilterAbove": "a result of saturate, not an input",
+    "ProductSpace": "a result of build_product, not an input",
+    **dict.fromkeys(["product_nbhd_system", "tychonoff_check"],
+                    "takes Spaces and ProductSpaces, validated when built"),
+    **dict.fromkeys(["SpecDocument", "build_universe", "parse_spec",
+                     "render_spec"], SPEC),
+}
+
+
+def bad_indices(bound):
+    """(case, value): each malformed stand-in for an index below `bound`."""
+    return [("minus-one", -1), ("too-large", bound), ("one-and-a-half", 1.5),
+            ("one-point-oh", 1.0), ("none", None), ("string", "a"),
+            ("true", True), ("list", [0])]
+
+
+def bad_tables(table, bound):
+    """(case, table): `table` one entry short, one entry long, and with its
+    entry 1 replaced by each of `bad_indices(bound)`."""
+    table = tuple(table)
+    yield "short", table[:-1]
+    yield "long", table + table[:1]
+    for case, value in bad_indices(bound):
+        yield case, table[:1] + (value,) + table[2:]
+
+
+def tagged(tag, cases):
+    return [(f"{tag}-{case}", call) for case, call in cases]
+
+
+CONTRACTS = {}
+
+
+def contract(name):
+    """Register the malformed calls of the export `name`, a function of the
+    kit that yields (case, call)."""
+    def register(cases):
+        CONTRACTS[name] = cases
+        return cases
+    return register
+
+
+@contract("Tensor")
+def _(k):
+    meet = k.u22.lattice.meet
+    yield "other-lattice", partial(Tensor, k.u22.lattice, k.u31.lattice.meet)
+    yield "short", partial(Tensor, k.u22.lattice, meet[:1])
+    yield "long", partial(Tensor, k.u22.lattice, meet + meet[:1])
+    for case, row in bad_tables(meet[1], 2):
+        yield f"row-{case}", partial(Tensor, k.u22.lattice, (meet[0], row))
+
+
+@contract("Ground")
+def ground_sizes(k):
+    for case, m in [("zero", 0)] + bad_indices(None):
+        if case != "too-large":  # a ground set has no greatest size
+            yield case, lambda m=m: fz.Ground(m)
+
+
+@contract("Universe")
+def universe_operations(k):
+    lat, other = k.u22.lattice, k.u31.lattice
+    yield "tensor-other-lattice", lambda: fz.Universe(
+        lat, fz.meet_tensor(other), k.u22.ground)
+    yield "cotensor-other-lattice", lambda: fz.Universe(
+        lat, fz.meet_tensor(lat), k.u22.ground,
+        cotensor=fz.join_cotensor(other))
+
+
+def topology_cases(k, call):
+    """`call` of a Topology over u22 made of each bad table."""
+    for case, t in bad_tables(k.T.table, 2):
+        yield case, lambda t=t: call(Topology(universe=k.u22, table=t))
+
+
+@contract("Topology")
+def _(k):
+    yield from tagged("interior", topology_cases(k, lambda t: t.interior))
+    yield from tagged("nbhd", topology_cases(k, lambda t: t.nbhd))
+
+
+contract("check_topology")(lambda k: topology_cases(k, fz.check_topology))
+contract("interior_from_topology")(
+    lambda k: topology_cases(k, fz.interior_from_topology))
+
+
+@contract("order_topologies")
+def _(k):
+    yield from tagged("first", topology_cases(
+        k, lambda t: fz.order_topologies(t, k.T)))
+    yield from tagged("second", topology_cases(
+        k, lambda t: fz.order_topologies(k.T, t)))
+    yield "other-universe", partial(fz.order_topologies, k.T,
+                                    k.space21.topology)
+
+
+@contract("generate_topology")
+def _(k):
+    for case, t in bad_tables(k.T.table, 2):
+        yield case, partial(fz.generate_topology, k.u22, t)
+
+
+@contract("Space")
+def _(k):
+    yield from topology_cases(k, lambda t: fz.Space(k.u22, t))
+    for case, t in bad_tables(k.T.table, 2):
+        yield f"raw-{case}", partial(fz.Space, k.u22, t)
+    yield "other-universe", partial(fz.Space, k.u22, k.space21.topology)
+
+
+def interior_cases(k, call):
+    for case, t in bad_tables(k.T.interior.table, k.u22.n_sets):
+        yield case, lambda t=t: call(InteriorOp(universe=k.u22, table=t))
+
+
+contract("check_interior")(lambda k: interior_cases(k, fz.check_interior))
+contract("nbhd_from_interior")(
+    lambda k: interior_cases(k, fz.nbhd_from_interior))
+
+
+def nbhd_tables(k):
+    """(case, tables): u22's neighbourhood tables, one too few or too many,
+    or with point 1's table malformed."""
+    tables = k.T.nbhd.tables
+    yield "system-short", tables[:1]
+    yield "system-long", tables + tables[:1]
+    for case, t in bad_tables(tables[1], 2):
+        yield f"point-1-{case}", (tables[0], t)
+
+
+@contract("check_nbhd")
+def _(k):
+    for case, tables in nbhd_tables(k):
+        yield case, partial(fz.check_nbhd,
+                            NbhdSystem(universe=k.u22, tables=tables))
+
+
+def continuity_cases(k, check):
+    """`check(phi, tau, eta)` from u22 onto u21 with phi, tau or eta
+    malformed, or tau over another lattice."""
+    tau, eta = k.T, k.space21.topology
+    for case, phi in bad_tables(k.phi, 1):
+        yield f"phi-{case}", partial(check, phi, tau, eta)
+    for case, t in bad_tables(tau.table, 2):
+        yield f"tau-{case}", partial(check, k.phi, Topology(k.u22, t), eta)
+    for case, t in bad_tables(eta.table, 2):
+        yield f"eta-{case}", partial(check, k.phi, tau, Topology(k.u21, t))
+    yield "tau-other-lattice", partial(check, (0,), k.space31.topology, eta)
+
+
+contract("is_continuous")(lambda k: continuity_cases(k, fz.is_continuous))
+contract("check_continuity_nbhd")(
+    lambda k: continuity_cases(k, fz.check_continuity_nbhd))
+
+
+def filter_cases(k, call, universe=None, valid=None):
+    """`call` of a FilterTable made of each bad table: over u22, or over
+    `universe` from its filter `valid`."""
+    u, valid = (k.u22, k.F) if universe is None else (universe, valid)
+    for case, t in bad_tables(valid.table, u.n):
+        yield case, lambda t=t: call(FilterTable(universe=u, table=t))
+
+
+@contract("FilterTable")
+def _(k):
+    for name, call in [("closure", lambda F: F.closure),
+                       ("characterization", lambda F: F.characterization),
+                       ("code", lambda F: F.code),
+                       ("maximal", lambda F: F.maximal),
+                       ("leq", lambda F: F.leq(k.F)),
+                       ("leq-of", k.F.leq)]:
+        yield from tagged(name, filter_cases(k, call))
+    yield "leq-other-universe", partial(k.F.leq, k.G)
+
+
+contract("check_filter")(lambda k: filter_cases(k, fz.check_filter))
+
+
+@contract("saturate")
+def _(k):
+    for case, t in bad_tables(k.F.table, 2):
+        yield case, partial(fz.saturate, k.u22, t)
+
+
+@contract("hat_extension")
+def _(k):
+    yield from tagged("U", filter_cases(
+        k, lambda F: fz.hat_extension(F, 0, 1)))
+    for arg, bound in (("g_idx", k.u22.n_sets), ("beta", 2), ("rho", 2)):
+        for case, v in bad_indices(bound):
+            if (arg, case) == ("rho", "none"):
+                continue  # rho=None is the default, bot
+            cell = {"g_idx": 0, "beta": 1, arg: v}
+            yield f"{arg}-{case}", partial(fz.hat_extension, k.F, **cell)
+
+
+@contract("is_ultrafilter")
+def _(k):
+    yield from tagged("U", filter_cases(k, fz.is_ultrafilter))
+    yield from tagged("all-filters", filter_cases(
+        k, lambda F: fz.is_ultrafilter(k.F, "maximality", all_filters=[F])))
+    yield "other-universe", partial(fz.is_ultrafilter, k.F, "maximality",
+                                    all_filters=[k.G])
+
+
+@contract("sup_of_chain")
+def _(k):
+    yield from tagged("alone", filter_cases(k, lambda F: fz.sup_of_chain([F])))
+    yield from tagged("second", filter_cases(
+        k, lambda F: fz.sup_of_chain([k.F, F])))
+    yield "other-universe", partial(fz.sup_of_chain, [k.F, k.G])
+
+
+@contract("image_filter")
+def _(k):
+    for case, phi in bad_tables(k.phi, 1):
+        yield f"phi-{case}", partial(fz.image_filter, phi, k.F, k.u21)
+    yield from tagged("F", filter_cases(
+        k, lambda F: fz.image_filter(k.phi, F, k.u21)))
+    yield "codomain-other-lattice", partial(fz.image_filter, k.phi, k.F,
+                                            k.u31)
+
+
+@contract("preimage_filter")
+def _(k):
+    for case, phi in bad_tables(k.phi, 1):
+        yield f"phi-{case}", partial(fz.preimage_filter, phi, k.G, k.u22)
+    yield from tagged("F", filter_cases(
+        k, lambda F: fz.preimage_filter(k.phi, F, k.u22), k.u21, k.G))
+    yield "domain-other-lattice", partial(fz.preimage_filter, (0,), k.G,
+                                          k.u31)
+
+
+def point_cases(k, call):
+    """`call(F, p)` in u22's space with F or p malformed, or F over u21."""
+    yield from tagged("F", filter_cases(k, lambda F: call(F, 0)))
+    for case, p in bad_indices(2):
+        yield f"p-{case}", partial(call, k.F, p)
+    yield "F-other-universe", partial(call, k.G, 0)
+
+
+contract("converges")(lambda k: point_cases(
+    k, lambda F, p: fz.converges(F, p, k.space22)))
+contract("is_adherent")(lambda k: point_cases(
+    k, lambda F, p: fz.is_adherent(p, F, k.space22)))
+
+
+@contract("adherent_points")
+def _(k):
+    yield from filter_cases(k, lambda F: fz.adherent_points(F, k.space22))
+    yield "other-universe", partial(fz.adherent_points, k.G, k.space22)
+
+
+@contract("is_compact")
+def _(k):
+    yield from filter_cases(
+        k, lambda F: fz.is_compact(k.space22, filters=[F]))
+    yield "other-universe", partial(fz.is_compact, k.space22, filters=[k.G])
+
+
+@contract("image_compactness_check")
+def _(k):
+    for case, phi in bad_tables(k.phi, 1):
+        yield f"phi-{case}", partial(fz.image_compactness_check, phi,
+                                     k.space22, k.space21)
+    yield from tagged("filter", filter_cases(
+        k, lambda F: fz.image_compactness_check(
+            k.phi, k.space22, k.space21, filters_y=[F]), k.u21, k.G))
+    yield "filter-other-universe", partial(
+        fz.image_compactness_check, k.phi, k.space22, k.space21,
+        filters_y=[k.F])
+
+
+@contract("build_product")
+def _(k):
+    yield "other-lattice", partial(fz.build_product, [k.space22, k.space31])
+
+
+@contract("product_convergence_check")
+def _(k):
+    P = k.product
+    U = fz.enumerate_filters(P.universe)[-1]
+    yield from tagged("U", filter_cases(
+        k, lambda F: fz.product_convergence_check(P, F), P.universe, U))
+    yield "U-other-universe", partial(fz.product_convergence_check, P, k.F)
+    formula = fz.product_nbhd_system(P)
+    for case, t in bad_tables(formula.tables[1], 2):
+        nbhd = NbhdSystem(universe=P.universe,
+                          tables=(formula.tables[0], t))
+        yield f"formula-{case}", partial(fz.product_convergence_check, P, U,
+                                         nbhd)
+    yield "formula-other-universe", partial(
+        fz.product_convergence_check, P, U, k.T.nbhd)
+
+
+@pytest.fixture(scope="module")
+def kit(u21, u22, u31_godel):
+    """u22's greatest topology `T`, its last filter `F` and its space, the
+    point map `phi` onto u21, u21's last filter `G` and space, a space on
+    the 3-chain, and the product of u22's and u21's spaces."""
+    T = fz.enumerate_topologies(u22)[-1]
+    space21 = fz.Space(u21, fz.enumerate_topologies(u21)[-1])
+    space22 = fz.Space(u22, T)
+    return SimpleNamespace(
+        u21=u21, u22=u22, u31=u31_godel, T=T, phi=(0, 0), space21=space21,
+        space22=space22,
+        space31=fz.Space(u31_godel, fz.enumerate_topologies(u31_godel)[-1]),
+        F=fz.enumerate_filters(u22)[-1], G=fz.enumerate_filters(u21)[-1],
+        product=fz.build_product([space22, space21]))
+
+
+def outcome(call):
+    """"PreconditionViolated", "leaked <exception type>" or "returned"."""
+    try:
+        call()
+    except PreconditionViolated:
+        return "PreconditionViolated"
+    except Exception as exc:  # a leak is what this records
+        return f"leaked {type(exc).__name__}"
+    return "returned"
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACTS))
+def test_malformed_input_is_a_broken_precondition(name, kit):
+    outcomes = [(case, outcome(call)) for case, call in CONTRACTS[name](kit)]
+    assert outcomes
+    assert [(case, got) for case, got in outcomes
+            if got != "PreconditionViolated"] == []
+
+
+def exports():
+    """The names `fuzztop` imports from its modules."""
+    tree = ast.parse(INIT.read_text(encoding="utf-8"))
+    return {alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def test_every_export_has_a_contract_or_a_reason():
+    names = exports()
+    assert sorted(names - set(CONTRACTS) - set(ALLOWED)) == []
+    # an entry that is no export, or is both
+    assert sorted((set(CONTRACTS) | set(ALLOWED)) - names) == []
+    assert sorted(set(CONTRACTS) & set(ALLOWED)) == []

@@ -20,9 +20,17 @@ ALLOWED = {
         "a Ground at the cap's bit-length boundary",
     ("test_powerset.py", "test_universe_rejects_a_non_commutative_tensor"):
         "Universe validation: the tensor is refused, so no model can hold it",
-    ("test_residuated.py",
-     "test_tensor_rejects_a_table_of_the_wrong_shape_or_range"):
-        "Universe validation: a tensor table of lists with a bad entry",
+    ("test_powerset.py",
+     "test_universe_rejects_an_operation_over_another_lattice"):
+        "Universe validation: a tensor or cotensor over another lattice",
+    ("test_powerset.py",
+     "test_ground_rejects_a_size_that_is_not_a_positive_int"):
+        "Ground validation: sizes that are not positive ints",
+    ("test_contracts.py", "ground_sizes"):
+        "Ground validation: the contract sweep's malformed sizes",
+    ("test_contracts.py", "universe_operations"):
+        "Universe validation: the contract sweep's operations over another "
+        "lattice",
     ("test_compactness.py",
      "test_product_takes_equal_tensors_held_in_other_containers"):
         "a tensor table of lists on the very lattice of another factor",

@@ -1,10 +1,12 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fuzztop.errors import AdjunctionFailure, SizeLimit
-from fuzztop.instances import chain
+from fuzztop.errors import AdjunctionFailure, PreconditionViolated, SizeLimit
+from fuzztop.instances import (chain, join_cotensor, lukasiewicz_tensor,
+                               meet_tensor)
 from fuzztop.residuated import Tensor, check_co_gl_monoid, check_cqm
 from fuzztop.powerset import (Ground, Universe, check_graded_gl,
                               enumerate_powerset)
@@ -29,6 +31,34 @@ def test_universe_rejects_a_non_commutative_tensor():
     assert t.app(2, 1) != t.app(1, 2)
     with pytest.raises(AdjunctionFailure):
         Universe(chain3, t, Ground(1))
+
+
+def test_universe_rejects_an_operation_over_another_lattice():
+    # before the check both built a 3-set universe on the 3-chain, whose
+    # enumerate_filters and enumerate_topologies raised IndexError
+    c2, c3 = chain(2), chain(3)
+    message = "^a tensor or cotensor is over another lattice$"
+    with pytest.raises(PreconditionViolated, match=message):
+        Universe(c3, meet_tensor(c2), Ground(1))
+    with pytest.raises(PreconditionViolated, match=message):
+        Universe(c3, lukasiewicz_tensor(c3), Ground(1),
+                 cotensor=join_cotensor(c2))
+    # a lattice built apart but equal is the same lattice, as for products
+    u = Universe(c3, meet_tensor(chain(3)), Ground(1),
+                 cotensor=join_cotensor(chain(3)))
+    assert u.n_sets == 3
+
+
+@pytest.mark.parametrize("m", [0, -1, 1.5, 1.0, None, "2", True, [1]], ids=[
+    "zero", "minus-one", "one-and-a-half", "one-point-oh", "none", "string",
+    "true", "list"])
+def test_ground_rejects_a_size_that_is_not_a_positive_int(m):
+    # before the check 0 raised ValueError, 1.5 and "2" TypeError, and True
+    # gave a one-point ground
+    with pytest.raises(PreconditionViolated,
+                       match=f"^ground set size {re.escape(repr(m))} is not a "
+                             f"positive int$"):
+        Ground(m)
 
 
 def test_powerset_cap_enforced():

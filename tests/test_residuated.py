@@ -7,7 +7,6 @@ from fuzztop.errors import AdjunctionFailure, PreconditionViolated
 from fuzztop.instances import (boolean, chain, diamond, join_cotensor,
                                lukasiewicz_tensor, meet_tensor)
 from fuzztop.lattice import check_infinite_distributivity
-from fuzztop.powerset import Ground, Universe
 from fuzztop.residuated import (Tensor, check_co_gl_monoid, check_cqm,
                                 check_gl_monoid, classify, co_implication,
                                 residuum)
@@ -269,13 +268,13 @@ def test_each_battery_reads_the_table_in_its_own_order():
 # ---- a Tensor holds an n x n table of elements -----------------------------
 
 @pytest.mark.parametrize("table, message", [
-    (((0, 0, 0), (0, 1, 1), (0, 1, -1)), r"table entry \(2, 2\) is -1, "
+    (((0, 0, 0), (0, 1, 1), (0, 1, -1)), r"table row 2 entry 2 is -1, "
                                           r"outside 0\.\.2"),
-    (((0, 0, 0), (0, 1, 7), (0, 1, 2)), r"table entry \(1, 2\) is 7, "
+    (((0, 0, 0), (0, 1, 7), (0, 1, 2)), r"table row 1 entry 2 is 7, "
                                          r"outside 0\.\.2"),
-    (((0, 0, 0), (0, 1, 1), (3, 1, 2)), r"table entry \(2, 0\) is 3, "
+    (((0, 0, 0), (0, 1, 1), (3, 1, 2)), r"table row 2 entry 0 is 3, "
                                          r"outside 0\.\.2"),
-    (((0, 0, 0), (0, 1, 1), (0, 1, 1.5)), r"table entry \(2, 2\) is 1\.5, "
+    (((0, 0, 0), (0, 1, 1), (0, 1, 1.5)), r"table row 2 entry 2 is 1\.5, "
                                            r"outside 0\.\.2"),
     (((0, 0), (0, 1), (0, 1)), r"table row 0 has 2 entries for 3 elements"),
     (((0, 0, 0), (0, 1, 1, 1), (0, 1, 2)),
@@ -285,13 +284,13 @@ def test_each_battery_reads_the_table_in_its_own_order():
         "long-row", "two-rows"])
 def test_tensor_rejects_a_table_of_the_wrong_shape_or_range(table, message):
     # each once gave a verdict or an IndexError: -1 was read by negative
-    # indexing, and the Universe built on it
+    # indexing, and the Universe built on it; the same table held as nested
+    # lists is rejected alike
     c3 = chain(3)
     with pytest.raises(PreconditionViolated, match=message):
         Tensor(base=c3, table=table)
     with pytest.raises(PreconditionViolated, match=message):
-        Universe(c3, Tensor(base=c3, table=[list(r) for r in table]),
-                 Ground(1))
+        Tensor(base=c3, table=[list(r) for r in table])
 
 
 def test_tensor_takes_nested_lists():

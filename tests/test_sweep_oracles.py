@@ -497,17 +497,21 @@ def n4_by_candidates(nb):
     u, tabs = nb.universe, nb.tables
     lat, pw_leq, above = u.lattice, u.pw_leq, u.graded_above
     s = [u.set_index[col] for col in zip(*tabs)]
-    candidates = [[gj for gj in (gi, *above[gi]) if pw_leq[gj // u.n][s[gi]]]
-                  for gi in u.graded_cells()]
-    return first({"p": p, "cell": u.gpair(gi)}
-                 for p in u.ground.points() for gi in u.graded_cells()
-                 if not lat.le(tabs[p][gi], lat.join_set(
-                     tabs[p][gj] for gj in candidates[gi])))
+    for p, tab in enumerate(tabs):
+        for gi in u.graded_cells():
+            join = lat.bot
+            for gj in (gi, *above[gi]):
+                if pw_leq[gj // u.n][s[gi]]:  # a candidate
+                    join = lat.join[join][tab[gj]]
+            if not lat.leq[tab[gi]][join]:
+                return {"p": p, "cell": u.gpair(gi)}
+    return None
 
 
-@pytest.mark.parametrize("name", models.SWEPT)
+@pytest.mark.parametrize("name", models.TWO_OR_MORE)
 def test_n4_names_the_candidate_sweeps_first_witness(name, request):
-    # every topology, then systems with one cell of one point changed
+    # every topology, then every system with one cell of one point changed
+    # to another grade, of up to 5 sampled topologies
     u = request.getfixturevalue(name)
     rng, seen = random.Random(name), set()
     topologies = enumerate_topologies(u)
@@ -517,15 +521,16 @@ def test_n4_names_the_candidate_sweeps_first_witness(name, request):
         assert witness(check_nbhd(t.nbhd), "N4") == want
     for t in rng.sample(topologies, min(5, len(topologies))):
         tables = t.nbhd.tables
-        for _ in range(10):
-            p, k = rng.randrange(u.ground.m), rng.randrange(u.graded_size)
-            tab = list(tables[p])
-            tab[k] = rng.randrange(u.n)
-            nb = NbhdSystem(universe=u, tables=tables[:p] + (tuple(tab),)
-                            + tables[p + 1:])
-            want = n4_by_candidates(nb)
-            seen.add(want is None)
-            assert witness(check_nbhd(nb), "N4") == want
+        for p, k in itertools.product(u.ground.points(), u.graded_cells()):
+            for v in range(u.n):
+                if v == tables[p][k]:
+                    continue
+                tab = tables[p][:k] + (v,) + tables[p][k + 1:]
+                nb = NbhdSystem(universe=u, tables=tables[:p] + (tab,)
+                                + tables[p + 1:])
+                want = n4_by_candidates(nb)
+                seen.add(want is None)
+                assert witness(check_nbhd(nb), "N4") == want
     assert seen == {True, False}
 
 
