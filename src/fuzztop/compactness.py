@@ -50,8 +50,8 @@ from .filters import (DEFAULT_FILTER_CAP, check_filter, enumerate_filters,
 from .powerset import DEFAULT_POWERSET_CAP, Ground, Universe
 from .report import Report
 from .topology import (NbhdSystem, Topology, check_topology,
-                       generate_topology, require_continuous_surjection,
-                       require_nbhd)
+                       checked_interior, generate_topology,
+                       require_continuous_surjection, require_nbhd)
 
 
 class Space:
@@ -82,7 +82,7 @@ class Space:
         if failed:
             raise PreconditionViolated("table is not a topology: fails "
                                        + ", ".join(sorted(failed)))
-        self.interior = topology.interior
+        self.interior = checked_interior(topology)
         self.nbhd = topology.nbhd
 
 

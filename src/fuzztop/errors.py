@@ -1,6 +1,8 @@
 """Shared exception types for the finite-model kernel, and its one input
 rule (`require_index`)."""
 
+from collections.abc import Sequence
+
 
 class FuzztopError(Exception):
     """Base class for all kernel errors."""
@@ -39,27 +41,44 @@ class PreconditionViolated(FuzztopError):
     """An operation was called on input that fails its stated precondition."""
 
 
+def require_sequence(value, name):
+    """Raise PreconditionViolated unless `value`, named `name`, is a
+    sequence."""
+    if type(value) not in (tuple, list) and not isinstance(value, Sequence):
+        raise PreconditionViolated(f"{name} is {value!r}, not a sequence")
+
+
+def are_indices(values, bound):
+    """True iff every one of `values`, a non-empty sequence, is an int, not
+    a bool, in range(bound): C-level scans of their types, their least and
+    their greatest."""
+    return ({int}.issuperset(map(type, values)) and 0 <= min(values)
+            and max(values) < bound)
+
+
 def require_index(value, bound, what, size=None):
     """Raise PreconditionViolated unless `value` is an index below `bound`:
     an int, not a bool, in range(bound).  `what` names it, as "point".
 
-    The table form, given a `size`, takes a table of `size` such indices
+    The table form, given a `size`, takes a sequence of `size` such indices
     (of any values when `bound` is None), `what` naming the table, its
-    entries and what they index, as in ("table", "grades", "sets").  The
-    length is checked first, then every entry at once by C-level scans:
-    their types, their least and their greatest.  The first bad
+    entries and what they index, as in ("table", "grades", "sets").  A
+    value that is no sequence is named as such.  The length is checked
+    first, then every entry at once (`are_indices`), and the first bad
     entry is named with its position.  This is the kernel's one rule for a
     table, a point or an index given from outside."""
     if size is None:
         if not (type(value) is int and 0 <= value < bound):
             raise PreconditionViolated(f"{what} {value!r} is outside "
                                        f"0..{bound - 1}")
-    elif len(value) != size:
+        return
+    if type(value) not in (tuple, list):
+        require_sequence(value, what[0])
+    if len(value) != size:
         name, entries, index = what
         raise PreconditionViolated(f"{name} has {len(value)} {entries} for "
                                    f"{size} {index}")
-    elif bound is not None and not ({int}.issuperset(map(type, value)) and
-                                    0 <= min(value) and max(value) < bound):
+    elif bound is not None and not are_indices(value, bound):
         k = next(k for k, v in enumerate(value)
                  if type(v) is not int or not 0 <= v < bound)
         raise PreconditionViolated(f"{what[0]} entry {k} is {value[k]!r}, "

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
-from .lattice import build_lattice
+from .lattice import build_lattice, require_carrier
 from .residuated import Tensor
 
 
 def chain(k):
-    """The k-element chain 0 < 1 < ... < k-1."""
+    """The k-element chain 0 < 1 < ... < k-1; PreconditionViolated unless
+    k is an int, Degenerate below 2 (`require_carrier`)."""
+    require_carrier(k)
     return build_lattice(k, [(i, i + 1) for i in range(k - 1)])
 
 
@@ -33,12 +35,12 @@ def m3():
 
 def meet_tensor(lat):
     """The Heyting (Goedel) tensor: the lattice meet itself."""
-    return Tensor(base=lat, table=lat.meet)
+    return Tensor._trusted(lat, lat.meet)
 
 
 def join_cotensor(lat):
     """The default cotensor: the lattice join."""
-    return Tensor(base=lat, table=lat.join)
+    return Tensor._trusted(lat, lat.join)
 
 
 def lukasiewicz_tensor(lat):

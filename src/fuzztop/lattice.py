@@ -13,17 +13,22 @@ on the size of the family); the checkers decide such laws that way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress
+from itertools import chain, compress
 
-from .errors import Degenerate, NotALattice, NotAPartialOrder
+from .errors import (Degenerate, NotALattice, NotAPartialOrder,
+                     PreconditionViolated, are_indices, require_index,
+                     require_sequence)
 from .report import Report
 
 
 @dataclass(frozen=True)
 class Lattice:
-    """A finite lattice with precomputed order and join/meet tables."""
+    """A finite lattice with precomputed order and join/meet tables, and
+    per element the int bitmasks of its up-set and down-set, which the
+    constructors hold already; the masks are read off the order, so they
+    take no part in equality or hashing."""
 
     n: int
     leq: tuple          # n x n booleans
@@ -31,6 +36,8 @@ class Lattice:
     meet: tuple         # n x n element indices
     top: int
     bot: int
+    up_masks: tuple = field(compare=False, repr=False)    # bit b: a <= b
+    down_masks: tuple = field(compare=False, repr=False)  # bit b: b <= a
 
     def elements(self):
         return range(self.n)
@@ -38,28 +45,36 @@ class Lattice:
     @cached_property
     def downsets(self):
         """Per element a, bytes with bit b set for each b <= a; not a field."""
-        return tuple(sum(1 << b for b in self.elements() if self.leq[b][a])
-                     .to_bytes(self.n // 8 + 1, "little")
-                     for a in self.elements())
+        width = self.n // 8 + 1
+        return tuple([down.to_bytes(width, "little")
+                      for down in self.down_masks])
 
     @cached_property
     def lower_covers(self):
         """Per element a, the elements c < a with nothing strictly between,
         in index order; the order is their reflexive-transitive closure, so
-        an order law holds iff it holds on the covers.  Read off down-set
-        bitmasks in O(n^2): the lower covers are the members of a's strict
-        down-set that lie in no strict down-set of another member; not a
+        an order law holds iff it holds on the covers.  Read off
+        `cover_pairs`; not a field."""
+        below = [[] for _ in self.elements()]
+        for c, a in self.cover_pairs:
+            below[a].append(c)
+        return tuple(map(tuple, below))
+
+    @cached_property
+    def cover_pairs(self):
+        """The pairs (c, a), c a lower cover of a, with a in a linear
+        extension of the order and c in index order, so a pair comes after
+        every pair whose upper element lies below its own.  c covers a iff
+        the interval [c, a], up(c) & down(a) on the bitmasks, has exactly
+        two elements; a is sorted by down-set bitmask, as a strict subset
+        is a smaller int.  Reversed, each pair swapped, they are the cover
+        pairs of the reversed order in a linear extension of it; not a
         field."""
-        belows = [[c for c in compress(self.elements(), col) if c != a]
-                  for a, col in enumerate(self.geq)]
-        strict = [sum([1 << c for c in below]) for below in belows]
-        covers = []
-        for below in belows:
-            between = 0
-            for c in below:
-                between |= strict[c]
-            covers.append(tuple([c for c in below if not between >> c & 1]))
-        return tuple(covers)
+        ups, downs = self.up_masks, self.down_masks
+        return tuple([(c, a) for a in sorted(self.elements(),
+                                             key=downs.__getitem__)
+                      for c, up in enumerate(ups)
+                      if (up & downs[a]).bit_count() == 2])
 
     @cached_property
     def incomparable(self):
@@ -76,7 +91,7 @@ class Lattice:
     def rank(self):
         """Per element a, the number of elements strictly below it, which a
         strict inequality raises; not a field."""
-        return tuple(sum(below) - 1 for below in self.geq)
+        return tuple([down.bit_count() - 1 for down in self.down_masks])
 
     @cached_property
     def geq(self):
@@ -142,7 +157,8 @@ def _from_upsets(leq, ups):
         a = next(a for a, up in enumerate(ups) if ups.count(up) > 1)
         raise NotAPartialOrder(
             f"antisymmetry fails on {a},{ups.index(ups[a], a + 1)}")
-    join, meet = _bounds(ups), _bounds(_upsets(zip(*leq)))
+    downs = _upsets(zip(*leq))
+    join, meet = _bounds(ups), _bounds(downs)
     if any(None in row for row in join + meet):
         for a in range(n):
             for b in range(n):
@@ -154,7 +170,17 @@ def _from_upsets(leq, ups):
     top = bot = 0
     for e in range(n):
         top, bot = join[top][e], meet[bot][e]
-    return Lattice(n=n, leq=leq, join=join, meet=meet, top=top, bot=bot)
+    return Lattice(n=n, leq=leq, join=join, meet=meet, top=top, bot=bot,
+                   up_masks=tuple(ups), down_masks=tuple(downs))
+
+
+def require_carrier(n):
+    """Raise PreconditionViolated unless the carrier size n is an int, not
+    a bool, and Degenerate when it is below 2."""
+    if type(n) is not int:
+        raise PreconditionViolated(f"carrier size {n!r} is not an int")
+    if n < 2:
+        raise Degenerate(f"carrier size {n} < 2")
 
 
 def lattice_from_order(leq):
@@ -163,8 +189,24 @@ def lattice_from_order(leq):
     element (reflexivity) and the up-sets of its members (transitivity);
     NotAPartialOrder names the first failure.  `_from_upsets` checks
     antisymmetry and looks the bounds up.
+
+    The rows are checked first, by one scan of the types of their entries
+    when they are n tuples or lists of n; PreconditionViolated names the
+    first row that is not a sequence of n entries, or its first entry that
+    is not a bool.
     """
+    require_sequence(leq, "order")
     n = len(leq)
+    if not ({tuple, list}.issuperset(map(type, leq))
+            and set(map(len, leq)) <= {n}
+            and {bool}.issuperset(map(type, chain.from_iterable(leq)))):
+        for a, row in enumerate(leq):
+            what = f"order row {a}"
+            require_index(row, None, (what, "entries", "elements"), n)
+            for b, v in enumerate(row):
+                if type(v) is not bool:
+                    raise PreconditionViolated(f"{what} entry {b} is {v!r}, "
+                                               "not a bool")
     ups = _upsets(leq)
     for a, up in enumerate(ups):
         if not up >> a & 1:
@@ -177,22 +219,45 @@ def lattice_from_order(leq):
     return _from_upsets(tuple(tuple(row) for row in leq), ups)
 
 
+def _require_pairs(pairs, n):
+    """Raise PreconditionViolated unless `pairs` is a sequence of pairs of
+    ints, not bools, and NotAPartialOrder naming the first pair with one
+    outside the carrier 0..n-1.  When the pairs are tuples or lists of two,
+    their entries are checked by one scan (`are_indices`); otherwise, or
+    when that fails, pair by pair, and `require_index` names the first
+    malformed one."""
+    if (type(pairs) in (tuple, list) and {tuple, list}.issuperset(
+            map(type, pairs)) and set(map(len, pairs)) <= {2}):
+        entries = list(chain.from_iterable(pairs))
+        if not entries or are_indices(entries, n):
+            return
+    require_sequence(pairs, "pairs")
+    for k, pair in enumerate(pairs):
+        what = (f"pair {k}", "entries", "ends")
+        require_index(pair, None, what, 2)
+        if not {int}.issuperset(map(type, pair)):
+            require_index(pair, n, what, 2)
+        a, b = pair
+        if not (0 <= a < n and 0 <= b < n):
+            raise NotAPartialOrder(f"pair ({a},{b}) outside carrier 0..{n - 1}")
+
+
 def build_lattice(n, leq_pairs):
     """Build a Lattice from a carrier size and a list of (lower, upper) pairs.
 
     The order is the reflexive-transitive closure of the pairs, closed on
     up-set bitmasks, which are handed to `_from_upsets` with the rows read
     off them: the closure is reflexive and transitive, so only antisymmetry
-    is checked.  Raises Degenerate for n < 2, NotAPartialOrder for a pair
-    outside the carrier or a closure that violates antisymmetry, and
-    NotALattice if some pair lacks a lub or glb.
+    is checked.  Raises PreconditionViolated for a size or a pair entry
+    that is not an int (`require_carrier`, `_require_pairs`), Degenerate
+    for n < 2, NotAPartialOrder for a pair outside the carrier or a closure
+    that violates antisymmetry, and NotALattice if some pair lacks a lub or
+    glb.
     """
-    if n < 2:
-        raise Degenerate(f"carrier size {n} < 2")
+    require_carrier(n)
+    _require_pairs(leq_pairs, n)
     ups = [1 << a for a in range(n)]
     for a, b in leq_pairs:
-        if not (0 <= a < n and 0 <= b < n):
-            raise NotAPartialOrder(f"pair ({a},{b}) outside carrier 0..{n - 1}")
         ups[a] |= 1 << b
     for k in range(n):  # Warshall closure
         bit, up_k = 1 << k, ups[k]

@@ -218,6 +218,12 @@ def interior_from_topology(t):
     """
     u = t.universe
     require_index(t.table, u.n, GRADES_OF_SETS, u.n_sets)
+    return _interior(t)
+
+
+def _interior(t):
+    """`interior_from_topology` of a valid table."""
+    u = t.universe
     n, join, geq = u.n, u.pw_join, u.lattice.geq
     covers, zero = u.lower_covers, u.zero_idx
     table = [zero] * u.graded_size
@@ -234,6 +240,16 @@ def interior_from_topology(t):
     return InteriorOp(universe=u, table=tuple(table))
 
 
+def checked_interior(t):
+    """`Topology.interior` of a topology whose table `check_topology` has
+    validated: computed without checking the table again, and kept on `t`
+    where the property keeps it, so a `Space` checks its table once."""
+    kept = vars(t)
+    if "interior" not in kept:
+        kept["interior"] = _interior(t)
+    return kept["interior"]
+
+
 def check_interior(i):
     """Axioms I0-I6 for an interior operator table, I6 on pairs of grades.
     For a <= b, a join b = b, so "int(f, b) = int(f, a) and
@@ -245,25 +261,26 @@ def check_interior(i):
     lat = u.lattice
     require_index(i.table, u.n_sets, SETS_OF_CELLS, u.graded_size)
     report = Report("interior")
-
-    report.record("I0", all(i.app(u.one_idx, a) == u.one_idx
-                            for a in lat.elements()), None)
-    sets, pw_leq = range(u.n_sets), u.pw_leq
-    report.sweep("I1", u.decreasing_cells(i.table, pw_leq))
-    report.sweep("I2", u.unstable_cells(i.table, u.pw_tensor, pw_leq,
-                                        u.zero_idx))
-    report.sweep("I3", ((si, a) for si in sets for a in lat.elements()
-                        if not pw_leq[i.app(si, a)][si]))
+    # the cells ascend as si * n + a: row si of `rows` holds int(f_si, a)
+    tab, n, pw_leq, join = i.table, u.n, u.pw_leq, lat.join
+    rows = [tab[k:k + n] for k in range(0, u.graded_size, n)]
+    one = u.one_idx
+    report.record("I0", set(rows[one]) == {one}, None)
+    report.sweep("I1", u.decreasing_cells(tab, pw_leq))
+    report.sweep("I2", u.unstable_cells(tab, u.pw_tensor, pw_leq, u.zero_idx))
+    report.sweep("I3", ((si, a) for si, row in enumerate(rows)
+                        for a, v in enumerate(row) if not pw_leq[v][si]))
     # idempotence; the inner application reuses the same grade
-    report.sweep("I4", ((si, a) for si in sets for a in lat.elements()
-                        if not pw_leq[i.app(si, a)][i.app(i.app(si, a), a)]))
-    report.record("I5", all(i.app(si, lat.bot) == si for si in sets), None)
+    report.sweep("I4", ((si, a) for si, row in enumerate(rows)
+                        for a, v in enumerate(row)
+                        if not pw_leq[v][rows[v][a]]))
+    report.record("I5", list(tab[lat.bot::n]) == list(range(u.n_sets)), None)
     # constancy over a nonempty family of grades transfers to its join;
     # by induction on the family it is enough to check pairs
     report.sweep("I6", ({"f": u.sets[si], "grades": (a, b)}
-                        for si in sets for a, b in lat.incomparable
-                        if i.app(si, b) == i.app(si, a)
-                        and i.app(si, lat.join2(a, b)) != i.app(si, a)))
+                        for si, row in enumerate(rows)
+                        for a, b in lat.incomparable
+                        if row[b] == row[a] and row[join[a][b]] != row[a]))
     return report
 
 
@@ -302,21 +319,24 @@ def check_nbhd(n):
     lat = u.lattice
     require_nbhd(n)
     report = Report("nbhd")
-    points, cells, els = u.ground.points(), u.graded_cells(), lat.elements()
-    tabs, le = n.tables, lat.leq
-    report.sweep("N0", ({"p": p} for p in points
-                        if any(tabs[p][u.gidx(u.one_idx, a)] != lat.top
-                               for a in els)))
+    points, cells = u.ground.points(), u.graded_cells()
+    tabs, le, grades, top = n.tables, lat.leq, u.n, lat.top
+    # the cells ascend as si * grades + a
+    one, starts = u.one_idx * grades, range(0, u.graded_size, grades)
+    report.sweep("N0", ({"p": p} for p, tab in enumerate(tabs)
+                        if set(tab[one:one + grades]) != {top}))
     report.sweep("N1", ({"p": p, "cells": pair} for p in points
                         for pair in u.decreasing_cells(tabs[p], le)))
     report.sweep("N2", ({"p": p, "cells": cell} for p in points
                         for cell in u.unstable_cells(tabs[p], u.tensor.table,
                                                      le, lat.bot)))
     report.sweep("N3", ({"p": p, "cell": (si, a)}
-                        for p in points for si in range(u.n_sets) for a in els
-                        if not le[n.at(p, si, a)][u.sets[si][p]]))
+                        for p, tab in enumerate(tabs)
+                        for si, (f, k) in enumerate(zip(u.sets, starts))
+                        for a, v in enumerate(tab[k:k + grades])
+                        if not le[v][f[p]]))
 
-    grades, pw_leq = u.n, u.pw_leq
+    pw_leq = u.pw_leq
     s = map(u.set_index.__getitem__, zip(*tabs))
     uncovered = [gi for gi, si in zip(cells, s)
                  if not pw_leq[gi // grades][si]]

@@ -136,6 +136,24 @@ def test_space_keeps_axiom_reports(u22):
     assert check_nbhd(s.nbhd).verdicts["N3"].status == "pass"
 
 
+@pytest.mark.parametrize("name", ["u22", "u32_luk"])
+def test_a_space_checks_its_topology_table_once(name, request, count_calls):
+    # check_topology validates the table; the interior the Space keeps is
+    # derived without checking it again, and kept where Topology.interior
+    # keeps it
+    import fuzztop.errors as errors
+    from fuzztop.topology import interior_from_topology
+    u = request.getfixturevalue(name)
+    table = enumerate_topologies(u)[-1].table
+    t = Topology(universe=u, table=table)
+    calls = count_calls(errors.require_index)
+    s = Space(u, t)
+    assert [args[0] for args in calls] == [table]
+    assert s.interior is t.interior
+    assert s.interior == interior_from_topology(Topology(u, table))
+    assert s.nbhd is t.nbhd
+
+
 def test_nbhd_saturation_converges_to_its_point(u22, u31_luk):
     for u in (u22, u31_luk):
         for space in (discrete_space(u), indiscrete_space(u)):

@@ -5,8 +5,9 @@ and neither leaks another exception nor returns.
 `CONTRACTS` maps each such export to the malformed calls made of it on u22
 (and u21 where a map needs a codomain): a table one entry short or long,
 or with one entry -1, past its bound, 1.5, 1.0, None, "a", True or a list;
-a point or an index malformed alike; and a table or filter over another
-universe, or an operation over another lattice.  `ALLOWED` names every
+a point or an index malformed alike; a table or filter over another
+universe, or an operation over another lattice; and a carrier size, or an
+order given by pairs or by rows, malformed alike.  `ALLOWED` names every
 other export with the reason it takes none of these.  An export in
 neither, or an entry that is no export, fails the AST check.
 """
@@ -28,9 +29,6 @@ RECORD = "a record of a table: any table may be wrapped, and every export " \
          "that reads it validates it"
 TENSOR = "takes a Tensor, whose table is validated when it is built"
 SPEC = "takes spec text, rejected with a SpecError"
-ORDER = "takes an order on a new carrier, not a table over a universe: " \
-        "a pair outside it raises NotAPartialOrder, but an entry that is " \
-        "not an int is not checked yet"
 #: exports that take no table, point, point map or universe from outside,
 #: each with the reason
 ALLOWED = {
@@ -38,11 +36,9 @@ ALLOWED = {
                      "NotAChain", "NotALattice", "NotAPartialOrder",
                      "NotSurjective", "PreconditionViolated", "SizeLimit"],
                     "an exception type"),
-    **dict.fromkeys(["build_lattice", "lattice_from_order"], ORDER),
     "Lattice": "built only by build_lattice and lattice_from_order",
-    **dict.fromkeys(["boolean", "chain", "diamond", "m3", "pentagon"],
-                    "a named lattice, made by build_lattice (chain's size "
-                    "is not checked to be an int yet)"),
+    **dict.fromkeys(["boolean", "diamond", "m3", "pentagon"],
+                    "a named lattice, made by build_lattice"),
     "check_infinite_distributivity": "takes a Lattice, validated when built",
     **dict.fromkeys(["check_co_gl_monoid", "check_cqm", "check_gl_monoid",
                      "classify", "co_implication", "residuum"], TENSOR),
@@ -87,6 +83,9 @@ def tagged(tag, cases):
 
 CONTRACTS = {}
 
+#: the malformed carrier sizes: -1 and 0 are ints, so Degenerate
+BAD_SIZES = [(case, v) for case, v in bad_indices(2) if type(v) is not int]
+
 
 def contract(name):
     """Register the malformed calls of the export `name`, a function of the
@@ -97,6 +96,39 @@ def contract(name):
     return register
 
 
+@contract("build_lattice")
+def _(k):
+    for case, n in BAD_SIZES:
+        yield f"size-{case}", partial(fz.build_lattice, n, [(0, 1)])
+    yield "pairs-not-a-sequence", partial(fz.build_lattice, 2, 5)
+    yield "pair-not-a-sequence", partial(fz.build_lattice, 2, [5])
+    for case, pair in bad_tables((0, 1), 2):
+        # an int outside the carrier makes no order on it: NotAPartialOrder
+        # (`test_build_lattice_fails_as_the_closures_rows_do`)
+        if case not in ("minus-one", "too-large"):
+            yield f"pair-{case}", partial(fz.build_lattice, 2, [pair])
+
+
+@contract("lattice_from_order")
+def _(k):
+    rows = k.u22.lattice.leq
+    yield "order-not-a-sequence", partial(fz.lattice_from_order, 5)
+    yield "row-not-a-sequence", partial(fz.lattice_from_order, (rows[0], 5))
+    yield "short-row", partial(fz.lattice_from_order, (rows[0], rows[1][:1]))
+    yield "long-row", partial(fz.lattice_from_order,
+                              (rows[0], rows[1] + (True,)))
+    for case, value in [("zero", 0), ("one", 1)] + bad_indices(2):
+        if type(value) is not bool:
+            yield f"entry-{case}", partial(fz.lattice_from_order,
+                                           (rows[0], (value, True)))
+
+
+@contract("chain")
+def _(k):
+    for case, size in BAD_SIZES + [("numeral", "3")]:
+        yield case, partial(fz.chain, size)
+
+
 @contract("Tensor")
 def _(k):
     meet = k.u22.lattice.meet
@@ -104,6 +136,9 @@ def _(k):
     yield "short", partial(Tensor, k.u22.lattice, meet[:1])
     yield "long", partial(Tensor, k.u22.lattice, meet + meet[:1])
     for case, row in bad_tables(meet[1], 2):
+        yield f"row-{case}", partial(Tensor, k.u22.lattice, (meet[0], row))
+    yield "not-a-sequence", partial(Tensor, k.u22.lattice, 5)
+    for case, row in [("int", 5), ("none", None), ("dict", {0: 0, 1: 1})]:
         yield f"row-{case}", partial(Tensor, k.u22.lattice, (meet[0], row))
 
 

@@ -1,17 +1,22 @@
 import dataclasses
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import fuzztop.residuated as residuated
 from fuzztop.errors import AdjunctionFailure, PreconditionViolated
 from fuzztop.instances import (boolean, chain, diamond, join_cotensor,
-                               lukasiewicz_tensor, meet_tensor)
+                               lukasiewicz_tensor, meet_tensor, pentagon)
 from fuzztop.lattice import check_infinite_distributivity
 from fuzztop.residuated import (Tensor, check_co_gl_monoid, check_cqm,
                                 check_gl_monoid, classify, co_implication,
                                 residuum)
 
+import models
 from models import bounded_sum_cotensor
+from test_sweep_oracles import tables
 
 
 def corpus():
@@ -209,26 +214,146 @@ def all_tables(lat):
                                            for i in range(n)))
 
 
-def test_residuations_accept_only_commutative_tables():
-    # every binary table on the 2- and 3-chain; a one-sided adjunction check
-    # on the cotensor side accepted 220, 208 of them not commutative
+# ---- residuation against the sup-scan and the triple sweep -----------------
+
+def residuate_by_sweep(tab, le, join, bot, adjunction):
+    """Oracle: the residuation that covers and Lemma A replaced.
+    res(a, b) = join{x | a (*) x <= b} by a scan of every x, and the
+    adjunction a (*) b <= c iff a <= res(b, c) by a sweep of every triple,
+    raising AdjunctionFailure at the first that breaks it."""
+    els = range(len(le))
+    res = []
+    for row in tab:
+        out = []
+        for b in els:
+            r = bot
+            for x in els:
+                if le[row[x]][b]:
+                    r = join[r][x]
+            out.append(r)
+        res.append(tuple(out))
+    for a in els:
+        for b in els:
+            for c in els:
+                if le[tab[a][b]][c] != le[a][res[b][c]]:
+                    raise AdjunctionFailure(f"{adjunction} fails at triple "
+                                            f"({a},{b},{c})")
+    return tuple(res)
+
+
+def residuum_by_sweep(t):
+    lat = t.base
+    return residuate_by_sweep(
+        t.table, lat.leq, lat.join, lat.bot,
+        "tensor residuum: adjunction a (*) b <= c iff a <= res(b, c)")
+
+
+def co_implication_by_sweep(t):
+    lat = t.base
+    return tuple(zip(*residuate_by_sweep(
+        t.table, lat.geq, lat.meet, lat.top,
+        "cotensor co-implication: adjunction coi(c, b) <= a iff "
+        "c <= a (+) b")))
+
+
+def outcome(residuate, t):
+    """("table", the table) or ("fails", the AdjunctionFailure message)."""
+    try:
+        r = residuate(t)
+    except AdjunctionFailure as exc:
+        return "fails", str(exc)
+    return "table", r if isinstance(r, tuple) else r.table
+
+
+PAIRS = ((residuum, residuum_by_sweep),
+         (co_implication, co_implication_by_sweep))
+
+
+def assert_matches_the_sweep(t):
+    for residuate, oracle in PAIRS:
+        assert outcome(residuate, t) == outcome(oracle, t), residuate.__name__
+
+
+#: the operations of `models`, by name, with the lattice sizes they take
+OPERATIONS = {
+    "meet": (meet_tensor, None),
+    "join": (join_cotensor, None),
+    "lukasiewicz": (lukasiewicz_tensor, None),
+    "lukasiewicz-listed": (models.listed(lukasiewicz_tensor), None),
+    "bounded-sum": (bounded_sum_cotensor, None),
+    "middle-unit": (models.middle_unit_cotensor, None),
+    "non-integral": (models.non_integral_tensor, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(models.LATTICES))
+def test_residuations_match_the_sweep_on_every_model(name):
+    # every operation of the catalogue, then the meet, the join and (on a
+    # chain) the Lukasiewicz table with seeded mutants, and random tables;
+    # the Lukasiewicz and bounded-sum formulas read indices as a chain, so
+    # off the chains, and on chain3-top-first, whose index order is no
+    # linear extension, they give tables that fail the adjunction
+    lat = models.LATTICES[name]()
+    for op, size in OPERATIONS.values():
+        if size in (None, lat.n):
+            assert_matches_the_sweep(op(lat))
+    for table in tables(lat, random.Random(name)):
+        assert_matches_the_sweep(Tensor(base=lat, table=table))
+
+
+def test_residuations_accept_only_commutative_tables(count_calls):
+    # every binary table on the 2- and 3-chain, each residuated and
+    # co-implied as the sup-scan and triple sweep do, failures named alike,
+    # and the triple sweep run once per failure, never on a pass; a
+    # one-sided adjunction check on the cotensor side accepted 220, 208 of
+    # them not commutative
+    calls = count_calls(residuated._first_failing_triple)
     accepted = {residuum: 0, co_implication: 0}
     total = 0
     for lat in (chain(2), chain(3)):
         for t in all_tables(lat):
             total += 1
-            for residuate in accepted:
-                try:
-                    r = residuate(t)
-                except AdjunctionFailure:
+            for residuate, oracle in PAIRS:
+                got = outcome(residuate, t)
+                assert got == outcome(oracle, t)
+                if got[0] == "fails":
                     continue
                 accepted[residuate] += 1
                 assert all(t.app(a, b) == t.app(b, a)
                            for a in lat.elements() for b in lat.elements())
                 if residuate is co_implication:
-                    assert r.table == co_implication_by_definition(t)
+                    assert got[1] == co_implication_by_definition(t)
     assert total == 19699
     assert list(accepted.values()) == [12, 12]
+    assert len(calls) == 2 * total - 24
+
+
+def nearby_tables(lat):
+    """Tables on `lat`: its meet or join, with up to three cells, and the
+    cells mirrored across the diagonal, set at random, so that some pass
+    the adjunction and most fail it at a triple other than the first."""
+    n = lat.n
+    cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                     st.integers(0, n - 1), st.booleans())
+
+    def build(base, cells):
+        table = [list(row) for row in base]
+        for a, b, v, mirror in cells:
+            table[a][b] = v
+            if mirror:
+                table[b][a] = v
+        return Tensor(base=lat, table=table)
+
+    return st.builds(build, st.sampled_from([lat.meet, lat.join]),
+                     st.lists(cell, max_size=3))
+
+
+@pytest.mark.parametrize("lat", [diamond(), pentagon()],
+                         ids=["diamond", "pentagon"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_residuations_match_the_sweep_on_sampled_tables(lat, data):
+    assert_matches_the_sweep(data.draw(nearby_tables(lat)))
 
 
 def test_co_implication_rejects_a_non_commutative_cotensor():
@@ -293,6 +418,38 @@ def test_tensor_rejects_a_table_of_the_wrong_shape_or_range(table, message):
         Tensor(base=c3, table=[list(r) for r in table])
 
 
+@pytest.mark.parametrize("table, message", [
+    (5, r"^table is 5, not a sequence$"),
+    (((0, 0), 5), r"^table row 1 is 5, not a sequence$"),
+    ((None, (0, 1)), r"^table row 0 is None, not a sequence$"),
+    (((0, 0), {0: 0, 1: 1}), r"^table row 1 is \{0: 0, 1: 1\}, not a "
+                             r"sequence$"),
+], ids=["int-table", "int-row", "none-row", "dict-row"])
+def test_tensor_rejects_a_table_or_row_that_is_not_a_sequence(table,
+                                                               message):
+    # each leaked TypeError, and the dict's keys were read as a row
+    with pytest.raises(PreconditionViolated, match=message):
+        Tensor(base=boolean(), table=table)
+
+
+@pytest.mark.parametrize("n", [2, 3, 12])
+def test_tensor_checks_a_table_of_rows_in_one_scan(n, count_calls):
+    # the shape is one require_index call, and the entries one scan of the
+    # flattened table; the scan row by row runs only to name a bad entry
+    import fuzztop.errors as errors
+    lat = chain(n)
+    table = lukasiewicz_tensor(lat).table
+    calls = count_calls(errors.require_index)
+    Tensor(base=lat, table=table)
+    Tensor(base=lat, table=[list(row) for row in table])
+    assert len(calls) == 2
+    bad = table[:-1] + (table[-1][:-1] + (n,),)
+    with pytest.raises(PreconditionViolated,
+                       match=f"^table row {n - 1} entry {n - 1} is {n}, "):
+        Tensor(base=lat, table=bad)
+    assert len(calls) == 3 + n
+
+
 def test_tensor_takes_nested_lists():
     c3 = chain(3)
     t = Tensor(base=c3, table=[list(row) for row in c3.meet])
@@ -341,6 +498,26 @@ def reads(check, arg):
     report = check(arg)
     assert report.passed
     return CountedRow.reads
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_residuations_read_quadratically_many_table_entries(n, count_calls):
+    # each row: one pass joining each preimage, one join per cover and one
+    # read per entry, n (7 n - 3) reads in all on a chain; the sup-scan and
+    # triple sweep read 4,898 on the 12-chain with the Lukasiewicz tensor
+    # (972 now), and the sweep never runs on a GL tensor
+    calls = count_calls(residuated._first_failing_triple)
+    lat = chain(n)
+    lat = dataclasses.replace(lat, join=counted(lat.join),
+                              meet=counted(lat.meet))
+    for residuate, t in ((residuum, lukasiewicz_tensor(lat)),
+                         (residuum, meet_tensor(lat)),
+                         (co_implication, join_cotensor(lat))):
+        t = Tensor(base=lat, table=counted(t.table))
+        CountedRow.reads = 0
+        residuate(t)
+        assert CountedRow.reads <= 7 * n ** 2
+    assert calls == []
 
 
 @pytest.mark.parametrize("n", range(2, 13))

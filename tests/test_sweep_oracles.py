@@ -414,6 +414,16 @@ def test_lower_covers_match_their_definition(name):
         if not lat.le(a, b) and not lat.le(b, a))
 
 
+@pytest.mark.parametrize("name", sorted(ORDERS))
+def test_cover_pairs_ascend_in_a_linear_extension(name):
+    # the residuation joins along them, each after the pairs below it
+    lat = build_lattice(*ORDERS[name])
+    pairs = lat.cover_pairs
+    assert sorted(pairs) == sorted(ORDERS[name][1])
+    assert not any(lat.le(a2, a1) and a2 != a1
+                   for k, (_, a1) in enumerate(pairs) for _, a2 in pairs[k:])
+
+
 def test_element_batteries_name_the_full_sweeps_first_witness():
     rng, seen = random.Random(21), set()
     for name in sorted(ORDERS):

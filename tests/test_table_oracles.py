@@ -3,7 +3,9 @@ against the per-pair construction they replaced: apply the one-point
 operation at every point, then look the resulting tuple up in `set_index`.
 Also the order axioms FF1, I1, N1 and N4, which walk `graded_above`,
 against sweeps over every pair of cells filtered by the definition
-`graded_leq`."""
+`graded_leq`, and the cell axioms I0, I3-I6, N0 and N3, which read the
+tables directly, against the `InteriorOp.app` and `NbhdSystem.at` calls
+per cell they replaced."""
 
 import random
 
@@ -177,3 +179,91 @@ def test_order_axioms_match_all_pairs_sweeps(name, graded_leq, request):
                 rep = check_nbhd(mut)
                 assert witness(rep, "N1") == n1_by_pairs(mut, pairs)
                 assert witness(rep, "N4") == n4_by_pairs(mut, pairs)
+
+
+# ---- cell axioms against per-cell accessor reads ---------------------------
+
+def interior_by_accessors(i):
+    """Oracle: the verdict (I0, I5) or first witness (I3, I4, I6) of each
+    cell axiom, one `InteriorOp.app` call per cell read."""
+    u = i.universe
+    lat, sets, pw_leq = u.lattice, range(u.n_sets), u.pw_leq
+    els = lat.elements()
+    return {
+        "I0": all(i.app(u.one_idx, a) == u.one_idx for a in els),
+        "I3": first((si, a) for si in sets for a in els
+                    if not pw_leq[i.app(si, a)][si]),
+        "I4": first((si, a) for si in sets for a in els
+                    if not pw_leq[i.app(si, a)][i.app(i.app(si, a), a)]),
+        "I5": all(i.app(si, lat.bot) == si for si in sets),
+        "I6": first({"f": u.sets[si], "grades": (a, b)} for si in sets
+                    for a, b in lat.incomparable
+                    if i.app(si, b) == i.app(si, a)
+                    and i.app(si, lat.join2(a, b)) != i.app(si, a)),
+    }
+
+
+def nbhd_by_accessors(nb):
+    """Oracle: the first witness of N0 and N3, one `NbhdSystem.at` call per
+    cell read."""
+    u = nb.universe
+    lat, points, els = u.lattice, u.ground.points(), u.lattice.elements()
+    return {
+        "N0": first({"p": p} for p in points
+                    if any(nb.at(p, u.one_idx, a) != lat.top for a in els)),
+        "N3": first({"p": p, "cell": (si, a)} for p in points
+                    for si in range(u.n_sets) for a in els
+                    if not lat.le(nb.at(p, si, a), u.sets[si][p])),
+    }
+
+
+def verdicts(report, axioms):
+    """Per axiom, its witness when it fails, else None, or, for an axiom
+    recorded without a witness, whether it passed."""
+    return {axiom: witness(report, axiom) if axiom in ("I3", "I4", "I6",
+                                                       "N0", "N3")
+            else report.verdicts[axiom].status == "pass" for axiom in axioms}
+
+
+def cell_mutants(rng, table, values, u, count):
+    """`mutants` of `table`, a table over u's graded cells, then one with a
+    cell of the top set, and one with the bot-grade cell of a random set,
+    set at random: the cells I0 and N0, and I5, read."""
+    yield from mutants(rng, table, values, count)
+    n = u.n
+    for cell in (u.one_idx * n + rng.randrange(n),
+                 rng.randrange(u.n_sets) * n + u.lattice.bot):
+        t = list(table)
+        t[cell] = rng.randrange(values)
+        yield tuple(t)
+
+
+@pytest.mark.parametrize("name", models.SWEPT, ids=PARENT_IDS.get)
+def test_cell_axioms_match_per_cell_accessor_reads(name, request):
+    # I0 and I3-I6 read the interior table, N0 and N3 the neighbourhood
+    # tables, directly, by block: cell si * n + a is grade a of set si
+    u = request.getfixturevalue(name)
+    rng, lat, seen = random.Random(name), u.lattice, set()
+    topologies = enumerate_topologies(u)
+    for t in topologies[:6] + topologies[-2:]:
+        i = interior_from_topology(t)
+        for tab in cell_mutants(rng, i.table, u.n_sets, u, 12):
+            mut = InteriorOp(universe=u, table=tab)
+            want = interior_by_accessors(mut)
+            assert verdicts(check_interior(mut), want) == want
+            seen.update((axiom, v is True or v is None)
+                        for axiom, v in want.items())
+        nb = nbhd_from_interior(i)
+        for p in u.ground.points():
+            for tab in cell_mutants(rng, nb.tables[p], lat.n, u, 8):
+                mut = NbhdSystem(universe=u, tables=nb.tables[:p] + (tab,)
+                                 + nb.tables[p + 1:])
+                want = nbhd_by_accessors(mut)
+                assert verdicts(check_nbhd(mut), want) == want
+                seen.update((axiom, v is None) for axiom, v in want.items())
+    # every axiom passes somewhere; all but I6, which needs incomparable
+    # grades, fail somewhere too
+    assert {axiom for axiom, passed in seen if passed} == {
+        "I0", "I3", "I4", "I5", "I6", "N0", "N3"}
+    failed = {axiom for axiom, passed in seen if not passed}
+    assert failed >= {"I0", "I3", "I4", "I5", "N0", "N3"}
