@@ -21,7 +21,7 @@ its `stop` is the set of the cells before the added one and the family's.
 
 from __future__ import annotations
 
-from .errors import SizeLimit
+from .errors import SizeLimit, require_int
 
 
 def close(table, lattice, rules, dirty=None, above=None, stop=()):
@@ -128,9 +128,9 @@ def enumerate_closed(lattice, least, rules, cap, what, above=None, stop=()):
     table is infeasible when its closure raises a cell in `stop`.
     Feasibility is a down-set, so the closures above an infeasible table
     are never explored, and only the cells outside `stop` are raised.
-    Raises SizeLimit once more than `cap` closures have been computed,
-    counting the least table's as the first, so a cap below 1 always
-    refuses.
+    Raises PreconditionViolated unless `cap` is an int, and SizeLimit once
+    more than `cap` closures have been computed, counting the least
+    table's as the first, so a cap below 1 always refuses.
 
     A table holds the attribute (cell, j), for j join-irreducible, when
     j <= table[cell]; the attributes are ordered by cell, then by j's place
@@ -146,6 +146,7 @@ def enumerate_closed(lattice, least, rules, cap, what, above=None, stop=()):
     gives C, canonically.  So each member is listed once, with no visited
     set.
     """
+    require_int(cap, f"{what} enumeration cap")
     if cap < 1:  # the least table's closure is the first
         raise SizeLimit(f"{what} enumeration exceeded cap {cap} closures")
     if least is None:

@@ -29,7 +29,9 @@ itself as certificate (Lemma 1), and a filter of a complete listing, which
 records the maximal filters above it by their tables
 (`FilterTable.maximal_above`),
 adheres somewhere exactly when one of them converges somewhere (Lemma 2).
-A table no listing recorded is decided by its own closure per point.
+A table no listing recorded is decided by its own closure per point.  Every
+table a verdict reads was checked where its record was made (`FilterTable`,
+`Topology`, `NbhdSystem`).
 Finite products are built as the least topology making the projections
 continuous, seeded with each factor's grading pulled back along its
 projection by one `Universe.pullback` table per factor; the explicit
@@ -43,31 +45,31 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .errors import PreconditionViolated, SizeLimit, require_index
+from .errors import PreconditionViolated, SizeLimit, require_index, trusted
 from .filters import (DEFAULT_FILTER_CAP, check_filter, enumerate_filters,
                       image_filter, is_ultrafilter, least_filter_above,
-                      preimage_filter, require_grades)
+                      preimage_filter)
 from .powerset import DEFAULT_POWERSET_CAP, Ground, Universe
 from .report import Report
 from .topology import (NbhdSystem, Topology, check_topology,
-                       checked_interior, generate_topology,
-                       require_continuous_surjection, require_nbhd)
+                       generate_topology, require_continuous_surjection)
 
 
 class Space:
     """An L-fuzzy topological space with derived structures.
 
-    Construction checks that the topology is over `universe` with one grade
-    per set, and the topology axioms, raising PreconditionViolated that
-    names the mismatch or the failed axioms.  It keeps the axioms' report as
-    `topology_report` with the interior operator and the neighborhood
-    system that the topology keeps.  Their axiom batteries are not run here;
-    `check_interior(space.interior)` and `check_nbhd(space.nbhd)` run them
-    on demand.  They gate nothing: the tensor-stability axioms I2 and N2
-    combine grades with the join, and the interior derived from any
-    non-discrete topology violates that combination (take the full set at
-    grade top against any set of grade below top at grade bottom), so
-    enforcing them would reject almost every space.
+    Construction checks that the topology is over `universe`, a raw table
+    for one grade per set (`Topology`), and the topology axioms, raising
+    PreconditionViolated that names the mismatch or the failed axioms.  It
+    keeps the axioms' report as `topology_report` with the interior
+    operator and the neighborhood system that the topology keeps.  Their
+    axiom batteries are not run here; `check_interior(space.interior)` and
+    `check_nbhd(space.nbhd)` run them on demand.  They gate nothing: the
+    tensor-stability axioms I2 and N2 combine grades with the join, and the
+    interior derived from any non-discrete topology violates that
+    combination (take the full set at grade top against any set of grade
+    below top at grade bottom), so enforcing them would reject almost every
+    space.
     """
 
     def __init__(self, universe, topology):
@@ -82,24 +84,22 @@ class Space:
         if failed:
             raise PreconditionViolated("table is not a topology: fails "
                                        + ", ".join(sorted(failed)))
-        self.interior = checked_interior(topology)
+        self.interior = topology.interior
         self.nbhd = topology.nbhd
 
 
 def _require_point(F, p, space):
-    """Raise PreconditionViolated unless F is a table of grades
-    (`require_grades`) over the space's universe and p is a point of its
-    ground set."""
+    """Raise PreconditionViolated unless F is over the space's universe and
+    p is a point of its ground set."""
     if F.universe is not space.universe:
         raise PreconditionViolated("a filter is over another universe")
-    require_grades(F)
     require_index(p, space.universe.ground.m, "point")
 
 
 def converges(F, p, space):
     """True iff the neighborhood table at p sits below the filter; raises
-    PreconditionViolated when F is not a table of grades over the space's
-    universe or p is not a point of it."""
+    PreconditionViolated when F is over another universe than the space's
+    or p is not a point of it."""
     _require_point(F, p, space)
     return all(map(space.universe.lattice.le, space.nbhd.tables[p], F.table))
 
@@ -112,8 +112,7 @@ def is_adherent(p, F, space):
     from F's kept closure, re-firing only the cells the neighborhood table
     raises (`least_filter_above`), so each filter is saturated once however
     many points and spaces test it.  Raises PreconditionViolated when F
-    is not a table of grades over the space's universe or p is not a point
-    of it.
+    is over another universe than the space's or p is not a point of it.
     """
     _require_point(F, p, space)
     G = least_filter_above(F, space.nbhd.tables[p])
@@ -148,9 +147,8 @@ def is_compact(space, mode="sweep", filters=None):
     cross-check, checks the members the ultrafilter characterization
     accepts (equivalent: an adherence certificate for an ultrafilter above F
     also witnesses adherence for F).  Without `filters` they are enumerated
-    with the default closure cap.  A member over another universe, or one
-    no listing recorded that is not a table of grades (`require_grades`),
-    raises PreconditionViolated before any member is decided.  Returns
+    with the default closure cap.  A member over another universe raises
+    PreconditionViolated before any member is decided.  Returns
     (bool, witness filter or None): the witness is the first checked
     member with no adherent point.
 
@@ -168,11 +166,8 @@ def is_compact(space, mode="sweep", filters=None):
         raise ValueError(f"unknown mode {mode!r}")
     if filters is None:
         filters = enumerate_filters(space.universe)
-    for F in filters:
-        if F.universe is not space.universe:
-            raise PreconditionViolated("a filter is over another universe")
-        if F.maximal_above is None:  # a recorded member is valid already
-            require_grades(F)
+    if any(F.universe is not space.universe for F in filters):
+        raise PreconditionViolated("a filter is over another universe")
     if mode == "ultrafilter":
         filters = [F for F in filters
                    if is_ultrafilter(F, "characterization")[0]]
@@ -201,16 +196,14 @@ def is_compact(space, mode="sweep", filters=None):
     return True, None
 
 
-def image_compactness_check(phi, space_x, space_y, filters_y=None):
+def image_compactness_check(phi, space_x, space_y):
     """Continuous surjective images of compact spaces are compact.
 
     Requires phi to be continuous and surjective and the domain to be
     compact (PreconditionViolated otherwise).  Verifies the conclusion and
     replays the proof skeleton for every filter on the codomain: pull the
     filter back, find an adherent point upstream, push the certificate
-    forward, and confirm it witnesses adherence of the image point.  A
-    member of `filters_y` that `is_compact` rejects, as over another
-    universe than the codomain's, raises PreconditionViolated first.
+    forward, and confirm it witnesses adherence of the image point.
     """
     ux, uy = space_x.universe, space_y.universe
     require_continuous_surjection(phi, space_x.topology, space_y.topology)
@@ -219,9 +212,7 @@ def image_compactness_check(phi, space_x, space_y, filters_y=None):
         raise PreconditionViolated("domain space is not compact")
 
     report = Report("image_compactness")
-    if filters_y is None:
-        filters_y = enumerate_filters(uy)
-    # first, as it checks every filter before any is used
+    filters_y = enumerate_filters(uy)
     compact_y, witness = is_compact(space_y, filters=filters_y)
     round_trip, upstream, chain, image = [], [], [], []
     for F in filters_y:
@@ -347,7 +338,7 @@ def product_nbhd_system(P):
                     v = join[v][row[sj * n + a]]
                 row[si * n + a] = v
         tables.append(tuple(row))
-    return NbhdSystem(universe=u, tables=tuple(tables))
+    return trusted(NbhdSystem, universe=u, tables=tuple(tables))
 
 
 def product_convergence_check(P, U, formula_nbhd=None):
@@ -355,9 +346,8 @@ def product_convergence_check(P, U, formula_nbhd=None):
 
     For every product point, convergence against the explicit product
     neighborhood formula must agree with convergence of every projected
-    filter in its factor.  U and the formula must be over P's universe, U
-    an ultrafilter and the formula one table of grades per point
-    (`require_nbhd`).
+    filter in its factor.  U and the formula must be over P's universe and
+    U an ultrafilter.
     """
     u = P.universe
     lat = u.lattice
@@ -369,8 +359,6 @@ def product_convergence_check(P, U, formula_nbhd=None):
         formula_nbhd = product_nbhd_system(P)
     elif formula_nbhd.universe is not u:
         raise PreconditionViolated("the formula is over another universe")
-    else:
-        require_nbhd(formula_nbhd)
     report = Report("product_convergence")
     images = [image_filter(P.projections[k], U, f.universe)
               for k, f in enumerate(P.factors)]
@@ -390,9 +378,16 @@ def product_convergence_check(P, U, formula_nbhd=None):
 def tychonoff_check(factors, product=None, filter_cap=DEFAULT_FILTER_CAP):
     """All factors compact iff the product is compact, decided by oracle.
 
-    A factor listed more than once is decided once.  Every filter
-    enumeration computes at most `filter_cap` closures (SizeLimit beyond).
+    A factor listed more than once is decided once.  A given `product`
+    must be built from `factors`, the same spaces in the same order
+    (PreconditionViolated otherwise).  Every filter enumeration computes
+    at most `filter_cap` closures (SizeLimit beyond).
     """
+    if product is not None and (
+            len(product.factors) != len(factors)
+            or any(p is not f for p, f in zip(product.factors, factors))):
+        raise PreconditionViolated("the product is not of the given factors")
+
     def decide(space):
         return is_compact(space, filters=enumerate_filters(space.universe,
                                                            cap=filter_cap))

@@ -1,5 +1,6 @@
-"""Shared exception types for the finite-model kernel, and its one input
-rule (`require_index`)."""
+"""Shared exception types for the finite-model kernel, its one input rule
+(`require_index`, with `require_int` for a carrier size or a cap) and the
+one way past a record's check (`trusted`)."""
 
 from collections.abc import Sequence
 
@@ -48,6 +49,13 @@ def require_sequence(value, name):
         raise PreconditionViolated(f"{name} is {value!r}, not a sequence")
 
 
+def require_int(value, what):
+    """Raise PreconditionViolated unless `value`, named `what`, is an int,
+    not a bool."""
+    if type(value) is not int:
+        raise PreconditionViolated(f"{what} {value!r} is not an int")
+
+
 def are_indices(values, bound):
     """True iff every one of `values`, a non-empty sequence, is an int, not
     a bool, in range(bound): C-level scans of their types, their least and
@@ -83,3 +91,14 @@ def require_index(value, bound, what, size=None):
                  if type(v) is not int or not 0 <= v < bound)
         raise PreconditionViolated(f"{what[0]} entry {k} is {value[k]!r}, "
                                    f"outside 0..{bound - 1}")
+
+
+def trusted(cls, **fields):
+    """A record of `cls` holding `fields`, built without its `__post_init__`
+    check: for a table the kernel computed from validated ones, valid by
+    construction.  A field may also seed a cached property, as
+    `enumerate_filters` seeds what its listing knows.  A table from outside
+    goes through the constructor, which checks it."""
+    record = object.__new__(cls)
+    vars(record).update(fields)
+    return record

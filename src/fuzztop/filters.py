@@ -21,8 +21,9 @@ complete listing by `enumerate_filters`, and otherwise decided by raising
 each attribute the table does not hold and closing, which a maximal filter
 never survives.  A listed table also records the tables of the maximal
 filters at or above it, `FilterTable.maximal_above`, which only a complete
-listing can give.  A table no listing recorded is checked for one grade of
-L per graded cell (`require_grades`) before any verdict reads it.
+listing can give.  A table is checked for one grade of L per graded cell
+where it is wrapped (`FilterTable`), and the tables the kernel computes
+from checked ones are wrapped unchecked (`errors.trusted`).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from functools import cached_property
 
 from .closure import close, enumerate_closed
 from .errors import (NotAChain, NotSurjective, PreconditionViolated, SizeLimit,
-                     require_index)
+                     require_index, require_int, trusted)
 from .report import Report
 
 #: default closure cap of `enumerate_filters`: 64- and 81-set universes
@@ -49,20 +50,26 @@ GRADES_OF_CELLS = ("table", "grades", "graded cells")
 class FilterTable:
     """A grade table over the graded carrier of `universe`.
 
-    It is a filter when it passes `check_filter`, but any table may be
-    wrapped.  `closure`, `characterization`, `code` and `maximal` are
-    computed on first use and kept on the object; they are not fields, so
-    equality and hashing see only the table.  Nor is `maximal_above`:
-    `enumerate_filters` sets it on each table it lists to the tables of the
-    listed maximal filters at or above it, in list order, and it is None on
-    any other table.  It holds tables, not filters, so that a maximal
-    filter does not refer to itself: a listing holds no reference cycle and
-    is freed as soon as it is dropped.
+    It is a filter when it passes `check_filter`, but any table of one
+    grade of L per graded cell may be wrapped: the table is checked here
+    (`require_index`), so no verdict reads an unchecked one.  `closure`,
+    `characterization`, `code` and `maximal` are computed on first use and
+    kept on the object; they are not fields, so equality and hashing see
+    only the table.  Nor is `maximal_above`: `enumerate_filters` sets it on
+    each table it lists to the tables of the listed maximal filters at or
+    above it, in list order, and it is None on any other table.  It holds
+    tables, not filters, so that a maximal filter does not refer to itself:
+    a listing holds no reference cycle and is freed as soon as it is
+    dropped.
     """
 
     universe: object
     table: tuple  # grade per graded cell
     maximal_above = None
+
+    def __post_init__(self):
+        u = self.universe
+        require_index(self.table, u.n, GRADES_OF_CELLS, u.graded_size)
 
     @cached_property
     def closure(self):
@@ -118,9 +125,7 @@ class FilterTable:
     def code(self):
         """The table as one int: per cell, the bits of its value's down-set
         (`Lattice.downsets`), so F <= G iff no bit of F is missing in G.
-        `enumerate_filters` sets it on each table it lists; on any other
-        table it is computed after `require_grades`."""
-        require_grades(self)
+        `enumerate_filters` sets it on each table it lists."""
         return _code(self.universe.lattice.downsets, self.table)
 
     @cached_property
@@ -162,8 +167,7 @@ class FilterTable:
 
     def leq(self, other):
         """F <= G cell by cell, by `code`.  Raises PreconditionViolated when
-        the tables are over different universes or either is not a table
-        of grades (`require_grades`)."""
+        the tables are over different universes."""
         if self.universe is not other.universe:
             raise PreconditionViolated("a filter is over another universe")
         return not self.code & ~other.code
@@ -173,23 +177,11 @@ def _code(downsets, table):
     return int.from_bytes(b"".join(map(downsets.__getitem__, table)), "little")
 
 
-def require_grades(F):
-    """Raise PreconditionViolated unless F's table has one grade of L per
-    graded cell (`require_index`).  A table `enumerate_filters` listed is
-    valid by construction and is not checked again."""
-    if F.maximal_above is None:
-        u = F.universe
-        require_index(F.table, u.n, GRADES_OF_CELLS, u.graded_size)
-
-
 def check_filter(F):
     """Per-axiom verdicts for FF0 (top row pinned to top), FF1 (monotone in
-    the graded order), FF2 (tensor stability), FF3 (bottom row pinned).
-    Raises PreconditionViolated unless the table has one grade of L per
-    graded cell (`require_grades`)."""
+    the graded order), FF2 (tensor stability), FF3 (bottom row pinned)."""
     u = F.universe
     lat = u.lattice
-    require_grades(F)
     report = Report("filter")
 
     top_row = [F.app(u.one_idx, a) for a in lat.elements()]
@@ -211,11 +203,12 @@ def enumerate_filters(universe, cap=DEFAULT_FILTER_CAP):
     The filters are the saturated tables whose empty-set row stays at bot,
     a down-set of a closure system; they are enumerated from the least one
     (the saturation of the all-bot table) by `closure.enumerate_closed`.
-    Raises SizeLimit when more than `cap` closures would be computed, the
-    least filter's included.  The listing is complete, so each returned
-    table gets `FilterTable.maximal` from it: true for the members below no
-    other, found by comparing their `FilterTable.code` encodings, which
-    each table keeps.  Each also gets `FilterTable.maximal_above`, the
+    Raises PreconditionViolated unless `cap` is an int, and SizeLimit when
+    more than `cap` closures would be computed, the least filter's
+    included.  The listing is complete, so each returned table gets
+    `FilterTable.maximal` from it: true for the members below no other,
+    found by comparing their `FilterTable.code` encodings, which each
+    table keeps.  Each also gets `FilterTable.maximal_above`, the
     tables of the maximal members whose code holds every bit of its own:
     as the listing holds every filter, these are all the maximal filters of
     the universe at or above it.
@@ -233,27 +226,26 @@ def enumerate_filters(universe, cap=DEFAULT_FILTER_CAP):
             tops = [t for t in tops if t & ~f] + [f]
     tops = set(tops)
     maxima = [(f, t) for t, f in zip(tables, codes) if f in tops]
-    out = []
-    for t, f in zip(tables, codes):
-        F = FilterTable(universe=u, table=t)
-        vars(F).update(code=f, maximal=f in tops, maximal_above=tuple(
-            top for m, top in maxima if not f & ~m))
-        out.append(F)
-    return out
+    return [trusted(FilterTable, universe=u, table=t, code=f,
+                    maximal=f in tops, maximal_above=tuple(
+                        top for m, top in maxima if not f & ~m))
+            for t, f in zip(tables, codes)]
 
 
 def enumerate_filters_bruteforce(universe, cap=DEFAULT_FILTER_CAP):
     """Raw table sweep over every grade assignment; the census oracle.
 
-    Raises SizeLimit when there are more than `cap` candidate tables.
+    Raises PreconditionViolated unless `cap` is an int, and SizeLimit when
+    there are more than `cap` candidate tables.
     """
+    require_int(cap, "filter enumeration cap")
     u = universe
     total = u.lattice.n ** u.graded_size
     if total > cap:
         raise SizeLimit(f"{total} candidate tables exceeds cap {cap}")
     out = []
     for values in itertools.product(u.lattice.elements(), repeat=u.graded_size):
-        F = FilterTable(universe=u, table=values)
+        F = trusted(FilterTable, universe=u, table=values)
         if check_filter(F).passed:
             out.append(F)
     return out
@@ -274,7 +266,7 @@ def sup_of_chain(chain):
                 raise NotAChain("filters are not pairwise comparable")
     table = tuple(lat.join_set([F.table[gi] for F in chain])
                   for gi in u.graded_cells())
-    return FilterTable(universe=u, table=table)
+    return trusted(FilterTable, universe=u, table=table)
 
 
 @dataclass(frozen=True)
@@ -318,7 +310,7 @@ def saturate(universe, seed):
     for a in lat.elements():
         if table[u.gidx(u.zero_idx, a)] != lat.bot:
             return NoFilterAbove(alpha=a, table=tuple(table))
-    return FilterTable(universe=u, table=tuple(table))
+    return trusted(FilterTable, universe=u, table=tuple(table))
 
 
 def least_filter_above(F, seed):
@@ -344,7 +336,7 @@ def least_filter_above(F, seed):
             dirty.append(k)
     if not close(table, u.lattice, _rules(u), dirty, u.graded_above, stop):
         return None
-    return FilterTable(universe=u, table=tuple(table))
+    return trusted(FilterTable, universe=u, table=tuple(table))
 
 
 def hat_extension(U, g_idx, beta, rho=None):
@@ -353,13 +345,11 @@ def hat_extension(U, g_idx, beta, rho=None):
     With G = impl-into-bottom of U at the cell (g, beta) => (0_X, rho), the
     value at (f, a) is U(f, a) joined with U[(g, beta) => (f, a)] tensor G.
     rho must satisfy rho <= beta; defaults to the lattice bottom.  Raises
-    PreconditionViolated, naming the argument, unless U is a table of grades
-    (`require_grades`), g_idx is a set index and beta and rho are elements
-    of L with rho <= beta.
+    PreconditionViolated, naming the argument, unless g_idx is a set index
+    and beta and rho are elements of L with rho <= beta.
     """
     u = U.universe
     lat = u.lattice
-    require_grades(U)
     if rho is None:
         rho = lat.bot
     for name, value, size in (("g_idx", g_idx, u.n_sets),
@@ -374,7 +364,7 @@ def hat_extension(U, g_idx, beta, rho=None):
     for gi in u.graded_cells():
         extra = u.tensor.app(U.table[u.gimpl(gb, gi)], g_beta)
         table.append(lat.join2(U.table[gi], extra))
-    return FilterTable(universe=u, table=tuple(table))
+    return trusted(FilterTable, universe=u, table=tuple(table))
 
 
 def is_ultrafilter(U, mode="characterization", all_filters=None):
@@ -406,17 +396,15 @@ def is_ultrafilter(U, mode="characterization", all_filters=None):
 
 def image_filter(phi, F, cod_universe):
     """Pushforward along a point map: value at (g, b) is F(g o phi, b).
-    Raises PreconditionViolated unless F is a table of grades
-    (`require_grades`) and phi a point map into the codomain
+    Raises PreconditionViolated unless phi is a point map into the codomain
     (`Universe.pullback`)."""
-    require_grades(F)
     u = F.universe
     uy = cod_universe
     table = []
     for pulled in uy.pullback(phi, u):
         for b in uy.lattice.elements():
             table.append(F.app(pulled, b))
-    return FilterTable(universe=uy, table=tuple(table))
+    return trusted(FilterTable, universe=uy, table=tuple(table))
 
 
 def preimage_filter(phi, F, dom_universe):
@@ -424,10 +412,9 @@ def preimage_filter(phi, F, dom_universe):
 
     Value at (f, a) is the join of F(g, b) over all codomain cells whose
     pullback sits below (f, a) in the graded order.  Raises
-    PreconditionViolated unless F is a table of grades (`require_grades`)
-    and phi a point map into F's universe (`Universe.pullback`).
+    PreconditionViolated unless phi is a point map into F's universe
+    (`Universe.pullback`).
     """
-    require_grades(F)
     uy = F.universe
     ux = dom_universe
     lat = ux.lattice
@@ -445,4 +432,4 @@ def preimage_filter(phi, F, dom_universe):
                     if lat.le(a, b):
                         vals.append(F.app(sj, b))
             table.append(lat.join_set(vals))
-    return FilterTable(universe=ux, table=tuple(table))
+    return trusted(FilterTable, universe=ux, table=tuple(table))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from .lattice import build_lattice, require_carrier
+from .errors import trusted
 from .residuated import Tensor
 
 
@@ -35,12 +36,12 @@ def m3():
 
 def meet_tensor(lat):
     """The Heyting (Goedel) tensor: the lattice meet itself."""
-    return Tensor._trusted(lat, lat.meet)
+    return trusted(Tensor, base=lat, table=lat.meet)
 
 
 def join_cotensor(lat):
     """The default cotensor: the lattice join."""
-    return Tensor._trusted(lat, lat.join)
+    return trusted(Tensor, base=lat, table=lat.join)
 
 
 def lukasiewicz_tensor(lat):

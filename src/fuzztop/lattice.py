@@ -19,7 +19,7 @@ from itertools import chain, compress
 
 from .errors import (Degenerate, NotALattice, NotAPartialOrder,
                      PreconditionViolated, are_indices, require_index,
-                     require_sequence)
+                     require_int, require_sequence)
 from .report import Report
 
 
@@ -177,8 +177,7 @@ def _from_upsets(leq, ups):
 def require_carrier(n):
     """Raise PreconditionViolated unless the carrier size n is an int, not
     a bool, and Degenerate when it is below 2."""
-    if type(n) is not int:
-        raise PreconditionViolated(f"carrier size {n!r} is not an int")
+    require_int(n, "carrier size")
     if n < 2:
         raise Degenerate(f"carrier size {n} < 2")
 

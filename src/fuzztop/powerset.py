@@ -21,7 +21,8 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
-from .errors import PreconditionViolated, SizeLimit, require_index
+from .errors import (PreconditionViolated, SizeLimit, require_index,
+                     require_int)
 from .instances import join_cotensor
 from .lattice import lattice_from_order
 from .report import Report
@@ -47,7 +48,10 @@ class Ground:
 
 
 def enumerate_powerset(lat, ground, cap=DEFAULT_POWERSET_CAP):
-    """All |L|**m fuzzy sets as tuples, in lexicographic order."""
+    """All |L|**m fuzzy sets as tuples, in lexicographic order.  Raises
+    PreconditionViolated unless `cap` is an int, and SizeLimit when there
+    are more than `cap` sets."""
+    require_int(cap, "powerset cap")
     if lat.n > 1 and ground.m >= cap.bit_length():
         # 2**m alone exceeds the cap; do not build a huge power to say so
         raise SizeLimit(f"powerset size {lat.n}**{ground.m} exceeds cap {cap}")

@@ -45,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, product
 
-from .errors import AdjunctionFailure, are_indices, require_index
+from .errors import AdjunctionFailure, are_indices, require_index, trusted
 from .lattice import Lattice
 from .report import Report
 
@@ -82,17 +82,6 @@ class Tensor:
             else:
                 return  # a tuple of tuples already: keep it as given
         object.__setattr__(self, "table", tuple(map(tuple, table)))
-
-    @classmethod
-    def _trusted(cls, base, table):
-        """A Tensor of a table the kernel computed over `base` from
-        validated tables, a tuple of tuples of its elements by
-        construction, so not checked again; tables from outside go through
-        the constructor."""
-        tensor = object.__new__(cls)
-        object.__setattr__(tensor, "base", base)
-        object.__setattr__(tensor, "table", table)
-        return tensor
 
     def app(self, a, b):
         return self.table[a][b]
@@ -263,7 +252,7 @@ def residuum(t):
     when that fails, so the cost is O(n^2 + n |covers|), not O(n^3).
     """
     lat = t.base
-    return Tensor._trusted(lat, _residuate(
+    return trusted(Tensor, base=lat, table=_residuate(
         t.table, lat.leq, lat.join, lat.bot, lat.cover_pairs,
         "tensor residuum: adjunction a (*) b <= c iff a <= res(b, c)"))
 
@@ -282,7 +271,7 @@ def co_implication(t):
         t.table, lat.geq, lat.meet, lat.top,
         [(a, c) for c, a in reversed(lat.cover_pairs)],
         "cotensor co-implication: adjunction coi(c, b) <= a iff c <= a (+) b")
-    return Tensor._trusted(lat, tuple(zip(*res)))
+    return trusted(Tensor, base=lat, table=tuple(zip(*res)))
 
 
 def classify(t, r):

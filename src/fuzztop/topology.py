@@ -16,7 +16,9 @@ models.  Each sweep skips the cases that cannot fail (bottom values, or for
 o2 and o3 values the table's floor makes safe, one of each symmetric pair,
 non-covers; see `Universe`) and still names the full sweep's first failure.
 A point map is checked and pulled back once per check
-(`Universe.pullback`).
+(`Universe.pullback`).  Each record checks its table where it is made
+(`Topology`, `InteriorOp`, `NbhdSystem`), and the tables the kernel
+derives from checked ones are wrapped unchecked (`errors.trusted`).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .closure import close, enumerate_closed
-from .errors import PreconditionViolated, require_index
+from .errors import PreconditionViolated, require_index, trusted
 from .report import Report
 
 #: what a grade table over the powerset holds, for `require_index`
@@ -40,11 +42,17 @@ DEFAULT_TOPOLOGY_CAP = 40_000
 
 @dataclass(frozen=True)
 class Topology:
-    """A grade table over the powerset.  `interior` and `nbhd` are kept on
-    first use; not being fields, they take no part in equality or hashing."""
+    """A grade table over the powerset, one grade of L per set, checked
+    here: PreconditionViolated names the length or the first bad entry.
+    `interior` and `nbhd` are kept on first use; not being fields, they
+    take no part in equality or hashing."""
 
     universe: object
     table: tuple  # grade per set index
+
+    def __post_init__(self):
+        u = self.universe
+        require_index(self.table, u.n, GRADES_OF_SETS, u.n_sets)
 
     @cached_property
     def interior(self):
@@ -52,13 +60,19 @@ class Topology:
 
     @cached_property
     def nbhd(self):
-        return _nbhd(self.interior)
+        return nbhd_from_interior(self.interior)
 
 
 @dataclass(frozen=True)
 class InteriorOp:
+    """A table of one set index per graded cell, checked here."""
+
     universe: object
     table: tuple  # set index per graded cell
+
+    def __post_init__(self):
+        u = self.universe
+        require_index(self.table, u.n_sets, SETS_OF_CELLS, u.graded_size)
 
     def app(self, si, a):
         return self.table[self.universe.gidx(si, a)]
@@ -66,8 +80,18 @@ class InteriorOp:
 
 @dataclass(frozen=True)
 class NbhdSystem:
+    """One table per point, each of one grade of L per graded cell,
+    checked here."""
+
     universe: object
     tables: tuple  # per point: grade per graded cell
+
+    def __post_init__(self):
+        u, tables = self.universe, self.tables
+        require_index(tables, None, ("system", "tables", "points"), u.ground.m)
+        for p, tab in enumerate(tables):
+            require_index(tab, u.n, (f"table of point {p}", "grades",
+                                     "graded cells"), u.graded_size)
 
     def at(self, p, si, a):
         return self.tables[p][self.universe.gidx(si, a)]
@@ -77,8 +101,6 @@ def check_topology(t):
     """Axioms o1 (top set graded top), o2 (tensor stability on pairs) and
     o3 (meet of grades below the grade of the join), checked on the empty
     family, which is o1', and on pairs: witness {"subset": () or (i, j)}.
-    Raises PreconditionViolated unless the table has one grade of L per set
-    (`require_index`).
 
     o2 and o3 are symmetric in the pair, so each sweeps unordered pairs,
     i <= j (i < j for o3, whose diagonal holds): a failing pair fails both
@@ -90,7 +112,6 @@ def check_topology(t):
     integral can have v (*) top > v."""
     u = t.universe
     lat = u.lattice
-    require_index(t.table, lat.n, GRADES_OF_SETS, u.n_sets)
     report = Report("topology")
     report.record("o1", t.table[u.one_idx] == lat.top,
                   {"grade": t.table[u.one_idx]})
@@ -121,13 +142,10 @@ def check_topology(t):
 
 def order_topologies(t1, t2):
     """Pointwise comparison: one of '<=', '>=', '=', 'incomparable'.
-    Raises PreconditionViolated unless both are over one universe with one
-    grade of L per set."""
+    Raises PreconditionViolated unless both are over one universe."""
     u = t1.universe
     if t2.universe is not u:
         raise PreconditionViolated("topology is over another universe")
-    for t in (t1, t2):
-        require_index(t.table, u.n, GRADES_OF_SETS, u.n_sets)
     lat = u.lattice
     le = all(lat.le(a, b) for a, b in zip(t1.table, t2.table))
     ge = all(lat.le(b, a) for a, b in zip(t1.table, t2.table))
@@ -162,7 +180,7 @@ def generate_topology(universe, seed):
     table[u.one_idx] = lat.top
     table[u.zero_idx] = lat.top
     close(table, lat, _rules(u))
-    return Topology(universe=u, table=tuple(table))
+    return trusted(Topology, universe=u, table=tuple(table))
 
 
 def enumerate_topologies(universe, cap=DEFAULT_TOPOLOGY_CAP):
@@ -170,12 +188,13 @@ def enumerate_topologies(universe, cap=DEFAULT_TOPOLOGY_CAP):
 
     The topologies are the closed tables of `generate_topology`; they are
     enumerated from the least one by `closure.enumerate_closed`.  Raises
-    SizeLimit when more than `cap` closures would be computed.
+    PreconditionViolated unless `cap` is an int, and SizeLimit when more
+    than `cap` closures would be computed.
     """
     u = universe
     least = generate_topology(u, [u.lattice.bot] * u.n_sets).table
     tables = enumerate_closed(u.lattice, least, _rules(u), cap, "topology")
-    return [Topology(universe=u, table=t) for t in tables]
+    return [trusted(Topology, universe=u, table=t) for t in tables]
 
 
 def is_continuous(phi, tau, eta):
@@ -183,12 +202,9 @@ def is_continuous(phi, tau, eta):
 
     phi maps domain point indices to codomain point indices.  Returns
     (True, None) or (False, witness set index on the codomain).  Raises
-    PreconditionViolated unless each table has one grade of L per set of
-    its universe and phi is a point map between them
+    PreconditionViolated unless phi is a point map between their universes
     (`Universe.pullback`).
     """
-    for t in (tau, eta):
-        require_index(t.table, t.universe.n, GRADES_OF_SETS, t.universe.n_sets)
     le = tau.universe.lattice.le
     pulled = eta.universe.pullback(phi, tau.universe)
     for gj, grade in enumerate(eta.table):
@@ -213,16 +229,8 @@ def interior_from_topology(t):
     the lower covers g of f: every u < f lies below one of them.  So the
     sets are visited in `Universe.ascending_sets`, each after its lower
     covers, and each value is one join over those covers.  The recursion
-    holds for any table, a topology or not.  Raises PreconditionViolated
-    unless the table has one grade of L per set.
+    holds for any table, a topology or not.
     """
-    u = t.universe
-    require_index(t.table, u.n, GRADES_OF_SETS, u.n_sets)
-    return _interior(t)
-
-
-def _interior(t):
-    """`interior_from_topology` of a valid table."""
     u = t.universe
     n, join, geq = u.n, u.pw_join, u.lattice.geq
     covers, zero = u.lower_covers, u.zero_idx
@@ -237,29 +245,16 @@ def _interior(t):
                 for sj in below:
                     v = join[v][table[sj * n + a]]
                 table[si * n + a] = v
-    return InteriorOp(universe=u, table=tuple(table))
-
-
-def checked_interior(t):
-    """`Topology.interior` of a topology whose table `check_topology` has
-    validated: computed without checking the table again, and kept on `t`
-    where the property keeps it, so a `Space` checks its table once."""
-    kept = vars(t)
-    if "interior" not in kept:
-        kept["interior"] = _interior(t)
-    return kept["interior"]
+    return trusted(InteriorOp, universe=u, table=tuple(table))
 
 
 def check_interior(i):
     """Axioms I0-I6 for an interior operator table, I6 on pairs of grades.
     For a <= b, a join b = b, so "int(f, b) = int(f, a) and
     int(f, a join b) != int(f, a)" cannot hold: I6 sweeps only the
-    incomparable pairs a < b (`Lattice.incomparable`), none on a chain.
-    Raises PreconditionViolated unless the table has one set index per
-    graded cell."""
+    incomparable pairs a < b (`Lattice.incomparable`), none on a chain."""
     u = i.universe
     lat = u.lattice
-    require_index(i.table, u.n_sets, SETS_OF_CELLS, u.graded_size)
     report = Report("interior")
     # the cells ascend as si * n + a: row si of `rows` holds int(f_si, a)
     tab, n, pw_leq, join = i.table, u.n, u.pw_leq, lat.join
@@ -285,25 +280,14 @@ def check_interior(i):
 
 
 def nbhd_from_interior(i):
-    """Per-point evaluation of the interior table.  Raises
-    PreconditionViolated unless the table has one set index per graded
-    cell."""
-    u = i.universe
-    require_index(i.table, u.n_sets, SETS_OF_CELLS, u.graded_size)
-    return _nbhd(i)
-
-
-def _nbhd(i):
-    """`nbhd_from_interior` of a valid table, as `Topology.interior` is."""
+    """Per-point evaluation of the interior table."""
     u, sets = i.universe, i.universe.sets
-    return NbhdSystem(universe=u, tables=tuple(
+    return trusted(NbhdSystem, universe=u, tables=tuple(
         tuple([sets[si][p] for si in i.table]) for p in u.ground.points()))
 
 
 def check_nbhd(n):
-    """Axioms N0-N4 per point.  Raises PreconditionViolated unless there is
-    one table per point, each with one grade of L per graded cell
-    (`require_nbhd`).
+    """Axioms N0-N4 per point.
 
     N4 asks, at each point p and cell gi = (f, a), that N_p(gi) lie below
     the join of N_p over gi's candidates: the cells at or above gi whose
@@ -317,7 +301,6 @@ def check_nbhd(n):
     `pw_leq` read."""
     u = n.universe
     lat = u.lattice
-    require_nbhd(n)
     report = Report("nbhd")
     points, cells = u.ground.points(), u.graded_cells()
     tabs, le, grades, top = n.tables, lat.leq, u.n, lat.top
@@ -343,16 +326,6 @@ def check_nbhd(n):
     report.sweep("N4", ({"p": p, "cell": u.gpair(gi)} for p in points
                         for gi in uncovered if tabs[p][gi] != lat.bot))
     return report
-
-
-def require_nbhd(n):
-    """Raise PreconditionViolated unless the system has one table per
-    point, each with one grade of L per graded cell."""
-    u = n.universe
-    require_index(n.tables, None, ("system", "tables", "points"), u.ground.m)
-    for p, tab in enumerate(n.tables):
-        require_index(tab, u.n, (f"table of point {p}", "grades",
-                                 "graded cells"), u.graded_size)
 
 
 def check_continuity_nbhd(phi, tau, eta):

@@ -189,9 +189,9 @@ def test_continuity_command(capsys):
 
 def test_continuity_derives_each_interior_once(capsys, count_calls):
     import fuzztop.topology as topology
-    # the derivation itself, whether a Space (`checked_interior`) or
-    # `interior_from_topology` asks for it
-    calls = count_calls(topology._interior)
+    # the derivation, whether a Space (through `Topology.interior`) or the
+    # pushforward asks for it
+    calls = count_calls(topology.interior_from_topology)
     code, _, _ = run(capsys, TWO, "--format", "machine", "continuity",
                      "--map", "collapse")
     assert code == 0

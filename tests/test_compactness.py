@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 import re
@@ -10,16 +9,16 @@ from fuzztop.compactness import (ProductSpace, Space, build_product, converges,
                                  adherent_points, image_compactness_check,
                                  is_adherent, is_compact, product_nbhd_system,
                                  product_convergence_check, tychonoff_check)
-from fuzztop.errors import PreconditionViolated, SizeLimit
+from fuzztop.errors import PreconditionViolated, SizeLimit, trusted
 from fuzztop.filters import (FilterTable, NoFilterAbove, check_filter,
                              enumerate_filters, image_filter, is_ultrafilter,
                              preimage_filter, saturate)
 from fuzztop.powerset import Ground, Universe
 from fuzztop.residuated import Tensor
 from fuzztop.specfile import build_universe, parse_spec
-from fuzztop.topology import (Topology, check_continuity_nbhd, check_interior,
-                              check_nbhd, enumerate_topologies, is_continuous,
-                              nbhd_pushforward)
+from fuzztop.topology import (NbhdSystem, Topology, check_continuity_nbhd,
+                              check_interior, check_nbhd, enumerate_topologies,
+                              is_continuous, nbhd_pushforward)
 
 import models
 from test_topology import discrete, indiscrete
@@ -125,9 +124,10 @@ def test_verdicts_reject_a_point_outside_the_ground_set(u32_luk, p):
 ], ids=["short", "grade-7"])
 def test_verdicts_reject_a_table_that_is_not_one_of_grades(u31_godel, verdict,
                                                            table, message):
-    F = FilterTable(universe=u31_godel, table=table)
+    # the table is refused where it is wrapped, before any verdict reads it
+    space = discrete_space(u31_godel)
     with pytest.raises(PreconditionViolated, match=message):
-        verdict(F, discrete_space(u31_godel))
+        verdict(FilterTable(universe=u31_godel, table=table), space)
 
 
 def test_space_keeps_axiom_reports(u22):
@@ -138,15 +138,15 @@ def test_space_keeps_axiom_reports(u22):
 
 @pytest.mark.parametrize("name", ["u22", "u32_luk"])
 def test_a_space_checks_its_topology_table_once(name, request, count_calls):
-    # check_topology validates the table; the interior the Space keeps is
-    # derived without checking it again, and kept where Topology.interior
-    # keeps it
+    # the Topology validates the table where it is made; the Space, its
+    # axioms and the interior the Space keeps do not check it again, and
+    # the interior is kept where Topology.interior keeps it
     import fuzztop.errors as errors
     from fuzztop.topology import interior_from_topology
     u = request.getfixturevalue(name)
     table = enumerate_topologies(u)[-1].table
-    t = Topology(universe=u, table=table)
     calls = count_calls(errors.require_index)
+    t = Topology(universe=u, table=table)
     s = Space(u, t)
     assert [args[0] for args in calls] == [table]
     assert s.interior is t.interior
@@ -442,8 +442,9 @@ def test_is_compact_work_per_call(name, request, monkeypatch):
         lambda F: codes.append(F) or code.func(F)))
     compared = 0
     for space in spaces:
-        space.nbhd = dataclasses.replace(
-            space.nbhd, tables=Tables(space.nbhd.tables))
+        # built unchecked, as the check would read every table
+        space.nbhd = trusted(NbhdSystem, universe=u,
+                             tables=Tables(space.nbhd.tables))
         reads.clear()
         tested.clear()
         is_compact(space, filters=filters)
@@ -623,7 +624,8 @@ def test_image_compactness_identity(u22):
     assert rep.passed
 
 
-def test_image_compactness_records_every_verdict(u21, u22):
+def test_image_compactness_records_every_verdict(u21, u22,
+                                                 monkeypatch):
     sx, sy = discrete_space(u22), discrete_space(u21)
     rep = image_compactness_check((0, 0), sx, sy)
     assert {k: v.status for k, v in rep.verdicts.items()} == dict.fromkeys(
@@ -631,10 +633,14 @@ def test_image_compactness_records_every_verdict(u21, u22):
          "preimage_is_filter", "proof_chain", "round_trip"), "pass")
 
     # a codomain "filter" grading every cell top pulls back to a table whose
-    # saturation collapses, so it has no adherent point upstream
+    # saturation collapses, so it has no adherent point upstream; it is
+    # slipped into the codomain's listing, as no listing holds it
+    import fuzztop.compactness as compactness
     (F,) = enumerate_filters(u21)
     bad = FilterTable(universe=u21, table=(u21.lattice.top,) * u21.graded_size)
-    rep = image_compactness_check((0, 0), sx, sy, filters_y=[F, bad])
+    monkeypatch.setattr(compactness, "enumerate_filters", lambda u: (
+        [F, bad] if u is u21 else enumerate_filters(u)))
+    rep = image_compactness_check((0, 0), sx, sy)
     assert rep.verdicts["adherent_upstream"].status == "fail"
     assert rep.verdicts["adherent_upstream"].witness == {"filter": bad.table}
     assert rep.verdicts["image_point_adherent"].status == "skipped"

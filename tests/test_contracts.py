@@ -1,15 +1,20 @@
 """The kernel's input contract: every export that takes a table, a point, a
-point map or a universe raises PreconditionViolated on malformed input,
-and neither leaks another exception nor returns.
+point map, a cap or a universe raises PreconditionViolated on malformed
+input, and neither leaks another exception nor returns.
 
 `CONTRACTS` maps each such export to the malformed calls made of it on u22
 (and u21 where a map needs a codomain): a table one entry short or long,
 or with one entry -1, past its bound, 1.5, 1.0, None, "a", True or a list;
 a point or an index malformed alike; a table or filter over another
-universe, or an operation over another lattice; and a carrier size, or an
-order given by pairs or by rows, malformed alike.  `ALLOWED` names every
-other export with the reason it takes none of these.  An export in
-neither, or an entry that is no export, fails the AST check.
+universe, or an operation over another lattice; a carrier size, a cap, or
+an order given by pairs or by rows, malformed alike; and a product of
+other factors.  A record of a table (`FilterTable`, `Topology`,
+`InteriorOp`, `NbhdSystem`) checks it where it is made, so each is called
+to build one, and every export that reads one is called with one built
+inside the call.  `ALLOWED` names every other export with the reason it
+takes none of these.  An export in neither, or an entry that is no
+export, fails the AST check.  `test_only_trusted_builds_a_record_unchecked`
+fails on a way past a record's check other than `errors.trusted`.
 """
 
 import ast
@@ -23,14 +28,13 @@ import fuzztop as fz
 from fuzztop import (FilterTable, InteriorOp, NbhdSystem, PreconditionViolated,
                      Tensor, Topology)
 
-INIT = Path(__file__).resolve().parents[1] / "src" / "fuzztop" / "__init__.py"
+SRC = Path(__file__).resolve().parents[1] / "src" / "fuzztop"
+INIT = SRC / "__init__.py"
 
-RECORD = "a record of a table: any table may be wrapped, and every export " \
-         "that reads it validates it"
 TENSOR = "takes a Tensor, whose table is validated when it is built"
 SPEC = "takes spec text, rejected with a SpecError"
-#: exports that take no table, point, point map or universe from outside,
-#: each with the reason
+#: exports that take no table, point, point map, cap or universe from
+#: outside, each with the reason
 ALLOWED = {
     **dict.fromkeys(["AdjunctionFailure", "Degenerate", "FuzztopError",
                      "NotAChain", "NotALattice", "NotAPartialOrder",
@@ -45,16 +49,10 @@ ALLOWED = {
     **dict.fromkeys(["join_cotensor", "lukasiewicz_tensor", "meet_tensor"],
                     "a named operation on a Lattice, made by Tensor"),
     **dict.fromkeys(["Report", "Verdict"], "a verdict, not an input"),
-    "enumerate_powerset": "takes a Lattice and a Ground, each validated "
-                          "when built",
-    **dict.fromkeys(["check_graded_gl", "enumerate_filters",
-                     "enumerate_filters_bruteforce", "enumerate_topologies"],
-                    "takes only a Universe, validated when built"),
-    **dict.fromkeys(["InteriorOp", "NbhdSystem"], RECORD),
+    "check_graded_gl": "takes only a Universe, validated when built",
     "NoFilterAbove": "a result of saturate, not an input",
     "ProductSpace": "a result of build_product, not an input",
-    **dict.fromkeys(["product_nbhd_system", "tychonoff_check"],
-                    "takes Spaces and ProductSpaces, validated when built"),
+    "product_nbhd_system": "takes a ProductSpace, validated when built",
     **dict.fromkeys(["SpecDocument", "build_universe", "parse_spec",
                      "render_spec"], SPEC),
 }
@@ -83,8 +81,9 @@ def tagged(tag, cases):
 
 CONTRACTS = {}
 
-#: the malformed carrier sizes: -1 and 0 are ints, so Degenerate
-BAD_SIZES = [(case, v) for case, v in bad_indices(2) if type(v) is not int]
+#: the malformed carrier sizes and caps: an int is a size (Degenerate
+#: below 2) or a cap (SizeLimit below 1)
+NOT_INTS = [(case, v) for case, v in bad_indices(2) if type(v) is not int]
 
 
 def contract(name):
@@ -98,7 +97,7 @@ def contract(name):
 
 @contract("build_lattice")
 def _(k):
-    for case, n in BAD_SIZES:
+    for case, n in NOT_INTS:
         yield f"size-{case}", partial(fz.build_lattice, n, [(0, 1)])
     yield "pairs-not-a-sequence", partial(fz.build_lattice, 2, 5)
     yield "pair-not-a-sequence", partial(fz.build_lattice, 2, [5])
@@ -125,7 +124,7 @@ def _(k):
 
 @contract("chain")
 def _(k):
-    for case, size in BAD_SIZES + [("numeral", "3")]:
+    for case, size in NOT_INTS + [("numeral", "3")]:
         yield case, partial(fz.chain, size)
 
 
@@ -157,6 +156,29 @@ def universe_operations(k):
     yield "cotensor-other-lattice", lambda: fz.Universe(
         lat, fz.meet_tensor(lat), k.u22.ground,
         cotensor=fz.join_cotensor(other))
+    for case, cap in NOT_INTS:
+        yield f"cap-{case}", lambda cap=cap: fz.Universe(
+            lat, fz.meet_tensor(lat), k.u22.ground, powerset_cap=cap)
+
+
+@contract("enumerate_powerset")
+def _(k):
+    for case, cap in NOT_INTS:
+        yield case, partial(fz.enumerate_powerset, k.u22.lattice,
+                            k.u22.ground, cap)
+
+
+def cap_cases(call):
+    """`call(cap)` with each malformed cap."""
+    return [(case, partial(call, cap)) for case, cap in NOT_INTS]
+
+
+contract("enumerate_filters")(lambda k: cap_cases(
+    partial(fz.enumerate_filters, k.u22)))
+contract("enumerate_filters_bruteforce")(lambda k: cap_cases(
+    partial(fz.enumerate_filters_bruteforce, k.u22)))
+contract("enumerate_topologies")(lambda k: cap_cases(
+    partial(fz.enumerate_topologies, k.u22)))
 
 
 def topology_cases(k, call):
@@ -167,6 +189,7 @@ def topology_cases(k, call):
 
 @contract("Topology")
 def _(k):
+    yield from tagged("build", topology_cases(k, lambda t: t))
     yield from tagged("interior", topology_cases(k, lambda t: t.interior))
     yield from tagged("nbhd", topology_cases(k, lambda t: t.nbhd))
 
@@ -205,26 +228,27 @@ def interior_cases(k, call):
         yield case, lambda t=t: call(InteriorOp(universe=k.u22, table=t))
 
 
+contract("InteriorOp")(lambda k: interior_cases(k, lambda i: i))
 contract("check_interior")(lambda k: interior_cases(k, fz.check_interior))
 contract("nbhd_from_interior")(
     lambda k: interior_cases(k, fz.nbhd_from_interior))
 
 
-def nbhd_tables(k):
-    """(case, tables): u22's neighbourhood tables, one too few or too many,
-    or with point 1's table malformed."""
-    tables = k.T.nbhd.tables
-    yield "system-short", tables[:1]
-    yield "system-long", tables + tables[:1]
-    for case, t in bad_tables(tables[1], 2):
-        yield f"point-1-{case}", (tables[0], t)
+def nbhd_cases(k, call, formula=None):
+    """`call` of an NbhdSystem made of u22's neighbourhood tables, or of
+    `formula`'s, one too few or too many, or with point 1's malformed."""
+    formula = k.T.nbhd if formula is None else formula
+    u, tables = formula.universe, formula.tables
+    cases = [("system-short", tables[:1]),
+             ("system-long", tables + tables[:1])]
+    cases += [(f"point-1-{case}", (tables[0], t))
+              for case, t in bad_tables(tables[1], 2)]
+    for case, t in cases:
+        yield case, lambda t=t: call(NbhdSystem(universe=u, tables=t))
 
 
-@contract("check_nbhd")
-def _(k):
-    for case, tables in nbhd_tables(k):
-        yield case, partial(fz.check_nbhd,
-                            NbhdSystem(universe=k.u22, tables=tables))
+contract("NbhdSystem")(lambda k: nbhd_cases(k, lambda n: n))
+contract("check_nbhd")(lambda k: nbhd_cases(k, fz.check_nbhd))
 
 
 def continuity_cases(k, check):
@@ -234,9 +258,9 @@ def continuity_cases(k, check):
     for case, phi in bad_tables(k.phi, 1):
         yield f"phi-{case}", partial(check, phi, tau, eta)
     for case, t in bad_tables(tau.table, 2):
-        yield f"tau-{case}", partial(check, k.phi, Topology(k.u22, t), eta)
+        yield f"tau-{case}", lambda t=t: check(k.phi, Topology(k.u22, t), eta)
     for case, t in bad_tables(eta.table, 2):
-        yield f"eta-{case}", partial(check, k.phi, tau, Topology(k.u21, t))
+        yield f"eta-{case}", lambda t=t: check(k.phi, tau, Topology(k.u21, t))
     yield "tau-other-lattice", partial(check, (0,), k.space31.topology, eta)
 
 
@@ -255,7 +279,8 @@ def filter_cases(k, call, universe=None, valid=None):
 
 @contract("FilterTable")
 def _(k):
-    for name, call in [("closure", lambda F: F.closure),
+    for name, call in [("build", lambda F: F),
+                       ("closure", lambda F: F.closure),
                        ("characterization", lambda F: F.characterization),
                        ("code", lambda F: F.code),
                        ("maximal", lambda F: F.maximal),
@@ -355,12 +380,6 @@ def _(k):
     for case, phi in bad_tables(k.phi, 1):
         yield f"phi-{case}", partial(fz.image_compactness_check, phi,
                                      k.space22, k.space21)
-    yield from tagged("filter", filter_cases(
-        k, lambda F: fz.image_compactness_check(
-            k.phi, k.space22, k.space21, filters_y=[F]), k.u21, k.G))
-    yield "filter-other-universe", partial(
-        fz.image_compactness_check, k.phi, k.space22, k.space21,
-        filters_y=[k.F])
 
 
 @contract("build_product")
@@ -375,14 +394,25 @@ def _(k):
     yield from tagged("U", filter_cases(
         k, lambda F: fz.product_convergence_check(P, F), P.universe, U))
     yield "U-other-universe", partial(fz.product_convergence_check, P, k.F)
-    formula = fz.product_nbhd_system(P)
-    for case, t in bad_tables(formula.tables[1], 2):
-        nbhd = NbhdSystem(universe=P.universe,
-                          tables=(formula.tables[0], t))
-        yield f"formula-{case}", partial(fz.product_convergence_check, P, U,
-                                         nbhd)
+    yield from tagged("formula", nbhd_cases(
+        k, lambda n: fz.product_convergence_check(P, U, n),
+        fz.product_nbhd_system(P)))
     yield "formula-other-universe", partial(
         fz.product_convergence_check, P, U, k.T.nbhd)
+
+
+@contract("tychonoff_check")
+def _(k):
+    yield from tagged("cap", cap_cases(lambda cap: fz.tychonoff_check(
+        [k.space21], filter_cap=cap)))
+    # the product is of u22's and u21's spaces, in that order
+    for case, factors in [
+            ("other-factors", [k.space21]),
+            ("fewer-factors", [k.space22]),
+            ("reordered-factors", [k.space21, k.space22]),
+            ("equal-factor", [fz.Space(k.u22, k.T), k.space21])]:
+        yield f"product-{case}", partial(fz.tychonoff_check, factors,
+                                         k.product)
 
 
 @pytest.fixture(scope="module")
@@ -433,3 +463,30 @@ def test_every_export_has_a_contract_or_a_reason():
     # an entry that is no export, or is both
     assert sorted((set(CONTRACTS) | set(ALLOWED)) - names) == []
     assert sorted(set(CONTRACTS) & set(ALLOWED)) == []
+
+
+def test_only_trusted_builds_a_record_unchecked():
+    # a record checks its table in __post_init__; `errors.trusted` is the
+    # one way past it, so no other code makes an object with
+    # `object.__new__`, writes into one's `vars()` or `__dict__`, or sets
+    # one's attributes with `object.__setattr__` outside a __post_init__
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        within = {}  # node -> the innermost function holding it
+        for fn in ast.walk(tree):  # outer functions first
+            if isinstance(fn, ast.FunctionDef):
+                within.update(dict.fromkeys(ast.walk(fn), fn.name))
+        for node in ast.walk(tree):
+            where = within.get(node)
+            if (path.name, where) == ("errors.py", "trusted"):
+                continue
+            call = ast.unparse(node.func) if isinstance(node, ast.Call) \
+                else None
+            if (call in ("object.__new__", "vars")
+                    or call == "object.__setattr__"
+                    and where != "__post_init__"
+                    or isinstance(node, ast.Attribute)
+                    and node.attr == "__dict__"):
+                found.append((path.name, where, node.lineno))
+    assert found == []

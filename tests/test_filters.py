@@ -38,10 +38,10 @@ def test_principal_filters_pass(u22):
 def test_check_filter_rejects_a_table_of_another_length(u22, length):
     # u22 has 4 sets at 2 grades: 8 graded cells; 10 entries were judged on
     # their first 8, 3 raised IndexError
-    F = FilterTable(universe=u22, table=(u22.lattice.top,) * length)
     with pytest.raises(PreconditionViolated,
                        match=f"^table has {length} grades for 8 graded cells$"):
-        check_filter(F)
+        check_filter(FilterTable(universe=u22,
+                                 table=(u22.lattice.top,) * length))
 
 
 @pytest.mark.parametrize("grade", [-1, 2])
@@ -269,10 +269,9 @@ def test_leq_rejects_a_table_that_is_not_one_of_grades(u31_godel, table,
     # before the check the grade-7 table raised IndexError, and the short
     # one was compared as a table with 3 cells
     F = enumerate_filters(u31_godel)[0]
-    G = FilterTable(universe=u31_godel, table=table)
-    for low, high in ((F, G), (G, F)):
+    for leq in (F.leq, lambda G: G.leq(F)):
         with pytest.raises(PreconditionViolated, match=message):
-            low.leq(high)
+            leq(FilterTable(universe=u31_godel, table=table))
 
 
 def test_maximality_rejects_filters_of_another_universe(u31_godel, u31_luk,
@@ -474,9 +473,9 @@ def test_hat_extension_rejects_input_outside_the_universe(u22, table, cell,
     # before the checks an index past the end raised IndexError, and -1 was
     # read by negative indexing
     U = enumerate_filters(u22)[0]
-    if table is not None:
-        U = FilterTable(universe=u22, table=table)
     with pytest.raises(PreconditionViolated, match=message):
+        if table is not None:
+            U = FilterTable(universe=u22, table=table)
         hat_extension(U, *cell)
 
 

@@ -28,10 +28,10 @@ def indiscrete(u):
 @pytest.mark.parametrize("length", [3, 5])
 def test_check_topology_rejects_a_table_of_another_length(u22, length):
     # u22 has 4 sets; 5 entries passed every axiom, 3 raised IndexError
-    t = Topology(universe=u22, table=(u22.lattice.top,) * length)
     with pytest.raises(PreconditionViolated,
                        match=f"^table has {length} grades for 4 sets$"):
-        check_topology(t)
+        check_topology(Topology(universe=u22,
+                                table=(u22.lattice.top,) * length))
 
 
 @pytest.mark.parametrize("length", [3, 5])
@@ -41,19 +41,17 @@ def test_interior_rejects_a_topology_table_of_another_length(u22, length):
     message = f"^table has {length} grades for 4 sets$"
     for derive in (interior_from_topology, lambda t: t.interior,
                    lambda t: t.nbhd):
-        t = Topology(universe=u22, table=(u22.lattice.top,) * length)
         with pytest.raises(PreconditionViolated, match=message):
-            derive(t)
+            derive(Topology(universe=u22, table=(u22.lattice.top,) * length))
 
 
 @pytest.mark.parametrize("length", [5, 9])
 def test_check_interior_rejects_a_table_of_another_length(u22, length):
     # u22 has 8 graded cells; a short table raised IndexError
     table = interior_from_topology(discrete(u22)).table
-    i = InteriorOp(universe=u22, table=(table * 2)[:length])
     with pytest.raises(PreconditionViolated,
                        match=f"^table has {length} sets for 8 graded cells$"):
-        check_interior(i)
+        check_interior(InteriorOp(universe=u22, table=(table * 2)[:length]))
 
 
 def test_check_nbhd_rejects_a_system_of_another_shape(u22):
@@ -78,11 +76,10 @@ def test_topology_tables_reject_grades_outside_the_lattice(u22, grade):
     # raised IndexError
     table = [u22.lattice.top] * u22.n_sets
     table[1] = grade
-    t = Topology(universe=u22, table=tuple(table))
     message = f"^table entry 1 is {grade}, outside 0..1$"
     for check in (check_topology, interior_from_topology):
         with pytest.raises(PreconditionViolated, match=message):
-            check(t)
+            check(Topology(universe=u22, table=tuple(table)))
 
 
 @pytest.mark.parametrize("value", [-1, 4])
