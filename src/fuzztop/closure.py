@@ -5,7 +5,9 @@ is the set of fixpoints of a closure operator on L-valued tables: a table is
 raised to the least one closed under a unary transport rule and pairwise
 rules (`close`).  Every rule's operation has bot as its zero, so a fresh
 table is swept from its live cells, those not at bot, in value order: on a
-chain with an integral tensor each pair of live cells fires once per rule.
+chain with an integral tensor each pair of live cells fires at most once
+per rule, and the sweep stops once the pairwise rules bring every cell to
+top.
 Such a family is enumerated depth-first from its least table
 (`enumerate_closed`), which takes the family as `close` does: its pairwise
 rules, its unary rule `above` and the cells `stop` no member raises.  A
@@ -30,12 +32,13 @@ def close(table, lattice, rules, dirty=None, above=None, stop=()):
     The unary rule, when `above` is given, is table[k] >= table[x] for k in
     above[x].  Each binary rule `(target, op)` is table[target[x][y]] >=
     op[table[x]][table[y]].  Every `op` and `target` must be symmetric, so a
-    rule fires once per unordered pair of cells, and every `op` must have
-    bot as its zero, so a cell at bot raises nothing.  Both hold for every
-    `Universe`: its residuum check rejects a non-commutative tensor (with
-    c = b (*) a, a <= res(b, c) gives a (*) b <= b (*) a by the adjunction,
-    and the converse by symmetry), bot <= res(a, c) gives bot (*) a <= c
-    for every c, the meet has both, and the pointwise tables inherit them.
+    rule fires at most once per unordered pair of cells, and every `op`
+    must have bot as its zero, so a cell at bot raises nothing.  Both hold
+    for every `Universe`: its residuum check rejects a non-commutative
+    tensor (with c = b (*) a, a <= res(b, c) gives a (*) b <= b (*) a by
+    the adjunction, and the converse by symmetry), bot <= res(a, c) gives
+    bot (*) a <= c for every c, the meet has both, and the pointwise tables
+    inherit them.
 
     `dirty` lists the cells raised since the table was last closed; each is
     visited again, paired with every cell as the table stands, as is each
@@ -48,9 +51,17 @@ def close(table, lattice, rules, dirty=None, above=None, stop=()):
     it is dirty.  This is Knuth's generalization of Dijkstra's algorithm to
     superior functions, read upside down: an integral tensor and the meet
     never exceed their smaller argument, so on a chain no visit raises a
-    cell visited before it, and each rule fires once per unordered pair of
-    live cells.  Returns False as soon as a
-    cell in `stop` is raised, leaving the table half closed; otherwise
+    cell visited before it, and each rule fires at most once per unordered
+    pair of live cells.
+
+    The first sweep returns True as soon as every cell is at top, after the
+    `stop` checks of the visit that got it there: the all-top table is the
+    greatest, so it is a fixpoint of every rule.  It counts the cells at
+    top at the start and those a pairwise rule raises to top, a lower bound
+    on the cells at top, so the stop is sound; a raise by the unary rule is
+    not counted, so a closure that reaches top by `above` alone (a filter
+    closure from the graded bottom) runs to its end.  Returns False as soon
+    as a cell in `stop` is raised, leaving the table half closed; otherwise
     True.  Whether that happens does not depend on the order the rules
     fire: the least fixpoint is unique and the table only rises toward it.
     """
@@ -61,6 +72,8 @@ def close(table, lattice, rules, dirty=None, above=None, stop=()):
         for x, v in enumerate(table):
             buckets[rank[v]].append(x)
         seen = [False] * len(table)
+        top = lattice.top
+        tops = table.count(top)
         r = lattice.n - 1
         while r:  # rank 0 holds bot alone
             if not buckets[r]:
@@ -88,6 +101,7 @@ def close(table, lattice, rules, dirty=None, above=None, stop=()):
                     if w != t:
                         table[k] = w
                         raised.append(k)
+                        tops += w == top
             for k in raised:
                 if k in stop:
                     return False
@@ -97,6 +111,8 @@ def close(table, lattice, rules, dirty=None, above=None, stop=()):
                     s = rank[table[k]]
                     buckets[s].append(k)
                     r = max(r, s)
+            if tops == len(table):
+                return True  # the greatest table is a fixpoint of every rule
     while dirty:
         x = dirty.pop()
         v = table[x]

@@ -74,7 +74,7 @@ class Space:
 
     def __init__(self, universe, topology):
         if not isinstance(topology, Topology):
-            topology = Topology(universe=universe, table=tuple(topology))
+            topology = Topology(universe=universe, table=topology)
         if topology.universe is not universe:
             raise PreconditionViolated("topology is over another universe")
         self.universe = universe

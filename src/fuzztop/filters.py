@@ -52,7 +52,8 @@ class FilterTable:
 
     It is a filter when it passes `check_filter`, but any table of one
     grade of L per graded cell may be wrapped: the table is checked here
-    (`require_index`), so no verdict reads an unchecked one.  `closure`,
+    (`require_index`), so no verdict reads an unchecked one, and kept as a
+    tuple, so a list table makes a record equal to the tuple one.  `closure`,
     `characterization`, `code` and `maximal` are computed on first use and
     kept on the object; they are not fields, so equality and hashing see
     only the table.  Nor is `maximal_above`: `enumerate_filters` sets it on
@@ -70,6 +71,8 @@ class FilterTable:
     def __post_init__(self):
         u = self.universe
         require_index(self.table, u.n, GRADES_OF_CELLS, u.graded_size)
+        if type(self.table) is not tuple:
+            object.__setattr__(self, "table", tuple(self.table))
 
     @cached_property
     def closure(self):
@@ -294,8 +297,8 @@ def saturate(universe, seed):
     Forces the top row to top, then raises the table to its least fixpoint
     under monotonicity in the graded order and the tensor rule
     F(f tensor g, a join b) >= F(f, a) tensor F(g, b), one `closure.close`
-    sweep.  The tensor rule fires once per unordered pair of cells not at
-    bot, visited in value order (see `closure.close`).  Returns the
+    sweep.  The tensor rule fires at most once per unordered pair of cells
+    not at bot, visited in value order (see `closure.close`).  Returns the
     FilterTable if the empty-set row stayed at bot, otherwise NoFilterAbove
     with the full fixpoint.  Raises PreconditionViolated unless the seed
     has one grade of L per graded cell.

@@ -19,7 +19,7 @@ from itertools import chain, compress
 
 from .errors import (Degenerate, NotALattice, NotAPartialOrder,
                      PreconditionViolated, are_indices, require_index,
-                     require_int, require_sequence)
+                     require_int, require_sequence, trusted)
 from .report import Report
 
 
@@ -69,7 +69,8 @@ class Lattice:
         two elements; a is sorted by down-set bitmask, as a strict subset
         is a smaller int.  Reversed, each pair swapped, they are the cover
         pairs of the reversed order in a linear extension of it; not a
-        field."""
+        field.  `build_lattice` seeds them from its given pairs, so only a
+        lattice from `lattice_from_order` tests every pair here."""
         ups, downs = self.up_masks, self.down_masks
         return tuple([(c, a) for a in sorted(self.elements(),
                                              key=downs.__getitem__)
@@ -143,7 +144,7 @@ def _bounds(ups):
     return tuple(tuple([by_up.get(up & u) for u in ups]) for up in ups)
 
 
-def _from_upsets(leq, ups):
+def _from_upsets(leq, ups, pairs=None):
     """The Lattice of a reflexive, transitive relation given as boolean
     rows (tuples) and as per-element up-set bitmasks.  NotAPartialOrder
     names the first element sharing its up-set with a later one
@@ -151,7 +152,13 @@ def _from_upsets(leq, ups):
     least member u iff they are up(u), so each join is one lookup by
     up-set, and each meet that lookup on the reversed order; NotALattice
     names the first pair, in index order and join before meet, without its
-    bound."""
+    bound.
+
+    `pairs`, when given, are (lower, upper) pairs whose closure is the
+    relation.  Every cover c < a of the closure is one of them, as an
+    element between c and a would break the chain of pairs from c to a
+    in two, so `Lattice.cover_pairs` is seeded from the pairs alone: the
+    distinct ones whose interval has two elements, in its order."""
     n = len(ups)
     if len(set(ups)) < n:
         a = next(a for a, up in enumerate(ups) if ups.count(up) > 1)
@@ -170,8 +177,15 @@ def _from_upsets(leq, ups):
     top = bot = 0
     for e in range(n):
         top, bot = join[top][e], meet[bot][e]
-    return Lattice(n=n, leq=leq, join=join, meet=meet, top=top, bot=bot,
-                   up_masks=tuple(ups), down_masks=tuple(downs))
+    seed = {}
+    if pairs is not None:
+        seed["cover_pairs"] = tuple(sorted(
+            {(c, a) for c, a in pairs
+             if (ups[c] & downs[a]).bit_count() == 2},
+            key=lambda pair: (downs[pair[1]], pair[0])))
+    return trusted(Lattice, n=n, leq=leq, join=join, meet=meet, top=top,
+                   bot=bot, up_masks=tuple(ups), down_masks=tuple(downs),
+                   **seed)
 
 
 def require_carrier(n):
@@ -247,11 +261,11 @@ def build_lattice(n, leq_pairs):
     The order is the reflexive-transitive closure of the pairs, closed on
     up-set bitmasks, which are handed to `_from_upsets` with the rows read
     off them: the closure is reflexive and transitive, so only antisymmetry
-    is checked.  Raises PreconditionViolated for a size or a pair entry
-    that is not an int (`require_carrier`, `_require_pairs`), Degenerate
-    for n < 2, NotAPartialOrder for a pair outside the carrier or a closure
-    that violates antisymmetry, and NotALattice if some pair lacks a lub or
-    glb.
+    is checked, and the lattice's `cover_pairs` are picked from the given
+    pairs.  Raises PreconditionViolated for a size or a pair entry that is
+    not an int (`require_carrier`, `_require_pairs`), Degenerate for n < 2,
+    NotAPartialOrder for a pair outside the carrier or a closure that
+    violates antisymmetry, and NotALattice if some pair lacks a lub or glb.
     """
     require_carrier(n)
     _require_pairs(leq_pairs, n)
@@ -264,7 +278,7 @@ def build_lattice(n, leq_pairs):
             if ups[a] & bit:
                 ups[a] |= up_k
     return _from_upsets(tuple([tuple([up >> b & 1 == 1 for b in range(n)])
-                               for up in ups]), ups)
+                               for up in ups]), ups, leq_pairs)
 
 
 def check_infinite_distributivity(lat):

@@ -3,9 +3,9 @@
 A topology is a total grade table over the enumerated powerset.  The least
 topology above a seed is the least fixpoint of the pairwise tensor and join
 rules under `closure.close`, which visits the sets not graded bot in value
-order, so on a chain with an integral tensor each rule fires once per
-unordered pair of them (every `Universe` tensor commutes and has bot as its
-zero); topologies are closed under pointwise meet, so they are enumerated
+order, so on a chain with an integral tensor each rule fires at most once
+per unordered pair of them (every `Universe` tensor commutes and has bot as
+its zero); topologies are closed under pointwise meet, so they are enumerated
 as that closure system from its least member (see `closure`).  The interior operator derived from a topology, and the
 per-point neighborhood system derived from that, are materialized as full
 tables, once per `Topology`, and validated by exhaustive axiom sweeps,
@@ -44,8 +44,11 @@ DEFAULT_TOPOLOGY_CAP = 40_000
 class Topology:
     """A grade table over the powerset, one grade of L per set, checked
     here: PreconditionViolated names the length or the first bad entry.
-    `interior` and `nbhd` are kept on first use; not being fields, they
-    take no part in equality or hashing."""
+    The table is kept as a tuple, converted here when it is not one, as
+    for every record of a table, so records compare and hash by value
+    whatever container held the table.  `interior` and `nbhd` are kept on
+    first use; not being fields, they take no part in equality or
+    hashing."""
 
     universe: object
     table: tuple  # grade per set index
@@ -53,6 +56,8 @@ class Topology:
     def __post_init__(self):
         u = self.universe
         require_index(self.table, u.n, GRADES_OF_SETS, u.n_sets)
+        if type(self.table) is not tuple:
+            object.__setattr__(self, "table", tuple(self.table))
 
     @cached_property
     def interior(self):
@@ -65,7 +70,8 @@ class Topology:
 
 @dataclass(frozen=True)
 class InteriorOp:
-    """A table of one set index per graded cell, checked here."""
+    """A table of one set index per graded cell, checked here and kept
+    as a tuple."""
 
     universe: object
     table: tuple  # set index per graded cell
@@ -73,6 +79,8 @@ class InteriorOp:
     def __post_init__(self):
         u = self.universe
         require_index(self.table, u.n_sets, SETS_OF_CELLS, u.graded_size)
+        if type(self.table) is not tuple:
+            object.__setattr__(self, "table", tuple(self.table))
 
     def app(self, si, a):
         return self.table[self.universe.gidx(si, a)]
@@ -81,7 +89,7 @@ class InteriorOp:
 @dataclass(frozen=True)
 class NbhdSystem:
     """One table per point, each of one grade of L per graded cell,
-    checked here."""
+    checked here and kept as a tuple of tuples."""
 
     universe: object
     tables: tuple  # per point: grade per graded cell
@@ -92,6 +100,9 @@ class NbhdSystem:
         for p, tab in enumerate(tables):
             require_index(tab, u.n, (f"table of point {p}", "grades",
                                      "graded cells"), u.graded_size)
+        if not (type(tables) is tuple
+                and {tuple}.issuperset(map(type, tables))):
+            object.__setattr__(self, "tables", tuple(map(tuple, tables)))
 
     def at(self, p, si, a):
         return self.tables[p][self.universe.gidx(si, a)]
@@ -169,8 +180,9 @@ def generate_topology(universe, seed):
 
     Forces the top and bottom sets to grade top, then raises the table to
     the least fixpoint of the tensor and join rules, one `closure.close`
-    sweep.  Each rule fires once per unordered pair of sets not graded bot,
-    visited in value order (see `closure.close`).  Raises
+    sweep.  Each rule fires at most once per unordered pair of sets not
+    graded bot, visited in value order, and the sweep stops once every set
+    is graded top (see `closure.close`).  Raises
     PreconditionViolated unless the seed has one grade of L per set.
     """
     u = universe

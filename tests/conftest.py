@@ -146,6 +146,35 @@ def graded_leq():
     return _graded_leq
 
 
+def _gimpl_sup(u, gi, gj):
+    si, a = divmod(gi, u.n)
+    sj, b = divmod(gj, u.n)
+    lat, cot = u.lattice, u.cotensor
+    set_acc = u.zero_idx
+    for hi, row in enumerate(u.pw_tensor):
+        if u.pw_leq[row[si]][sj]:
+            set_acc = u.pw_join[set_acc][hi]
+    grade = lat.meet_set(e for e in lat.elements()
+                         if lat.le(b, cot.app(e, a)))
+    return u.gidx(set_acc, grade)
+
+
+@pytest.fixture(scope="session")
+def gimpl_sup():
+    """Oracle: graded residuation by its sup-form definition, one cell pair
+    at a time, for checking `Universe.gimpl` and the sup-form table of
+    `check_graded_gl`; called as gimpl_sup(u, gi, gj).
+
+    The join, in the graded order, of all (h, e) with h tensor f <= g and
+    b <= e cotensor a; the graded join is (pointwise join, lattice meet).
+    The pairs are a product of a set of sets and a set of grades, so the
+    join is (join of the sets, meet of the grades) when neither is empty,
+    and neither is: the empty set is among the sets, as bot is the
+    tensor's zero, and top among the grades, as the co-implication's
+    adjunction forces top cotensor a = top."""
+    return _gimpl_sup
+
+
 def _fold_tensor(lat, tensor, values):
     out = lat.top
     for v in values:

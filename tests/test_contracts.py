@@ -75,6 +75,17 @@ def bad_tables(table, bound):
         yield case, table[:1] + (value,) + table[2:]
 
 
+def record_tables(table, bound):
+    """`bad_tables`, each again as a list, and two tables that are no
+    sequence, for a record of a table, which takes a list and keeps it as
+    a tuple."""
+    for case, t in bad_tables(table, bound):
+        yield case, t
+        yield f"list-{case}", list(t)
+    yield "not-a-sequence", 5
+    yield "no-table", None
+
+
 def tagged(tag, cases):
     return [(f"{tag}-{case}", call) for case, call in cases]
 
@@ -183,7 +194,7 @@ contract("enumerate_topologies")(lambda k: cap_cases(
 
 def topology_cases(k, call):
     """`call` of a Topology over u22 made of each bad table."""
-    for case, t in bad_tables(k.T.table, 2):
+    for case, t in record_tables(k.T.table, 2):
         yield case, lambda t=t: call(Topology(universe=k.u22, table=t))
 
 
@@ -218,13 +229,13 @@ def _(k):
 @contract("Space")
 def _(k):
     yield from topology_cases(k, lambda t: fz.Space(k.u22, t))
-    for case, t in bad_tables(k.T.table, 2):
+    for case, t in record_tables(k.T.table, 2):
         yield f"raw-{case}", partial(fz.Space, k.u22, t)
     yield "other-universe", partial(fz.Space, k.u22, k.space21.topology)
 
 
 def interior_cases(k, call):
-    for case, t in bad_tables(k.T.interior.table, k.u22.n_sets):
+    for case, t in record_tables(k.T.interior.table, k.u22.n_sets):
         yield case, lambda t=t: call(InteriorOp(universe=k.u22, table=t))
 
 
@@ -240,9 +251,11 @@ def nbhd_cases(k, call, formula=None):
     formula = k.T.nbhd if formula is None else formula
     u, tables = formula.universe, formula.tables
     cases = [("system-short", tables[:1]),
-             ("system-long", tables + tables[:1])]
+             ("system-long", tables + tables[:1]),
+             ("system-list-short", list(tables[:1])),
+             ("system-not-a-sequence", 5), ("no-system", None)]
     cases += [(f"point-1-{case}", (tables[0], t))
-              for case, t in bad_tables(tables[1], 2)]
+              for case, t in record_tables(tables[1], 2)]
     for case, t in cases:
         yield case, lambda t=t: call(NbhdSystem(universe=u, tables=t))
 
@@ -273,7 +286,7 @@ def filter_cases(k, call, universe=None, valid=None):
     """`call` of a FilterTable made of each bad table: over u22, or over
     `universe` from its filter `valid`."""
     u, valid = (k.u22, k.F) if universe is None else (universe, valid)
-    for case, t in bad_tables(valid.table, u.n):
+    for case, t in record_tables(valid.table, u.n):
         yield case, lambda t=t: call(FilterTable(universe=u, table=t))
 
 
@@ -448,6 +461,24 @@ def test_malformed_input_is_a_broken_precondition(name, kit):
     assert outcomes
     assert [(case, got) for case, got in outcomes
             if got != "PreconditionViolated"] == []
+
+
+def test_a_record_keeps_a_list_table_as_a_tuple(kit):
+    # before, a list table was kept as given: the record was unhashable and
+    # unequal to the record of the same tuple
+    T, F = kit.T, kit.F
+    nb = T.nbhd
+    for record, twin in [
+            (Topology(kit.u22, list(T.table)), T),
+            (InteriorOp(kit.u22, list(T.interior.table)), T.interior),
+            (NbhdSystem(kit.u22, [list(tab) for tab in nb.tables]), nb),
+            (NbhdSystem(kit.u22, list(nb.tables)), nb),
+            (FilterTable(kit.u22, list(F.table)), F)]:
+        assert record == twin and hash(record) == hash(twin)
+    assert {type(tab) for tab in
+            NbhdSystem(kit.u22, [list(tab) for tab in nb.tables]).tables} \
+        == {tuple}
+    assert fz.Space(kit.u22, list(T.table)).topology == T
 
 
 def exports():

@@ -3,11 +3,12 @@ lattice bounds looked up by up-set against the search of every pair's upper
 bounds for the least one, `build_lattice` from its closure's up-sets
 against `lattice_from_order` of the closure's rows, `graded_above` as a
 product of up-sets against the comprehension over `pw_leq`, N4 decided
-without candidates against the per-point `all(...)` sweep of them, and the
+without candidates against the per-point `all(...)` sweep of them, the
 join-irreducibles read off the lower covers against the join of each
-element's strict down-set.  Also that the pointwise order is built only
-when something reads it, and `graded_above` not for a neighbourhood
-check."""
+element's strict down-set, and the cover pairs `build_lattice` picks out
+of its pairs against the scan of every pair of elements.  Also that the
+pointwise order is built only when something reads it, and
+`graded_above` not for a neighbourhood check."""
 
 import random
 
@@ -93,6 +94,34 @@ ORDERS = {name: (lat.n, [(c, a) for a, covers in enumerate(
               covers_by_definition(lat)) for c in covers])
           for name, lat in ((name, make()) for name, make in
                             models.LATTICES.items())}
+
+
+def cover_pairs_by_scan(lat):
+    """Oracle: `Lattice.cover_pairs` by the scan of every pair (c, a), a
+    cover when the interval up(c) & down(a) has two elements, a sorted by
+    down-set bitmask and c in index order."""
+    ups, downs = lat.up_masks, lat.down_masks
+    return tuple((c, a) for a in sorted(lat.elements(), key=downs.__getitem__)
+                 for c, up in enumerate(ups)
+                 if (up & downs[a]).bit_count() == 2)
+
+
+@pytest.mark.parametrize("name", sorted(ORDERS))
+def test_seeded_cover_pairs_match_the_scan_of_every_pair(name):
+    # `build_lattice` picks the covers out of its pairs: given the covers,
+    # the whole order (reflexive pairs too), or both shuffled with repeats
+    n, covers = ORDERS[name]
+    made = models.LATTICES[name]()
+    relation = [(c, a) for c in range(n) for a in range(n) if made.le(c, a)]
+    mixed = covers + relation + covers
+    random.Random(name).shuffle(mixed)
+    for lat in (made, *(build_lattice(n, pairs)
+                        for pairs in (covers, relation, mixed))):
+        assert "cover_pairs" in vars(lat)  # seeded, not yet scanned
+        assert lat.cover_pairs == cover_pairs_by_scan(lat)
+    scanned = lattice_from_order(made.leq)
+    assert "cover_pairs" not in vars(scanned)
+    assert scanned.cover_pairs == made.cover_pairs
 
 
 def join_irreducibles_by_sweep(lat):

@@ -3,17 +3,20 @@ sweeps they replaced: the interior by lower covers against the join over
 every subset, the covers of the graded order against `graded_above`, the
 stability laws o2, FF2, I2 and N2 on unordered pairs of non-bottom cells
 against every ordered pair, the ultrafilter characterization by table
-lookups against its per-cell definition, and the element batteries and I6,
+lookups against its per-cell definition, the element batteries and I6,
 on covers and incomparable pairs, against their sweeps of every pair,
-triple and quadruple."""
+triple and quadruple, and the graded GL battery's residuation laws, on
+pairs of cells, against the sweeps of every triple and `gimpl_sup`."""
 
 import itertools
 import random
 
 import pytest
 
+from fuzztop.errors import trusted
 from fuzztop.filters import FilterTable, check_filter, enumerate_filters
 from fuzztop.lattice import build_lattice, check_infinite_distributivity
+from fuzztop.powerset import _sup_form, check_graded_gl
 from fuzztop.report import Report
 from fuzztop.residuated import (Tensor, check_co_gl_monoid, check_cqm,
                                 check_gl_monoid)
@@ -495,6 +498,135 @@ def test_i6_on_incomparable_pairs_names_the_full_sweeps_first_witness(
             seen.add(want["status"])
     # on a chain every pair of grades is comparable, so I6 cannot fail
     assert seen == ({"pass", "fail"} if lat.incomparable else {"pass"})
+
+
+# ---- the graded GL battery on pairs ----------------------------------------
+
+#: the tiny models with at most 30 graded cells, where a sweep of every
+#: triple of cells takes under 0.1 s
+GRADED = [name for name in models.names("tiny")
+          if models.build(name).graded_size <= 30]
+
+
+def graded_gl_by_triples(u, gimpl_sup):
+    """Oracle: the residuation verdicts of `check_graded_gl` by the sweeps
+    they replaced, as (status, witness) per law: the closed form against
+    `gimpl_sup` on every pair of cells, and the adjunction and the two
+    exchange laws on every triple, the closed form read cell by cell
+    (`Universe.gimpl`)."""
+    cells, box = u.graded_cells(), u.box_table
+    le = u.graded_lattice().leq
+    impl = [[u.gimpl(i, j) for j in cells] for i in cells]
+    triples = list(itertools.product(cells, repeat=3))
+    sweeps = {
+        "impl_closed_vs_sup": ((i, j) for i in cells for j in cells
+                               if impl[i][j] != gimpl_sup(u, i, j)),
+        "adjunction": ((a, b, c) for a, b, c in triples
+                       if le[box[a][b]][c] != le[a][impl[b][c]]),
+        "tensor_impl_exchange": (
+            (a, b, c) for a, b, c in triples
+            if not le[box[a][impl[b][c]]][impl[b][box[a][c]]])}
+    if all(u.tensor.app(x, x) == x for x in u.lattice.elements()):
+        sweeps["impl_product_exchange"] = (
+            (a, b, c) for a, b, c in triples
+            if not le[box[impl[b][a]][impl[b][c]]][impl[b][box[a][c]]])
+    return {law: ("pass", None) if w is None else ("fail", w)
+            for law, w in ((law, first(sweep))
+                           for law, sweep in sweeps.items())}
+
+
+def graded_gl_verdicts(u, laws):
+    report = check_graded_gl(u)
+    return {law: (report.verdicts[law].status, report.verdicts[law].witness)
+            for law in laws}
+
+
+@pytest.mark.parametrize("name", GRADED)
+def test_graded_gl_names_the_triple_sweeps_first_witness(name, gimpl_sup):
+    u = models.build(name)
+    want = graded_gl_by_triples(u, gimpl_sup)
+    assert graded_gl_verdicts(u, want) == want
+    if "impl_product_exchange" not in want:
+        assert check_graded_gl(u).verdicts[
+            "impl_product_exchange"].status == "skipped"
+
+
+@pytest.mark.parametrize("name", GRADED)
+def test_lifted_sup_form_is_gimpl_sup(name, gimpl_sup):
+    u = models.build(name)
+    cells = u.graded_cells()
+    assert _sup_form(u) == tuple(tuple(gimpl_sup(u, i, j) for j in cells)
+                                 for i in cells)
+
+
+def with_tensor(u, table):
+    """`u` with its tensor replaced by `table`, unchecked, and its residuum
+    recomputed by the sup form, join{x | x (*) a <= c}."""
+    lat = u.lattice
+    els = lat.elements()
+    table = tuple(map(tuple, table))
+    u.tensor = trusted(Tensor, base=lat, table=table)
+    u.pw_tensor = u._pointwise(table)
+    u.res = trusted(Tensor, base=lat, table=tuple(
+        tuple(lat.join_set(x for x in els if lat.le(table[x][a], c))
+              for c in els) for a in els))
+    return u
+
+
+def mutant_universe(name, which, rng):
+    """A fresh universe of `name` with one entry of its residuum or
+    co-implication changed, or one entry of its tensor off bot, so that
+    bot stays its zero, or that entry and its mirror (`with_tensor`): a
+    tensor that is not commutative, associative or isotone can break the
+    premises of the lemmas while the adjunction holds."""
+    u = models.build(name)
+    lat = u.lattice
+    table = [list(row) for row in getattr(u, which).table]
+    cells = [x for x in lat.elements() if which != "tensor" or x != lat.bot]
+    a, b, v = rng.choice(cells), rng.choice(cells), rng.randrange(lat.n)
+    table[a][b] = v
+    if which == "tensor":
+        if rng.random() < 0.5:
+            table[b][a] = v
+        return with_tensor(u, table)
+    setattr(u, which, trusted(Tensor, base=lat,
+                              table=tuple(map(tuple, table))))
+    return u
+
+
+def test_graded_gl_on_mutant_universes_names_the_sweeps_first_witness(
+        gimpl_sup):
+    # each law falls back to its sweep when a premise fails, and each both
+    # passes and fails.  Where the adjunction holds, tensor_impl_exchange
+    # fails on a tensor that is not associative, and on the diamond on an
+    # associative one that does not commute, its rows 0 and 1 bot and rows
+    # 2 and 3 (0, 1, 2, 2): it is isotone in its first argument only, and
+    # commutativity is what makes boxtimes isotone in its second
+    rng, seen = random.Random(31), set()
+    universes = [(name, which, mutant_universe(name, which, rng))
+                 for name in ("u21", "u22", "u31_godel", "u31_luk",
+                              "u32_godel", "diamond_1pt", "chain4_godel_1pt")
+                 for which in ("res", "coimpl", "tensor", "tensor") * 6]
+    universes.append(("diamond_1pt", "tensor", with_tensor(
+        models.build("diamond_1pt"),
+        [(0, 0, 0, 0), (0, 0, 0, 0), (0, 1, 2, 2), (0, 1, 2, 2)])))
+    for name, which, u in universes:
+        want = graded_gl_by_triples(u, gimpl_sup)
+        report = check_graded_gl(u)
+        assert graded_gl_verdicts(u, want) == want, (name, which)
+        statuses = {law: v.status for law, v in report.verdicts.items()}
+        seen.update(statuses.items())
+        if statuses["adjunction"] == "pass" \
+                and statuses["tensor_impl_exchange"] == "fail":
+            seen.add(("exchange fails without", *sorted(
+                law for law in ("commutative", "associative")
+                if statuses[law] == "fail")))
+    assert seen >= {(law, status) for law in (
+        "impl_closed_vs_sup", "adjunction", "tensor_impl_exchange",
+        "impl_product_exchange", "isotone", "commutative", "associative")
+        for status in ("pass", "fail")}
+    assert {("exchange fails without", "commutative"),
+            ("exchange fails without", "associative")} <= seen
 
 
 # ---- N4 without candidate lists --------------------------------------------
