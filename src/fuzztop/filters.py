@@ -71,8 +71,7 @@ class FilterTable:
     def __post_init__(self):
         u = self.universe
         require_index(self.table, u.n, GRADES_OF_CELLS, u.graded_size)
-        if type(self.table) is not tuple:
-            object.__setattr__(self, "table", tuple(self.table))
+        object.__setattr__(self, "table", tuple(self.table))
 
     @cached_property
     def closure(self):

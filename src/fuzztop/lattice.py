@@ -25,10 +25,19 @@ from .report import Report
 
 @dataclass(frozen=True)
 class Lattice:
-    """A finite lattice with precomputed order and join/meet tables, and
-    per element the int bitmasks of its up-set and down-set, which the
-    constructors hold already; the masks are read off the order, so they
-    take no part in equality or hashing."""
+    """A finite lattice with precomputed order and join/meet tables, per
+    element the int bitmasks of its up-set and down-set, which the
+    constructors hold already, and its cover pairs, which they pick out of
+    the pairs they are given; the masks and the covers are read off the
+    order, so they take no part in equality or hashing.
+
+    `cover_pairs` are the pairs (c, a), c a lower cover of a, with a in a
+    linear extension of the order and c in index order, so a pair comes
+    after every pair whose upper element lies below its own.  c covers a
+    iff the interval [c, a], up(c) & down(a) on the bitmasks, has exactly
+    two elements; a is sorted by down-set bitmask, as a strict subset is a
+    smaller int.  Reversed, each pair swapped, they are the cover pairs of
+    the reversed order in a linear extension of it."""
 
     n: int
     leq: tuple          # n x n booleans
@@ -38,6 +47,7 @@ class Lattice:
     bot: int
     up_masks: tuple = field(compare=False, repr=False)    # bit b: a <= b
     down_masks: tuple = field(compare=False, repr=False)  # bit b: b <= a
+    cover_pairs: tuple = field(compare=False, repr=False)  # (c, a), c < a
 
     def elements(self):
         return range(self.n)
@@ -59,23 +69,6 @@ class Lattice:
         for c, a in self.cover_pairs:
             below[a].append(c)
         return tuple(map(tuple, below))
-
-    @cached_property
-    def cover_pairs(self):
-        """The pairs (c, a), c a lower cover of a, with a in a linear
-        extension of the order and c in index order, so a pair comes after
-        every pair whose upper element lies below its own.  c covers a iff
-        the interval [c, a], up(c) & down(a) on the bitmasks, has exactly
-        two elements; a is sorted by down-set bitmask, as a strict subset
-        is a smaller int.  Reversed, each pair swapped, they are the cover
-        pairs of the reversed order in a linear extension of it; not a
-        field.  `build_lattice` seeds them from its given pairs, so only a
-        lattice from `lattice_from_order` tests every pair here."""
-        ups, downs = self.up_masks, self.down_masks
-        return tuple([(c, a) for a in sorted(self.elements(),
-                                             key=downs.__getitem__)
-                      for c, up in enumerate(ups)
-                      if (up & downs[a]).bit_count() == 2])
 
     @cached_property
     def incomparable(self):
@@ -144,7 +137,7 @@ def _bounds(ups):
     return tuple(tuple([by_up.get(up & u) for u in ups]) for up in ups)
 
 
-def _from_upsets(leq, ups, pairs=None):
+def _from_upsets(leq, ups, pairs):
     """The Lattice of a reflexive, transitive relation given as boolean
     rows (tuples) and as per-element up-set bitmasks.  NotAPartialOrder
     names the first element sharing its up-set with a later one
@@ -154,10 +147,10 @@ def _from_upsets(leq, ups, pairs=None):
     names the first pair, in index order and join before meet, without its
     bound.
 
-    `pairs`, when given, are (lower, upper) pairs whose closure is the
-    relation.  Every cover c < a of the closure is one of them, as an
-    element between c and a would break the chain of pairs from c to a
-    in two, so `Lattice.cover_pairs` is seeded from the pairs alone: the
+    `pairs` are (lower, upper) pairs whose reflexive-transitive closure is
+    the relation.  Every cover c < a of the closure is one of them, as an
+    element between c and a would break the chain of pairs from c to a in
+    two, so `Lattice.cover_pairs` are picked from the pairs alone: the
     distinct ones whose interval has two elements, in its order."""
     n = len(ups)
     if len(set(ups)) < n:
@@ -177,15 +170,12 @@ def _from_upsets(leq, ups, pairs=None):
     top = bot = 0
     for e in range(n):
         top, bot = join[top][e], meet[bot][e]
-    seed = {}
-    if pairs is not None:
-        seed["cover_pairs"] = tuple(sorted(
-            {(c, a) for c, a in pairs
-             if (ups[c] & downs[a]).bit_count() == 2},
-            key=lambda pair: (downs[pair[1]], pair[0])))
+    covers = tuple(sorted({(c, a) for c, a in pairs
+                           if (ups[c] & downs[a]).bit_count() == 2},
+                          key=lambda pair: (downs[pair[1]], pair[0])))
     return trusted(Lattice, n=n, leq=leq, join=join, meet=meet, top=top,
                    bot=bot, up_masks=tuple(ups), down_masks=tuple(downs),
-                   **seed)
+                   cover_pairs=covers)
 
 
 def require_carrier(n):
@@ -201,7 +191,8 @@ def lattice_from_order(leq):
     checked on up-set bitmasks to be a partial order: each up-set holds its
     element (reflexivity) and the up-sets of its members (transitivity);
     NotAPartialOrder names the first failure.  `_from_upsets` checks
-    antisymmetry and looks the bounds up.
+    antisymmetry, looks the bounds up and picks the covers out of the
+    pairs of the relation.
 
     The rows are checked first, by one scan of the types of their entries
     when they are n tuples or lists of n; PreconditionViolated names the
@@ -220,7 +211,7 @@ def lattice_from_order(leq):
                 if type(v) is not bool:
                     raise PreconditionViolated(f"{what} entry {b} is {v!r}, "
                                                "not a bool")
-    ups = _upsets(leq)
+    ups, pairs = _upsets(leq), []
     for a, up in enumerate(ups):
         if not up >> a & 1:
             raise NotAPartialOrder(f"reflexivity fails on {a}")
@@ -229,7 +220,8 @@ def lattice_from_order(leq):
             if missing:
                 c = (missing & -missing).bit_length() - 1
                 raise NotAPartialOrder(f"transitivity fails on {a},{b},{c}")
-    return _from_upsets(tuple(tuple(row) for row in leq), ups)
+            pairs.append((a, b))
+    return _from_upsets(tuple(tuple(row) for row in leq), ups, pairs)
 
 
 def _require_pairs(pairs, n):

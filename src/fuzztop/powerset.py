@@ -372,29 +372,28 @@ def check_graded_gl(universe):
     of every triple of cells runs only when a premise fails, so every
     verdict names the same first witness as that sweep.
     """
-    u = universe
     report = Report("graded_gl")
-    glat = u.graded_lattice()
-    cells = u.graded_cells()
-    box = u.box_table
+    glat = universe.graded_lattice()
+    cells = universe.graded_cells()
+    box = universe.box_table
     gl = check_gl_monoid(trusted(Tensor, base=glat, table=box))
     report.verdicts.update(gl.verdicts)
 
-    report.record("top_is_one_bot", glat.top == u.graded_top,
-                  (glat.top, u.graded_top))
-    report.record("bot_is_zero_top", glat.bot == u.graded_bot,
-                  (glat.bot, u.graded_bot))
+    report.record("top_is_one_bot", glat.top == universe.graded_top,
+                  (glat.top, universe.graded_top))
+    report.record("bot_is_zero_top", glat.bot == universe.graded_bot,
+                  (glat.bot, universe.graded_bot))
 
     # componentwise joins/meets agree with the order-theoretic ones
     report.sweep("componentwise_bounds", (
         (i, j) for i in cells for j in cells
-        if u.graded_join([i, j]) != glat.join2(i, j)
-        or u.graded_meet([i, j]) != glat.meet2(i, j)))
+        if universe.graded_join([i, j]) != glat.join2(i, j)
+        or universe.graded_meet([i, j]) != glat.meet2(i, j)))
 
     # (f -> g, b coimpl a): a residuum digit per point, then the grade
-    impl = reduce(_prepend_digit, [u.res.table] * u.ground.m,
-                  tuple(zip(*u.coimpl.table)))
-    sup = _sup_form(u)
+    impl = reduce(_prepend_digit, [universe.res.table] * universe.ground.m,
+                  tuple(zip(*universe.coimpl.table)))
+    sup = _sup_form(universe)
     report.sweep("impl_closed_vs_sup", (
         (i, j) for i, row, want in zip(cells, impl, sup) if row != want
         for j in cells if row[j] != want[j]))
@@ -417,7 +416,8 @@ def check_graded_gl(universe):
         if not le[box[a][impl[b][c]]][impl[b][box[a][c]]]))
 
     # an idempotent tensor makes x.x = x on every cell, the lemma's premise
-    if all(u.tensor.app(x, x) == x for x in u.lattice.elements()):
+    lat = universe.lattice
+    if all(universe.tensor.app(x, x) == x for x in lat.elements()):
         report.sweep("impl_product_exchange", () if exchange else (
             (a, b, c) for a, b, c in itertools.product(cells, repeat=3)
             if not le[box[impl[b][a]][impl[b][c]]][impl[b][box[a][c]]]))

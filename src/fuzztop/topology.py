@@ -44,11 +44,10 @@ DEFAULT_TOPOLOGY_CAP = 40_000
 class Topology:
     """A grade table over the powerset, one grade of L per set, checked
     here: PreconditionViolated names the length or the first bad entry.
-    The table is kept as a tuple, converted here when it is not one, as
-    for every record of a table, so records compare and hash by value
-    whatever container held the table.  `interior` and `nbhd` are kept on
-    first use; not being fields, they take no part in equality or
-    hashing."""
+    The table is kept as a tuple, as in every record of a table, so
+    records compare and hash by value whatever container held the table.
+    `interior` and `nbhd` are kept on first use; not being fields, they
+    take no part in equality or hashing."""
 
     universe: object
     table: tuple  # grade per set index
@@ -56,8 +55,7 @@ class Topology:
     def __post_init__(self):
         u = self.universe
         require_index(self.table, u.n, GRADES_OF_SETS, u.n_sets)
-        if type(self.table) is not tuple:
-            object.__setattr__(self, "table", tuple(self.table))
+        object.__setattr__(self, "table", tuple(self.table))
 
     @cached_property
     def interior(self):
@@ -79,8 +77,7 @@ class InteriorOp:
     def __post_init__(self):
         u = self.universe
         require_index(self.table, u.n_sets, SETS_OF_CELLS, u.graded_size)
-        if type(self.table) is not tuple:
-            object.__setattr__(self, "table", tuple(self.table))
+        object.__setattr__(self, "table", tuple(self.table))
 
     def app(self, si, a):
         return self.table[self.universe.gidx(si, a)]
@@ -100,9 +97,7 @@ class NbhdSystem:
         for p, tab in enumerate(tables):
             require_index(tab, u.n, (f"table of point {p}", "grades",
                                      "graded cells"), u.graded_size)
-        if not (type(tables) is tuple
-                and {tuple}.issuperset(map(type, tables))):
-            object.__setattr__(self, "tables", tuple(map(tuple, tables)))
+        object.__setattr__(self, "tables", tuple(map(tuple, tables)))
 
     def at(self, p, si, a):
         return self.tables[p][self.universe.gidx(si, a)]
