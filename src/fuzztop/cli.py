@@ -66,8 +66,9 @@ def _parser():
     p.add_argument("--max-powerset", type=int, default=DEFAULT_POWERSET_CAP,
                    help="most fuzzy sets in a space's powerset")
     p.add_argument("--max-filters", type=int, default=DEFAULT_FILTER_CAP,
-                   help="most closures computed while enumerating "
-                        "filters, the least filter's included")
+                   help="most candidate closures met while enumerating "
+                        "filters, refuted ones and the least filter's "
+                        "included")
     sub = p.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("validate", help="run an axiom battery")

@@ -19,6 +19,16 @@ algorithms for fuzzy concept lattices: its canonicity test keeps each
 member's one canonical parent, so every member is closed once, and a
 closure that is not canonical stops at the first earlier cell it raises:
 its `stop` is the set of the cells before the added one and the family's.
+
+A rejected closure also leaves a witness, which the member's descendants
+inherit, as in FCbO (Outrata and Vychodil 2012).  Lemma: if cl(P v y) was
+rejected with the witness (k, w) and Q >= P is a member with w not below
+Q[k], then cl(Q v y) is rejected too.  Proof: w is the raised value of the
+stop cell k that `close` named, or an earlier join-irreducible that came
+below the added cell k; either way w <= cl(P v y)[k].  Closure is
+monotone, so P <= Q gives cl(P v y) <= cl(Q v y), and cl(Q v y)[k] >=
+Q[k] v w > Q[k]: it raises the same stop cell, or adds the same earlier
+attribute, and either rejects it.
 """
 
 from __future__ import annotations
@@ -54,16 +64,19 @@ def close(table, lattice, rules, dirty=None, above=None, stop=()):
     cell visited before it, and each rule fires at most once per unordered
     pair of live cells.
 
-    The first sweep returns True as soon as every cell is at top, after the
+    The first sweep returns as soon as every cell is at top, after the
     `stop` checks of the visit that got it there: the all-top table is the
     greatest, so it is a fixpoint of every rule.  It counts the cells at
     top at the start and those a pairwise rule raises to top, a lower bound
     on the cells at top, so the stop is sound; a raise by the unary rule is
     not counted, so a closure that reaches top by `above` alone (a filter
-    closure from the graded bottom) runs to its end.  Returns False as soon
-    as a cell in `stop` is raised, leaving the table half closed; otherwise
-    True.  Whether that happens does not depend on the order the rules
-    fire: the least fixpoint is unique and the table only rises toward it.
+    closure from the graded bottom) runs to its end.  Returns None once the
+    table is closed.  As soon as a cell in `stop` is raised, returns that
+    cell, the stop witness, leaving the table half closed with the cell at
+    its raised value, above its input and below its closed value; both
+    sweeps write the cell before they stop.  Whether a stop happens does
+    not depend on the order the rules fire: the least fixpoint is unique
+    and the table only rises toward it.
     """
     join = lattice.join
     if dirty is None:
@@ -104,7 +117,7 @@ def close(table, lattice, rules, dirty=None, above=None, stop=()):
                         tops += w == top
             for k in raised:
                 if k in stop:
-                    return False
+                    return k
                 if seen[k]:
                     dirty.append(k)
                 else:
@@ -112,7 +125,7 @@ def close(table, lattice, rules, dirty=None, above=None, stop=()):
                     buckets[s].append(k)
                     r = max(r, s)
             if tops == len(table):
-                return True  # the greatest table is a fixpoint of every rule
+                return None  # the greatest table is a fixpoint of every rule
     while dirty:
         x = dirty.pop()
         v = table[x]
@@ -120,20 +133,20 @@ def close(table, lattice, rules, dirty=None, above=None, stop=()):
             for k in above[x]:
                 w = join[table[k]][v]
                 if w != table[k]:
-                    if k in stop:
-                        return False
                     table[k] = w
+                    if k in stop:
+                        return k
                     dirty.append(k)
         for target, op in rules:
             op_v = op[v]
             for k, g in zip(target[x], table):
                 w = join[table[k]][op_v[g]]
                 if w != table[k]:
-                    if k in stop:
-                        return False
                     table[k] = w
+                    if k in stop:
+                        return k
                     dirty.append(k)
-    return True
+    return None
 
 
 def enumerate_closed(lattice, least, rules, cap, what, above=None, stop=()):
@@ -145,8 +158,9 @@ def enumerate_closed(lattice, least, rules, cap, what, above=None, stop=()):
     Feasibility is a down-set, so the closures above an infeasible table
     are never explored, and only the cells outside `stop` are raised.
     Raises PreconditionViolated unless `cap` is an int, and SizeLimit once
-    more than `cap` closures have been computed, counting the least
-    table's as the first, so a cap below 1 always refuses.
+    more than `cap` candidate closures have been met, counting the least
+    table's as the first and a refuted candidate (below) as one computed,
+    so a cap below 1 always refuses.
 
     A table holds the attribute (cell, j), for j join-irreducible, when
     j <= table[cell]; the attributes are ordered by cell, then by j's place
@@ -161,6 +175,12 @@ def enumerate_closed(lattice, least, rules, cap, what, above=None, stop=()):
     lies below C; it was made by an attribute before y; and raising it by y
     gives C, canonically.  So each member is listed once, with no visited
     set.
+
+    A rejected closure by attribute a leaves a witness (k, w): the stop
+    cell `close` named with its raised value, or the cell with the earlier
+    j that came below it.  Each member hands its children the witnesses it
+    inherited and its own, and a descendant Q refutes a without closing it
+    while w is not below Q[k] (the lemma above).
     """
     require_int(cap, f"{what} enumeration cap")
     if cap < 1:  # the least table's closure is the first
@@ -176,10 +196,11 @@ def enumerate_closed(lattice, least, rules, cap, what, above=None, stop=()):
             attributes += [(cell, j, irreducibles[:i], guard)
                            for i, j in enumerate(irreducibles)]
     found = [least]
-    stack = [(least, 0)]
+    stack = [(least, 0, {})]
     closures = 1
     while stack:
-        parent, start = stack.pop()
+        parent, start, inherited = stack.pop()
+        witnesses, children = inherited, []
         for a in range(start, len(attributes)):
             cell, j, earlier, guard = attributes[a]
             v = parent[cell]
@@ -189,15 +210,25 @@ def enumerate_closed(lattice, least, rules, cap, what, above=None, stop=()):
             if closures > cap:
                 raise SizeLimit(f"{what} enumeration exceeded cap {cap} "
                                 f"closures")
+            witness = witnesses.get(a)
+            if witness is not None and not le[witness[1]][parent[witness[0]]]:
+                continue  # refuted by an ancestor's closure
             table = list(parent)
             table[cell] = join[v][j]
-            if not close(table, lattice, rules, [cell], above, guard):
-                continue
-            w = table[cell]
-            if any(le[e][w] and not le[e][v] for e in earlier):
-                continue
-            child = tuple(table)
-            found.append(child)
-            stack.append((child, a + 1))
+            k = close(table, lattice, rules, [cell], above, guard)
+            if k is not None:
+                witness = k, table[k]
+            else:
+                w = table[cell]
+                witness = next(((cell, e) for e in earlier
+                                if le[e][w] and not le[e][v]), None)
+                if witness is None:
+                    child = tuple(table)
+                    found.append(child)
+                    children.append((child, a + 1))
+                    continue
+            if witnesses is inherited:
+                witnesses = dict(inherited)
+            witnesses[a] = witness
+        stack += [(child, after, witnesses) for child, after in children]
     return sorted(found)
-

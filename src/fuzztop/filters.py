@@ -37,9 +37,9 @@ from .errors import (NotAChain, NotSurjective, PreconditionViolated, SizeLimit,
                      require_index, require_int, trusted)
 from .report import Report
 
-#: default closure cap of `enumerate_filters`: 64- and 81-set universes
-#: reach it in about 3 s; diamond-2pt needs 5,724 closures and
-#: u33-Lukasiewicz 24,691
+#: default cap of `enumerate_filters` on candidate closures, refuted ones
+#: included: diamond-3pt and u34-Lukasiewicz (64 and 81 sets) reach it in
+#: about 0.65 s; diamond-2pt needs 5,724 and u33-Lukasiewicz 24,691
 DEFAULT_FILTER_CAP = 200_000
 
 #: what a grade table over the graded carrier holds, for `require_index`
@@ -160,7 +160,8 @@ class FilterTable:
                 if not le[j][v]:
                     table = list(self.table)
                     table[cell] = join[v][j]
-                    if close(table, lat, rules, [cell], u.graded_above, stop):
+                    if close(table, lat, rules, [cell], u.graded_above,
+                             stop) is None:
                         return False
         return True
 
@@ -206,8 +207,8 @@ def enumerate_filters(universe, cap=DEFAULT_FILTER_CAP):
     a down-set of a closure system; they are enumerated from the least one
     (the saturation of the all-bot table) by `closure.enumerate_closed`.
     Raises PreconditionViolated unless `cap` is an int, and SizeLimit when
-    more than `cap` closures would be computed, the least filter's
-    included.  The listing is complete, so each returned table gets
+    more than `cap` candidate closures would be met, the least filter's
+    included and a refuted one counted as computed.  The listing is complete, so each returned table gets
     `FilterTable.maximal` from it: true for the members below no other,
     found by comparing their `FilterTable.code` encodings, which each
     table keeps.  Each also gets `FilterTable.maximal_above`, the
@@ -336,7 +337,8 @@ def least_filter_above(F, seed):
                 return None
             table[k] = w
             dirty.append(k)
-    if not close(table, u.lattice, _rules(u), dirty, u.graded_above, stop):
+    if close(table, u.lattice, _rules(u), dirty, u.graded_above,
+             stop) is not None:
         return None
     return trusted(FilterTable, universe=u, table=tuple(table))
 

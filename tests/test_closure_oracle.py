@@ -1,22 +1,25 @@
-"""`closure.enumerate_closed`, canonical Close-by-One, against the engine it
-replaced: close every (member, cell, join-irreducible) triple and drop the
-tables already seen.  The canonical engine keeps no visited set, so a
-broken canonicity test shows up as a table listed twice or as one missed.
+"""`closure.enumerate_closed`, canonical Close-by-One with inherited
+witnesses, against the engines it replaced: close every (member, cell,
+join-irreducible) triple and drop the tables already seen, and plain
+canonical Close-by-One, which closes every candidate.  The canonical engine
+keeps no visited set, so a broken canonicity test shows up as a table listed
+twice or as one missed, and a witness that refutes too much as one missed.
 Also `closure.close` against the fixpoint loop over every ordered pair, on
-random symmetric rules."""
+random symmetric rules, and the stop cell it names."""
 
 import dataclasses
 import hashlib
 import random
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
 
 import fuzztop
-from fuzztop import filters, topology
+from fuzztop import closure, filters, topology
 from fuzztop.closure import close
-from fuzztop.errors import SizeLimit
+from fuzztop.errors import SizeLimit, require_int
 from fuzztop.filters import enumerate_filters
 from fuzztop.instances import chain, diamond
 from fuzztop.topology import enumerate_topologies
@@ -50,12 +53,61 @@ def enumerate_closed_visited(lattice, least, rules, cap, what, above=None,
                                     f"closures")
                 table = list(parent)
                 table[cell] = join[v][j]
-                if close(table, lattice, rules, [cell], above, stop):
+                if close(table, lattice, rules, [cell], above,
+                         stop) is None:
                     child = tuple(table)
                     if child not in seen:
                         seen.add(child)
                         stack.append(child)
     return sorted(seen)
+
+
+def enumerate_closed_cbo(lattice, least, rules, cap, what, above=None,
+                         stop=(), counted=None):
+    """Oracle: `enumerate_closed` by plain canonical Close-by-One, which
+    closes every candidate and hands nothing down.  `counted`, a list when
+    given, gets the number of closures computed, the least table's
+    included."""
+    require_int(cap, f"{what} enumeration cap")
+    if cap < 1:
+        raise SizeLimit(f"{what} enumeration exceeded cap {cap} closures")
+    if least is None:
+        return []
+    join, le = lattice.join, lattice.leq
+    irreducibles = lattice.join_irreducibles()
+    attributes = []
+    for cell in range(len(least)):
+        if cell not in stop:
+            guard = frozenset(range(cell)).union(stop)
+            attributes += [(cell, j, irreducibles[:i], guard)
+                           for i, j in enumerate(irreducibles)]
+    found = [least]
+    stack = [(least, 0)]
+    closures = 1
+    while stack:
+        parent, start = stack.pop()
+        for a in range(start, len(attributes)):
+            cell, j, earlier, guard = attributes[a]
+            v = parent[cell]
+            if le[j][v]:
+                continue
+            closures += 1
+            if closures > cap:
+                raise SizeLimit(f"{what} enumeration exceeded cap {cap} "
+                                f"closures")
+            table = list(parent)
+            table[cell] = join[v][j]
+            if close(table, lattice, rules, [cell], above, guard) is not None:
+                continue
+            w = table[cell]
+            if any(le[e][w] and not le[e][v] for e in earlier):
+                continue
+            child = tuple(table)
+            found.append(child)
+            stack.append((child, a + 1))
+    if counted is not None:
+        counted.append(closures)
+    return sorted(found)
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -86,6 +138,67 @@ def test_enumeration_matches_visited_set_oracle(name, family, request,
     assert len(got) == len(set(got)), "a member is listed twice"
     monkeypatch.setattr(module, "enumerate_closed", enumerate_closed_visited)
     assert got == tables(enumerate_family(u))
+
+
+def counting_closures(monkeypatch):
+    """Count the `close` calls `enumerate_closed` makes, one per element of
+    the returned list."""
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return close(*args)
+
+    monkeypatch.setattr(closure, "close", counted)
+    return calls
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("name", models.CENSUS, ids=PARENT_IDS.get)
+def test_inherited_witnesses_only_skip_closures(name, family, request,
+                                                monkeypatch):
+    # the witnesses refute a candidate without closing it, but the kernel
+    # meets the same candidates as plain Close-by-One, which closes each:
+    # the same listing, the same cap, and no more closures
+    u = request.getfixturevalue(name)
+    module, enumerate_family = FAMILIES[family]
+    counted = []
+    monkeypatch.setattr(module, "enumerate_closed",
+                        partial(enumerate_closed_cbo, counted=counted))
+    want = tables(enumerate_family(u))
+    monkeypatch.setattr(module, "enumerate_closed", closure.enumerate_closed)
+    count, = counted
+    calls = counting_closures(monkeypatch)
+    assert tables(enumerate_family(u)) == want
+    assert len(calls) + 1 <= count  # the least table's closure is the first
+    with pytest.raises(SizeLimit):
+        enumerate_family(u, cap=count - 1)
+    assert tables(enumerate_family(u, cap=count)) == want
+
+
+# the closures computed, the least table's included, and the candidates the
+# cap counts, which plain Close-by-One closes each: a kernel that never
+# refutes a candidate, or hands no witness down, computes more
+@pytest.mark.parametrize("name, family, closures, candidates", [
+    ("u32_godel", "filters", 78, 271),
+    ("u32_godel", "topologies", 585, 1002),
+    ("u32_luk", "filters", 70, 277),
+    ("u32_luk", "topologies", 394, 832),
+    ("diamond_2pt", "filters", 914, 5724),
+    ("chain4_luk_2pt", "filters", 971, 11661),
+], ids=["u32-goedel-filters", "u32-goedel-topologies",
+        "u32-lukasiewicz-filters", "u32-lukasiewicz-topologies",
+        "diamond-2pt-filters", "chain4-2pt-lukasiewicz-filters"])
+def test_inherited_witnesses_pin_the_closures(name, family, closures,
+                                              candidates, request,
+                                              monkeypatch):
+    u = request.getfixturevalue(name)
+    enumerate_family = FAMILIES[family][1]
+    calls = counting_closures(monkeypatch)
+    assert enumerate_family(u, cap=candidates)
+    assert len(calls) + 1 == closures
+    with pytest.raises(SizeLimit):
+        enumerate_family(u, cap=candidates - 1)
 
 
 def digest(members):
@@ -195,7 +308,7 @@ def check_close_on(lat, close_by_index):
         seed = [rng.randrange(lat.n) for _ in range(size)]
         want = close_by_passes(seed, lat.join, rules, above)
         table = list(seed)
-        assert close(table, lat, rules, above=above)
+        assert close(table, lat, rules, above=above) is None
         assert table == want
         table = list(seed)
         assert close_by_index(table, lat.join, rules, above=above)
@@ -210,7 +323,7 @@ def check_close_on(lat, close_by_index):
         for k in dirty:
             table[k] = lat.join[table[k]][rng.randrange(lat.n)]
         want = close_by_passes(table, lat.join, rules, above)
-        assert close(table, lat, rules, list(dirty), above)
+        assert close(table, lat, rules, list(dirty), above) is None
         assert table == want
     assert raised_itself > 50, lat
     assert raised_again > 50, lat
@@ -247,14 +360,65 @@ def test_first_sweep_requeues_only_visited_cells(u32_godel):
     assert lat.join.count == 2264
 
 
+def check_stop_witness(lat, fresh):
+    """On random rules and `stop` sets, `close` refuses exactly when the
+    fixpoint raises a cell in `stop`, and then names such a cell, raised
+    above its input and no higher than its fixpoint value."""
+    rng = random.Random(11)
+    le = lat.leq
+    refused = 0
+    for _ in range(400):
+        size = rng.randint(2, 7)
+        rules = random_rules(rng, lat, size)
+        above = [rng.sample(range(size), rng.randint(0, 2))
+                 for _ in range(size)]
+        seed = [rng.randrange(lat.n) for _ in range(size)]
+        if fresh:
+            dirty = None
+        else:
+            # a closed table from a sparse seed, so raising it may still
+            # raise a cell in `stop`
+            seed = close_by_passes([v if rng.random() < 0.3 else lat.bot
+                                    for v in seed],
+                                   lat.join, rules, above)
+            dirty = rng.sample(range(size), rng.randint(1, 2))
+            for k in dirty:
+                seed[k] = lat.join[seed[k]][rng.randrange(lat.n)]
+        want = close_by_passes(seed, lat.join, rules, above)
+        stop = set(rng.sample(range(size), rng.randint(1, size - 1)))
+        table = list(seed)
+        k = close(table, lat, rules, dirty, above, stop)
+        if k is None:
+            assert table == want
+            assert all(want[c] == seed[c] for c in stop)
+        else:
+            refused += 1
+            assert k in stop
+            assert table[k] != seed[k] and le[seed[k]][table[k]]
+            assert le[table[k]][want[k]]
+    assert 50 < refused < 350, lat
+
+
+@pytest.mark.parametrize("lat", [chain(4), diamond()],
+                         ids=["chain4", "diamond"])
+def test_a_fresh_closure_names_the_stop_cell_it_raised(lat):
+    check_stop_witness(lat, fresh=True)
+
+
+@pytest.mark.parametrize("lat", [chain(4), diamond()],
+                         ids=["chain4", "diamond"])
+def test_a_dirty_closure_names_the_stop_cell_it_raised(lat):
+    check_stop_witness(lat, fresh=False)
+
+
 def test_first_sweep_stops_at_top_after_the_stop_checks():
     # the visit of cell 0 raises cell 1 to top, so every cell is at top;
     # a raised cell in `stop` still makes the closure infeasible
     lat = chain(2)
     rules = [(((1, 1), (1, 1)), lat.meet)]
     table = [1, 0]
-    assert close(table, lat, rules) is True and table == [1, 1]
-    assert close([1, 0], lat, rules, stop={1}) is False
+    assert close(table, lat, rules) is None and table == [1, 1]
+    assert close([1, 0], lat, rules, stop={1}) == 1
 
 
 @pytest.fixture(scope="module")
