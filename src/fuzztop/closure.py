@@ -169,8 +169,9 @@ def enumerate_closed(lattice, least, rules, cap, what, above=None, stop=()):
     only when it holds no new attribute before the one added: no earlier
     cell rises (the closure stops at once: its `stop`, one frozenset per
     cell, holds the earlier cells and those in `stop`) and no earlier j
-    comes below the cell.  Every member C but the least thus has
-    one parent: the closure P of C's attributes before the first attribute
+    comes below the cell (the earlier j are one bitmask per attribute, as
+    in `Lattice.down_masks`).  Every member C but the least thus has one
+    parent: the closure P of C's attributes before the first attribute
     y at which C's attributes up to y close to C.  P is a member, since it
     lies below C; it was made by an attribute before y; and raising it by y
     gives C, canonically.  So each member is listed once, with no visited
@@ -180,23 +181,23 @@ def enumerate_closed(lattice, least, rules, cap, what, above=None, stop=()):
     cell `close` named with its raised value, or the cell with the earlier
     j that came below it.  Each member hands its children the witnesses it
     inherited and its own, and a descendant Q refutes a without closing it
-    while w is not below Q[k] (the lemma above).
+    while w is not below Q[k] (the lemma of the module docstring).
     """
     require_int(cap, f"{what} enumeration cap")
     if cap < 1:  # the least table's closure is the first
         raise SizeLimit(f"{what} enumeration exceeded cap {cap} closures")
     if least is None:
         return []
-    join, le = lattice.join, lattice.leq
+    join, le, down = lattice.join, lattice.leq, lattice.down_masks
     irreducibles = lattice.join_irreducibles()
     attributes = []
     for cell in range(len(least)):
         if cell not in stop:
             guard = frozenset(range(cell)).union(stop)
-            attributes += [(cell, j, irreducibles[:i], guard)
-                           for i, j in enumerate(irreducibles)]
+            attributes += [(cell, j, sum(1 << e for e in irreducibles[:i]),
+                            guard) for i, j in enumerate(irreducibles)]
     found = [least]
-    stack = [(least, 0, {})]
+    stack = [(least, 0, [None] * len(attributes))]
     closures = 1
     while stack:
         parent, start, inherited = stack.pop()
@@ -210,7 +211,7 @@ def enumerate_closed(lattice, least, rules, cap, what, above=None, stop=()):
             if closures > cap:
                 raise SizeLimit(f"{what} enumeration exceeded cap {cap} "
                                 f"closures")
-            witness = witnesses.get(a)
+            witness = witnesses[a]
             if witness is not None and not le[witness[1]][parent[witness[0]]]:
                 continue  # refuted by an ancestor's closure
             table = list(parent)
@@ -219,16 +220,15 @@ def enumerate_closed(lattice, least, rules, cap, what, above=None, stop=()):
             if k is not None:
                 witness = k, table[k]
             else:
-                w = table[cell]
-                witness = next(((cell, e) for e in earlier
-                                if le[e][w] and not le[e][v]), None)
-                if witness is None:
+                new = down[table[cell]] & ~down[v] & earlier
+                if not new:
                     child = tuple(table)
                     found.append(child)
                     children.append((child, a + 1))
                     continue
+                witness = cell, (new & -new).bit_length() - 1
             if witnesses is inherited:
-                witnesses = dict(inherited)
+                witnesses = list(inherited)
             witnesses[a] = witness
         stack += [(child, after, witnesses) for child, after in children]
     return sorted(found)
