@@ -208,13 +208,13 @@ def enumerate_filters(universe, cap=DEFAULT_FILTER_CAP):
     (the saturation of the all-bot table) by `closure.enumerate_closed`.
     Raises PreconditionViolated unless `cap` is an int, and SizeLimit when
     more than `cap` candidate closures would be met, the least filter's
-    included and a refuted one counted as computed.  The listing is complete, so each returned table gets
-    `FilterTable.maximal` from it: true for the members below no other,
-    found by comparing their `FilterTable.code` encodings, which each
-    table keeps.  Each also gets `FilterTable.maximal_above`, the
-    tables of the maximal members whose code holds every bit of its own:
-    as the listing holds every filter, these are all the maximal filters of
-    the universe at or above it.
+    included and a refuted one counted as computed.  The listing is
+    complete, so each returned table gets `FilterTable.maximal` from it:
+    true for the members below no other, found by comparing their
+    `FilterTable.code` encodings, which each table keeps.  Each also gets
+    `FilterTable.maximal_above`, the tables of the maximal members whose
+    code holds every bit of its own: as the listing holds every filter,
+    these are all the maximal filters of the universe at or above it.
     """
     u = universe
     least = saturate(u, (u.lattice.bot,) * u.graded_size)
