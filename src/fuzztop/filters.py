@@ -4,7 +4,13 @@ A filter is a total grade table over the graded carrier satisfying FF0-FF3.
 Saturation computes the least table above a seed closed under the
 monotonicity and tensor-stability rules with `closure.close`, which re-fires
 only the rules of cells whose grade changed and fires the tensor rule once
-per unordered pair of cells (every `Universe` tensor commutes).  Saturated
+per unordered pair of cells (every `Universe` tensor commutes).
+Monotonicity is one rule per cover of the graded order
+(`Universe.graded_covers`).  Lemma: a table is monotone iff table[k] >=
+table[x] on every cover x < k.  A monotone table holds on the covers, as
+each is an order pair; conversely x <= y is a chain of covers, along which
+the table rises.  So the cover rule and the whole order close the same
+tables: the least fixpoints, listings and verdicts are the same.  Saturated
 tables are closed under pointwise meet, and the filters are those whose
 empty-set row stays at bot, so enumeration lists that closure system from
 its least member, the saturation of the all-bot table (see `closure`).
@@ -160,7 +166,7 @@ class FilterTable:
                 if not le[j][v]:
                     table = list(self.table)
                     table[cell] = join[v][j]
-                    if close(table, lat, rules, [cell], u.graded_above,
+                    if close(table, lat, rules, [cell], u.graded_covers,
                              stop) is None:
                         return False
         return True
@@ -220,7 +226,7 @@ def enumerate_filters(universe, cap=DEFAULT_FILTER_CAP):
     least = saturate(u, (u.lattice.bot,) * u.graded_size)
     tables = enumerate_closed(
         u.lattice, None if isinstance(least, NoFilterAbove) else least.table,
-        _rules(u), cap, "filter", u.graded_above, _empty_row(u))
+        _rules(u), cap, "filter", u.graded_covers, _empty_row(u))
     downsets = u.lattice.downsets
     codes = [_code(downsets, t) for t in tables]
     tops = []
@@ -295,7 +301,7 @@ def saturate(universe, seed):
     """Least table above the seed closed under the filter rules.
 
     Forces the top row to top, then raises the table to its least fixpoint
-    under monotonicity in the graded order and the tensor rule
+    under monotonicity on the graded covers and the tensor rule
     F(f tensor g, a join b) >= F(f, a) tensor F(g, b), one `closure.close`
     sweep.  The tensor rule fires at most once per unordered pair of cells
     not at bot, visited in value order (see `closure.close`).  Returns the
@@ -309,7 +315,7 @@ def saturate(universe, seed):
     table = list(seed)
     for a in lat.elements():
         table[u.gidx(u.one_idx, a)] = lat.top
-    close(table, lat, _rules(u), above=u.graded_above)
+    close(table, lat, _rules(u), above=u.graded_covers)
     for a in lat.elements():
         if table[u.gidx(u.zero_idx, a)] != lat.bot:
             return NoFilterAbove(alpha=a, table=tuple(table))
@@ -337,7 +343,7 @@ def least_filter_above(F, seed):
                 return None
             table[k] = w
             dirty.append(k)
-    if close(table, u.lattice, _rules(u), dirty, u.graded_above,
+    if close(table, u.lattice, _rules(u), dirty, u.graded_covers,
              stop) is not None:
         return None
     return trusted(FilterTable, universe=u, table=tuple(table))

@@ -26,10 +26,10 @@ from .report import Report
 @dataclass(frozen=True)
 class Lattice:
     """A finite lattice with precomputed order and join/meet tables, per
-    element the int bitmasks of its up-set and down-set, which the
-    constructors hold already, and its cover pairs, which they pick out of
-    the pairs they are given; the masks and the covers are read off the
-    order, so they take no part in equality or hashing.
+    element the int bitmask of its down-set, which the constructors hold
+    already, and its cover pairs, which they pick out of the pairs they are
+    given; the masks and the covers are read off the order, so they take no
+    part in equality or hashing.
 
     `cover_pairs` are the pairs (c, a), c a lower cover of a, with a in a
     linear extension of the order and c in index order, so a pair comes
@@ -45,7 +45,6 @@ class Lattice:
     meet: tuple         # n x n element indices
     top: int
     bot: int
-    up_masks: tuple = field(compare=False, repr=False)    # bit b: a <= b
     down_masks: tuple = field(compare=False, repr=False)  # bit b: b <= a
     cover_pairs: tuple = field(compare=False, repr=False)  # (c, a), c < a
 
@@ -97,9 +96,6 @@ class Lattice:
 
     def join2(self, a, b):
         return self.join[a][b]
-
-    def meet2(self, a, b):
-        return self.meet[a][b]
 
     def join_set(self, elems):
         """Least upper bound of a finite subset; the empty join is bot."""
@@ -174,8 +170,7 @@ def _from_upsets(leq, ups, pairs):
                            if (ups[c] & downs[a]).bit_count() == 2},
                           key=lambda pair: (downs[pair[1]], pair[0])))
     return trusted(Lattice, n=n, leq=leq, join=join, meet=meet, top=top,
-                   bot=bot, up_masks=tuple(ups), down_masks=tuple(downs),
-                   cover_pairs=covers)
+                   bot=bot, down_masks=tuple(downs), cover_pairs=covers)
 
 
 def require_carrier(n):

@@ -9,8 +9,10 @@ by whole-row shifts (`_prepend_digit`).  The product carrier (powerset x
 lattice) has the graded order: (f, a) below (g, b) iff f <= g pointwise and
 b <= a.  A finite order is the reflexive-transitive closure of its covers,
 and a cover of a set lowers or raises one point's value by one cover of L,
-so order laws are decided on the covers (`Universe.lower_covers`,
-`Universe.graded_covers`).  A point map acts on sets by one table,
+so the graded order is kept only as its covers (`Universe.lower_covers`,
+`Universe.graded_covers`): order laws are decided on them, and the whole
+order is read off `pw_leq` and L's order only to name a failure or to
+build `graded_lattice`.  A point map acts on sets by one table,
 `Universe.pullback`.
 
 `check_graded_gl` decides the graded residuation on pairs of cells, by
@@ -109,8 +111,8 @@ class Universe:
     Bundles the lattice, a GL tensor with its residuum, and a cotensor
     (default: the lattice join) with its co-implication, both over the
     lattice (PreconditionViolated otherwise).  The pointwise tensor and
-    join tables are built at construction; the order, meet, residuum,
-    boxtimes and graded `above` tables on first use.  A table of an
+    join tables are built at construction; the order, residuum and
+    boxtimes tables and the graded covers on first use.  A table of an
     operation gains a leading digit per point by whole-row shifts.
     """
 
@@ -155,11 +157,6 @@ class Universe:
                      for row in self.pw_join)
 
     @cached_property
-    def pw_meet(self):
-        """The pointwise meet table; built on first use."""
-        return self._pointwise(self.lattice.meet)
-
-    @cached_property
     def pw_res(self):
         """The pointwise residuum table; built on first use."""
         return self._pointwise(self.res.table)
@@ -174,24 +171,6 @@ class Universe:
 
     def graded_cells(self):
         return range(self.graded_size)
-
-    @cached_property
-    def graded_above(self):
-        """Per graded cell (f, a), the cells strictly above it in the graded
-        order, in index order: the sets above f crossed with the grades
-        below a, less the cell itself.  The sets above f are the product over
-        points of the up-sets in L of f's values, built digit by digit, so
-        the cost is the size of the output; built on first use."""
-        n, le = self.n, self.lattice.leq
-        up = [[b for b in range(n) if le[a][b]] for a in range(n)]
-        down = [[b for b in range(n) if le[b][a]] for a in range(n)]
-        ups = [(0,)]
-        for _ in self.ground.points():
-            ups = [[s * n + b for s in row for b in up[a]]
-                   for row in ups for a in range(n)]
-        return tuple(tuple(c for sj in row for b in down[a]
-                           if (c := sj * n + b) != si * n + a)
-                     for si, row in enumerate(ups) for a in range(n))
 
     @cached_property
     def lower_covers(self):
@@ -219,8 +198,8 @@ class Universe:
     def graded_covers(self):
         """Per graded cell (f, a), its upper covers in the graded order:
         (g, a) for g an upper cover of f, and (f, b) for b a lower cover of
-        a.  `graded_above` is their transitive closure; built on first
-        use."""
+        a.  The graded order is their reflexive-transitive closure; the order
+        laws and the filter closures read it here; built on first use."""
         n = self.n
         upper = [[] for _ in range(self.n_sets)]
         for si, below in enumerate(self.lower_covers):
@@ -252,42 +231,30 @@ class Universe:
         sj, b = divmod(gj, self.n)
         return self.gidx(self.pw_res[si][sj], self.coimpl.app(b, a))
 
-    def graded_join(self, gis):
-        """Componentwise join in the graded order (grades use the meet)."""
-        set_acc, grade_acc = self.zero_idx, self.lattice.top
-        for gi in gis:
-            si, a = divmod(gi, self.n)
-            set_acc = self.pw_join[set_acc][si]
-            grade_acc = self.lattice.meet2(grade_acc, a)
-        return self.gidx(set_acc, grade_acc)
-
-    def graded_meet(self, gis):
-        """Componentwise meet in the graded order (grades use the join)."""
-        set_acc, grade_acc = self.one_idx, self.lattice.bot
-        for gi in gis:
-            si, a = divmod(gi, self.n)
-            set_acc = self.pw_meet[set_acc][si]
-            grade_acc = self.lattice.join2(grade_acc, a)
-        return self.gidx(set_acc, grade_acc)
-
     def decreasing_cells(self, tab, le):
-        """Yield (gi, gj), gj in `graded_above[gi]`, in index order,
-        wherever the value of `tab` at gi is not `le` its value at gj: the
-        monotonicity sweep of FF1, I1 and N1.
+        """Yield (gi, gj), gj strictly above gi in the graded order, in
+        index order, wherever the value of `tab` at gi is not `le` its value
+        at gj: the monotonicity sweep of FF1, I1 and N1.
 
-        `tab` holds one value per graded cell.  A table is monotone iff it
-        is monotone on `graded_covers`, whose closure is the graded order,
-        so the covers are checked first, and the sweep of `graded_above`,
-        which names the first failing pair, runs only when a cover fails.
+        `tab` holds one value per graded cell, and `le` is reflexive.  A
+        table is monotone iff it is monotone on `graded_covers`, whose
+        closure is the graded order, so the covers are checked first, and
+        the sweep of every ordered pair, which names the first failing one,
+        runs only when a cover fails: the cells above (f, a) are the sets
+        of `pw_leq[f]` crossed with the grades below a.
         """
         covers = self.graded_covers
         if all(le[v][tab[k]] for v, ks in zip(tab, covers) for k in ks):
             return
-        for gi, ks in enumerate(self.graded_above):
-            v = le[tab[gi]]
-            for gj in ks:
-                if not v[tab[gj]]:
-                    yield gi, gj
+        n, sets = self.n, range(self.n_sets)
+        below = [list(itertools.compress(range(n), row))
+                 for row in self.lattice.geq]
+        for gi, v in enumerate(tab):
+            si, a = divmod(gi, n)
+            for sj in itertools.compress(sets, self.pw_leq[si]):
+                for gj in [sj * n + b for b in below[a]]:
+                    if not le[v][tab[gj]]:
+                        yield gi, gj
 
     def unstable_cells(self, tab, op, le, zero):
         """Yield (si, a, sj, b), in index order, wherever the value of `tab`
@@ -314,12 +281,12 @@ class Universe:
 
     def graded_lattice(self):
         """The graded carrier packaged as a plain Lattice over flat indices,
-        its order rows read from `graded_above`."""
-        leq = [[False] * self.graded_size for _ in self.graded_above]
-        for gi, above in enumerate(self.graded_above):
-            for gj in (gi, *above):
-                leq[gi][gj] = True
-        return lattice_from_order(leq)
+        its order rows read off `pw_leq` and L's order: (f, a) <= (g, b)
+        iff pw_leq[f][g] and b <= a."""
+        pw_leq, geq = self.pw_leq, self.lattice.geq
+        return lattice_from_order([[f_le_g and b_le_a for f_le_g in row
+                                    for b_le_a in geq[a]]
+                                   for row in pw_leq for a in range(self.n)])
 
     def pullback(self, phi, dom):
         """Pull every fuzzy set on this universe back along a point map.
@@ -365,12 +332,13 @@ def check_graded_gl(universe):
     two auxiliary inequalities (the second only for idempotent tensors).
 
     Every verdict is decided on pairs of cells (see the module docstring).
-    The closed form and the sup form are tables built by digits, compared
-    whole; the adjunction holds by the Galois-connection lemma when its
-    premises hold on pairs and on the covers; and the two exchange laws
-    are lemmas of the adjunction and the GL battery's verdicts.  The sweep
-    of every triple of cells runs only when a premise fails, so every
-    verdict names the same first witness as that sweep.
+    The componentwise bounds, the closed form and the sup form are tables
+    built by digits, compared row by row; the adjunction holds by the
+    Galois-connection lemma when its premises hold on pairs and on the
+    covers; and the two exchange laws are lemmas of the adjunction and the
+    GL battery's verdicts.  The sweep of every triple of cells runs only
+    when a premise fails, so every verdict names the same first witness as
+    that sweep.
     """
     report = Report("graded_gl")
     glat = universe.graded_lattice()
@@ -384,14 +352,19 @@ def check_graded_gl(universe):
     report.record("bot_is_zero_top", glat.bot == universe.graded_bot,
                   (glat.bot, universe.graded_bot))
 
-    # componentwise joins/meets agree with the order-theoretic ones
+    # the componentwise join and meet (pointwise on the sets, dual on the
+    # grade digit) agree with the order-theoretic ones
+    lat, m = universe.lattice, universe.ground.m
+    joins = reduce(_prepend_digit, [lat.join] * m, lat.meet)
+    meets = reduce(_prepend_digit, [lat.meet] * m, lat.join)
     report.sweep("componentwise_bounds", (
-        (i, j) for i in cells for j in cells
-        if universe.graded_join([i, j]) != glat.join2(i, j)
-        or universe.graded_meet([i, j]) != glat.meet2(i, j)))
+        (i, j) for i, join, meet, gjoin, gmeet
+        in zip(cells, joins, meets, glat.join, glat.meet)
+        if join != gjoin or meet != gmeet
+        for j in cells if join[j] != gjoin[j] or meet[j] != gmeet[j]))
 
     # (f -> g, b coimpl a): a residuum digit per point, then the grade
-    impl = reduce(_prepend_digit, [universe.res.table] * universe.ground.m,
+    impl = reduce(_prepend_digit, [universe.res.table] * m,
                   tuple(zip(*universe.coimpl.table)))
     sup = _sup_form(universe)
     report.sweep("impl_closed_vs_sup", (
@@ -416,7 +389,6 @@ def check_graded_gl(universe):
         if not le[box[a][impl[b][c]]][impl[b][box[a][c]]]))
 
     # an idempotent tensor makes x.x = x on every cell, the lemma's premise
-    lat = universe.lattice
     if all(universe.tensor.app(x, x) == x for x in lat.elements()):
         report.sweep("impl_product_exchange", () if exchange else (
             (a, b, c) for a, b, c in itertools.product(cells, repeat=3)

@@ -148,6 +148,23 @@ def graded_leq():
     return _graded_leq
 
 
+def _above_by_comprehension(u):
+    n, le, pw_leq = u.n, u.lattice.leq, u.pw_leq
+    return tuple(
+        tuple(sj * n + b for sj in range(u.n_sets) if pw_leq[si][sj]
+              for b in range(n) if le[b][a] and (sj, b) != (si, a))
+        for si in range(u.n_sets) for a in range(n))
+
+
+@pytest.fixture(scope="session")
+def above_by_comprehension():
+    """Oracle: the graded order in full, which the kernel keeps only as its
+    covers (`Universe.graded_covers`): per cell, every cell strictly above
+    it read off `pw_leq` and the lattice order, in index order; called as
+    above_by_comprehension(u), and usable as `closure.close`'s `above`."""
+    return _above_by_comprehension
+
+
 def _gimpl_sup(u, gi, gj):
     si, a = divmod(gi, u.n)
     sj, b = divmod(gj, u.n)

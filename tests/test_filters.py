@@ -165,7 +165,8 @@ def test_enumeration_cap(u32_godel):
                                             ("u32_luk", 277),
                                             ("diamond_1pt", 62)])
 def test_enumeration_cap_counts_every_closure(name, closures, request):
-    # the cap bounds the closures computed, the least table included
+    # the cap counts candidate closures, refuted ones included, the least
+    # table's among them
     u = request.getfixturevalue(name)
     with pytest.raises(SizeLimit):
         enumerate_filters(u, cap=closures - 1)

@@ -1,10 +1,14 @@
-"""Every function and method of `src/fuzztop` has a caller outside tests.
+"""Every function and method of `src/fuzztop` has a caller outside tests,
+and every dataclass field a reader.
 
 A definition counts as called when another part of the package, a
 `perfbench/*.py` script or a `demos/*.py` script refers to it by a name, an
 attribute or a string constant (perfbench reaches `instances.m3` through
 `getattr` on a string).  Its own body and the imports that re-export it do
 not count.  Code that only tests call is an oracle and belongs in `tests/`.
+A field counts as read on the same terms outside its class body; a keyword
+argument that writes it is no reference, so a field that is only written
+is flagged as an uncalled function is.
 """
 
 import ast
@@ -39,17 +43,27 @@ def parse(folder):
             for path in sorted(folder.glob("*.py"))]
 
 
+def is_dataclass(node):
+    return any(ast.unparse(deco).startswith("dataclass")
+               for deco in node.decorator_list)
+
+
 def uncalled():
     """The kernel's functions and methods, dunders aside, that nothing but
-    their own body refers to."""
+    their own body refers to, and its dataclass fields that nothing outside
+    their class body reads."""
     kernel = parse(SRC)
     callers = sum(map(references, kernel + parse(ROOT / "perfbench")
                       + parse(ROOT / "demos")), Counter())
-    defs = [node for tree in kernel for node in ast.walk(tree)
+    nodes = [node for tree in kernel for node in ast.walk(tree)]
+    defs = [(node.name, node) for node in nodes
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
             and not node.name.startswith("__")]
-    return sorted({node.name for node in defs
-                   if not (callers - references(node))[node.name]})
+    fields = [(stmt.target.id, node) for node in nodes
+              if isinstance(node, ast.ClassDef) and is_dataclass(node)
+              for stmt in node.body if isinstance(stmt, ast.AnnAssign)]
+    return sorted({name for name, scope in defs + fields
+                   if not (callers - references(scope))[name]})
 
 
 def test_every_kernel_definition_has_a_caller_outside_tests():

@@ -15,7 +15,7 @@ def test_two_point_chain():
 def test_three_chain_join():
     lat = build_lattice(3, [(0, 1), (1, 2)])
     assert lat.join2(0, 2) == 2
-    assert lat.meet2(0, 2) == 0
+    assert lat.meet[0][2] == 0
 
 
 def test_missing_lub_rejected():
@@ -54,7 +54,7 @@ def test_join_meet_bound_laws():
         for a in lat.elements():
             for b in lat.elements():
                 assert lat.le(a, lat.join2(a, b))
-                assert lat.le(lat.meet2(a, b), a)
+                assert lat.le(lat.meet[a][b], a)
 
 
 @given(st.data())
@@ -79,6 +79,6 @@ def test_distributivity_witness_is_concrete():
     rep = check_infinite_distributivity(pentagon())
     wit = rep.verdicts["join_meet_distributive"].witness
     lat = pentagon()
-    lhs = lat.meet2(lat.join_set(wit["subset"]), wit["x"])
-    rhs = lat.join_set([lat.meet2(a, wit["x"]) for a in wit["subset"]])
+    lhs = lat.meet[lat.join_set(wit["subset"])][wit["x"]]
+    rhs = lat.join_set([lat.meet[a][wit["x"]] for a in wit["subset"]])
     assert lhs != rhs and (lhs, rhs) == (wit["lhs"], wit["rhs"])

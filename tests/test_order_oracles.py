@@ -1,14 +1,14 @@
 """The order tables built by lookup, against the searches they replaced:
 lattice bounds looked up by up-set against the search of every pair's upper
 bounds for the least one, `build_lattice` from its closure's up-sets
-against `lattice_from_order` of the closure's rows, `graded_above` as a
-product of up-sets against the comprehension over `pw_leq`, N4 decided
+against `lattice_from_order` of the closure's rows, the rows of
+`graded_lattice` against the comprehension over `pw_leq`, N4 decided
 without candidates against the per-point `all(...)` sweep of them, the
 join-irreducibles read off the lower covers against the join of each
 element's strict down-set, and the cover pairs `build_lattice` picks out
 of its pairs against the scan of every pair of elements.  Also that the
-pointwise order is built only when something reads it, and
-`graded_above` not for a neighbourhood check."""
+pointwise order is built only when something reads it, and the graded
+order's rows not for a neighbourhood check."""
 
 import random
 
@@ -100,7 +100,9 @@ def cover_pairs_by_scan(lat):
     """Oracle: `Lattice.cover_pairs` by the scan of every pair (c, a), a
     cover when the interval up(c) & down(a) has two elements, a sorted by
     down-set bitmask and c in index order."""
-    ups, downs = lat.up_masks, lat.down_masks
+    ups = [sum(1 << b for b in lat.elements() if lat.le(a, b))
+           for a in lat.elements()]
+    downs = lat.down_masks
     return tuple((c, a) for a in sorted(lat.elements(), key=downs.__getitem__)
                  for c, up in enumerate(ups)
                  if (up & downs[a]).bit_count() == 2)
@@ -252,35 +254,30 @@ def test_non_transitive_relation_is_not_a_partial_order():
 # ---- graded up-sets ----------------------------------------------------------
 
 
-def above_by_comprehension(u):
-    """Oracle: per cell, every cell above it read off `pw_leq` and the
-    lattice order, in index order, less the cell itself."""
-    n, le, pw_leq = u.n, u.lattice.leq, u.pw_leq
-    return tuple(
-        tuple(sj * n + b for sj in range(u.n_sets) if pw_leq[si][sj]
-              for b in range(n) if le[b][a] and (sj, b) != (si, a))
-        for si in range(u.n_sets) for a in range(n))
-
-
 # the ids these tests had before the catalogue, kept so that no id changes
 PARENT_IDS = {"diamond_2pt": "diamond-2pt", "chain4_luk_2pt": "chain4-2pt"}
 
 
 @pytest.mark.parametrize("name", models.names("tiny") + models.names("small"),
                          ids=PARENT_IDS.get)
-def test_graded_above_matches_the_comprehension(name, request):
+def test_graded_above_matches_the_comprehension(name, request,
+                                               above_by_comprehension):
+    # each row of the graded lattice, less its own cell, is the cells
+    # above that cell
     u = request.getfixturevalue(name)
-    assert u.graded_above == above_by_comprehension(u)
+    rows = u.graded_lattice().leq
+    assert tuple(tuple(gj for gj, le in enumerate(row) if le and gj != gi)
+                 for gi, row in enumerate(rows)) == above_by_comprehension(u)
 
 
 # ---- N4 ------------------------------------------------------------------
 
 
-def n4_by_points(nb):
+def n4_by_points(nb, above):
     """Oracle: N4's first failure, each candidate's set tested against
-    gi's grade point by point."""
+    gi's grade point by point; `above` is the graded order in full."""
     u, tabs = nb.universe, nb.tables
-    lat, points, above = u.lattice, u.ground.points(), u.graded_above
+    lat, points = u.lattice, u.ground.points()
     candidates = [[gj for gj in (gi, *above[gi])
                    if all(lat.le(u.sets[gj // u.n][q], tabs[q][gi])
                           for q in points)]
@@ -313,8 +310,10 @@ def single_cell_mutants(rng, tables, values, count):
                                   "u32_godel_reindexed", "diamond_2pt",
                                   "chain4_luk_2pt"],
                          ids=PARENT_IDS.get)
-def test_n4_matches_the_per_point_sweep(name, request):
+def test_n4_matches_the_per_point_sweep(name, request,
+                                       above_by_comprehension):
     u = request.getfixturevalue(name)
+    above = above_by_comprehension(u)
     # seeded by the test id
     rng, lat = random.Random(PARENT_IDS.get(name, name)), u.lattice
     failed = 0
@@ -322,10 +321,10 @@ def test_n4_matches_the_per_point_sweep(name, request):
         seed = [rng.randrange(lat.n) if rng.random() < 0.3 else lat.bot
                 for _ in range(u.n_sets)]
         nb = generate_topology(u, seed).nbhd
-        assert n4_witness(nb) == n4_by_points(nb)
+        assert n4_witness(nb) == n4_by_points(nb, above)
         for tables in single_cell_mutants(rng, nb.tables, lat.n, 25):
             mut = NbhdSystem(universe=u, tables=tables)
-            want = n4_by_points(mut)
+            want = n4_by_points(mut, above)
             failed += want is not None
             assert n4_witness(mut) == want
     assert failed  # the mutants reach N4's failing branch
@@ -345,11 +344,17 @@ def test_topology_checks_leave_the_pointwise_order_unbuilt():
     assert "pw_leq" not in u.__dict__
 
 
-def test_nbhd_check_leaves_the_graded_up_sets_unbuilt():
-    # N4 needs no candidate list, so a passing check_nbhd never reads
-    # graded_above; N1 reads it only to name a failing pair
+def test_nbhd_check_leaves_the_graded_up_sets_unbuilt(monkeypatch):
+    # N4 needs no candidate list and N1 holds on the covers, so a passing
+    # check_nbhd builds no row of the graded order: it keeps the graded
+    # covers alone and never asks for the graded lattice
     u = models.build("u32_godel")
     lat = u.lattice
+    built = []
+    monkeypatch.setattr(type(u), "graded_lattice",
+                        lambda self: built.append(self))
     discrete = Topology(universe=u, table=(lat.top,) * u.n_sets)
     assert check_nbhd(discrete.nbhd).passed
-    assert "graded_above" not in vars(u)
+    assert built == []
+    assert {name for name in vars(u) if name.startswith("graded")} == {
+        "graded_size", "graded_covers"}

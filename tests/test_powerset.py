@@ -132,15 +132,17 @@ def test_graded_lattice_bounds(u31_godel):
 
 
 def test_graded_join_meet_examples(u31_godel):
-    u, lat = u31_godel, u31_godel.lattice
+    # the join of (f, a) and (g, b) is (f join g, a meet b), the meet dual
+    u = u31_godel
+    glat = u.graded_lattice()
     a = u.gidx(u.set_index[(1,)], 2)
     b = u.gidx(u.set_index[(2,)], 1)
-    sj, gj = u.gpair(u.graded_join([a, b]))
+    sj, gj = u.gpair(glat.join[a][b])
     assert u.sets[sj] == (2,) and gj == 1
-    sm, gm = u.gpair(u.graded_meet([a, b]))
+    sm, gm = u.gpair(glat.meet[a][b])
     assert u.sets[sm] == (1,) and gm == 2
-    assert u.graded_join([]) == u.graded_bot
-    assert u.graded_meet([]) == u.graded_top
+    assert glat.join_set([]) == u.graded_bot
+    assert glat.meet_set([]) == u.graded_top
 
 
 def check_pullback(cod, dom):
@@ -235,11 +237,15 @@ def test_graded_gl_reads_the_order_on_pairs_and_covers(monkeypatch):
     assert rows.count == 2487
 
 
-def test_graded_gl_catches_a_wrong_graded_join():
+def test_graded_gl_catches_a_wrong_graded_join(monkeypatch):
     u = models.build("u22")
     assert check_graded_gl(u).verdicts["componentwise_bounds"].status == "pass"
-    u.graded_join = u.graded_meet  # the meet, where the join is due
+    glat = u.graded_lattice()
+    # the meet, where the join is due
+    wrong = dataclasses.replace(glat, join=glat.meet)
+    monkeypatch.setattr(u, "graded_lattice", lambda: wrong)
     bounds = check_graded_gl(u).verdicts["componentwise_bounds"]
     assert bounds.status == "fail"
-    i, j = bounds.witness
-    assert u.graded_join([i, j]) != u.graded_lattice().join2(i, j)
+    cells = u.graded_cells()
+    assert bounds.witness == next((i, j) for i in cells for j in cells
+                                  if glat.join[i][j] != glat.meet[i][j])

@@ -144,7 +144,7 @@ def test_heyting_residuum_is_relative_pseudocomplement():
         for a in lat.elements():
             for b in lat.elements():
                 rp = lat.join_set([x for x in lat.elements()
-                                   if lat.le(lat.meet2(a, x), b)])
+                                   if lat.le(lat.meet[a][x], b)])
                 assert r.app(a, b) == rp
 
 

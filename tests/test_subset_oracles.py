@@ -43,7 +43,8 @@ def distributivity_by_subsets(lat):
     return {axiom: status(all(inner(agg(A), x) == agg([inner(a, x) for a in A])
                               for A in subsets(lat.n) for x in lat.elements()))
             for axiom, agg, inner in (
-                ("join_meet_distributive", lat.join_set, lat.meet2),
+                ("join_meet_distributive", lat.join_set,
+                 lambda a, x: lat.meet[a][x]),
                 ("meet_join_distributive", lat.meet_set, lat.join2))}
 
 

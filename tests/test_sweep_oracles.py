@@ -1,6 +1,6 @@
 """The sweeps that look only where a verdict can change, against the full
 sweeps they replaced: the interior by lower covers against the join over
-every subset, the covers of the graded order against `graded_above`, the
+every subset, the covers of the graded order against the full order, the
 stability laws o2, FF2, I2 and N2 on unordered pairs of non-bottom cells
 against every ordered pair, the ultrafilter characterization by table
 lookups against its per-cell definition, the element batteries and I6,
@@ -84,7 +84,7 @@ def test_interior_by_covers_matches_the_join_over_subsets(name, request):
 
 
 @pytest.mark.parametrize("name", models.names("tiny") + models.names("small"))
-def test_covers_generate_the_orders(name, request):
+def test_covers_generate_the_orders(name, request, above_by_comprehension):
     u = request.getfixturevalue(name)
     sets, leq = range(u.n_sets), u.pw_leq
 
@@ -102,6 +102,7 @@ def test_covers_generate_the_orders(name, request):
     assert all(place[i] < place[j] for i in sets for j in sets
                if strictly(i, j))
     # the transitive closure of the graded covers is the strict order
+    above = above_by_comprehension(u)
     for gi in u.graded_cells():
         reached, stack = set(), list(u.graded_covers[gi])
         while stack:
@@ -109,7 +110,7 @@ def test_covers_generate_the_orders(name, request):
             if gj not in reached:
                 reached.add(gj)
                 stack.extend(u.graded_covers[gj])
-        assert reached == set(u.graded_above[gi])
+        assert reached == set(above[gi])
 
 
 # ---- stability on unordered live pairs -------------------------------------
@@ -631,13 +632,13 @@ def test_graded_gl_on_mutant_universes_names_the_sweeps_first_witness(
 
 # ---- N4 without candidate lists --------------------------------------------
 
-def n4_by_candidates(nb):
+def n4_by_candidates(nb, above):
     """Oracle: N4's first failure, p first, then gi, joining at p the
-    grades of gi's candidates: the cells at or above gi, from
-    `graded_above`, whose set lies below s(gi), the set of gi's grades
-    across the points."""
+    grades of gi's candidates: the cells at or above gi, from `above`, the
+    graded order in full, whose set lies below s(gi), the set of gi's
+    grades across the points."""
     u, tabs = nb.universe, nb.tables
-    lat, pw_leq, above = u.lattice, u.pw_leq, u.graded_above
+    lat, pw_leq = u.lattice, u.pw_leq
     s = [u.set_index[col] for col in zip(*tabs)]
     for p, tab in enumerate(tabs):
         for gi in u.graded_cells():
@@ -651,14 +652,16 @@ def n4_by_candidates(nb):
 
 
 @pytest.mark.parametrize("name", models.TWO_OR_MORE)
-def test_n4_names_the_candidate_sweeps_first_witness(name, request):
+def test_n4_names_the_candidate_sweeps_first_witness(name, request,
+                                                     above_by_comprehension):
     # every topology, then every system with one cell of one point changed
     # to another grade, of up to 5 sampled topologies
     u = request.getfixturevalue(name)
+    above = above_by_comprehension(u)
     rng, seen = random.Random(name), set()
     topologies = enumerate_topologies(u)
     for t in topologies:
-        want = n4_by_candidates(t.nbhd)
+        want = n4_by_candidates(t.nbhd, above)
         seen.add(want is None)
         assert witness(check_nbhd(t.nbhd), "N4") == want
     for t in rng.sample(topologies, min(5, len(topologies))):
@@ -670,21 +673,21 @@ def test_n4_names_the_candidate_sweeps_first_witness(name, request):
                 tab = tables[p][:k] + (v,) + tables[p][k + 1:]
                 nb = NbhdSystem(universe=u, tables=tables[:p] + (tab,)
                                 + tables[p + 1:])
-                want = n4_by_candidates(nb)
+                want = n4_by_candidates(nb, above)
                 seen.add(want is None)
                 assert witness(check_nbhd(nb), "N4") == want
     assert seen == {True, False}
 
 
 def test_n4_on_the_criterion_07_tables_names_the_candidate_sweeps_witness(
-        request):
+        request, above_by_comprehension):
     from test_acceptance import _topology_corpus
     failing = 0
     for name in ("u22", "u31_godel", "u31_luk", "u23", "u32_godel"):
         u = request.getfixturevalue(name)
         for t in _topology_corpus(u)[0]:
             nb = nbhd_from_interior(interior_from_topology(t))
-            want = n4_by_candidates(nb)
+            want = n4_by_candidates(nb, above_by_comprehension(u))
             failing += want is not None
             assert witness(check_nbhd(nb), "N4") == want
     assert failing == 13  # criterion 07's N4 count

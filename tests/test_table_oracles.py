@@ -1,7 +1,7 @@
 """The Universe tables, built by prepending a leading digit per point,
 against the per-pair construction they replaced: apply the one-point
 operation at every point, then look the resulting tuple up in `set_index`.
-Also the order axioms FF1, I1, N1 and N4, which walk `graded_above`,
+Also the order axioms FF1, I1, N1 and N4, which read the graded order,
 against sweeps over every pair of cells filtered by the definition
 `graded_leq`, and the cell axioms I0, I3-I6, N0 and N3, which read the
 tables directly, against the `InteriorOp.app` and `NbhdSystem.at` calls
@@ -57,11 +57,9 @@ def check_set_tables(u):
     pw_tensor = by_pairs(u, u.tensor.app)
     assert u.pw_tensor == pw_tensor
     assert u.pw_join == by_pairs(u, lat.join2)
-    assert u.pw_meet == by_pairs(u, lat.meet2)
     assert u.pw_res == by_pairs(u, u.res.app)
     assert u.pw_leq == leq_by_pairs(u)
-    for table in (u.pw_tensor, u.pw_join, u.pw_meet, u.pw_res, u.pw_leq,
-                  u.box_table):
+    for table in (u.pw_tensor, u.pw_join, u.pw_res, u.pw_leq, u.box_table):
         assert_tuples(table)
     return pw_tensor
 

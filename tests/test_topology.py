@@ -127,7 +127,7 @@ def test_broken_o3_detected(u23):
     rep = check_topology(Topology(universe=u23, table=tuple(table)))
     assert rep.verdicts["o3"].status == "fail"
     i, j = rep.verdicts["o3"].witness["subset"]
-    assert not lat.le(lat.meet2(table[i], table[j]),
+    assert not lat.le(lat.meet[table[i]][table[j]],
                       table[u23.pw_join[i][j]])
     table[u23.zero_idx] = lat.bot  # the empty family: o1' fails too
     rep = check_topology(Topology(universe=u23, table=tuple(table)))
@@ -252,7 +252,8 @@ def test_enumeration_cap(u32_godel):
                                             ("u32_luk", 832),
                                             ("diamond_1pt", 16)])
 def test_enumeration_cap_counts_every_closure(name, closures, request):
-    # the cap bounds the closures computed, the least table included
+    # the cap counts candidate closures, refuted ones included, the least
+    # table's among them
     u = request.getfixturevalue(name)
     with pytest.raises(SizeLimit):
         enumerate_topologies(u, cap=closures - 1)
@@ -281,7 +282,7 @@ def generate_by_passes(u, seed):
                 for k, v in ((u.pw_tensor[i][j],
                               u.tensor.app(table[i], table[j])),
                              (u.pw_join[i][j],
-                              lat.meet2(table[i], table[j]))):
+                              lat.meet[table[i]][table[j]])):
                     w = lat.join2(table[k], v)
                     changed |= w != table[k]
                     table[k] = w
