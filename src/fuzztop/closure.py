@@ -41,14 +41,17 @@ def close(table, lattice, rules, dirty=None, above=None, stop=()):
 
     The unary rule, when `above` is given, is table[k] >= table[x] for k in
     above[x].  Each binary rule `(target, op)` is table[target[x][y]] >=
-    op[table[x]][table[y]].  Every `op` and `target` must be symmetric, so a
-    rule fires at most once per unordered pair of cells, and every `op`
-    must have bot as its zero, so a cell at bot raises nothing.  Both hold
-    for every `Universe`: its residuum check rejects a non-commutative
-    tensor (with c = b (*) a, a <= res(b, c) gives a (*) b <= b (*) a by
-    the adjunction, and the converse by symmetry), bot <= res(a, c) gives
-    bot (*) a <= c for every c, the meet has both, and the pointwise tables
-    inherit them.
+    op[table[x]][table[y]]; `rules` may be empty.  With no rules and the
+    upper covers of an order as `above`, the closure is the least monotone
+    table above the input: at each cell, the join of the input at and below
+    it (`filters.preimage_filter`, `compactness.product_nbhd_system`).
+    Every `op` and `target` must be symmetric, so a rule fires at most once
+    per unordered pair of cells, and every `op` must have bot as its zero,
+    so a cell at bot raises nothing.  Both hold for every `Universe`: its
+    residuum check rejects a non-commutative tensor (with c = b (*) a,
+    a <= res(b, c) gives a (*) b <= b (*) a by the adjunction, and the
+    converse by symmetry), bot <= res(a, c) gives bot (*) a <= c for every
+    c, the meet has both, and the pointwise tables inherit them.
 
     `dirty` lists the cells raised since the table was last closed; each is
     visited again, paired with every cell as the table stands, as is each
@@ -70,13 +73,14 @@ def close(table, lattice, rules, dirty=None, above=None, stop=()):
     top at the start and those a pairwise rule raises to top, a lower bound
     on the cells at top, so the stop is sound; a raise by the unary rule is
     not counted, so a closure that reaches top by `above` alone (a filter
-    closure from the graded bottom) runs to its end.  Returns None once the
-    table is closed.  As soon as a cell in `stop` is raised, returns that
-    cell, the stop witness, leaving the table half closed with the cell at
-    its raised value, above its input and below its closed value; both
-    sweeps write the cell before they stop.  Whether a stop happens does
-    not depend on the order the rules fire: the least fixpoint is unique
-    and the table only rises toward it.
+    closure from the graded bottom) runs to its end, and with no pairwise
+    rules the stop fires only on a table at top everywhere from the start.
+    Returns None once the table is closed.  As soon as a cell in `stop` is
+    raised, returns that cell, the stop witness, leaving the table half
+    closed with the cell at its raised value, above its input and below its
+    closed value; both sweeps write the cell before they stop.  Whether a
+    stop happens does not depend on the order the rules fire: the least
+    fixpoint is unique and the table only rises toward it.
     """
     join = lattice.join
     if dirty is None:

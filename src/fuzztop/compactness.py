@@ -35,8 +35,8 @@ table a verdict reads was checked where its record was made (`FilterTable`,
 Finite products are built as the least topology making the projections
 continuous, seeded with each factor's grading pulled back along its
 projection by one `Universe.pullback` table per factor; the explicit
-product neighborhood formula, a join of per-tuple terms, doubles as a
-consistency check on that construction.  Images of compact spaces share the
+product neighborhood formula, a join of per-tuple terms closed over the
+graded covers, doubles as a consistency check on that construction.  Images of compact spaces share the
 continuous-surjection precondition of `topology.check_continuity_nbhd`.
 """
 
@@ -45,6 +45,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+from .closure import close
 from .errors import PreconditionViolated, SizeLimit, require_index, trusted
 from .filters import (DEFAULT_FILTER_CAP, check_filter, enumerate_filters,
                       image_filter, is_ultrafilter, least_filter_above,
@@ -303,38 +304,38 @@ def product_nbhd_system(P):
     """The full per-point table of the explicit product formula.
 
     Each factor tuple h is one term: its pulled-back set s_h and the tensor
-    g_h of its factor grades, found once, and at each point and grade
-    a <= g_h its value, found once.  The value at (f, a) joins the terms
-    with s_h <= f: those at s_h = f and the values at f's lower covers,
-    visited first in `Universe.ascending_sets`, as every set below f lies
-    below one of them.
+    g_h of its factor grades, found once.  A point's row seeds, at each
+    (s_h, a) with a <= g_h, the term's value there, the tensor of the
+    factor neighborhood values at (h_k, a), and is closed once by
+    `closure.close` with no pairwise rules over `Universe.graded_covers`:
+    the value at (f, a) becomes the join of the seeds at the cells (s, a')
+    with s <= f and a' >= a.  The formula joins only the terms at a' = a,
+    but each term seeded at a' > a lies below the same term at a, which
+    the formula also joins, as a <= a' <= g_h: every factor's neighborhood
+    table comes from an interior and so falls as the grade rises (N1), and
+    the tensor is isotone.  So the closed row is the formula.
     """
     u = P.universe
     lat, ten, n = u.lattice, u.tensor.table, u.n
-    join, top = lat.join, lat.top
+    join, le, top = lat.join, lat.leq, lat.top
     terms = []
     for h in itertools.product(*[range(f.universe.n_sets) for f in P.factors]):
         s, g = u.one_idx, top
         for hk, f, pulled in zip(h, P.factors, P.pullbacks):
             s, g = u.pw_tensor[s][pulled[hk]], ten[g][f.topology.table[hk]]
-        terms.append(([hk * n for hk in h], s, g))
+        terms.append(([hk * n for hk in h], s * n,
+                      [a for a in lat.elements() if le[a][g]]))
     tables = []
     for p_tuple in P.point_tuples:
         nbhds = [f.nbhd.tables[q] for f, q in zip(P.factors, p_tuple)]
         row = [lat.bot] * u.graded_size
-        for a in lat.elements():
-            here = [lat.bot] * u.n_sets
-            for cells, s, g in terms:
-                if lat.leq[a][g]:
-                    v = top
-                    for c, tab in zip(cells, nbhds):
-                        v = ten[v][tab[c + a]]
-                    here[s] = join[here[s]][v]
-            for si in u.ascending_sets:
-                v = here[si]
-                for sj in u.lower_covers[si]:
-                    v = join[v][row[sj * n + a]]
-                row[si * n + a] = v
+        for cells, s, grades in terms:
+            for a in grades:
+                v = top
+                for c, tab in zip(cells, nbhds):
+                    v = ten[v][tab[c + a]]
+                row[s + a] = join[row[s + a]][v]
+        close(row, lat, [], above=u.graded_covers)
         tables.append(tuple(row))
     return trusted(NbhdSystem, universe=u, tables=tuple(tables))
 

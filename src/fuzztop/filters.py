@@ -14,6 +14,11 @@ tables: the least fixpoints, listings and verdicts are the same.  Saturated
 tables are closed under pointwise meet, and the filters are those whose
 empty-set row stays at bot, so enumeration lists that closure system from
 its least member, the saturation of the all-bot table (see `closure`).
+The same lemma builds the preimage along a surjective point map
+(`preimage_filter`): the join of F over the pulled-back cells at or below
+each cell is the least monotone table above the seed that holds F(g, b) at
+(g o phi, b), so it is one `close` of that seed with the covers as its only
+rule.
 Saturation is a closure operator, so cl(A v B) = cl(cl(A) v B):
 `least_filter_above` starts from a table's kept closure and re-closes only
 the cells a seed raises.  The ultrafilter characterization, kept on each
@@ -405,41 +410,36 @@ def is_ultrafilter(U, mode="characterization", all_filters=None):
 
 
 def image_filter(phi, F, cod_universe):
-    """Pushforward along a point map: value at (g, b) is F(g o phi, b).
-    Raises PreconditionViolated unless phi is a point map into the codomain
-    (`Universe.pullback`)."""
-    u = F.universe
-    uy = cod_universe
-    table = []
-    for pulled in uy.pullback(phi, u):
-        for b in uy.lattice.elements():
-            table.append(F.app(pulled, b))
-    return trusted(FilterTable, universe=uy, table=tuple(table))
+    """Pushforward along a point map: value at (g, b) is F(g o phi, b), one
+    lookup in F's table per cell.  Raises PreconditionViolated unless phi
+    is a point map into the codomain (`Universe.pullback`)."""
+    n, table = cod_universe.n, F.table
+    return trusted(FilterTable, universe=cod_universe, table=tuple(
+        table[pulled * n + b]
+        for pulled in cod_universe.pullback(phi, F.universe)
+        for b in range(n)))
 
 
 def preimage_filter(phi, F, dom_universe):
     """Pullback along a surjective point map.
 
     Value at (f, a) is the join of F(g, b) over all codomain cells whose
-    pullback sits below (f, a) in the graded order.  Raises
+    pullback (g o phi, b) sits below (f, a) in the graded order: the least
+    monotone table above the seed that holds F(g, b) at (g o phi, b) and
+    bot elsewhere, so one `closure.close` of the seed with no pairwise
+    rules over `Universe.graded_covers` (the lemma of the module
+    docstring).  A surjective map pulls distinct sets back to distinct
+    sets, so each seeded cell holds one value of F.  Raises
     PreconditionViolated unless phi is a point map into F's universe
-    (`Universe.pullback`).
+    (`Universe.pullback`), then NotSurjective unless it is onto.
     """
-    uy = F.universe
     ux = dom_universe
-    lat = ux.lattice
-    pullback = uy.pullback(phi, ux)
-    if set(phi) != set(uy.ground.points()):
+    n, lat, table = ux.n, ux.lattice, F.table
+    pullback = F.universe.pullback(phi, ux)
+    if set(phi) != set(F.universe.ground.points()):
         raise NotSurjective("point map misses some codomain point")
-    table = []
-    for si in range(ux.n_sets):
-        for a in lat.elements():
-            vals = []
-            for sj, pulled in enumerate(pullback):
-                if not ux.pw_leq[pulled][si]:
-                    continue
-                for b in lat.elements():
-                    if lat.le(a, b):
-                        vals.append(F.app(sj, b))
-            table.append(lat.join_set(vals))
-    return trusted(FilterTable, universe=ux, table=tuple(table))
+    seed = [lat.bot] * ux.graded_size
+    for sj, pulled in enumerate(pullback):
+        seed[pulled * n:pulled * n + n] = table[sj * n:sj * n + n]
+    close(seed, lat, [], above=ux.graded_covers)
+    return trusted(FilterTable, universe=ux, table=tuple(seed))

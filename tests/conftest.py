@@ -7,7 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import models
-from fuzztop import filters, topology
+from fuzztop import compactness, filters, topology
 from fuzztop.closure import close
 from fuzztop.compactness import _first_adherence
 from fuzztop.filters import enumerate_filters_bruteforce, is_ultrafilter
@@ -95,8 +95,9 @@ def _close_by_index(table, join, rules, dirty=None, above=None, stop=()):
 @pytest.fixture(autouse=True)
 def fresh_closures_match_the_index_order_sweep(monkeypatch):
     """Every fresh closure a test makes, `close` with no dirty cells as
-    `generate_topology` and `saturate` call it, closes to the table and the
-    answer of `_close_by_index`."""
+    `generate_topology`, `saturate`, `preimage_filter` and
+    `product_nbhd_system` call it, closes to the table and the answer of
+    `_close_by_index`."""
     def checked(table, lattice, rules, dirty=None, above=None, stop=()):
         if dirty is None:
             want = list(table)
@@ -111,6 +112,7 @@ def fresh_closures_match_the_index_order_sweep(monkeypatch):
 
     monkeypatch.setattr(topology, "close", checked)
     monkeypatch.setattr(filters, "close", checked)
+    monkeypatch.setattr(compactness, "close", checked)
 
 
 @pytest.fixture(scope="session")
@@ -192,6 +194,35 @@ def gimpl_sup():
     tensor's zero, and top among the grades, as the co-implication's
     adjunction forces top cotensor a = top."""
     return _gimpl_sup
+
+
+def _preimage_by_definition(phi, F, ux):
+    uy = F.universe
+    lat = ux.lattice
+    pullback = uy.pullback(phi, ux)
+    table = []
+    for si in range(ux.n_sets):
+        for a in lat.elements():
+            vals = []
+            for sj, pulled in enumerate(pullback):
+                if not ux.pw_leq[pulled][si]:
+                    continue
+                for b in lat.elements():
+                    if lat.le(a, b):
+                        vals.append(F.app(sj, b))
+            table.append(lat.join_set(vals))
+    return tuple(table)
+
+
+@pytest.fixture(scope="session")
+def preimage_by_definition():
+    """Oracle: the pullback of the table F along the point map phi onto the
+    universe ux by its definition, for checking `filters.preimage_filter`:
+    at (f, a), the join of F(g, b) over every codomain cell whose pulled-back
+    cell (g o phi, b) lies below (f, a) in the graded order, swept over
+    every pair of sets and every pair of grades; called as
+    preimage_by_definition(phi, F, ux), and returns the table."""
+    return _preimage_by_definition
 
 
 def _fold_tensor(lat, tensor, values):

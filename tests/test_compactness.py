@@ -21,6 +21,7 @@ from fuzztop.topology import (NbhdSystem, Topology, check_continuity_nbhd,
                               is_continuous, nbhd_pushforward)
 
 import models
+from test_filters import surjections
 from test_topology import discrete, indiscrete
 
 SPECS = Path(__file__).resolve().parents[1] / "specs"
@@ -664,6 +665,25 @@ def test_image_compactness_replays_both_halves_of_the_proof_chain(
     assert chain.witness["filter"] == F.table
 
 
+def test_image_compactness_on_every_continuous_surjection_u23_to_u22(u22,
+                                                                    u23):
+    # criterion 09 replays the proof only along identities and the collapse
+    # u22 -> u21; here every preimage is a proper pullback onto 3 points
+    codomains = [Space(u22, eta) for eta in enumerate_topologies(u22)]
+    checks = 0
+    for tau in enumerate_topologies(u23):
+        sx = Space(u23, tau)
+        if not is_compact(sx)[0]:
+            continue
+        for phi in surjections(3, 2):
+            for sy in codomains:
+                if is_continuous(phi, tau, sy.topology)[0]:
+                    rep = image_compactness_check(phi, sx, sy)
+                    assert rep.passed, (phi, tau.table, sy.topology.table)
+                    checks += 1
+    assert checks == 342
+
+
 def test_image_compactness_preconditions(u21, u22):
     with pytest.raises(PreconditionViolated, match="map is not surjective"):
         image_compactness_check((1, 1), discrete_space(u22),
@@ -804,6 +824,24 @@ def test_product_nbhd_system_on_the_3_chain(tensor, names, request,
         factors = [Space(u, rng.choice(enumerate_topologies(u)))
                    for u in universes]
         assert_system_is_the_formula(build_product(factors), product_nbhd)
+
+
+@pytest.mark.parametrize("name", ["u31_luk", "chain4_luk_1pt", "diamond_1pt",
+                                  "u31_godel_middle_unit"])
+def test_product_nbhd_system_on_other_factors(name, request, product_nbhd):
+    # the closed row also joins the terms seeded at grades above a, which
+    # the formula leaves out: they lie below it because every factor's
+    # neighborhood table falls as the grade rises (N1)
+    u = request.getfixturevalue(name)
+    non_discrete = [Space(u, t) for t in enumerate_topologies(u)
+                    if t.table != discrete(u).table]
+    chosen = random.Random(name).sample(non_discrete,
+                                        min(3, len(non_discrete)))
+    assert len(chosen) >= 2
+    for x in chosen:
+        assert check_nbhd(x.nbhd).verdicts["N1"].status == "pass"
+        for y in chosen:
+            assert_system_is_the_formula(build_product([x, y]), product_nbhd)
 
 
 def test_product_nbhd_system_passes_axioms(u22):

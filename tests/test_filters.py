@@ -508,6 +508,65 @@ def test_preimage_identity_is_identity(u22):
         assert preimage_filter(phi, F, u22).table == F.table
 
 
+def surjections(m, k):
+    """Every point map from m points onto k points."""
+    return [phi for phi in itertools.product(range(k), repeat=m)
+            if len(set(phi)) == k]
+
+
+# (domain, codomain) pairs that share lattice, tensor and cotensor; the
+# self-maps of u32_godel_reindexed run on element indices that are not a
+# linear extension of the order.  Under a tensor with top as its unit a
+# filter takes one value per set at every grade, as F(f, a v b) >=
+# F(f, a) (*) F(one, b) = F(f, a) and FF1 gives the converse, so only the
+# filters of u32_non_integral vary with the grade
+PREIMAGE_PAIRS = [("u22", "u21"), ("u23", "u22"), ("u24", "u22"),
+                  ("u32_godel", "u31_godel"), ("u32_luk", "u31_luk"),
+                  ("u32_godel_middle_unit", "u31_godel_middle_unit"),
+                  ("u32_luk_middle_unit", "u31_luk_middle_unit"),
+                  ("diamond_2pt", "diamond_1pt"),
+                  ("chain4_luk_2pt", "chain4_luk_1pt"),
+                  ("u32_godel_reindexed", "u32_godel_reindexed"),
+                  ("u32_non_integral", "u32_non_integral")]
+
+
+@pytest.mark.parametrize("dom, cod", PREIMAGE_PAIRS,
+                         ids=[f"{d}-to-{c}" for d, c in PREIMAGE_PAIRS])
+def test_preimage_is_the_join_by_definition(dom, cod, request,
+                                            preimage_by_definition):
+    # the seed closed over the graded covers is the join over the
+    # pulled-back cells below each cell for any table, so every listed
+    # filter and random tables that are not filters are fed; a filter is
+    # monotone, so pushing its pullback forward gives it back, which checks
+    # that `image_filter` reads each grade where it belongs
+    ux, uy = request.getfixturevalue(dom), request.getfixturevalue(cod)
+    rng = random.Random(f"{dom}-to-{cod}")
+    filters = enumerate_filters(uy)
+    others = []
+    while len(others) < 6:
+        F = FilterTable(universe=uy, table=[
+            rng.randrange(uy.n) for _ in range(uy.graded_size)])
+        if not check_filter(F).passed:
+            others.append(F)
+    for phi in surjections(ux.ground.m, uy.ground.m):
+        for F in filters + others:
+            pre = preimage_filter(phi, F, ux)
+            assert pre.table == preimage_by_definition(phi, F, ux), \
+                (phi, F.table)
+            if F in filters:
+                assert image_filter(phi, pre, uy).table == F.table
+
+
+def test_preimage_leaves_the_pointwise_order_unbuilt(u22):
+    # the pullback closes over the graded covers; a sweep over every pair
+    # of sets would build `pw_leq` on the domain
+    u23 = models.build("u23")
+    for F in enumerate_filters(u22):
+        for phi in surjections(3, 2):
+            preimage_filter(phi, F, u23)
+    assert "pw_leq" not in vars(u23)
+
+
 def saturate_by_passes(u, seed, boxtimes, graded_leq):
     """Oracle: the all-pairs fixpoint loop, rescanning every cell and every
     ordered pair of cells until a pass changes nothing.  It assumes no
