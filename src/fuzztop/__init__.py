@@ -9,8 +9,7 @@ product theorem with brute-force oracles.
 from .errors import (AdjunctionFailure, Degenerate, FuzztopError, NotAChain,
                      NotALattice, NotAPartialOrder, NotSurjective,
                      PreconditionViolated, SizeLimit)
-from .lattice import (Lattice, build_lattice, check_infinite_distributivity,
-                      lattice_from_order)
+from .lattice import Lattice, build_lattice, check_infinite_distributivity
 from .residuated import (Tensor, check_co_gl_monoid, check_cqm,
                          check_gl_monoid, classify, co_implication, residuum)
 from .instances import (boolean, chain, diamond, join_cotensor,

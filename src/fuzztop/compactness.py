@@ -43,7 +43,7 @@ continuous-surjection precondition of `topology.check_continuity_nbhd`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .closure import close
 from .errors import PreconditionViolated, SizeLimit, require_index, trusted
@@ -249,8 +249,8 @@ class ProductSpace:
     factors: list
     space: Space
     projections: tuple       # per factor: product point index -> factor point
-    point_tuples: tuple = field(default=())
-    pullbacks: tuple = field(default=())  # per factor: set -> product set
+    point_tuples: tuple
+    pullbacks: tuple         # per factor: set -> product set
 
     @property
     def universe(self):

@@ -4,8 +4,8 @@ Elements are dense integer indices 0..n-1; the order and the binary join/meet
 are precomputed as full tables so every later sweep is a table lookup.  The
 reversed order (`Lattice.geq`) is a lattice too, with join and meet, top and
 bot swapped, so a law or a search on meets is the one on joins run on the
-reversed order (the duality principle): `lattice_from_order` looks each meet
-up in the down-sets as it looks each join up in the up-sets.
+reversed order (the duality principle): `_from_upsets` looks each meet up
+in the down-sets as it looks each join up in the up-sets.
 "Arbitrary" joins and meets are finite ones here, so a law over arbitrary
 joins or meets holds iff it holds for the empty one and for pairs (induction
 on the size of the family); the checkers decide such laws that way.
@@ -17,19 +17,18 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress
 
-from .errors import (Degenerate, NotALattice, NotAPartialOrder,
-                     PreconditionViolated, are_indices, require_index,
-                     require_int, require_sequence, trusted)
+from .errors import (Degenerate, NotALattice, NotAPartialOrder, are_indices,
+                     require_index, require_int, require_sequence, trusted)
 from .report import Report
 
 
 @dataclass(frozen=True)
 class Lattice:
     """A finite lattice with precomputed order and join/meet tables, per
-    element the int bitmask of its down-set, which the constructors hold
-    already, and its cover pairs, which they pick out of the pairs they are
-    given; the masks and the covers are read off the order, so they take no
-    part in equality or hashing.
+    element the int bitmask of its down-set, which `build_lattice`, its one
+    constructor, holds already, and its cover pairs, which it picks out of
+    the pairs it is given; the masks and the covers are read off the order,
+    so they take no part in equality or hashing.
 
     `cover_pairs` are the pairs (c, a), c a lower cover of a, with a in a
     linear extension of the order and c in index order, so a pair comes
@@ -134,8 +133,9 @@ def _bounds(ups):
 
 
 def _from_upsets(leq, ups, pairs):
-    """The Lattice of a reflexive, transitive relation given as boolean
-    rows (tuples) and as per-element up-set bitmasks.  NotAPartialOrder
+    """The Lattice of `build_lattice`'s closure, a reflexive, transitive
+    relation given as boolean rows (tuples) and as per-element up-set
+    bitmasks: the one bound lookup of the kernel.  NotAPartialOrder
     names the first element sharing its up-set with a later one
     (antisymmetry).  The upper bounds of a and b are up(a) & up(b), with a
     least member u iff they are up(u), so each join is one lookup by
@@ -181,44 +181,6 @@ def require_carrier(n):
         raise Degenerate(f"carrier size {n} < 2")
 
 
-def lattice_from_order(leq):
-    """Build a Lattice from a full order relation (n x n boolean rows),
-    checked on up-set bitmasks to be a partial order: each up-set holds its
-    element (reflexivity) and the up-sets of its members (transitivity);
-    NotAPartialOrder names the first failure.  `_from_upsets` checks
-    antisymmetry, looks the bounds up and picks the covers out of the
-    pairs of the relation.
-
-    The rows are checked first, by one scan of the types of their entries
-    when they are n tuples or lists of n; PreconditionViolated names the
-    first row that is not a sequence of n entries, or its first entry that
-    is not a bool.
-    """
-    require_sequence(leq, "order")
-    n = len(leq)
-    if not ({tuple, list}.issuperset(map(type, leq))
-            and set(map(len, leq)) <= {n}
-            and {bool}.issuperset(map(type, chain.from_iterable(leq)))):
-        for a, row in enumerate(leq):
-            what = f"order row {a}"
-            require_index(row, None, (what, "entries", "elements"), n)
-            for b, v in enumerate(row):
-                if type(v) is not bool:
-                    raise PreconditionViolated(f"{what} entry {b} is {v!r}, "
-                                               "not a bool")
-    ups, pairs = _upsets(leq), []
-    for a, up in enumerate(ups):
-        if not up >> a & 1:
-            raise NotAPartialOrder(f"reflexivity fails on {a}")
-        for b in compress(range(n), leq[a]):
-            missing = ups[b] & ~up
-            if missing:
-                c = (missing & -missing).bit_length() - 1
-                raise NotAPartialOrder(f"transitivity fails on {a},{b},{c}")
-            pairs.append((a, b))
-    return _from_upsets(tuple(tuple(row) for row in leq), ups, pairs)
-
-
 def _require_pairs(pairs, n):
     """Raise PreconditionViolated unless `pairs` is a sequence of pairs of
     ints, not bools, and NotAPartialOrder naming the first pair with one
@@ -245,6 +207,8 @@ def _require_pairs(pairs, n):
 def build_lattice(n, leq_pairs):
     """Build a Lattice from a carrier size and a list of (lower, upper) pairs.
 
+    Every Lattice is built here: the named lattices and a spec's `covers =`
+    line give their covers, and `Universe.graded_lattice` the graded covers.
     The order is the reflexive-transitive closure of the pairs, closed on
     up-set bitmasks, which are handed to `_from_upsets` with the rows read
     off them: the closure is reflexive and transitive, so only antisymmetry
@@ -256,15 +220,16 @@ def build_lattice(n, leq_pairs):
     """
     require_carrier(n)
     _require_pairs(leq_pairs, n)
-    ups = [1 << a for a in range(n)]
+    bits = [1 << a for a in range(n)]
+    ups = bits.copy()
     for a, b in leq_pairs:
-        ups[a] |= 1 << b
-    for k in range(n):  # Warshall closure
-        bit, up_k = 1 << k, ups[k]
+        ups[a] |= bits[b]
+    for k, bit in enumerate(bits):  # Warshall closure
+        up_k = ups[k]
         for a in range(n):
             if ups[a] & bit:
                 ups[a] |= up_k
-    return _from_upsets(tuple([tuple([up >> b & 1 == 1 for b in range(n)])
+    return _from_upsets(tuple([tuple([up & bit != 0 for bit in bits])
                                for up in ups]), ups, leq_pairs)
 
 

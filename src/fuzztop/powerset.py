@@ -10,10 +10,10 @@ lattice) has the graded order: (f, a) below (g, b) iff f <= g pointwise and
 b <= a.  A finite order is the reflexive-transitive closure of its covers,
 and a cover of a set lowers or raises one point's value by one cover of L,
 so the graded order is kept only as its covers (`Universe.lower_covers`,
-`Universe.graded_covers`): order laws are decided on them, and the whole
-order is read off `pw_leq` and L's order only to name a failure or to
-build `graded_lattice`.  A point map acts on sets by one table,
-`Universe.pullback`.
+`Universe.graded_covers`): order laws are decided on them,
+`graded_lattice` is their closure, and the whole order is read off
+`pw_leq` and L's order only to name a failure.  A point map acts on sets
+by one table, `Universe.pullback`.
 
 `check_graded_gl` decides the graded residuation on pairs of cells, by
 three lemmas.  Write x.y for boxtimes, (f, a).(g, b) = (f tensor g,
@@ -57,7 +57,7 @@ from functools import cached_property, reduce
 from .errors import (PreconditionViolated, SizeLimit, require_index,
                      require_int, trusted)
 from .instances import join_cotensor
-from .lattice import lattice_from_order
+from .lattice import build_lattice
 from .report import PASS, Report
 from .residuated import Tensor, check_gl_monoid, co_implication, residuum
 
@@ -198,8 +198,9 @@ class Universe:
     def graded_covers(self):
         """Per graded cell (f, a), its upper covers in the graded order:
         (g, a) for g an upper cover of f, and (f, b) for b a lower cover of
-        a.  The graded order is their reflexive-transitive closure; the order
-        laws and the filter closures read it here; built on first use."""
+        a.  The graded order is their reflexive-transitive closure
+        (`graded_lattice`); the order laws and the filter closures read it
+        here; built on first use."""
         n = self.n
         upper = [[] for _ in range(self.n_sets)]
         for si, below in enumerate(self.lower_covers):
@@ -280,13 +281,12 @@ class Universe:
                     yield si, a, sj, b
 
     def graded_lattice(self):
-        """The graded carrier packaged as a plain Lattice over flat indices,
-        its order rows read off `pw_leq` and L's order: (f, a) <= (g, b)
-        iff pw_leq[f][g] and b <= a."""
-        pw_leq, geq = self.pw_leq, self.lattice.geq
-        return lattice_from_order([[f_le_g and b_le_a for f_le_g in row
-                                    for b_le_a in geq[a]]
-                                   for row in pw_leq for a in range(self.n)])
+        """The graded carrier packaged as a plain Lattice over flat indices:
+        the closure of `graded_covers`, whose pairs its `cover_pairs` are
+        picked from; `pw_leq` is not read."""
+        return build_lattice(self.graded_size, [
+            (x, k) for x, above in enumerate(self.graded_covers)
+            for k in above])
 
     def pullback(self, phi, dom):
         """Pull every fuzzy set on this universe back along a point map.

@@ -289,10 +289,11 @@ def check_interior(i):
 
 
 def nbhd_from_interior(i):
-    """Per-point evaluation of the interior table."""
-    u, sets = i.universe, i.universe.sets
+    """Per-point evaluation of the interior table: the sets it names,
+    transposed whole into one table per point."""
+    u = i.universe
     return trusted(NbhdSystem, universe=u, tables=tuple(
-        tuple([sets[si][p] for si in i.table]) for p in u.ground.points()))
+        zip(*map(u.sets.__getitem__, i.table))))
 
 
 def check_nbhd(n):

@@ -11,7 +11,9 @@ come from measured cost (CPython 3.11, 2-core x86-64 VM):
 - "small": the topologies exceed the default cap; a table oracle over every
   pair of graded cells takes under 0.2 s;
 - "next-tier": 243 or 256 sets, where a table oracle over every pair of
-  sets takes 0.3-0.5 s.
+  sets takes 0.3-0.5 s;
+- "cqm": a quasi-monoidal tensor that is no GL tensor, which no sweep of
+  the tags above picks up.
 """
 
 from functools import partial
@@ -50,6 +52,20 @@ def non_integral_tensor(lat):
     return Tensor(base=lat, table=tuple(
         tuple(0 if 0 in (a, b) else min(2, a + b - 1) for b in range(3))
         for a in range(3)))
+
+
+def cqm_tensor(lat):
+    """On the 4-chain, a commutative tensor with bot its zero, isotone and
+    with top (*) top = top, so quasi-monoidal (`check_cqm`), but neither
+    integral (top (*) 1 = 2), nor associative ((1 (*) 3) (*) 3 = 3 but
+    1 (*) (3 (*) 3) = 2), nor divisible.  On its products a term's
+    neighbourhood value varies with the grade below the term's bound,
+    which tells `product_nbhd_system`'s seeding at every such grade from
+    a seeding at the bound alone."""
+    return Tensor(base=lat, table=((0, 0, 0, 0),
+                                   (0, 1, 2, 2),
+                                   (0, 2, 2, 3),
+                                   (0, 2, 3, 3)))
 
 
 def middle_unit_cotensor(lat):
@@ -118,6 +134,7 @@ MODELS = {
     "chain4_luk_2pt": Model("chain4", lukasiewicz_tensor, 2, "small"),
     "u35_godel": Model("chain3", meet_tensor, 5, "next-tier"),
     "u28": Model("chain2", meet_tensor, 8, "next-tier"),
+    "chain4_cqm_1pt": Model("chain4", cqm_tensor, 1, "cqm"),
 }
 
 

@@ -812,6 +812,17 @@ def test_product_nbhd_system_on_non_discrete_factors(u21, u22,
         assert_system_is_the_formula(build_product(factors), product_nbhd)
 
 
+def test_product_nbhd_system_under_a_cqm_tensor(chain4_cqm_1pt,
+                                                product_nbhd):
+    # a quasi-monoidal tensor that is not associative: a term's value
+    # varies with the grade below its bound, so each grade is seeded
+    u = chain4_cqm_1pt
+    spaces = [Space(u, t) for t in enumerate_topologies(u)]
+    assert len(spaces) == 8
+    for factors in itertools.product(spaces, repeat=2):
+        assert_system_is_the_formula(build_product(factors), product_nbhd)
+
+
 @pytest.mark.parametrize("tensor, names", [
     ("meet_tensor", ("u32_godel", "u31_godel")),
     ("lukasiewicz_tensor", ("u32_luk", "u31_luk")),

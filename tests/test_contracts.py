@@ -7,7 +7,7 @@ input, and neither leaks another exception nor returns.
 or with one entry -1, past its bound, 1.5, 1.0, None, "a", True or a list;
 a point or an index malformed alike; a table or filter over another
 universe, or an operation over another lattice; a carrier size, a cap, or
-an order given by pairs or by rows, malformed alike; and a product of
+an order given by pairs, malformed alike; and a product of
 other factors.  A record of a table (`FilterTable`, `Topology`,
 `InteriorOp`, `NbhdSystem`) checks it where it is made, so each is called
 to build one, and every export that reads one is called with one built
@@ -40,7 +40,7 @@ ALLOWED = {
                      "NotAChain", "NotALattice", "NotAPartialOrder",
                      "NotSurjective", "PreconditionViolated", "SizeLimit"],
                     "an exception type"),
-    "Lattice": "built only by build_lattice and lattice_from_order",
+    "Lattice": "built only by build_lattice",
     **dict.fromkeys(["boolean", "diamond", "m3", "pentagon"],
                     "a named lattice, made by build_lattice"),
     "check_infinite_distributivity": "takes a Lattice, validated when built",
@@ -117,20 +117,6 @@ def _(k):
         # (`test_build_lattice_fails_as_the_closures_rows_do`)
         if case not in ("minus-one", "too-large"):
             yield f"pair-{case}", partial(fz.build_lattice, 2, [pair])
-
-
-@contract("lattice_from_order")
-def _(k):
-    rows = k.u22.lattice.leq
-    yield "order-not-a-sequence", partial(fz.lattice_from_order, 5)
-    yield "row-not-a-sequence", partial(fz.lattice_from_order, (rows[0], 5))
-    yield "short-row", partial(fz.lattice_from_order, (rows[0], rows[1][:1]))
-    yield "long-row", partial(fz.lattice_from_order,
-                              (rows[0], rows[1] + (True,)))
-    for case, value in [("zero", 0), ("one", 1)] + bad_indices(2):
-        if type(value) is not bool:
-            yield f"entry-{case}", partial(fz.lattice_from_order,
-                                           (rows[0], (value, True)))
 
 
 @contract("chain")

@@ -1,15 +1,18 @@
 """The order tables built by lookup, against the searches they replaced:
 lattice bounds looked up by up-set against the search of every pair's upper
 bounds for the least one, `build_lattice` from its closure's up-sets
-against `lattice_from_order` of the closure's rows, the rows of
-`graded_lattice` against the comprehension over `pw_leq`, N4 decided
+against the definitions on the closure's rows, the rows of
+`graded_lattice` against the comprehension over `pw_leq` and its bounds
+and covers against the search and the scan, N4 decided
 without candidates against the per-point `all(...)` sweep of them, the
 join-irreducibles read off the lower covers against the join of each
 element's strict down-set, and the cover pairs `build_lattice` picks out
 of its pairs against the scan of every pair of elements.  Also that the
-pointwise order is built only when something reads it, and the graded
-order's rows not for a neighbourhood check."""
+pointwise order is built only when something reads it, not for the
+graded GL battery, and the graded order's rows not for a neighbourhood
+check."""
 
+import dataclasses
 import random
 
 import pytest
@@ -17,7 +20,8 @@ import pytest
 from fuzztop.errors import (Degenerate, FuzztopError, NotALattice,
                             NotAPartialOrder)
 from fuzztop.instances import chain, diamond, m3, pentagon
-from fuzztop.lattice import build_lattice, lattice_from_order
+from fuzztop.lattice import Lattice, build_lattice
+from fuzztop.powerset import check_graded_gl
 from fuzztop.topology import (NbhdSystem, Topology, check_nbhd,
                               check_topology, generate_topology)
 
@@ -77,10 +81,6 @@ def bounds(lat):
     return lat.join, lat.meet, lat.top, lat.bot
 
 
-def chain_pairs(k):
-    return [(i, i + 1) for i in range(k - 1)]
-
-
 def covers_by_definition(lat):
     """Oracle: per element a, the c < a with no element strictly between."""
     def lt(x, y):
@@ -110,17 +110,15 @@ def cover_pairs_by_scan(lat):
 
 @pytest.mark.parametrize("name", sorted(ORDERS))
 def test_cover_pairs_match_the_scan_of_every_pair(name):
-    # both constructors pick the covers out of their pairs: given the
-    # covers, the whole order (reflexive pairs too), both shuffled with
-    # repeats, or the rows of the order
+    # `build_lattice` picks the covers out of its pairs: given the covers,
+    # the whole order (reflexive pairs too), or both shuffled with repeats
     n, covers = ORDERS[name]
     made = models.LATTICES[name]()
     relation = [(c, a) for c in range(n) for a in range(n) if made.le(c, a)]
     mixed = covers + relation + covers
     random.Random(name).shuffle(mixed)
-    for lat in (made, lattice_from_order(made.leq),
-                *(build_lattice(n, pairs)
-                  for pairs in (covers, relation, mixed))):
+    for lat in (made, *(build_lattice(n, pairs)
+                        for pairs in (covers, relation, mixed))):
         assert lat.cover_pairs == cover_pairs_by_scan(lat)
 
 
@@ -144,20 +142,30 @@ def test_bounds_match_the_bound_search(name):
     leq = closure(n, pairs)
     want = bound_search(leq)
     assert bounds(build_lattice(n, pairs)) == want
-    assert bounds(lattice_from_order(leq)) == want
     assert build_lattice(n, pairs).leq == tuple(map(tuple, leq))
 
 
 def build_by_rows(n, pairs):
-    """Oracle: `build_lattice` as `lattice_from_order` of the rows of the
-    pairs' closure, after the carrier checks."""
+    """Oracle: `build_lattice` by the definitions on the rows of the
+    pairs' closure, after the carrier checks: its first antisymmetry
+    failure, its searched bounds, and its covers by the scan of every
+    pair."""
     if n < 2:
         raise Degenerate(f"carrier size {n} < 2")
     for a, b in pairs:
         if not (0 <= a < n and 0 <= b < n):
             raise NotAPartialOrder(f"pair ({a},{b}) outside carrier "
                                    f"0..{n - 1}")
-    return lattice_from_order(closure(n, pairs))
+    leq = closure(n, pairs)
+    twins = first_antisymmetry_failure(leq)
+    if twins:
+        raise NotAPartialOrder("antisymmetry fails on {},{}".format(*twins))
+    join, meet, top, bot = bound_search(leq)
+    lat = Lattice(n=n, leq=tuple(map(tuple, leq)), join=join, meet=meet,
+                  top=top, bot=bot, cover_pairs=None,
+                  down_masks=tuple(sum(1 << b for b in range(n) if leq[b][a])
+                                   for a in range(n)))
+    return dataclasses.replace(lat, cover_pairs=cover_pairs_by_scan(lat))
 
 
 @pytest.mark.parametrize("name", sorted(ORDERS))
@@ -165,6 +173,8 @@ def test_build_lattice_is_the_lattice_of_the_closures_rows(name):
     lat, want = build_lattice(*ORDERS[name]), build_by_rows(*ORDERS[name])
     assert lat == want
     assert lat.geq == want.geq == tuple(zip(*want.leq))
+    assert lat.down_masks == want.down_masks
+    assert lat.cover_pairs == want.cover_pairs
 
 
 @pytest.mark.parametrize("n, pairs", [
@@ -189,15 +199,18 @@ def test_instances_are_the_searched_lattices():
         assert bounds(lat) == bound_search(lat.leq)
 
 
-@pytest.mark.parametrize("name", ["u21", "u22", "u31_godel", "u31_luk",
-                                  "u23"])
+@pytest.mark.parametrize("name", models.names("tiny"))
 def test_graded_bounds_match_the_bound_search(name, request, graded_leq):
+    # the closure of the graded covers, on every index order and table of
+    # the tiny models, is the graded order with its searched bounds and
+    # its covers by the scan of every pair
     u = request.getfixturevalue(name)
     cells = u.graded_cells()
     leq = [[graded_leq(u, i, j) for j in cells] for i in cells]
     glat = u.graded_lattice()
     assert glat.leq == tuple(map(tuple, leq))
     assert bounds(glat) == bound_search(leq)
+    assert glat.cover_pairs == cover_pairs_by_scan(glat)
 
 
 NON_LATTICES = {
@@ -212,10 +225,7 @@ def test_non_lattices_raise_the_search_message(name):
     leq = closure(n, pairs)
     with pytest.raises(NotALattice) as searched:
         bound_search(leq)
-    message = f"^{searched.value}$"
-    with pytest.raises(NotALattice, match=message):
-        lattice_from_order(leq)
-    with pytest.raises(NotALattice, match=message):
+    with pytest.raises(NotALattice, match=f"^{searched.value}$"):
         build_lattice(n, pairs)
 
 
@@ -228,27 +238,9 @@ def test_non_lattices_raise_the_search_message(name):
 def test_preorders_raise_the_first_antisymmetry_failure(pairs):
     leq = closure(4, pairs)
     a, b = first_antisymmetry_failure(leq)
-    message = f"^antisymmetry fails on {a},{b}$"
-    with pytest.raises(NotAPartialOrder, match=message):
-        lattice_from_order(leq)
-    with pytest.raises(NotAPartialOrder, match=message):
-        build_lattice(4, pairs)
-
-
-def test_non_reflexive_relation_is_not_a_partial_order():
-    leq = closure(3, chain_pairs(3))
-    leq[1][1] = False
-    with pytest.raises(NotAPartialOrder, match="^reflexivity fails on 1$"):
-        lattice_from_order(leq)
-
-
-def test_non_transitive_relation_is_not_a_partial_order():
-    # 0 <= 1 <= 2 but not 0 <= 2, above a top 3
-    leq = closure(4, [(0, 1), (1, 2), (2, 3), (0, 3), (1, 3)])
-    leq[0][2] = False
     with pytest.raises(NotAPartialOrder,
-                       match="^transitivity fails on 0,1,2$"):
-        lattice_from_order(leq)
+                       match=f"^antisymmetry fails on {a},{b}$"):
+        build_lattice(4, pairs)
 
 
 # ---- graded up-sets ----------------------------------------------------------
@@ -341,6 +333,14 @@ def test_topology_checks_leave_the_pointwise_order_unbuilt():
     seed = [rng.randrange(2) if rng.random() < 0.3 else 0
             for _ in range(u.n_sets)]
     assert check_topology(generate_topology(u, seed)).passed
+    assert "pw_leq" not in u.__dict__
+
+
+def test_graded_gl_leaves_the_pointwise_order_unbuilt():
+    # the graded lattice is the closure of the graded covers, so the
+    # battery reads no row of `pw_leq`
+    u = models.build("u23")
+    assert check_graded_gl(u).passed
     assert "pw_leq" not in u.__dict__
 
 
