@@ -6,8 +6,7 @@ raised to the least one closed under a unary transport rule and pairwise
 rules (`close`).  Every rule's operation has bot as its zero, so a fresh
 table is swept from its live cells, those not at bot, in value order: on a
 chain with an integral tensor each pair of live cells fires at most once
-per rule, and the sweep stops once the pairwise rules bring every cell to
-top.
+per rule, and the sweep stops once the rules bring every cell to top.
 Such a family is enumerated depth-first from its least table
 (`enumerate_closed`), which takes the family as `close` does: its pairwise
 rules, its unary rule `above` and the cells `stop` no member raises.  A
@@ -70,11 +69,9 @@ def close(table, lattice, rules, dirty=None, above=None, stop=()):
     The first sweep returns as soon as every cell is at top, after the
     `stop` checks of the visit that got it there: the all-top table is the
     greatest, so it is a fixpoint of every rule.  It counts the cells at
-    top at the start and those a pairwise rule raises to top, a lower bound
-    on the cells at top, so the stop is sound; a raise by the unary rule is
-    not counted, so a closure that reaches top by `above` alone (a filter
-    closure from the graded bottom) runs to its end, and with no pairwise
-    rules the stop fires only on a table at top everywhere from the start.
+    top at the start and those a rule, unary or pairwise, raises to top.
+    A cell is counted once, as it then stays at top, so the count is the
+    number of cells at top and the stop is sound.
     Returns None once the table is closed.  As soon as a cell in `stop` is
     raised, returns that cell, the stop witness, leaving the table half
     closed with the cell at its raised value, above its input and below its
@@ -109,6 +106,7 @@ def close(table, lattice, rules, dirty=None, above=None, stop=()):
                     if w != table[k]:
                         table[k] = w
                         raised.append(k)
+                        tops += w == top
             for target, op in rules:
                 op_v, row = op[v], target[x]
                 for y in done:

@@ -188,24 +188,32 @@ class Universe:
         """The set indices in a linear extension of the pointwise order, so
         each set comes after every set below it: sorted by the sum over
         points of the size of the value's down-set, which a strict
-        inequality raises; built on first use."""
+        inequality raises, the sums built by digits; built on first use."""
         le = self.lattice.leq
-        size = [sum(row[a] for row in le) for a in range(self.n)]
-        return tuple(sorted(range(self.n_sets), key=lambda si: sum(
-            size[v] for v in self.sets[si])))
+        size = sums = [sum(row[a] for row in le) for a in range(self.n)]
+        for _ in range(self.ground.m - 1):
+            sums = [s + rest for s in size for rest in sums]
+        return tuple(sorted(range(self.n_sets), key=sums.__getitem__))
 
     @cached_property
-    def graded_covers(self):
-        """Per graded cell (f, a), its upper covers in the graded order:
-        (g, a) for g an upper cover of f, and (f, b) for b a lower cover of
-        a.  The graded order is their reflexive-transitive closure
-        (`graded_lattice`); the order laws and the filter closures read it
-        here; built on first use."""
-        n = self.n
+    def upper_covers(self):
+        """Per set, its upper covers in the pointwise order, in index order:
+        the sets that list it among their `lower_covers`; built on first
+        use."""
         upper = [[] for _ in range(self.n_sets)]
         for si, below in enumerate(self.lower_covers):
             for sj in below:
                 upper[sj].append(si)
+        return tuple(map(tuple, upper))
+
+    @cached_property
+    def graded_covers(self):
+        """Per graded cell (f, a), its upper covers in the graded order:
+        (g, a) for g in `upper_covers` of f, and (f, b) for b a lower cover
+        of a.  The graded order is their reflexive-transitive closure
+        (`graded_lattice`); the order laws and the filter closures read it
+        here; built on first use."""
+        n, upper = self.n, self.upper_covers
         grade_covers = self.lattice.lower_covers
         return tuple(tuple([sj * n + a for sj in upper[si]]
                            + [si * n + b for b in grade_covers[a]])

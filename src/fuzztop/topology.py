@@ -2,11 +2,13 @@
 
 A topology is a total grade table over the enumerated powerset.  The least
 topology above a seed is the least fixpoint of the pairwise tensor and join
-rules under `closure.close`, which visits the sets not graded bot in value
-order, so on a chain with an integral tensor each rule fires at most once
-per unordered pair of them (every `Universe` tensor commutes and has bot as
-its zero); topologies are closed under pointwise meet, so they are enumerated
-as that closure system from its least member (see `closure`).  The interior operator derived from a topology, and the
+rules.  Under the meet tensor it is built one join-irreducible grade at a
+time, by the level lemma below.  Under any other tensor it is reached by
+`closure.close`, which visits the sets not graded bot in value order, so on
+a chain with an integral tensor each rule fires at most once per unordered
+pair of them (every `Universe` tensor commutes and has bot as its zero).
+Topologies are closed under pointwise meet, so they are enumerated as that
+closure system from its least member (see `closure`).  The interior operator derived from a topology, and the
 per-point neighborhood system derived from that, are materialized as full
 tables, once per `Topology`, and validated by exhaustive axiom sweeps,
 turning the structural lemmas into executable checks; the interior is
@@ -19,6 +21,49 @@ A point map is checked and pulled back once per check
 (`Universe.pullback`).  Each record checks its table where it is made
 (`Topology`, `InteriorOp`, `NbhdSystem`), and the tables the kernel
 derives from checked ones are wrapped unchecked (`errors.trusted`).
+
+Level lemma.  Let the tensor be the meet of L, and the seed top at the
+empty and full sets.  For each join-irreducible j of L let the cut C_j be
+the sets the seed grades at or above j, and S_j the sublattice of L^X
+generated by C_j.  The least topology above the seed is
+tau(f) = join{j | f in S_j}, and f in S_j is decided by one pass down and
+one pass up the set covers.  Proof:
+- L is distributive.  A `Universe` needs a residuum, and a meet with a
+  residuum makes L a Heyting algebra, where meeting with a preserves
+  joins, being the lower adjoint of res(a, -).  So L^X is distributive, and
+  its join-irreducibles are the sets with one lower cover: one point at a
+  join-irreducible of L, the others at bot.
+- The rules split by grade.  Every element of L is the join of the
+  join-irreducibles below it, so x <= y iff every join-irreducible below x
+  is below y.  So tau(f meet g) >= tau(f) meet tau(g) and
+  tau(f join g) >= tau(f) meet tau(g) hold for all f, g iff every cut
+  {f | tau(f) >= j} is closed under the pointwise meet and join.
+- The least closed table.  tau lies above the seed: seed(f) is the join of
+  the j below it, and f is in each of their cuts.  tau is closed: j <= j'
+  gives C_j' within C_j, so S_j' within S_j; if j <= tau(f) meet tau(g),
+  then j <= j' for some j' with f in S_j', as j is join-prime in a
+  distributive lattice, so f is in S_j, and so is g, and so are f meet g and
+  f join g.  tau is least: the cuts of a closed table above the seed hold
+  the C_j and are sublattices, so they hold the S_j.
+- Birkhoff's test.  Let S be a sublattice of a finite distributive
+  lattice that holds its bottom and top, as S_j holds the empty and full
+  sets.  Then S holds f iff f = join{D_x | x join-irreducible, x <= f},
+  D_x the least member of S above x: each D_x <= f when f is in S, and f
+  is the join of the x below it, each x <= D_x; a join of members is a
+  member.  For S = S_j, D_x = meet{s in C_j, or 1_X | s >= x}: a member
+  of S_j is a join of meets of C_j, by distributivity, and one above x
+  has one of those meets above x, x being join-prime.
+- One pass down the covers.  M(f), f if f is in C_j and else 1_X, met with
+  M(g) for every upper cover g of f, is meet{s in C_j, or 1_X | s >= f},
+  as each s > f lies above an upper cover of f.  So D_x = M(x).
+- One pass up the covers.  c(f) = join{M(x) | x join-irreducible, x <= f}
+  is the empty set at the empty set; c(g) join M(f) when f has one lower
+  cover g, as then f is join-irreducible and the others below f lie below
+  g; and c(g) join c(h) for two lower covers g and h of f, as f = g join h
+  and each x <= f lies below g or h.  So f is in S_j iff c(f) = f.
+Each step is one lookup in `pw_tensor` (the pointwise meet) or `pw_join`,
+over `Universe.upper_covers` descending and `lower_covers` ascending, in
+place of firing both rules on every pair of sets.
 """
 
 from __future__ import annotations
@@ -175,11 +220,14 @@ def generate_topology(universe, seed):
     """Least topology above a seed grading.
 
     Forces the top and bottom sets to grade top, then raises the table to
-    the least fixpoint of the tensor and join rules, one `closure.close`
-    sweep.  Each rule fires at most once per unordered pair of sets not
-    graded bot, visited in value order, and the sweep stops once every set
-    is graded top (see `closure.close`).  Raises
-    PreconditionViolated unless the seed has one grade of L per set.
+    the least fixpoint of the tensor and join rules.  When the tensor is
+    the meet, the fixpoint is built from each join-irreducible grade's cut
+    of the seed by two passes over the set covers (the level lemma of the
+    module docstring).  Otherwise it is one `closure.close` sweep: each
+    rule fires at most once per unordered pair of sets not graded bot,
+    visited in value order, and the sweep stops once every set is graded
+    top.  Raises PreconditionViolated unless the seed has one grade of L
+    per set.
     """
     u = universe
     lat = u.lattice
@@ -187,8 +235,42 @@ def generate_topology(universe, seed):
     table = list(seed)
     table[u.one_idx] = lat.top
     table[u.zero_idx] = lat.top
-    close(table, lat, _rules(u))
+    if u.tensor.table == lat.meet:
+        table = _by_levels(u, table)
+    else:
+        close(table, lat, _rules(u))
     return trusted(Topology, universe=u, table=tuple(table))
+
+
+def _by_levels(u, seed):
+    """The least topology above `seed`, top at the empty and full sets,
+    under the meet tensor, by the level lemma: per join-irreducible j,
+    least[f] is M(f), the least set of the cut or the full set above f, and
+    gen[f] is c(f), the join of M over the join-irreducible sets below f."""
+    lat, meet, join = u.lattice, u.pw_tensor, u.pw_join
+    lower, upper, ascending = u.lower_covers, u.upper_covers, u.ascending_sets
+    one, grade_join = u.one_idx, lat.join
+    table = [lat.bot] * u.n_sets
+    for j in lat.join_irreducibles():
+        in_cut = lat.leq[j]
+        least, gen = [None] * u.n_sets, [None] * u.n_sets
+        for f in reversed(ascending):
+            m = f if in_cut[seed[f]] else one
+            for g in upper[f]:
+                m = meet[m][least[g]]
+            least[f] = m
+        for f in ascending:
+            below = lower[f]
+            if len(below) > 1:
+                c = join[gen[below[0]]][gen[below[1]]]
+            elif below:
+                c = join[gen[below[0]]][least[f]]
+            else:
+                c = f  # the empty set
+            gen[f] = c
+            if c == f:
+                table[f] = grade_join[table[f]][j]
+    return table
 
 
 def enumerate_topologies(universe, cap=DEFAULT_TOPOLOGY_CAP):

@@ -95,9 +95,9 @@ def _close_by_index(table, join, rules, dirty=None, above=None, stop=()):
 @pytest.fixture(autouse=True)
 def fresh_closures_match_the_index_order_sweep(monkeypatch):
     """Every fresh closure a test makes, `close` with no dirty cells as
-    `generate_topology`, `saturate`, `preimage_filter` and
-    `product_nbhd_system` call it, closes to the table and the answer of
-    `_close_by_index`."""
+    `generate_topology` (off the meet tensor), `saturate`,
+    `preimage_filter` and `product_nbhd_system` call it, closes to the
+    table and the answer of `_close_by_index`."""
     def checked(table, lattice, rules, dirty=None, above=None, stop=()):
         if dirty is None:
             want = list(table)

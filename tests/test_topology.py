@@ -1,9 +1,14 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import models
+from fuzztop import topology
+from fuzztop.closure import close
 from fuzztop.errors import PreconditionViolated, SizeLimit
+from fuzztop.instances import meet_tensor
 from fuzztop.topology import (InteriorOp, NbhdSystem, Topology,
                               check_continuity_nbhd, check_interior,
                               check_nbhd, check_topology,
@@ -311,6 +316,51 @@ def test_generate_topology_from_each_single_set(u32_godel, u32_luk,
                 seed = [u.lattice.bot] * u.n_sets
                 seed[si] = a
                 assert generate_topology(u, seed) == generate_by_passes(u, seed)
+
+
+#: the catalogue models with the meet tensor, whose least topologies
+#: `generate_topology` builds level by level
+MEET_MODELS = [name for name in models.names("tiny") + models.names("small")
+               if models.MODELS[name].tensor is meet_tensor]
+
+
+def generate_by_close(u, seed):
+    """Oracle: the least topology above `seed` by `closure.close`, as every
+    tensor but the meet gets it."""
+    lat = u.lattice
+    table = list(seed)
+    table[u.one_idx] = table[u.zero_idx] = lat.top
+    close(table, lat, topology._rules(u))
+    return tuple(table)
+
+
+def random_seeds(u, rng):
+    """Seed gradings at densities from none to most sets graded."""
+    for density in [0.0, 0.05, 0.2, 0.5, 0.9] * 6:
+        yield [rng.randrange(u.n) if rng.random() < density else u.lattice.bot
+               for _ in range(u.n_sets)]
+
+
+@pytest.mark.parametrize("name", MEET_MODELS)
+def test_generate_topology_by_levels_equals_close(name, request):
+    # the level lemma of the `topology` docstring, on every meet-tensor
+    # model of the tiny and small tags
+    u = request.getfixturevalue(name)
+    assert u.tensor.table == u.lattice.meet
+    for seed in random_seeds(u, random.Random(name)):
+        assert generate_topology(u, seed).table == generate_by_close(u, seed)
+
+
+@pytest.mark.parametrize("name, closes", [("u32_godel", False),
+                                          ("diamond_2pt", False),
+                                          ("u32_luk", True)])
+def test_generate_topology_closes_only_off_the_meet(name, closes, request,
+                                                    count_calls):
+    u = request.getfixturevalue(name)
+    calls = count_calls(topology.close)
+    for seed in random_seeds(u, random.Random(name)):
+        generate_topology(u, seed)
+    assert bool(calls) == closes
 
 
 def test_interior_axioms_hold_on_discrete(u22, u31_godel, u31_luk):
