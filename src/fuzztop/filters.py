@@ -5,8 +5,8 @@ Saturation computes the least table above a seed closed under the
 monotonicity and tensor-stability rules with `closure.close`, which re-fires
 only the rules of cells whose grade changed and fires the tensor rule once
 per unordered pair of cells (every `Universe` tensor commutes).
-Monotonicity is one rule per cover of the graded order
-(`Universe.graded_covers`).  Lemma: a table is monotone iff table[k] >=
+Monotonicity is one rule per cover of the order (`Universe.graded_covers`,
+`Universe.upper_covers`).  Cover lemma: a table is monotone iff table[k] >=
 table[x] on every cover x < k.  A monotone table holds on the covers, as
 each is an order pair; conversely x <= y is a chain of covers, along which
 the table rises.  So the cover rule and the whole order close the same
@@ -14,7 +14,33 @@ tables: the least fixpoints, listings and verdicts are the same.  Saturated
 tables are closed under pointwise meet, and the filters are those whose
 empty-set row stays at bot, so enumeration lists that closure system from
 its least member, the saturation of the all-bot table (see `closure`).
-The same lemma builds the preimage along a surjective point map
+
+The closures run on the carrier `Universe.filter_carrier` picks: the sets
+when top is the tensor's unit, the graded cells otherwise.  Grade lemma:
+when top is the unit, a table closed under the filter rules with its top
+row at top is constant along the grades.  Proof: (f, a) lies below
+(f, bot), so T(f, a) <= T(f, bot); the tensor rule on (f, bot) and
+(one, a) gives T(f, a) = T(f tensor one, bot join a) >= T(f, bot) tensor
+T(one, a) = T(f, bot) tensor top = T(f, bot).  Set lemma: a table constant
+along the grades, T(f, a) = t(f), is monotone iff t is monotone in the
+pointwise order, as f <= g iff (f, bot) <= (g, bot) and (f, a) <= (g, b)
+gives f <= g; and it is tensor-stable iff t(f tensor g) >= t(f) tensor t(g),
+which is the rule at every pair of grades, under any tensor.  So the
+closure of a seed is the closure, on the sets, of the join of the seed's
+grades per set (the carrier table), each value repeated at every grade:
+by the grade lemma the graded closure is constant, so above that one, and
+by the set lemma that one, lifted, is a graded fixpoint above the seed.
+The empty set stays at bot iff its row does, raising an attribute (f, j)
+of a filter is raising (f, a) by j at any grade, and lifting keeps the
+table order; so saturation, maximality, stop witnesses and listings are
+the graded ones, with |L| times fewer candidates (the cap counts them).
+`check_filter` decides FF1 on the set covers and FF2 on unordered pairs
+of sets not at bot for any table constant along the grades (the set
+lemma), and otherwise, or to name a failure, on the graded covers and
+pairs of graded cells (`Universe.decreasing_cells`,
+`Universe.unstable_cells`).
+
+The cover lemma builds the preimage along a surjective point map
 (`preimage_filter`): the join of F over the pulled-back cells at or below
 each cell is the least monotone table above the seed that holds F(g, b) at
 (g o phi, b), so it is one `close` of that seed with the covers as its only
@@ -23,9 +49,7 @@ Saturation is a closure operator, so cl(A v B) = cl(cl(A) v B):
 `least_filter_above` starts from a table's kept closure and re-closes only
 the cells a seed raises.  The ultrafilter characterization, kept on each
 table, and the hat extension follow their explicit formulas; the
-characterization reads each value it needs by table lookups.  FF1 is decided
-on the covers of the graded order and FF2 on unordered pairs of cells not
-at bot (`Universe.decreasing_cells`, `Universe.unstable_cells`).  Each table
+characterization reads each value it needs by table lookups.  Each table
 keeps its place in the filter order as one int, `FilterTable.code`, and
 whether it is a maximal filter, `FilterTable.maximal`: set from the
 complete listing by `enumerate_filters`, and otherwise decided by raising
@@ -49,8 +73,9 @@ from .errors import (NotAChain, NotSurjective, PreconditionViolated, SizeLimit,
 from .report import Report
 
 #: default cap of `enumerate_filters` on candidate closures, refuted ones
-#: included: diamond-3pt and u34-Lukasiewicz (64 and 81 sets) reach it in
-#: about 0.65 s; diamond-2pt needs 5,724 and u33-Lukasiewicz 24,691
+#: included: u34-Lukasiewicz (81 sets) reaches it in about 0.5 s, and
+#: diamond-3pt (64 sets) lists its 3,969 filters with 118,804 in 0.6 s;
+#: diamond-2pt needs 1,380 and u33-Lukasiewicz 8,231
 DEFAULT_FILTER_CAP = 200_000
 
 #: what a grade table over the graded carrier holds, for `require_index`
@@ -162,17 +187,17 @@ class FilterTable:
         u = self.universe
         lat = u.lattice
         join, le = lat.join, lat.leq
-        rules, stop = _rules(u), _empty_row(u)
+        width, rules, above, stop = u.filter_carrier
+        base = self.table[::width]  # a filter is closed (module docstring)
         irreducibles = lat.join_irreducibles()
-        for cell, v in enumerate(self.table):
+        for cell, v in enumerate(base):
             if cell in stop:
                 continue
             for j in irreducibles:
                 if not le[j][v]:
-                    table = list(self.table)
+                    table = list(base)
                     table[cell] = join[v][j]
-                    if close(table, lat, rules, [cell], u.graded_covers,
-                             stop) is None:
+                    if close(table, lat, rules, [cell], above, stop) is None:
                         return False
         return True
 
@@ -196,15 +221,26 @@ def check_filter(F):
     the graded order), FF2 (tensor stability), FF3 (bottom row pinned)."""
     u = F.universe
     lat = u.lattice
+    n, le, ten, table = u.n, lat.leq, u.tensor.table, F.table
     report = Report("filter")
 
     top_row = [F.app(u.one_idx, a) for a in lat.elements()]
     report.record("FF0", all(v == lat.top for v in top_row), {"row": top_row})
 
-    report.sweep("FF1", ({"cells": (u.gpair(gi), u.gpair(gj))}
-                         for gi, gj in u.decreasing_cells(F.table, lat.leq)))
-    report.sweep("FF2", ({"cells": cell} for cell in u.unstable_cells(
-        F.table, u.tensor.table, lat.leq, lat.bot)))
+    # a table constant along the grades is decided on the sets (module
+    # docstring); the graded sweeps run only to name a failure
+    sets, pw = table[::n], u.pw_tensor
+    flat = all(table[a::n] == sets for a in range(1, n))
+    live = [(si, v) for si, v in enumerate(sets) if v != lat.bot]
+    monotone = flat and all(le[v][sets[k]] for v, ks
+                            in zip(sets, u.upper_covers) for k in ks)
+    stable = flat and all(le[ten[v][w]][sets[pw[si][sj]]] for k, (si, v)
+                          in enumerate(live) for sj, w in live[k:])
+    report.sweep("FF1", () if monotone else (
+        {"cells": (u.gpair(gi), u.gpair(gj))}
+        for gi, gj in u.decreasing_cells(table, le)))
+    report.sweep("FF2", () if stable else (
+        {"cells": cell} for cell in u.unstable_cells(table, ten, le, lat.bot)))
 
     bot_row = [F.app(u.zero_idx, a) for a in lat.elements()]
     report.record("FF3", all(v == lat.bot for v in bot_row), {"row": bot_row})
@@ -217,9 +253,11 @@ def enumerate_filters(universe, cap=DEFAULT_FILTER_CAP):
     The filters are the saturated tables whose empty-set row stays at bot,
     a down-set of a closure system; they are enumerated from the least one
     (the saturation of the all-bot table) by `closure.enumerate_closed`.
+    The closures run on `Universe.filter_carrier` (module docstring).
     Raises PreconditionViolated unless `cap` is an int, and SizeLimit when
-    more than `cap` candidate closures would be met, the least filter's
-    included and a refuted one counted as computed.  The listing is
+    more than `cap` candidate closures on that carrier would be met, the
+    least filter's included and a refuted one counted as computed.  The
+    listing is
     complete, so each returned table gets `FilterTable.maximal` from it:
     true for the members below no other, found by comparing their
     `FilterTable.code` encodings, which each table keeps.  Each also gets
@@ -228,11 +266,13 @@ def enumerate_filters(universe, cap=DEFAULT_FILTER_CAP):
     these are all the maximal filters of the universe at or above it.
     """
     u = universe
-    least = saturate(u, (u.lattice.bot,) * u.graded_size)
-    tables = enumerate_closed(
-        u.lattice, None if isinstance(least, NoFilterAbove) else least.table,
-        _rules(u), cap, "filter", u.graded_covers, _empty_row(u))
-    downsets = u.lattice.downsets
+    lat = u.lattice
+    least = saturate(u, (lat.bot,) * u.graded_size)
+    width, rules, above, stop = u.filter_carrier
+    tables = [_lift(t, width) for t in enumerate_closed(
+        lat, None if isinstance(least, NoFilterAbove) else least.table[::width],
+        rules, cap, "filter", above, stop)]
+    downsets = lat.downsets
     codes = [_code(downsets, t) for t in tables]
     tops = []
     for f in codes:
@@ -292,24 +332,33 @@ class NoFilterAbove:
     table: tuple
 
 
-def _rules(u):
-    """The filter rule F(f tensor g, a join b) >= F(f, a) tensor F(g, b)."""
-    return [(u.box_table, u.tensor.table)]
+def _project(lattice, table, width):
+    """The carrier table of a graded table: the join of each block of
+    `width` cells, as a list."""
+    join = lattice.join
+    out = list(table[::width])
+    for a in range(1, width):
+        out = [join[v][w] for v, w in zip(out, table[a::width])]
+    return out
 
 
-def _empty_row(u):
-    """The graded cells of the empty set, which a filter keeps at bot."""
-    return range(u.zero_idx * u.n, (u.zero_idx + 1) * u.n)
+def _lift(table, width):
+    """The graded table of a carrier table: each value `width` times."""
+    out = [None] * (len(table) * width)
+    for a in range(width):
+        out[a::width] = table
+    return tuple(out)
 
 
 def saturate(universe, seed):
     """Least table above the seed closed under the filter rules.
 
     Forces the top row to top, then raises the table to its least fixpoint
-    under monotonicity on the graded covers and the tensor rule
+    under monotonicity on the covers and the tensor rule
     F(f tensor g, a join b) >= F(f, a) tensor F(g, b), one `closure.close`
-    sweep.  The tensor rule fires at most once per unordered pair of cells
-    not at bot, visited in value order (see `closure.close`).  Returns the
+    sweep on `Universe.filter_carrier`, lifted to the graded cells.  The
+    tensor rule fires at most once per unordered pair of carrier cells not
+    at bot, visited in value order (see `closure.close`).  Returns the
     FilterTable if the empty-set row stayed at bot, otherwise NoFilterAbove
     with the full fixpoint.  Raises PreconditionViolated unless the seed
     has one grade of L per graded cell.
@@ -317,14 +366,16 @@ def saturate(universe, seed):
     u = universe
     lat = u.lattice
     require_index(seed, lat.n, GRADES_OF_CELLS, u.graded_size)
-    table = list(seed)
-    for a in lat.elements():
-        table[u.gidx(u.one_idx, a)] = lat.top
-    close(table, lat, _rules(u), above=u.graded_covers)
+    width, rules, above, stop = u.filter_carrier
+    table = _project(lat, seed, width)
+    cells = len(stop)  # per set
+    table[u.one_idx * cells:(u.one_idx + 1) * cells] = [lat.top] * cells
+    close(table, lat, rules, above=above)
+    table = _lift(table, width)
     for a in lat.elements():
         if table[u.gidx(u.zero_idx, a)] != lat.bot:
-            return NoFilterAbove(alpha=a, table=tuple(table))
-    return trusted(FilterTable, universe=u, table=tuple(table))
+            return NoFilterAbove(alpha=a, table=table)
+    return trusted(FilterTable, universe=u, table=table)
 
 
 def least_filter_above(F, seed):
@@ -337,21 +388,22 @@ def least_filter_above(F, seed):
     if base is None:
         return None
     u = F.universe
-    join = u.lattice.join
-    stop = _empty_row(u)
-    table = list(base)
+    lat = u.lattice
+    join = lat.join
+    width, rules, above, stop = u.filter_carrier
+    table = list(base[::width])  # closed, so constant on the set carrier
     dirty = []
-    for k, (v, s) in enumerate(zip(base, seed)):
+    for k, s in enumerate(_project(lat, seed, width)):
+        v = table[k]
         w = join[v][s]
         if w != v:
             if k in stop:
                 return None
             table[k] = w
             dirty.append(k)
-    if close(table, u.lattice, _rules(u), dirty, u.graded_covers,
-             stop) is not None:
+    if close(table, lat, rules, dirty, above, stop) is not None:
         return None
-    return trusted(FilterTable, universe=u, table=tuple(table))
+    return trusted(FilterTable, universe=u, table=_lift(table, width))
 
 
 def hat_extension(U, g_idx, beta, rho=None):

@@ -112,8 +112,9 @@ class Universe:
     (default: the lattice join) with its co-implication, both over the
     lattice (PreconditionViolated otherwise).  The pointwise tensor and
     join tables are built at construction; the order, residuum and
-    boxtimes tables and the graded covers on first use.  A table of an
-    operation gains a leading digit per point by whole-row shifts.
+    boxtimes tables, the covers and the filter carrier on first use.  A
+    table of an operation gains a leading digit per point by whole-row
+    shifts.
     """
 
     def __init__(self, lattice, tensor, ground, cotensor=None,
@@ -211,13 +212,27 @@ class Universe:
         """Per graded cell (f, a), its upper covers in the graded order:
         (g, a) for g in `upper_covers` of f, and (f, b) for b a lower cover
         of a.  The graded order is their reflexive-transitive closure
-        (`graded_lattice`); the order laws and the filter closures read it
-        here; built on first use."""
+        (`graded_lattice`); the order laws and the filter closures on the
+        graded carrier read it here; built on first use."""
         n, upper = self.n, self.upper_covers
         grade_covers = self.lattice.lower_covers
         return tuple(tuple([sj * n + a for sj in upper[si]]
                            + [si * n + b for b in grade_covers[a]])
                      for si in range(self.n_sets) for a in range(n))
+
+    @cached_property
+    def filter_carrier(self):
+        """The cells the filter closures run on, picked once: the sets when
+        top is the tensor's unit, the graded cells otherwise (the lemmas of
+        the `filters` docstring).  A carrier cell stands for `width`
+        consecutive graded cells.  Returns (width, rules, above, stop): the
+        tensor rule over the carrier, its covers and the empty set's cells."""
+        n, tensor, zero = self.n, self.tensor.table, self.zero_idx
+        if all(tensor[self.lattice.top][a] == a for a in range(n)):
+            return n, [(self.pw_tensor, tensor)], self.upper_covers, \
+                range(zero, zero + 1)
+        return 1, [(self.box_table, tensor)], self.graded_covers, \
+            range(zero * n, zero * n + n)
 
     @cached_property
     def box_table(self):

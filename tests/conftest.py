@@ -8,9 +8,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import models
 from fuzztop import compactness, filters, topology
-from fuzztop.closure import close
+from fuzztop.closure import close, enumerate_closed
 from fuzztop.compactness import _first_adherence
-from fuzztop.filters import enumerate_filters_bruteforce, is_ultrafilter
+from fuzztop.filters import (DEFAULT_FILTER_CAP, FilterTable, NoFilterAbove,
+                             enumerate_filters_bruteforce, is_ultrafilter)
+from fuzztop.report import Report
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -223,6 +225,110 @@ def preimage_by_definition():
     every pair of sets and every pair of grades; called as
     preimage_by_definition(phi, F, ux), and returns the table."""
     return _preimage_by_definition
+
+
+class GradedFilters:
+    """Oracle: the filter closures and the filter check on the graded
+    carrier, every grade of every set a cell of its own, as the kernel ran
+    them before it closed unit-top universes on the sets
+    (`Universe.filter_carrier`).  Each method takes and returns what the
+    kernel function of its name does; `enumerate` returns the listed
+    tables with their `maximal` flags and `maximal_above` tables, and
+    `check_filter` names each failure from the full graded sweeps."""
+
+    @staticmethod
+    def rules(u):
+        """The filter rule F(f tensor g, a join b) >= F(f, a) tensor
+        F(g, b) over the graded cells."""
+        return [(u.box_table, u.tensor.table)]
+
+    @staticmethod
+    def empty_row(u):
+        return range(u.zero_idx * u.n, (u.zero_idx + 1) * u.n)
+
+    def saturate(self, u, seed):
+        lat = u.lattice
+        table = list(seed)
+        for a in lat.elements():
+            table[u.gidx(u.one_idx, a)] = lat.top
+        close(table, lat, self.rules(u), above=u.graded_covers)
+        for a in lat.elements():
+            if table[u.gidx(u.zero_idx, a)] != lat.bot:
+                return NoFilterAbove(alpha=a, table=tuple(table))
+        return FilterTable(universe=u, table=tuple(table))
+
+    def least_filter_above(self, F, seed):
+        u = F.universe
+        base = self.saturate(u, F.table)
+        if isinstance(base, NoFilterAbove):
+            return None
+        join, stop = u.lattice.join, self.empty_row(u)
+        table, dirty = list(base.table), []
+        for k, (v, s) in enumerate(zip(base.table, seed)):
+            if join[v][s] != v:
+                if k in stop:
+                    return None
+                table[k] = join[v][s]
+                dirty.append(k)
+        if close(table, u.lattice, self.rules(u), dirty, u.graded_covers,
+                 stop) is not None:
+            return None
+        return FilterTable(universe=u, table=tuple(table))
+
+    def maximal(self, F):
+        if not self.check_filter(F).passed:
+            return False
+        u = F.universe
+        lat = u.lattice
+        stop = self.empty_row(u)
+        for cell, v in enumerate(F.table):
+            for j in lat.join_irreducibles():
+                if cell not in stop and not lat.leq[j][v]:
+                    table = list(F.table)
+                    table[cell] = lat.join[v][j]
+                    if close(table, lat, self.rules(u), [cell],
+                             u.graded_covers, stop) is None:
+                        return False
+        return True
+
+    def enumerate(self, u, cap=DEFAULT_FILTER_CAP):
+        least = self.saturate(u, (u.lattice.bot,) * u.graded_size)
+        tables = enumerate_closed(
+            u.lattice, getattr(least, "leq", None) and least.table,
+            self.rules(u), cap, "filter", u.graded_covers, self.empty_row(u))
+        downsets = u.lattice.downsets
+        codes = [int.from_bytes(b"".join(downsets[v] for v in t), "little")
+                 for t in tables]
+        tops = [f for f in codes if not any(g != f and not f & ~g
+                                            for g in codes)]
+        return [(t, f in tops, tuple(s for s, g in zip(tables, codes)
+                                     if g in tops and not f & ~g))
+                for t, f in zip(tables, codes)]
+
+    @staticmethod
+    def check_filter(F):
+        u = F.universe
+        lat = u.lattice
+        report = Report("filter")
+        top_row = [F.app(u.one_idx, a) for a in lat.elements()]
+        report.record("FF0", all(v == lat.top for v in top_row),
+                      {"row": top_row})
+        report.sweep("FF1", ({"cells": (u.gpair(gi), u.gpair(gj))}
+                             for gi, gj in u.decreasing_cells(F.table,
+                                                              lat.leq)))
+        report.sweep("FF2", ({"cells": cell} for cell in u.unstable_cells(
+            F.table, u.tensor.table, lat.leq, lat.bot)))
+        bot_row = [F.app(u.zero_idx, a) for a in lat.elements()]
+        report.record("FF3", all(v == lat.bot for v in bot_row),
+                      {"row": bot_row})
+        return report
+
+
+@pytest.fixture(scope="session")
+def graded_filters():
+    """The graded filter closures and check (`GradedFilters`), called as
+    graded_filters.saturate(u, seed) and so on."""
+    return GradedFilters()
 
 
 def _fold_tensor(lat, tensor, values):
