@@ -110,11 +110,11 @@ class Universe:
 
     Bundles the lattice, a GL tensor with its residuum, and a cotensor
     (default: the lattice join) with its co-implication, both over the
-    lattice (PreconditionViolated otherwise).  The pointwise tensor and
-    join tables are built at construction; the order, residuum and
-    boxtimes tables, the covers and the filter carrier on first use.  A
-    table of an operation gains a leading digit per point by whole-row
-    shifts.
+    lattice (PreconditionViolated otherwise).  Every table over the sets
+    or cells (the pointwise tensor, join, order and residuum, boxtimes),
+    the down-set codes, the covers and the filter carrier is built on
+    first use.  A table of an operation gains a leading digit per point
+    by whole-row shifts.
     """
 
     def __init__(self, lattice, tensor, ground, cotensor=None,
@@ -136,9 +136,6 @@ class Universe:
         self.zero_idx = self.set_index[tuple([lattice.bot] * ground.m)]
         self.one_idx = self.set_index[tuple([lattice.top] * ground.m)]
 
-        self.pw_tensor = self._pointwise(tensor.table)
-        self.pw_join = self._pointwise(lattice.join)
-
         # graded carrier: gi = si * n + a
         self.n = lattice.n
         self.graded_size = self.n_sets * lattice.n
@@ -149,6 +146,32 @@ class Universe:
         share it, so this is the `itertools.product` order of the sets."""
         return reduce(_prepend_digit, [table] * (self.ground.m - 1),
                       tuple(map(tuple, table)))
+
+    @cached_property
+    def pw_tensor(self):
+        """The pointwise tensor table; built on first use."""
+        return self._pointwise(self.tensor.table)
+
+    @cached_property
+    def pw_join(self):
+        """The pointwise join table; built on first use."""
+        return self._pointwise(self.lattice.join)
+
+    @cached_property
+    def set_codes(self):
+        """Per set f, its down-set code: the OR over points p of
+        `Lattice.down_masks[f(p)] << p*n`, so bit p*n + b is set iff
+        b <= f(p).  Then f <= g iff code f & ~code g == 0, and the code of
+        the pointwise meet is the AND of the codes (the down-set of a meet
+        is the intersection of the down-sets).  Built by digits: a leading digit is
+        prepended by shifting the codes of the other points up n bits;
+        built on first use."""
+        down, n = self.lattice.down_masks, self.n
+        codes = down
+        for _ in range(self.ground.m - 1):
+            shifted = [c << n for c in codes]
+            codes = [d | c for d in down for c in shifted]
+        return tuple(codes)
 
     @cached_property
     def pw_leq(self):
@@ -177,12 +200,19 @@ class Universe:
     def lower_covers(self):
         """Per set, its lower covers in the pointwise order: one point's
         value lowered to a lower cover of it in L, which moves the numeral
-        by that digit's place value; built on first use."""
-        covers, n, m = self.lattice.lower_covers, self.n, self.ground.m
-        places = [n ** (m - 1 - p) for p in range(m)]
-        return tuple(tuple(si + (c - v) * w for v, w in zip(f, places)
-                           for c in covers[v])
-                     for si, f in enumerate(self.sets))
+        by that digit's place value.  The moves depend on the digits alone,
+        so they are built by digits, a leading digit's moves prepended to
+        those of the rest, and each set adds its index; built on first
+        use."""
+        covers, n = self.lattice.lower_covers, self.n
+        moves, place = [()], 1
+        for _ in range(self.ground.m):
+            lead = [tuple([(c - a) * place for c in covers[a]])
+                    for a in range(n)]
+            moves = [d + rest for d in lead for rest in moves]
+            place *= n
+        return tuple([tuple(map(si.__add__, ds))
+                      for si, ds in enumerate(moves)])
 
     @cached_property
     def ascending_sets(self):

@@ -152,6 +152,42 @@ def graded_leq():
     return _graded_leq
 
 
+def _topology_by_sweeps(t):
+    """Oracle: `topology.check_topology` as it decided o2 and o3 under
+    every tensor before the meet tensor's level test: o1 and o1', then o2
+    over the unordered pairs of sets whose grade v has v (*) top above the
+    floor, the meet of the grades, and o3 over the unordered pairs of
+    distinct sets above the floor, after the empty family."""
+    u = t.universe
+    lat = u.lattice
+    report = Report("topology")
+    table, le, ten, meet = t.table, lat.leq, u.tensor.table, lat.meet
+    report.record("o1", table[u.one_idx] == lat.top,
+                  {"grade": table[u.one_idx]})
+    report.record("o1_prime", table[u.zero_idx] == lat.top,
+                  {"grade": table[u.zero_idx]})
+    floor = lat.bot if lat.bot in table else lat.meet_set(set(table))
+    unstable = [not le[row[lat.top]][floor] for row in ten]
+    live = [i for i, v in enumerate(table) if unstable[v]]
+    report.sweep("o2", ({"f": u.sets[i], "g": u.sets[j]}
+                        for k, i in enumerate(live) for j in live[k:]
+                        if not le[ten[table[i]][table[j]]][
+                            table[u.pw_tensor[i][j]]]))
+    above = [i for i, v in enumerate(table) if v != floor]
+    empty = [{"subset": ()}] if table[u.zero_idx] != lat.top else []
+    report.sweep("o3", itertools.chain(empty, (
+        {"subset": (i, j)} for k, i in enumerate(above) for j in above[k + 1:]
+        if not le[meet[table[i]][table[j]]][table[u.pw_join[i][j]]])))
+    return report
+
+
+@pytest.fixture(scope="session")
+def topology_by_sweeps():
+    """The pair-sweep topology check, called as topology_by_sweeps(t) on a
+    `Topology`; returns its `Report`."""
+    return _topology_by_sweeps
+
+
 def _above_by_comprehension(u):
     n, le, pw_leq = u.n, u.lattice.leq, u.pw_leq
     return tuple(

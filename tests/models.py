@@ -13,7 +13,10 @@ come from measured cost (CPython 3.11, 2-core x86-64 VM):
 - "next-tier": 243 or 256 sets, where a table oracle over every pair of
   sets takes 0.3-0.5 s;
 - "cqm": a quasi-monoidal tensor that is no GL tensor, which no sweep of
-  the tags above picks up.
+  the tags above picks up;
+- "structure": 32 sets, the L = 2 census on 5 points, whose 6,942
+  topologies list under the default cap in about 0.15 s; only
+  `test_structure.py` reads it.
 """
 
 from functools import partial
@@ -99,7 +102,7 @@ class Model(NamedTuple):
     cotensor: object = None
 
 
-# on the 2-chain the Lukasiewicz tensor is the meet, so u21 to u24 and u28
+# on the 2-chain the Lukasiewicz tensor is the meet, so u21 to u25 and u28
 # stand for both tensors
 MODELS = {
     "u21": Model("chain2", meet_tensor, 1, "tiny"),
@@ -135,6 +138,7 @@ MODELS = {
     "u35_godel": Model("chain3", meet_tensor, 5, "next-tier"),
     "u28": Model("chain2", meet_tensor, 8, "next-tier"),
     "chain4_cqm_1pt": Model("chain4", cqm_tensor, 1, "cqm"),
+    "u25": Model("chain2", meet_tensor, 5, "structure"),
 }
 
 

@@ -1,6 +1,7 @@
 """The Universe tables, built by prepending a leading digit per point,
 against the per-pair construction they replaced: apply the one-point
-operation at every point, then look the resulting tuple up in `set_index`.
+operation at every point, then look the resulting tuple up in `set_index`;
+and the down-set codes of the sets against their definition.
 Also the order axioms FF1, I1, N1 and N4, which read the graded order,
 against sweeps over every pair of cells filtered by the definition
 `graded_leq`, and the cell axioms I0, I3-I6, N0 and N3, which read the
@@ -61,7 +62,29 @@ def check_set_tables(u):
     assert u.pw_leq == leq_by_pairs(u)
     for table in (u.pw_tensor, u.pw_join, u.pw_res, u.pw_leq, u.box_table):
         assert_tuples(table)
+    check_set_codes(u)
     return pw_tensor
+
+
+def check_set_codes(u):
+    """Assert `Universe.set_codes` against its definition, bit p*n + b set
+    iff b <= f(p), and its two uses: f <= g iff code f & ~code g == 0,
+    and the code of the pointwise meet is the AND of the codes."""
+    lat = u.lattice
+    codes = []
+    for f in u.sets:
+        code = 0
+        for p, v in enumerate(f):
+            for b in lat.elements():
+                if lat.le(b, v):
+                    code |= 1 << (p * lat.n + b)
+        codes.append(code)
+    assert u.set_codes == tuple(codes)
+    assert [[not c & ~d for d in codes] for c in codes] == \
+        list(map(list, leq_by_pairs(u)))
+    meets = by_pairs(u, lambda a, b: lat.meet[a][b])
+    assert all(codes[k] == c & d for c, row in zip(codes, meets)
+               for d, k in zip(codes, row))
 
 
 @pytest.mark.parametrize("name", models.names("tiny") + models.names("small"),

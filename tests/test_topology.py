@@ -1,5 +1,6 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,8 @@ from fuzztop.topology import (InteriorOp, NbhdSystem, Topology,
                               enumerate_topologies, generate_topology,
                               interior_from_topology, is_continuous,
                               nbhd_from_interior, order_topologies)
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def discrete(u):
@@ -361,6 +364,77 @@ def test_generate_topology_closes_only_off_the_meet(name, closes, request,
     for seed in random_seeds(u, random.Random(name)):
         generate_topology(u, seed)
     assert bool(calls) == closes
+
+
+def test_check_topology_equals_the_pair_sweeps(request, topology_by_sweeps):
+    # every report, witnesses included, on each meet-tensor model: its
+    # listed topologies (generated ones on the small tag, whose listings
+    # exceed the cap), random tables with top at the empty and full sets,
+    # and one-cell mutants of the topologies, among which o2 and o3 each
+    # fail.  A table with top at those sets passes iff the level test
+    # returns it unchanged, so the sweeps run only on the failures
+    failed = set()
+    for name in MEET_MODELS:
+        u = request.getfixturevalue(name)
+        lat, rng = u.lattice, random.Random(name)
+        if models.MODELS[name].tag == "tiny":
+            tables = [t.table for t in enumerate_topologies(u)]
+        else:
+            tables = [generate_topology(u, seed).table
+                      for seed in random_seeds(u, rng)]
+        randoms = list(random_seeds(u, rng))
+        for table in randoms:
+            table[u.zero_idx] = table[u.one_idx] = lat.top
+        mutants = []
+        for table in tables:
+            mutant = list(table)
+            mutant[rng.randrange(u.n_sets)] = rng.randrange(u.n)
+            mutants.append(mutant)
+        for table in tables + randoms + mutants:
+            t = Topology(universe=u, table=table)
+            want = topology_by_sweeps(t)
+            assert check_topology(t).to_dict() == want.to_dict(), name
+            if table[u.zero_idx] == table[u.one_idx] == lat.top:
+                closed = topology._by_levels(u, table) == list(table)
+                assert closed == want.passed, name
+            failed.update(want.failures().keys() & {"o2", "o3"})
+    assert failed == {"o2", "o3"}
+
+
+#: the batteries workload's seeds for its 243- and 256-set universes
+BENCH = {"u35_godel": "chain3-5pt", "u28": "chain2-8pt"}
+
+
+def fresh_seeds(name, monkeypatch):
+    """(fresh universe, seed) pairs: the seeds `perfbench/batteries.py`
+    makes for the model at benchmark seeds 1 to 10, or `random_seeds`."""
+    if name not in BENCH:
+        seeds = random_seeds(models.build(name), random.Random(name))
+        return [(models.build(name), seed) for seed in seeds]
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import batteries
+    return [(models.build(name),
+             batteries.make_inputs(None, k)["large"][BENCH[name]])
+            for k in range(1, 11)]
+
+
+@pytest.mark.parametrize("name, builds", [("u35_godel", False),
+                                          ("u28", False),
+                                          ("u32_godel", False),
+                                          ("diamond_2pt", False),
+                                          ("u32_luk", True)])
+def test_pointwise_tables_are_built_only_off_the_meet(name, builds,
+                                                      monkeypatch):
+    # on a fresh universe the meet tensor's generation and check read the
+    # down-set codes and the covers, not the pointwise tensor and join
+    # tables, which `Universe` builds on first read; `close` reads both
+    tables = {"pw_tensor", "pw_join"}
+    for u, seed in fresh_seeds(name, monkeypatch):
+        assert not tables & set(vars(u))
+        t = generate_topology(u, seed)
+        if not builds:
+            assert check_topology(t).passed
+        assert tables & set(vars(u)) == (tables if builds else set())
 
 
 def test_interior_axioms_hold_on_discrete(u22, u31_godel, u31_luk):
