@@ -1,7 +1,7 @@
 """Convergence, adherence, the compactness oracle, products, Tychonoff.
 
 A Space bundles a validated topology with the interior operator and
-neighborhood system that the topology derives once and keeps.  A space is
+neighborhood system that the topology derives on first read.  A space is
 compact when every filter has an adherent point, where adherence is decided
 constructively by closing the join of the filter with the point's
 neighborhood table.  Each filter is saturated once; per point only the
@@ -24,14 +24,24 @@ filter above F and N_p, so there is a least one.  Conversely, let G be the
 least filter above F and N_p.  A universe has finitely many filters, so G
 lies below a maximal filter U, and U >= G >= F and U >= G >= N_p.
 
+Probe lemma.  Let t be any grade table, int(f, a) the join of the sets
+u <= f with t(u) >= a, and N_p(f, a) = int(f, a)(p), in the graded order
+(f, a) <= (g, b) iff f <= g and b <= a.  A monotone table U has N_p <= U
+iff u(p) <= U(u, t(u)) for every set u.  Proof: u is the largest set
+int(u, t(u)) joins, so N_p(u, t(u)) = u(p) gives one way.  Conversely each u <= f with t(u) >= a has (u, t(u)) <= (f, a),
+so u(p) <= U(u, t(u)) <= U(f, a), and N_p(f, a) is the join of these u(p).
+Corollary: when top is the tensor's unit, a filter is constant along the
+grades (the grade lemma of `filters`), so U converges to p iff
+u(p) <= U(u, bot) for every u, whatever the topology.
+
 So a maximal filter adheres exactly to the points it converges to, with
 itself as certificate (Lemma 1), and a filter of a complete listing, which
-records the maximal filters above it by their tables
-(`FilterTable.maximal_above`),
-adheres somewhere exactly when one of them converges somewhere (Lemma 2).
-A table no listing recorded is decided by its own closure per point.  Every
-table a verdict reads was checked where its record was made (`FilterTable`,
-`Topology`, `NbhdSystem`).
+records the maximal filters above it (`FilterTable.maximal_codes`),
+adheres somewhere exactly when one of them converges somewhere (Lemma 2),
+which is one AND of its code with each point's probe (`Topology.probes`,
+the probe lemma).  A table no listing recorded is decided by its own
+closure per point.  Every table a verdict reads was checked where its
+record was made (`FilterTable`, `Topology`, `NbhdSystem`).
 Finite products are built as the least topology making the projections
 continuous, seeded with each factor's grading pulled back along its
 projection by one `Universe.pullback` table per factor; the explicit
@@ -62,9 +72,10 @@ class Space:
     Construction checks that the topology is over `universe`, a raw table
     for one grade per set (`Topology`), and the topology axioms, raising
     PreconditionViolated that names the mismatch or the failed axioms.  It
-    keeps the axioms' report as `topology_report` with the interior
-    operator and the neighborhood system that the topology keeps.  Their
-    axiom batteries are not run here; `check_interior(space.interior)` and
+    keeps the axioms' report as `topology_report`.  `interior` and `nbhd`
+    read through to the tables the topology builds on first read, so a
+    space that only `is_compact` reads builds neither.  Their axiom
+    batteries are not run here; `check_interior(space.interior)` and
     `check_nbhd(space.nbhd)` run them on demand.  They gate nothing: the
     tensor-stability axioms I2 and N2 combine grades with the join, and the
     interior derived from any non-discrete topology violates that
@@ -85,8 +96,14 @@ class Space:
         if failed:
             raise PreconditionViolated("table is not a topology: fails "
                                        + ", ".join(sorted(failed)))
-        self.interior = topology.interior
-        self.nbhd = topology.nbhd
+
+    @property
+    def interior(self):
+        return self.topology.interior
+
+    @property
+    def nbhd(self):
+        return self.topology.nbhd
 
 
 def _require_point(F, p, space):
@@ -129,11 +146,10 @@ def _first_adherence(F, space):
     return None
 
 
-def _converges_somewhere(table, space):
-    """True iff the grade table lies above the neighborhood table of some
-    point of the space, each compared with it at most once."""
-    le = space.universe.lattice.le
-    return any(all(map(le, N, table)) for N in space.nbhd.tables)
+def _converges_somewhere(code, probes):
+    """True iff the filter of this `FilterTable.code` converges to some
+    point, each point's probe (`Topology.probes`) tested at most once."""
+    return any(not probe & ~code for probe in probes)
 
 
 def adherent_points(F, space):
@@ -154,11 +170,12 @@ def is_compact(space, mode="sweep", filters=None):
     member with no adherent point.
 
     The members are walked in list order.  A member that `enumerate_filters`
-    listed carries the tables of the maximal filters at or above it
-    (`FilterTable.maximal_above`), and by the module's Lemma 2 it has an
+    listed carries the codes of the maximal filters at or above it
+    (`FilterTable.maximal_codes`), and by the module's Lemma 2 it has an
     adherent point exactly when one of them converges to some point.  Each
-    maximal filter is compared with each point's neighborhood table at most
-    once per call (`_converges_somewhere`).  No closure is made, save for a
+    maximal filter is tested against each point's probe at most once per
+    call (`_converges_somewhere`, the probe lemma), so neither the interior
+    nor the neighborhood table is built.  No closure is made, save for a
     witness that is not maximal, which Lemma 2 decides but its own closures
     confirm.  A member no listing recorded is decided by its own closure per
     point (`is_adherent`).
@@ -172,15 +189,15 @@ def is_compact(space, mode="sweep", filters=None):
     if mode == "ultrafilter":
         filters = [F for F in filters
                    if is_ultrafilter(F, "characterization")[0]]
-    converging = {}  # id of a maximal filter's table -> converges somewhere
+    probes = space.topology.probes
+    converging = {}  # code of a maximal filter -> converges somewhere
     for F in filters:
-        above = F.maximal_above
+        above = F.maximal_codes
         adherent = False
-        for table in above or ():
-            key = id(table)
-            if key not in converging:
-                converging[key] = _converges_somewhere(table, space)
-            if converging[key]:
+        for code in above or ():
+            if code not in converging:
+                converging[code] = _converges_somewhere(code, probes)
+            if converging[code]:
                 adherent = True
                 break
         if not adherent and (above is None or not F.maximal):

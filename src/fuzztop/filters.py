@@ -55,10 +55,11 @@ whether it is a maximal filter, `FilterTable.maximal`: set from the
 complete listing by `enumerate_filters`, and otherwise decided by raising
 each attribute the table does not hold and closing, which a maximal filter
 never survives.  A listed table also records the tables of the maximal
-filters at or above it, `FilterTable.maximal_above`, which only a complete
-listing can give.  A table is checked for one grade of L per graded cell
-where it is wrapped (`FilterTable`), and the tables the kernel computes
-from checked ones are wrapped unchecked (`errors.trusted`).
+filters at or above it, `FilterTable.maximal_above`, and their codes,
+`FilterTable.maximal_codes`, which only a complete listing can give.  A
+table is checked for one grade of L per graded cell where it is wrapped
+(`FilterTable`), and the tables the kernel computes from checked ones are
+wrapped unchecked (`errors.trusted`).
 """
 
 from __future__ import annotations
@@ -97,12 +98,15 @@ class FilterTable:
     above it, in list order, and it is None on any other table.  It holds
     tables, not filters, so that a maximal filter does not refer to itself:
     a listing holds no reference cycle and is freed as soon as it is
-    dropped.
+    dropped.  `maximal_codes` holds their `code` ints in the same order,
+    seeded by the same listing, so a reader compares them with no code
+    built.
     """
 
     universe: object
     table: tuple  # grade per graded cell
     maximal_above = None
+    maximal_codes = None
 
     def __post_init__(self):
         u = self.universe
@@ -262,8 +266,9 @@ def enumerate_filters(universe, cap=DEFAULT_FILTER_CAP):
     true for the members below no other, found by comparing their
     `FilterTable.code` encodings, which each table keeps.  Each also gets
     `FilterTable.maximal_above`, the tables of the maximal members whose
-    code holds every bit of its own: as the listing holds every filter,
-    these are all the maximal filters of the universe at or above it.
+    code holds every bit of its own, and their codes, `maximal_codes`: as
+    the listing holds every filter, these are all the maximal filters of
+    the universe at or above it.
     """
     u = universe
     lat = u.lattice
@@ -278,12 +283,15 @@ def enumerate_filters(universe, cap=DEFAULT_FILTER_CAP):
     for f in codes:
         if all(f & ~t for t in tops):
             tops = [t for t in tops if t & ~f] + [f]
-    tops = set(tops)
-    maxima = [(f, t) for t, f in zip(tables, codes) if f in tops]
-    return [trusted(FilterTable, universe=u, table=t, code=f,
-                    maximal=f in tops, maximal_above=tuple(
-                        top for m, top in maxima if not f & ~m))
-            for t, f in zip(tables, codes)]
+    maxima = {f: t for t, f in zip(tables, codes) if f in tops}
+    listing = []
+    for t, f in zip(tables, codes):
+        above = tuple(m for m in maxima if not f & ~m)
+        listing.append(trusted(
+            FilterTable, universe=u, table=t, code=f, maximal=f in maxima,
+            maximal_above=tuple(map(maxima.__getitem__, above)),
+            maximal_codes=above))
+    return listing
 
 
 def enumerate_filters_bruteforce(universe, cap=DEFAULT_FILTER_CAP):

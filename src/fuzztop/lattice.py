@@ -115,7 +115,12 @@ class Lattice:
         them (so not bot, the empty join), in index order; every element is
         the join of the join-irreducibles below it.  In a finite lattice
         these are the elements with exactly one lower cover: with none it
-        is bot, and with two or more it is their join."""
+        is bot, and with two or more it is their join.  The tuple is built
+        once per lattice."""
+        return self._join_irreducibles
+
+    @cached_property
+    def _join_irreducibles(self):
         return tuple(j for j, covers in enumerate(self.lower_covers)
                      if len(covers) == 1)
 

@@ -105,8 +105,13 @@ class Topology:
     here: PreconditionViolated names the length or the first bad entry.
     The table is kept as a tuple, as in every record of a table, so
     records compare and hash by value whatever container held the table.
-    `interior` and `nbhd` are kept on first use; not being fields, they
-    take no part in equality or hashing."""
+    `interior`, `nbhd` and `probes` are kept on first use; not being
+    fields, they take no part in equality or hashing.  `probes` holds one
+    int per point p, the OR over the sets u of the bit u(p) of cell
+    (u, t(u)) in the layout of `FilterTable.code`, bit
+    (u·n + t(u))·8w + u(p) with w bytes per cell, the width of
+    `Lattice.downsets`: a filter converges to p iff its code holds every
+    bit of p's probe (the probe lemma of the `compactness` docstring)."""
 
     universe: object
     table: tuple  # grade per set index
@@ -123,6 +128,15 @@ class Topology:
     @cached_property
     def nbhd(self):
         return nbhd_from_interior(self.interior)
+
+    @cached_property
+    def probes(self):
+        u = self.universe
+        n = u.n
+        width = 8 * len(u.lattice.downsets[0])
+        cells = [(si * n + a) * width for si, a in enumerate(self.table)]
+        return tuple(sum(1 << (cell + v) for cell, v in zip(cells, column))
+                     for column in zip(*u.sets))
 
 
 @dataclass(frozen=True)

@@ -14,15 +14,18 @@ every round.  It imports the benchmark from each tree and edits nothing
 there; both trees must list the same tasks, or nothing is compared.
 
 It prints the sums and the p50 and p90 (nearest rank, as `run.py`) of the
-minima on each side, the `--top` tasks whose minimum moved most (by
-ratio), and every task that crossed the p50 or p90 rank: at or below that
-percentile on one side and above it on the other, each side against its
-own percentile.  Standard library only.
+minima on each side, the sums per group of tasks (the task key with its
+`[k]` index removed, so every `is_compact[k]` of an instance is one
+group; left out when no key has an index), the `--top` tasks whose
+minimum moved most (by ratio), and every task that crossed the p50 or p90
+rank: at or below that percentile on one side and above it on the other,
+each side against its own percentile.  Standard library only.
 """
 
 import argparse
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -65,6 +68,16 @@ def percentile(values, q):
     return ordered[max(0, math.ceil(q * len(ordered)) - 1)]
 
 
+def group_sums(names, minima):
+    """Per group, in order of first appearance, the sum of its minima: a
+    task's group is its key with the `[k]` index removed."""
+    sums = {}
+    for name, x in zip(names, minima):
+        group = re.sub(r"\[\d+\]", "", name)
+        sums[group] = sums.get(group, 0) + x
+    return sums
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent")
@@ -102,13 +115,22 @@ def main(argv=None):
               f"{1000 * percentile(mins, 0.5):10.4f} "
               f"{1000 * percentile(mins, 0.9):10.4f}")
 
+    def table(title, column, rows):
+        print(f"\n{title}:")
+        print(f"  {column:<48} {'parent ms':>10} {'change ms':>10} "
+              f"{'ratio':>7}")
+        for name, x, y in rows:
+            ratio = y / x if x else float("inf")
+            print(f"  {name:<48} {1000 * x:10.4f} {1000 * y:10.4f} "
+                  f"{ratio:7.3f}")
+
+    groups_a, groups_b = group_sums(names, a), group_sums(names, b)
+    if len(groups_a) < len(names):  # else each group is one task
+        table("sums per group", "group",
+              [(g, x, groups_b[g]) for g, x in groups_a.items()])
     moved = sorted(zip(names, a, b), key=lambda t: -abs(math.log(t[2] / t[1]))
                    if t[1] > 0 and t[2] > 0 else 0)
-    print(f"\nmoved most (by ratio), top {args.top}:")
-    print(f"  {'task':<48} {'parent ms':>10} {'change ms':>10} {'ratio':>7}")
-    for name, x, y in moved[:args.top]:
-        ratio = y / x if x else float("inf")
-        print(f"  {name:<48} {1000 * x:10.4f} {1000 * y:10.4f} {ratio:7.3f}")
+    table(f"moved most (by ratio), top {args.top}", "task", moved[:args.top])
 
     for label, q in (("p50", 0.5), ("p90", 0.9)):
         pa, pb = percentile(a, q), percentile(b, q)

@@ -9,16 +9,16 @@ from fuzztop.compactness import (ProductSpace, Space, build_product, converges,
                                  adherent_points, image_compactness_check,
                                  is_adherent, is_compact, product_nbhd_system,
                                  product_convergence_check, tychonoff_check)
-from fuzztop.errors import PreconditionViolated, SizeLimit, trusted
+from fuzztop.errors import PreconditionViolated, SizeLimit
 from fuzztop.filters import (FilterTable, NoFilterAbove, check_filter,
                              enumerate_filters, image_filter, is_ultrafilter,
                              preimage_filter, saturate)
 from fuzztop.powerset import Ground, Universe
 from fuzztop.residuated import Tensor
 from fuzztop.specfile import build_universe, parse_spec
-from fuzztop.topology import (NbhdSystem, Topology, check_continuity_nbhd,
-                              check_interior, check_nbhd, enumerate_topologies,
-                              is_continuous, nbhd_pushforward)
+from fuzztop.topology import (Topology, check_continuity_nbhd, check_interior,
+                              check_nbhd, enumerate_topologies, is_continuous,
+                              nbhd_pushforward)
 
 import models
 from test_filters import surjections
@@ -410,31 +410,52 @@ def test_a_point_adheres_iff_a_recorded_upper_bound_converges(name, request):
     assert seen == {True, False}
 
 
+@pytest.mark.parametrize("name", models.names("tiny") + ["chain4_cqm_1pt"])
+def test_a_probe_decides_convergence(name, request):
+    # the probe lemma of the module docstring: a listed filter converges to
+    # p, cell by cell (`converges`), iff its code holds every bit of p's
+    # probe, on every listed filter, point and topology (the first 150);
+    # u32_non_integral and chain4_cqm_1pt, whose tensors do not have top as
+    # their unit, tell the grade t(u) of each probe bit from bot or top
+    u = request.getfixturevalue(name)
+    filters = enumerate_filters(u)
+    seen = set()
+    for t in enumerate_topologies(u)[:150]:
+        space = Space(u, t)
+        for F in filters:
+            for p, probe in enumerate(t.probes):
+                verdict = not probe & ~F.code
+                assert verdict == converges(F, p, space), (t.table, F.table, p)
+                seen.add(verdict)
+    assert seen == ({True} if name == "u21" else {True, False})
+
+
 @pytest.mark.parametrize("name", ["u32_godel", "u32_luk"])
 def test_is_compact_work_per_call(name, request, monkeypatch):
-    # on the full listing each call compares each maximal filter with each
-    # point's neighborhood table at most once and reads no filter's code,
-    # so no pairwise search of the listing can come back unnoticed; its
-    # adherence tests are pinned by
-    # test_adherence_tests_are_bounded_by_the_maximal_filters
+    # on the full listing each call tests each maximal filter against each
+    # point's probe at most once and reads no filter's code, so no pairwise
+    # search of the listing can come back unnoticed; its adherence tests
+    # are pinned by test_adherence_tests_are_bounded_by_the_maximal_filters.
+    # On Gödel, where no witness is closed, no call builds the interior or
+    # the neighborhood system
     import fuzztop.compactness as compactness
     u = request.getfixturevalue(name)
     filters = enumerate_filters(u)
     spaces = [Space(u, t) for t in enumerate_topologies(u)]
-    maximal = {id(U.table) for U in filters if U.maximal}
+    maximal = {U.code for U in filters if U.maximal}
     reads, tested = [], []
 
-    class Tables(tuple):
+    class Probes(tuple):
         def __iter__(self):
-            for p, N in enumerate(tuple.__iter__(self)):
-                reads.append((id(tested[-1]), p))
-                yield N
+            for p, probe in enumerate(tuple.__iter__(self)):
+                reads.append((tested[-1], p))
+                yield probe
 
     original = compactness._converges_somewhere
 
-    def counting(table, space):
-        tested.append(table)
-        return original(table, space)
+    def counting(code, probes):
+        tested.append(code)
+        return original(code, probes)
 
     monkeypatch.setattr(compactness, "_converges_somewhere", counting)
     code = FilterTable.code
@@ -443,15 +464,16 @@ def test_is_compact_work_per_call(name, request, monkeypatch):
         lambda F: codes.append(F) or code.func(F)))
     compared = 0
     for space in spaces:
-        # built unchecked, as the check would read every table
-        space.nbhd = trusted(NbhdSystem, universe=u,
-                             tables=Tables(space.nbhd.tables))
+        topology = space.topology
+        vars(topology)["probes"] = Probes(topology.probes)
         reads.clear()
         tested.clear()
         is_compact(space, filters=filters)
         assert len(reads) == len(set(reads))
-        assert all(id(t) in maximal for t in tested)
-        assert len(tested) == len(set(map(id, tested)))
+        assert set(tested) <= maximal
+        assert len(tested) == len(set(tested))
+        if name == "u32_godel":
+            assert not {"interior", "nbhd"} & set(vars(topology))
         compared += len(reads)
     assert compared >= len(spaces)
     assert codes == []

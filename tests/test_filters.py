@@ -296,15 +296,18 @@ def test_maximal_above_is_the_maximal_filters_above(name, request,
                                                     pointwise_leq):
     # the record of each listed filter is, in list order and as the listed
     # table objects, the tables of the filters maximal among the listing
-    # that lie above it
+    # that lie above it, and `maximal_codes` their codes in the same order
     u = request.getfixturevalue(name)
     filters = enumerate_filters(u)
     maximal = [U for U in filters
                if is_ultrafilter(U, "maximality", all_filters=filters)[0]]
     for F in filters:
-        want = [U.table for U in maximal if pointwise_leq(F, U)]
-        assert list(map(id, F.maximal_above)) == list(map(id, want))
-        assert FilterTable(universe=u, table=F.table).maximal_above is None
+        above = [U for U in maximal if pointwise_leq(F, U)]
+        assert list(map(id, F.maximal_above)) == [id(U.table) for U in above]
+        assert F.maximal_codes == tuple(U.code for U in above)
+        unlisted = FilterTable(universe=u, table=F.table)
+        assert unlisted.maximal_above is None
+        assert unlisted.maximal_codes is None
 
 
 def test_a_listing_is_freed_without_the_cycle_collector(u32_luk):
