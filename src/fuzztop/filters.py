@@ -54,12 +54,12 @@ keeps its place in the filter order as one int, `FilterTable.code`, and
 whether it is a maximal filter, `FilterTable.maximal`: set from the
 complete listing by `enumerate_filters`, and otherwise decided by raising
 each attribute the table does not hold and closing, which a maximal filter
-never survives.  A listed table also records the tables of the maximal
-filters at or above it, `FilterTable.maximal_above`, and their codes,
-`FilterTable.maximal_codes`, which only a complete listing can give.  A
-table is checked for one grade of L per graded cell where it is wrapped
-(`FilterTable`), and the tables the kernel computes from checked ones are
-wrapped unchecked (`errors.trusted`).
+never survives.  A listed table also records the codes of the maximal
+filters at or above it, `FilterTable.maximal_codes`, which only a
+complete listing can give.  A table is checked for one grade of L per
+graded cell where it is wrapped (`FilterTable`), and the tables the
+kernel computes from checked ones are wrapped unchecked
+(`errors.trusted`).
 """
 
 from __future__ import annotations
@@ -93,19 +93,16 @@ class FilterTable:
     tuple, so a list table makes a record equal to the tuple one.  `closure`,
     `characterization`, `code` and `maximal` are computed on first use and
     kept on the object; they are not fields, so equality and hashing see
-    only the table.  Nor is `maximal_above`: `enumerate_filters` sets it on
-    each table it lists to the tables of the listed maximal filters at or
-    above it, in list order, and it is None on any other table.  It holds
-    tables, not filters, so that a maximal filter does not refer to itself:
-    a listing holds no reference cycle and is freed as soon as it is
-    dropped.  `maximal_codes` holds their `code` ints in the same order,
-    seeded by the same listing, so a reader compares them with no code
-    built.
+    only the table.  Nor is `maximal_codes`: `enumerate_filters` sets it
+    on each table it lists to the `code` ints of the listed maximal
+    filters at or above it, in list order, and it is None on any other
+    table.  It holds ints, not filters, so that a maximal filter does not
+    refer to itself: a listing holds no reference cycle and is freed as
+    soon as it is dropped.
     """
 
     universe: object
     table: tuple  # grade per graded cell
-    maximal_above = None
     maximal_codes = None
 
     def __post_init__(self):
@@ -265,10 +262,9 @@ def enumerate_filters(universe, cap=DEFAULT_FILTER_CAP):
     complete, so each returned table gets `FilterTable.maximal` from it:
     true for the members below no other, found by comparing their
     `FilterTable.code` encodings, which each table keeps.  Each also gets
-    `FilterTable.maximal_above`, the tables of the maximal members whose
-    code holds every bit of its own, and their codes, `maximal_codes`: as
-    the listing holds every filter, these are all the maximal filters of
-    the universe at or above it.
+    `FilterTable.maximal_codes`, the codes of the maximal members that
+    hold every bit of its own: as the listing holds every filter, these
+    are all the maximal filters of the universe at or above it.
     """
     u = universe
     lat = u.lattice
@@ -283,15 +279,12 @@ def enumerate_filters(universe, cap=DEFAULT_FILTER_CAP):
     for f in codes:
         if all(f & ~t for t in tops):
             tops = [t for t in tops if t & ~f] + [f]
-    maxima = {f: t for t, f in zip(tables, codes) if f in tops}
-    listing = []
-    for t, f in zip(tables, codes):
-        above = tuple(m for m in maxima if not f & ~m)
-        listing.append(trusted(
-            FilterTable, universe=u, table=t, code=f, maximal=f in maxima,
-            maximal_above=tuple(map(maxima.__getitem__, above)),
-            maximal_codes=above))
-    return listing
+    tops = set(tops)
+    maxima = [f for f in codes if f in tops]
+    return [trusted(FilterTable, universe=u, table=t, code=f,
+                    maximal=f in tops,
+                    maximal_codes=tuple(m for m in maxima if not f & ~m))
+            for t, f in zip(tables, codes)]
 
 
 def enumerate_filters_bruteforce(universe, cap=DEFAULT_FILTER_CAP):

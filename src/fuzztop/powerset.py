@@ -15,26 +15,37 @@ so the graded order is kept only as its covers (`Universe.lower_covers`,
 `pw_leq` and L's order only to name a failure.  A point map acts on sets
 by one table, `Universe.pullback`.
 
-`check_graded_gl` decides the graded residuation on pairs of cells, by
-three lemmas.  Write x.y for boxtimes, (f, a).(g, b) = (f tensor g,
-a join b), and x -> y for the implication, (f, a) -> (g, b) =
-(f -> g, b coimpl a).
+`check_graded_gl` decides the graded battery on the factors of the
+carrier.  With boxtimes, x.y, (f, a).(g, b) = (f tensor g, a join b),
+and the implication, (f, a) -> (g, b) = (f -> g, b coimpl a), the carrier
+is the direct product of m copies of (L, tensor, ->), one per point, and
+of the grade factor (L reversed, join, a -> b = b coimpl a).
+
+Factor lemma.  Each verdict holds on the product iff it holds on every
+factor.  An identity or a universal inequality (the GL laws, `integral`
+through the unit, and the two exchange laws) holds componentwise, so it
+fails on the product iff it fails on a factor, the failing component
+padded with any elements of the others (Burris and Sankappanavar, "A
+Course in Universal Algebra", 1981, on H and P).  `divisible` too: its
+witness is chosen one component at a time.  Both sides of the
+adjunction, a.b <= c iff a <= b -> c, are conjunctions over the
+components, so it holds on the product when it holds on each factor; and
+a triple failing in one factor, padded with (bot, any b, top) in every
+other, where both sides hold, fails on the product.  By the product lemma
+below the closed form is the sup form iff res(a, c) =
+join{x | x (*) a <= c} and b coimpl a = meet{e | b <= e (+) a} on L.  The
+bounds, join and meet are those of any product of bounded lattices.  So
+the GL laws are read off `check_gl_monoid` of the tensor and
+`check_co_gl_monoid` of the join (the grade factor's order is reversed),
+the other laws are decided on L, and a law is swept on the carrier only
+when it fails there, to name its first witness.
 
 Product lemma.  The sup form join{(h, e) | (h, e).(f, a) <= (g, b)} is
 (join H, meet E) for H = {h | h tensor f <= g} and E = {e | b <= e (+) a}
 (the graded join is the pointwise join with the meet of the grades), and
 H is the product over the points p of {x | x (*) f(p) <= g(p)}, so its
-join is taken point by point: the sup form is a table over pairs of cells
-built, as `box_table` is, from one element table per digit.  Neither set
-is empty, as bot is the tensor's zero and top (+) a = top.
-
-Galois-connection lemma (Blyth and Janowitz, "Residuation Theory", 1972).
-If boxtimes is isotone in its first argument, each row of -> is isotone,
-(b -> c).b <= c and a <= b -> (a.b) for all cells a, b, c, then
-a.b <= c iff a <= b -> c.  Proof: a.b <= c gives a <= b -> (a.b) <=
-b -> c; a <= b -> c gives a.b <= (b -> c).b <= c.  A row is isotone iff
-it is isotone on the graded covers, so each premise is a pass over pairs
-or over the covers.
+join is taken point by point.  Neither set is empty, as bot is the
+tensor's zero and top (+) a = top.
 
 Exchange lemmas.  Given the adjunction, with boxtimes isotone,
 commutative (so isotone in both arguments) and associative:
@@ -52,14 +63,15 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 
 from .errors import (PreconditionViolated, SizeLimit, require_index,
                      require_int, trusted)
 from .instances import join_cotensor
 from .lattice import build_lattice
 from .report import PASS, Report
-from .residuated import Tensor, check_gl_monoid, co_implication, residuum
+from .residuated import (Tensor, check_co_gl_monoid, check_gl_monoid,
+                         co_implication, residuum)
 
 DEFAULT_POWERSET_CAP = 4096
 
@@ -271,14 +283,6 @@ class Universe:
         return reduce(_prepend_digit, [self.tensor.table] * self.ground.m,
                       self.lattice.join)
 
-    @property
-    def graded_top(self):
-        return self.gidx(self.one_idx, self.lattice.bot)
-
-    @property
-    def graded_bot(self):
-        return self.gidx(self.zero_idx, self.lattice.top)
-
     def gimpl(self, gi, gj):
         """Graded residuation by closed form: (f -> g, b coimpl a)."""
         si, a = divmod(gi, self.n)
@@ -336,7 +340,8 @@ class Universe:
     def graded_lattice(self):
         """The graded carrier packaged as a plain Lattice over flat indices:
         the closure of `graded_covers`, whose pairs its `cover_pairs` are
-        picked from; `pw_leq` is not read."""
+        picked from; `pw_leq` is not read.  `check_graded_gl` builds it only
+        to name a failure."""
         return build_lattice(self.graded_size, [
             (x, k) for x, above in enumerate(self.graded_covers)
             for k in above])
@@ -360,92 +365,108 @@ class Universe:
                      for g in self.sets)
 
 
-def _sup_form(u):
-    """The graded implication's sup form as a table over pairs of cells:
-    at (f, a), (g, b) the cell (join{h | h tensor f <= g},
-    meet{e | b <= e cotensor a}), built by digits from the element tables
-    join{x | x (*) a <= c} and meet{e | b <= e (+) a} (the product
-    lemma of the module docstring)."""
+#: the graded battery's laws over triples, each the test of one triple
+#: (a, b, c) given an order `le`, a product `x` and an implication `i`
+_TRIPLE_LAWS = {
+    "adjunction": lambda le, x, i, a, b, c: le[x[a][b]][c] == le[a][i[b][c]],
+    "tensor_impl_exchange":
+        lambda le, x, i, a, b, c: le[x[a][i[b][c]]][i[b][x[a][c]]],
+    "impl_product_exchange":
+        lambda le, x, i, a, b, c: le[x[i[b][a]][i[b][c]]][i[b][x[a][c]]],
+}
+
+
+def _failing_triples(test, le, x, i):
+    """The triples of elements of the order `le`, in index order, that
+    fail `test`, a law of `_TRIPLE_LAWS`."""
+    els = range(len(le))
+    return ((a, b, c) for a, b, c in itertools.product(els, repeat=3)
+            if not test(le, x, i, a, b, c))
+
+
+def _sup_digits(u):
+    """The sup form's element tables, join{x | x (*) a <= c} at (a, c) and
+    meet{e | b <= e (+) a} at (a, b): the digits of the graded sup form
+    (the product lemma of the module docstring)."""
     lat = u.lattice
     els, le, ten, cot = lat.elements(), lat.leq, u.tensor.table, \
         u.cotensor.table
-    sets = tuple(tuple(lat.join_set(x for x in els if le[ten[x][a]][c])
-                       for c in els) for a in els)
-    grades = tuple(tuple(lat.meet_set(e for e in els if le[b][cot[e][a]])
-                         for b in els) for a in els)
-    return reduce(_prepend_digit, [sets] * u.ground.m, grades)
+    return (tuple(tuple(lat.join_set(x for x in els if le[ten[x][a]][c])
+                        for c in els) for a in els),
+            tuple(tuple(lat.meet_set(e for e in els if le[b][cot[e][a]])
+                        for b in els) for a in els))
 
 
 def check_graded_gl(universe):
     """Run the full GL axiom battery on the graded carrier.
 
-    Packages (powerset x lattice, graded order, boxtimes) as an abstract
-    lattice-with-tensor and reuses the element-level checker, then verifies
-    the graded residuation: closed form vs sup form, the adjunction, and the
+    The verdicts are those of (powerset x lattice, graded order, boxtimes)
+    as a lattice with a tensor under the element-level battery, and of the
+    graded residuation: closed form vs sup form, the adjunction, and the
     two auxiliary inequalities (the second only for idempotent tensors).
 
-    Every verdict is decided on pairs of cells (see the module docstring).
-    The componentwise bounds, the closed form and the sup form are tables
-    built by digits, compared row by row; the adjunction holds by the
-    Galois-connection lemma when its premises hold on pairs and on the
-    covers; and the two exchange laws are lemmas of the adjunction and the
-    GL battery's verdicts.  The sweep of every triple of cells runs only
-    when a premise fails, so every verdict names the same first witness as
-    that sweep.
+    Each verdict is decided on the two factors of the carrier (the factor
+    lemma of the module docstring): the GL laws by `check_gl_monoid` on
+    the tensor and `check_co_gl_monoid` on the lattice join, the closed
+    form and the adjunction on L, and the exchange laws by the exchange
+    lemmas, or on L when their premises fail.  A law that fails on a
+    factor fails on the carrier, and only then is the carrier swept, to
+    name the same first witness as the sweep of every cell (the GL laws
+    by the element battery on the graded lattice): the graded lattice,
+    `box_table` and the graded implication are built for that alone.
     """
-    report = Report("graded_gl")
-    glat = universe.graded_lattice()
-    cells = universe.graded_cells()
-    box = universe.box_table
-    gl = check_gl_monoid(trusted(Tensor, base=glat, table=box))
-    report.verdicts.update(gl.verdicts)
+    u, report = universe, Report("graded_gl")
+    lat, m, cells = u.lattice, u.ground.m, u.graded_cells()
+    coimpl = tuple(zip(*u.coimpl.table))  # b coimpl a at (a, b)
 
-    report.record("top_is_one_bot", glat.top == universe.graded_top,
-                  (glat.top, universe.graded_top))
-    report.record("bot_is_zero_top", glat.bot == universe.graded_bot,
-                  (glat.bot, universe.graded_bot))
+    @cache
+    def graded():
+        """The graded lattice, boxtimes and the implication
+        (f -> g, b coimpl a), a residuum digit per point, then the grade."""
+        return u.graded_lattice(), u.box_table, \
+            reduce(_prepend_digit, [u.res.table] * m, coimpl)
 
-    # the componentwise join and meet (pointwise on the sets, dual on the
-    # grade digit) agree with the order-theoretic ones
-    lat, m = universe.lattice, universe.ground.m
-    joins = reduce(_prepend_digit, [lat.join] * m, lat.meet)
-    meets = reduce(_prepend_digit, [lat.meet] * m, lat.join)
-    report.sweep("componentwise_bounds", (
-        (i, j) for i, join, meet, gjoin, gmeet
-        in zip(cells, joins, meets, glat.join, glat.meet)
-        if join != gjoin or meet != gmeet
-        for j in cells if join[j] != gjoin[j] or meet[j] != gmeet[j]))
+    gl = check_gl_monoid(u.tensor).verdicts
+    # the co-GL battery states the same seven laws in the same order
+    co = check_co_gl_monoid(join_cotensor(lat)).verdicts.values()
+    passed = {law for (law, v), w in zip(gl.items(), co)
+              if v.status == w.status == PASS}
+    if len(passed) < len(gl):  # name the failures' first graded witnesses
+        glat, box, _ = graded()
+        swept = check_gl_monoid(trusted(Tensor, base=glat, table=box)).verdicts
+        gl = {law: v if law in passed else swept[law] for law, v in gl.items()}
+    report.verdicts.update(gl)
+    for law in ("top_is_one_bot", "bot_is_zero_top", "componentwise_bounds"):
+        report.record(law, True)
 
-    # (f -> g, b coimpl a): a residuum digit per point, then the grade
-    impl = reduce(_prepend_digit, [universe.res.table] * m,
-                  tuple(zip(*universe.coimpl.table)))
-    sup = _sup_form(universe)
-    report.sweep("impl_closed_vs_sup", (
-        (i, j) for i, row, want in zip(cells, impl, sup) if row != want
-        for j in cells if row[j] != want[j]))
-
-    le = glat.leq  # the graded order
-    passed = {axiom for axiom, v in gl.verdicts.items() if v.status == PASS}
-    galois = ("isotone" in passed
-              and all(le[row[c]][row[a]] for row in impl
-                      for c, a in glat.cover_pairs)
-              and all(le[box[row[c]][b]][c] for b, row in zip(cells, impl)
-                      for c in cells)
-              and all(le[a][impl[b][box[a][b]]] for a in cells
-                      for b in cells))
-    report.sweep("adjunction", () if galois else (
-        (a, b, c) for a, b, c in itertools.product(cells, repeat=3)
-        if le[box[a][b]][c] != le[a][impl[b][c]]))
-    exchange = galois and passed >= {"commutative", "associative"}
-    report.sweep("tensor_impl_exchange", () if exchange else (
-        (a, b, c) for a, b, c in itertools.product(cells, repeat=3)
-        if not le[box[a][impl[b][c]]][impl[b][box[a][c]]]))
-
-    # an idempotent tensor makes x.x = x on every cell, the lemma's premise
-    if all(universe.tensor.app(x, x) == x for x in lat.elements()):
-        report.sweep("impl_product_exchange", () if exchange else (
-            (a, b, c) for a, b, c in itertools.product(cells, repeat=3)
-            if not le[box[impl[b][a]][impl[b][c]]][impl[b][box[a][c]]]))
+    sets, grades = _sup_digits(u)
+    if (u.res.table, coimpl) == (sets, grades):
+        report.record("impl_closed_vs_sup", True)
     else:
-        report.record_skip("impl_product_exchange", "tensor not idempotent")
+        sup = reduce(_prepend_digit, [sets] * m, grades)
+        report.sweep("impl_closed_vs_sup", (
+            (i, j) for i, row, want in zip(cells, graded()[2], sup)
+            if row != want for j in cells if row[j] != want[j]))
+
+    factors = ((lat.leq, u.tensor.table, u.res.table),
+               (lat.geq, lat.join, coimpl))
+
+    def on_factors(test):
+        return all(next(_failing_triples(test, *f), None) is None
+                   for f in factors)
+
+    # the exchange lemmas' premises, under which all three laws hold
+    lemmas = passed >= {"isotone", "commutative", "associative"} \
+        and on_factors(_TRIPLE_LAWS["adjunction"])
+    idempotent = all(u.tensor.app(x, x) == x for x in lat.elements())
+    for law, test in _TRIPLE_LAWS.items():
+        if law == "impl_product_exchange" and not idempotent:
+            # an idempotent tensor makes x.x = x on every cell, the
+            # second exchange lemma's premise
+            report.record_skip(law, "tensor not idempotent")
+        elif lemmas or on_factors(test):
+            report.record(law, True)
+        else:
+            glat, box, impl = graded()
+            report.sweep(law, _failing_triples(test, glat.leq, box, impl))
     return report

@@ -221,7 +221,7 @@ def _gimpl_sup(u, gi, gj):
 @pytest.fixture(scope="session")
 def gimpl_sup():
     """Oracle: graded residuation by its sup-form definition, one cell pair
-    at a time, for checking `Universe.gimpl` and the sup-form table of
+    at a time, for checking `Universe.gimpl` and the sup form's digits in
     `check_graded_gl`; called as gimpl_sup(u, gi, gj).
 
     The join, in the graded order, of all (h, e) with h tensor f <= g and
@@ -269,7 +269,7 @@ class GradedFilters:
     them before it closed unit-top universes on the sets
     (`Universe.filter_carrier`).  Each method takes and returns what the
     kernel function of its name does; `enumerate` returns the listed
-    tables with their `maximal` flags and `maximal_above` tables, and
+    tables with their `maximal` flags and `maximal_codes`, and
     `check_filter` names each failure from the full graded sweeps."""
 
     @staticmethod
@@ -337,7 +337,7 @@ class GradedFilters:
                  for t in tables]
         tops = [f for f in codes if not any(g != f and not f & ~g
                                             for g in codes)]
-        return [(t, f in tops, tuple(s for s, g in zip(tables, codes)
+        return [(t, f in tops, tuple(g for g in codes
                                      if g in tops and not f & ~g))
                 for t, f in zip(tables, codes)]
 

@@ -16,7 +16,9 @@ come from measured cost (CPython 3.11, 2-core x86-64 VM):
   the tags above picks up;
 - "structure": 32 sets, the L = 2 census on 5 points, whose 6,942
   topologies list under the default cap in about 0.15 s; only
-  `test_structure.py` reads it.
+  `test_structure.py` reads it;
+- "non-distributive": a lattice that is not distributive, which no GL
+  tensor allows; only the graded GL battery's oracle reads it.
 """
 
 from functools import partial
@@ -91,6 +93,17 @@ def bounded_sum_cotensor(lat):
         for a in lat.elements()))
 
 
+def bot_tensor(lat):
+    """a (*) b = bot: residuated on any lattice, with res(a, c) = top, but
+    not integral."""
+    return Tensor(base=lat, table=((lat.bot,) * lat.n,) * lat.n)
+
+
+def top_cotensor(lat):
+    """a (+) b = top, the order dual of `bot_tensor`."""
+    return Tensor(base=lat, table=((lat.top,) * lat.n,) * lat.n)
+
+
 class Model(NamedTuple):
     """A lattice of `LATTICES`, the functions that make the tensor and the
     cotensor on it (None for the join), the points and the size tag."""
@@ -139,6 +152,10 @@ MODELS = {
     "u28": Model("chain2", meet_tensor, 8, "next-tier"),
     "chain4_cqm_1pt": Model("chain4", cqm_tensor, 1, "cqm"),
     "u25": Model("chain2", meet_tensor, 5, "structure"),
+    # the graded carrier's grade factor, the join on the reversed order, is
+    # not distributive
+    "pentagon_constant_1pt": Model("pentagon", bot_tensor, 1,
+                                   "non-distributive", top_cotensor),
 }
 
 

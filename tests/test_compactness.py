@@ -394,7 +394,7 @@ def test_a_point_adheres_iff_a_recorded_upper_bound_converges(name, request):
     # closure side is kept per (filter, N_p), the two things it reads
     u = request.getfixturevalue(name)
     filters = enumerate_filters(u)
-    listed = {id(U.table): U for U in filters}
+    listed = {U.code: U for U in filters}
     verdicts, seen = {}, set()
     for t in enumerate_topologies(u):
         space = Space(u, t)
@@ -403,8 +403,8 @@ def test_a_point_adheres_iff_a_recorded_upper_bound_converges(name, request):
                 key = (id(F), space.nbhd.tables[p])
                 if key not in verdicts:
                     verdicts[key] = is_adherent(p, F, space)[0]
-                lemma = any(converges(listed[id(t)], p, space)
-                            for t in F.maximal_above)
+                lemma = any(converges(listed[f], p, space)
+                            for f in F.maximal_codes)
                 assert lemma == verdicts[key], (t.table, F.table, p)
                 seen.add(lemma)
     assert seen == {True, False}

@@ -60,7 +60,7 @@ def test_a_tensor_without_top_as_its_unit_keeps_the_grades(name, request,
     assert u.filter_carrier[0] == 1
     found = enumerate_filters(u)
     assert len(found) == GRADED[name]
-    assert [(F.table, F.maximal, F.maximal_above) for F in found] \
+    assert [(F.table, F.maximal, F.maximal_codes) for F in found] \
         == graded_filters.enumerate(u)
     assert any(F.table != flat(u, F.table[::u.n]) for F in found)
 
@@ -73,8 +73,8 @@ def test_every_filter_is_constant_along_the_grades(name, request):
 
 
 # diamond_3pt's graded listing needs more than the default cap and 2.5 s:
-# its tables, and its maximal flags with the places of the tables of
-# `maximal_above`, as the graded closures listed them
+# its tables, and its maximal flags with the places of the filters of
+# `maximal_codes`, as the graded closures listed them
 DIAMOND_3PT = (3969, 36,
                "ae29367023a5fb1ab0f0878e42688d9b1a5ff0a41bcfd7d07c4af45e7d2275a5",
                "8311155857c49ebc4e722f3d557b2225ea86576766b5ab216f15f56848676e11")
@@ -89,13 +89,13 @@ def test_the_listing_is_the_graded_one(name, request, graded_filters):
     u = request.getfixturevalue(name)
     found = listing(u)
     if name == "diamond_3pt":
-        place = {F.table: k for k, F in enumerate(found)}
+        place = {F.code: k for k, F in enumerate(found)}
         assert (len(found), sum(F.maximal for F in found),
                 sha256([F.table for F in found]),
-                sha256([(F.maximal, [place[T] for T in F.maximal_above])
+                sha256([(F.maximal, [place[f] for f in F.maximal_codes])
                         for F in found])) == DIAMOND_3PT
     else:
-        assert [(F.table, F.maximal, F.maximal_above) for F in found] \
+        assert [(F.table, F.maximal, F.maximal_codes) for F in found] \
             == graded_filters.enumerate(u)
 
 

@@ -294,19 +294,16 @@ def test_maximality_rejects_filters_of_another_universe(u31_godel, u31_luk,
 @pytest.mark.parametrize("name", models.names("tiny") + ["diamond_2pt"])
 def test_maximal_above_is_the_maximal_filters_above(name, request,
                                                     pointwise_leq):
-    # the record of each listed filter is, in list order and as the listed
-    # table objects, the tables of the filters maximal among the listing
-    # that lie above it, and `maximal_codes` their codes in the same order
+    # the record of each listed filter is, in list order, the codes of the
+    # filters maximal among the listing that lie above it
     u = request.getfixturevalue(name)
     filters = enumerate_filters(u)
     maximal = [U for U in filters
                if is_ultrafilter(U, "maximality", all_filters=filters)[0]]
     for F in filters:
         above = [U for U in maximal if pointwise_leq(F, U)]
-        assert list(map(id, F.maximal_above)) == [id(U.table) for U in above]
         assert F.maximal_codes == tuple(U.code for U in above)
         unlisted = FilterTable(universe=u, table=F.table)
-        assert unlisted.maximal_above is None
         assert unlisted.maximal_codes is None
 
 

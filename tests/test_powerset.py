@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import re
 
@@ -84,16 +83,23 @@ def test_pointwise_order(u22):
     assert leq[u22.zero_idx][u22.one_idx]
 
 
+def graded_bounds(u):
+    """The top and the bottom cell of the graded carrier: (1, bot) and
+    (0, top)."""
+    return (u.gidx(u.one_idx, u.lattice.bot),
+            u.gidx(u.zero_idx, u.lattice.top))
+
+
 def test_graded_order_reverses_grades(u22, graded_leq):
     lo = u22.gidx(u22.zero_idx, u22.lattice.top)
     hi = u22.gidx(u22.one_idx, u22.lattice.bot)
     assert graded_leq(u22, lo, hi)
     assert not graded_leq(u22, hi, lo)
-    assert lo == u22.graded_bot and hi == u22.graded_top
+    assert (hi, lo) == graded_bounds(u22)
     # same set, comparable only when the grades reverse
     a = u22.gidx(u22.one_idx, u22.lattice.top)
-    assert graded_leq(u22, a, u22.graded_top)
-    assert not graded_leq(u22, u22.graded_top, a)
+    assert graded_leq(u22, a, hi)
+    assert not graded_leq(u22, hi, a)
 
 
 def test_boxtimes_components(u31_luk, boxtimes):
@@ -127,8 +133,7 @@ def test_middle_unit_cotensor_is_not_co_gl(u32_luk_middle_unit):
 def test_graded_lattice_bounds(u31_godel):
     glat = u31_godel.graded_lattice()
     assert glat.n == u31_godel.graded_size
-    assert glat.top == u31_godel.graded_top
-    assert glat.bot == u31_godel.graded_bot
+    assert (glat.top, glat.bot) == graded_bounds(u31_godel)
 
 
 def test_graded_join_meet_examples(u31_godel):
@@ -141,8 +146,9 @@ def test_graded_join_meet_examples(u31_godel):
     assert u.sets[sj] == (2,) and gj == 1
     sm, gm = u.gpair(glat.meet[a][b])
     assert u.sets[sm] == (1,) and gm == 2
-    assert glat.join_set([]) == u.graded_bot
-    assert glat.meet_set([]) == u.graded_top
+    top, bot = graded_bounds(u)
+    assert glat.join_set([]) == bot
+    assert glat.meet_set([]) == top
 
 
 def check_pullback(cod, dom):
@@ -204,48 +210,39 @@ def test_powerset_cap_refuses_by_bit_length_at_the_boundary():
         enumerate_powerset(chain(2), Ground(3), cap=4)
 
 
-class CountingRows:
-    """An order table that counts its row lookups, as
-    `test_closure_oracle.CountingRows` counts a join table's."""
-
-    def __init__(self, rows):
-        self.rows, self.count = rows, 0
-
-    def __getitem__(self, a):
-        self.count += 1
-        return self.rows[a]
-
-    def __len__(self):
-        return len(self.rows)
-
-
-def test_graded_gl_reads_the_order_on_pairs_and_covers(monkeypatch):
-    # every law is decided on pairs of cells or on (cell, cover) pairs: on
-    # u23, 16 cells and 32 covers, the battery reads 2,487 rows of the
-    # graded order, where one sweep of every triple reads 4,096 and the
-    # battery of triple sweeps read 17,847
+def test_a_passing_graded_gl_builds_no_graded_table(monkeypatch):
+    # every law holds on both factors of u23's carrier, so the battery
+    # builds neither the graded lattice nor boxtimes; the battery of
+    # triple sweeps read 17,847 rows of the graded order there, and the
+    # one on pairs of cells 2,487
     u = models.build("u23")
-    glat = u.graded_lattice()
-    rows = CountingRows(glat.leq)
-    counted = dataclasses.replace(glat, leq=rows)
-    monkeypatch.setattr(u, "graded_lattice", lambda: counted)
+    built = []
+    monkeypatch.setattr(type(u), "graded_lattice",
+                        lambda self: built.append(self))
+    assert check_graded_gl(u).passed
+    assert built == []
+    assert "box_table" not in vars(u) and "graded_covers" not in vars(u)
+
+
+#: failing verdicts and their first witnesses, as the sweep of every cell,
+#: pair and triple of the graded carrier names them
+FAILING = {
+    "u31_godel_middle_unit": {"adjunction": (0, 1, 1),
+                              "tensor_impl_exchange": (1, 0, 0)},
+    "u31_godel_bounded_sum": {"adjunction": (1, 1, 2)},
+    "u32_non_integral": {"integral": (3, 6), "divisible": (3, 6)},
+    "chain4_cqm_1pt": {"associative": (4, 8, 12), "integral": (4, 8),
+                       "divisible": (4, 8),
+                       "tensor_impl_exchange": (4, 12, 12)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAILING))
+def test_a_failing_graded_gl_names_the_sweeps_witness(name):
+    # a law that fails on a factor is swept on the carrier, which builds
+    # boxtimes there
+    u = models.build(name)
     report = check_graded_gl(u)
-    assert report.passed
-    cells, covers = u.graded_size, len(glat.cover_pairs)
-    assert (cells, covers) == (16, 32)
-    assert rows.count <= 4 * cells ** 2 + 3 * cells * covers
-    assert rows.count == 2487
-
-
-def test_graded_gl_catches_a_wrong_graded_join(monkeypatch):
-    u = models.build("u22")
-    assert check_graded_gl(u).verdicts["componentwise_bounds"].status == "pass"
-    glat = u.graded_lattice()
-    # the meet, where the join is due
-    wrong = dataclasses.replace(glat, join=glat.meet)
-    monkeypatch.setattr(u, "graded_lattice", lambda: wrong)
-    bounds = check_graded_gl(u).verdicts["componentwise_bounds"]
-    assert bounds.status == "fail"
-    cells = u.graded_cells()
-    assert bounds.witness == next((i, j) for i in cells for j in cells
-                                  if glat.join[i][j] != glat.meet[i][j])
+    assert {law: v.witness for law, v in report.failures().items()} \
+        == FAILING[name]
+    assert "box_table" in vars(u)

@@ -5,8 +5,9 @@ stability laws o2, FF2, I2 and N2 on unordered pairs of non-bottom cells
 against every ordered pair, the ultrafilter characterization by table
 lookups against its per-cell definition, the element batteries and I6,
 on covers and incomparable pairs, against their sweeps of every pair,
-triple and quadruple, and the graded GL battery's residuation laws, on
-pairs of cells, against the sweeps of every triple and `gimpl_sup`."""
+triple and quadruple, and the graded GL battery, decided on the factors
+of the carrier, against the sweeps of every cell, pair and triple of the
+carrier and `gimpl_sup`."""
 
 import itertools
 import random
@@ -16,7 +17,7 @@ import pytest
 from fuzztop.errors import trusted
 from fuzztop.filters import FilterTable, check_filter, enumerate_filters
 from fuzztop.lattice import build_lattice, check_infinite_distributivity
-from fuzztop.powerset import _sup_form, check_graded_gl
+from fuzztop.powerset import _sup_digits, check_graded_gl
 from fuzztop.report import Report
 from fuzztop.residuated import (Tensor, check_co_gl_monoid, check_cqm,
                                 check_gl_monoid)
@@ -501,63 +502,121 @@ def test_i6_on_incomparable_pairs_names_the_full_sweeps_first_witness(
     assert seen == ({"pass", "fail"} if lat.incomparable else {"pass"})
 
 
-# ---- the graded GL battery on pairs ----------------------------------------
+# ---- the graded GL battery on its factors ----------------------------------
 
-#: the tiny models with at most 30 graded cells, where a sweep of every
-#: triple of cells takes under 0.1 s
-GRADED = [name for name in models.names("tiny")
-          if models.build(name).graded_size <= 30]
+#: every tiny and small model but diamond_3pt, whose 256 cells take a
+#: sweep of every triple about 20 s, the quasi-monoidal tensor, which
+#: fails four laws on the point factor, and the pentagon, whose grade
+#: factor fails join_distributive
+GRADED = [name for name in models.names("tiny") + models.names("small")
+          + models.names("cqm") + models.names("non-distributive")
+          if name != "diamond_3pt"]
 
 
-def graded_gl_by_triples(u, gimpl_sup):
-    """Oracle: the residuation verdicts of `check_graded_gl` by the sweeps
-    they replaced, as (status, witness) per law: the closed form against
-    `gimpl_sup` on every pair of cells, and the adjunction and the two
-    exchange laws on every triple, the closed form read cell by cell
-    (`Universe.gimpl`)."""
-    cells, box = u.graded_cells(), u.box_table
-    le = u.graded_lattice().leq
+def componentwise(u, sets, grades):
+    """The table over pairs of cells of the operation that is `sets` at
+    each point and `grades` on the grades, element tables, read cell by
+    cell off the sets."""
+    n, cells = u.n, u.graded_cells()
+    return [[u.gidx(u.set_index[tuple(map(lambda x, y: sets[x][y],
+                                          u.sets[i // n], u.sets[j // n]))],
+                    grades[i % n][j % n]) for j in cells] for i in cells]
+
+
+def graded_gl_by_sweeps(u, gimpl_sup):
+    """Oracle: `check_graded_gl` as (status, witness) per law, by the sweeps
+    of the graded carrier with its order built here by its definition, (f,
+    a) below (g, b) iff f <= g pointwise and b <= a, and boxtimes and the
+    implication read cell by cell (`componentwise`, `Universe.gimpl`): the
+    seven GL laws by `monoid_by_all_pairs` over the componentwise join;
+    the bounds and that join and meet against the up-sets and down-sets
+    of the order; the closed form against `gimpl_sup` on every pair of
+    cells; and the adjunction and the two exchange laws on every
+    triple."""
+    lat, n, pw_leq = u.lattice, u.n, u.pw_leq
+    cells = u.graded_cells()
+    le = [[pw_leq[i // n][j // n] and lat.le(j % n, i % n) for j in cells]
+          for i in cells]
+    ups = [sum(1 << j for j in cells if row[j]) for row in le]
+    downs = [sum(1 << i for i in cells if le[i][j]) for j in cells]
+    box = componentwise(u, u.tensor.table, lat.join)
+    join = componentwise(u, lat.join, lat.meet)
+    meet = componentwise(u, lat.meet, lat.join)
+    top, bot = u.gidx(u.one_idx, lat.bot), u.gidx(u.zero_idx, lat.top)
+    report = monoid_by_all_pairs(box, le, join, top, bot, "graded_gl",
+                                 ("integral", "zero", "join_distributive",
+                                  "divisible"))
+    everything = (1 << len(cells)) - 1
+    report.record("top_is_one_bot", downs[top] == everything, top)
+    report.record("bot_is_zero_top", ups[bot] == everything, bot)
+    report.sweep("componentwise_bounds", (
+        (i, j) for i in cells for j in cells
+        if ups[join[i][j]] != ups[i] & ups[j]
+        or downs[meet[i][j]] != downs[i] & downs[j]))
     impl = [[u.gimpl(i, j) for j in cells] for i in cells]
+    report.sweep("impl_closed_vs_sup", (
+        (i, j) for i in cells for j in cells
+        if impl[i][j] != gimpl_sup(u, i, j)))
     triples = list(itertools.product(cells, repeat=3))
-    sweeps = {
-        "impl_closed_vs_sup": ((i, j) for i in cells for j in cells
-                               if impl[i][j] != gimpl_sup(u, i, j)),
-        "adjunction": ((a, b, c) for a, b, c in triples
-                       if le[box[a][b]][c] != le[a][impl[b][c]]),
-        "tensor_impl_exchange": (
+    report.sweep("adjunction", (
+        (a, b, c) for a, b, c in triples
+        if le[box[a][b]][c] != le[a][impl[b][c]]))
+    report.sweep("tensor_impl_exchange", (
+        (a, b, c) for a, b, c in triples
+        if not le[box[a][impl[b][c]]][impl[b][box[a][c]]]))
+    if all(u.tensor.app(x, x) == x for x in lat.elements()):
+        report.sweep("impl_product_exchange", (
             (a, b, c) for a, b, c in triples
-            if not le[box[a][impl[b][c]]][impl[b][box[a][c]]])}
-    if all(u.tensor.app(x, x) == x for x in u.lattice.elements()):
-        sweeps["impl_product_exchange"] = (
-            (a, b, c) for a, b, c in triples
-            if not le[box[impl[b][a]][impl[b][c]]][impl[b][box[a][c]]])
-    return {law: ("pass", None) if w is None else ("fail", w)
-            for law, w in ((law, first(sweep))
-                           for law, sweep in sweeps.items())}
+            if not le[box[impl[b][a]][impl[b][c]]][impl[b][box[a][c]]]))
+    else:
+        report.record_skip("impl_product_exchange", "tensor not idempotent")
+    return verdicts(report)
 
 
-def graded_gl_verdicts(u, laws):
+def verdicts(report):
+    return {law: (v.status, v.witness) for law, v in report.verdicts.items()}
+
+
+def graded_gl_on(u):
+    """`check_graded_gl`'s verdicts on `u`, and whether it swept the
+    graded carrier: the failure path builds `box_table`, which nothing
+    else in the battery reads."""
     report = check_graded_gl(u)
-    return {law: (report.verdicts[law].status, report.verdicts[law].witness)
-            for law in laws}
+    return verdicts(report), "box_table" in vars(u)
 
 
 @pytest.mark.parametrize("name", GRADED)
 def test_graded_gl_names_the_triple_sweeps_first_witness(name, gimpl_sup):
+    # on a fresh universe, which no oracle has read yet; the carrier is
+    # swept exactly when a law fails on a factor, so when the battery fails
     u = models.build(name)
-    want = graded_gl_by_triples(u, gimpl_sup)
-    assert graded_gl_verdicts(u, want) == want
-    if "impl_product_exchange" not in want:
-        assert check_graded_gl(u).verdicts[
-            "impl_product_exchange"].status == "skipped"
+    got, swept = graded_gl_on(u)
+    assert got == graded_gl_by_sweeps(u, gimpl_sup)
+    assert swept == any(status == "fail" for status, _ in got.values())
+
+
+def test_both_paths_of_the_graded_gl_battery_run():
+    # the catalogue holds models on each side of the factor lemma
+    swept = {name: graded_gl_on(models.build(name))[1] for name in GRADED}
+    assert {name for name, graded in swept.items() if graded} == {
+        "u31_godel_middle_unit", "u31_luk_middle_unit",
+        "u32_godel_middle_unit", "u32_luk_middle_unit",
+        "u31_godel_bounded_sum", "u32_non_integral", "chain4_cqm_1pt",
+        "pentagon_constant_1pt"}
 
 
 @pytest.mark.parametrize("name", GRADED)
 def test_lifted_sup_form_is_gimpl_sup(name, gimpl_sup):
+    # the product lemma: at a pair of cells the sup form is the element
+    # sup form at each point, and its own on the grade digit
     u = models.build(name)
-    cells = u.graded_cells()
-    assert _sup_form(u) == tuple(tuple(gimpl_sup(u, i, j) for j in cells)
-                                 for i in cells)
+    sets, grades = _sup_digits(u)
+    for i in u.graded_cells():
+        f, a = u.gpair(i)
+        for j in u.graded_cells():
+            g, b = u.gpair(j)
+            h = tuple(map(lambda x, y: sets[x][y], u.sets[f], u.sets[g]))
+            assert gimpl_sup(u, i, j) == u.gidx(u.set_index[h], grades[a][b])
 
 
 def with_tensor(u, table):
@@ -597,12 +656,13 @@ def mutant_universe(name, which, rng):
 
 def test_graded_gl_on_mutant_universes_names_the_sweeps_first_witness(
         gimpl_sup):
-    # each law falls back to its sweep when a premise fails, and each both
-    # passes and fails.  Where the adjunction holds, tensor_impl_exchange
-    # fails on a tensor that is not associative, and on the diamond on an
-    # associative one that does not commute, its rows 0 and 1 bot and rows
-    # 2 and 3 (0, 1, 2, 2): it is isotone in its first argument only, and
-    # commutativity is what makes boxtimes isotone in its second
+    # a law is swept on the carrier only when it fails on a factor, and
+    # each law both passes and fails.  Where the adjunction holds,
+    # tensor_impl_exchange fails on a tensor that is not associative, and
+    # on the diamond on an associative one that does not commute, its rows
+    # 0 and 1 bot and rows 2 and 3 (0, 1, 2, 2): it is isotone in its first
+    # argument only, and commutativity is what makes boxtimes isotone in
+    # its second
     rng, seen = random.Random(31), set()
     universes = [(name, which, mutant_universe(name, which, rng))
                  for name in ("u21", "u22", "u31_godel", "u31_luk",
@@ -612,11 +672,12 @@ def test_graded_gl_on_mutant_universes_names_the_sweeps_first_witness(
         models.build("diamond_1pt"),
         [(0, 0, 0, 0), (0, 0, 0, 0), (0, 1, 2, 2), (0, 1, 2, 2)])))
     for name, which, u in universes:
-        want = graded_gl_by_triples(u, gimpl_sup)
-        report = check_graded_gl(u)
-        assert graded_gl_verdicts(u, want) == want, (name, which)
-        statuses = {law: v.status for law, v in report.verdicts.items()}
+        got, swept = graded_gl_on(u)
+        assert got == graded_gl_by_sweeps(u, gimpl_sup), (name, which)
+        statuses = {law: status for law, (status, _) in got.items()}
+        assert swept == ("fail" in statuses.values()), (name, which)
         seen.update(statuses.items())
+        seen.add(("swept", swept))
         if statuses["adjunction"] == "pass" \
                 and statuses["tensor_impl_exchange"] == "fail":
             seen.add(("exchange fails without", *sorted(
@@ -627,7 +688,8 @@ def test_graded_gl_on_mutant_universes_names_the_sweeps_first_witness(
         "impl_product_exchange", "isotone", "commutative", "associative")
         for status in ("pass", "fail")}
     assert {("exchange fails without", "commutative"),
-            ("exchange fails without", "associative")} <= seen
+            ("exchange fails without", "associative"),
+            ("swept", True), ("swept", False)} <= seen
 
 
 # ---- N4 without candidate lists --------------------------------------------
