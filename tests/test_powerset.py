@@ -12,6 +12,8 @@ from fuzztop.powerset import (Ground, Universe, check_graded_gl,
                               enumerate_powerset)
 
 import models
+from test_sweep_oracles import (componentwise, first, graded_order,
+                                unbounded_pairs)
 
 
 def test_powerset_enumeration_count():
@@ -222,6 +224,23 @@ def test_a_passing_graded_gl_builds_no_graded_table(monkeypatch):
     assert check_graded_gl(u).passed
     assert built == []
     assert "box_table" not in vars(u) and "graded_covers" not in vars(u)
+
+
+def test_graded_gl_catches_a_wrong_graded_join():
+    # componentwise_bounds is a fact of any product of bounded lattices, so
+    # the battery reads no graded join; the oracle that the sweeps check it
+    # by, over the graded order built by its definition, passes the
+    # componentwise join and meet and catches the meet where the join is
+    # due, at the first pair of cells where the two differ
+    u = models.build("u22")
+    assert check_graded_gl(u).verdicts["componentwise_bounds"].status == "pass"
+    le, lat, cells = graded_order(u), u.lattice, u.graded_cells()
+    join = componentwise(u, lat.join, lat.meet)
+    meet = componentwise(u, lat.meet, lat.join)
+    assert first(unbounded_pairs(le, join, meet)) is None
+    assert first(unbounded_pairs(le, meet, meet)) \
+        == next((i, j) for i in cells for j in cells
+                if join[i][j] != meet[i][j])
 
 
 #: failing verdicts and their first witnesses, as the sweep of every cell,

@@ -523,6 +523,35 @@ def componentwise(u, sets, grades):
                     grades[i % n][j % n]) for j in cells] for i in cells]
 
 
+def graded_order(u):
+    """The graded order by its definition, as a table over pairs of cells:
+    (f, a) below (g, b) iff f <= g pointwise and b <= a."""
+    lat, n, pw_leq = u.lattice, u.n, u.pw_leq
+    cells = u.graded_cells()
+    return [[pw_leq[i // n][j // n] and lat.le(j % n, i % n) for j in cells]
+            for i in cells]
+
+
+def cones(le):
+    """Each element's up-set and down-set in the order table `le`, as bit
+    masks."""
+    elements = range(len(le))
+    return ([sum(1 << j for j in elements if row[j]) for row in le],
+            [sum(1 << i for i in elements if le[i][j]) for j in elements])
+
+
+def unbounded_pairs(le, join, meet):
+    """The pairs whose `join` is not their least upper bound, or whose
+    `meet` is not their greatest lower bound, in the order table `le`: an
+    upper bound's up-set is the meet of the pair's up-sets iff it is the
+    least, and dually."""
+    ups, downs = cones(le)
+    elements = range(len(le))
+    return ((i, j) for i in elements for j in elements
+            if ups[join[i][j]] != ups[i] & ups[j]
+            or downs[meet[i][j]] != downs[i] & downs[j])
+
+
 def graded_gl_by_sweeps(u, gimpl_sup):
     """Oracle: `check_graded_gl` as (status, witness) per law, by the sweeps
     of the graded carrier with its order built here by its definition, (f,
@@ -533,12 +562,9 @@ def graded_gl_by_sweeps(u, gimpl_sup):
     of the order; the closed form against `gimpl_sup` on every pair of
     cells; and the adjunction and the two exchange laws on every
     triple."""
-    lat, n, pw_leq = u.lattice, u.n, u.pw_leq
-    cells = u.graded_cells()
-    le = [[pw_leq[i // n][j // n] and lat.le(j % n, i % n) for j in cells]
-          for i in cells]
-    ups = [sum(1 << j for j in cells if row[j]) for row in le]
-    downs = [sum(1 << i for i in cells if le[i][j]) for j in cells]
+    lat, cells = u.lattice, u.graded_cells()
+    le = graded_order(u)
+    ups, downs = cones(le)
     box = componentwise(u, u.tensor.table, lat.join)
     join = componentwise(u, lat.join, lat.meet)
     meet = componentwise(u, lat.meet, lat.join)
@@ -549,10 +575,7 @@ def graded_gl_by_sweeps(u, gimpl_sup):
     everything = (1 << len(cells)) - 1
     report.record("top_is_one_bot", downs[top] == everything, top)
     report.record("bot_is_zero_top", ups[bot] == everything, bot)
-    report.sweep("componentwise_bounds", (
-        (i, j) for i in cells for j in cells
-        if ups[join[i][j]] != ups[i] & ups[j]
-        or downs[meet[i][j]] != downs[i] & downs[j]))
+    report.sweep("componentwise_bounds", unbounded_pairs(le, join, meet))
     impl = [[u.gimpl(i, j) for j in cells] for i in cells]
     report.sweep("impl_closed_vs_sup", (
         (i, j) for i in cells for j in cells
