@@ -8,15 +8,19 @@ time, by the level lemma below.  Under any other tensor it is reached by
 a chain with an integral tensor each rule fires at most once per unordered
 pair of them (every `Universe` tensor commutes and has bot as its zero).
 Topologies are closed under pointwise meet, so they are enumerated as that
-closure system from its least member (see `closure`).  The interior operator derived from a topology, and the
-per-point neighborhood system derived from that, are materialized as full
-tables, once per `Topology`, and validated by exhaustive axiom sweeps,
-turning the structural lemmas into executable checks; the interior is
-built over each set's lower covers.  o3 and I6, axioms over arbitrary
-families, are checked on pairs and the empty family: the same on finite
-models.  Each sweep skips the cases that cannot fail (bottom values, or for
-o2 and o3 values the table's floor makes safe, one of each symmetric pair,
-non-covers; see `Universe`) and still names the full sweep's first failure.
+closure system from its least member (see `closure`).  A table with top at
+the empty and full sets is a topology iff it is its own least topology
+above, under every tensor, as a closure operator fixes exactly the closed
+tables; so o2 and o3 are decided by one such build, and their pairs are
+swept only to name a failure.  The interior operator derived from a
+topology, and the per-point neighborhood system derived from that, are
+materialized as full tables, once per `Topology`, and validated by
+exhaustive axiom sweeps, turning the structural lemmas into executable
+checks; the interior is built over each set's lower covers.  o3 and I6,
+axioms over arbitrary families, are checked on pairs and the empty family:
+the same on finite models.  Each other sweep skips the cases that cannot
+fail (bottom values, one of each symmetric pair, non-covers; see
+`Universe`) and still names the full sweep's first failure.
 A point map is checked and pulled back once per check
 (`Universe.pullback`).  Each record checks its table where it is made
 (`Topology`, `InteriorOp`, `NbhdSystem`), and the tables the kernel
@@ -74,9 +78,7 @@ one pass up the set covers.  Proof:
   each code of a D_x lies below code f, iff their OR c(f) does.
 Each step is one AND or OR of small ints, over `Universe.upper_covers`
 descending and `lower_covers` ascending, in place of firing both rules on
-every pair of sets; no pointwise table is read.  A table with top at the
-empty and full sets is a topology iff it is its own least topology above,
-so `check_topology` decides o2 and o3 together by one such build.
+every pair of sets; no pointwise table is read.
 """
 
 from __future__ import annotations
@@ -181,48 +183,36 @@ def check_topology(t):
     o3 (meet of grades below the grade of the join), checked on the empty
     family, which is o1', and on pairs: witness {"subset": () or (i, j)}.
 
-    o2 and o3 are symmetric in the pair, so each sweeps unordered pairs,
-    i <= j (i < j for o3, whose diagonal holds): a failing pair fails both
-    ways round, so the first in index order is among them.  Both skip the
-    sets in no failing pair by the floor, the meet of the grades: for o2 a
-    set graded v with v (*) top <= floor, as v (*) w <= v (*) top for every
-    w (the tensor is monotone), and for o3 a set at the floor.  o2 keeps
-    the floor itself unless v (*) top <= floor: a tensor that is not
-    integral can have v (*) top > v.
-
-    Under the meet tensor, with o1 and o1' holding, o2 and o3 both pass
-    iff the table is its own least topology above (`_by_levels`, the
-    level lemma of the module docstring), and no pair is swept.  The
-    sweeps run only when that test fails, so each failure names the same
-    first witness."""
+    With o1 and o1' holding, o2 and o3 both pass iff the table is its own
+    least topology above (`_least_above`), under every tensor.  Only when
+    that fails are the pairs swept, to name each axiom's first witness.
+    o2 and o3 are symmetric in the pair, so each sweeps the unordered
+    pairs i <= j in index order (i < j for o3, whose diagonal holds): a
+    failing pair fails both ways round, so the first is among them."""
     u = t.universe
     lat = u.lattice
     report = Report("topology")
-    report.record("o1", t.table[u.one_idx] == lat.top,
-                  {"grade": t.table[u.one_idx]})
-    report.record("o1_prime", t.table[u.zero_idx] == lat.top,
-                  {"grade": t.table[u.zero_idx]})
-    table, le, ten, meet = t.table, lat.leq, u.tensor.table, lat.meet
-    if ten == meet and table[u.one_idx] == table[u.zero_idx] == lat.top \
-            and _by_levels(u, table) == list(table):
+    table, top = t.table, lat.top
+    report.record("o1", table[u.one_idx] == top, {"grade": table[u.one_idx]})
+    report.record("o1_prime", table[u.zero_idx] == top,
+                  {"grade": table[u.zero_idx]})
+    if table[u.one_idx] == table[u.zero_idx] == top \
+            and _least_above(u, list(table)) == list(table):
         report.record("o2", True)
         report.record("o3", True)
         return report
-    floor = lat.bot if lat.bot in table else lat.meet_set(set(table))
-    unstable = [not le[row[lat.top]][floor] for row in ten]
-    live = [i for i, v in enumerate(table) if unstable[v]]
+    le, ten, meet, sets = lat.leq, u.tensor.table, lat.meet, range(u.n_sets)
     report.sweep("o2", ({"f": u.sets[i], "g": u.sets[j]}
-                        for k, i in enumerate(live) for j in live[k:]
+                        for i in sets for j in sets[i:]
                         if not le[ten[table[i]][table[j]]][
                             table[u.pw_tensor[i][j]]]))
 
     def o3_failures():
-        if table[u.zero_idx] != lat.top:
+        if table[u.zero_idx] != top:
             yield {"subset": ()}
-        above = [i for i, v in enumerate(table) if v != floor]
-        for k, i in enumerate(above):
+        for i in sets:
             row_j, meet_i = u.pw_join[i], meet[table[i]]
-            for j in above[k + 1:]:
+            for j in sets[i + 1:]:
                 if not le[meet_i[table[j]]][table[row_j[j]]]:
                     yield {"subset": (i, j)}
 
@@ -258,14 +248,9 @@ def generate_topology(universe, seed):
     """Least topology above a seed grading.
 
     Forces the top and bottom sets to grade top, then raises the table to
-    the least fixpoint of the tensor and join rules.  When the tensor is
-    the meet, the fixpoint is built from each join-irreducible grade's cut
-    of the seed by two passes over the set covers (the level lemma of the
-    module docstring).  Otherwise it is one `closure.close` sweep: each
-    rule fires at most once per unordered pair of sets not graded bot,
-    visited in value order, and the sweep stops once every set is graded
-    top.  Raises PreconditionViolated unless the seed has one grade of L
-    per set.
+    the least fixpoint of the tensor and join rules (`_least_above`).
+    Raises PreconditionViolated unless the seed has one grade of L per
+    set.
     """
     u = universe
     lat = u.lattice
@@ -273,11 +258,21 @@ def generate_topology(universe, seed):
     table = list(seed)
     table[u.one_idx] = lat.top
     table[u.zero_idx] = lat.top
-    if u.tensor.table == lat.meet:
-        table = _by_levels(u, table)
-    else:
-        close(table, lat, _rules(u))
-    return trusted(Topology, universe=u, table=tuple(table))
+    return trusted(Topology, universe=u, table=tuple(_least_above(u, table)))
+
+
+def _least_above(u, table):
+    """The least topology above `table`, a list with top at the empty and
+    full sets, which it may raise in place.  Under the meet tensor it is
+    built from each join-irreducible grade's cut by two passes over the set
+    covers (`_by_levels`, the level lemma of the module docstring).
+    Otherwise it is one `closure.close` sweep: each rule fires at most once
+    per unordered pair of sets not graded bot, visited in value order, and
+    the sweep stops once every set is graded top."""
+    if u.tensor.table == u.lattice.meet:
+        return _by_levels(u, table)
+    close(table, u.lattice, _rules(u))
+    return table
 
 
 def _by_levels(u, seed):

@@ -16,16 +16,20 @@ there; both trees must list the same tasks, or nothing is compared.
 It prints the sums and the p50 and p90 (nearest rank, as `run.py`) of the
 minima on each side, the sums per group of tasks (the task key with its
 `[k]` index removed, so every `is_compact[k]` of an instance is one
-group; left out when no key has an index), the `--top` tasks whose
-minimum moved most (by ratio), and every task that crossed the p50 or p90
-rank: at or below that percentile on one side and above it on the other,
-each side against its own percentile.  Standard library only.
+group; left out when no key has an index), the median and quartiles of
+the change/parent ratio over the groups (the drift of the groups a change
+does not reach, against which a touched group is judged), the `--top`
+tasks whose minimum moved most (by ratio), and every task that crossed
+the p50 or p90 rank: at or below that percentile on one side and above
+it on the other, each side against its own percentile.  Standard library
+only.
 """
 
 import argparse
 import json
 import math
 import re
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -128,6 +132,11 @@ def main(argv=None):
     if len(groups_a) < len(names):  # else each group is one task
         table("sums per group", "group",
               [(g, x, groups_b[g]) for g, x in groups_a.items()])
+    ratios = [groups_b[g] / x for g, x in groups_a.items() if x]
+    if len(ratios) > 1:
+        q1, median, q3 = statistics.quantiles(ratios, n=4)
+        print(f"\nchange/parent ratio over {len(ratios)} groups: median "
+              f"{median:.3f}, quartiles {q1:.3f} to {q3:.3f}")
     moved = sorted(zip(names, a, b), key=lambda t: -abs(math.log(t[2] / t[1]))
                    if t[1] > 0 and t[2] > 0 else 0)
     table(f"moved most (by ratio), top {args.top}", "task", moved[:args.top])

@@ -16,6 +16,7 @@ import pytest
 
 from fuzztop.errors import trusted
 from fuzztop.filters import FilterTable, check_filter, enumerate_filters
+from fuzztop.instances import join_cotensor
 from fuzztop.lattice import build_lattice, check_infinite_distributivity
 from fuzztop.powerset import _sup_digits, check_graded_gl
 from fuzztop.report import Report
@@ -202,7 +203,7 @@ def test_a_cell_is_paired_with_itself(u32_luk):
                                  lat.bot)) == [want]
 
 
-# ---- o2 and o3 pruned by the floor ------------------------------------------
+# ---- o2 and o3 named by the pair sweeps -------------------------------------
 
 def o2_o3_by_live_pairs(t):
     """Oracle: the first o2 and o3 witnesses of the sweep of unordered pairs
@@ -222,8 +223,11 @@ def o2_o3_by_live_pairs(t):
 
 def check_floor_pruning(topologies, rng, seen, mutants_each):
     """Verdicts and first witnesses of o2 and o3 against the oracle, on each
-    topology and on single-cell mutants of it; `seen` collects which axioms
-    failed."""
+    topology and on single-cell mutants of it: `check_topology` decides
+    both by the least topology above the table and sweeps every pair only
+    on a failure, to name it.  `seen` collects which axioms failed, and
+    whether the failing table grades no set bot (the sweeps once skipped
+    sets by the floor, the meet of the grades)."""
     for t in topologies:
         u = t.universe
         tables = [t.table]
@@ -245,12 +249,12 @@ def check_floor_pruning(topologies, rng, seen, mutants_each):
 
 def test_floor_pruning_names_the_live_pair_sweeps_first_witness(request):
     # every topology of each universe, and 3 single-cell mutants of each;
-    # on the non-integral tensor some o2 failure has no set graded bot, so
-    # pruning the sets at the floor, not those with v (*) top <= floor,
-    # misses it
+    # the failures are named by the pair sweeps, on tables with and without
+    # a set graded bot; the non-associative tensor of chain4_cqm_1pt and
+    # the non-integral one, where v (*) top > v, are decided by `close`
     rng, seen = random.Random(18), set()
     for name in ("u22", "u23", "u32_godel", "u32_luk", "diamond_1pt",
-                 "u32_non_integral"):
+                 "chain4_cqm_1pt", "u32_non_integral"):
         u = request.getfixturevalue(name)
         check_floor_pruning(enumerate_topologies(u), rng, seen, 3)
     assert len(enumerate_topologies(u)) == 150  # u32_non_integral
@@ -261,6 +265,9 @@ def test_floor_pruning_names_the_live_pair_sweeps_first_witness(request):
 @pytest.mark.parametrize("name", models.names("next-tier"),
                          ids=PARENT_IDS.get)
 def test_floor_pruning_on_generated_large_topologies(name, request):
+    # generated topologies of 243 and 256 sets and 20 single-cell mutants
+    # of each: the level test passes the first, and the pair sweeps name
+    # both axioms' failures among the others
     u = request.getfixturevalue(name)
     lat = u.lattice
     rng, seen = random.Random(u.ground.m), set()
@@ -626,6 +633,23 @@ def test_both_paths_of_the_graded_gl_battery_run():
         "u32_godel_middle_unit", "u32_luk_middle_unit",
         "u31_godel_bounded_sum", "u32_non_integral", "chain4_cqm_1pt",
         "pentagon_constant_1pt"}
+
+
+def test_the_join_fails_no_co_gl_law_but_meet_distributivity():
+    # the join lemma of the `powerset` docstring, on which check_graded_gl
+    # decides the grade factor: on every catalogue lattice the join passes
+    # every co-GL law but `meet_distributive`, whose status is that of
+    # L's `meet_join_distributive`; both statuses occur
+    statuses = set()
+    for make in models.LATTICES.values():
+        lat = make()
+        co = check_co_gl_monoid(join_cotensor(lat)).verdicts
+        status = co.pop("meet_distributive").status
+        assert {v.status for v in co.values()} == {"pass"}
+        assert status == check_infinite_distributivity(lat).verdicts[
+            "meet_join_distributive"].status
+        statuses.add(status)
+    assert statuses == {"pass", "fail"}
 
 
 @pytest.mark.parametrize("name", GRADED)

@@ -367,14 +367,16 @@ def test_generate_topology_closes_only_off_the_meet(name, closes, request,
 
 
 def test_check_topology_equals_the_pair_sweeps(request, topology_by_sweeps):
-    # every report, witnesses included, on each meet-tensor model: its
-    # listed topologies (generated ones on the small tag, whose listings
-    # exceed the cap), random tables with top at the empty and full sets,
-    # and one-cell mutants of the topologies, among which o2 and o3 each
-    # fail.  A table with top at those sets passes iff the level test
-    # returns it unchanged, so the sweeps run only on the failures
+    # every report, witnesses included, on each model of the tiny and small
+    # tags, under every tensor: its listed topologies (generated ones on
+    # the small tag, whose listings exceed the cap), random tables with top
+    # at the empty and full sets, and one-cell mutants of the topologies,
+    # among which o2 and o3 each fail.  A table with top at those sets
+    # passes iff it is its own least topology above (by levels under the
+    # meet tensor, by `close` otherwise), so the sweeps run only on the
+    # failures
     failed = set()
-    for name in MEET_MODELS:
+    for name in models.names("tiny") + models.names("small"):
         u = request.getfixturevalue(name)
         lat, rng = u.lattice, random.Random(name)
         if models.MODELS[name].tag == "tiny":
@@ -395,7 +397,7 @@ def test_check_topology_equals_the_pair_sweeps(request, topology_by_sweeps):
             want = topology_by_sweeps(t)
             assert check_topology(t).to_dict() == want.to_dict(), name
             if table[u.zero_idx] == table[u.one_idx] == lat.top:
-                closed = topology._by_levels(u, table) == list(table)
+                closed = topology._least_above(u, list(table)) == list(table)
                 assert closed == want.passed, name
             failed.update(want.failures().keys() & {"o2", "o3"})
     assert failed == {"o2", "o3"}
